@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import harness, synthdata, tasks
-from .harness import ConfigError
 
 GEN_FIELDS = {
     "version": int,
@@ -33,25 +32,11 @@ GEN_DEFAULTS = {"scenes": 500}
 
 
 def parse_dataset_config(text: str):
-    """Flat key=value description of a synthetic dataset."""
-    values = dict(GEN_DEFAULTS)
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in GEN_FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = GEN_FIELDS[key](raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}") from None
-    if values.get("version") != 1:
-        raise ConfigError("dataset config needs 'version = 1'")
-    n = values.pop("scenes")
+    """Synthetic dataset description in the run-config grammar; returns
+    (SceneSpec, scene count)."""
+    values = {**GEN_DEFAULTS, **harness.parse_key_values(text, GEN_FIELDS)}
     values.pop("version")
+    n = values.pop("scenes")
     rename = {"classes": "n_classes"}
     spec = synthdata.SceneSpec(**{rename.get(k, k): v for k, v in values.items()})
     return spec, n

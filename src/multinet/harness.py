@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import synthdata, tasks
+from . import container, synthdata, tasks
 from .model import Multinet, MultinetOutput, TaskConfig
 from .synthdata import SceneSpec, propose_regions
 from .tasks import ScenePrediction, assign_regions
@@ -26,6 +25,7 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "TrainingError",
+    "parse_key_values",
     "parse_config",
     "load_config",
     "build_task_config",
@@ -92,31 +92,25 @@ class RunConfig:
         return [int(s) for s in self.seeds.split(",") if s.strip() != ""]
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_value(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
-    return raw
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+_RUN_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Flat `key = value` format; unknown keys and a missing/unsupported
-    version key are errors."""
+def parse_key_values(text: str, fields: dict) -> dict:
+    """Flat `key = value` lines with `#` comments and blank lines.
+
+    `fields` maps each allowed key to a parser that raises ValueError on a
+    bad value. Unknown keys, duplicate keys, bad values (each naming its
+    line) and a missing or unsupported `version` are ConfigErrors.
+    """
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -125,16 +119,24 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = fields[key](raw)
+        except ValueError as e:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from None
     if "version" not in values:
         raise ConfigError("config is missing the 'version' key")
     if values["version"] != 1:
         raise ConfigError(f"unsupported config version {values['version']}")
-    return RunConfig(**values)
+    return values
+
+
+def parse_config(text: str) -> RunConfig:
+    """Run configuration in the `parse_key_values` grammar."""
+    return RunConfig(**parse_key_values(text, _RUN_FIELDS))
 
 
 def load_config(path) -> RunConfig:
@@ -324,46 +326,29 @@ def save_checkpoint(state: TrainState, path) -> None:
         "optimizer": {},  # plain SGD carries no state
         "history": state.history,
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION), struct.pack("<I", len(blob)), blob]
     items = state.model.params.items()
-    chunks.append(struct.pack("<I", len(items)))
+    chunks = [container.blob(json.dumps(header, sort_keys=True).encode()), container.u32(len(items))]
     for name, tensor, mult in items:
-        nb = name.encode()
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
+        chunks.append(container.blob(name.encode()))
         chunks.append(struct.pack("<d", mult))
-        chunks.append(struct.pack("<I", tensor.data.ndim))
+        chunks.append(container.u32(tensor.data.ndim))
         chunks.append(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    body = b"".join(chunks)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(hashlib.sha256(body).digest())
+        chunks.append(container.f8(tensor.data))
+    container.write(path, CKPT_MAGIC, CKPT_VERSION, chunks)
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CKPT_MAGIC) + 8 + 32:
-        raise TrainingError("truncated checkpoint")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise TrainingError("checkpoint checksum mismatch")
-    r = synthdata._Reader(body)
-    if r.take(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise TrainingError("bad checkpoint magic")
-    if r.u32() != CKPT_VERSION:
-        raise TrainingError("unsupported checkpoint version")
-    header = json.loads(r.take(r.u32()).decode())
+    """Header dict plus `params`: name -> (array, lr multiplier); raises
+    TrainingError on any corruption."""
+    r = container.Reader(path, CKPT_MAGIC, CKPT_VERSION, TrainingError, "checkpoint")
+    header = json.loads(r.blob().decode())
     params = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode()
-        (mult,) = struct.unpack("<d", r.take(8))
+        name = r.blob().decode()
+        (mult,) = r.unpack("<d")
         ndim = r.u32()
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        data = np.frombuffer(r.take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).copy()
-        params[name] = (data, mult)
+        params[name] = (r.f8(r.unpack(f"<{ndim}I")), mult)
+    r.done()
     header["params"] = params
     return header
 

@@ -333,7 +333,3 @@ class Multinet:
                 )
             return Tensor(truth)
         return pred.detach() if self.cfg.truncate_feedback else pred
-
-    def ground_label(self, image, boxes, task: str, truth, n_iters=None) -> list:
-        """Forward pass with one task's label grounded to the given truth."""
-        return self.forward(image, boxes, ground={task: truth}, n_iters=n_iters)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, TensorError, make_op
+from .tensor import Tensor, TensorError, make_op, reshape
 
 __all__ = [
     "ConvLayer",
@@ -27,7 +27,7 @@ __all__ = [
     "stack_channels",
     "spp_pool",
     "spp_pool_regions",
-    "feature_footprint",
+    "feature_footprints",
 ]
 
 
@@ -221,24 +221,10 @@ def stack_channels(tensors) -> Tensor:
     return make_op(out, tuple(tensors), bwd, "stack_channels")
 
 
-def feature_footprint(box, stride: int, h: int, w: int):
-    """Map an image-coordinate (x1, y1, x2, y2) box to feature-map cell
-    bounds [r0, r1) x [c0, c1): floor for starts, ceil for ends, clamped to
-    cover at least one cell."""
-    x1, y1, x2, y2 = box
-    c0 = int(np.floor(x1 / stride))
-    c1 = int(np.ceil(x2 / stride))
-    r0 = int(np.floor(y1 / stride))
-    r1 = int(np.ceil(y2 / stride))
-    r0 = min(max(r0, 0), h - 1)
-    c0 = min(max(c0, 0), w - 1)
-    r1 = min(max(r1, r0 + 1), h)
-    c1 = min(max(c1, c0 + 1), w)
-    return r0, r1, c0, c1
-
-
 def feature_footprints(boxes, stride: int, h: int, w: int) -> np.ndarray:
-    """Vectorized `feature_footprint` over M boxes: (M, 4) [r0, r1, c0, c1]."""
+    """Map M image-coordinate (x1, y1, x2, y2) boxes to feature-map cell
+    bounds [r0, r1) x [c0, c1), as an (M, 4) [r0, r1, c0, c1] array: floor
+    for starts, ceil for ends, clamped to cover at least one cell."""
     arr = np.array([tuple(b) for b in boxes], dtype=np.float64).reshape(-1, 4)
     c0 = np.clip(np.floor(arr[:, 0] / stride).astype(np.int64), 0, w - 1)
     r0 = np.clip(np.floor(arr[:, 1] / stride).astype(np.int64), 0, h - 1)
@@ -247,68 +233,12 @@ def feature_footprints(boxes, stride: int, h: int, w: int) -> np.ndarray:
     return np.stack([r0, r1, c0, c1], axis=1)
 
 
-def _bin_index(n: int, g: int):
-    """Clamped bin slices over n cells: bin i nominally spans
-    [floor(i*n/g), floor((i+1)*n/g)); an empty bin collapses to the single
-    cell at its clamped start. Returns a (g, L) gather-index array whose
-    padding repeats each bin's last cell (harmless under max with
-    first-argmax tie-breaking)."""
-    starts = np.minimum((np.arange(g) * n) // g, n - 1)
-    ends = np.maximum((np.arange(1, g + 1) * n) // g, starts + 1)
-    length = int((ends - starts).max())
-    idx = starts[:, None] + np.arange(length)[None, :]
-    return np.minimum(idx, (ends - 1)[:, None])
-
-
-def _spp_one(hdata: np.ndarray, fp, g: int):
-    """Pool one footprint; returns (pooled G x G x C, state for backward)."""
-    r0, r1, c0, c1 = fp
-    sub = hdata[r0:r1, c0:c1]
-    ri = _bin_index(r1 - r0, g)  # (g, Lr)
-    ci = _bin_index(c1 - c0, g)  # (g, Lc)
-    lr, lc = ri.shape[1], ci.shape[1]
-    cand = sub[ri][:, :, ci]  # (g, Lr, g, Lc, C)
-    cand = cand.transpose(0, 2, 1, 3, 4).reshape(g, g, lr * lc, -1)
-    arg = cand.argmax(axis=2)  # first (row-major within bin) on ties
-    pooled = np.take_along_axis(cand, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    return pooled, (sub.shape, ri, ci, arg)
-
-
-def _spp_backprop_one(gpooled, state, g):
-    """Scatter a G x G x C pooled gradient onto the sub-map at the argmax
-    cells recorded during the forward pass."""
-    (hh, ww, c), ri, ci, arg = state
-    lc = ci.shape[1]
-    ii, jj, cc = np.meshgrid(np.arange(g), np.arange(g), np.arange(c), indexing="ij")
-    rows = ri[ii, arg // lc]
-    cols = ci[jj, arg % lc]
-    gsub = np.zeros((hh, ww, c))
-    np.add.at(gsub, (rows, cols, cc), gpooled)
-    return gsub
-
-
-def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
-    """Fixed-grid max pooling of one image-coordinate box: G x G x C out."""
-    x1, y1, x2, y2 = box
-    if x2 <= x1 or y2 <= y1:
-        raise TensorError(f"spp_pool: degenerate box {box}")
-    hh, ww, _ = h.data.shape
-    g = grid.grid_size
-    fp = feature_footprint((x1, y1, x2, y2), grid.feature_stride, hh, ww)
-    pooled, state = _spp_one(h.data, fp, g)
-
-    def bwd(gout):
-        gh = np.zeros_like(h.data)
-        r0, r1, c0, c1 = fp
-        gh[r0:r1, c0:c1] = _spp_backprop_one(gout, state, g)
-        return (gh,)
-
-    return make_op(pooled, (h,), bwd, "spp_pool")
-
-
 def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
     """Absolute gather indices (M, g, L) for per-region clamped bins over
-    the [start, stop) cell ranges; padding repeats each bin's last cell."""
+    the [start, stop) cell ranges of n cells: bin i nominally spans
+    [floor(i*n/g), floor((i+1)*n/g)); an empty bin collapses to the single
+    cell at its clamped start. Padding repeats each bin's last cell
+    (harmless under max with first-argmax tie-breaking)."""
     n = (stop - start)[:, None]
     i = np.arange(g)[None, :]
     starts = np.minimum((i * n) // g, n - 1)
@@ -317,6 +247,13 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
     idx = starts[:, :, None] + np.arange(length)[None, None, :]
     idx = np.minimum(idx, (ends - 1)[:, :, None])
     return idx + start[:, None, None]
+
+
+def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
+    """Fixed-grid max pooling of one image-coordinate box: G x G x C out
+    (`spp_pool_regions` with one box)."""
+    pooled = spp_pool_regions(h, [box], grid)
+    return reshape(pooled, pooled.data.shape[1:])
 
 
 def spp_pool_regions(h: Tensor, boxes, grid: SppGrid) -> Tensor:

@@ -1,16 +1,17 @@
 """Deterministic synthetic scenes (colored objects with sub-part bars) and a
-region-proposal surrogate, plus a checksummed binary dataset container."""
+region-proposal surrogate, plus the dataset file format (stored in a
+`container` file)."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .tasks import Box, iou
 from .tensor import seed_rng
 
@@ -218,77 +219,41 @@ def _pack_box(b: Box) -> bytes:
 
 
 def write_dataset(scenes, spec: SceneSpec, path) -> None:
-    """Versioned binary container with a trailing SHA-256 checksum."""
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
-    spec_blob = json.dumps(dataclasses.asdict(spec), sort_keys=True).encode()
-    chunks.append(struct.pack("<I", len(spec_blob)))
-    chunks.append(spec_blob)
-    chunks.append(struct.pack("<I", len(scenes)))
+    """Write scenes into a versioned, checksummed container."""
+    chunks = [container.blob(json.dumps(dataclasses.asdict(spec), sort_keys=True).encode())]
+    chunks.append(container.u32(len(scenes)))
     for s in scenes:
         h, w, _ = s.image.shape
         chunks.append(struct.pack("<HH", h, w))
-        chunks.append(np.ascontiguousarray(s.image, dtype="<f8").tobytes())
-        chunks.append(struct.pack("<I", len(s.objects)))
+        chunks.append(container.f8(s.image))
+        chunks.append(container.u32(len(s.objects)))
         for cls, b in s.objects:
-            chunks.append(struct.pack("<I", cls) + _pack_box(b))
-        chunks.append(struct.pack("<I", len(s.parts)))
+            chunks.append(container.u32(cls) + _pack_box(b))
+        chunks.append(container.u32(len(s.parts)))
         for cls, b, parent in s.parts:
-            chunks.append(struct.pack("<I", cls) + _pack_box(b) + struct.pack("<I", parent))
-        chunks.append(struct.pack("<I", len(s.img_label)))
-        chunks.append(s.img_label.astype(np.uint8).tobytes())
-    body = b"".join(chunks)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(hashlib.sha256(body).digest())
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DatasetError("truncated dataset file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+            chunks.append(container.u32(cls) + _pack_box(b) + container.u32(parent))
+        chunks.append(container.blob(s.img_label.astype(np.uint8).tobytes()))
+    container.write(path, MAGIC, VERSION, chunks)
 
 
 def read_dataset(path):
     """Returns (spec, scenes); raises DatasetError on any corruption."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) + 4 + 32:
-        raise DatasetError("truncated dataset file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise DatasetError("checksum mismatch")
-    r = _Reader(body)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise DatasetError("bad magic")
-    version = r.u32()
-    if version != VERSION:
-        raise DatasetError(f"unsupported dataset version {version}")
-    spec = SceneSpec(**json.loads(r.take(r.u32()).decode()))
+    r = container.Reader(path, MAGIC, VERSION, DatasetError, "dataset")
+    spec = SceneSpec(**json.loads(r.blob().decode()))
     scenes = []
     for _ in range(r.u32()):
-        h, w = struct.unpack("<HH", r.take(4))
-        img = np.frombuffer(r.take(h * w * 3 * 8), dtype="<f8").reshape(h, w, 3).copy()
+        h, w = r.unpack("<HH")
+        img = r.f8((h, w, 3))
         objects = []
         for _ in range(r.u32()):
             cls = r.u32()
-            objects.append((cls, Box(*struct.unpack("<4d", r.take(32)))))
+            objects.append((cls, Box(*r.unpack("<4d"))))
         parts = []
         for _ in range(r.u32()):
             cls = r.u32()
-            box = Box(*struct.unpack("<4d", r.take(32)))
+            box = Box(*r.unpack("<4d"))
             parts.append((cls, box, r.u32()))
-        label = np.frombuffer(r.take(r.u32()), dtype=np.uint8).copy()
+        label = np.frombuffer(r.blob(), dtype=np.uint8).copy()
         scenes.append(Scene(img, objects, parts, label))
-    if r.pos != len(body):
-        raise DatasetError("trailing bytes in dataset file")
+    r.done()
     return spec, scenes

@@ -213,14 +213,36 @@ def nms(boxes, scores, iou_thresh: float = 0.3):
     return keep
 
 
+def _ranked_ap(tp: np.ndarray, n_pos: int, eleven_point: bool) -> float:
+    """AP of a ranking given its true-positive indicators in rank order and
+    the number of positives (> 0). Default is all-point interpolation (area
+    under the precision envelope); `eleven_point` takes the VOC-2007-style
+    11-point mean instead."""
+    ctp = np.cumsum(tp)
+    recall = ctp / n_pos
+    precision = ctp / np.arange(1, len(tp) + 1)
+    if eleven_point:
+        ap = 0.0
+        for r in np.linspace(0.0, 1.0, 11):
+            mask = recall >= r
+            ap += (precision[mask].max() if mask.any() else 0.0) / 11.0
+        return float(ap)
+    # Precision envelope: running max from the right, integrated over recall.
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
 def average_precision(dets, gts, iou_thresh: float, eleven_point: bool = False) -> float:
     """AP for one class.
 
     dets: Detection list (any order); gts: dict image_index -> list[Box].
     Detections are ranked by score, matched greedily to the unmatched gt of
     highest IoU >= iou_thresh in their image; duplicates count as false
-    positives. Default is all-point interpolation (area under the precision
-    envelope); `eleven_point` switches to the VOC-2007-style 11-point mean.
+    positives. `eleven_point` as in `_ranked_ap`.
     """
     n_gt = sum(len(v) for v in gts.values())
     if n_gt == 0:
@@ -239,24 +261,7 @@ def average_precision(dets, gts, iou_thresh: float, eleven_point: bool = False) 
         if best_j >= 0 and best_iou >= iou_thresh and not matched[d.image_index][best_j]:
             matched[d.image_index][best_j] = True
             tp[rank] = 1.0
-    if len(order) == 0:
-        return 0.0
-    ctp = np.cumsum(tp)
-    recall = ctp / n_gt
-    precision = ctp / np.arange(1, len(order) + 1)
-    if eleven_point:
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r
-            ap += (precision[mask].max() if mask.any() else 0.0) / 11.0
-        return float(ap)
-    # Precision envelope: running max from the right, integrated over recall.
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+    return _ranked_ap(tp, n_gt, eleven_point)
 
 
 def ranked_binary_ap(scores, labels, eleven_point: bool = False) -> float:
@@ -267,22 +272,7 @@ def ranked_binary_ap(scores, labels, eleven_point: bool = False) -> float:
     if n_pos == 0:
         return 0.0
     order = np.argsort(-scores, kind="stable")
-    tp = (labels[order] == 1).astype(np.float64)
-    ctp = np.cumsum(tp)
-    recall = ctp / n_pos
-    precision = ctp / np.arange(1, len(order) + 1)
-    if eleven_point:
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r
-            ap += (precision[mask].max() if mask.any() else 0.0) / 11.0
-        return float(ap)
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
-    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+    return _ranked_ap((labels[order] == 1).astype(np.float64), n_pos, eleven_point)
 
 
 @dataclass

@@ -18,9 +18,7 @@ __all__ = [
     "ParamGroup",
     "elementwise",
     "add",
-    "sub",
     "mul",
-    "max_scalar",
     "matmul",
     "reshape",
     "take_rows",
@@ -84,14 +82,8 @@ class Tensor:
     def __add__(self, other):
         return elementwise("add", self, other)
 
-    def __sub__(self, other):
-        return elementwise("sub", self, other)
-
     def __mul__(self, other):
         return elementwise("mul", self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -156,18 +148,8 @@ def make_op(
 
 
 def elementwise(kind: str, a: Tensor, b) -> Tensor:
-    """Elementwise op: kind in {add, sub, mul, maxs}; b is a Tensor of the
-    same shape or a scalar (maxs takes a scalar only)."""
-    if kind == "maxs":
-        s = float(b)
-        data = np.maximum(a.data, s)
-        mask = a.data > s
-
-        def bwd(g):
-            return (g * mask,)
-
-        return make_op(data, (a,), bwd, "max_scalar")
-
+    """Elementwise op: kind in {add, mul}; b is a Tensor of the same shape
+    or a scalar."""
     if isinstance(b, Tensor):
         if a.data.shape != b.data.shape:
             raise TensorError(
@@ -184,12 +166,6 @@ def elementwise(kind: str, a: Tensor, b) -> Tensor:
 
         def bwd(g):
             return (g, g)[: len(b_in)]
-
-    elif kind == "sub":
-        data = a.data - bd
-
-        def bwd(g):
-            return (g, -g)[: len(b_in)]
 
     elif kind == "mul":
         data = a.data * bd
@@ -208,16 +184,8 @@ def add(a, b):
     return elementwise("add", a, b)
 
 
-def sub(a, b):
-    return elementwise("sub", a, b)
-
-
 def mul(a, b):
     return elementwise("mul", a, b)
-
-
-def max_scalar(a, s):
-    return elementwise("maxs", a, s)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ def check_grads(build, arrays, tol=1e-4, eps=1e-5):
     worst = max(rel_err(a, n) for a, n in zip(ana, num))
     assert worst <= tol, f"gradient mismatch: rel err {worst:.3g} > {tol}"
     return worst
+
+
+def reseal(path, edit):
+    """Rewrite a checksummed container with body `edit(body)` and a valid
+    SHA-256 trailer, so only the parser can catch the damage."""
+    raw = path.read_bytes()
+    body = edit(raw[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import Tape, backward
 
+from conftest import reseal
+
+
+COMMITTED_CKPT = Path(__file__).parent / "_cache" / "bench_27af23a54b4faaee.ckpt"
 
 SMALL_SPEC = SceneSpec(canvas=32, max_object_side=20, objects_min=1, objects_max=2, seed=6)
 SMALL_SCENES = generate_dataset(SMALL_SPEC, 8)
@@ -182,6 +188,25 @@ class TestCheckpoints:
         with pytest.raises(TrainingError):
             load_checkpoint(path)
 
+    def test_short_body_with_valid_digest_is_training_error(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(COMMITTED_CKPT.read_bytes())
+        reseal(path, lambda body: body[:-8])
+        with pytest.raises(TrainingError, match=r"checkpoint .*: truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(COMMITTED_CKPT.read_bytes())
+        reseal(path, lambda body: body + bytes(8))
+        with pytest.raises(TrainingError, match=r"checkpoint .*: trailing bytes"):
+            load_checkpoint(path)
+
+    def test_resave_reproduces_committed_bytes(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(restore_model(load_checkpoint(COMMITTED_CKPT)), path)
+        assert path.read_bytes() == COMMITTED_CKPT.read_bytes()
+
 
 def _copy_two_task_weights(src: Multinet, dst: Multinet):
     """Copy a part-free network's weights into the corresponding channel
@@ -313,6 +338,29 @@ spp_grid = 3
 """
 
 
+class TestDatasetConfig:
+    def test_defaults_and_rename(self):
+        spec, n = cli.parse_dataset_config("version = 1\nclasses = 3  # fewer classes\n")
+        assert n == 500
+        assert spec == SceneSpec(n_classes=3)
+
+    def test_unknown_key_names_line(self):
+        with pytest.raises(ConfigError, match="line 3: unknown key 'n_classes'"):
+            cli.parse_dataset_config("version = 1\n\nn_classes = 3")
+
+    def test_duplicate_key(self):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'seed'"):
+            cli.parse_dataset_config("version = 1\nseed = 1\nseed = 2")
+
+    def test_bad_value_names_key(self):
+        with pytest.raises(ConfigError, match="line 2: bad value for 'noise_std'"):
+            cli.parse_dataset_config("version = 1\nnoise_std = loud")
+
+    def test_missing_version(self):
+        with pytest.raises(ConfigError, match="version"):
+            cli.parse_dataset_config("scenes = 4")
+
+
 class TestCli:
     @pytest.fixture
     def workdir(self, tmp_path):
@@ -352,10 +400,21 @@ class TestCli:
         ])
         assert code == 1
         err = capsys.readouterr().err.strip()
-        import json
-
         payload = json.loads(err)
         assert "error" in payload and "kind" in payload
+
+    def test_corrupt_checkpoint_reports_training_error(self, workdir, capsys):
+        ckpt = workdir / "bad.ckpt"
+        ckpt.write_bytes(COMMITTED_CKPT.read_bytes())
+        reseal(ckpt, lambda body: body[:-8])
+        code = cli.main([
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(workdir / "missing.bin"),
+            "--out", str(workdir / "m.csv"),
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["kind"] == "TrainingError"
+        assert "checkpoint" in payload["error"]
 
     def test_bad_config_fails(self, workdir, capsys):
         (workdir / "bad.cfg").write_text("version = 1\nbogus = 3\n")

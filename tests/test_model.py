@@ -3,11 +3,11 @@ import pytest
 
 from multinet import nnops
 from multinet.model import Multinet, TaskConfig, encode_cls, encode_det
-from multinet.nnops import feature_footprint
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
 from conftest import check_grads
+from test_nnops import footprint_oracle
 
 
 SPEC = SceneSpec(seed=3)
@@ -65,7 +65,7 @@ def encode_det_oracle(scores, boxes, h, w, stride):
     for u in range(h):
         for v in range(w):
             for i in range(m):
-                r0, r1, c0, c1 = feature_footprint(tuple(boxes[i]), stride, h, w)
+                r0, r1, c0, c1 = footprint_oracle(tuple(boxes[i]), stride, h, w)
                 if r0 <= u < r1 and c0 <= v < c1:
                     out[u, v] = np.maximum(out[u, v], scores[i])
     return out
@@ -340,7 +340,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=9)
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
-        grounded = net.ground_label(img, boxes, "cls", outs[0].x_cls.data, n_iters=1)
+        grounded = net.forward(img, boxes, ground={"cls": outs[0].x_cls.data}, n_iters=1)
         np.testing.assert_allclose(grounded[1].x_cls.data, outs[1].x_cls.data, atol=1e-14)
         np.testing.assert_allclose(grounded[1].x_det.data, outs[1].x_det.data, atol=1e-14)
 
@@ -350,7 +350,7 @@ class TestGrounding:
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
         flipped = 1.0 - outs[0].x_cls.data
-        grounded = net.ground_label(img, boxes, "cls", flipped, n_iters=1)
+        grounded = net.forward(img, boxes, ground={"cls": flipped}, n_iters=1)
         assert not np.allclose(grounded[1].x_cls.data, outs[1].x_cls.data)
 
     def test_grounded_truth_reencoded_every_iteration(self):
@@ -360,7 +360,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=11)
         img, boxes = small_inputs(cfg)
         truth = np.array([1.0, 0.0, 1.0])
-        outs = net.ground_label(img, boxes, "cls", truth, n_iters=1)
+        outs = net.forward(img, boxes, ground={"cls": truth}, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
         r_cls = encode_cls(Tensor(truth), hh, ww)
@@ -375,7 +375,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(TensorError):
-            net.ground_label(img, boxes, "cls", np.zeros(7), n_iters=1)
+            net.forward(img, boxes, ground={"cls": np.zeros(7)}, n_iters=1)
 
     def test_unknown_ground_task_rejected(self):
         cfg = small_cfg(t=1)

@@ -9,7 +9,6 @@ from multinet.nnops import (
     FCLayer,
     SppGrid,
     conv2d,
-    feature_footprint,
     feature_footprints,
     fully_connected,
     global_max_pool,
@@ -274,6 +273,7 @@ class TestStackChannels:
 
 
 def footprint_oracle(box, stride, h, w):
+    """Scalar reference for `feature_footprints`: cell bounds (r0, r1, c0, c1)."""
     x1, y1, x2, y2 = box
     import math
 
@@ -334,8 +334,8 @@ class TestSpp:
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 12 * 3)
-            out = spp_pool(Tensor(x), box, SppGrid(6, 3))
-            np.testing.assert_array_equal(out.data, spp_oracle(x, box, 3, 6))
+            out = spp_pool_regions(Tensor(x), [box], SppGrid(6, 3))
+            np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6))
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
@@ -351,7 +351,7 @@ class TestSpp:
         r = np.random.default_rng(seed)
         x = r.normal(size=(8, 8, 2))
         box = random_box(r, 64)
-        check_grads(lambda t: sum_all(spp_pool(t, box, SppGrid(4, 8))), [x])
+        check_grads(lambda t: sum_all(spp_pool_regions(t, [box], SppGrid(4, 8))), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_batched(self, seed):
@@ -367,22 +367,26 @@ class TestSpp:
             )
 
 
+def one_footprint(box, stride, h, w):
+    return tuple(int(v) for v in feature_footprints([box], stride, h, w)[0])
+
+
 class TestFootprints:
     def test_single_cell_box(self):
-        assert feature_footprint((0, 0, 1, 1), 8, 8, 8) == (0, 1, 0, 1)
+        assert one_footprint((0, 0, 1, 1), 8, 8, 8) == (0, 1, 0, 1)
 
     def test_exact_cell_alignment(self):
-        assert feature_footprint((8, 16, 16, 32), 8, 8, 8) == (2, 4, 1, 2)
+        assert one_footprint((8, 16, 16, 32), 8, 8, 8) == (2, 4, 1, 2)
 
     def test_partial_cells_round_outward(self):
-        assert feature_footprint((3, 5, 20, 10), 8, 8, 8) == (0, 2, 0, 3)
+        assert one_footprint((3, 5, 20, 10), 8, 8, 8) == (0, 2, 0, 3)
 
     def test_clamped_to_map(self):
-        assert feature_footprint((60, 60, 64, 64), 8, 8, 8) == (7, 8, 7, 8)
+        assert one_footprint((60, 60, 64, 64), 8, 8, 8) == (7, 8, 7, 8)
 
     def test_vectorized_matches_scalar(self):
         r = np.random.default_rng(5)
         boxes = [random_box(r, 64) for _ in range(50)]
         fps = feature_footprints(boxes, 8, 8, 8)
         for b, fp in zip(boxes, fps):
-            assert tuple(fp) == feature_footprint(b, 8, 8, 8)
+            assert tuple(fp) == footprint_oracle(b, 8, 8, 8)

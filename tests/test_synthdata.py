@@ -13,6 +13,8 @@ from multinet.synthdata import (
 )
 from multinet.tasks import iou
 
+from conftest import reseal
+
 
 class TestSceneGeneration:
     def test_determinism(self):
@@ -172,3 +174,19 @@ class TestContainer:
         path.write_bytes(b"MNSCENE\x00")
         with pytest.raises(DatasetError, match="truncated"):
             read_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        spec, scenes = self._dataset(1)
+        path = tmp_path / "d.bin"
+        write_dataset(scenes, spec, path)
+        reseal(path, lambda body: body + bytes(8))
+        with pytest.raises(DatasetError, match="trailing bytes"):
+            read_dataset(path)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        spec, scenes = self._dataset(3)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_dataset(scenes, spec, a)
+        spec2, scenes2 = read_dataset(a)
+        write_dataset(scenes2, spec2, b)
+        assert a.read_bytes() == b.read_bytes()

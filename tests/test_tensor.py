@@ -31,17 +31,9 @@ class TestElementwise:
         out = T.add(Tensor(a), 0.0)
         np.testing.assert_array_equal(out.data, a)
 
-    def test_sub(self):
-        out = T.sub(Tensor([5.0, 1.0]), Tensor([2.0, 3.0]))
-        np.testing.assert_array_equal(out.data, [3.0, -2.0])
-
     def test_mul(self):
         out = T.mul(Tensor([2.0, 3.0]), Tensor([4.0, -1.0]))
         np.testing.assert_array_equal(out.data, [8.0, -3.0])
-
-    def test_max_scalar(self):
-        out = T.max_scalar(Tensor([-1.0, 0.5, 2.0]), 0.0)
-        np.testing.assert_array_equal(out.data, [0.0, 0.5, 2.0])
 
     def test_shape_mismatch_message(self):
         with pytest.raises(TensorError, match=r"\(2,\).*\(3,\)"):
@@ -52,7 +44,7 @@ class TestElementwise:
         b = rng.normal(size=(2, 3))
         check_grads(lambda x, y: sum_all(T.mul(x, y)), [a, b], tol=1e-6)
 
-    @pytest.mark.parametrize("kind", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("kind", ["add", "mul"])
     @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 2, 2), (5, 1)])
     def test_gradients_random_shapes(self, kind, shape, rng):
         a = rng.normal(size=shape)
@@ -63,11 +55,6 @@ class TestElementwise:
             return sum_all(T.mul(T.elementwise(kind, x, y), Tensor(w)))
 
         check_grads(build, [a, b], tol=1e-6)
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 2), (4, 3), (2, 1, 3), (6,)])
-    def test_max_scalar_gradient(self, shape, rng):
-        a = rng.normal(size=shape) + 0.01  # keep away from the kink at 0
-        check_grads(lambda x: sum_all(T.max_scalar(x, 0.0)), [a])
 
 
 class TestMatmul:
