@@ -168,12 +168,7 @@ class SceneBatch:
 
     scene: synthdata.Scene
     proposals: list
-    det_labels: np.ndarray
-    det_delta_targets: np.ndarray  # (M, 4*(C_cls+1))
-    det_delta_mask: np.ndarray
-    part_labels: np.ndarray | None
-    part_delta_targets: np.ndarray | None
-    part_delta_mask: np.ndarray | None
+    regions: dict  # task -> (labels (M,), delta targets (M, 4 * (K + 1)), delta mask)
 
 
 def _delta_matrix(targets: tasks.RegionTargets, k: int):
@@ -190,15 +185,11 @@ def _delta_matrix(targets: tasks.RegionTargets, k: int):
 
 def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneBatch:
     props = propose_regions(scene, spec, cfg.m, seed=index)
-    det_t = assign_regions(props, scene.objects)
-    det_mat, det_mask = _delta_matrix(det_t, cfg.c_cls)
-    if cfg.has_part:
-        part_gt = [(cls, box) for cls, box, _parent in scene.parts]
-        part_t = assign_regions(props, part_gt)
-        part_mat, part_mask = _delta_matrix(part_t, cfg.c_part)
-        return SceneBatch(scene, props, det_t.labels, det_mat, det_mask,
-                          part_t.labels, part_mat, part_mask)
-    return SceneBatch(scene, props, det_t.labels, det_mat, det_mask, None, None, None)
+    regions = {}
+    for task, k in cfg.region_classes.items():
+        targets = assign_regions(props, tasks.REGION_TASKS[task].ground_truth(scene))
+        regions[task] = (targets.labels, *_delta_matrix(targets, k))
+    return SceneBatch(scene, props, regions)
 
 
 def _region_loss(scores, deltas, labels, delta_t, delta_mask, w_cls, w_bbox):
@@ -214,26 +205,23 @@ def _region_loss(scores, deltas, labels, delta_t, delta_mask, w_cls, w_bbox):
     return terms
 
 
+def _task_weight(config: RunConfig, task: str) -> float:
+    return getattr(config, f"weight_{task}")
+
+
 def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig, decode_tasks=None):
-    """Total loss: every iteration's outputs are supervised."""
+    """Total loss: every iteration's outputs are supervised. A region task's
+    box regression trains only while that task's own weight is above 0."""
     outputs = model.forward(batch.scene.image, batch.proposals, decode_tasks=decode_tasks)
     terms = []
     gt_label = batch.scene.img_label.astype(np.float64)
     for out in outputs:
         if out.x_cls is not None and config.weight_cls > 0:
             terms.append(tasks.bce_multilabel(out.x_cls, gt_label) * config.weight_cls)
-        if out.x_det is not None:
-            terms.extend(
-                _region_loss(out.x_det, out.det_deltas, batch.det_labels,
-                             batch.det_delta_targets, batch.det_delta_mask,
-                             config.weight_det, config.weight_bbox)
-            )
-        if out.x_part is not None and batch.part_labels is not None:
-            terms.extend(
-                _region_loss(out.x_part, out.part_deltas, batch.part_labels,
-                             batch.part_delta_targets, batch.part_delta_mask,
-                             config.weight_part, config.weight_bbox if config.weight_part > 0 else 0.0)
-            )
+        for task, (scores, deltas) in out.regions.items():
+            w = _task_weight(config, task)
+            terms.extend(_region_loss(scores, deltas, *batch.regions[task], w,
+                                      config.weight_bbox if w > 0 else 0.0))
     if not terms:
         return Tensor(0.0), outputs
     total = terms[0]
@@ -243,15 +231,10 @@ def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig, decode_tas
 
 
 def _active_decode_tasks(config: RunConfig, cfg: TaskConfig):
-    # Heads with zero loss weight are skipped in non-recurrent runs.
-    active = []
-    if config.weight_cls > 0:
-        active.append("cls")
-    if config.weight_det > 0 or config.weight_bbox > 0:
-        active.append("det")
-    if cfg.has_part and config.weight_part > 0:
-        active.append("part")
-    return tuple(active) if active else ("cls", "det", "part")
+    # Heads with zero loss weight are skipped in non-recurrent runs; None
+    # (every head) when no weight is positive.
+    active = tuple(t for t in ("cls", *cfg.region_classes) if _task_weight(config, t) > 0)
+    return active or None
 
 
 @dataclass
@@ -379,33 +362,16 @@ def _predictions(model: Multinet, spec, scenes, at_iter=None, ground_task=None):
             ground = {"cls": scene.img_label.astype(np.float64)}
         elif ground_task is not None:
             raise ValueError(f"grounding not supported for task {ground_task!r}")
-        outs = model.forward(scene.image, props, ground=ground, n_iters=at_iter)
-        out = outs[-1]
-        preds.append(
-            ScenePrediction(
-                cls_scores=out.x_cls.data.copy(),
-                det_scores=out.x_det.data.copy(),
-                det_deltas=out.det_deltas.data.copy(),
-                part_scores=None if out.x_part is None else out.x_part.data.copy(),
-                part_deltas=None if out.part_deltas is None else out.part_deltas.data.copy(),
-                proposals=props,
-            )
-        )
+        out = model.forward(scene.image, props, ground=ground, n_iters=at_iter)[-1]
+        regions = {task: (s.data.copy(), d.data.copy()) for task, (s, d) in out.regions.items()}
+        preds.append(ScenePrediction(out.x_cls.data.copy(), regions, props))
     return preds
 
 
-def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_task=None,
-                   eleven_point=False) -> dict:
+def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_task=None) -> dict:
     """Run the model over held-out scenes and score all enabled tasks."""
     preds = _predictions(model, spec, scenes, at_iter, ground_task)
-    return tasks.evaluate(
-        preds,
-        scenes,
-        n_classes=model.cfg.c_cls,
-        n_part_classes=model.cfg.c_part,
-        eleven_point=eleven_point,
-        canvas=model.cfg.canvas,
-    )
+    return tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -421,18 +387,13 @@ COMPARE_MODES = ("independent", "shared", "update1", "update2")
 
 
 def _train_independent(config: RunConfig, spec, train_scenes, log=None) -> dict:
-    """One single-task network per task; returns their evaluation models."""
+    """One single-task network per task, each trained with every other
+    task's loss weight zeroed; returns them by task."""
+    names = ("cls", *build_task_config(config, spec, train_scenes).region_classes)
     nets = {}
-    zeroed = {
-        "cls": dict(weight_det=0.0, weight_part=0.0, weight_bbox=0.0),
-        "det": dict(weight_cls=0.0, weight_part=0.0),
-        "part": dict(weight_cls=0.0, weight_det=0.0),
-    }
-    has_parts = any(s.parts for s in train_scenes)
-    for task, overrides in zeroed.items():
-        if task == "part" and not has_parts:
-            continue
-        c = dataclasses.replace(config, mode="independent", **overrides)
+    for task in names:
+        zeroed = {f"weight_{other}": 0.0 for other in names if other != task}
+        c = dataclasses.replace(config, mode="independent", **zeroed)
         nets[task] = train(c, spec, train_scenes, log=log).model
     return nets
 
@@ -443,21 +404,12 @@ def train_and_eval_mode(mode: str, config: RunConfig, spec, train_scenes, val_sc
     config = dataclasses.replace(config, seed=seed, mode=mode)
     if mode == "independent":
         nets = _train_independent(config, spec, train_scenes, log=log)
-        m_cls = evaluate_model(nets["cls"], spec, val_scenes)
-        m_det = evaluate_model(nets["det"], spec, val_scenes)
-        metrics = {
-            "cls_map": m_cls["cls_map"],
-            "cls_ap_per_class": m_cls["cls_ap_per_class"],
-            "det_ap": m_det["det_ap"],
-            "det_ap_per_class": m_det["det_ap_per_class"],
-            "part_ap": None,
-            "part_ap_per_class": None,
-        }
-        if "part" in nets:
-            m_part = evaluate_model(nets["part"], spec, val_scenes)
-            metrics["part_ap"] = m_part["part_ap"]
-            metrics["part_ap_per_class"] = m_part["part_ap_per_class"]
-        return metrics, None
+        metrics = {}
+        for task, net in nets.items():
+            m = evaluate_model(net, spec, val_scenes)
+            metrics.update((k, v) for k, v in m.items() if k.startswith(task + "_"))
+        # evaluate()'s key order; a task without a net of its own reads None.
+        return {k: metrics.get(k) for k in m}, None
     state = train(config, spec, train_scenes, log=log)
     return evaluate_model(state.model, spec, val_scenes), state
 

@@ -58,16 +58,14 @@ class TaskConfig:
             raise ValueError(f"canvas {self.canvas} not divisible by stride {self.stride}")
 
     @property
-    def has_part(self) -> bool:
-        return self.c_part > 0
+    def region_classes(self) -> dict:
+        """Class count of each region task, in head and channel order."""
+        return {"det": self.c_cls, "part": self.c_part} if self.c_part > 0 else {"det": self.c_cls}
 
     @property
     def task_channels(self) -> int:
         """Channels contributed by re-encoded task labels."""
-        n = self.c_cls + (self.c_cls + 1)
-        if self.has_part:
-            n += self.c_part + 1
-        return n
+        return self.c_cls + sum(k + 1 for k in self.region_classes.values())
 
     @property
     def stacked_channels(self) -> int:
@@ -81,19 +79,12 @@ class TaskConfig:
         bottleneck integrator."""
         return self.stacked_channels if self.mode in _STACKED_MODES else self.channels
 
-    @property
-    def feature_size(self) -> int:
-        return self.canvas // self.stride
-
 
 @dataclass
 class MultinetOutput:
     t: int
-    x_cls: Tensor  # (C_cls,) sigmoid probabilities
-    x_det: Tensor  # (M, C_cls + 1) row-stochastic
-    det_deltas: Tensor  # (M, 4 * (C_cls + 1))
-    x_part: Tensor | None = None  # (M, C_part + 1)
-    part_deltas: Tensor | None = None
+    x_cls: Tensor | None  # (C_cls,) sigmoid probabilities
+    regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
 
 
 def encode_cls(x_cls: Tensor, h: int, w: int) -> Tensor:
@@ -136,12 +127,12 @@ def encode_det(x: Tensor, boxes, h: int, w: int, stride: int) -> Tensor:
 
 def _he_conv(rng, k, cin, cout):
     std = np.sqrt(2.0 / (k * k * cin))
-    return rng_tensor(rng, (k, k, cin, cout), "gaussian", std=std)
+    return rng_tensor(rng, (k, k, cin, cout), std)
 
 
 def _he_fc(rng, din, dout):
     std = np.sqrt(2.0 / din)
-    return rng_tensor(rng, (din, dout), "gaussian", std=std)
+    return rng_tensor(rng, (din, dout), std)
 
 
 class Multinet:
@@ -177,15 +168,15 @@ class Multinet:
         # two hidden FCs, softmax scores (std 0.01) + box deltas (std 0.001).
         din = cfg.spp_grid * cfg.spp_grid * dc
         hr = cfg.region_hidden
-        self.det_head = self._region_head(rng, "det", din, hr, cfg.c_cls + 1)
-        self.part_head = (
-            self._region_head(rng, "part", din, hr, cfg.c_part + 1) if cfg.has_part else None
-        )
+        self.region_heads = {
+            task: self._region_head(rng, task, din, hr, k + 1)
+            for task, k in cfg.region_classes.items()
+        }
 
         if cfg.mode == "update2":
             cin = c + cfg.stacked_channels  # h_prev stacked with image + task maps
             f = self.params.add(
-                "bottleneck.filters", rng_tensor(rng, (1, 1, cin, c), "gaussian", std=0.01), 1.0
+                "bottleneck.filters", rng_tensor(rng, (1, 1, cin, c), 0.01), 1.0
             )
             b = self.params.add("bottleneck.bias", Tensor(np.zeros(c)), 2.0)
             self.bottleneck = ConvLayer(f, b, stride=1, padding=0)
@@ -193,7 +184,7 @@ class Multinet:
             self.bottleneck = None
 
     def _fc(self, rng, name, din, dout, he=False, std=0.01):
-        w = _he_fc(rng, din, dout) if he else rng_tensor(rng, (din, dout), "gaussian", std=std)
+        w = _he_fc(rng, din, dout) if he else rng_tensor(rng, (din, dout), std)
         weight = self.params.add(f"{name}.weight", w, 1.0)
         bias = self.params.add(f"{name}.bias", Tensor(np.zeros(dout)), 2.0)
         return FCLayer(weight, bias)
@@ -229,8 +220,8 @@ class Multinet:
         v = nnops.relu(nnops.fully_connected(v, self.cls_fc2))
         return nnops.sigmoid(nnops.fully_connected(v, self.cls_out))
 
-    def decode_regions(self, h: Tensor, boxes, head: str):
-        hd = self.det_head if head == "det" else self.part_head
+    def decode_regions(self, h: Tensor, boxes, task: str):
+        hd = self.region_heads[task]
         pooled = nnops.spp_pool_regions(h, [b.as_tuple() for b in boxes], self.grid)
         m = pooled.data.shape[0]
         feat = reshape(pooled, (m, pooled.data.size // m))
@@ -242,85 +233,58 @@ class Multinet:
 
     def _decode_all(self, h: Tensor, boxes, t: int, tasks) -> MultinetOutput:
         x_cls = self.decode_cls(h) if "cls" in tasks else None
-        x_det = det_d = x_part = part_d = None
-        if "det" in tasks:
-            x_det, det_d = self.decode_regions(h, boxes, "det")
-        if self.cfg.has_part and "part" in tasks:
-            x_part, part_d = self.decode_regions(h, boxes, "part")
-        return MultinetOutput(t, x_cls, x_det, det_d, x_part, part_d)
-
-    # ---- integrators ----------------------------------------------------
-
-    def integrate_stack(self, r_img, r_cls, r_det, r_part=None) -> Tensor:
-        maps = [r_img, r_cls, r_det]
-        if r_part is not None:
-            maps.append(r_part)
-        return nnops.stack_channels(maps)
-
-    def integrate_bottleneck(self, h_prev, r_img, r_cls, r_det, r_part=None) -> Tensor:
-        maps = [h_prev, r_img, r_cls, r_det]
-        if r_part is not None:
-            maps.append(r_part)
-        stacked = nnops.stack_channels(maps)
-        return nnops.relu(nnops.conv2d(stacked, self.bottleneck))
-
-    def _zero_task_maps(self, hh, ww):
-        cfg = self.cfg
-        zc = Tensor(np.zeros((hh, ww, cfg.c_cls)))
-        zd = Tensor(np.zeros((hh, ww, cfg.c_cls + 1)))
-        zp = Tensor(np.zeros((hh, ww, cfg.c_part + 1))) if cfg.has_part else None
-        return zc, zd, zp
+        regions = {
+            task: self.decode_regions(h, boxes, task) for task in self.region_heads if task in tasks
+        }
+        return MultinetOutput(t, x_cls, regions)
 
     # ---- iteration schedule ---------------------------------------------
 
     def forward(self, image, boxes, ground=None, n_iters=None, decode_tasks=None) -> list:
         """Run the recurrent schedule; returns T+1 per-iteration outputs.
 
-        `ground` optionally maps a task name ("cls" | "det" | "part") to a
+        `ground` optionally maps a task name ("cls" or a region task) to a
         ground-truth label array; that task is then re-encoded from the
         truth instead of its prediction at every iteration (the label is
         treated as an input). Modes without recurrence return outputs[0]
         only. `decode_tasks` restricts which heads run when there is no
         recurrence (recurrent iterations always decode every task since the
-        feedback loop needs all labels).
+        feedback loop needs all labels). The stacking integrator stacks the
+        image features with the re-encoded labels (cls, then each region
+        task); the bottleneck integrator puts the previous map in front of
+        that stack and mixes it back to C channels.
         """
         cfg = self.cfg
         if len(boxes) != cfg.m:
             raise TensorError(f"expected {cfg.m} regions, got {len(boxes)}")
+        all_tasks = ("cls", *cfg.region_classes)
         ground = ground or {}
         for task in ground:
-            if task not in ("cls", "det", "part"):
+            if task not in all_tasks:
                 raise ValueError(f"cannot ground unknown task {task!r}")
         r_img = self.encode_image(image)
         hh, ww = r_img.data.shape[:2]
         n_iters = cfg.t if n_iters is None else n_iters
         if cfg.mode in ("independent", "shared"):
             n_iters = 0
-        all_tasks = ("cls", "det", "part")
         tasks = all_tasks if n_iters > 0 or decode_tasks is None else tuple(decode_tasks)
 
+        h = r_img
         if cfg.mode in _STACKED_MODES:
-            zc, zd, zp = self._zero_task_maps(hh, ww)
-            h = self.integrate_stack(r_img, zc, zd, zp)
-        else:
-            h = r_img
+            h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
         outputs = [self._decode_all(h, boxes, 0, tasks)]
 
         for t in range(1, n_iters + 1):
             prev = outputs[-1]
             x_cls = self._feedback("cls", prev.x_cls, ground, (cfg.c_cls,))
-            x_det = self._feedback("det", prev.x_det, ground, (cfg.m, cfg.c_cls + 1))
-            r_cls = encode_cls(x_cls, hh, ww)
-            r_det = encode_det(x_det, boxes, hh, ww, cfg.stride)
-            if cfg.has_part:
-                x_part = self._feedback("part", prev.x_part, ground, (cfg.m, cfg.c_part + 1))
-                r_part = encode_det(x_part, boxes, hh, ww, cfg.stride)
+            maps = [r_img, encode_cls(x_cls, hh, ww)]
+            for task, k in cfg.region_classes.items():
+                x = self._feedback(task, prev.regions[task][0], ground, (cfg.m, k + 1))
+                maps.append(encode_det(x, boxes, hh, ww, cfg.stride))
+            if self.bottleneck is None:
+                h = nnops.stack_channels(maps)
             else:
-                r_part = None
-            if cfg.mode == "update1":
-                h = self.integrate_stack(r_img, r_cls, r_det, r_part)
-            else:
-                h = self.integrate_bottleneck(h, r_img, r_cls, r_det, r_part)
+                h = nnops.relu(nnops.conv2d(nnops.stack_channels([h] + maps), self.bottleneck))
             outputs.append(self._decode_all(h, boxes, t, all_tasks))
         return outputs
 

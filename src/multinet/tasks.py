@@ -7,6 +7,7 @@ area = (x2 - x1) * (y2 - y1) and no +1 pixel terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,8 @@ __all__ = [
     "Box",
     "Detection",
     "RegionTargets",
+    "RegionTask",
+    "REGION_TASKS",
     "iou",
     "bce_multilabel",
     "softmax_ce",
@@ -33,6 +36,8 @@ __all__ = [
 LOG_CLAMP = 1e-12
 
 IGNORE = -1  # assign_regions label for regions in neither fg nor bg range
+
+NMS_IOU = 0.3  # overlap above which a lower-scoring detection is suppressed
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,26 @@ class RegionTargets:
 
     labels: np.ndarray  # (M,) int
     deltas: np.ndarray  # (M, 4) float, valid only where labels >= 1
+
+
+class RegionTask(NamedTuple):
+    """A Fast R-CNN-style region task (softmax scores + box deltas per
+    region). `name` prefixes its parameters and metrics; `gt_field` names the
+    Scene list of (class, Box, ...) ground truth; `match_iou` is the overlap
+    a detection needs to match that ground truth in AP."""
+
+    name: str
+    gt_field: str
+    match_iou: float
+
+    def ground_truth(self, scene) -> list:
+        """(class, Box) pairs of one scene."""
+        return [(g[0], g[1]) for g in getattr(scene, self.gt_field)]
+
+
+REGION_TASKS = {
+    t.name: t for t in (RegionTask("det", "objects", 0.5), RegionTask("part", "parts", 0.4))
+}
 
 
 def iou(a: Box, b: Box) -> float:
@@ -202,7 +227,7 @@ def assign_regions(
     return RegionTargets(labels, deltas)
 
 
-def nms(boxes, scores, iou_thresh: float = 0.3):
+def nms(boxes, scores, iou_thresh: float = NMS_IOU):
     """Greedy non-maximum suppression; returns kept indices, score-descending
     (stable on ties)."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
@@ -213,20 +238,13 @@ def nms(boxes, scores, iou_thresh: float = 0.3):
     return keep
 
 
-def _ranked_ap(tp: np.ndarray, n_pos: int, eleven_point: bool) -> float:
-    """AP of a ranking given its true-positive indicators in rank order and
-    the number of positives (> 0). Default is all-point interpolation (area
-    under the precision envelope); `eleven_point` takes the VOC-2007-style
-    11-point mean instead."""
+def _ranked_ap(tp: np.ndarray, n_pos: int) -> float:
+    """All-point AP (area under the precision envelope) of a ranking given
+    its true-positive indicators in rank order and the number of positives
+    (> 0)."""
     ctp = np.cumsum(tp)
     recall = ctp / n_pos
     precision = ctp / np.arange(1, len(tp) + 1)
-    if eleven_point:
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r
-            ap += (precision[mask].max() if mask.any() else 0.0) / 11.0
-        return float(ap)
     # Precision envelope: running max from the right, integrated over recall.
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
@@ -236,13 +254,13 @@ def _ranked_ap(tp: np.ndarray, n_pos: int, eleven_point: bool) -> float:
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def average_precision(dets, gts, iou_thresh: float, eleven_point: bool = False) -> float:
+def average_precision(dets, gts, iou_thresh: float) -> float:
     """AP for one class.
 
     dets: Detection list (any order); gts: dict image_index -> list[Box].
     Detections are ranked by score, matched greedily to the unmatched gt of
     highest IoU >= iou_thresh in their image; duplicates count as false
-    positives. `eleven_point` as in `_ranked_ap`.
+    positives.
     """
     n_gt = sum(len(v) for v in gts.values())
     if n_gt == 0:
@@ -261,10 +279,10 @@ def average_precision(dets, gts, iou_thresh: float, eleven_point: bool = False) 
         if best_j >= 0 and best_iou >= iou_thresh and not matched[d.image_index][best_j]:
             matched[d.image_index][best_j] = True
             tp[rank] = 1.0
-    return _ranked_ap(tp, n_gt, eleven_point)
+    return _ranked_ap(tp, n_gt)
 
 
-def ranked_binary_ap(scores, labels, eleven_point: bool = False) -> float:
+def ranked_binary_ap(scores, labels) -> float:
     """AP of a binary ranking task (used for image-level classification)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -272,7 +290,7 @@ def ranked_binary_ap(scores, labels, eleven_point: bool = False) -> float:
     if n_pos == 0:
         return 0.0
     order = np.argsort(-scores, kind="stable")
-    return _ranked_ap((labels[order] == 1).astype(np.float64), n_pos, eleven_point)
+    return _ranked_ap((labels[order] == 1).astype(np.float64), n_pos)
 
 
 @dataclass
@@ -280,20 +298,14 @@ class ScenePrediction:
     """Raw per-scene network outputs as plain arrays."""
 
     cls_scores: np.ndarray  # (C_cls,)
-    det_scores: np.ndarray  # (M, C_cls + 1) row-stochastic
-    det_deltas: np.ndarray  # (M, 4 * (C_cls + 1))
-    part_scores: np.ndarray | None = None  # (M, C_part + 1)
-    part_deltas: np.ndarray | None = None
-    proposals: list | None = None  # list[Box], length M
+    regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
+    proposals: list  # list[Box], length M
 
 
-def _collect_detections(preds, n_classes, which, canvas, nms_iou):
+def _collect_detections(preds, task: str, n_classes: int, canvas: int):
     dets = {k: [] for k in range(1, n_classes + 1)}
     for img, p in enumerate(preds):
-        scores = p.det_scores if which == "det" else p.part_scores
-        deltas = p.det_deltas if which == "det" else p.part_deltas
-        if scores is None:
-            continue
+        scores, deltas = p.regions[task]
         for k in range(1, n_classes + 1):
             boxes, ss = [], []
             for m, prop in enumerate(p.proposals):
@@ -304,27 +316,18 @@ def _collect_detections(preds, n_classes, which, canvas, nms_iou):
                 y2 = min(max(b.y2, y1 + 1e-3), float(canvas))
                 boxes.append(Box(x1, y1, x2, y2))
                 ss.append(float(scores[m, k]))
-            for i in nms(boxes, ss, nms_iou):
+            for i in nms(boxes, ss):
                 dets[k].append(Detection(boxes[i], k, ss[i], img))
     return dets
 
 
-def evaluate(
-    preds,
-    scenes,
-    n_classes: int,
-    n_part_classes: int = 0,
-    det_iou: float = 0.5,
-    part_iou: float = 0.4,
-    nms_iou: float = 0.3,
-    eleven_point: bool = False,
-    canvas: int = 64,
-) -> dict:
+def evaluate(preds, scenes, n_classes: int, canvas: int = 64) -> dict:
     """Score predictions against ground-truth scenes.
 
     Returns {"cls_map", "det_ap", "part_ap", "cls_ap_per_class",
-    "det_ap_per_class", "part_ap_per_class"}; part entries are None when the
-    part task is absent.
+    "det_ap_per_class", "part_ap_per_class"}. Each region task the
+    predictions carry is scored over the classes of its score columns; the
+    entries of a task they lack are None.
     """
     if not scenes:
         raise ValueError("evaluate: empty dataset")
@@ -333,34 +336,22 @@ def evaluate(
     for c in range(n_classes):
         scores = [p.cls_scores[c] for p in preds]
         labels = [s.img_label[c] for s in scenes]
-        cls_aps.append(ranked_binary_ap(scores, labels, eleven_point))
-    # Object detection.
-    det_dets = _collect_detections(preds, n_classes, "det", canvas, nms_iou)
-    det_aps = []
-    for k in range(1, n_classes + 1):
-        gts = {
-            i: [b for cls, b in s.objects if cls == k] for i, s in enumerate(scenes)
-        }
-        det_aps.append(average_precision(det_dets[k], gts, det_iou, eleven_point))
-    out = {
-        "cls_map": float(np.mean(cls_aps)),
-        "det_ap": float(np.mean(det_aps)),
-        "cls_ap_per_class": cls_aps,
-        "det_ap_per_class": det_aps,
-        "part_ap": None,
-        "part_ap_per_class": None,
-    }
-    if n_part_classes > 0 and preds[0].part_scores is not None:
-        part_dets = _collect_detections(preds, n_part_classes, "part", canvas, nms_iou)
-        part_aps = []
-        for k in range(1, n_part_classes + 1):
-            gts = {
-                i: [b for cls, b, _parent in s.parts if cls == k]
-                for i, s in enumerate(scenes)
-            }
-            part_aps.append(average_precision(part_dets[k], gts, part_iou, eleven_point))
-        out["part_ap"] = float(np.mean(part_aps))
-        out["part_ap_per_class"] = part_aps
+        cls_aps.append(ranked_binary_ap(scores, labels))
+    out = {"cls_map": float(np.mean(cls_aps)), "cls_ap_per_class": cls_aps}
+    for task in REGION_TASKS.values():
+        aps = None
+        if task.name in preds[0].regions:
+            k_max = preds[0].regions[task.name][0].shape[1] - 1
+            dets = _collect_detections(preds, task.name, k_max, canvas)
+            aps = []
+            for k in range(1, k_max + 1):
+                gts = {
+                    i: [b for cls, b in task.ground_truth(s) if cls == k]
+                    for i, s in enumerate(scenes)
+                }
+                aps.append(average_precision(dets[k], gts, task.match_iou))
+        out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
+        out[f"{task.name}_ap_per_class"] = aps
     return out
 
 

@@ -295,15 +295,6 @@ class ParamGroup:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name][0]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return [(n, t, m) for n, (t, m) in self._params.items()]
 
@@ -332,24 +323,8 @@ def seed_rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-def rng_tensor(
-    rng: np.random.Generator,
-    shape,
-    distribution: str = "gaussian",
-    mean: float = 0.0,
-    std: float = 1.0,
-    low: float = 0.0,
-    high: float = 1.0,
-    requires_grad: bool = False,
-) -> Tensor:
-    """Sample a tensor from a gaussian(mean, std) or uniform(low, high)."""
-    shape = tuple(shape)
-    if distribution == "gaussian":
-        if std < 0:
-            raise TensorError("gaussian std must be >= 0")
-        data = mean + std * rng.standard_normal(shape)
-    elif distribution == "uniform":
-        data = rng.uniform(low, high, size=shape)
-    else:
-        raise TensorError(f"unknown distribution {distribution!r}")
-    return Tensor(data, requires_grad=requires_grad)
+def rng_tensor(rng: np.random.Generator, shape, std: float = 1.0) -> Tensor:
+    """Sample a tensor from a zero-mean Gaussian with standard deviation std."""
+    if std < 0:
+        raise TensorError("gaussian std must be >= 0")
+    return Tensor(std * rng.standard_normal(tuple(shape)))

@@ -39,7 +39,7 @@ from multinet.tasks import Box, Detection, average_precision, iou
 from multinet.tensor import Tensor, sum_all
 
 from conftest import check_grads
-from test_model import encode_det_oracle
+from test_model import encode_det_oracle, integrate_bottleneck
 from test_nnops import conv_oracle, random_box, spp_oracle
 from test_tasks import ap_oracle, _far_box
 
@@ -292,7 +292,7 @@ def test_criterion_3_structural_invariants(capsys):
                 encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), bxs, hh, ww, cfg.stride)
                 if c_part else None
             )
-            h = net.integrate_bottleneck(r_img, r_img, r_cls, r_det, r_part)
+            h = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
             assert h.data.shape == (hh, ww, cfg.channels)
 
         # outputs[0] invariant to T
@@ -303,7 +303,7 @@ def test_criterion_3_structural_invariants(capsys):
             if ref is None:
                 ref = out0
             else:
-                np.testing.assert_array_equal(out0.x_det.data, ref.x_det.data)
+                np.testing.assert_array_equal(out0.regions["det"][0].data, ref.regions["det"][0].data)
                 np.testing.assert_array_equal(out0.x_cls.data, ref.x_cls.data)
 
         # parameter count independent of T
@@ -338,10 +338,10 @@ def test_criterion_4_ordinary_mtl_reduction(capsys):
         s = shared.forward(img, bxs)
         u = stacked.forward(img, bxs)
         assert len(s) == 1
-        for field in ("x_cls", "x_det", "det_deltas", "x_part", "part_deltas"):
-            np.testing.assert_array_equal(
-                getattr(s[0], field).data, getattr(u[0], field).data
-            )
+        np.testing.assert_array_equal(s[0].x_cls.data, u[0].x_cls.data)
+        for task in ("det", "part"):
+            for a, b in zip(s[0].regions[task], u[0].regions[task]):
+                np.testing.assert_array_equal(a.data, b.data)
 
     _report(capsys, 4, "shared mode bit-identical to update1 at t=0", run)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multinet import cli, harness
+from multinet import cli, harness, tasks
 from multinet.harness import (
     ConfigError,
     RunConfig,
@@ -26,7 +26,7 @@ from multinet.harness import (
 from multinet.model import Multinet, TaskConfig
 from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tasks import metrics_to_rows
-from multinet.tensor import Tape, backward
+from multinet.tensor import Tape, backward, take_rows
 
 from conftest import reseal
 
@@ -266,6 +266,50 @@ class TestTwoTaskGradientMatch:
             else:
                 got = g3[name]
             np.testing.assert_allclose(got, g, atol=1e-12, err_msg=name)
+
+
+class TestIndependentNets:
+    def test_each_net_decodes_and_trains_only_its_task(self, monkeypatch):
+        # The independent baseline trains one network per task; each one
+        # decodes only its own head (the part net used to decode and
+        # regress object boxes too).
+        configs = {}
+
+        def fake_train(config, spec, scenes, log=None):
+            task = next(t for t in ("cls", "det", "part") if getattr(config, f"weight_{t}") > 0)
+            configs[task] = config
+            return TrainState(None, config, 0, {})
+
+        monkeypatch.setattr(harness, "train", fake_train)
+        harness._train_independent(small_config(), SMALL_SPEC, SMALL_SCENES)
+        assert set(configs) == {"cls", "det", "part"}
+        cfg = build_task_config(small_config(), SMALL_SPEC, SMALL_SCENES)
+        for task, config in configs.items():
+            assert harness._active_decode_tasks(config, cfg) == (task,)
+
+    def test_part_only_loss_has_no_det_term(self):
+        config = small_config(mode="independent", weight_cls=0.0, weight_det=0.0)
+        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        net = Multinet(cfg, seed=0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        loss, outs = scene_loss(net, batch, config, harness._active_decode_tasks(config, cfg))
+        assert [list(o.regions) for o in outs] == [["part"]]
+        scores, deltas = outs[0].regions["part"]
+        labels, delta_t, mask = batch.regions["part"]
+        keep = np.nonzero(labels >= 0)[0]
+        part_only = (tasks.softmax_ce(take_rows(scores, keep), labels[keep]).item()
+                     + tasks.smooth_l1(deltas, delta_t, mask).item())
+        assert loss.item() == pytest.approx(part_only, rel=1e-12)
+
+    def test_zero_task_weight_disables_its_box_loss(self):
+        # weight_bbox scales box regression but never trains a task whose
+        # own weight is zero.
+        config = small_config(mode="shared", weight_cls=0.0, weight_part=0.0, weight_det=0.0)
+        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        assert all(mask.any() for _labels, _targets, mask in batch.regions.values())
+        loss, _ = scene_loss(Multinet(cfg, seed=0), batch, config)
+        assert loss.item() == 0.0
 
 
 class TestExperiments:

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from multinet import nnops
-from multinet.model import Multinet, TaskConfig, encode_cls, encode_det
+from multinet.model import MODES, Multinet, TaskConfig, encode_cls, encode_det
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
@@ -32,6 +34,18 @@ def small_inputs(cfg, seed=0):
         y = np.sort(r.uniform(0, cfg.canvas - 2, 2) + [0, 2])
         boxes.append(Box(x[0], y[0], x[1], y[1]))
     return img, boxes
+
+
+def integrate_stack(r_img, r_cls, r_det, r_part=None):
+    """The stacking integrator by hand: image features, then label maps."""
+    return nnops.stack_channels([m for m in (r_img, r_cls, r_det, r_part) if m is not None])
+
+
+def integrate_bottleneck(net, h_prev, r_img, r_cls, r_det, r_part=None):
+    """The bottleneck integrator by hand: the previous map stacked in front
+    of the stacking integrator's input, mixed by the 1x1 conv."""
+    stacked = nnops.stack_channels([h_prev, integrate_stack(r_img, r_cls, r_det, r_part)])
+    return nnops.relu(nnops.conv2d(stacked, net.bottleneck))
 
 
 class TestEncodeCls:
@@ -151,7 +165,7 @@ class TestStructure:
             if c_part
             else None
         )
-        h = net.integrate_bottleneck(r_img, r_img, r_cls, r_det, r_part)
+        h = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
         assert h.data.shape == (hh, ww, cfg.channels)
 
     def test_param_count_independent_of_t(self):
@@ -191,6 +205,25 @@ class TestStructure:
         with pytest.raises(ValueError):
             small_cfg(mode="update3")
 
+    # SHA-256 over (name, float64 bytes) of every parameter of
+    # Multinet(small_cfg(mode=mode), seed=0), in creation order. Init calls
+    # no BLAS, so the digest is machine-independent; a reordered, renamed or
+    # re-drawn parameter changes it.
+    INIT_PINS = {
+        "independent": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
+        "shared": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
+        "update1": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
+        "update2": "372713097235067529b7d0ceb29c01da64e8e3409b8a5723b80dfcdde5065401",
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_init_pin(self, mode):
+        h = hashlib.sha256()
+        for name, t, _mult in Multinet(small_cfg(mode=mode), seed=0).params.items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.INIT_PINS[mode]
+
 
 class TestForward:
     def test_returns_t_plus_one_outputs(self):
@@ -206,10 +239,10 @@ class TestForward:
         img, boxes = small_inputs(cfg)
         out = net.forward(img, boxes)[0]
         assert out.x_cls.data.shape == (cfg.c_cls,)
-        assert out.x_det.data.shape == (cfg.m, cfg.c_cls + 1)
-        assert out.det_deltas.data.shape == (cfg.m, 4 * (cfg.c_cls + 1))
-        assert out.x_part.data.shape == (cfg.m, cfg.c_part + 1)
-        np.testing.assert_allclose(out.x_det.data.sum(axis=1), np.ones(cfg.m), atol=1e-12)
+        assert out.regions["det"][0].data.shape == (cfg.m, cfg.c_cls + 1)
+        assert out.regions["det"][1].data.shape == (cfg.m, 4 * (cfg.c_cls + 1))
+        assert out.regions["part"][0].data.shape == (cfg.m, cfg.c_part + 1)
+        np.testing.assert_allclose(out.regions["det"][0].data.sum(axis=1), np.ones(cfg.m), atol=1e-12)
 
     def test_wrong_region_count_rejected(self):
         cfg = small_cfg()
@@ -228,8 +261,8 @@ class TestForward:
                 first = out0
             else:
                 np.testing.assert_array_equal(out0.x_cls.data, first.x_cls.data)
-                np.testing.assert_array_equal(out0.x_det.data, first.x_det.data)
-                np.testing.assert_array_equal(out0.x_part.data, first.x_part.data)
+                np.testing.assert_array_equal(out0.regions["det"][0].data, first.regions["det"][0].data)
+                np.testing.assert_array_equal(out0.regions["part"][0].data, first.regions["part"][0].data)
 
     def test_shared_equals_update1_at_t0(self):
         # Same seed gives identical parameters; shared output must be
@@ -241,9 +274,9 @@ class TestForward:
         u_out = stacked.forward(img, boxes)
         assert len(s_out) == 1
         np.testing.assert_array_equal(s_out[0].x_cls.data, u_out[0].x_cls.data)
-        np.testing.assert_array_equal(s_out[0].x_det.data, u_out[0].x_det.data)
-        np.testing.assert_array_equal(s_out[0].det_deltas.data, u_out[0].det_deltas.data)
-        np.testing.assert_array_equal(s_out[0].x_part.data, u_out[0].x_part.data)
+        np.testing.assert_array_equal(s_out[0].regions["det"][0].data, u_out[0].regions["det"][0].data)
+        np.testing.assert_array_equal(s_out[0].regions["det"][1].data, u_out[0].regions["det"][1].data)
+        np.testing.assert_array_equal(s_out[0].regions["part"][0].data, u_out[0].regions["part"][0].data)
 
     def test_determinism(self):
         cfg = small_cfg()
@@ -251,7 +284,7 @@ class TestForward:
         a = Multinet(cfg, seed=1).forward(img, boxes)
         b = Multinet(cfg, seed=1).forward(img, boxes)
         for oa, ob in zip(a, b):
-            np.testing.assert_array_equal(oa.x_det.data, ob.x_det.data)
+            np.testing.assert_array_equal(oa.regions["det"][0].data, ob.regions["det"][0].data)
 
     @pytest.mark.parametrize("mode", ["update1", "update2"])
     def test_outputs1_manual_recomposition(self, mode):
@@ -265,16 +298,16 @@ class TestForward:
         hh, ww = r_img.data.shape[:2]
         o0 = outs[0]
         r_cls = encode_cls(o0.x_cls, hh, ww)
-        r_det = encode_det(o0.x_det, boxes, hh, ww, cfg.stride)
-        r_part = encode_det(o0.x_part, boxes, hh, ww, cfg.stride)
+        r_det = encode_det(o0.regions["det"][0], boxes, hh, ww, cfg.stride)
+        r_part = encode_det(o0.regions["part"][0], boxes, hh, ww, cfg.stride)
         if mode == "update1":
-            h1 = net.integrate_stack(r_img, r_cls, r_det, r_part)
+            h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
-            h1 = net.integrate_bottleneck(r_img, r_img, r_cls, r_det, r_part)
+            h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
         manual = net._decode_all(h1, boxes, 1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
-        np.testing.assert_allclose(outs[1].x_det.data, manual.x_det.data, atol=1e-12)
-        np.testing.assert_allclose(outs[1].part_deltas.data, manual.part_deltas.data, atol=1e-12)
+        np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
+        np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
 
     def test_update1_is_memoryless_in_h(self):
         # The stacking integrator rebuilds h from labels only, so unrolling
@@ -285,21 +318,21 @@ class TestForward:
         o2 = net.forward(img, boxes, n_iters=2)
         o4 = net.forward(img, boxes, n_iters=4)
         for a, b in zip(o2, o4[:3]):
-            np.testing.assert_array_equal(a.x_det.data, b.x_det.data)
+            np.testing.assert_array_equal(a.regions["det"][0].data, b.regions["det"][0].data)
 
     def test_truncate_feedback_same_forward_values(self):
         img, boxes = small_inputs(small_cfg())
         full = Multinet(small_cfg(), seed=6).forward(img, boxes)
         trunc = Multinet(small_cfg(truncate_feedback=True), seed=6).forward(img, boxes)
         for a, b in zip(full, trunc):
-            np.testing.assert_array_equal(a.x_det.data, b.x_det.data)
+            np.testing.assert_array_equal(a.regions["det"][0].data, b.regions["det"][0].data)
 
     def test_no_part_task(self):
         cfg = small_cfg(c_part=0)
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
-        assert all(o.x_part is None for o in outs)
+        assert all("part" not in o.regions for o in outs)
 
     def test_bottleneck_gradient_fd(self):
         # Gradient w.r.t. the 1x1 integrator filters, finite differences.
@@ -310,7 +343,7 @@ class TestForward:
 
         def scalar():
             outs = net.forward(img, boxes)
-            return sum_all(outs[1].x_det)
+            return sum_all(outs[1].regions["det"][0])
 
         with Tape() as tape:
             loss = scalar()
@@ -342,7 +375,7 @@ class TestGrounding:
         outs = net.forward(img, boxes)
         grounded = net.forward(img, boxes, ground={"cls": outs[0].x_cls.data}, n_iters=1)
         np.testing.assert_allclose(grounded[1].x_cls.data, outs[1].x_cls.data, atol=1e-14)
-        np.testing.assert_allclose(grounded[1].x_det.data, outs[1].x_det.data, atol=1e-14)
+        np.testing.assert_allclose(grounded[1].regions["det"][0].data, outs[1].regions["det"][0].data, atol=1e-14)
 
     def test_grounded_label_changes_downstream(self):
         cfg = small_cfg(t=1)
@@ -364,9 +397,9 @@ class TestGrounding:
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
         r_cls = encode_cls(Tensor(truth), hh, ww)
-        r_det = encode_det(outs[0].x_det, boxes, hh, ww, cfg.stride)
-        r_part = encode_det(outs[0].x_part, boxes, hh, ww, cfg.stride)
-        h1 = net.integrate_stack(r_img, r_cls, r_det, r_part)
+        r_det = encode_det(outs[0].regions["det"][0], boxes, hh, ww, cfg.stride)
+        r_part = encode_det(outs[0].regions["part"][0], boxes, hh, ww, cfg.stride)
+        h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         manual = net._decode_all(h1, boxes, 1, ("cls",))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
 
@@ -377,9 +410,38 @@ class TestGrounding:
         with pytest.raises(TensorError):
             net.forward(img, boxes, ground={"cls": np.zeros(7)}, n_iters=1)
 
+    @pytest.mark.parametrize("mode", ["update1", "update2"])
+    @pytest.mark.parametrize("task", ["det", "part"])
+    def test_grounding_region_with_own_prediction_is_identity(self, task, mode):
+        cfg = small_cfg(t=1, mode=mode)
+        net = Multinet(cfg, seed=9)
+        img, boxes = small_inputs(cfg)
+        outs = net.forward(img, boxes)
+        own = outs[0].regions[task][0].data
+        grounded = net.forward(img, boxes, ground={task: own}, n_iters=1)
+        np.testing.assert_array_equal(grounded[1].x_cls.data, outs[1].x_cls.data)
+        for name in cfg.region_classes:
+            for a, b in zip(grounded[1].regions[name], outs[1].regions[name]):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("task", ["det", "part"])
+    def test_bad_region_ground_shape_rejected(self, task):
+        cfg = small_cfg(t=1)
+        net = Multinet(cfg, seed=0)
+        img, boxes = small_inputs(cfg)
+        with pytest.raises(TensorError, match=f"grounded {task} label"):
+            net.forward(img, boxes, ground={task: np.zeros((cfg.m, 2))}, n_iters=1)
+
     def test_unknown_ground_task_rejected(self):
         cfg = small_cfg(t=1)
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(ValueError):
             net.forward(img, boxes, ground={"segmentation": np.zeros(3)})
+
+    def test_ground_disabled_part_task_rejected(self):
+        cfg = small_cfg(t=1, c_part=0)
+        net = Multinet(cfg, seed=0)
+        img, boxes = small_inputs(cfg)
+        with pytest.raises(ValueError):
+            net.forward(img, boxes, ground={"part": np.zeros((cfg.m, 5))}, n_iters=1)

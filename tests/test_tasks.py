@@ -366,17 +366,6 @@ class TestAveragePrecision:
             got = average_precision(dets, gts, 0.5)
             assert abs(got - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
-    def test_eleven_point_variant(self):
-        g0, g1 = _far_box(0), _far_box(1)
-        dets = [
-            Detection(g0, 1, 0.9, 0),
-            Detection(Box(500, 500, 510, 510), 1, 0.8, 0),
-            Detection(g1, 1, 0.7, 0),
-        ]
-        got = average_precision(dets, {0: [g0, g1]}, 0.5, eleven_point=True)
-        # recall levels 0 .. 0.5 see precision 1, levels 0.6 .. 1.0 see 2/3.
-        np.testing.assert_allclose(got, (6 * 1.0 + 5 * 2 / 3) / 11)
-
     @given(st.floats(0.1, 5.0), st.floats(-1.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_score_transform_invariance(self, scale, shift):
@@ -443,10 +432,7 @@ def _perfect_prediction(scene, proposals, n_classes, n_parts):
                 break
     return ScenePrediction(
         cls_scores=scene.img_label.astype(float),
-        det_scores=det_scores,
-        det_deltas=det_deltas,
-        part_scores=part_scores,
-        part_deltas=part_deltas,
+        regions={"det": (det_scores, det_deltas), "part": (part_scores, part_deltas)},
         proposals=proposals,
     )
 
@@ -466,7 +452,7 @@ class TestEvaluate:
             _perfect_prediction(s, p, spec.n_classes, spec.n_part_classes)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(preds, scenes, spec.n_classes, spec.n_part_classes)
+        m = evaluate(preds, scenes, spec.n_classes)
         # Classes absent from every scene contribute AP 0; restrict to present.
         present = {cls for s in scenes for cls, _ in s.objects}
         for c in present:
@@ -486,7 +472,7 @@ class TestEvaluate:
             _perfect_prediction(s, p, spec.n_classes, spec.n_part_classes)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(preds, scenes, spec.n_classes, spec.n_part_classes)
+        m = evaluate(preds, scenes, spec.n_classes)
         rows = metrics_to_rows("run", "update1", 2, 0, m)
         assert all(len(r) == len(tasks.METRIC_CSV_COLUMNS) for r in rows)
         names = {r[4] for r in rows}

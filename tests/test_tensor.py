@@ -250,30 +250,22 @@ class TestSgd:
 
 class TestRng:
     def test_std_zero_degenerate(self):
-        t = rng_tensor(seed_rng(0), (100,), "gaussian", mean=0.25, std=0.0)
-        np.testing.assert_array_equal(t.data, np.full(100, 0.25))
+        t = rng_tensor(seed_rng(0), (100,), std=0.0)
+        np.testing.assert_array_equal(t.data, np.zeros(100))
 
     def test_same_seed_identical(self):
-        a = rng_tensor(seed_rng(7, 3), (50,), "gaussian")
-        b = rng_tensor(seed_rng(7, 3), (50,), "gaussian")
+        a = rng_tensor(seed_rng(7, 3), (50,))
+        b = rng_tensor(seed_rng(7, 3), (50,))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gaussian_std_statistics(self):
-        t = rng_tensor(seed_rng(42), (1_000_000,), "gaussian", std=0.01)
+        t = rng_tensor(seed_rng(42), (1_000_000,), std=0.01)
         assert 0.0099 <= t.data.std() <= 0.0101
         assert abs(t.data.mean()) < 1e-4
 
-    def test_uniform_range(self):
-        t = rng_tensor(seed_rng(3), (1000,), "uniform", low=2.0, high=5.0)
-        assert t.data.min() >= 2.0 and t.data.max() < 5.0
-
     def test_negative_std_rejected(self):
         with pytest.raises(TensorError):
-            rng_tensor(seed_rng(0), (3,), "gaussian", std=-1.0)
-
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(TensorError):
-            rng_tensor(seed_rng(0), (3,), "poisson")
+            rng_tensor(seed_rng(0), (3,), std=-1.0)
 
 
 class TestFiniteness:
