@@ -352,25 +352,23 @@ def restore_model(ckpt: dict) -> TrainState:
 # ---- evaluation ----------------------------------------------------------
 
 
-def _predictions(model: Multinet, spec, scenes, at_iter=None, ground_task=None):
+def _predictions(model: Multinet, spec, scenes, at_iter=None, ground_cls=False):
     cfg = model.cfg
     preds = []
     for i, scene in enumerate(scenes):
         props = propose_regions(scene, spec, cfg.m, seed=i)
-        ground = None
-        if ground_task == "cls":
-            ground = {"cls": scene.img_label.astype(np.float64)}
-        elif ground_task is not None:
-            raise ValueError(f"grounding not supported for task {ground_task!r}")
+        ground = {"cls": scene.img_label.astype(np.float64)} if ground_cls else None
         out = model.forward(scene.image, props, ground=ground, n_iters=at_iter)[-1]
         regions = {task: (s.data.copy(), d.data.copy()) for task, (s, d) in out.regions.items()}
         preds.append(ScenePrediction(out.x_cls.data.copy(), regions, props))
     return preds
 
 
-def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_task=None) -> dict:
-    """Run the model over held-out scenes and score all enabled tasks."""
-    preds = _predictions(model, spec, scenes, at_iter, ground_task)
+def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False) -> dict:
+    """Run the model over held-out scenes and score all enabled tasks;
+    `ground_cls` re-encodes each scene's true image labels instead of the
+    cls prediction."""
+    preds = _predictions(model, spec, scenes, at_iter, ground_cls)
     return tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
 
 
@@ -468,14 +466,14 @@ def comparison_rows(results, run_id="compare"):
     return rows
 
 
-def ground_experiment(state: TrainState, spec, scenes, task: str = "cls") -> dict:
-    """Paired metrics: standard vs. truth-grounded predictions, both read one
-    iteration after the grounding point."""
+def ground_experiment(state: TrainState, spec, scenes) -> dict:
+    """Paired metrics: standard vs. cls-truth-grounded predictions, both read
+    one iteration after the grounding point."""
     model = state.model
     if model.cfg.mode in ("independent", "shared") or model.cfg.t < 1:
         raise TrainingError("grounding requires a recurrent checkpoint (T >= 1)")
     ungrounded = evaluate_model(model, spec, scenes, at_iter=1)
-    grounded = evaluate_model(model, spec, scenes, at_iter=1, ground_task=task)
+    grounded = evaluate_model(model, spec, scenes, at_iter=1, ground_cls=True)
     deltas = {}
     for key in ("cls_map", "det_ap", "part_ap"):
         if ungrounded[key] is not None and grounded[key] is not None:

@@ -98,29 +98,24 @@ def encode_cls(x_cls: Tensor, h: int, w: int) -> Tensor:
     return make_op(data, (x_cls,), bwd, "encode_cls")
 
 
-def encode_det(x: Tensor, boxes, h: int, w: int, stride: int) -> Tensor:
+def encode_det(x: Tensor, footprints: np.ndarray, h: int, w: int) -> Tensor:
     """Heat map of region scores: each cell takes the channelwise max over
-    the scores of regions whose feature footprint covers it, or 0 when no
-    region does. Gradient routes to the first covering region attaining the
-    max (strictly positive maxima only)."""
+    the scores of regions whose feature footprint ((M, 4) [r0, r1, c0, c1]
+    from `nnops.feature_footprints`) covers it, or 0 when no region does.
+    Gradient routes to the first covering region attaining the max
+    (strictly positive maxima only)."""
     m, k1 = x.data.shape
-    data = np.zeros((h, w, k1))
-    winner = np.full((h, w, k1), -1, dtype=np.int64)
-    fps = nnops.feature_footprints(boxes, stride, h, w)
-    for i, (r0, r1, c0, c1) in enumerate(fps):
-        row = x.data[i]
-        cur = data[r0:r1, c0:c1]
-        upd = row[None, None, :] > cur  # strict: earlier regions win ties
-        np.copyto(cur, np.where(upd, row[None, None, :], cur))
-        wslice = winner[r0:r1, c0:c1]
-        np.copyto(wslice, np.where(upd, i, wslice))
+    r0, r1, c0, c1 = (footprints[:, j, None] for j in range(4))
+    rows, cols = np.arange(h), np.arange(w)
+    cover = ((r0 <= rows) & (rows < r1))[:, :, None] & ((c0 <= cols) & (cols < c1))[:, None, :]
+    cand = np.where(cover[..., None], x.data[:, None, None, :], 0.0)  # (M, H, W, K1)
+    data = np.maximum(cand.max(axis=0), 0.0)
+    winner = np.where(data > 0, cand.argmax(axis=0), -1)  # first covering max
 
     def bwd(g):
-        gx = np.zeros((m, k1))
-        for i, (r0, r1, c0, c1) in enumerate(fps):
-            sel = winner[r0:r1, c0:c1] == i
-            gx[i] = (g[r0:r1, c0:c1] * sel).sum(axis=(0, 1))
-        return (gx,)
+        won = winner >= 0
+        lin = (winner * k1 + np.arange(k1))[won]
+        return (np.bincount(lin, weights=g[won], minlength=m * k1).reshape(m, k1),)
 
     return make_op(data, (x,), bwd, "encode_det")
 
@@ -220,9 +215,10 @@ class Multinet:
         v = nnops.relu(nnops.fully_connected(v, self.cls_fc2))
         return nnops.sigmoid(nnops.fully_connected(v, self.cls_out))
 
-    def decode_regions(self, h: Tensor, boxes, task: str):
+    def decode_regions(self, pooled: Tensor, task: str):
+        """Score and box-delta head of one region task over the (M, G, G, C)
+        region features that every region head shares."""
         hd = self.region_heads[task]
-        pooled = nnops.spp_pool_regions(h, [b.as_tuple() for b in boxes], self.grid)
         m = pooled.data.shape[0]
         feat = reshape(pooled, (m, pooled.data.size // m))
         feat = nnops.relu(nnops.fully_connected(feat, hd["fc1"]))
@@ -231,10 +227,13 @@ class Multinet:
         deltas = nnops.fully_connected(feat, hd["delta"])
         return scores, deltas
 
-    def _decode_all(self, h: Tensor, boxes, t: int, tasks) -> MultinetOutput:
+    def _decode_all(self, h: Tensor, pooled, t: int, tasks) -> MultinetOutput:
+        """Decode the heads in `tasks`: cls from the map `h`, each region
+        task from `pooled`, the SPP regions of `h` (None when no region head
+        is decoded)."""
         x_cls = self.decode_cls(h) if "cls" in tasks else None
         regions = {
-            task: self.decode_regions(h, boxes, task) for task in self.region_heads if task in tasks
+            task: self.decode_regions(pooled, task) for task in self.region_heads if task in tasks
         }
         return MultinetOutput(t, x_cls, regions)
 
@@ -253,6 +252,11 @@ class Multinet:
         image features with the re-encoded labels (cls, then each region
         task); the bottleneck integrator puts the previous map in front of
         that stack and mixes it back to C channels.
+
+        Region features are pooled once per map and shared by the region
+        heads. SPP max pooling is per channel, so with the stacking
+        integrator the image block is pooled once per forward, and each
+        iteration pools only its task block (zero at t=0).
         """
         cfg = self.cfg
         if len(boxes) != cfg.m:
@@ -268,24 +272,40 @@ class Multinet:
         if cfg.mode in ("independent", "shared"):
             n_iters = 0
         tasks = all_tasks if n_iters > 0 or decode_tasks is None else tuple(decode_tasks)
+        rois = [b.as_tuple() for b in boxes]
+        stacked = cfg.mode in _STACKED_MODES
+
+        def pool(x):
+            return nnops.spp_pool_regions(x, rois, self.grid)
 
         h = r_img
-        if cfg.mode in _STACKED_MODES:
+        pooled = pool(r_img) if any(task in tasks for task in self.region_heads) else None
+        if stacked:
+            img_pooled = pooled
             h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
-        outputs = [self._decode_all(h, boxes, 0, tasks)]
+            if pooled is not None:
+                g = cfg.spp_grid
+                zeros = Tensor(np.zeros((cfg.m, g, g, cfg.task_channels)))
+                pooled = nnops.stack_channels([img_pooled, zeros])
+        outputs = [self._decode_all(h, pooled, 0, tasks)]
 
+        footprints = nnops.feature_footprints(rois, cfg.stride, hh, ww)
         for t in range(1, n_iters + 1):
             prev = outputs[-1]
             x_cls = self._feedback("cls", prev.x_cls, ground, (cfg.c_cls,))
-            maps = [r_img, encode_cls(x_cls, hh, ww)]
+            maps = [encode_cls(x_cls, hh, ww)]
             for task, k in cfg.region_classes.items():
                 x = self._feedback(task, prev.regions[task][0], ground, (cfg.m, k + 1))
-                maps.append(encode_det(x, boxes, hh, ww, cfg.stride))
-            if self.bottleneck is None:
-                h = nnops.stack_channels(maps)
+                maps.append(encode_det(x, footprints, hh, ww))
+            if stacked:
+                task_maps = nnops.stack_channels(maps)
+                h = nnops.stack_channels([r_img, task_maps])
+                pooled = nnops.stack_channels([img_pooled, pool(task_maps)])
             else:
-                h = nnops.relu(nnops.conv2d(nnops.stack_channels([h] + maps), self.bottleneck))
-            outputs.append(self._decode_all(h, boxes, t, all_tasks))
+                stack = nnops.stack_channels([h, r_img] + maps)
+                h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
+                pooled = pool(h)
+            outputs.append(self._decode_all(h, pooled, t, all_tasks))
         return outputs
 
     def _feedback(self, task, pred: Tensor, ground, expect_shape):

@@ -204,19 +204,20 @@ def fully_connected(x: Tensor, layer: FCLayer) -> Tensor:
 
 
 def stack_channels(tensors) -> Tensor:
-    """Concatenate H x W x Ci maps along the channel axis."""
+    """Concatenate tensors along the last (channel) axis: H x W x Ci maps,
+    or M x G x G x Ci pooled region blocks."""
     tensors = list(tensors)
-    hw = tensors[0].data.shape[:2]
+    lead = tensors[0].data.shape[:-1]
     for t in tensors:
-        if t.data.shape[:2] != hw:
+        if t.data.shape[:-1] != lead:
             raise TensorError(
-                f"stack_channels: spatial mismatch {t.data.shape[:2]} vs {hw}"
+                f"stack_channels: leading shape mismatch {t.data.shape[:-1]} vs {lead}"
             )
-    out = np.concatenate([t.data for t in tensors], axis=2)
-    splits = np.cumsum([t.data.shape[2] for t in tensors])[:-1]
+    out = np.concatenate([t.data for t in tensors], axis=-1)
+    splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=2))
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=-1))
 
     return make_op(out, tuple(tensors), bwd, "stack_channels")
 

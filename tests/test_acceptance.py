@@ -27,7 +27,7 @@ from multinet.harness import (
     write_metrics_csv,
 )
 from multinet.model import Multinet, TaskConfig, encode_cls, encode_det
-from multinet.nnops import ConvLayer, FCLayer, SppGrid
+from multinet.nnops import ConvLayer, FCLayer, SppGrid, feature_footprints
 from multinet.synthdata import (
     DatasetError,
     SceneSpec,
@@ -177,8 +177,9 @@ def test_criterion_1_gradient_suite(capsys):
             )
             dboxes = [random_box(r, 30) for _ in range(3)]
             wd = r.normal(size=(4, 4, 2))
+            dfps = feature_footprints(dboxes, 8, 4, 4)
             check_grads(
-                lambda a: sum_all(mul(encode_det(a, dboxes, 4, 4, 8), Tensor(wd))),
+                lambda a: sum_all(mul(encode_det(a, dfps, 4, 4), Tensor(wd))),
                 [r.uniform(0.05, 1.0, size=(3, 2))],
             )
             # losses
@@ -231,7 +232,7 @@ def test_criterion_2_oracle_equivalences(capsys):
                 xs = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 ys = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 boxes.append((xs[0], ys[0], xs[1], ys[1]))
-            out = encode_det(Tensor(scores), boxes, 4, 4, 8)
+            out = encode_det(Tensor(scores), feature_footprints(boxes, 8, 4, 4), 4, 4)
             np.testing.assert_array_equal(out.data, encode_det_oracle(scores, boxes, 4, 4, 8))
 
         # average_precision vs the exhaustive PR oracle, 100 cases
@@ -286,10 +287,11 @@ def test_criterion_3_structural_invariants(capsys):
             bxs = boxes_for(cfg.m)
             r_img = net.encode_image(img)
             hh, ww = r_img.data.shape[:2]
+            fps = feature_footprints(bxs, cfg.stride, hh, ww)
             r_cls = encode_cls(Tensor(np.full(c_cls, 0.5)), hh, ww)
-            r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), bxs, hh, ww, cfg.stride)
+            r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), fps, hh, ww)
             r_part = (
-                encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), bxs, hh, ww, cfg.stride)
+                encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), fps, hh, ww)
                 if c_part else None
             )
             h = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from multinet import nnops
-from multinet.model import MODES, Multinet, TaskConfig, encode_cls, encode_det
+from multinet.model import MODES, Multinet, MultinetOutput, TaskConfig, encode_cls, encode_det
+from multinet.nnops import feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
-from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, add, backward, mul, sum_all
 
 from conftest import check_grads
-from test_nnops import footprint_oracle
+from test_nnops import footprint_oracle, random_box
 
 
 SPEC = SceneSpec(seed=3)
@@ -88,14 +89,14 @@ def encode_det_oracle(scores, boxes, h, w, stride):
 class TestEncodeDet:
     def test_no_coverage_is_zero(self):
         scores = Tensor(np.array([[0.5, 0.5]]))
-        out = encode_det(scores, [(0, 0, 8, 8)], 4, 4, 8)
+        out = encode_det(scores, feature_footprints([(0, 0, 8, 8)], 8, 4, 4), 4, 4)
         assert np.all(out.data[0, 0] == 0.5)
         assert np.all(out.data[1:, :] == 0.0)
         assert np.all(out.data[0, 1:] == 0.0)
 
     def test_full_box_broadcasts_row(self):
         scores = Tensor(np.array([[0.1, 0.7, 0.2]]))
-        out = encode_det(scores, [(0, 0, 32, 32)], 4, 4, 8)
+        out = encode_det(scores, feature_footprints([(0, 0, 32, 32)], 8, 4, 4), 4, 4)
         for c in range(3):
             assert np.all(out.data[:, :, c] == scores.data[0, c])
 
@@ -109,16 +110,50 @@ class TestEncodeDet:
                 x = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 y = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 boxes.append((x[0], y[0], x[1], y[1]))
-            out = encode_det(Tensor(scores), boxes, 4, 4, 8)
+            out = encode_det(Tensor(scores), feature_footprints(boxes, 8, 4, 4), 4, 4)
             np.testing.assert_array_equal(
                 out.data, encode_det_oracle(scores, boxes, 4, 4, 8)
             )
+
+    def test_gradient_routing_matches_loop_oracle(self):
+        # Per cell and channel, the upstream gradient goes to the first
+        # covering region attaining a positive max; scores drawn from a few
+        # levels so that ties are common.
+        r = np.random.default_rng(7)
+        for _ in range(50):
+            m = int(r.integers(1, 8))
+            scores = r.integers(0, 4, size=(m, 3)) / 4.0
+            boxes = [random_box(r, 32) for _ in range(m)]
+            fps = feature_footprints(boxes, 8, 4, 4)
+            g = r.normal(size=(4, 4, 3))
+            x = Tensor(scores, requires_grad=True)
+            with Tape() as tape:
+                backward(sum_all(mul(encode_det(x, fps, 4, 4), Tensor(g))), tape)
+            want = np.zeros((m, 3))
+            for u, v, k in np.ndindex(4, 4, 3):
+                best, win = 0.0, None
+                for i, (r0, r1, c0, c1) in enumerate(fps):
+                    if r0 <= u < r1 and c0 <= v < c1 and scores[i, k] > best:
+                        best, win = scores[i, k], i
+                if win is not None:
+                    want[win, k] += g[u, v, k]
+            np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
+
+    def test_negative_scores_floor_at_zero(self):
+        scores = Tensor(np.array([[-0.5, 0.25]]), requires_grad=True)
+        fps = feature_footprints([(0, 0, 16, 16)], 8, 2, 2)
+        with Tape() as tape:
+            out = encode_det(scores, fps, 2, 2)
+            backward(sum_all(out), tape)
+        np.testing.assert_array_equal(out.data, np.broadcast_to([0.0, 0.25], (2, 2, 2)))
+        np.testing.assert_array_equal(scores.grad, [[0.0, 4.0]])
 
     def test_tie_gradient_goes_to_first_box(self):
         scores = Tensor(np.array([[0.5], [0.5]]), requires_grad=True)
         box = (0, 0, 8, 8)
         with Tape() as tape:
-            backward(sum_all(encode_det(scores, [box, box], 1, 1, 8)), tape)
+            fps = feature_footprints([box, box], 8, 1, 1)
+            backward(sum_all(encode_det(scores, fps, 1, 1)), tape)
         np.testing.assert_array_equal(scores.grad, [[1.0], [0.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -131,10 +166,11 @@ class TestEncodeDet:
             y = np.sort(r.uniform(0, 30, 2) + [0, 3])
             boxes.append((x[0], y[0], x[1], y[1]))
         w = r.normal(size=(4, 4, 2))
+        fps = feature_footprints(boxes, 8, 4, 4)
         from multinet.tensor import mul
 
         check_grads(
-            lambda t: sum_all(mul(encode_det(t, boxes, 4, 4, 8), Tensor(w))),
+            lambda t: sum_all(mul(encode_det(t, fps, 4, 4), Tensor(w))),
             [scores],
         )
 
@@ -158,10 +194,11 @@ class TestStructure:
         img, boxes = small_inputs(cfg)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
+        fps = feature_footprints(boxes, cfg.stride, hh, ww)
         r_cls = encode_cls(Tensor(np.full(c_cls, 0.5)), hh, ww)
-        r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), boxes, hh, ww, cfg.stride)
+        r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), fps, hh, ww)
         r_part = (
-            encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), boxes, hh, ww, cfg.stride)
+            encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), fps, hh, ww)
             if c_part
             else None
         )
@@ -296,15 +333,17 @@ class TestForward:
         outs = net.forward(img, boxes)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
+        fps = feature_footprints(boxes, cfg.stride, hh, ww)
         o0 = outs[0]
         r_cls = encode_cls(o0.x_cls, hh, ww)
-        r_det = encode_det(o0.regions["det"][0], boxes, hh, ww, cfg.stride)
-        r_part = encode_det(o0.regions["part"][0], boxes, hh, ww, cfg.stride)
+        r_det = encode_det(o0.regions["det"][0], fps, hh, ww)
+        r_part = encode_det(o0.regions["part"][0], fps, hh, ww)
         if mode == "update1":
             h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
-        manual = net._decode_all(h1, boxes, 1, ("cls", "det", "part"))
+        pooled = nnops.spp_pool_regions(h1, [b.as_tuple() for b in boxes], net.grid)
+        manual = net._decode_all(h1, pooled, 1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
@@ -396,11 +435,12 @@ class TestGrounding:
         outs = net.forward(img, boxes, ground={"cls": truth}, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
+        fps = feature_footprints(boxes, cfg.stride, hh, ww)
         r_cls = encode_cls(Tensor(truth), hh, ww)
-        r_det = encode_det(outs[0].regions["det"][0], boxes, hh, ww, cfg.stride)
-        r_part = encode_det(outs[0].regions["part"][0], boxes, hh, ww, cfg.stride)
+        r_det = encode_det(outs[0].regions["det"][0], fps, hh, ww)
+        r_part = encode_det(outs[0].regions["part"][0], fps, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
-        manual = net._decode_all(h1, boxes, 1, ("cls",))
+        manual = net._decode_all(h1, None, 1, ("cls",))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
 
     def test_bad_ground_shape_rejected(self):
@@ -445,3 +485,149 @@ class TestGrounding:
         img, boxes = small_inputs(cfg)
         with pytest.raises(ValueError):
             net.forward(img, boxes, ground={"part": np.zeros((cfg.m, 5))}, n_iters=1)
+
+
+def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None):
+    """The iteration schedule of `Multinet.forward` built from its public
+    pieces, with every region head pooling the full map `h` on its own."""
+    cfg = net.cfg
+    ground = ground or {}
+    rois = [b.as_tuple() for b in boxes]
+    r_img = net.encode_image(img)
+    hh, ww = r_img.data.shape[:2]
+    if cfg.mode in ("independent", "shared"):
+        n_iters = 0
+    n_iters = cfg.t if n_iters is None else n_iters
+    all_tasks = ("cls", *cfg.region_classes)
+    tasks = all_tasks if n_iters or decode_tasks is None else decode_tasks
+
+    def decode(h, t, tasks):
+        x_cls = net.decode_cls(h) if "cls" in tasks else None
+        regions = {
+            task: net.decode_regions(nnops.spp_pool_regions(h, rois, net.grid), task)
+            for task in cfg.region_classes if task in tasks
+        }
+        return MultinetOutput(t, x_cls, regions)
+
+    def label(task, pred):
+        if task in ground:
+            return Tensor(np.asarray(ground[task], dtype=np.float64))
+        return pred.detach() if cfg.truncate_feedback else pred
+
+    h = r_img
+    if cfg.mode != "update2":
+        h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
+    outs = [decode(h, 0, tasks)]
+    fps = feature_footprints(boxes, cfg.stride, hh, ww)
+    for t in range(1, n_iters + 1):
+        prev = outs[-1]
+        maps = [encode_cls(label("cls", prev.x_cls), hh, ww)]
+        maps += [encode_det(label(task, x[0]), fps, hh, ww) for task, x in prev.regions.items()]
+        if cfg.mode == "update1":
+            h = integrate_stack(r_img, *maps)
+        else:
+            h = integrate_bottleneck(net, h, r_img, *maps)
+        outs.append(decode(h, t, all_tasks))
+    return outs
+
+
+def output_tensors(outs):
+    """Every output tensor of a forward, in a fixed order."""
+    flat = []
+    for out in outs:
+        flat += [] if out.x_cls is None else [out.x_cls]
+        flat += [x for task in sorted(out.regions) for x in out.regions[task]]
+    return flat
+
+
+def weighted_sum(tensors, seed=0):
+    """A scalar that reads every element of every tensor."""
+    r = np.random.default_rng(seed)
+    total = None
+    for x in tensors:
+        term = sum_all(mul(x, Tensor(r.normal(size=x.data.shape))))
+        total = term if total is None else add(total, term)
+    return total
+
+
+# (mode, TaskConfig overrides, forward kwargs)
+POOL_ONCE_CASES = [
+    ("independent", {}, {}),
+    ("independent", {}, {"decode_tasks": ("cls",)}),
+    ("independent", {}, {"decode_tasks": ("det",)}),
+    ("independent", {}, {"decode_tasks": ("part",)}),
+    ("shared", {}, {}),
+    ("shared", {"c_part": 0}, {}),
+    ("update1", {}, {}),
+    ("update1", {"truncate_feedback": True}, {}),
+    ("update1", {"c_part": 0}, {"n_iters": 3}),
+    ("update1", {}, {"ground": "cls"}),
+    ("update1", {}, {"ground": "det"}),
+    ("update2", {}, {}),
+    ("update2", {"truncate_feedback": True}, {}),
+    ("update2", {}, {"ground": "part"}),
+]
+
+
+def pool_once_setup(mode, overrides, kwargs):
+    cfg = small_cfg(mode=mode, **overrides)
+    net = Multinet(cfg, seed=5)
+    img, boxes = small_inputs(cfg, seed=2)
+    kwargs = dict(kwargs)
+    if "ground" in kwargs:
+        r = np.random.default_rng(1)
+        task = kwargs["ground"]
+        shape = (cfg.c_cls,) if task == "cls" else (cfg.m, cfg.region_classes[task] + 1)
+        kwargs["ground"] = {task: r.uniform(size=shape)}
+    return net, img, boxes, kwargs
+
+
+class TestPoolOnce:
+    @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
+    def test_forward_bit_identical_to_per_head_pooling(self, mode, overrides, kwargs):
+        net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
+        got = output_tensors(net.forward(img, boxes, **kwargs))
+        want = output_tensors(forward_oracle(net, img, boxes, **kwargs))
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
+    def test_gradients_match_per_head_pooling(self, mode, overrides, kwargs):
+        # Pooling once sums the heads' (and iterations') gradients before
+        # one scatter instead of after several: only rounding may differ.
+        net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
+        grads = []
+        for fwd in (net.forward, lambda *a, **k: forward_oracle(net, *a, **k)):
+            net.params.zero_grads()
+            with Tape() as tape:
+                backward(weighted_sum(output_tensors(fwd(img, boxes, **kwargs))), tape)
+            grads.append({name: t.grad.copy() for name, t, _ in net.params.items()})
+        got, want = grads
+        assert any(np.any(g) for g in want.values())
+        for name, g in want.items():
+            scale = np.max(np.abs(g))
+            assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize(
+        "mode,decode_tasks,widths",
+        [("update1", None, ["C", "task", "task"]), ("shared", None, ["C"]),
+         ("update2", None, ["C", "C", "C"]), ("independent", ("cls",), [])],
+    )
+    def test_spp_calls_per_forward(self, monkeypatch, mode, decode_tasks, widths):
+        # update1 pools the C image channels once and only the task block
+        # at each iteration t >= 1; update2 pools its C-channel map once per
+        # iteration; a cls-only net pools nothing.
+        net = Multinet(small_cfg(mode=mode, t=2), seed=0)
+        img, boxes = small_inputs(net.cfg)
+        seen = []
+        pool = nnops.spp_pool_regions
+
+        def counted(h, rois, grid):
+            seen.append(h.data.shape[2])
+            return pool(h, rois, grid)
+
+        monkeypatch.setattr(nnops, "spp_pool_regions", counted)
+        net.forward(img, boxes, decode_tasks=decode_tasks)
+        width = {"C": net.cfg.channels, "task": net.cfg.task_channels}
+        assert seen == [width[w] for w in widths]

@@ -271,6 +271,24 @@ class TestStackChannels:
         arrays = [rng.normal(size=(3, 3, c)) for c in chans]
         check_grads(lambda *ts: sum_all(stack_channels(ts)), arrays)
 
+    def test_pooled_blocks_stack_on_last_axis(self, rng):
+        a = rng.normal(size=(4, 2, 2, 3))
+        b = rng.normal(size=(4, 2, 2, 1))
+        out = stack_channels([Tensor(a), Tensor(b)])
+        np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=3))
+        with pytest.raises(TensorError):
+            stack_channels([Tensor(a), Tensor(np.zeros((3, 2, 2, 1)))])
+
+    def test_pooling_commutes_with_stacking(self, rng):
+        # SPP max pooling is per channel: pooling channel blocks apart and
+        # stacking the results equals pooling the stacked map.
+        a, b = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 2))
+        boxes = [random_box(rng, 64) for _ in range(6)]
+        grid = SppGrid(3, 8)
+        whole = spp_pool_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
+        parts = stack_channels([spp_pool_regions(Tensor(x), boxes, grid) for x in (a, b)])
+        np.testing.assert_array_equal(parts.data, whole.data)
+
 
 def footprint_oracle(box, stride, h, w):
     """Scalar reference for `feature_footprints`: cell bounds (r0, r1, c0, c1)."""
