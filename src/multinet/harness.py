@@ -173,14 +173,12 @@ class SceneBatch:
 
 def _delta_matrix(targets: tasks.RegionTargets, k: int):
     m = targets.labels.shape[0]
-    mat = np.zeros((m, 4 * (k + 1)))
-    mask = np.zeros((m, 4 * (k + 1)))
-    for i in range(m):
-        lab = targets.labels[i]
-        if lab >= 1:
-            mat[i, 4 * lab : 4 * lab + 4] = targets.deltas[i]
-            mask[i, 4 * lab : 4 * lab + 4] = 1.0
-    return mat, mask
+    mat = np.zeros((m, k + 1, 4))
+    mask = np.zeros((m, k + 1, 4))
+    fg = np.nonzero(targets.labels >= 1)[0]
+    mat[fg, targets.labels[fg]] = targets.deltas[fg]
+    mask[fg, targets.labels[fg]] = 1.0
+    return mat.reshape(m, -1), mask.reshape(m, -1)
 
 
 def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneBatch:
@@ -352,23 +350,28 @@ def restore_model(ckpt: dict) -> TrainState:
 # ---- evaluation ----------------------------------------------------------
 
 
-def _predictions(model: Multinet, spec, scenes, at_iter=None, ground_cls=False):
-    cfg = model.cfg
-    preds = []
+def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
+    """Per scene: its proposals as an (M, 4) array and the outputs of one
+    forward."""
     for i, scene in enumerate(scenes):
-        props = propose_regions(scene, spec, cfg.m, seed=i)
+        props = propose_regions(scene, spec, model.cfg.m, seed=i)
         ground = {"cls": scene.img_label.astype(np.float64)} if ground_cls else None
-        out = model.forward(scene.image, props, ground=ground, n_iters=at_iter)[-1]
-        regions = {task: (s.data.copy(), d.data.copy()) for task, (s, d) in out.regions.items()}
-        preds.append(ScenePrediction(out.x_cls.data.copy(), regions, props))
-    return preds
+        outs = model.forward(scene.image, props, ground=ground, n_iters=n_iters)
+        yield tasks.box_array(props), outs
+
+
+def _prediction(out: MultinetOutput, props) -> ScenePrediction:
+    # Copies, so that no prediction keeps the forward's graph alive.
+    regions = {task: (s.data.copy(), d.data.copy()) for task, (s, d) in out.regions.items()}
+    return ScenePrediction(out.x_cls.data.copy(), regions, props)
 
 
 def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False) -> dict:
     """Run the model over held-out scenes and score all enabled tasks;
     `ground_cls` re-encodes each scene's true image labels instead of the
     cls prediction."""
-    preds = _predictions(model, spec, scenes, at_iter, ground_cls)
+    preds = [_prediction(outs[-1], props)
+             for props, outs in _forwards(model, spec, scenes, at_iter, ground_cls)]
     return tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
 
 
@@ -482,17 +485,19 @@ def ground_experiment(state: TrainState, spec, scenes) -> dict:
 
 
 def recurrence_sweep(state: TrainState, spec, scenes, t_max: int):
-    """Evaluate the same trained model unrolled to t = 0..t_max."""
+    """Evaluate the same trained model unrolled to t = 0..t_max.
+
+    Each scene runs one forward to t_max and row t scores its outputs[t]
+    (outputs[0] at every t in modes without recurrence), which equals
+    `evaluate_model(..., at_iter=t)`.
+    """
+    model = state.model
+    per_t = [[] for _ in range(t_max + 1)]
+    for props, outs in _forwards(model, spec, scenes, t_max):
+        for t, preds in enumerate(per_t):
+            preds.append(_prediction(outs[min(t, len(outs) - 1)], props))
     rows = []
-    for t in range(t_max + 1):
-        m = state.model
-        metrics = evaluate_model(m, spec, scenes, at_iter=t)
-        rows.append(
-            {
-                "t": t,
-                "cls_map": metrics["cls_map"],
-                "det_ap": metrics["det_ap"],
-                "part_ap": metrics["part_ap"],
-            }
-        )
+    for t, preds in enumerate(per_t):
+        metrics = tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
+        rows.append({"t": t, **{k: metrics[k] for k in ("cls_map", "det_ap", "part_ap")}})
     return rows

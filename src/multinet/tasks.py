@@ -15,10 +15,11 @@ from .tensor import Tensor, TensorError, make_op
 
 __all__ = [
     "Box",
-    "Detection",
     "RegionTargets",
     "RegionTask",
     "REGION_TASKS",
+    "box_array",
+    "iou_matrix",
     "iou",
     "bce_multilabel",
     "softmax_ce",
@@ -57,18 +58,6 @@ class Box:
     def __iter__(self):
         return iter(self.as_tuple())
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-@dataclass(frozen=True)
-class Detection:
-    box: Box
-    class_index: int
-    score: float
-    image_index: int = 0
-
 
 @dataclass
 class RegionTargets:
@@ -99,13 +88,29 @@ REGION_TASKS = {
 }
 
 
-def iou(a: Box, b: Box) -> float:
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) float64 array of N boxes given as Box objects or 4-sequences."""
+    return np.array([tuple(b) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """(N, K) IoUs of (N, 4) boxes against (K, 4) boxes: 0 unless both
+    overlaps are positive, else inter / (area_a + area_b - inter)."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    out = np.zeros(inter.shape)
+    np.divide(inter, area_a + area_b - inter, out=out, where=(ix > 0) & (iy > 0))
+    return out
+
+
+def iou(a, b) -> float:
+    """IoU of two boxes: the 1 x 1 case of `iou_matrix`."""
+    return float(iou_matrix(tuple(a), tuple(b))[0, 0])
 
 
 def bce_multilabel(pred: Tensor, gt) -> Tensor:
@@ -150,27 +155,32 @@ def softmax_ce(scores: Tensor, labels) -> Tensor:
     return make_op(np.asarray(loss), (scores,), bwd, "softmax_ce")
 
 
-def _center_form(b: Box):
+def _center_form(boxes):
+    b = np.asarray(boxes, dtype=np.float64)
     return (
-        0.5 * (b.x1 + b.x2),
-        0.5 * (b.y1 + b.y2),
-        b.x2 - b.x1,
-        b.y2 - b.y1,
+        0.5 * (b[..., 0] + b[..., 2]),
+        0.5 * (b[..., 1] + b[..., 3]),
+        b[..., 2] - b[..., 0],
+        b[..., 3] - b[..., 1],
     )
 
 
-def bbox_encode(proposal: Box, gt: Box) -> np.ndarray:
-    px, py, pw, ph = _center_form(proposal)
-    gx, gy, gw, gh = _center_form(gt)
-    return np.array([(gx - px) / pw, (gy - py) / ph, np.log(gw / pw), np.log(gh / ph)])
+def bbox_encode(proposals, gts) -> np.ndarray:
+    """(tx, ty, tw, th) regression targets of boxes (..., 4) against
+    ground truth boxes broadcast to the same shape."""
+    px, py, pw, ph = _center_form(proposals)
+    gx, gy, gw, gh = _center_form(gts)
+    return np.stack([(gx - px) / pw, (gy - py) / ph, np.log(gw / pw), np.log(gh / ph)], axis=-1)
 
 
-def bbox_decode(proposal: Box, deltas) -> Box:
-    tx, ty, tw, th = np.asarray(deltas, dtype=np.float64)
-    px, py, pw, ph = _center_form(proposal)
-    cx, cy = px + tx * pw, py + ty * ph
-    w, h = pw * np.exp(tw), ph * np.exp(th)
-    return Box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+def bbox_decode(proposals, deltas) -> np.ndarray:
+    """Boxes (..., 4) that `deltas` (..., 4) move `proposals` to; the
+    inverse of `bbox_encode`."""
+    px, py, pw, ph = _center_form(proposals)
+    d = np.asarray(deltas, dtype=np.float64)
+    cx, cy = px + d[..., 0] * pw, py + d[..., 1] * ph
+    w, h = pw * np.exp(d[..., 2]), ph * np.exp(d[..., 3])
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
 def smooth_l1(deltas: Tensor, targets, mask) -> Tensor:
@@ -210,31 +220,37 @@ def assign_regions(
     background when max IoU lies in [bg_iou[0], bg_iou[1]), IGNORE
     otherwise. Classes are 1-based; 0 is background.
     """
+    regions = box_array(regions)
     m = len(regions)
     labels = np.full(m, IGNORE, dtype=np.int64)
     deltas = np.zeros((m, 4))
     if not gt_objects:
         labels[:] = 0
         return RegionTargets(labels, deltas)
-    for i, r in enumerate(regions):
-        ious = np.array([iou(r, g_box) for _, g_box in gt_objects])
-        best = int(ious.argmax())  # argmax takes the lowest index on ties
-        if ious[best] >= fg_iou:
-            labels[i] = gt_objects[best][0]
-            deltas[i] = bbox_encode(r, gt_objects[best][1])
-        elif bg_iou[0] <= ious[best] < bg_iou[1]:
-            labels[i] = 0
+    classes = np.array([cls for cls, _ in gt_objects])
+    gt_boxes = box_array([b for _, b in gt_objects])
+    ious = iou_matrix(regions, gt_boxes)
+    best = ious.argmax(axis=1)  # argmax takes the lowest index on ties
+    best_iou = ious[np.arange(m), best]
+    fg = best_iou >= fg_iou
+    labels[fg] = classes[best[fg]]
+    deltas[fg] = bbox_encode(regions[fg], gt_boxes[best[fg]])
+    labels[~fg & (bg_iou[0] <= best_iou) & (best_iou < bg_iou[1])] = 0
     return RegionTargets(labels, deltas)
 
 
 def nms(boxes, scores, iou_thresh: float = NMS_IOU):
-    """Greedy non-maximum suppression; returns kept indices, score-descending
-    (stable on ties)."""
+    """Greedy non-maximum suppression of (N, 4) boxes; returns kept indices,
+    score-descending (stable on ties). A box is dropped when its IoU with a
+    kept box exceeds `iou_thresh`."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    overlaps = iou_matrix(boxes, boxes) > iou_thresh
+    dropped = np.zeros(len(order), dtype=bool)
     keep = []
     for i in order:
-        if all(iou(boxes[i], boxes[j]) <= iou_thresh for j in keep):
+        if not dropped[i]:
             keep.append(int(i))
+            dropped |= overlaps[i]
     return keep
 
 
@@ -254,31 +270,32 @@ def _ranked_ap(tp: np.ndarray, n_pos: int) -> float:
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def average_precision(dets, gts, iou_thresh: float) -> float:
+def average_precision(boxes, scores, images, gts, iou_thresh: float) -> float:
     """AP for one class.
 
-    dets: Detection list (any order); gts: dict image_index -> list[Box].
-    Detections are ranked by score, matched greedily to the unmatched gt of
-    highest IoU >= iou_thresh in their image; duplicates count as false
-    positives.
+    Detection i is the box `boxes[i]` (N, 4) with `scores[i]` in image
+    `images[i]`; `gts[j]` is the (G, 4) ground truth of image j. Detections
+    are ranked by score (stable on ties). Each one is compared with the gt of
+    highest IoU in its image (the first on ties); it is a true positive when
+    that IoU is >= iou_thresh (> 0) and no higher-ranked detection matched
+    the same gt, so duplicates count as false positives.
     """
-    n_gt = sum(len(v) for v in gts.values())
+    n_gt = sum(len(g) for g in gts)
     if n_gt == 0:
         return 0.0
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    matched = {img: np.zeros(len(v), dtype=bool) for img, v in gts.items()}
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
+    images = np.asarray(images)[order]
     tp = np.zeros(len(order))
-    for rank, i in enumerate(order):
-        d = dets[i]
-        cand = gts.get(d.image_index, [])
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(cand):
-            ov = iou(d.box, g)
-            if ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0 and best_iou >= iou_thresh and not matched[d.image_index][best_j]:
-            matched[d.image_index][best_j] = True
-            tp[rank] = 1.0
+    for img, g in enumerate(gts):
+        ranks = np.nonzero(images == img)[0]
+        if ranks.size == 0 or len(g) == 0:
+            continue
+        ious = iou_matrix(boxes[ranks], g)
+        best = ious.argmax(axis=1)
+        hit = ious[np.arange(ranks.size), best] >= iou_thresh
+        _, first = np.unique(best[hit], return_index=True)
+        tp[ranks[hit][first]] = 1.0
     return _ranked_ap(tp, n_gt)
 
 
@@ -299,26 +316,34 @@ class ScenePrediction:
 
     cls_scores: np.ndarray  # (C_cls,)
     regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
-    proposals: list  # list[Box], length M
+    proposals: np.ndarray  # (M, 4) boxes
 
 
-def _collect_detections(preds, task: str, n_classes: int, canvas: int):
-    dets = {k: [] for k in range(1, n_classes + 1)}
+def _clip(v, lo, hi):
+    """Elementwise `min(max(v, lo), hi)` with Python's tie rule: `v` is kept
+    unless the bound is strictly beyond it."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
+def _collect_detections(preds, task: str, canvas: int) -> list:
+    """Per class k >= 1, the (boxes, scores, image indices) that NMS keeps
+    in every scene: each proposal is decoded with the deltas of every class
+    in one call and clipped to the canvas."""
+    k1 = preds[0].regions[task][0].shape[1]
+    found = [[] for _ in range(1, k1)]
     for img, p in enumerate(preds):
         scores, deltas = p.regions[task]
-        for k in range(1, n_classes + 1):
-            boxes, ss = [], []
-            for m, prop in enumerate(p.proposals):
-                b = bbox_decode(prop, deltas[m, 4 * k : 4 * k + 4])
-                x1 = min(max(b.x1, 0.0), canvas - 1.0)
-                y1 = min(max(b.y1, 0.0), canvas - 1.0)
-                x2 = min(max(b.x2, x1 + 1e-3), float(canvas))
-                y2 = min(max(b.y2, y1 + 1e-3), float(canvas))
-                boxes.append(Box(x1, y1, x2, y2))
-                ss.append(float(scores[m, k]))
-            for i in nms(boxes, ss):
-                dets[k].append(Detection(boxes[i], k, ss[i], img))
-    return dets
+        b = bbox_decode(p.proposals[:, None, :], deltas.reshape(-1, k1, 4))
+        x1 = _clip(b[..., 0], 0.0, canvas - 1.0)
+        y1 = _clip(b[..., 1], 0.0, canvas - 1.0)
+        x2 = _clip(b[..., 2], x1 + 1e-3, float(canvas))
+        y2 = _clip(b[..., 3], y1 + 1e-3, float(canvas))
+        boxes = np.stack([x1, y1, x2, y2], axis=-1)
+        for k in range(1, k1):
+            keep = nms(boxes[:, k], scores[:, k])
+            found[k - 1].append((boxes[keep, k], scores[keep, k], np.full(len(keep), img)))
+    return [tuple(np.concatenate(parts) for parts in zip(*f)) for f in found]
 
 
 def evaluate(preds, scenes, n_classes: int, canvas: int = 64) -> dict:
@@ -341,15 +366,11 @@ def evaluate(preds, scenes, n_classes: int, canvas: int = 64) -> dict:
     for task in REGION_TASKS.values():
         aps = None
         if task.name in preds[0].regions:
-            k_max = preds[0].regions[task.name][0].shape[1] - 1
-            dets = _collect_detections(preds, task.name, k_max, canvas)
             aps = []
-            for k in range(1, k_max + 1):
-                gts = {
-                    i: [b for cls, b in task.ground_truth(s) if cls == k]
-                    for i, s in enumerate(scenes)
-                }
-                aps.append(average_precision(dets[k], gts, task.match_iou))
+            for k, dets in enumerate(_collect_detections(preds, task.name, canvas), 1):
+                gts = [box_array([b for cls, b in task.ground_truth(s) if cls == k])
+                       for s in scenes]
+                aps.append(average_precision(*dets, gts, task.match_iou))
         out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
         out[f"{task.name}_ap_per_class"] = aps
     return out

@@ -35,13 +35,13 @@ from multinet.synthdata import (
     read_dataset,
     write_dataset,
 )
-from multinet.tasks import Box, Detection, average_precision, iou
+from multinet.tasks import Box, average_precision, box_array, iou_matrix
 from multinet.tensor import Tensor, sum_all
 
 from conftest import check_grads
 from test_model import encode_det_oracle, integrate_bottleneck
 from test_nnops import conv_oracle, random_box, spp_oracle
-from test_tasks import ap_oracle, _far_box
+from test_tasks import MISS, ap_oracle, _far_box
 
 CACHE = Path(__file__).parent / "_cache"
 
@@ -205,7 +205,7 @@ def test_criterion_1_gradient_suite(capsys):
 
 def test_criterion_2_oracle_equivalences(capsys):
     def run():
-        assert abs(iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) - 1.0 / 7.0) <= 1e-12
+        assert abs(iou_matrix([[0, 0, 2, 2]], [[1, 1, 3, 3]])[0, 0] - 1.0 / 7.0) <= 1e-12
 
         r = np.random.default_rng(2024)
         # conv2d vs the direct 6-loop oracle
@@ -238,18 +238,21 @@ def test_criterion_2_oracle_equivalences(capsys):
         # average_precision vs the exhaustive PR oracle, 100 cases
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = {0: [_far_box(i) for i in range(n_gt)]}
-            dets, tp_seq, used = [], [], set()
+            gts = [box_array([_far_box(i) for i in range(n_gt)])]
+            boxes, scores, tp_seq, used = [], [], [], set()
             for s in -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10))):
                 if r.uniform() < 0.5 and len(used) < n_gt:
                     i = min(set(range(n_gt)) - used)
                     used.add(i)
-                    dets.append(Detection(_far_box(i), 1, float(s), 0))
+                    boxes.append(_far_box(i))
                     tp_seq.append(1)
                 else:
-                    dets.append(Detection(Box(5000, 5000, 5010, 5010), 1, float(s), 0))
+                    boxes.append(MISS)
                     tp_seq.append(0)
-            assert abs(average_precision(dets, gts, 0.5) - ap_oracle(tp_seq, n_gt)) <= 1e-9
+                scores.append(float(s))
+            images = np.zeros(len(scores), dtype=int)
+            ap = average_precision(box_array(boxes), scores, images, gts, 0.5)
+            assert abs(ap - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
     _report(capsys, 2, "exact oracle equivalences (conv, spp, encode_det, AP, iou)", run)
 

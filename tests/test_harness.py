@@ -268,6 +268,26 @@ class TestTwoTaskGradientMatch:
             np.testing.assert_allclose(got, g, atol=1e-12, err_msg=name)
 
 
+class TestRegionTargets:
+    def test_delta_matrix_matches_per_region_loop(self):
+        cfg = build_task_config(small_config(), SMALL_SPEC, SMALL_SCENES)
+        for i, scene in enumerate(SMALL_SCENES):
+            batch = prepare_scene(scene, SMALL_SPEC, cfg, i)
+            for task, k in cfg.region_classes.items():
+                gts = tasks.REGION_TASKS[task].ground_truth(scene)
+                targets = tasks.assign_regions(batch.proposals, gts)
+                labels, mat, mask = batch.regions[task]
+                want, want_mask = np.zeros((2, cfg.m, 4 * (k + 1)))
+                for m, lab in enumerate(targets.labels):
+                    if lab >= 1:
+                        want[m, 4 * lab : 4 * lab + 4] = targets.deltas[m]
+                        want_mask[m, 4 * lab : 4 * lab + 4] = 1.0
+                assert mat.tobytes() == want.tobytes()
+                assert mask.tobytes() == want_mask.tobytes()
+                np.testing.assert_array_equal(labels, targets.labels)
+                assert (labels >= 1).any()
+
+
 class TestIndependentNets:
     def test_each_net_decodes_and_trains_only_its_task(self, monkeypatch):
         # The independent baseline trains one network per task; each one
@@ -334,6 +354,29 @@ class TestExperiments:
         a = recurrence_sweep(state, SMALL_SPEC, SMALL_SCENES, t_max=2)
         b = recurrence_sweep(state, SMALL_SPEC, SMALL_SCENES, t_max=2)
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["update1", "update2", "shared"])
+    def test_sweep_runs_one_forward_per_scene_and_matches_eval(self, mode, monkeypatch):
+        state = self._trained(mode=mode, iterations=2, epochs_phase1=1)
+        rows_by_t = [
+            {"t": t, **{k: v for k, v in evaluate_model(
+                state.model, SMALL_SPEC, SMALL_SCENES, at_iter=t).items()
+                if k in ("cls_map", "det_ap", "part_ap")}}
+            for t in range(4)
+        ]
+        calls = []
+        forward = Multinet.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("n_iters"))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Multinet, "forward", counted)
+        rows = recurrence_sweep(state, SMALL_SPEC, SMALL_SCENES, t_max=3)
+        assert calls == [3] * len(SMALL_SCENES)
+        assert rows == rows_by_t
+        if mode != "shared":
+            assert rows[1] != rows[0]  # the rows do read different iterations
 
     def test_ground_experiment_shapes(self):
         state = self._trained(epochs_phase1=1)

@@ -7,14 +7,15 @@ from multinet import tasks
 from multinet.tasks import (
     IGNORE,
     Box,
-    Detection,
     average_precision,
     assign_regions,
     bbox_decode,
     bbox_encode,
     bce_multilabel,
+    box_array,
     evaluate,
     iou,
+    iou_matrix,
     metrics_to_rows,
     nms,
     ranked_binary_ap,
@@ -48,9 +49,6 @@ class TestBoxAndIou:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             Box(2, 2, 2, 3)
-
-    def test_area(self):
-        assert Box(1, 1, 4, 3).area == 6.0
 
     def test_identical_boxes(self):
         b = Box(0, 0, 5, 5)
@@ -89,6 +87,69 @@ class TestBoxAndIou:
             by = np.sort(r.uniform(0, 8, 2) + [0, 0.5])
             a, b = Box(ax[0], ay[0], ax[1], ay[1]), Box(bx[0], by[0], bx[1], by[1])
             assert abs(iou(a, b) - iou_rasterized(a, b)) < 3e-3
+
+
+def scalar_iou(a, b):
+    """The scalar IoU of two (x1, y1, x2, y2) boxes, one comparison at a
+    time: the formula `iou_matrix` must reproduce bit for bit."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def random_boxes(r, n, span=20.0):
+    """n boxes on a coarse grid, so that touching edges, shared corners,
+    containment and identical boxes all occur, mixed with continuous ones."""
+    x = np.sort(r.integers(0, 8, (n, 2)) * 2.5 + [0, 1], axis=1)
+    y = np.sort(r.integers(0, 8, (n, 2)) * 2.5 + [0, 1], axis=1)
+    cont = r.uniform(size=n) < 0.5
+    x[cont] = np.sort(r.uniform(0, span, (cont.sum(), 2)) + [0, 1e-3], axis=1)
+    y[cont] = np.sort(r.uniform(0, span, (cont.sum(), 2)) + [0, 1e-3], axis=1)
+    return np.stack([x[:, 0], y[:, 0], x[:, 1], y[:, 1]], axis=1)
+
+
+def scalar_decode(p, d):
+    """One proposal moved by one delta 4-vector, as a (4,) array."""
+    tx, ty, tw, th = d
+    px, py, pw, ph = 0.5 * (p[0] + p[2]), 0.5 * (p[1] + p[3]), p[2] - p[0], p[3] - p[1]
+    cx, cy = px + tx * pw, py + ty * ph
+    w, h = pw * np.exp(tw), ph * np.exp(th)
+    return np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
+
+
+class TestIouMatrix:
+    def test_bit_equal_to_scalar_formula(self):
+        r = np.random.default_rng(31)
+        for _ in range(40):
+            a = random_boxes(r, int(r.integers(1, 12)))
+            b = random_boxes(r, int(r.integers(1, 12)))
+            got = iou_matrix(a, b)
+            want = np.array([[scalar_iou(p, q) for q in b] for p in a])
+            assert got.shape == (len(a), len(b))
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_cases(self):
+        a = np.array([[0, 0, 2, 2], [0, 0, 10, 10], [0, 0, 1, 1]], dtype=float)
+        b = np.array([[2, 0, 4, 2], [2, 2, 4, 4], [0, 0, 2, 2], [5, 5, 6, 6]], dtype=float)
+        got = iou_matrix(a, b)
+        np.testing.assert_array_equal(got[0], [0.0, 0.0, 1.0, 0.0])  # touching, corner, same, apart
+        np.testing.assert_array_equal(got[1], [0.04, 0.04, 0.04, 0.01])  # containment
+        np.testing.assert_array_equal(got[2], [0.0, 0.0, 0.25, 0.0])
+
+    def test_empty_sides(self):
+        assert iou_matrix(np.zeros((0, 4)), np.ones((3, 4)) * [0, 0, 1, 1]).shape == (0, 3)
+        assert iou_matrix([[0, 0, 1, 1]], np.zeros((0, 4))).shape == (1, 0)
+
+    def test_scalar_iou_is_the_one_by_one_case(self):
+        r = np.random.default_rng(32)
+        a, b = random_boxes(r, 30), random_boxes(r, 30)
+        for p, q in zip(a, b):
+            assert iou(Box(*p), Box(*q)) == iou_matrix(p, q)[0, 0] == scalar_iou(p, q)
 
 
 class TestBce:
@@ -146,11 +207,11 @@ class TestSoftmaxCe:
 
 class TestBboxCodec:
     def test_identity(self):
-        b = Box(3, 4, 10, 20)
+        b = np.array([3.0, 4.0, 10.0, 20.0])
         np.testing.assert_allclose(bbox_encode(b, b), np.zeros(4), atol=1e-15)
 
     def test_known_case(self):
-        d = bbox_encode(Box(0, 0, 2, 2), Box(1, 1, 3, 3))
+        d = bbox_encode(np.array([0.0, 0.0, 2.0, 2.0]), np.array([1.0, 1.0, 3.0, 3.0]))
         np.testing.assert_allclose(d, [0.5, 0.5, 0.0, 0.0])
 
     def test_round_trip(self):
@@ -160,14 +221,27 @@ class TestBboxCodec:
             py = np.sort(r.uniform(0, 50, 2) + [0, 1])
             gx = np.sort(r.uniform(0, 50, 2) + [0, 1])
             gy = np.sort(r.uniform(0, 50, 2) + [0, 1])
-            p = Box(px[0], py[0], px[1], py[1])
-            g = Box(gx[0], gy[0], gx[1], gy[1])
+            p = np.array([px[0], py[0], px[1], py[1]])
+            g = np.array([gx[0], gy[0], gx[1], gy[1]])
             back = bbox_decode(p, bbox_encode(p, g))
-            np.testing.assert_allclose(back.as_tuple(), g.as_tuple(), atol=1e-10)
+            np.testing.assert_allclose(back, g, atol=1e-10)
 
     def test_decode_zero_deltas(self):
-        p = Box(2, 3, 8, 9)
-        assert bbox_decode(p, np.zeros(4)).as_tuple() == p.as_tuple()
+        p = np.array([2.0, 3.0, 8.0, 9.0])
+        assert bbox_decode(p, np.zeros(4)).tolist() == p.tolist()
+
+    def test_batched_equals_one_box_at_a_time(self):
+        r = np.random.default_rng(5)
+        props = random_boxes(r, 16, span=60.0)
+        deltas = r.normal(0.0, 0.5, (16, 3, 4))
+        got = bbox_decode(props[:, None, :], deltas)
+        for i in range(16):
+            for k in range(3):
+                assert got[i, k].tobytes() == scalar_decode(props[i], deltas[i, k]).tobytes()
+        gts = random_boxes(r, 16, span=60.0)
+        enc = bbox_encode(props, gts)
+        for i in range(16):
+            assert enc[i].tobytes() == bbox_encode(props[i], gts[i]).tobytes()
 
 
 class TestSmoothL1:
@@ -222,7 +296,7 @@ def assign_oracle(regions, gts, fg=0.5, bg=(0.1, 0.5)):
                 best_iou, best = ov, (cls, g)
         if gts and best_iou >= fg:
             labels.append(best[0])
-            deltas.append(bbox_encode(r, best[1]))
+            deltas.append(bbox_encode(tuple(r), tuple(best[1])))
         elif not gts:
             labels.append(0)
             deltas.append(np.zeros(4))
@@ -277,22 +351,48 @@ class TestAssignment:
             np.testing.assert_allclose(got.deltas[fg], deltas[fg], atol=1e-12)
 
 
+def scalar_nms(boxes, scores, iou_thresh):
+    """Greedy suppression one pair at a time: a box is kept when its IoU with
+    every box kept before it is <= iou_thresh."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    keep = []
+    for i in order:
+        if all(scalar_iou(boxes[i], boxes[j]) <= iou_thresh for j in keep):
+            keep.append(int(i))
+    return keep
+
+
 class TestNms:
     def test_keeps_highest_of_overlapping_pair(self):
-        boxes = [Box(0, 0, 10, 10), Box(1, 1, 11, 11)]
+        boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11]], dtype=float)
         assert nms(boxes, [0.3, 0.9], 0.3) == [1]
 
     def test_disjoint_boxes_all_kept(self):
-        boxes = [Box(0, 0, 5, 5), Box(20, 20, 25, 25), Box(40, 0, 45, 5)]
+        boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25], [40, 0, 45, 5]], dtype=float)
         assert sorted(nms(boxes, [0.5, 0.9, 0.1], 0.3)) == [0, 1, 2]
 
     def test_output_is_score_descending(self):
-        boxes = [Box(0, 0, 5, 5), Box(20, 20, 25, 25)]
+        boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
         assert nms(boxes, [0.2, 0.8], 0.3) == [1, 0]
 
     def test_tie_is_stable(self):
-        boxes = [Box(0, 0, 5, 5), Box(20, 20, 25, 25)]
+        boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
         assert nms(boxes, [0.5, 0.5], 0.3) == [0, 1]
+
+    def test_iou_at_threshold_is_kept(self):
+        boxes = np.array([[0, 0, 2, 2], [1, 1, 3, 3]], dtype=float)  # IoU 1/7
+        assert nms(boxes, [0.9, 0.8], iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3))) == [0, 1]
+
+    def test_200_random_cases_vs_scalar_loop(self):
+        r = np.random.default_rng(77)
+        for case in range(200):
+            n = int(r.integers(1, 16))
+            boxes = random_boxes(r, n)
+            scores = np.round(r.uniform(size=n), 1)  # coarse, so scores tie
+            ious = iou_matrix(boxes, boxes)
+            # Every fourth case sets the threshold to an IoU that occurs.
+            thresh = ious[r.integers(n), r.integers(n)] if case % 4 == 0 else r.uniform(0.0, 0.8)
+            assert nms(boxes, scores, thresh) == scalar_nms(boxes, scores, thresh)
 
 
 def ap_oracle(tp_sequence, n_gt):
@@ -312,44 +412,47 @@ def ap_oracle(tp_sequence, n_gt):
 
 
 def _far_box(i):
-    return Box(100.0 * i, 0.0, 100.0 * i + 10.0, 10.0)
+    return (100.0 * i, 0.0, 100.0 * i + 10.0, 10.0)
+
+
+MISS = (5000.0, 5000.0, 5010.0, 5010.0)  # a box no ground truth overlaps
+
+
+def _ap(dets, gts, thresh=0.5):
+    """average_precision of (box, score) detections in image 0."""
+    boxes = np.array([b for b, _ in dets], dtype=float).reshape(-1, 4)
+    scores = [s for _, s in dets]
+    return average_precision(boxes, scores, np.zeros(len(dets), dtype=int), gts, thresh)
 
 
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
-        g = Box(0, 0, 10, 10)
-        dets = [Detection(g, 1, 0.9, 0)]
-        assert average_precision(dets, {0: [g]}, 0.5) == 1.0
+        g = (0.0, 0.0, 10.0, 10.0)
+        assert _ap([(g, 0.9)], [box_array([g])]) == 1.0
 
     def test_no_detections(self):
-        assert average_precision([], {0: [Box(0, 0, 5, 5)]}, 0.5) == 0.0
+        assert _ap([], [box_array([(0, 0, 5, 5)])]) == 0.0
 
     def test_no_ground_truth(self):
-        dets = [Detection(Box(0, 0, 5, 5), 1, 0.9, 0)]
-        assert average_precision(dets, {}, 0.5) == 0.0
+        assert _ap([((0, 0, 5, 5), 0.9)], []) == 0.0
 
     def test_tp_fp_tp_over_two_gts(self):
         g0, g1 = _far_box(0), _far_box(1)
-        dets = [
-            Detection(g0, 1, 0.9, 0),
-            Detection(Box(500, 500, 510, 510), 1, 0.8, 0),
-            Detection(g1, 1, 0.7, 0),
-        ]
-        got = average_precision(dets, {0: [g0, g1]}, 0.5)
+        dets = [(g0, 0.9), ((500, 500, 510, 510), 0.8), (g1, 0.7)]
+        got = _ap(dets, [box_array([g0, g1])])
         assert abs(got - 5.0 / 6.0) <= 1e-12
         assert abs(got - ap_oracle([1, 0, 1], 2)) <= 1e-12
 
     def test_duplicate_detection_is_false_positive(self):
         g = _far_box(0)
-        dets = [Detection(g, 1, 0.9, 0), Detection(g, 1, 0.8, 0)]
-        got = average_precision(dets, {0: [g]}, 0.5)
+        got = _ap([(g, 0.9), (g, 0.8)], [box_array([g])])
         assert got == 1.0  # recall saturates at the first detection
 
     def test_oracle_100_random_cases(self):
         r = np.random.default_rng(55)
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = {0: [_far_box(i) for i in range(n_gt)]}
+            gts = [box_array([_far_box(i) for i in range(n_gt)])]
             dets = []
             tp_seq = []
             scores = -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10)))
@@ -358,12 +461,12 @@ class TestAveragePrecision:
                 if r.uniform() < 0.5 and len(used) < n_gt:
                     i = min(set(range(n_gt)) - used)
                     used.add(i)
-                    dets.append(Detection(_far_box(i), 1, float(s), 0))
+                    dets.append((_far_box(i), float(s)))
                     tp_seq.append(1)
                 else:
-                    dets.append(Detection(Box(5000, 5000, 5010, 5010), 1, float(s), 0))
+                    dets.append((MISS, float(s)))
                     tp_seq.append(0)
-            got = average_precision(dets, gts, 0.5)
+            got = _ap(dets, gts)
             assert abs(got - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
     @given(st.floats(0.1, 5.0), st.floats(-1.0, 1.0))
@@ -371,18 +474,30 @@ class TestAveragePrecision:
     def test_monotone_score_transform_invariance(self, scale, shift):
         r = np.random.default_rng(17)
         n_gt = 3
-        gts = {0: [_far_box(i) for i in range(n_gt)]}
+        gts = [box_array([_far_box(i) for i in range(n_gt)])]
         scores = r.uniform(0.1, 1.0, 6)
         dets = [
-            Detection(_far_box(i % 4) if i % 4 < n_gt else Box(900, 900, 910, 910),
-                      1, float(s), 0)
+            (_far_box(i % 4) if i % 4 < n_gt else (900, 900, 910, 910), float(s))
             for i, s in enumerate(scores)
         ]
-        base = average_precision(dets, gts, 0.5)
-        rescaled = [Detection(d.box, 1, d.score * scale + shift, 0) for d in dets]
-        assert average_precision(rescaled, gts, 0.5) == base
+        base = _ap(dets, gts)
+        rescaled = [(b, s * scale + shift) for b, s in dets]
+        assert _ap(rescaled, gts) == base
 
+    def test_matches_in_each_image_separately(self):
+        g = _far_box(0)
+        boxes = box_array([g, g, g])
+        gts = [box_array([g]), box_array([g]), np.zeros((0, 4))]
+        # Image 1's copy of g is a hit; image 2 has no ground truth.
+        got = average_precision(boxes, [0.9, 0.8, 0.7], [0, 1, 2], gts, 0.5)
+        assert got == ap_oracle([1, 1, 0], 2)
 
+    def test_detection_takes_its_best_gt_even_when_matched(self):
+        # The second detection overlaps gt 0 best; gt 0 is taken, so it is
+        # a false positive although it also overlaps gt 1 above threshold.
+        gts = [box_array([(0, 0, 10, 10), (2, 0, 12, 10)])]
+        dets = [((0, 0, 10, 10), 0.9), ((0.5, 0, 10.5, 10), 0.8)]
+        assert _ap(dets, gts) == ap_oracle([1, 0], 2)
 class TestRankedBinaryAp:
     def test_perfect_ranking(self):
         assert ranked_binary_ap([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
@@ -418,7 +533,7 @@ def _perfect_prediction(scene, proposals, n_classes, n_parts):
             if iou(p, g) >= 0.7:
                 det_scores[i] = 0.0
                 det_scores[i, cls] = 1.0
-                det_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(p, g)
+                det_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(tuple(p), tuple(g))
                 break
     part_scores = np.zeros((m, n_parts + 1))
     part_deltas = np.zeros((m, 4 * (n_parts + 1)))
@@ -428,12 +543,12 @@ def _perfect_prediction(scene, proposals, n_classes, n_parts):
             if iou(p, g) >= 0.7:
                 part_scores[i] = 0.0
                 part_scores[i, cls] = 1.0
-                part_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(p, g)
+                part_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(tuple(p), tuple(g))
                 break
     return ScenePrediction(
         cls_scores=scene.img_label.astype(float),
         regions={"det": (det_scores, det_deltas), "part": (part_scores, part_deltas)},
-        proposals=proposals,
+        proposals=box_array(proposals),
     )
 
 
@@ -477,3 +592,132 @@ class TestEvaluate:
         assert all(len(r) == len(tasks.METRIC_CSV_COLUMNS) for r in rows)
         names = {r[4] for r in rows}
         assert {"cls_ap", "det_ap", "part_ap", "cls_map"} <= names
+
+
+def scalar_average_precision(dets, gts, iou_thresh):
+    """AP of one class, one detection at a time. dets: (box, score, image)
+    triples in any order; gts: dict image -> list of boxes."""
+    n_gt = sum(len(v) for v in gts.values())
+    if n_gt == 0:
+        return 0.0
+    order = sorted(range(len(dets)), key=lambda i: -dets[i][1])
+    matched = {img: np.zeros(len(v), dtype=bool) for img, v in gts.items()}
+    tp = np.zeros(len(order))
+    for rank, i in enumerate(order):
+        box, _score, img = dets[i]
+        best_iou, best_j = 0.0, -1
+        for j, g in enumerate(gts.get(img, [])):
+            ov = scalar_iou(box, g)
+            if ov > best_iou:
+                best_iou, best_j = ov, j
+        if best_j >= 0 and best_iou >= iou_thresh and not matched[img][best_j]:
+            matched[img][best_j] = True
+            tp[rank] = 1.0
+    return tasks._ranked_ap(tp, n_gt)
+
+
+def scalar_detections(preds, task, canvas=64):
+    """Class k -> the (box, score, image) detections NMS keeps, with every
+    proposal decoded, clipped and suppressed one box at a time."""
+    k_max = preds[0].regions[task][0].shape[1] - 1
+    dets = {k: [] for k in range(1, k_max + 1)}
+    for img, p in enumerate(preds):
+        scores, deltas = p.regions[task]
+        for k in range(1, k_max + 1):
+            boxes, ss = [], []
+            for m, prop in enumerate(p.proposals):
+                b = scalar_decode(prop, deltas[m, 4 * k : 4 * k + 4])
+                x1 = min(max(b[0], 0.0), canvas - 1.0)
+                y1 = min(max(b[1], 0.0), canvas - 1.0)
+                x2 = min(max(b[2], x1 + 1e-3), float(canvas))
+                y2 = min(max(b[3], y1 + 1e-3), float(canvas))
+                boxes.append((x1, y1, x2, y2))
+                ss.append(float(scores[m, k]))
+            for i in scalar_nms(boxes, ss, tasks.NMS_IOU):
+                dets[k].append((boxes[i], ss[i], img))
+    return dets
+
+
+def scalar_evaluate(preds, scenes, n_classes, canvas=64):
+    """`evaluate` over `scalar_detections`, with AP matched one detection at
+    a time."""
+    cls_aps = [
+        ranked_binary_ap([p.cls_scores[c] for p in preds], [s.img_label[c] for s in scenes])
+        for c in range(n_classes)
+    ]
+    out = {"cls_map": float(np.mean(cls_aps)), "cls_ap_per_class": cls_aps}
+    for task in tasks.REGION_TASKS.values():
+        aps = None
+        if task.name in preds[0].regions:
+            dets = scalar_detections(preds, task.name, canvas)
+            aps = []
+            for k in dets:
+                gts = {i: [tuple(b) for cls, b in task.ground_truth(s) if cls == k]
+                       for i, s in enumerate(scenes)}
+                aps.append(scalar_average_precision(dets[k], gts, task.match_iou))
+        out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
+        out[f"{task.name}_ap_per_class"] = aps
+    return out
+
+
+def _random_prediction(r, scene, spec, index):
+    """Scores rounded to 0.05 (so they tie); a quarter of the deltas are
+    scaled up so that boxes cross the canvas edges or leave it entirely and
+    collapse onto the minimum-size box at the edge."""
+    from multinet.synthdata import propose_regions
+
+    props = box_array(propose_regions(scene, spec, 32, index))
+    regions = {}
+    for task, k in (("det", spec.n_classes), ("part", spec.n_part_classes)):
+        scores = np.round(r.dirichlet(np.ones(k + 1), 32) * 20) / 20
+        wide = np.where(r.uniform(size=(32, 4 * (k + 1))) < 0.25, 10.0, 1.0)
+        regions[task] = (scores, r.normal(0.0, 0.6, (32, 4 * (k + 1))) * wide)
+    return ScenePrediction(r.uniform(size=spec.n_classes), regions, props)
+
+
+class TestEvaluateMatchesScalarScoring:
+    def test_random_predictions(self):
+        # Detections (decoded and clipped boxes, scores, images) and the
+        # metric dicts both equal the box-at-a-time path.
+        from multinet.synthdata import SceneSpec, generate_dataset
+
+        r = np.random.default_rng(8)
+        for seed in range(3):
+            spec = SceneSpec(seed=seed, noise_std=0.0)
+            scenes = generate_dataset(spec, 5)
+            preds = [_random_prediction(r, s, spec, i) for i, s in enumerate(scenes)]
+            assert evaluate(preds, scenes, spec.n_classes) == scalar_evaluate(
+                preds, scenes, spec.n_classes)
+            for task in ("det", "part"):
+                want = scalar_detections(preds, task)
+                for k, (boxes, scores, images) in enumerate(
+                        tasks._collect_detections(preds, task, 64), 1):
+                    assert boxes.tobytes() == box_array([d[0] for d in want[k]]).tobytes()
+                    assert scores.tolist() == [d[1] for d in want[k]]
+                    assert images.tolist() == [d[2] for d in want[k]]
+            det_only = [ScenePrediction(p.cls_scores, {"det": p.regions["det"]}, p.proposals)
+                        for p in preds]
+            assert evaluate(det_only, scenes, spec.n_classes) == scalar_evaluate(
+                det_only, scenes, spec.n_classes)
+
+    def test_fixture_predictions_at_every_t(self):
+        from pathlib import Path
+
+        from multinet.harness import load_checkpoint, restore_model
+        from multinet.synthdata import SceneSpec, generate_dataset, propose_regions
+
+        ckpt = Path(__file__).parent / "_cache" / "bench_27af23a54b4faaee.ckpt"
+        model = restore_model(load_checkpoint(ckpt)).model
+        spec = SceneSpec(seed=100)
+        scenes = generate_dataset(spec, 4, offset=10_000)
+        per_t = [[] for _ in range(model.cfg.t + 1)]
+        for i, scene in enumerate(scenes):
+            props = propose_regions(scene, spec, model.cfg.m, seed=i)
+            for t, out in enumerate(model.forward(scene.image, props)):
+                regions = {k: (sc.data, d.data) for k, (sc, d) in out.regions.items()}
+                per_t[t].append(ScenePrediction(out.x_cls.data, regions, box_array(props)))
+        assert len(per_t) == 3
+        for preds in per_t:
+            got = evaluate(preds, scenes, spec.n_classes)
+            assert got == scalar_evaluate(preds, scenes, spec.n_classes)
+            assert got["det_ap"] > 0.5
