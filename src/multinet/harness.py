@@ -19,7 +19,7 @@ from . import container, synthdata, tasks
 from .model import Multinet, MultinetOutput, TaskConfig
 from .synthdata import SceneSpec, propose_regions
 from .tasks import ScenePrediction, assign_regions
-from .tensor import ParamGroup, Tape, Tensor, TensorError, backward, seed_rng, sgd_step
+from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
 
 __all__ = [
     "RunConfig",
@@ -145,7 +145,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
-    has_parts = any(s.parts for s in scenes)
+    has_parts = any(len(s.part_classes) for s in scenes)
     return TaskConfig(
         c_cls=spec.n_classes,
         c_part=spec.n_part_classes if has_parts else 0,
@@ -167,7 +167,7 @@ class SceneBatch:
     iterations and derived only from the dataset, not the training seed)."""
 
     scene: synthdata.Scene
-    proposals: list
+    proposals: np.ndarray  # (M, 4)
     regions: dict  # task -> (labels (M,), delta targets (M, 4 * (K + 1)), delta mask)
 
 
@@ -185,14 +185,12 @@ def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneB
     props = propose_regions(scene, spec, cfg.m, seed=index)
     regions = {}
     for task, k in cfg.region_classes.items():
-        targets = assign_regions(props, tasks.REGION_TASKS[task].ground_truth(scene))
+        targets = assign_regions(props, *tasks.REGION_TASKS[task].ground_truth(scene))
         regions[task] = (targets.labels, *_delta_matrix(targets, k))
     return SceneBatch(scene, props, regions)
 
 
 def _region_loss(scores, deltas, labels, delta_t, delta_mask, w_cls, w_bbox):
-    from .tensor import take_rows
-
     terms = []
     keep = np.nonzero(labels >= 0)[0]
     if w_cls > 0 and keep.size:
@@ -351,13 +349,12 @@ def restore_model(ckpt: dict) -> TrainState:
 
 
 def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
-    """Per scene: its proposals as an (M, 4) array and the outputs of one
-    forward."""
+    """Per scene: its (M, 4) proposals and the outputs of one forward."""
     for i, scene in enumerate(scenes):
         props = propose_regions(scene, spec, model.cfg.m, seed=i)
         ground = {"cls": scene.img_label.astype(np.float64)} if ground_cls else None
         outs = model.forward(scene.image, props, ground=ground, n_iters=n_iters)
-        yield tasks.box_array(props), outs
+        yield props, outs
 
 
 def _prediction(out: MultinetOutput, props) -> ScenePrediction:

@@ -240,7 +240,8 @@ class Multinet:
     # ---- iteration schedule ---------------------------------------------
 
     def forward(self, image, boxes, ground=None, n_iters=None, decode_tasks=None) -> list:
-        """Run the recurrent schedule; returns T+1 per-iteration outputs.
+        """Run the recurrent schedule over the (M, 4) region `boxes`; returns
+        T+1 per-iteration outputs.
 
         `ground` optionally maps a task name ("cls" or a region task) to a
         ground-truth label array; that task is then re-encoded from the
@@ -272,11 +273,10 @@ class Multinet:
         if cfg.mode in ("independent", "shared"):
             n_iters = 0
         tasks = all_tasks if n_iters > 0 or decode_tasks is None else tuple(decode_tasks)
-        rois = [b.as_tuple() for b in boxes]
         stacked = cfg.mode in _STACKED_MODES
 
         def pool(x):
-            return nnops.spp_pool_regions(x, rois, self.grid)
+            return nnops.spp_pool_regions(x, boxes, self.grid)
 
         h = r_img
         pooled = pool(r_img) if any(task in tasks for task in self.region_heads) else None
@@ -289,7 +289,7 @@ class Multinet:
                 pooled = nnops.stack_channels([img_pooled, zeros])
         outputs = [self._decode_all(h, pooled, 0, tasks)]
 
-        footprints = nnops.feature_footprints(rois, cfg.stride, hh, ww)
+        footprints = nnops.feature_footprints(boxes, cfg.stride, hh, ww)
         for t in range(1, n_iters + 1):
             prev = outputs[-1]
             x_cls = self._feedback("cls", prev.x_cls, ground, (cfg.c_cls,))

@@ -223,14 +223,13 @@ def stack_channels(tensors) -> Tensor:
 
 
 def feature_footprints(boxes, stride: int, h: int, w: int) -> np.ndarray:
-    """Map M image-coordinate (x1, y1, x2, y2) boxes to feature-map cell
+    """Map (M, 4) image-coordinate (x1, y1, x2, y2) boxes to feature-map cell
     bounds [r0, r1) x [c0, c1), as an (M, 4) [r0, r1, c0, c1] array: floor
     for starts, ceil for ends, clamped to cover at least one cell."""
-    arr = np.array([tuple(b) for b in boxes], dtype=np.float64).reshape(-1, 4)
-    c0 = np.clip(np.floor(arr[:, 0] / stride).astype(np.int64), 0, w - 1)
-    r0 = np.clip(np.floor(arr[:, 1] / stride).astype(np.int64), 0, h - 1)
-    c1 = np.clip(np.ceil(arr[:, 2] / stride).astype(np.int64), c0 + 1, w)
-    r1 = np.clip(np.ceil(arr[:, 3] / stride).astype(np.int64), r0 + 1, h)
+    c0 = np.clip(np.floor(boxes[:, 0] / stride).astype(np.int64), 0, w - 1)
+    r0 = np.clip(np.floor(boxes[:, 1] / stride).astype(np.int64), 0, h - 1)
+    c1 = np.clip(np.ceil(boxes[:, 2] / stride).astype(np.int64), c0 + 1, w)
+    r1 = np.clip(np.ceil(boxes[:, 3] / stride).astype(np.int64), r0 + 1, h)
     return np.stack([r0, r1, c0, c1], axis=1)
 
 
@@ -253,19 +252,20 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
 def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     """Fixed-grid max pooling of one image-coordinate box: G x G x C out
     (`spp_pool_regions` with one box)."""
-    pooled = spp_pool_regions(h, [box], grid)
+    pooled = spp_pool_regions(h, np.asarray(box, dtype=np.float64).reshape(1, 4), grid)
     return reshape(pooled, pooled.data.shape[1:])
 
 
-def spp_pool_regions(h: Tensor, boxes, grid: SppGrid) -> Tensor:
-    """Batched SPP over M boxes: M x G x G x C, one tape node."""
+def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
+    """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
+    tape node."""
     hh, ww, c = h.data.shape
     g = grid.grid_size
     m = len(boxes)
-    for i, box in enumerate(boxes):
-        x1, y1, x2, y2 = box
-        if x2 <= x1 or y2 <= y1:
-            raise TensorError(f"spp_pool: degenerate box {box} (region {i})")
+    bad = np.nonzero((boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1]))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise TensorError(f"spp_pool: degenerate box {tuple(boxes[i].tolist())} (region {i})")
     fp = feature_footprints(boxes, grid.feature_stride, hh, ww)
     ridx = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
     cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)

@@ -1,6 +1,9 @@
 """Deterministic synthetic scenes (colored objects with sub-part bars) and a
 region-proposal surrogate, plus the dataset file format (stored in a
-`container` file)."""
+`container` file).
+
+Boxes are float64 (N, 4) arrays of (x1, y1, x2, y2) rows with matching (N,)
+int class arrays, the format `tasks` and `nnops` take."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .tasks import Box, iou
+from .tasks import iou_matrix
 from .tensor import seed_rng
 
 __all__ = [
@@ -46,8 +49,14 @@ _BASE_COLORS = np.array(
 )
 
 
+# Dataset records: a u32 class, its box as four <f8, and for a part the u32
+# index of its parent object; packed, so each record is its fields' bytes.
+_OBJECT = np.dtype([("cls", "<u4"), ("box", "<f8", (4,))])
+_PART = np.dtype([("cls", "<u4"), ("box", "<f8", (4,)), ("parent", "<u4")])
+
+
 class DatasetError(ValueError):
-    """Corrupt, truncated, or wrong-version dataset file."""
+    """Corrupt, truncated, wrong-version or out-of-range dataset file."""
 
 
 @dataclass(frozen=True)
@@ -80,34 +89,27 @@ class SceneSpec:
 @dataclass
 class Scene:
     image: np.ndarray  # (H, W, 3) in [0, 1]
-    objects: list  # [(class 1..C, Box)]
-    parts: list  # [(part-class 1..P, Box, parent-object index)]
+    object_classes: np.ndarray  # (N,) int, 1..C
+    object_boxes: np.ndarray  # (N, 4) float64
+    part_classes: np.ndarray  # (P,) int, 1..n_part_classes
+    part_boxes: np.ndarray  # (P, 4) float64
+    part_parents: np.ndarray  # (P,) int, index of each part's object
     img_label: np.ndarray  # (C,) uint8
 
-    def validate(self, spec: SceneSpec):
-        assert self.image.shape == (spec.canvas, spec.canvas, 3)
-        assert self.image.min() >= 0.0 and self.image.max() <= 1.0
-        present = np.zeros(spec.n_classes, dtype=np.uint8)
-        for cls, b in self.objects:
-            assert 1 <= cls <= spec.n_classes
-            assert 0 <= b.x1 < b.x2 <= spec.canvas and 0 <= b.y1 < b.y2 <= spec.canvas
-            present[cls - 1] = 1
-        assert np.array_equal(present, self.img_label)
-        for pcls, pb, parent in self.parts:
-            assert 1 <= pcls <= spec.n_part_classes
-            _, ob = self.objects[parent]
-            assert ob.x1 < pb.x1 and pb.x2 < ob.x2 and ob.y1 < pb.y1 and pb.y2 < ob.y2
-            assert pb.x2 - pb.x1 >= 6 and pb.y2 - pb.y1 >= 6
 
-
-def _part_geometry(ob: Box):
-    """Two horizontal bars strictly inside the object box."""
-    w, h = ob.x2 - ob.x1, ob.y2 - ob.y1
-    bar_h = max(6.0, np.floor((h - 4) / 3.0))
-    x1, x2 = ob.x1 + 2, ob.x2 - 2
-    top = Box(x1, ob.y1 + 1, x2, ob.y1 + 1 + bar_h)
-    bot = Box(x1, ob.y2 - 1 - bar_h, x2, ob.y2 - 1)
+def _part_geometry(boxes):
+    """Two horizontal bars strictly inside each of the (N, 4) object boxes:
+    (top, bottom), each (N, 4)."""
+    x1, y1, x2, y2 = boxes.T
+    bar_h = np.maximum(6.0, np.floor((y2 - y1 - 4) / 3.0))
+    top = np.stack([x1 + 2, y1 + 1, x2 - 2, y1 + 1 + bar_h], axis=1)
+    bot = np.stack([x1 + 2, y2 - 1 - bar_h, x2 - 2, y2 - 1], axis=1)
     return top, bot
+
+
+def _paint(img, box, color) -> None:
+    x1, y1, x2, y2 = box.astype(int)
+    img[y1:y2, x1:x2] = color
 
 
 def generate_scene(spec: SceneSpec, seed: int) -> Scene:
@@ -118,104 +120,115 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     img = np.full((canvas, canvas, 3), 0.5)
 
     n_target = int(rng.integers(spec.objects_min, spec.objects_max + 1))
-    objects = []
+    boxes = np.zeros((0, 4))
+    classes = []
     for _ in range(n_target):
-        placed = False
         for _attempt in range(100):
             side_w = int(rng.integers(spec.min_object_side, spec.max_object_side + 1))
             side_h = int(rng.integers(spec.min_object_side, spec.max_object_side + 1))
             x1 = int(rng.integers(0, canvas - side_w + 1))
             y1 = int(rng.integers(0, canvas - side_h + 1))
-            box = Box(float(x1), float(y1), float(x1 + side_w), float(y1 + side_h))
-            if all(iou(box, ob) < 0.1 for _, ob in objects):
-                placed = True
+            box = np.array([[x1, y1, x1 + side_w, y1 + side_h]], dtype=np.float64)
+            if np.all(iou_matrix(box, boxes) < 0.1):
                 break
-        if not placed:
+        else:
             continue  # scene keeps fewer objects when the canvas is crowded
-        cls = int(rng.integers(1, spec.n_classes + 1))
-        objects.append((cls, box))
+        classes.append(int(rng.integers(1, spec.n_classes + 1)))
+        boxes = np.concatenate([boxes, box])
+    classes = np.array(classes, dtype=np.int64)
 
-    parts = []
-    for idx, (cls, ob) in enumerate(objects):
+    top, bot = _part_geometry(boxes)
+    with_parts = spec.parts_per_class == 2
+    for i, cls in enumerate(classes):
         color = _BASE_COLORS[cls - 1]
-        img[int(ob.y1) : int(ob.y2), int(ob.x1) : int(ob.x2)] = color
-        if spec.parts_per_class == 2:
-            top, bot = _part_geometry(ob)
-            img[int(top.y1) : int(top.y2), int(top.x1) : int(top.x2)] = 0.5 + 0.5 * color
-            img[int(bot.y1) : int(bot.y2), int(bot.x1) : int(bot.x2)] = 0.35 * color
-            parts.append((2 * (cls - 1) + 1, top, idx))
-            parts.append((2 * (cls - 1) + 2, bot, idx))
+        _paint(img, boxes[i], color)
+        if with_parts:
+            _paint(img, top[i], 0.5 + 0.5 * color)
+            _paint(img, bot[i], 0.35 * color)
+    # Parts in object order, the top bar (class 2k - 1) before the bottom (2k).
+    n_parts = 2 * len(classes) if with_parts else 0
+    part_boxes = np.stack([top, bot], axis=1).reshape(-1, 4)[:n_parts]
+    part_classes = (2 * classes[:, None] + np.array([-1, 0])).reshape(-1)[:n_parts]
+    part_parents = np.repeat(np.arange(len(classes)), 2)[:n_parts]
 
     if spec.noise_std > 0:
         img = img + rng.normal(0.0, spec.noise_std, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
 
     label = np.zeros(spec.n_classes, dtype=np.uint8)
-    for cls, _ in objects:
-        label[cls - 1] = 1
-    return Scene(img, objects, parts, label)
+    label[classes - 1] = 1
+    return Scene(img, classes, boxes, part_classes, part_boxes, part_parents, label)
 
 
 def generate_dataset(spec: SceneSpec, n_scenes: int, offset: int = 0) -> list:
     return [generate_scene(spec, offset + i) for i in range(n_scenes)]
 
 
-def _jitter(rng, box: Box, canvas: int, frac: float = 0.15) -> Box:
-    w, h = box.x2 - box.x1, box.y2 - box.y1
-    dx, dy = rng.uniform(-frac, frac, 2) * (w, h)
-    sw, sh = 1.0 + rng.uniform(-frac, frac, 2)
-    cx, cy = 0.5 * (box.x1 + box.x2) + dx, 0.5 * (box.y1 + box.y2) + dy
-    nw, nh = w * sw, h * sh
-    x1 = min(max(cx - nw / 2, 0.0), canvas - 2.0)
-    y1 = min(max(cy - nh / 2, 0.0), canvas - 2.0)
-    x2 = min(max(cx + nw / 2, x1 + 1.0), float(canvas))
-    y2 = min(max(cy + nh / 2, y1 + 1.0), float(canvas))
-    return Box(x1, y1, x2, y2)
+def _jitter(rng, boxes, canvas: int, frac: float = 0.15) -> np.ndarray:
+    """The (K, 4) boxes with centers moved by up to `frac` of their size and
+    sides scaled by up to 1 +- `frac` (four draws per box), kept on the
+    canvas and at least one pixel wide."""
+    u = rng.uniform(-frac, frac, (len(boxes), 4))
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    size = hi - lo
+    center = 0.5 * (lo + hi) + u[:, :2] * size
+    half = size * (1.0 + u[:, 2:]) / 2
+    lo = np.minimum(np.maximum(center - half, 0.0), canvas - 2.0)
+    hi = np.minimum(np.maximum(center + half, lo + 1.0), float(canvas))
+    return np.concatenate([lo, hi], axis=1)
 
 
-def propose_regions(scene: Scene, spec: SceneSpec, m: int, seed: int) -> list:
-    """M candidate boxes: jittered ground truth (with a guaranteed
+def _grid_boxes(canvas: int) -> np.ndarray:
+    """Sliding windows of side 16, then 32, at stride 16, row by row."""
+    grids = []
+    for size in (16, 32):
+        starts = np.arange(0, canvas - size + 1, 16, dtype=np.float64)
+        y, x = (a.ravel() for a in np.meshgrid(starts, starts, indexing="ij"))
+        grids.append(np.stack([x, y, x + size, y + size], axis=1))
+    return np.concatenate(grids)
+
+
+def propose_regions(scene: Scene, spec: SceneSpec, m: int, seed: int) -> np.ndarray:
+    """(m, 4) candidate boxes: jittered ground truth (with a guaranteed
     IoU >= 0.7 hit per gt box), a sliding grid, and random fills."""
-    gt_boxes = [b for _, b in scene.objects] + [b for _, b, _ in scene.parts]
-    if m < len(gt_boxes):
-        raise ValueError(f"need at least {len(gt_boxes)} proposals, got {m}")
+    gt = np.concatenate([scene.object_boxes, scene.part_boxes])
+    n = len(gt)
+    if m < n:
+        raise ValueError(f"need at least {n} proposals, got {m}")
     rng = seed_rng(spec.seed, seed, 0x9E3779B9)
     canvas = spec.canvas
-    proposals = []
-    # Guaranteed high-overlap proposal per gt box (recall floor at 0.7 IoU).
-    for g in gt_boxes:
+    # Guaranteed high-overlap proposal per gt box (recall floor at 0.7 IoU);
+    # each retry draws for its own box only, so the draw order is fixed.
+    hits = np.empty((n, 4))
+    for i in range(n):
+        g = gt[i : i + 1]
         cand = _jitter(rng, g, canvas)
         for _ in range(20):
-            if iou(cand, g) >= 0.7:
+            if iou_matrix(cand, g)[0, 0] >= 0.7:
                 break
             cand = _jitter(rng, g, canvas)
         else:
             cand = g
-        proposals.append(cand)
-    # One extra looser jitter per gt box while room remains.
-    for g in gt_boxes:
-        if len(proposals) >= m:
-            break
-        proposals.append(_jitter(rng, g, canvas, frac=0.3))
-    # Sliding-window grid.
-    for size in (16, 32):
-        for y in range(0, canvas - size + 1, 16):
-            for x in range(0, canvas - size + 1, 16):
-                if len(proposals) >= m:
-                    break
-                proposals.append(Box(float(x), float(y), float(x + size), float(y + size)))
+        hits[i] = cand[0]
+    # One extra looser jitter per gt box while room remains, then the grid.
+    loose = _jitter(rng, gt[: min(n, m - n)], canvas, frac=0.3)
+    proposals = np.concatenate([hits, loose, _grid_boxes(canvas)])[:m]
     # Random boxes fill the rest.
-    while len(proposals) < m:
+    fill = np.empty((m - len(proposals), 4))
+    for row in fill:
         w = float(rng.integers(8, canvas // 2 + 1))
         h = float(rng.integers(8, canvas // 2 + 1))
         x1 = float(rng.integers(0, int(canvas - w) + 1))
         y1 = float(rng.integers(0, int(canvas - h) + 1))
-        proposals.append(Box(x1, y1, x1 + w, y1 + h))
-    return proposals[:m]
+        row[:] = (x1, y1, x1 + w, y1 + h)
+    return np.concatenate([proposals, fill])
 
 
-def _pack_box(b: Box) -> bytes:
-    return struct.pack("<4d", b.x1, b.y1, b.x2, b.y2)
+def _records(dtype, **fields) -> bytes:
+    rec = np.empty(len(fields["cls"]), dtype)
+    for name, values in fields.items():
+        rec[name] = values
+    return container.u32(len(rec)) + rec.tobytes()
 
 
 def write_dataset(scenes, spec: SceneSpec, path) -> None:
@@ -226,34 +239,46 @@ def write_dataset(scenes, spec: SceneSpec, path) -> None:
         h, w, _ = s.image.shape
         chunks.append(struct.pack("<HH", h, w))
         chunks.append(container.f8(s.image))
-        chunks.append(container.u32(len(s.objects)))
-        for cls, b in s.objects:
-            chunks.append(container.u32(cls) + _pack_box(b))
-        chunks.append(container.u32(len(s.parts)))
-        for cls, b, parent in s.parts:
-            chunks.append(container.u32(cls) + _pack_box(b) + container.u32(parent))
+        chunks.append(_records(_OBJECT, cls=s.object_classes, box=s.object_boxes))
+        chunks.append(_records(_PART, cls=s.part_classes, box=s.part_boxes,
+                               parent=s.part_parents))
         chunks.append(container.blob(s.img_label.astype(np.uint8).tobytes()))
     container.write(path, MAGIC, VERSION, chunks)
+
+
+def _read_records(r: container.Reader, dtype, scene: int, kind: str, n_classes: int):
+    """(classes, boxes, record array) of one scene's `kind` records; a class
+    outside [1, n_classes] or a non-finite or degenerate box fails `r`."""
+    n = r.u32()
+    rec = np.frombuffer(r.take(n * dtype.itemsize), dtype)
+    classes, boxes = rec["cls"].astype(np.int64), rec["box"].copy()
+    out = np.nonzero((classes < 1) | (classes > n_classes))[0]
+    if out.size:
+        r.fail(f"scene {scene}: {kind} {out[0]} has class {classes[out[0]]} "
+               f"outside [1, {n_classes}]")
+    ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        r.fail(f"scene {scene}: {kind} {bad[0]} has a non-finite or degenerate box "
+               f"{tuple(boxes[bad[0]].tolist())}")
+    return classes, boxes, rec
 
 
 def read_dataset(path):
     """Returns (spec, scenes); raises DatasetError on any corruption."""
     r = container.Reader(path, MAGIC, VERSION, DatasetError, "dataset")
-    spec = SceneSpec(**json.loads(r.blob().decode()))
+    try:
+        spec = SceneSpec(**json.loads(r.blob().decode()))
+    except (ValueError, TypeError) as e:
+        r.fail(f"bad spec header: {e}")
     scenes = []
-    for _ in range(r.u32()):
+    for i in range(r.u32()):
         h, w = r.unpack("<HH")
         img = r.f8((h, w, 3))
-        objects = []
-        for _ in range(r.u32()):
-            cls = r.u32()
-            objects.append((cls, Box(*r.unpack("<4d"))))
-        parts = []
-        for _ in range(r.u32()):
-            cls = r.u32()
-            box = Box(*r.unpack("<4d"))
-            parts.append((cls, box, r.u32()))
+        obj_classes, obj_boxes, _ = _read_records(r, _OBJECT, i, "object", spec.n_classes)
+        part_classes, part_boxes, parts = _read_records(r, _PART, i, "part", spec.n_part_classes)
+        parents = parts["parent"].astype(np.int64)
         label = np.frombuffer(r.blob(), dtype=np.uint8).copy()
-        scenes.append(Scene(img, objects, parts, label))
+        scenes.append(Scene(img, obj_classes, obj_boxes, part_classes, part_boxes, parents, label))
     r.done()
     return spec, scenes

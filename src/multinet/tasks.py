@@ -1,7 +1,8 @@
 """Losses, region-to-ground-truth assignment, and PASCAL-style AP metrics.
 
-Boxes use the continuous-area convention: (x1, y1, x2, y2) with
-area = (x2 - x1) * (y2 - y1) and no +1 pixel terms.
+A set of N boxes is a float64 (N, 4) array of (x1, y1, x2, y2) rows, in the
+continuous-area convention: area = (x2 - x1) * (y2 - y1) and no +1 pixel
+terms. Their classes, where they have them, are a matching (N,) int array.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import numpy as np
 from .tensor import Tensor, TensorError, make_op
 
 __all__ = [
-    "Box",
     "RegionTargets",
     "RegionTask",
     "REGION_TASKS",
-    "box_array",
     "iou_matrix",
     "iou",
     "bce_multilabel",
@@ -41,24 +40,6 @@ IGNORE = -1  # assign_regions label for regions in neither fg nor bg range
 NMS_IOU = 0.3  # overlap above which a lower-scoring detection is suppressed
 
 
-@dataclass(frozen=True)
-class Box:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(f"degenerate box {self.as_tuple()}")
-
-    def as_tuple(self):
-        return (self.x1, self.y1, self.x2, self.y2)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
-
-
 @dataclass
 class RegionTargets:
     """Per-region label (IGNORE, 0 = background, k >= 1 = class) and, for
@@ -70,27 +51,24 @@ class RegionTargets:
 
 class RegionTask(NamedTuple):
     """A Fast R-CNN-style region task (softmax scores + box deltas per
-    region). `name` prefixes its parameters and metrics; `gt_field` names the
-    Scene list of (class, Box, ...) ground truth; `match_iou` is the overlap
-    a detection needs to match that ground truth in AP."""
+    region). `name` prefixes its parameters and metrics; `gt_field` is the
+    prefix of the Scene's `<gt_field>_classes` and `<gt_field>_boxes` ground
+    truth; `match_iou` is the overlap a detection needs to match that ground
+    truth in AP."""
 
     name: str
     gt_field: str
     match_iou: float
 
-    def ground_truth(self, scene) -> list:
-        """(class, Box) pairs of one scene."""
-        return [(g[0], g[1]) for g in getattr(scene, self.gt_field)]
+    def ground_truth(self, scene) -> tuple:
+        """(classes (N,), boxes (N, 4)) of one scene."""
+        field = self.gt_field
+        return getattr(scene, f"{field}_classes"), getattr(scene, f"{field}_boxes")
 
 
 REGION_TASKS = {
-    t.name: t for t in (RegionTask("det", "objects", 0.5), RegionTask("part", "parts", 0.4))
+    t.name: t for t in (RegionTask("det", "object", 0.5), RegionTask("part", "part", 0.4))
 }
-
-
-def box_array(boxes) -> np.ndarray:
-    """(N, 4) float64 array of N boxes given as Box objects or 4-sequences."""
-    return np.array([tuple(b) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -110,7 +88,7 @@ def iou_matrix(a, b) -> np.ndarray:
 
 def iou(a, b) -> float:
     """IoU of two boxes: the 1 x 1 case of `iou_matrix`."""
-    return float(iou_matrix(tuple(a), tuple(b))[0, 0])
+    return float(iou_matrix(a, b)[0, 0])
 
 
 def bce_multilabel(pred: Tensor, gt) -> Tensor:
@@ -210,25 +188,24 @@ def smooth_l1(deltas: Tensor, targets, mask) -> Tensor:
 
 def assign_regions(
     regions,
-    gt_objects,
+    classes,
+    gt_boxes,
     fg_iou: float = 0.5,
     bg_iou=(0.1, 0.5),
 ) -> RegionTargets:
-    """Label each region against ground truth (class, Box) pairs.
+    """Label (M, 4) regions against ground truth: (G,) classes of (G, 4)
+    boxes.
 
     Foreground when max IoU >= fg_iou (ties go to the lowest gt index),
     background when max IoU lies in [bg_iou[0], bg_iou[1]), IGNORE
     otherwise. Classes are 1-based; 0 is background.
     """
-    regions = box_array(regions)
     m = len(regions)
     labels = np.full(m, IGNORE, dtype=np.int64)
     deltas = np.zeros((m, 4))
-    if not gt_objects:
+    if len(gt_boxes) == 0:
         labels[:] = 0
         return RegionTargets(labels, deltas)
-    classes = np.array([cls for cls, _ in gt_objects])
-    gt_boxes = box_array([b for _, b in gt_objects])
     ious = iou_matrix(regions, gt_boxes)
     best = ious.argmax(axis=1)  # argmax takes the lowest index on ties
     best_iou = ious[np.arange(m), best]
@@ -366,10 +343,10 @@ def evaluate(preds, scenes, n_classes: int, canvas: int = 64) -> dict:
     for task in REGION_TASKS.values():
         aps = None
         if task.name in preds[0].regions:
+            truth = [task.ground_truth(s) for s in scenes]
             aps = []
             for k, dets in enumerate(_collect_detections(preds, task.name, canvas), 1):
-                gts = [box_array([b for cls, b in task.ground_truth(s) if cls == k])
-                       for s in scenes]
+                gts = [boxes[classes == k] for classes, boxes in truth]
                 aps.append(average_precision(*dets, gts, task.match_iou))
         out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
         out[f"{task.name}_ap_per_class"] = aps

@@ -17,8 +17,6 @@ __all__ = [
     "TensorError",
     "ParamGroup",
     "elementwise",
-    "add",
-    "mul",
     "matmul",
     "reshape",
     "take_rows",
@@ -180,14 +178,6 @@ def elementwise(kind: str, a: Tensor, b) -> Tensor:
     return make_op(data, b_in, bwd, f"elementwise:{kind}")
 
 
-def add(a, b):
-    return elementwise("add", a, b)
-
-
-def mul(a, b):
-    return elementwise("mul", a, b)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise TensorError(
@@ -297,9 +287,6 @@ class ParamGroup:
 
     def items(self):
         return [(n, t, m) for n, (t, m) in self._params.items()]
-
-    def n_values(self) -> int:
-        return sum(t.data.size for t, _ in self._params.values())
 
     def zero_grads(self) -> None:
         for t, _ in self._params.values():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -60,6 +61,46 @@ def reseal(path, edit):
     raw = path.read_bytes()
     body = edit(raw[:-32])
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def as_boxes(rows):
+    """(N, 4) float64 box array of N (x1, y1, x2, y2) rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def check_scene(scene, spec):
+    """Assert the invariants of a generated scene: image shape and range,
+    classes in range, object boxes on the canvas, an image label naming
+    exactly the object classes, and every part strictly inside its parent
+    object and at least 6 pixels on a side."""
+    assert scene.image.shape == (spec.canvas, spec.canvas, 3)
+    assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
+    cls, ob = scene.object_classes, scene.object_boxes
+    assert ob.shape == (len(cls), 4) and ob.dtype == np.float64
+    assert np.all((1 <= cls) & (cls <= spec.n_classes))
+    assert np.all((0 <= ob[:, 0]) & (ob[:, 0] < ob[:, 2]) & (ob[:, 2] <= spec.canvas))
+    assert np.all((0 <= ob[:, 1]) & (ob[:, 1] < ob[:, 3]) & (ob[:, 3] <= spec.canvas))
+    present = np.zeros(spec.n_classes, dtype=np.uint8)
+    present[cls - 1] = 1
+    assert np.array_equal(present, scene.img_label)
+    pcls, pb, parent = scene.part_classes, scene.part_boxes, scene.part_parents
+    assert pb.shape == (len(pcls), 4) and parent.shape == pcls.shape
+    assert np.all((1 <= pcls) & (pcls <= spec.n_part_classes))
+    pob = ob[parent]
+    assert np.all((pob[:, 0] < pb[:, 0]) & (pb[:, 2] < pob[:, 2]))
+    assert np.all((pob[:, 1] < pb[:, 1]) & (pb[:, 3] < pob[:, 3]))
+    assert np.all(pb[:, 2] - pb[:, 0] >= 6) and np.all(pb[:, 3] - pb[:, 1] >= 6)
+
+
+def assert_same_scene(a, b):
+    """Every array of scene `a` equals the same field of scene `b`."""
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
+
+
+def n_values(params):
+    """Number of scalar values in a ParamGroup."""
+    return sum(t.data.size for _, t, _ in params.items())
 
 
 @pytest.fixture

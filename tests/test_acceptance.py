@@ -35,12 +35,12 @@ from multinet.synthdata import (
     read_dataset,
     write_dataset,
 )
-from multinet.tasks import Box, average_precision, box_array, iou_matrix
+from multinet.tasks import average_precision, iou_matrix
 from multinet.tensor import Tensor, sum_all
 
-from conftest import check_grads
+from conftest import as_boxes, assert_same_scene, check_grads, n_values
 from test_model import encode_det_oracle, integrate_bottleneck
-from test_nnops import conv_oracle, random_box, spp_oracle
+from test_nnops import conv_oracle, random_box, random_boxes, spp_oracle
 from test_tasks import MISS, ap_oracle, _far_box
 
 CACHE = Path(__file__).parent / "_cache"
@@ -114,7 +114,7 @@ def test_criterion_1_gradient_suite(capsys):
             stack_channels,
         )
         from multinet.tasks import bce_multilabel, smooth_l1, softmax_ce
-        from multinet.tensor import elementwise, matmul, mul
+        from multinet.tensor import elementwise, matmul
 
         for seed in range(5):
             r = np.random.default_rng(seed)
@@ -122,7 +122,7 @@ def test_criterion_1_gradient_suite(capsys):
             for kind in ("add", "mul"):
                 check_grads(
                     lambda a, b, k=kind: sum_all(
-                        mul(elementwise(k, a, b), Tensor(w23))
+                        elementwise(k, a, b) * Tensor(w23)
                     ),
                     [r.normal(size=(2, 3)), r.normal(size=(2, 3))],
                 )
@@ -146,15 +146,15 @@ def test_criterion_1_gradient_suite(capsys):
             check_grads(lambda a: sum_all(sigmoid(a)), [r.normal(size=(3, 3))])
             wsm = r.normal(size=(3, 4))
             check_grads(
-                lambda a: sum_all(mul(softmax_rows(a), Tensor(wsm))),
+                lambda a: sum_all(softmax_rows(a) * Tensor(wsm)),
                 [r.normal(size=(3, 4))],
             )
             box = random_box(r, 64)
             check_grads(
-                lambda a: sum_all(spp_pool_regions(a, [box], SppGrid(3, 8))),
+                lambda a: sum_all(spp_pool_regions(a, np.array([box]), SppGrid(3, 8))),
                 [r.normal(size=(8, 8, 2))],
             )
-            boxes = [random_box(r, 64) for _ in range(3)]
+            boxes = random_boxes(r, 3, 64)
             check_grads(
                 lambda a: sum_all(spp_pool_regions(a, boxes, SppGrid(3, 8))),
                 [r.normal(size=(8, 8, 2))],
@@ -172,14 +172,14 @@ def test_criterion_1_gradient_suite(capsys):
             # label encoders
             wc = r.normal(size=(3, 3, 4))
             check_grads(
-                lambda a: sum_all(mul(encode_cls(a, 3, 3), Tensor(wc))),
+                lambda a: sum_all(encode_cls(a, 3, 3) * Tensor(wc)),
                 [r.uniform(0.1, 0.9, size=4)],
             )
-            dboxes = [random_box(r, 30) for _ in range(3)]
+            dboxes = random_boxes(r, 3, 30)
             wd = r.normal(size=(4, 4, 2))
             dfps = feature_footprints(dboxes, 8, 4, 4)
             check_grads(
-                lambda a: sum_all(mul(encode_det(a, dfps, 4, 4), Tensor(wd))),
+                lambda a: sum_all(encode_det(a, dfps, 4, 4) * Tensor(wd)),
                 [r.uniform(0.05, 1.0, size=(3, 2))],
             )
             # losses
@@ -220,7 +220,7 @@ def test_criterion_2_oracle_equivalences(capsys):
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 36)
-            out = nnops.spp_pool_regions(Tensor(x), [box], SppGrid(6, 3))
+            out = nnops.spp_pool_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6))
 
         # encode_det vs the per-cell brute force, 100 cases
@@ -232,13 +232,13 @@ def test_criterion_2_oracle_equivalences(capsys):
                 xs = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 ys = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 boxes.append((xs[0], ys[0], xs[1], ys[1]))
-            out = encode_det(Tensor(scores), feature_footprints(boxes, 8, 4, 4), 4, 4)
+            out = encode_det(Tensor(scores), feature_footprints(np.array(boxes), 8, 4, 4), 4, 4)
             np.testing.assert_array_equal(out.data, encode_det_oracle(scores, boxes, 4, 4, 8))
 
         # average_precision vs the exhaustive PR oracle, 100 cases
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = [box_array([_far_box(i) for i in range(n_gt)])]
+            gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
             boxes, scores, tp_seq, used = [], [], [], set()
             for s in -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10))):
                 if r.uniform() < 0.5 and len(used) < n_gt:
@@ -251,7 +251,7 @@ def test_criterion_2_oracle_equivalences(capsys):
                     tp_seq.append(0)
                 scores.append(float(s))
             images = np.zeros(len(scores), dtype=int)
-            ap = average_precision(box_array(boxes), scores, images, gts, 0.5)
+            ap = average_precision(as_boxes(boxes), scores, images, gts, 0.5)
             assert abs(ap - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
     _report(capsys, 2, "exact oracle equivalences (conv, spp, encode_det, AP, iou)", run)
@@ -280,8 +280,8 @@ def test_criterion_3_structural_invariants(capsys):
             for _ in range(m):
                 xs = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 ys = np.sort(r.uniform(0, 30, 2) + [0, 2])
-                out.append(Box(xs[0], ys[0], xs[1], ys[1]))
-            return out
+                out.append((xs[0], ys[0], xs[1], ys[1]))
+            return np.array(out)
 
         # update2 representation stays at C for 1, 2, 3 task label sources
         for c_cls, c_part in ((2, 0), (3, 4), (5, 10)):
@@ -314,7 +314,7 @@ def test_criterion_3_structural_invariants(capsys):
         # parameter count independent of T
         for mode in ("update1", "update2"):
             counts = {
-                Multinet(small(mode, 3, 4, t), seed=0).params.n_values()
+                n_values(Multinet(small(mode, 3, 4, t), seed=0).params)
                 for t in (0, 1, 4)
             }
             assert len(counts) == 1
@@ -339,7 +339,8 @@ def test_criterion_4_ordinary_mtl_reduction(capsys):
         for _ in range(8):
             xs = np.sort(r.uniform(0, 30, 2) + [0, 2])
             ys = np.sort(r.uniform(0, 30, 2) + [0, 2])
-            bxs.append(Box(xs[0], ys[0], xs[1], ys[1]))
+            bxs.append((xs[0], ys[0], xs[1], ys[1]))
+        bxs = np.array(bxs)
         s = shared.forward(img, bxs)
         u = stacked.forward(img, bxs)
         assert len(s) == 1
@@ -558,8 +559,7 @@ def test_criterion_9_determinism_and_persistence(capsys, tmp_path):
         spec2, scenes2 = read_dataset(dpath)
         assert spec2 == spec
         for a, b in zip(scenes, scenes2):
-            np.testing.assert_array_equal(a.image, b.image)
-            assert a.objects == b.objects and a.parts == b.parts
+            assert_same_scene(a, b)
         raw = bytearray(dpath.read_bytes())
         raw[100] ^= 0x01
         dpath.write_bytes(bytes(raw))

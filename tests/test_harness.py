@@ -29,6 +29,7 @@ from multinet.tasks import metrics_to_rows
 from multinet.tensor import Tape, backward, take_rows
 
 from conftest import reseal
+from test_synthdata import patched, record_offsets
 
 
 COMMITTED_CKPT = Path(__file__).parent / "_cache" / "bench_27af23a54b4faaee.ckpt"
@@ -275,7 +276,7 @@ class TestRegionTargets:
             batch = prepare_scene(scene, SMALL_SPEC, cfg, i)
             for task, k in cfg.region_classes.items():
                 gts = tasks.REGION_TASKS[task].ground_truth(scene)
-                targets = tasks.assign_regions(batch.proposals, gts)
+                targets = tasks.assign_regions(batch.proposals, *gts)
                 labels, mat, mask = batch.regions[task]
                 want, want_mask = np.zeros((2, cfg.m, 4 * (k + 1)))
                 for m, lab in enumerate(targets.labels):
@@ -502,6 +503,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["kind"] == "TrainingError"
         assert "checkpoint" in payload["error"]
+
+    def test_out_of_range_class_reports_dataset_error(self, workdir, capsys):
+        ds = workdir / "train.bin"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        reseal(ds, lambda body: patched(body, record_offsets(body)[0], "<I", 9))
+        train = ["train", "--config", str(workdir / "run.cfg"), "--out", str(workdir / "x.ckpt")]
+        evaluate = ["eval", "--checkpoint", str(COMMITTED_CKPT), "--out", str(workdir / "m.csv")]
+        for command in (train, evaluate):
+            capsys.readouterr()
+            assert cli.main(command + ["--dataset", str(ds)]) == 1
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["kind"] == "DatasetError"
+            assert payload["error"].startswith(f"dataset {ds}: scene 0: object 0 has class 9")
 
     def test_bad_config_fails(self, workdir, capsys):
         (workdir / "bad.cfg").write_text("version = 1\nbogus = 3\n")

@@ -7,10 +7,10 @@ from multinet import nnops
 from multinet.model import MODES, Multinet, MultinetOutput, TaskConfig, encode_cls, encode_det
 from multinet.nnops import feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
-from multinet.tensor import Tape, Tensor, TensorError, add, backward, mul, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
-from conftest import check_grads
-from test_nnops import footprint_oracle, random_box
+from conftest import check_grads, n_values
+from test_nnops import footprint_oracle, random_boxes
 
 
 SPEC = SceneSpec(seed=3)
@@ -27,13 +27,11 @@ def small_cfg(**kw):
 def small_inputs(cfg, seed=0):
     r = np.random.default_rng(seed)
     img = r.uniform(size=(cfg.canvas, cfg.canvas, 3))
-    from multinet.tasks import Box
-
-    boxes = []
-    for _ in range(cfg.m):
+    boxes = np.empty((cfg.m, 4))
+    for row in boxes:
         x = np.sort(r.uniform(0, cfg.canvas - 2, 2) + [0, 2])
         y = np.sort(r.uniform(0, cfg.canvas - 2, 2) + [0, 2])
-        boxes.append(Box(x[0], y[0], x[1], y[1]))
+        row[:] = (x[0], y[0], x[1], y[1])
     return img, boxes
 
 
@@ -68,9 +66,7 @@ class TestEncodeCls:
         r = np.random.default_rng(seed)
         p = r.uniform(0.1, 0.9, size=4)
         w = r.normal(size=(3, 3, 4))
-        from multinet.tensor import mul
-
-        check_grads(lambda t: sum_all(mul(encode_cls(t, 3, 3), Tensor(w))), [p])
+        check_grads(lambda t: sum_all(encode_cls(t, 3, 3) * Tensor(w)), [p])
 
 
 def encode_det_oracle(scores, boxes, h, w, stride):
@@ -89,14 +85,14 @@ def encode_det_oracle(scores, boxes, h, w, stride):
 class TestEncodeDet:
     def test_no_coverage_is_zero(self):
         scores = Tensor(np.array([[0.5, 0.5]]))
-        out = encode_det(scores, feature_footprints([(0, 0, 8, 8)], 8, 4, 4), 4, 4)
+        out = encode_det(scores, feature_footprints(np.array([[0.0, 0, 8, 8]]), 8, 4, 4), 4, 4)
         assert np.all(out.data[0, 0] == 0.5)
         assert np.all(out.data[1:, :] == 0.0)
         assert np.all(out.data[0, 1:] == 0.0)
 
     def test_full_box_broadcasts_row(self):
         scores = Tensor(np.array([[0.1, 0.7, 0.2]]))
-        out = encode_det(scores, feature_footprints([(0, 0, 32, 32)], 8, 4, 4), 4, 4)
+        out = encode_det(scores, feature_footprints(np.array([[0.0, 0, 32, 32]]), 8, 4, 4), 4, 4)
         for c in range(3):
             assert np.all(out.data[:, :, c] == scores.data[0, c])
 
@@ -110,7 +106,7 @@ class TestEncodeDet:
                 x = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 y = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 boxes.append((x[0], y[0], x[1], y[1]))
-            out = encode_det(Tensor(scores), feature_footprints(boxes, 8, 4, 4), 4, 4)
+            out = encode_det(Tensor(scores), feature_footprints(np.array(boxes), 8, 4, 4), 4, 4)
             np.testing.assert_array_equal(
                 out.data, encode_det_oracle(scores, boxes, 4, 4, 8)
             )
@@ -123,12 +119,12 @@ class TestEncodeDet:
         for _ in range(50):
             m = int(r.integers(1, 8))
             scores = r.integers(0, 4, size=(m, 3)) / 4.0
-            boxes = [random_box(r, 32) for _ in range(m)]
+            boxes = random_boxes(r, m, 32)
             fps = feature_footprints(boxes, 8, 4, 4)
             g = r.normal(size=(4, 4, 3))
             x = Tensor(scores, requires_grad=True)
             with Tape() as tape:
-                backward(sum_all(mul(encode_det(x, fps, 4, 4), Tensor(g))), tape)
+                backward(sum_all(encode_det(x, fps, 4, 4) * Tensor(g)), tape)
             want = np.zeros((m, 3))
             for u, v, k in np.ndindex(4, 4, 3):
                 best, win = 0.0, None
@@ -141,7 +137,7 @@ class TestEncodeDet:
 
     def test_negative_scores_floor_at_zero(self):
         scores = Tensor(np.array([[-0.5, 0.25]]), requires_grad=True)
-        fps = feature_footprints([(0, 0, 16, 16)], 8, 2, 2)
+        fps = feature_footprints(np.array([[0.0, 0, 16, 16]]), 8, 2, 2)
         with Tape() as tape:
             out = encode_det(scores, fps, 2, 2)
             backward(sum_all(out), tape)
@@ -152,7 +148,7 @@ class TestEncodeDet:
         scores = Tensor(np.array([[0.5], [0.5]]), requires_grad=True)
         box = (0, 0, 8, 8)
         with Tape() as tape:
-            fps = feature_footprints([box, box], 8, 1, 1)
+            fps = feature_footprints(np.array([box, box], dtype=float), 8, 1, 1)
             backward(sum_all(encode_det(scores, fps, 1, 1)), tape)
         np.testing.assert_array_equal(scores.grad, [[1.0], [0.0]])
 
@@ -166,11 +162,9 @@ class TestEncodeDet:
             y = np.sort(r.uniform(0, 30, 2) + [0, 3])
             boxes.append((x[0], y[0], x[1], y[1]))
         w = r.normal(size=(4, 4, 2))
-        fps = feature_footprints(boxes, 8, 4, 4)
-        from multinet.tensor import mul
-
+        fps = feature_footprints(np.array(boxes), 8, 4, 4)
         check_grads(
-            lambda t: sum_all(mul(encode_det(t, fps, 4, 4), Tensor(w))),
+            lambda t: sum_all(encode_det(t, fps, 4, 4) * Tensor(w)),
             [scores],
         )
 
@@ -208,7 +202,7 @@ class TestStructure:
     def test_param_count_independent_of_t(self):
         for mode in ("update1", "update2"):
             n = [
-                Multinet(small_cfg(mode=mode, t=t), seed=0).params.n_values()
+                n_values(Multinet(small_cfg(mode=mode, t=t), seed=0).params)
                 for t in (0, 1, 4)
             ]
             assert n[0] == n[1] == n[2]
@@ -342,7 +336,7 @@ class TestForward:
             h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
-        pooled = nnops.spp_pool_regions(h1, [b.as_tuple() for b in boxes], net.grid)
+        pooled = nnops.spp_pool_regions(h1, boxes, net.grid)
         manual = net._decode_all(h1, pooled, 1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
@@ -492,7 +486,6 @@ def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None
     pieces, with every region head pooling the full map `h` on its own."""
     cfg = net.cfg
     ground = ground or {}
-    rois = [b.as_tuple() for b in boxes]
     r_img = net.encode_image(img)
     hh, ww = r_img.data.shape[:2]
     if cfg.mode in ("independent", "shared"):
@@ -504,7 +497,7 @@ def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None
     def decode(h, t, tasks):
         x_cls = net.decode_cls(h) if "cls" in tasks else None
         regions = {
-            task: net.decode_regions(nnops.spp_pool_regions(h, rois, net.grid), task)
+            task: net.decode_regions(nnops.spp_pool_regions(h, boxes, net.grid), task)
             for task in cfg.region_classes if task in tasks
         }
         return MultinetOutput(t, x_cls, regions)
@@ -545,8 +538,8 @@ def weighted_sum(tensors, seed=0):
     r = np.random.default_rng(seed)
     total = None
     for x in tensors:
-        term = sum_all(mul(x, Tensor(r.normal(size=x.data.shape))))
-        total = term if total is None else add(total, term)
+        term = sum_all(x * Tensor(r.normal(size=x.data.shape)))
+        total = term if total is None else total + term
     return total
 
 

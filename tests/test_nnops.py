@@ -148,9 +148,7 @@ class TestActivations:
     def test_softmax_gradient(self, m, k, rng):
         x = rng.normal(size=(m, k))
         w = rng.normal(size=(m, k))
-        from multinet.tensor import mul
-
-        check_grads(lambda t: sum_all(mul(softmax_rows(t), Tensor(w))), [x])
+        check_grads(lambda t: sum_all(softmax_rows(t) * Tensor(w)), [x])
 
 
 def maxpool_oracle(x, window, stride):
@@ -259,10 +257,8 @@ class TestStackChannels:
         a = Tensor(rng.normal(size=(2, 2, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
         w = rng.normal(size=(2, 2, 5))
-        from multinet.tensor import mul
-
         with Tape() as tape:
-            backward(sum_all(mul(stack_channels([a, b]), Tensor(w))), tape)
+            backward(sum_all(stack_channels([a, b]) * Tensor(w)), tape)
         np.testing.assert_array_equal(a.grad, w[:, :, :2])
         np.testing.assert_array_equal(b.grad, w[:, :, 2:])
 
@@ -283,7 +279,7 @@ class TestStackChannels:
         # SPP max pooling is per channel: pooling channel blocks apart and
         # stacking the results equals pooling the stacked map.
         a, b = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 2))
-        boxes = [random_box(rng, 64) for _ in range(6)]
+        boxes = random_boxes(rng, 6, 64)
         grid = SppGrid(3, 8)
         whole = spp_pool_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
         parts = stack_channels([spp_pool_regions(Tensor(x), boxes, grid) for x in (a, b)])
@@ -330,6 +326,11 @@ def random_box(r, canvas):
     return (x1, y1, r.uniform(x1 + 1, canvas), r.uniform(y1 + 1, canvas))
 
 
+def random_boxes(r, n, canvas):
+    """(n, 4) array of n `random_box` draws."""
+    return np.array([random_box(r, canvas) for _ in range(n)])
+
+
 class TestSpp:
     def test_full_map_identity_grid(self, rng):
         # 6x6 map, 6x6 grid, stride 1, box covering everything: each bin is
@@ -352,13 +353,13 @@ class TestSpp:
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 12 * 3)
-            out = spp_pool_regions(Tensor(x), [box], SppGrid(6, 3))
+            out = spp_pool_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6))
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
         x = r.normal(size=(8, 8, 5))
-        boxes = [random_box(r, 64) for _ in range(20)]
+        boxes = random_boxes(r, 20, 64)
         batched = spp_pool_regions(Tensor(x), boxes, SppGrid(6, 8))
         for i, b in enumerate(boxes):
             single = spp_pool(Tensor(x), b, SppGrid(6, 8))
@@ -369,24 +370,24 @@ class TestSpp:
         r = np.random.default_rng(seed)
         x = r.normal(size=(8, 8, 2))
         box = random_box(r, 64)
-        check_grads(lambda t: sum_all(spp_pool_regions(t, [box], SppGrid(4, 8))), [x])
+        check_grads(lambda t: sum_all(spp_pool_regions(t, np.array([box]), SppGrid(4, 8))), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_batched(self, seed):
         r = np.random.default_rng(100 + seed)
         x = r.normal(size=(8, 8, 2))
-        boxes = [random_box(r, 64) for _ in range(3)]
+        boxes = random_boxes(r, 3, 64)
         check_grads(lambda t: sum_all(spp_pool_regions(t, boxes, SppGrid(3, 8))), [x])
 
     def test_batched_degenerate_box_names_region(self):
         with pytest.raises(TensorError, match="region 1"):
             spp_pool_regions(
-                Tensor(np.zeros((4, 4, 1))), [(0, 0, 8, 8), (5, 5, 5, 9)], SppGrid(2, 8)
+                Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), SppGrid(2, 8)
             )
 
 
 def one_footprint(box, stride, h, w):
-    return tuple(int(v) for v in feature_footprints([box], stride, h, w)[0])
+    return tuple(int(v) for v in feature_footprints(np.array([box], dtype=float), stride, h, w)[0])
 
 
 class TestFootprints:
@@ -404,7 +405,7 @@ class TestFootprints:
 
     def test_vectorized_matches_scalar(self):
         r = np.random.default_rng(5)
-        boxes = [random_box(r, 64) for _ in range(50)]
+        boxes = random_boxes(r, 50, 64)
         fps = feature_footprints(boxes, 8, 8, 8)
         for b, fp in zip(boxes, fps):
             assert tuple(fp) == footprint_oracle(b, 8, 8, 8)

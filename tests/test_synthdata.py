@@ -1,9 +1,12 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from multinet.synthdata import (
     DatasetError,
-    Scene,
     SceneSpec,
     generate_dataset,
     generate_scene,
@@ -11,9 +14,9 @@ from multinet.synthdata import (
     read_dataset,
     write_dataset,
 )
-from multinet.tasks import iou
+from multinet.tasks import iou, iou_matrix
 
-from conftest import reseal
+from conftest import assert_same_scene, check_scene, reseal
 
 
 class TestSceneGeneration:
@@ -21,9 +24,7 @@ class TestSceneGeneration:
         spec = SceneSpec(seed=7)
         a = generate_scene(spec, 3)
         b = generate_scene(spec, 3)
-        np.testing.assert_array_equal(a.image, b.image)
-        assert a.objects == b.objects
-        assert a.parts == b.parts
+        assert_same_scene(a, b)
 
     def test_different_seeds_differ(self):
         spec = SceneSpec(seed=7)
@@ -39,11 +40,11 @@ class TestSceneGeneration:
     def test_validation_sweep(self):
         spec = SceneSpec(seed=11)
         for scene in generate_dataset(spec, 1000):
-            scene.validate(spec)
+            check_scene(scene, spec)
 
     def test_object_count_range(self):
         spec = SceneSpec(seed=2, objects_min=2, objects_max=3)
-        counts = [len(generate_scene(spec, i).objects) for i in range(50)]
+        counts = [len(generate_scene(spec, i).object_classes) for i in range(50)]
         # crowding may drop an object, never add one
         assert max(counts) <= 3 and min(counts) >= 1
 
@@ -51,7 +52,7 @@ class TestSceneGeneration:
         spec = SceneSpec(seed=5, objects_min=3, objects_max=3)
         for i in range(100):
             s = generate_scene(spec, i)
-            boxes = [b for _, b in s.objects]
+            boxes = s.object_boxes
             for j in range(len(boxes)):
                 for k in range(j + 1, len(boxes)):
                     assert iou(boxes[j], boxes[k]) < 0.1
@@ -59,8 +60,9 @@ class TestSceneGeneration:
     def test_parts_disabled(self):
         spec = SceneSpec(seed=0, parts_per_class=0)
         s = generate_scene(spec, 0)
-        assert s.parts == []
-        s.validate(spec)
+        assert s.part_classes.shape == s.part_parents.shape == (0,)
+        assert s.part_boxes.shape == (0, 4)
+        check_scene(s, spec)
 
     def test_noise_free_image_is_clean(self):
         spec = SceneSpec(seed=0, noise_std=0.0)
@@ -85,17 +87,17 @@ class TestProposals:
         s = generate_scene(spec, 2)
         a = propose_regions(s, spec, 64, 2)
         b = propose_regions(s, spec, 64, 2)
-        assert [p.as_tuple() for p in a] == [p.as_tuple() for p in b]
+        assert a.tobytes() == b.tobytes()
 
     def test_count_and_bounds(self):
         spec = SceneSpec(seed=4)
         for i in range(20):
             s = generate_scene(spec, i)
             props = propose_regions(s, spec, 64, i)
-            assert len(props) == 64
-            for p in props:
-                assert 0 <= p.x1 < p.x2 <= spec.canvas
-                assert 0 <= p.y1 < p.y2 <= spec.canvas
+            assert props.shape == (64, 4) and props.dtype == np.float64
+            x1, y1, x2, y2 = props.T
+            assert np.all((0 <= x1) & (x1 < x2) & (x2 <= spec.canvas))
+            assert np.all((0 <= y1) & (y1 < y2) & (y2 <= spec.canvas))
 
     def test_recall_floor(self):
         # Every gt object and part box has a proposal with IoU >= 0.7.
@@ -103,14 +105,13 @@ class TestProposals:
         for i in range(50):
             s = generate_scene(spec, i)
             props = propose_regions(s, spec, 64, i)
-            gt = [b for _, b in s.objects] + [b for _, b, _p in s.parts]
-            for g in gt:
-                assert max(iou(g, p) for p in props) >= 0.7
+            gt = np.concatenate([s.object_boxes, s.part_boxes])
+            assert np.all(iou_matrix(gt, props).max(axis=1) >= 0.7)
 
     def test_too_few_proposals_rejected(self):
         spec = SceneSpec(seed=0, objects_min=3, objects_max=3)
         s = generate_scene(spec, 0)
-        need = len(s.objects) + len(s.parts)
+        need = len(s.object_classes) + len(s.part_classes)
         with pytest.raises(ValueError):
             propose_regions(s, spec, need - 1, 0)
 
@@ -128,14 +129,8 @@ class TestContainer:
         assert spec2 == spec
         assert len(scenes2) == len(scenes)
         for a, b in zip(scenes, scenes2):
-            np.testing.assert_array_equal(a.image, b.image)
-            assert [(c, x.as_tuple()) for c, x in a.objects] == [
-                (c, x.as_tuple()) for c, x in b.objects
-            ]
-            assert [(c, x.as_tuple(), p) for c, x, p in a.parts] == [
-                (c, x.as_tuple(), p) for c, x, p in b.parts
-            ]
-            np.testing.assert_array_equal(a.img_label, b.img_label)
+            assert_same_scene(a, b)
+            assert b.object_boxes.dtype == b.part_boxes.dtype == np.float64
 
     def test_empty_dataset_round_trip(self, tmp_path):
         spec = SceneSpec()
@@ -190,3 +185,103 @@ class TestContainer:
         spec2, scenes2 = read_dataset(a)
         write_dataset(scenes2, spec2, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def record_offsets(body):
+    """Byte offsets, in a dataset body, of scene 0's first object record and
+    first part record (each starts with its u32 class)."""
+    pos = 8 + 4  # magic, version
+    pos += 4 + struct.unpack_from("<I", body, pos)[0]  # spec blob
+    pos += 4  # scene count
+    h, w = struct.unpack_from("<HH", body, pos)
+    pos += 4 + 8 * h * w * 3
+    n_objects = struct.unpack_from("<I", body, pos)[0]
+    first_object = pos + 4
+    return first_object, first_object + 36 * n_objects + 4
+
+
+def patched(body, offset, fmt, *values):
+    out = bytearray(body)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
+class TestDatasetValidation:
+    """Faults that survive the checksum: `reseal` rewrites the digest, so
+    only the reader's own checks can catch them."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        spec = SceneSpec(seed=3)
+        path = tmp_path / "d.bin"
+        write_dataset(generate_dataset(spec, 2), spec, path)
+        return path
+
+    def test_object_class_out_of_range_rejected(self, path):
+        reseal(path, lambda body: patched(body, record_offsets(body)[0], "<I", 9))
+        want = r"d.bin: scene 0: object 0 has class 9 outside \[1, 5\]"
+        with pytest.raises(DatasetError, match=want):
+            read_dataset(path)
+
+    def test_part_class_out_of_range_rejected(self, path):
+        reseal(path, lambda body: patched(body, record_offsets(body)[1], "<I", 0))
+        with pytest.raises(DatasetError, match=r"scene 0: part 0 has class 0 outside \[1, 10\]"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "box",
+        [(5.0, 5.0, 5.0, 9.0), (5.0, 9.0, 8.0, 2.0), (0.0, 0.0, np.inf, 4.0), (np.nan, 0, 4, 4)],
+        ids=["zero-width", "flipped", "inf", "nan"],
+    )
+    def test_degenerate_box_rejected(self, path, box):
+        reseal(path, lambda body: patched(body, record_offsets(body)[0] + 4, "<4d", *box))
+        with pytest.raises(DatasetError, match="scene 0: object 0 has a non-finite or degenerate"):
+            read_dataset(path)
+
+    def test_degenerate_part_box_rejected(self, path):
+        reseal(path, lambda body: patched(body, record_offsets(body)[1] + 4, "<4d", 3, 3, 2, 9))
+        with pytest.raises(DatasetError, match="scene 0: part 0 has a non-finite or degenerate"):
+            read_dataset(path)
+
+    def _with_spec_header(self, body, header: bytes):
+        n = struct.unpack_from("<I", body, 12)[0]
+        return body[:12] + struct.pack("<I", len(header)) + header + body[16 + n :]
+
+    def test_unknown_spec_key_rejected(self, path):
+        def edit(body):
+            n = struct.unpack_from("<I", body, 12)[0]
+            spec = json.loads(body[16 : 16 + n])
+            return self._with_spec_header(body, json.dumps({**spec, "colour": 1}).encode())
+
+        reseal(path, edit)
+        with pytest.raises(DatasetError, match="d.bin: bad spec header: .*colour"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"\xff\xfe"],
+                             ids=["not-json", "not-an-object", "not-utf8"])
+    def test_malformed_spec_header_rejected(self, path, header):
+        reseal(path, lambda body: self._with_spec_header(body, header))
+        with pytest.raises(DatasetError, match="bad spec header"):
+            read_dataset(path)
+
+
+class TestGenerationPin:
+    """SHA-256 digests recorded before scenes and proposals became box
+    arrays: the first 20 scenes of SceneSpec(seed=100) as `write_dataset`
+    bytes, and their 64 proposals each as (64, 4) float64 arrays. They pin
+    the random streams and the box arithmetic of generation."""
+
+    SPEC = SceneSpec(seed=100)
+    DATASET_SHA256 = "b5f7be43807dc62c7be8d30652320473ec3337f3a163e66107861cc6ac40bf20"
+    PROPOSALS_SHA256 = "9bc69d7bea657f61cecda82af8d9e8c7807277dc72dbc9c8f2e78d37da8253a2"
+
+    def test_dataset_bytes(self, tmp_path):
+        path = tmp_path / "d.bin"
+        write_dataset(generate_dataset(self.SPEC, 20), self.SPEC, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DATASET_SHA256
+
+    def test_proposals(self):
+        h = hashlib.sha256()
+        for i, scene in enumerate(generate_dataset(self.SPEC, 20)):
+            h.update(propose_regions(scene, self.SPEC, 64, i).tobytes())
+        assert h.hexdigest() == self.PROPOSALS_SHA256

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from multinet import tasks
 from multinet.tasks import (
     IGNORE,
-    Box,
     average_precision,
     assign_regions,
     bbox_decode,
     bbox_encode,
     bce_multilabel,
-    box_array,
     evaluate,
     iou,
     iou_matrix,
@@ -26,44 +24,43 @@ from multinet.tasks import (
 from multinet.nnops import sigmoid, softmax_rows
 from multinet.tensor import Tensor, TensorError, sum_all
 
-from conftest import check_grads
+from conftest import as_boxes, check_grads
 
 
-def iou_rasterized(a: Box, b: Box, n=2000):
-    """Approximate IoU by sampling a fine grid of cell centers."""
-    x_lo = min(a.x1, b.x1) - 1
-    x_hi = max(a.x2, b.x2) + 1
-    y_lo = min(a.y1, b.y1) - 1
-    y_hi = max(a.y2, b.y2) + 1
+def iou_rasterized(a, b, n=2000):
+    """Approximate IoU of two (x1, y1, x2, y2) boxes by sampling a fine grid
+    of cell centers."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    x_lo = min(ax1, bx1) - 1
+    x_hi = max(ax2, bx2) + 1
+    y_lo = min(ay1, by1) - 1
+    y_hi = max(ay2, by2) + 1
     xs = np.linspace(x_lo, x_hi, n, endpoint=False) + (x_hi - x_lo) / (2 * n)
     ys = np.linspace(y_lo, y_hi, n, endpoint=False) + (y_hi - y_lo) / (2 * n)
     gx, gy = np.meshgrid(xs, ys)
-    in_a = (gx >= a.x1) & (gx < a.x2) & (gy >= a.y1) & (gy < a.y2)
-    in_b = (gx >= b.x1) & (gx < b.x2) & (gy >= b.y1) & (gy < b.y2)
+    in_a = (gx >= ax1) & (gx < ax2) & (gy >= ay1) & (gy < ay2)
+    in_b = (gx >= bx1) & (gx < bx2) & (gy >= by1) & (gy < by2)
     inter = (in_a & in_b).sum()
     union = (in_a | in_b).sum()
     return inter / union
 
 
 class TestBoxAndIou:
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            Box(2, 2, 2, 3)
-
     def test_identical_boxes(self):
-        b = Box(0, 0, 5, 5)
+        b = (0, 0, 5, 5)
         assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == 0.0
+        assert iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
 
     def test_touching_edges_is_zero(self):
-        assert iou(Box(0, 0, 2, 2), Box(2, 0, 4, 2)) == 0.0
+        assert iou((0, 0, 2, 2), (2, 0, 4, 2)) == 0.0
 
     def test_unit_overlap_case(self):
-        got = iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3))
+        got = iou((0, 0, 2, 2), (1, 1, 3, 3))
         assert abs(got - 1.0 / 7.0) <= 1e-12
-        assert abs(got - iou_rasterized(Box(0, 0, 2, 2), Box(1, 1, 3, 3))) < 2e-3
+        assert abs(got - iou_rasterized((0, 0, 2, 2), (1, 1, 3, 3))) < 2e-3
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -73,8 +70,8 @@ class TestBoxAndIou:
         ay = sorted(r.uniform(0, 10, 2) + [0, 1e-3])
         bx = sorted(r.uniform(0, 10, 2) + [0, 1e-3])
         by = sorted(r.uniform(0, 10, 2) + [0, 1e-3])
-        a = Box(ax[0], ay[0], ax[1], ay[1])
-        b = Box(bx[0], by[0], bx[1], by[1])
+        a = (ax[0], ay[0], ax[1], ay[1])
+        b = (bx[0], by[0], bx[1], by[1])
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
 
@@ -85,7 +82,7 @@ class TestBoxAndIou:
             ay = np.sort(r.uniform(0, 8, 2) + [0, 0.5])
             bx = np.sort(r.uniform(0, 8, 2) + [0, 0.5])
             by = np.sort(r.uniform(0, 8, 2) + [0, 0.5])
-            a, b = Box(ax[0], ay[0], ax[1], ay[1]), Box(bx[0], by[0], bx[1], by[1])
+            a, b = (ax[0], ay[0], ax[1], ay[1]), (bx[0], by[0], bx[1], by[1])
             assert abs(iou(a, b) - iou_rasterized(a, b)) < 3e-3
 
 
@@ -149,7 +146,7 @@ class TestIouMatrix:
         r = np.random.default_rng(32)
         a, b = random_boxes(r, 30), random_boxes(r, 30)
         for p, q in zip(a, b):
-            assert iou(Box(*p), Box(*q)) == iou_matrix(p, q)[0, 0] == scalar_iou(p, q)
+            assert iou(p, q) == iou_matrix(p, q)[0, 0] == scalar_iou(p, q)
 
 
 class TestBce:
@@ -285,8 +282,15 @@ class TestSmoothL1:
         check_grads(lambda t: smooth_l1(t, targets, mask), [d])
 
 
+def assign(regions, gts):
+    """`assign_regions` of a list of boxes against (class, box) pairs."""
+    classes = np.array([cls for cls, _ in gts], dtype=np.int64)
+    return assign_regions(as_boxes(regions), classes, as_boxes([g for _, g in gts]))
+
+
 def assign_oracle(regions, gts, fg=0.5, bg=(0.1, 0.5)):
-    """Reference assignment written as straight-line logic."""
+    """Reference assignment of a list of boxes against (class, box) pairs,
+    written as straight-line logic."""
     labels, deltas = [], []
     for r in regions:
         best_iou, best = -1.0, None
@@ -296,7 +300,7 @@ def assign_oracle(regions, gts, fg=0.5, bg=(0.1, 0.5)):
                 best_iou, best = ov, (cls, g)
         if gts and best_iou >= fg:
             labels.append(best[0])
-            deltas.append(bbox_encode(tuple(r), tuple(best[1])))
+            deltas.append(bbox_encode(r, best[1]))
         elif not gts:
             labels.append(0)
             deltas.append(np.zeros(4))
@@ -311,27 +315,27 @@ def assign_oracle(regions, gts, fg=0.5, bg=(0.1, 0.5)):
 
 class TestAssignment:
     def test_exact_match_is_foreground(self):
-        g = Box(4, 4, 20, 20)
-        t = assign_regions([g], [(3, g)])
+        g = (4, 4, 20, 20)
+        t = assign([g], [(3, g)])
         assert t.labels[0] == 3
         np.testing.assert_allclose(t.deltas[0], np.zeros(4), atol=1e-15)
 
     def test_disjoint_region_is_ignored(self):
-        t = assign_regions([Box(0, 0, 4, 4)], [(1, Box(30, 30, 50, 50))])
+        t = assign([(0, 0, 4, 4)], [(1, (30, 30, 50, 50))])
         assert t.labels[0] == IGNORE
 
     def test_moderate_overlap_is_background(self):
         # IoU = 16/64 = 0.25, inside [0.1, 0.5)
-        t = assign_regions([Box(0, 0, 8, 4)], [(1, Box(4, 0, 12, 4))])
+        t = assign([(0, 0, 8, 4)], [(1, (4, 0, 12, 4))])
         assert t.labels[0] == 0
 
     def test_no_ground_truth_all_background(self):
-        t = assign_regions([Box(0, 0, 4, 4), Box(5, 5, 9, 9)], [])
+        t = assign([(0, 0, 4, 4), (5, 5, 9, 9)], [])
         np.testing.assert_array_equal(t.labels, [0, 0])
 
     def test_tie_goes_to_lowest_index(self):
-        r = Box(0, 0, 10, 10)
-        t = assign_regions([r], [(2, r), (4, r)])
+        r = (0, 0, 10, 10)
+        t = assign([r], [(2, r), (4, r)])
         assert t.labels[0] == 2
 
     def test_randomized_vs_oracle(self):
@@ -340,11 +344,11 @@ class TestAssignment:
             def rand_box():
                 x = np.sort(r.uniform(0, 40, 2) + [0, 4])
                 y = np.sort(r.uniform(0, 40, 2) + [0, 4])
-                return Box(x[0], y[0], x[1], y[1])
+                return (x[0], y[0], x[1], y[1])
 
             regions = [rand_box() for _ in range(12)]
             gts = [(int(r.integers(1, 4)), rand_box()) for _ in range(r.integers(0, 4))]
-            got = assign_regions(regions, gts)
+            got = assign(regions, gts)
             labels, deltas = assign_oracle(regions, gts)
             np.testing.assert_array_equal(got.labels, labels)
             fg = labels >= 1
@@ -381,7 +385,7 @@ class TestNms:
 
     def test_iou_at_threshold_is_kept(self):
         boxes = np.array([[0, 0, 2, 2], [1, 1, 3, 3]], dtype=float)  # IoU 1/7
-        assert nms(boxes, [0.9, 0.8], iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3))) == [0, 1]
+        assert nms(boxes, [0.9, 0.8], iou((0, 0, 2, 2), (1, 1, 3, 3))) == [0, 1]
 
     def test_200_random_cases_vs_scalar_loop(self):
         r = np.random.default_rng(77)
@@ -428,10 +432,10 @@ def _ap(dets, gts, thresh=0.5):
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
         g = (0.0, 0.0, 10.0, 10.0)
-        assert _ap([(g, 0.9)], [box_array([g])]) == 1.0
+        assert _ap([(g, 0.9)], [as_boxes([g])]) == 1.0
 
     def test_no_detections(self):
-        assert _ap([], [box_array([(0, 0, 5, 5)])]) == 0.0
+        assert _ap([], [as_boxes([(0, 0, 5, 5)])]) == 0.0
 
     def test_no_ground_truth(self):
         assert _ap([((0, 0, 5, 5), 0.9)], []) == 0.0
@@ -439,20 +443,20 @@ class TestAveragePrecision:
     def test_tp_fp_tp_over_two_gts(self):
         g0, g1 = _far_box(0), _far_box(1)
         dets = [(g0, 0.9), ((500, 500, 510, 510), 0.8), (g1, 0.7)]
-        got = _ap(dets, [box_array([g0, g1])])
+        got = _ap(dets, [as_boxes([g0, g1])])
         assert abs(got - 5.0 / 6.0) <= 1e-12
         assert abs(got - ap_oracle([1, 0, 1], 2)) <= 1e-12
 
     def test_duplicate_detection_is_false_positive(self):
         g = _far_box(0)
-        got = _ap([(g, 0.9), (g, 0.8)], [box_array([g])])
+        got = _ap([(g, 0.9), (g, 0.8)], [as_boxes([g])])
         assert got == 1.0  # recall saturates at the first detection
 
     def test_oracle_100_random_cases(self):
         r = np.random.default_rng(55)
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = [box_array([_far_box(i) for i in range(n_gt)])]
+            gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
             dets = []
             tp_seq = []
             scores = -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10)))
@@ -474,7 +478,7 @@ class TestAveragePrecision:
     def test_monotone_score_transform_invariance(self, scale, shift):
         r = np.random.default_rng(17)
         n_gt = 3
-        gts = [box_array([_far_box(i) for i in range(n_gt)])]
+        gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
         scores = r.uniform(0.1, 1.0, 6)
         dets = [
             (_far_box(i % 4) if i % 4 < n_gt else (900, 900, 910, 910), float(s))
@@ -486,8 +490,8 @@ class TestAveragePrecision:
 
     def test_matches_in_each_image_separately(self):
         g = _far_box(0)
-        boxes = box_array([g, g, g])
-        gts = [box_array([g]), box_array([g]), np.zeros((0, 4))]
+        boxes = as_boxes([g, g, g])
+        gts = [as_boxes([g]), as_boxes([g]), np.zeros((0, 4))]
         # Image 1's copy of g is a hit; image 2 has no ground truth.
         got = average_precision(boxes, [0.9, 0.8, 0.7], [0, 1, 2], gts, 0.5)
         assert got == ap_oracle([1, 1, 0], 2)
@@ -495,7 +499,7 @@ class TestAveragePrecision:
     def test_detection_takes_its_best_gt_even_when_matched(self):
         # The second detection overlaps gt 0 best; gt 0 is taken, so it is
         # a false positive although it also overlaps gt 1 above threshold.
-        gts = [box_array([(0, 0, 10, 10), (2, 0, 12, 10)])]
+        gts = [as_boxes([(0, 0, 10, 10), (2, 0, 12, 10)])]
         dets = [((0, 0, 10, 10), 0.9), ((0.5, 0, 10.5, 10), 0.8)]
         assert _ap(dets, gts) == ap_oracle([1, 0], 2)
 class TestRankedBinaryAp:
@@ -529,26 +533,26 @@ def _perfect_prediction(scene, proposals, n_classes, n_parts):
     det_deltas = np.zeros((m, 4 * (n_classes + 1)))
     det_scores[:, 0] = 1.0
     for i, p in enumerate(proposals):
-        for cls, g in scene.objects:
+        for cls, g in zip(scene.object_classes, scene.object_boxes):
             if iou(p, g) >= 0.7:
                 det_scores[i] = 0.0
                 det_scores[i, cls] = 1.0
-                det_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(tuple(p), tuple(g))
+                det_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(p, g)
                 break
     part_scores = np.zeros((m, n_parts + 1))
     part_deltas = np.zeros((m, 4 * (n_parts + 1)))
     part_scores[:, 0] = 1.0
     for i, p in enumerate(proposals):
-        for cls, g, _parent in scene.parts:
+        for cls, g in zip(scene.part_classes, scene.part_boxes):
             if iou(p, g) >= 0.7:
                 part_scores[i] = 0.0
                 part_scores[i, cls] = 1.0
-                part_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(tuple(p), tuple(g))
+                part_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(p, g)
                 break
     return ScenePrediction(
         cls_scores=scene.img_label.astype(float),
         regions={"det": (det_scores, det_deltas), "part": (part_scores, part_deltas)},
-        proposals=box_array(proposals),
+        proposals=proposals,
     )
 
 
@@ -569,11 +573,11 @@ class TestEvaluate:
         ]
         m = evaluate(preds, scenes, spec.n_classes)
         # Classes absent from every scene contribute AP 0; restrict to present.
-        present = {cls for s in scenes for cls, _ in s.objects}
+        present = {int(c) for s in scenes for c in s.object_classes}
         for c in present:
             assert m["det_ap_per_class"][c - 1] == 1.0
             assert m["cls_ap_per_class"][c - 1] == 1.0
-        present_parts = {cls for s in scenes for cls, _, _p in s.parts}
+        present_parts = {int(c) for s in scenes for c in s.part_classes}
         for c in present_parts:
             assert m["part_ap_per_class"][c - 1] == 1.0
 
@@ -652,7 +656,7 @@ def scalar_evaluate(preds, scenes, n_classes, canvas=64):
             dets = scalar_detections(preds, task.name, canvas)
             aps = []
             for k in dets:
-                gts = {i: [tuple(b) for cls, b in task.ground_truth(s) if cls == k]
+                gts = {i: [tuple(b) for cls, b in zip(*task.ground_truth(s)) if cls == k]
                        for i, s in enumerate(scenes)}
                 aps.append(scalar_average_precision(dets[k], gts, task.match_iou))
         out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
@@ -666,7 +670,7 @@ def _random_prediction(r, scene, spec, index):
     collapse onto the minimum-size box at the edge."""
     from multinet.synthdata import propose_regions
 
-    props = box_array(propose_regions(scene, spec, 32, index))
+    props = propose_regions(scene, spec, 32, index)
     regions = {}
     for task, k in (("det", spec.n_classes), ("part", spec.n_part_classes)):
         scores = np.round(r.dirichlet(np.ones(k + 1), 32) * 20) / 20
@@ -692,7 +696,7 @@ class TestEvaluateMatchesScalarScoring:
                 want = scalar_detections(preds, task)
                 for k, (boxes, scores, images) in enumerate(
                         tasks._collect_detections(preds, task, 64), 1):
-                    assert boxes.tobytes() == box_array([d[0] for d in want[k]]).tobytes()
+                    assert boxes.tobytes() == as_boxes([d[0] for d in want[k]]).tobytes()
                     assert scores.tolist() == [d[1] for d in want[k]]
                     assert images.tolist() == [d[2] for d in want[k]]
             det_only = [ScenePrediction(p.cls_scores, {"det": p.regions["det"]}, p.proposals)
@@ -715,7 +719,7 @@ class TestEvaluateMatchesScalarScoring:
             props = propose_regions(scene, spec, model.cfg.m, seed=i)
             for t, out in enumerate(model.forward(scene.image, props)):
                 regions = {k: (sc.data, d.data) for k, (sc, d) in out.regions.items()}
-                per_t[t].append(ScenePrediction(out.x_cls.data, regions, box_array(props)))
+                per_t[t].append(ScenePrediction(out.x_cls.data, regions, props))
         assert len(per_t) == 3
         for preds in per_t:
             got = evaluate(preds, scenes, spec.n_classes)

@@ -18,31 +18,31 @@ from multinet.tensor import (
     take_rows,
 )
 
-from conftest import check_grads, numeric_grads, rel_err
+from conftest import check_grads, n_values, numeric_grads, rel_err
 
 
 class TestElementwise:
     def test_add_values(self):
-        out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_add_scalar_identity(self, rng):
         a = rng.normal(size=(3, 4))
-        out = T.add(Tensor(a), 0.0)
+        out = Tensor(a) + 0.0
         np.testing.assert_array_equal(out.data, a)
 
     def test_mul(self):
-        out = T.mul(Tensor([2.0, 3.0]), Tensor([4.0, -1.0]))
+        out = Tensor([2.0, 3.0]) * Tensor([4.0, -1.0])
         np.testing.assert_array_equal(out.data, [8.0, -3.0])
 
     def test_shape_mismatch_message(self):
         with pytest.raises(TensorError, match=r"\(2,\).*\(3,\)"):
-            T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+            Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
 
     def test_mul_gradient_tight(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
-        check_grads(lambda x, y: sum_all(T.mul(x, y)), [a, b], tol=1e-6)
+        check_grads(lambda x, y: sum_all(x * y), [a, b], tol=1e-6)
 
     @pytest.mark.parametrize("kind", ["add", "mul"])
     @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 2, 2), (5, 1)])
@@ -52,7 +52,7 @@ class TestElementwise:
         w = rng.normal(size=shape)
 
         def build(x, y):
-            return sum_all(T.mul(T.elementwise(kind, x, y), Tensor(w)))
+            return sum_all(T.elementwise(kind, x, y) * Tensor(w))
 
         check_grads(build, [a, b], tol=1e-6)
 
@@ -75,7 +75,7 @@ class TestMatmul:
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(3, 2))
         w = rng.normal(size=(4, 2))
-        check_grads(lambda x, y: sum_all(T.mul(matmul(x, y), Tensor(w))), [a, b], tol=1e-6)
+        check_grads(lambda x, y: sum_all(matmul(x, y) * Tensor(w)), [a, b], tol=1e-6)
 
     @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (2, 5, 3), (6, 2, 4), (3, 3, 3), (1, 4, 2)])
     def test_gradient_shapes(self, m, k, n, rng):
@@ -94,7 +94,7 @@ class TestReshapeAndIndexing:
     def test_reshape_gradient(self, rng):
         a = rng.normal(size=(2, 6))
         w = rng.normal(size=(4, 3))
-        check_grads(lambda x: sum_all(T.mul(reshape(x, (4, 3)), Tensor(w))), [a])
+        check_grads(lambda x: sum_all(reshape(x, (4, 3)) * Tensor(w)), [a])
 
     def test_take_rows_values(self, rng):
         a = rng.normal(size=(5, 3))
@@ -105,7 +105,7 @@ class TestReshapeAndIndexing:
         # Row 0 selected twice: its gradient must be the sum of both rows.
         a = rng.normal(size=(4, 2))
         w = rng.normal(size=(3, 2))
-        check_grads(lambda x: sum_all(T.mul(take_rows(x, [0, 0, 2]), Tensor(w))), [a])
+        check_grads(lambda x: sum_all(take_rows(x, [0, 0, 2]) * Tensor(w)), [a])
 
     def test_add_rowvec(self, rng):
         m = rng.normal(size=(4, 3))
@@ -124,7 +124,7 @@ class TestBackward:
         x = rng.normal(size=(3, 3))
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(T.mul(t, t))
+            loss = sum_all(t * t)
             backward(loss, tape)
         np.testing.assert_allclose(t.grad, 2 * x)
 
@@ -132,7 +132,7 @@ class TestBackward:
         x = Tensor(rng.normal(size=3), requires_grad=True)
         y = Tensor(rng.normal(size=3), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(T.mul(x, x))
+            loss = sum_all(x * x)
             backward(loss, tape)
         np.testing.assert_array_equal(y.grad, np.zeros(3))
 
@@ -142,14 +142,14 @@ class TestBackward:
         c = rng.normal(size=(3, 2))
 
         def build(x, y, z):
-            return sum_all(T.mul(matmul(x, y), z))
+            return sum_all(matmul(x, y) * z)
 
         check_grads(build, [a, b, c], tol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            out = T.add(t, 1.0)
+            out = t + 1.0
             with pytest.raises(TensorError, match="scalar"):
                 backward(out, tape)
 
@@ -162,9 +162,9 @@ class TestBackward:
                 backward(build(t), tape)
             return t.grad
 
-        g1 = grad_of(lambda t: sum_all(T.mul(t, t)))
-        g2 = grad_of(lambda t: sum_all(T.mul(t, 3.0)))
-        g12 = grad_of(lambda t: T.add(sum_all(T.mul(t, t)), sum_all(T.mul(t, 3.0))))
+        g1 = grad_of(lambda t: sum_all(t * t))
+        g2 = grad_of(lambda t: sum_all(t * 3.0))
+        g12 = grad_of(lambda t: sum_all(t * t) + sum_all(t * 3.0))
         np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
     def test_accumulation_across_backward_calls(self, rng):
@@ -178,20 +178,20 @@ class TestBackward:
     def test_retain_allows_second_sweep(self, rng):
         t = Tensor(rng.normal(size=3), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(T.mul(t, t))
+            loss = sum_all(t * t)
             backward(loss, tape, retain=True)
             assert tape.nodes  # still recorded
         assert len(tape.nodes) > 0
 
     def test_no_tape_no_recording(self):
         t = Tensor(np.ones(3), requires_grad=True)
-        out = T.mul(t, 2.0)
+        out = t * 2.0
         assert out.requires_grad is False
 
     def test_detach_blocks_gradient(self, rng):
         t = Tensor(rng.normal(size=3), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(T.mul(t.detach(), t))
+            loss = sum_all(t.detach() * t)
             backward(loss, tape)
         np.testing.assert_allclose(t.grad, t.data)  # only the live branch
 
@@ -245,7 +245,7 @@ class TestSgd:
         g = ParamGroup()
         g.add("a", Tensor(np.zeros((2, 3))))
         g.add("b", Tensor(np.zeros(5)), 2.0)
-        assert g.n_values() == 11
+        assert n_values(g) == 11
 
 
 class TestRng:
@@ -276,4 +276,4 @@ class TestFiniteness:
     def test_nonfinite_op_result_rejected(self):
         big = Tensor(np.full(3, 1e308))
         with np.errstate(over="ignore"), pytest.raises(TensorError):
-            T.mul(big, big)
+            big * big
