@@ -20,10 +20,14 @@ from .tensor import (
     ParamGroup,
     Tensor,
     TensorError,
+    add_rowvec,
+    elementwise,
     make_op,
+    matmul,
     reshape,
     rng_tensor,
     seed_rng,
+    take_rows,
 )
 
 __all__ = ["TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "encode_det", "MODES"]
@@ -167,6 +171,11 @@ class Multinet:
             task: self._region_head(rng, task, din, hr, k + 1)
             for task, k in cfg.region_classes.items()
         }
+        # Row cell*dc + ch of a region fc1 weight reads channel ch of SPP
+        # cell `cell`: the image rows (ch < C) and the task rows, in the
+        # order of a flattened (G, G, C) or (G, G, task_channels) block.
+        layout = np.arange(din).reshape(-1, dc)
+        self._fc1_rows = (layout[:, :c].ravel(), layout[:, c:].ravel())
 
         if cfg.mode == "update2":
             cin = c + cfg.stacked_channels  # h_prev stacked with image + task maps
@@ -215,26 +224,21 @@ class Multinet:
         v = nnops.relu(nnops.fully_connected(v, self.cls_fc2))
         return nnops.sigmoid(nnops.fully_connected(v, self.cls_out))
 
-    def decode_regions(self, pooled: Tensor, task: str):
-        """Score and box-delta head of one region task over the (M, G, G, C)
-        region features that every region head shares."""
+    def decode_regions(self, fc1: Tensor, task: str):
+        """Score and box-delta head of one region task from its (M, hidden)
+        fc1 pre-activation."""
         hd = self.region_heads[task]
-        m = pooled.data.shape[0]
-        feat = reshape(pooled, (m, pooled.data.size // m))
-        feat = nnops.relu(nnops.fully_connected(feat, hd["fc1"]))
+        feat = nnops.relu(fc1)
         feat = nnops.relu(nnops.fully_connected(feat, hd["fc2"]))
         scores = nnops.softmax_rows(nnops.fully_connected(feat, hd["score"]))
         deltas = nnops.fully_connected(feat, hd["delta"])
         return scores, deltas
 
-    def _decode_all(self, h: Tensor, pooled, t: int, tasks) -> MultinetOutput:
-        """Decode the heads in `tasks`: cls from the map `h`, each region
-        task from `pooled`, the SPP regions of `h` (None when no region head
-        is decoded)."""
+    def _decode_all(self, h: Tensor, fc1: dict, t: int, tasks) -> MultinetOutput:
+        """Decode cls from the map `h` when it is in `tasks`, and each region
+        task of `fc1` from its fc1 pre-activation there."""
         x_cls = self.decode_cls(h) if "cls" in tasks else None
-        regions = {
-            task: self.decode_regions(pooled, task) for task in self.region_heads if task in tasks
-        }
+        regions = {task: self.decode_regions(pre, task) for task, pre in fc1.items()}
         return MultinetOutput(t, x_cls, regions)
 
     # ---- iteration schedule ---------------------------------------------
@@ -255,9 +259,14 @@ class Multinet:
         that stack and mixes it back to C channels.
 
         Region features are pooled once per map and shared by the region
-        heads. SPP max pooling is per channel, so with the stacking
-        integrator the image block is pooled once per forward, and each
-        iteration pools only its task block (zero at t=0).
+        heads. With the stacking integrator each region head's fc1 is split
+        at the image/task boundary of its input rows: SPP max pooling is per
+        channel, so the image block is pooled once per forward and its fc1
+        product (plus bias) is taken once, and iteration t >= 1 adds the
+        product of its own pooled task block with the task rows. At t = 0
+        the task block is zero, so the image product is the whole
+        pre-activation. The bottleneck integrator pools its C-channel map at
+        every iteration and applies the whole fc1.
         """
         cfg = self.cfg
         if len(boxes) != cfg.m:
@@ -278,16 +287,31 @@ class Multinet:
         def pool(x):
             return nnops.spp_pool_regions(x, boxes, self.grid)
 
+        def flat(x):
+            return reshape(x, (cfg.m, x.data.size // cfg.m))
+
+        layers = {task: hd["fc1"] for task, hd in self.region_heads.items() if task in tasks}
+
+        def whole_fc1(h):
+            x = flat(pool(h)) if layers else None
+            return {task: nnops.fully_connected(x, fc) for task, fc in layers.items()}
+
         h = r_img
-        pooled = pool(r_img) if any(task in tasks for task in self.region_heads) else None
         if stacked:
-            img_pooled = pooled
             h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
-            if pooled is not None:
-                g = cfg.spp_grid
-                zeros = Tensor(np.zeros((cfg.m, g, g, cfg.task_channels)))
-                pooled = nnops.stack_channels([img_pooled, zeros])
-        outputs = [self._decode_all(h, pooled, 0, tasks)]
+            img_rows, task_rows = self._fc1_rows
+            x_img = flat(pool(r_img)) if layers else None
+            img_fc1 = {
+                task: add_rowvec(matmul(x_img, take_rows(fc.weight, img_rows)), fc.bias)
+                for task, fc in layers.items()
+            }
+            w_task = {
+                task: take_rows(fc.weight, task_rows) for task, fc in layers.items()
+            } if n_iters > 0 else {}
+            fc1 = img_fc1  # the task block is zero at t = 0
+        else:
+            fc1 = whole_fc1(h)
+        outputs = [self._decode_all(h, fc1, 0, tasks)]
 
         footprints = nnops.feature_footprints(boxes, cfg.stride, hh, ww)
         for t in range(1, n_iters + 1):
@@ -300,12 +324,16 @@ class Multinet:
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
-                pooled = nnops.stack_channels([img_pooled, pool(task_maps)])
+                x_task = flat(pool(task_maps))
+                fc1 = {
+                    task: elementwise("add", pre, matmul(x_task, w_task[task]))
+                    for task, pre in img_fc1.items()
+                }
             else:
                 stack = nnops.stack_channels([h, r_img] + maps)
                 h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
-                pooled = pool(h)
-            outputs.append(self._decode_all(h, pooled, t, all_tasks))
+                fc1 = whole_fc1(h)
+            outputs.append(self._decode_all(h, fc1, t, all_tasks))
         return outputs
 
     def _feedback(self, task, pred: Tensor, ground, expect_shape):

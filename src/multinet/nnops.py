@@ -204,8 +204,8 @@ def fully_connected(x: Tensor, layer: FCLayer) -> Tensor:
 
 
 def stack_channels(tensors) -> Tensor:
-    """Concatenate tensors along the last (channel) axis: H x W x Ci maps,
-    or M x G x G x Ci pooled region blocks."""
+    """Concatenate tensors along the last (channel) axis; all leading
+    dimensions must match."""
     tensors = list(tensors)
     lead = tensors[0].data.shape[:-1]
     for t in tensors:

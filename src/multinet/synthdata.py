@@ -155,9 +155,15 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
         img = img + rng.normal(0.0, spec.noise_std, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
 
-    label = np.zeros(spec.n_classes, dtype=np.uint8)
+    return Scene(img, classes, boxes, part_classes, part_boxes, part_parents,
+                 _image_label(classes, spec.n_classes))
+
+
+def _image_label(classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n_classes,) uint8 label: 1 for every class with an object, else 0."""
+    label = np.zeros(n_classes, dtype=np.uint8)
     label[classes - 1] = 1
-    return Scene(img, classes, boxes, part_classes, part_boxes, part_parents, label)
+    return label
 
 
 def generate_dataset(spec: SceneSpec, n_scenes: int, offset: int = 0) -> list:
@@ -279,6 +285,11 @@ def read_dataset(path):
         part_classes, part_boxes, parts = _read_records(r, _PART, i, "part", spec.n_part_classes)
         parents = parts["parent"].astype(np.int64)
         label = np.frombuffer(r.blob(), dtype=np.uint8).copy()
+        if label.size != spec.n_classes:
+            r.fail(f"scene {i}: image label has {label.size} entries, expected {spec.n_classes}")
+        if not np.array_equal(label, _image_label(obj_classes, spec.n_classes)):
+            r.fail(f"scene {i}: image label {label.tolist()} does not mark exactly the "
+                   f"object classes {sorted(set(obj_classes.tolist()))}")
         scenes.append(Scene(img, obj_classes, obj_boxes, part_classes, part_boxes, parents, label))
     r.done()
     return spec, scenes

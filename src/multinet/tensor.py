@@ -204,14 +204,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select rows of a 2-D tensor; gradient scatters back."""
+    """Select distinct rows of a tensor; the gradient is assigned back to
+    them (zero elsewhere). A repeated row raises TensorError."""
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
+    if idx.size and np.bincount(idx.ravel() % shape[0]).max() > 1:
+        raise TensorError(f"take_rows: repeated rows in {idx.size} indices")
 
     def bwd(g):
         ga = np.zeros(shape)
-        np.add.at(ga, idx, g)
+        ga[idx] = g
         return (ga,)
 
     return make_op(data, (a,), bwd, "take_rows")

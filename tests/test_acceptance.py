@@ -114,7 +114,7 @@ def test_criterion_1_gradient_suite(capsys):
             stack_channels,
         )
         from multinet.tasks import bce_multilabel, smooth_l1, softmax_ce
-        from multinet.tensor import elementwise, matmul
+        from multinet.tensor import add_rowvec, elementwise, matmul, take_rows
 
         for seed in range(5):
             r = np.random.default_rng(seed)
@@ -129,6 +129,16 @@ def test_criterion_1_gradient_suite(capsys):
             check_grads(
                 lambda a, b: sum_all(matmul(a, b)),
                 [r.normal(size=(4, 3)), r.normal(size=(3, 2))],
+            )
+            # the split region fc1: distinct weight rows, product, bias
+            w42 = r.normal(size=(4, 2))
+            check_grads(
+                lambda a: sum_all(take_rows(a, [5, 0, 3, 2]) * Tensor(w42)),
+                [r.normal(size=(6, 2))],
+            )
+            check_grads(
+                lambda a, b: sum_all(add_rowvec(a, b) * Tensor(w23)),
+                [r.normal(size=(2, 3)), r.normal(size=3)],
             )
             check_grads(
                 lambda xt, ft, bt: sum_all(conv2d(xt, ConvLayer(ft, bt, padding=1))),

@@ -29,7 +29,7 @@ from multinet.tasks import metrics_to_rows
 from multinet.tensor import Tape, backward, take_rows
 
 from conftest import reseal
-from test_synthdata import patched, record_offsets
+from test_synthdata import label_offset, patched, record_offsets
 
 
 COMMITTED_CKPT = Path(__file__).parent / "_cache" / "bench_27af23a54b4faaee.ckpt"
@@ -207,6 +207,40 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         save_checkpoint(restore_model(load_checkpoint(COMMITTED_CKPT)), path)
         assert path.read_bytes() == COMMITTED_CKPT.read_bytes()
+
+
+class TestFixtureEvalPin:
+    """`evaluate_model` and `recurrence_sweep(t_max=4)` of the committed
+    update1 checkpoint on 8 held-out scenes, equal to the figures recorded
+    before each region fc1 was split at its image/task boundary: a change to
+    the forward or to scoring that moves a trained model's metrics fails
+    here."""
+
+    METRICS = {
+        "cls_map": 1.0,
+        "cls_ap_per_class": [1.0, 1.0, 1.0, 1.0, 1.0],
+        "det_ap": 0.9904761904761905,
+        "det_ap_per_class": [1.0, 1.0, 1.0, 1.0, 0.9523809523809523],
+        "part_ap": 0.9910714285714286,
+        "part_ap_per_class": [1.0, 1.0, 0.9583333333333334, 1.0, 1.0, 1.0, 1.0, 1.0,
+                              0.9523809523809523, 1.0],
+    }
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spec = SceneSpec(seed=100)
+        return restore_model(load_checkpoint(COMMITTED_CKPT)), spec, generate_dataset(
+            spec, 8, offset=10_000)
+
+    def test_evaluate_model(self, setup):
+        state, spec, scenes = setup
+        assert evaluate_model(state.model, spec, scenes) == self.METRICS
+
+    def test_recurrence_sweep(self, setup):
+        state, spec, scenes = setup
+        row = {k: self.METRICS[k] for k in ("cls_map", "det_ap", "part_ap")}
+        assert recurrence_sweep(state, spec, scenes, t_max=4) == [
+            {"t": t, **row} for t in range(5)]
 
 
 def _copy_two_task_weights(src: Multinet, dst: Multinet):
@@ -516,6 +550,18 @@ class TestCli:
             payload = json.loads(capsys.readouterr().err.strip())
             assert payload["kind"] == "DatasetError"
             assert payload["error"].startswith(f"dataset {ds}: scene 0: object 0 has class 9")
+
+    def test_bad_image_label_reports_dataset_error(self, workdir, capsys):
+        ds = workdir / "val.bin"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        reseal(ds, lambda body: patched(body, label_offset(body) + 4, "<5B", 0, 0, 0, 0, 0))
+        capsys.readouterr()
+        code = cli.main(["eval", "--checkpoint", str(COMMITTED_CKPT), "--dataset", str(ds),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["kind"] == "DatasetError"
+        assert payload["error"].startswith(f"dataset {ds}: scene 0: image label [0, 0, 0, 0, 0]")
 
     def test_bad_config_fails(self, workdir, capsys):
         (workdir / "bad.cfg").write_text("version = 1\nbogus = 3\n")

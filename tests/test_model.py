@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from multinet import nnops
+from multinet import model, nnops
 from multinet.model import MODES, Multinet, MultinetOutput, TaskConfig, encode_cls, encode_det
 from multinet.nnops import feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
-from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, backward, reshape, sum_all
 
 from conftest import check_grads, n_values
 from test_nnops import footprint_oracle, random_boxes
@@ -336,8 +336,8 @@ class TestForward:
             h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
-        pooled = nnops.spp_pool_regions(h1, boxes, net.grid)
-        manual = net._decode_all(h1, pooled, 1, ("cls", "det", "part"))
+        fc1 = {task: whole_fc1(net, h1, boxes, task) for task in ("det", "part")}
+        manual = net._decode_all(h1, fc1, 1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
@@ -400,6 +400,73 @@ class TestForward:
         assert np.max(np.abs(sel - num[idx]) / denom) <= 1e-4
 
 
+class TestSplitFc1Gradient:
+    """update1, T = 2: the image rows of a region fc1 read the pooled image
+    block at every t, the task rows read only the task blocks of t >= 1."""
+
+    def grads(self, iters):
+        """Analytic gradient of det.fc1.weight, and central differences at
+        six image-row and six task-row entries, of a weighted sum of the
+        outputs of the iterations `iters`. Each output's weights are the
+        same whichever iterations are summed. Entries are drawn from rows
+        with some gradient when a row set has any (a row whose pooled input
+        is zero in every region has none)."""
+        net = Multinet(small_cfg(mode="update1", t=2, canvas=16, m=4), seed=4)
+        img, boxes = small_inputs(net.cfg, seed=1)
+        w = net.params["det.fc1.weight"]
+
+        def scalar():
+            r = np.random.default_rng(0)
+            total = Tensor(0.0)
+            for t, out in enumerate(net.forward(img, boxes)):
+                for x in output_tensors([out]):
+                    weights = Tensor(r.normal(size=x.data.shape))
+                    if t in iters:
+                        total = total + sum_all(x * weights)
+            return total
+
+        with Tape() as tape:
+            backward(scalar(), tape)
+        ana = w.grad.copy()
+        r = np.random.default_rng(0)
+        entries = []
+        for rows in net._fc1_rows:
+            live = rows[ana[rows].any(axis=1)]
+            pick = r.choice(live if live.size >= 6 else rows, 6, replace=False)
+            entries += [(i, int(r.integers(w.data.shape[1]))) for i in pick]
+        num = []
+        for i, j in entries:
+            orig = w.data[i, j]
+            w.data[i, j] = orig + 1e-5
+            fp = float(scalar().data)
+            w.data[i, j] = orig - 1e-5
+            fm = float(scalar().data)
+            w.data[i, j] = orig
+            num.append((fp - fm) / 2e-5)
+        rows, cols = np.array(entries).T
+        num = np.array(num)
+        assert np.max(np.abs(ana[rows, cols] - num)) <= 1e-6 * np.max(np.abs(num))
+        return net._fc1_rows, ana, num
+
+    def test_fd_over_all_iterations(self):
+        (img_rows, task_rows), ana, _ = self.grads((0, 1, 2))
+        assert ana[img_rows].any() and ana[task_rows].any()
+
+    def test_task_rows_get_no_gradient_from_t0(self):
+        (img_rows, task_rows), ana, num = self.grads((0,))
+        assert ana[img_rows].any()
+        assert np.all(ana[task_rows] == 0.0) and np.all(num[6:] == 0.0)
+
+    def test_only_later_iterations_reach_task_rows(self):
+        # The task rows' gradient is that of the t >= 1 outputs alone; the
+        # image rows also get the t = 0 share.
+        (img_rows, task_rows), later, _ = self.grads((1, 2))
+        _, every, _ = self.grads((0, 1, 2))
+        assert later[img_rows].any() and later[task_rows].any()
+        np.testing.assert_allclose(later[task_rows], every[task_rows], rtol=1e-12, atol=0)
+        assert np.any(later[img_rows] != every[img_rows])
+
+
 class TestGrounding:
     def test_grounding_with_own_prediction_is_identity(self):
         cfg = small_cfg(t=1)
@@ -434,7 +501,7 @@ class TestGrounding:
         r_det = encode_det(outs[0].regions["det"][0], fps, hh, ww)
         r_part = encode_det(outs[0].regions["part"][0], fps, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
-        manual = net._decode_all(h1, None, 1, ("cls",))
+        manual = net._decode_all(h1, {}, 1, ("cls",))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
 
     def test_bad_ground_shape_rejected(self):
@@ -481,9 +548,18 @@ class TestGrounding:
             net.forward(img, boxes, ground={"part": np.zeros((cfg.m, 5))}, n_iters=1)
 
 
+def whole_fc1(net, h, boxes, task):
+    """fc1 pre-activation of one region head from the whole map `h`: the
+    regions of every channel of `h` pooled and fed through the unsplit fc1."""
+    pooled = nnops.spp_pool_regions(h, boxes, net.grid)
+    flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
+    return nnops.fully_connected(flat, net.region_heads[task]["fc1"])
+
+
 def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None):
     """The iteration schedule of `Multinet.forward` built from its public
-    pieces, with every region head pooling the full map `h` on its own."""
+    pieces, with every region head pooling the full map `h` on its own and
+    decoding it through its unsplit fc1."""
     cfg = net.cfg
     ground = ground or {}
     r_img = net.encode_image(img)
@@ -497,7 +573,7 @@ def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None
     def decode(h, t, tasks):
         x_cls = net.decode_cls(h) if "cls" in tasks else None
         regions = {
-            task: net.decode_regions(nnops.spp_pool_regions(h, boxes, net.grid), task)
+            task: net.decode_regions(whole_fc1(net, h, boxes, task), task)
             for task in cfg.region_classes if task in tasks
         }
         return MultinetOutput(t, x_cls, regions)
@@ -578,12 +654,24 @@ def pool_once_setup(mode, overrides, kwargs):
 class TestPoolOnce:
     @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
     def test_forward_bit_identical_to_per_head_pooling(self, mode, overrides, kwargs):
+        # Bit-identical wherever the fc1 sum runs in the oracle's order: in
+        # every mode but update1, and at update1's t = 0, where the task
+        # rows only add exact zeros. At update1's t >= 1 the split fc1 sums
+        # the image rows (plus bias) apart from the task rows, so only
+        # rounding may differ.
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
-        got = output_tensors(net.forward(img, boxes, **kwargs))
-        want = output_tensors(forward_oracle(net, img, boxes, **kwargs))
+        got = net.forward(img, boxes, **kwargs)
+        want = forward_oracle(net, img, boxes, **kwargs)
         assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.data, b.data)
+        for t, (out_a, out_b) in enumerate(zip(got, want)):
+            pairs = list(zip(output_tensors([out_a]), output_tensors([out_b])))
+            assert pairs
+            for a, b in pairs:
+                if mode == "update1" and t > 0:
+                    scale = np.max(np.abs(b.data))
+                    assert np.max(np.abs(a.data - b.data)) <= 1e-12 * scale
+                else:
+                    np.testing.assert_array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
     def test_gradients_match_per_head_pooling(self, mode, overrides, kwargs):
@@ -624,3 +712,65 @@ class TestPoolOnce:
         net.forward(img, boxes, decode_tasks=decode_tasks)
         width = {"C": net.cfg.channels, "task": net.cfg.task_channels}
         assert seen == [width[w] for w in widths]
+
+    @pytest.mark.parametrize(
+        "mode,decode_tasks,steps",
+        [("update1", None, ["img", "decode", "task", "decode", "task", "decode"]),
+         ("shared", None, ["img", "decode"]),
+         ("independent", ("det",), ["img", "decode"]),
+         ("independent", ("cls",), []),
+         ("update2", None, ["whole", "decode"] * 3)],
+    )
+    def test_fc1_products_per_forward(self, monkeypatch, mode, decode_tasks, steps):
+        # The stacking modes take each head's image-row product once per
+        # forward and a task-row product only at t >= 1, from weight rows
+        # gathered once per forward; update2 applies the whole fc1 at every
+        # t. No pooled (4-D) block is ever joined by `stack_channels`.
+        net = Multinet(small_cfg(mode=mode, t=2), seed=0)
+        img, boxes = small_inputs(net.cfg)
+        fc1 = {net.region_heads[task]["fc1"].weight: task for task in net.region_heads}
+        row_kinds = dict(zip(("img", "task"), net._fc1_rows))
+        seen, gathers, gathered = [], [], {}
+        take, mul, full = model.take_rows, model.matmul, nnops.fully_connected
+        decode, stack = Multinet.decode_regions, nnops.stack_channels
+
+        def take_rows(a, idx):
+            out = take(a, idx)
+            kind = next(k for k, rows in row_kinds.items() if np.array_equal(rows, idx))
+            gathers.append((fc1[a], kind))
+            gathered[out] = gathers[-1]
+            return out
+
+        def matmul(a, b):
+            seen.append("{}:{}".format(*gathered[b]))
+            return mul(a, b)
+
+        def fully_connected(x, layer):
+            if layer.weight in fc1:
+                seen.append(f"{fc1[layer.weight]}:whole")
+            return full(x, layer)
+
+        def decode_regions(self, pre, task):
+            seen.append(f"decode:{task}")
+            return decode(self, pre, task)
+
+        def stack_channels(tensors):
+            assert all(t.data.ndim == 3 for t in tensors)
+            return stack(tensors)
+
+        monkeypatch.setattr(model, "take_rows", take_rows)
+        monkeypatch.setattr(model, "matmul", matmul)
+        monkeypatch.setattr(nnops, "fully_connected", fully_connected)
+        monkeypatch.setattr(Multinet, "decode_regions", decode_regions)
+        monkeypatch.setattr(nnops, "stack_channels", stack_channels)
+        net.forward(img, boxes, decode_tasks=decode_tasks)
+
+        heads = [task for task in net.region_heads if decode_tasks is None or task in decode_tasks]
+        want = [f"decode:{h}" if step == "decode" else f"{h}:{step}"
+                for step in steps for h in heads]
+        assert seen == want
+        stacked = mode != "update2"
+        recurrent = mode in ("update1", "update2")
+        want_gathers = [(h, "img") for h in heads] if stacked else []
+        want_gathers += [(h, "task") for h in heads] if stacked and recurrent else []
+        assert gathers == want_gathers

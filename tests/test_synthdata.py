@@ -200,6 +200,13 @@ def record_offsets(body):
     return first_object, first_object + 36 * n_objects + 4
 
 
+def label_offset(body):
+    """Byte offset, in a dataset body, of scene 0's image-label blob (its
+    u32 length, then one byte per class)."""
+    parts = record_offsets(body)[1] - 4
+    return parts + 4 + 40 * struct.unpack_from("<I", body, parts)[0]
+
+
 def patched(body, offset, fmt, *values):
     out = bytearray(body)
     struct.pack_into(fmt, out, offset, *values)
@@ -241,6 +248,24 @@ class TestDatasetValidation:
     def test_degenerate_part_box_rejected(self, path):
         reseal(path, lambda body: patched(body, record_offsets(body)[1] + 4, "<4d", 3, 3, 2, 9))
         with pytest.raises(DatasetError, match="scene 0: part 0 has a non-finite or degenerate"):
+            read_dataset(path)
+
+    def test_short_image_label_rejected(self, path):
+        def drop_last_class(body):
+            at = label_offset(body)
+            n = struct.unpack_from("<I", body, at)[0]
+            short = struct.pack("<I", n - 1) + body[at + 4:at + 3 + n]
+            return body[:at] + short + body[at + 4 + n:]
+
+        reseal(path, drop_last_class)
+        want = r"d.bin: scene 0: image label has 4 entries, expected 5"
+        with pytest.raises(DatasetError, match=want):
+            read_dataset(path)
+
+    def test_zero_image_label_with_objects_rejected(self, path):
+        reseal(path, lambda body: patched(body, label_offset(body) + 4, "<5B", 0, 0, 0, 0, 0))
+        with pytest.raises(DatasetError,
+                           match=r"scene 0: image label \[0, 0, 0, 0, 0\] does not mark exactly"):
             read_dataset(path)
 
     def _with_spec_header(self, body, header: bytes):

@@ -98,14 +98,21 @@ class TestReshapeAndIndexing:
 
     def test_take_rows_values(self, rng):
         a = rng.normal(size=(5, 3))
-        out = take_rows(Tensor(a), [4, 0, 0])
-        np.testing.assert_array_equal(out.data, a[[4, 0, 0]])
+        out = take_rows(Tensor(a), [4, 0, 2])
+        np.testing.assert_array_equal(out.data, a[[4, 0, 2]])
 
-    def test_take_rows_gradient_accumulates(self, rng):
-        # Row 0 selected twice: its gradient must be the sum of both rows.
-        a = rng.normal(size=(4, 2))
-        w = rng.normal(size=(3, 2))
-        check_grads(lambda x: sum_all(take_rows(x, [0, 0, 2]) * Tensor(w)), [a])
+    @pytest.mark.parametrize("idx", [[0, 0, 2], [3, 1, -1], [1, -3]])
+    def test_take_rows_rejects_repeated_rows(self, idx):
+        # The backward assigns each row's gradient, so a row taken twice
+        # would lose one of its gradients; it is refused up front.
+        with pytest.raises(TensorError, match="repeated rows"):
+            take_rows(Tensor(np.ones((4, 2))), idx)
+
+    def test_take_rows_gradient_fd(self, rng):
+        # Distinct, unsorted rows; rows 1 and 4 are not taken and get zero.
+        a = rng.normal(size=(6, 2))
+        w = rng.normal(size=(4, 2))
+        check_grads(lambda x: sum_all(take_rows(x, [5, 0, 3, 2]) * Tensor(w)), [a])
 
     def test_add_rowvec(self, rng):
         m = rng.normal(size=(4, 3))
