@@ -237,8 +237,8 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
     """Absolute gather indices (M, g, L) for per-region clamped bins over
     the [start, stop) cell ranges of n cells: bin i nominally spans
     [floor(i*n/g), floor((i+1)*n/g)); an empty bin collapses to the single
-    cell at its clamped start. Padding repeats each bin's last cell
-    (harmless under max with first-argmax tie-breaking)."""
+    cell at its clamped start. Padding repeats each bin's last cell, so a
+    strict-`>` scan in row-major order keeps the first max, never a pad."""
     n = (stop - start)[:, None]
     i = np.arange(g)[None, :]
     starts = np.minimum((i * n) // g, n - 1)
@@ -258,30 +258,30 @@ def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
 
 def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
     """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
-    tape node."""
+    tape node: a row gather per bin cell, a strict-`>` scan, one scatter."""
     hh, ww, c = h.data.shape
     g = grid.grid_size
-    m = len(boxes)
-    bad = np.nonzero((boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1]))[0]
+    x1, y1, x2, y2 = boxes.T
+    bad = np.nonzero(~np.isfinite(boxes).all(axis=1) | (x2 <= x1) | (y2 <= y1))[0]
     if bad.size:
         i = int(bad[0])
-        raise TensorError(f"spp_pool: degenerate box {tuple(boxes[i].tolist())} (region {i})")
+        raise TensorError(f"spp_pool: degenerate/non-finite box {boxes[i].tolist()} (region {i})")
     fp = feature_footprints(boxes, grid.feature_stride, hh, ww)
     ridx = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
     cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
-    lr, lc = ridx.shape[2], cidx.shape[2]
-    cand = h.data[ridx[:, :, :, None, None], cidx[:, None, None, :, :]]
-    cand = cand.transpose(0, 1, 3, 2, 4, 5).reshape(m, g, g, lr * lc, c)
-    arg = cand.argmax(axis=3)  # first (row-major within bin) on ties
-    out = np.take_along_axis(cand, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
+    cells = cells.reshape(len(boxes), g, g, -1)  # (M, g, g, Lr*Lc), row-major in each bin
+    rows = h.data.reshape(hh * ww, c)
+    out = rows[cells[..., 0]]
+    win = cells[..., :1]  # winning cell of each bin and channel (broadcast until one differs)
+    for k in range(1, cells.shape[3]):
+        cand = rows[cells[..., k]]
+        take = cand > out
+        np.copyto(out, cand, where=take)
+        win = np.where(take, cells[..., k : k + 1], win)
 
     def bwd(gout):
-        mm = np.arange(m)[:, None, None, None]
-        ii = np.arange(g)[None, :, None, None]
-        jj = np.arange(g)[None, None, :, None]
-        rows = ridx[mm, ii, arg // lc]
-        cols = cidx[mm, jj, arg % lc]
-        lin = (rows * ww + cols) * c + np.arange(c)[None, None, None, :]
+        lin = win * c + np.arange(c)
         gh = np.bincount(lin.ravel(), weights=gout.ravel(), minlength=hh * ww * c)
         return (gh.reshape(hh, ww, c),)
 

@@ -1,6 +1,7 @@
 """The benchmark instruments multinet by rebinding its functions by name, so
 deleting or renaming one of them breaks the benchmark. This checks that
-every binding still resolves, without running a workload."""
+every binding still resolves, without running a workload, and that the
+analysis workload's checkpoint is still the committed acceptance one."""
 
 import importlib
 from pathlib import Path
@@ -17,3 +18,11 @@ def test_benchmark_instrumentation_binds(monkeypatch):
         layers.instrument(tracer)
     finally:
         tracer.restore()
+
+
+def test_fixture_checkpoint_is_the_acceptance_checkpoint():
+    # perfbench's analysis workload loads a copy of the committed update1
+    # acceptance checkpoint; the two must not drift apart.
+    fixture = PERFBENCH / "fixtures" / "update1_seed0.ckpt"
+    cached = PERFBENCH.parent / "tests" / "_cache" / "bench_27af23a54b4faaee.ckpt"
+    assert fixture.read_bytes() == cached.read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from multinet.nnops import (
     spp_pool_regions,
     stack_channels,
 )
-from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, backward, elementwise, sum_all
 
 from conftest import check_grads
 
@@ -298,26 +300,54 @@ def footprint_oracle(box, stride, h, w):
     return r0, r1, c0, c1
 
 
+def oracle_bins(n, g):
+    """[start, end) of each of g bins over n cells; an empty bin collapses
+    to its clamped start cell."""
+    bins = []
+    for i in range(g):
+        s, e = (i * n) // g, ((i + 1) * n) // g
+        if e <= s:
+            s = min(s, n - 1)
+            e = s + 1
+        bins.append((s, e))
+    return bins
+
+
 def spp_oracle(hdata, box, stride, g):
     """Per-bin max with explicit loops; empty bins collapse to their clamped
     start cell."""
     hh, ww, c = hdata.shape
     r0, r1, c0, c1 = footprint_oracle(box, stride, hh, ww)
     sub = hdata[r0:r1, c0:c1]
-    nh, nw = sub.shape[:2]
     out = np.zeros((g, g, c))
-    for i in range(g):
-        rs, re = (i * nh) // g, ((i + 1) * nh) // g
-        if re <= rs:
-            rs = min(rs, nh - 1)
-            re = rs + 1
-        for j in range(g):
-            cs, ce = (j * nw) // g, ((j + 1) * nw) // g
-            if ce <= cs:
-                cs = min(cs, nw - 1)
-                ce = cs + 1
+    for i, (rs, re) in enumerate(oracle_bins(r1 - r0, g)):
+        for j, (cs, ce) in enumerate(oracle_bins(c1 - c0, g)):
             out[i, j] = sub[rs:re, cs:ce].max(axis=(0, 1))
     return out
+
+
+def spp_routed_oracle(hdata, boxes, stride, g, gout):
+    """Loop reference for `spp_pool_regions` forward and backward. Each bin
+    and channel reads its first row-major maximum (argmax of the bin's cells
+    flattened row by row) and sends its gradient there; gradients are summed
+    in (region, bin row, bin column, channel) order. Also returns how many
+    (bin, channel) pairs had a tied maximum over two or more cells."""
+    hh, ww, c = hdata.shape
+    out = np.zeros((len(boxes), g, g, c))
+    gh = np.zeros_like(hdata)
+    ties = 0
+    for m, box in enumerate(boxes):
+        r0, r1, c0, c1 = footprint_oracle(box, stride, hh, ww)
+        for i, (rs, re) in enumerate(oracle_bins(r1 - r0, g)):
+            for j, (cs, ce) in enumerate(oracle_bins(c1 - c0, g)):
+                for ch in range(c):
+                    cell = hdata[r0 + rs : r0 + re, c0 + cs : c0 + ce, ch]
+                    a = int(cell.argmax())
+                    r, col = r0 + rs + a // cell.shape[1], c0 + cs + a % cell.shape[1]
+                    out[m, i, j, ch] = hdata[r, col, ch]
+                    gh[r, col, ch] += gout[m, i, j, ch]
+                    ties += int((cell == cell.max()).sum() > 1)
+    return out, gh, ties
 
 
 def random_box(r, canvas):
@@ -384,6 +414,51 @@ class TestSpp:
             spp_pool_regions(
                 Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), SppGrid(2, 8)
             )
+
+    @pytest.mark.parametrize("coord", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box_names_region(self, coord, value):
+        boxes = np.array([[0.0, 0, 16, 16], [8, 8, 24, 24], [0, 0, 16, 16]])
+        boxes[2, coord] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any cast to cell indices
+            with pytest.raises(TensorError, match="region 2"):
+                spp_pool_regions(Tensor(np.zeros((4, 4, 1))), boxes, SppGrid(2, 8))
+
+    # (grid size, integer-valued map, box draw, ties expected): integer maps
+    # tie often; G = 3 on an 8 x 8 map makes bins of 2-3 cells; G = 10 and
+    # small boxes under G = 6 give every bin one cell, so nothing can tie.
+    TIE_CASES = {
+        "ints-g3-random": (3, True, "random", True),
+        "ints-g3-whole": (3, True, "whole", True),
+        "ints-g6-whole": (6, True, "whole", True),
+        "ints-g10-whole": (10, True, "whole", False),
+        "ints-g6-small": (6, True, "small", False),
+        "normal-g3-random": (3, False, "random", False),
+    }
+
+    @pytest.mark.parametrize("case", TIE_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forward_and_gradient_bit_exact_vs_routed_oracle(self, case, seed):
+        g, ints, draw, tied = self.TIE_CASES[case]
+        r = np.random.default_rng(900 + seed)
+        x = r.integers(-1, 2, size=(8, 8, 3)).astype(float) if ints else r.normal(size=(8, 8, 3))
+        if draw == "whole":
+            boxes = np.array([[0.0, 0, 64, 64], [0.5, 0.5, 63.5, 63.5]])
+        elif draw == "small":
+            x1, y1 = r.uniform(0, 40, size=(2, 8))
+            boxes = np.stack([x1, y1, x1 + r.uniform(1, 24, 8), y1 + r.uniform(1, 24, 8)], axis=1)
+        else:
+            boxes = random_boxes(r, 8, 64)
+        gout = r.normal(size=(len(boxes), g, g, 3))
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            pooled = spp_pool_regions(xt, boxes, SppGrid(g, 8))
+            backward(sum_all(elementwise("mul", pooled, Tensor(gout))), tape)
+        out, gh, ties = spp_routed_oracle(x, boxes, 8, g, gout)
+        assert (ties > 0) == tied
+        assert pooled.data.tobytes() == out.tobytes()
+        assert xt.grad.tobytes() == gh.tobytes()
 
 
 def one_footprint(box, stride, h, w):
