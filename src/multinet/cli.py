@@ -99,8 +99,7 @@ def _cmd_compare(args):
     results, medians = harness.compare_modes(
         config, spec, train_scenes, val_scenes, log=print
     )
-    seeds = config.seed_list()
-    table = harness.comparison_table(results, medians, seeds)
+    table = harness.comparison_table(medians)
     print(table)
     harness.write_metrics_csv(args.out, harness.comparison_rows(results))
     if args.table:

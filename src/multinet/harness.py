@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import container, synthdata, tasks
-from .model import Multinet, MultinetOutput, TaskConfig
+from .model import MODES, Multinet, MultinetOutput, TaskConfig
 from .synthdata import SceneSpec, propose_regions
 from .tasks import ScenePrediction, assign_regions
 from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
@@ -76,8 +77,11 @@ class RunConfig:
     truncate_feedback: bool = False
 
     def __post_init__(self):
-        if self.lr_phase1 < 0 or self.lr_phase2 < 0:
-            raise ConfigError("learning rates must be non-negative")
+        for name in ("lr_phase1", "lr_phase2", "weight_cls", "weight_det", "weight_part",
+                     "weight_bbox"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.epochs_phase1 < 1 or self.epochs_phase2 < 0:
             raise ConfigError("epoch counts invalid")
 
@@ -247,13 +251,11 @@ def train(
     spec: SceneSpec,
     scenes,
     resume: TrainState | None = None,
-    stop_after_epoch: int | None = None,
     log=None,
 ) -> TrainState:
     """SGD training with the two-phase learning-rate schedule.
 
-    `resume` continues a previous run bit-exactly from its epoch boundary;
-    `stop_after_epoch` halts after the given (1-based) epoch count.
+    `resume` continues a previous run bit-exactly from its epoch boundary.
     """
     cfg = build_task_config(config, spec, scenes)
     if resume is not None:
@@ -270,9 +272,7 @@ def train(
 
     batches = [prepare_scene(s, spec, cfg, i) for i, s in enumerate(scenes)]
     decode_tasks = _active_decode_tasks(config, cfg)
-    end = config.total_epochs if stop_after_epoch is None else min(stop_after_epoch, config.total_epochs)
-
-    for epoch in range(start_epoch, end):
+    for epoch in range(start_epoch, config.total_epochs):
         lr = config.lr_for_epoch(epoch)
         order = shuffle_rng.permutation(len(batches))
         losses = []
@@ -290,7 +290,7 @@ def train(
         history.append(float(np.mean(losses)))
         if log:
             log(f"epoch {epoch + 1}/{config.total_epochs} lr={lr:g} loss={history[-1]:.4f}")
-    return TrainState(model, config, end, shuffle_rng.bit_generator.state, history)
+    return TrainState(model, config, config.total_epochs, shuffle_rng.bit_generator.state, history)
 
 
 # ---- checkpoints ---------------------------------------------------------
@@ -352,8 +352,8 @@ def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
     """Per scene: its (M, 4) proposals and the outputs of one forward."""
     for i, scene in enumerate(scenes):
         props = propose_regions(scene, spec, model.cfg.m, seed=i)
-        ground = {"cls": scene.img_label.astype(np.float64)} if ground_cls else None
-        outs = model.forward(scene.image, props, ground=ground, n_iters=n_iters)
+        truth = scene.img_label if ground_cls else None
+        outs = model.forward(scene.image, props, ground_cls=truth, n_iters=n_iters)
         yield props, outs
 
 
@@ -381,25 +381,27 @@ def write_metrics_csv(path, rows) -> None:
 
 # ---- experiment runners --------------------------------------------------
 
-COMPARE_MODES = ("independent", "shared", "update1", "update2")
+# Rows of the mode comparison: "independent" is one single-task network per
+# task (each a `shared` model), the others are model modes.
+COMPARE_MODES = ("independent", *MODES)
 
 
 def _train_independent(config: RunConfig, spec, train_scenes, log=None) -> dict:
-    """One single-task network per task, each trained with every other
-    task's loss weight zeroed; returns them by task."""
+    """One single-task network per task, each trained in mode `shared` with
+    every other task's loss weight zeroed; returns them by task."""
     names = ("cls", *build_task_config(config, spec, train_scenes).region_classes)
     nets = {}
     for task in names:
         zeroed = {f"weight_{other}": 0.0 for other in names if other != task}
-        c = dataclasses.replace(config, mode="independent", **zeroed)
+        c = dataclasses.replace(config, mode="shared", **zeroed)
         nets[task] = train(c, spec, train_scenes, log=log).model
     return nets
 
 
 def train_and_eval_mode(mode: str, config: RunConfig, spec, train_scenes, val_scenes,
-                        seed: int, log=None):
+                        seed: int, log=None) -> dict:
     """Train one comparison row and evaluate it on the validation scenes."""
-    config = dataclasses.replace(config, seed=seed, mode=mode)
+    config = dataclasses.replace(config, seed=seed)
     if mode == "independent":
         nets = _train_independent(config, spec, train_scenes, log=log)
         metrics = {}
@@ -407,27 +409,24 @@ def train_and_eval_mode(mode: str, config: RunConfig, spec, train_scenes, val_sc
             m = evaluate_model(net, spec, val_scenes)
             metrics.update((k, v) for k, v in m.items() if k.startswith(task + "_"))
         # evaluate()'s key order; a task without a net of its own reads None.
-        return {k: metrics.get(k) for k in m}, None
-    state = train(config, spec, train_scenes, log=log)
-    return evaluate_model(state.model, spec, val_scenes), state
+        return {k: metrics.get(k) for k in m}
+    state = train(dataclasses.replace(config, mode=mode), spec, train_scenes, log=log)
+    return evaluate_model(state.model, spec, val_scenes)
 
 
-def compare_modes(config: RunConfig, spec, train_scenes, val_scenes, seeds=None,
-                  modes=COMPARE_MODES, log=None):
-    """Train all comparison rows across seeds; returns
+def compare_modes(config: RunConfig, spec, train_scenes, val_scenes, log=None):
+    """Train all comparison rows across the config's seeds; returns
     {mode: {seed: metrics}} plus per-mode medians."""
-    seeds = list(seeds) if seeds is not None else config.seed_list()
-    results = {mode: {} for mode in modes}
-    for mode in modes:
-        for seed in seeds:
+    results = {mode: {} for mode in COMPARE_MODES}
+    for mode in COMPARE_MODES:
+        for seed in config.seed_list():
             if log:
                 log(f"--- mode={mode} seed={seed}")
-            metrics, _state = train_and_eval_mode(
+            results[mode][seed] = train_and_eval_mode(
                 mode, config, spec, train_scenes, val_scenes, seed, log=log
             )
-            results[mode][seed] = metrics
     medians = {}
-    for mode in modes:
+    for mode in COMPARE_MODES:
         vals = results[mode]
         medians[mode] = {
             key: (
@@ -440,7 +439,7 @@ def compare_modes(config: RunConfig, spec, train_scenes, val_scenes, seeds=None,
     return results, medians
 
 
-def comparison_table(results, medians, seeds) -> str:
+def comparison_table(medians) -> str:
     """Markdown table shaped like the paper-style mode comparison."""
     names = {
         "independent": "Independent",
@@ -458,11 +457,11 @@ def comparison_table(results, medians, seeds) -> str:
     return "\n".join(lines)
 
 
-def comparison_rows(results, run_id="compare"):
+def comparison_rows(results):
     rows = []
     for mode, per_seed in results.items():
         for seed, metrics in per_seed.items():
-            rows.extend(tasks.metrics_to_rows(run_id, mode, "-", seed, metrics))
+            rows.extend(tasks.metrics_to_rows("compare", mode, "-", seed, metrics))
     return rows
 
 
@@ -470,7 +469,7 @@ def ground_experiment(state: TrainState, spec, scenes) -> dict:
     """Paired metrics: standard vs. cls-truth-grounded predictions, both read
     one iteration after the grounding point."""
     model = state.model
-    if model.cfg.mode in ("independent", "shared") or model.cfg.t < 1:
+    if model.cfg.mode == "shared" or model.cfg.t < 1:
         raise TrainingError("grounding requires a recurrent checkpoint (T >= 1)")
     ungrounded = evaluate_model(model, spec, scenes, at_iter=1)
     grounded = evaluate_model(model, spec, scenes, at_iter=1, ground_cls=True)

@@ -32,10 +32,10 @@ from .tensor import (
 
 __all__ = ["TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "encode_det", "MODES"]
 
-MODES = ("independent", "shared", "update1", "update2")
+MODES = ("shared", "update1", "update2")
 
 # Modes whose decoders read the stacked (image + task channel) layout.
-_STACKED_MODES = ("independent", "shared", "update1")
+_STACKED_MODES = ("shared", "update1")
 
 
 @dataclass
@@ -58,6 +58,9 @@ class TaskConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.c_cls < 1 or self.c_part < 0 or self.m < 1 or self.t < 0:
             raise ValueError("invalid task configuration")
+        for name in ("channels", "cls_hidden", "region_hidden", "spp_grid"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.canvas % self.stride != 0:
             raise ValueError(f"canvas {self.canvas} not divisible by stride {self.stride}")
 
@@ -86,7 +89,6 @@ class TaskConfig:
 
 @dataclass
 class MultinetOutput:
-    t: int
     x_cls: Tensor | None  # (C_cls,) sigmoid probabilities
     regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
 
@@ -234,29 +236,28 @@ class Multinet:
         deltas = nnops.fully_connected(feat, hd["delta"])
         return scores, deltas
 
-    def _decode_all(self, h: Tensor, fc1: dict, t: int, tasks) -> MultinetOutput:
+    def _decode_all(self, h: Tensor, fc1: dict, tasks) -> MultinetOutput:
         """Decode cls from the map `h` when it is in `tasks`, and each region
         task of `fc1` from its fc1 pre-activation there."""
         x_cls = self.decode_cls(h) if "cls" in tasks else None
         regions = {task: self.decode_regions(pre, task) for task, pre in fc1.items()}
-        return MultinetOutput(t, x_cls, regions)
+        return MultinetOutput(x_cls, regions)
 
     # ---- iteration schedule ---------------------------------------------
 
-    def forward(self, image, boxes, ground=None, n_iters=None, decode_tasks=None) -> list:
+    def forward(self, image, boxes, ground_cls=None, n_iters=None, decode_tasks=None) -> list:
         """Run the recurrent schedule over the (M, 4) region `boxes`; returns
         T+1 per-iteration outputs.
 
-        `ground` optionally maps a task name ("cls" or a region task) to a
-        ground-truth label array; that task is then re-encoded from the
-        truth instead of its prediction at every iteration (the label is
-        treated as an input). Modes without recurrence return outputs[0]
-        only. `decode_tasks` restricts which heads run when there is no
-        recurrence (recurrent iterations always decode every task since the
-        feedback loop needs all labels). The stacking integrator stacks the
-        image features with the re-encoded labels (cls, then each region
-        task); the bottleneck integrator puts the previous map in front of
-        that stack and mixes it back to C channels.
+        `ground_cls`, a (C_cls,) ground-truth image label array, is
+        re-encoded in place of the cls prediction at every iteration (the
+        label is treated as an input). Modes without recurrence return
+        outputs[0] only. `decode_tasks` restricts which heads run when there
+        is no recurrence (recurrent iterations always decode every task
+        since the feedback loop needs all labels). The stacking integrator
+        stacks the image features with the re-encoded labels (cls, then
+        each region task); the bottleneck integrator puts the previous map
+        in front of that stack and mixes it back to C channels.
 
         Region features are pooled once per map and shared by the region
         heads. With the stacking integrator each region head's fc1 is split
@@ -271,15 +272,19 @@ class Multinet:
         cfg = self.cfg
         if len(boxes) != cfg.m:
             raise TensorError(f"expected {cfg.m} regions, got {len(boxes)}")
+        n_iters = cfg.t if n_iters is None else n_iters
+        if n_iters < 0:
+            raise ValueError(f"iteration count must be non-negative, got {n_iters}")
+        if ground_cls is not None:
+            ground_cls = Tensor(ground_cls)
+            if ground_cls.data.shape != (cfg.c_cls,):
+                raise TensorError(
+                    f"grounded cls label has shape {ground_cls.data.shape}, expected {(cfg.c_cls,)}"
+                )
         all_tasks = ("cls", *cfg.region_classes)
-        ground = ground or {}
-        for task in ground:
-            if task not in all_tasks:
-                raise ValueError(f"cannot ground unknown task {task!r}")
         r_img = self.encode_image(image)
         hh, ww = r_img.data.shape[:2]
-        n_iters = cfg.t if n_iters is None else n_iters
-        if cfg.mode in ("independent", "shared"):
+        if cfg.mode == "shared":
             n_iters = 0
         tasks = all_tasks if n_iters > 0 or decode_tasks is None else tuple(decode_tasks)
         stacked = cfg.mode in _STACKED_MODES
@@ -311,16 +316,15 @@ class Multinet:
             fc1 = img_fc1  # the task block is zero at t = 0
         else:
             fc1 = whole_fc1(h)
-        outputs = [self._decode_all(h, fc1, 0, tasks)]
+        outputs = [self._decode_all(h, fc1, tasks)]
 
         footprints = nnops.feature_footprints(boxes, cfg.stride, hh, ww)
-        for t in range(1, n_iters + 1):
+        for _ in range(n_iters):
             prev = outputs[-1]
-            x_cls = self._feedback("cls", prev.x_cls, ground, (cfg.c_cls,))
+            x_cls = self._feedback(prev.x_cls) if ground_cls is None else ground_cls
             maps = [encode_cls(x_cls, hh, ww)]
-            for task, k in cfg.region_classes.items():
-                x = self._feedback(task, prev.regions[task][0], ground, (cfg.m, k + 1))
-                maps.append(encode_det(x, footprints, hh, ww))
+            for task in cfg.region_classes:
+                maps.append(encode_det(self._feedback(prev.regions[task][0]), footprints, hh, ww))
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
@@ -333,15 +337,8 @@ class Multinet:
                 stack = nnops.stack_channels([h, r_img] + maps)
                 h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
                 fc1 = whole_fc1(h)
-            outputs.append(self._decode_all(h, fc1, t, all_tasks))
+            outputs.append(self._decode_all(h, fc1, all_tasks))
         return outputs
 
-    def _feedback(self, task, pred: Tensor, ground, expect_shape):
-        if task in ground:
-            truth = np.asarray(ground[task], dtype=np.float64)
-            if truth.shape != expect_shape:
-                raise TensorError(
-                    f"grounded {task} label has shape {truth.shape}, expected {expect_shape}"
-                )
-            return Tensor(truth)
+    def _feedback(self, pred: Tensor) -> Tensor:
         return pred.detach() if self.cfg.truncate_feedback else pred

@@ -39,6 +39,9 @@ IGNORE = -1  # assign_regions label for regions in neither fg nor bg range
 
 NMS_IOU = 0.3  # overlap above which a lower-scoring detection is suppressed
 
+FG_IOU = 0.5  # assign_regions: foreground at or above this overlap
+BG_IOU = (0.1, 0.5)  # assign_regions: background within [lo, hi)
+
 
 @dataclass
 class RegionTargets:
@@ -186,18 +189,12 @@ def smooth_l1(deltas: Tensor, targets, mask) -> Tensor:
     return make_op(np.asarray(loss), (deltas,), bwd, "smooth_l1")
 
 
-def assign_regions(
-    regions,
-    classes,
-    gt_boxes,
-    fg_iou: float = 0.5,
-    bg_iou=(0.1, 0.5),
-) -> RegionTargets:
+def assign_regions(regions, classes, gt_boxes) -> RegionTargets:
     """Label (M, 4) regions against ground truth: (G,) classes of (G, 4)
     boxes.
 
-    Foreground when max IoU >= fg_iou (ties go to the lowest gt index),
-    background when max IoU lies in [bg_iou[0], bg_iou[1]), IGNORE
+    Foreground when max IoU >= FG_IOU (ties go to the lowest gt index),
+    background when max IoU lies in [BG_IOU[0], BG_IOU[1]), IGNORE
     otherwise. Classes are 1-based; 0 is background.
     """
     m = len(regions)
@@ -209,10 +206,10 @@ def assign_regions(
     ious = iou_matrix(regions, gt_boxes)
     best = ious.argmax(axis=1)  # argmax takes the lowest index on ties
     best_iou = ious[np.arange(m), best]
-    fg = best_iou >= fg_iou
+    fg = best_iou >= FG_IOU
     labels[fg] = classes[best[fg]]
     deltas[fg] = bbox_encode(regions[fg], gt_boxes[best[fg]])
-    labels[~fg & (bg_iou[0] <= best_iou) & (best_iou < bg_iou[1])] = 0
+    labels[~fg & (BG_IOU[0] <= best_iou) & (best_iou < BG_IOU[1])] = 0
     return RegionTargets(labels, deltas)
 
 

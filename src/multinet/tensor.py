@@ -117,9 +117,6 @@ class Tape:
     def active() -> "Tape | None":
         return Tape._stack[-1] if Tape._stack else None
 
-    def clear(self) -> None:
-        self.nodes.clear()
-
 
 def make_op(
     data: np.ndarray,
@@ -245,12 +242,11 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(data, (a,), bwd, "sum_all")
 
 
-def backward(loss: Tensor, tape: Tape, retain: bool = False) -> None:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate grads of all requires_grad ancestors of loss.
 
     Gradients add onto existing buffers (sum semantics); callers zero
-    parameter grads between steps. The tape is cleared afterwards unless
-    `retain` is set.
+    parameter grads between steps. The tape is cleared afterwards.
     """
     if loss.data.size != 1:
         raise TensorError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -263,8 +259,7 @@ def backward(loss: Tensor, tape: Tape, retain: bool = False) -> None:
         for t, gi in zip(node.inputs, grads):
             if gi is not None and t.requires_grad:
                 t.accumulate_grad(gi)
-    if not retain:
-        tape.clear()
+    tape.nodes.clear()
 
 
 class ParamGroup:

@@ -103,6 +103,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("version = 1\nlr_phase1 = -0.1")
 
+    @pytest.mark.parametrize("key", ["lr_phase1", "lr_phase2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lr_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and non-negative"):
+            parse_config(f"version = 1\n{key} = {value}")
+
+    @pytest.mark.parametrize("key", ["weight_cls", "weight_det", "weight_part", "weight_bbox"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_loss_weight_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and non-negative"):
+            parse_config(f"version = 1\n{key} = {value}")
+
     def test_lr_schedule(self):
         cfg = small_config(epochs_phase1=2, epochs_phase2=3)
         assert [cfg.lr_for_epoch(e) for e in range(5)] == [1e-3, 1e-3, 1e-4, 1e-4, 1e-4]
@@ -167,7 +179,8 @@ class TestCheckpoints:
         config = small_config(epochs_phase1=2, epochs_phase2=2)
         full = train(config, SMALL_SPEC, SMALL_SCENES)
 
-        partial = train(config, SMALL_SPEC, SMALL_SCENES, stop_after_epoch=2)
+        # The first two epochs of `config`, stopped at the phase boundary.
+        partial = train(small_config(epochs_phase1=2, epochs_phase2=0), SMALL_SPEC, SMALL_SCENES)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(partial, path)
         resumed = train(
@@ -340,10 +353,11 @@ class TestIndependentNets:
         assert set(configs) == {"cls", "det", "part"}
         cfg = build_task_config(small_config(), SMALL_SPEC, SMALL_SCENES)
         for task, config in configs.items():
+            assert config.mode == "shared"
             assert harness._active_decode_tasks(config, cfg) == (task,)
 
     def test_part_only_loss_has_no_det_term(self):
-        config = small_config(mode="independent", weight_cls=0.0, weight_det=0.0)
+        config = small_config(mode="shared", weight_cls=0.0, weight_det=0.0)
         cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
         net = Multinet(cfg, seed=0)
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
@@ -571,6 +585,43 @@ class TestCli:
         ])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_negative_sweep_depth_reports_error(self, workdir, capsys):
+        ds, ckpt, out = workdir / "d.bin", workdir / "m.ckpt", workdir / "sweep.csv"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                  "--out", str(ckpt)])
+        capsys.readouterr()
+        code = cli.main(["sweep", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                         "--t-max", "-1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "iteration count must be non-negative, got -1" in json.loads(err[0])["error"]
+        assert not out.exists()
+
+    def test_compare_writes_table_and_rows(self, workdir, capsys):
+        (workdir / "data.cfg").write_text(DATASET_CFG.replace("scenes = 6", "scenes = 8"))
+        (workdir / "run.cfg").write_text(RUN_CFG + "seeds = 0\n")
+        train_ds, val_ds = workdir / "train.bin", workdir / "val.bin"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(train_ds)])
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--seed", "6",
+                  "--out", str(val_ds)])
+        table, out = workdir / "compare.md", workdir / "compare.csv"
+        assert cli.main([
+            "compare", "--config", str(workdir / "run.cfg"), "--dataset", str(train_ds),
+            "--val-dataset", str(val_ds), "--out", str(out), "--table", str(table),
+        ]) == 0
+        capsys.readouterr()
+        lines = table.read_text().splitlines()
+        assert lines[0] == "| Method | cls mAP | det AP@0.5 | part AP@0.4 |"
+        assert lines[1] == "|---|---|---|---|"
+        names = ["Independent", "Multi-task", "Ours (stack)", "Ours (with bottleneck)"]
+        assert [line.split(" | ")[0] for line in lines[2:]] == ["| " + n for n in names]
+        rows = out.read_text().splitlines()
+        assert rows[0].split(",") == tasks.METRIC_CSV_COLUMNS
+        modes = [row.split(",")[1] for row in rows[1:]]
+        assert list(dict.fromkeys(modes)) == ["independent", "shared", "update1", "update2"]
 
     def test_generate_is_deterministic(self, workdir, capsys):
         a, b = workdir / "a.bin", workdir / "b.bin"

@@ -236,12 +236,16 @@ class TestStructure:
         with pytest.raises(ValueError):
             small_cfg(mode="update3")
 
+    @pytest.mark.parametrize("name", ["channels", "cls_hidden", "region_hidden", "spp_grid"])
+    def test_layer_size_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+            small_cfg(**{name: 0})
+
     # SHA-256 over (name, float64 bytes) of every parameter of
     # Multinet(small_cfg(mode=mode), seed=0), in creation order. Init calls
     # no BLAS, so the digest is machine-independent; a reordered, renamed or
     # re-drawn parameter changes it.
     INIT_PINS = {
-        "independent": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
         "shared": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
         "update1": "88acef41a52e211c30b4685fa7b661d2be030f4888fbe396e41dfdf7d37a521a",
         "update2": "372713097235067529b7d0ceb29c01da64e8e3409b8a5723b80dfcdde5065401",
@@ -262,7 +266,7 @@ class TestForward:
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
-        assert [o.t for o in outs] == [0, 1, 2, 3]
+        assert len(outs) == 4
 
     def test_output_shapes(self):
         cfg = small_cfg()
@@ -274,6 +278,14 @@ class TestForward:
         assert out.regions["det"][1].data.shape == (cfg.m, 4 * (cfg.c_cls + 1))
         assert out.regions["part"][0].data.shape == (cfg.m, cfg.c_part + 1)
         np.testing.assert_allclose(out.regions["det"][0].data.sum(axis=1), np.ones(cfg.m), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_negative_iteration_count_rejected(self, mode):
+        cfg = small_cfg(mode=mode)
+        net = Multinet(cfg, seed=0)
+        img, boxes = small_inputs(cfg)
+        with pytest.raises(ValueError, match="iteration count must be non-negative, got -1"):
+            net.forward(img, boxes, n_iters=-1)
 
     def test_wrong_region_count_rejected(self):
         cfg = small_cfg()
@@ -337,7 +349,7 @@ class TestForward:
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
         fc1 = {task: whole_fc1(net, h1, boxes, task) for task in ("det", "part")}
-        manual = net._decode_all(h1, fc1, 1, ("cls", "det", "part"))
+        manual = net._decode_all(h1, fc1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
@@ -473,7 +485,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=9)
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
-        grounded = net.forward(img, boxes, ground={"cls": outs[0].x_cls.data}, n_iters=1)
+        grounded = net.forward(img, boxes, ground_cls=outs[0].x_cls.data, n_iters=1)
         np.testing.assert_allclose(grounded[1].x_cls.data, outs[1].x_cls.data, atol=1e-14)
         np.testing.assert_allclose(grounded[1].regions["det"][0].data, outs[1].regions["det"][0].data, atol=1e-14)
 
@@ -483,7 +495,7 @@ class TestGrounding:
         img, boxes = small_inputs(cfg)
         outs = net.forward(img, boxes)
         flipped = 1.0 - outs[0].x_cls.data
-        grounded = net.forward(img, boxes, ground={"cls": flipped}, n_iters=1)
+        grounded = net.forward(img, boxes, ground_cls=flipped, n_iters=1)
         assert not np.allclose(grounded[1].x_cls.data, outs[1].x_cls.data)
 
     def test_grounded_truth_reencoded_every_iteration(self):
@@ -493,7 +505,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=11)
         img, boxes = small_inputs(cfg)
         truth = np.array([1.0, 0.0, 1.0])
-        outs = net.forward(img, boxes, ground={"cls": truth}, n_iters=1)
+        outs = net.forward(img, boxes, ground_cls=truth, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
         fps = feature_footprints(boxes, cfg.stride, hh, ww)
@@ -501,7 +513,7 @@ class TestGrounding:
         r_det = encode_det(outs[0].regions["det"][0], fps, hh, ww)
         r_part = encode_det(outs[0].regions["part"][0], fps, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
-        manual = net._decode_all(h1, {}, 1, ("cls",))
+        manual = net._decode_all(h1, {}, ("cls",))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
 
     def test_bad_ground_shape_rejected(self):
@@ -509,43 +521,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(TensorError):
-            net.forward(img, boxes, ground={"cls": np.zeros(7)}, n_iters=1)
-
-    @pytest.mark.parametrize("mode", ["update1", "update2"])
-    @pytest.mark.parametrize("task", ["det", "part"])
-    def test_grounding_region_with_own_prediction_is_identity(self, task, mode):
-        cfg = small_cfg(t=1, mode=mode)
-        net = Multinet(cfg, seed=9)
-        img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
-        own = outs[0].regions[task][0].data
-        grounded = net.forward(img, boxes, ground={task: own}, n_iters=1)
-        np.testing.assert_array_equal(grounded[1].x_cls.data, outs[1].x_cls.data)
-        for name in cfg.region_classes:
-            for a, b in zip(grounded[1].regions[name], outs[1].regions[name]):
-                np.testing.assert_array_equal(a.data, b.data)
-
-    @pytest.mark.parametrize("task", ["det", "part"])
-    def test_bad_region_ground_shape_rejected(self, task):
-        cfg = small_cfg(t=1)
-        net = Multinet(cfg, seed=0)
-        img, boxes = small_inputs(cfg)
-        with pytest.raises(TensorError, match=f"grounded {task} label"):
-            net.forward(img, boxes, ground={task: np.zeros((cfg.m, 2))}, n_iters=1)
-
-    def test_unknown_ground_task_rejected(self):
-        cfg = small_cfg(t=1)
-        net = Multinet(cfg, seed=0)
-        img, boxes = small_inputs(cfg)
-        with pytest.raises(ValueError):
-            net.forward(img, boxes, ground={"segmentation": np.zeros(3)})
-
-    def test_ground_disabled_part_task_rejected(self):
-        cfg = small_cfg(t=1, c_part=0)
-        net = Multinet(cfg, seed=0)
-        img, boxes = small_inputs(cfg)
-        with pytest.raises(ValueError):
-            net.forward(img, boxes, ground={"part": np.zeros((cfg.m, 5))}, n_iters=1)
+            net.forward(img, boxes, ground_cls=np.zeros(7), n_iters=1)
 
 
 def whole_fc1(net, h, boxes, task):
@@ -556,47 +532,45 @@ def whole_fc1(net, h, boxes, task):
     return nnops.fully_connected(flat, net.region_heads[task]["fc1"])
 
 
-def forward_oracle(net, img, boxes, ground=None, n_iters=None, decode_tasks=None):
+def forward_oracle(net, img, boxes, ground_cls=None, n_iters=None, decode_tasks=None):
     """The iteration schedule of `Multinet.forward` built from its public
     pieces, with every region head pooling the full map `h` on its own and
     decoding it through its unsplit fc1."""
     cfg = net.cfg
-    ground = ground or {}
     r_img = net.encode_image(img)
     hh, ww = r_img.data.shape[:2]
-    if cfg.mode in ("independent", "shared"):
+    if cfg.mode == "shared":
         n_iters = 0
     n_iters = cfg.t if n_iters is None else n_iters
     all_tasks = ("cls", *cfg.region_classes)
     tasks = all_tasks if n_iters or decode_tasks is None else decode_tasks
 
-    def decode(h, t, tasks):
+    def decode(h, tasks):
         x_cls = net.decode_cls(h) if "cls" in tasks else None
         regions = {
             task: net.decode_regions(whole_fc1(net, h, boxes, task), task)
             for task in cfg.region_classes if task in tasks
         }
-        return MultinetOutput(t, x_cls, regions)
+        return MultinetOutput(x_cls, regions)
 
-    def label(task, pred):
-        if task in ground:
-            return Tensor(np.asarray(ground[task], dtype=np.float64))
+    def label(pred):
         return pred.detach() if cfg.truncate_feedback else pred
 
     h = r_img
     if cfg.mode != "update2":
         h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
-    outs = [decode(h, 0, tasks)]
+    outs = [decode(h, tasks)]
     fps = feature_footprints(boxes, cfg.stride, hh, ww)
-    for t in range(1, n_iters + 1):
+    for _ in range(n_iters):
         prev = outs[-1]
-        maps = [encode_cls(label("cls", prev.x_cls), hh, ww)]
-        maps += [encode_det(label(task, x[0]), fps, hh, ww) for task, x in prev.regions.items()]
+        x_cls = label(prev.x_cls) if ground_cls is None else Tensor(ground_cls)
+        maps = [encode_cls(x_cls, hh, ww)]
+        maps += [encode_det(label(x[0]), fps, hh, ww) for x in prev.regions.values()]
         if cfg.mode == "update1":
             h = integrate_stack(r_img, *maps)
         else:
             h = integrate_bottleneck(net, h, r_img, *maps)
-        outs.append(decode(h, t, all_tasks))
+        outs.append(decode(h, all_tasks))
     return outs
 
 
@@ -621,20 +595,20 @@ def weighted_sum(tensors, seed=0):
 
 # (mode, TaskConfig overrides, forward kwargs)
 POOL_ONCE_CASES = [
-    ("independent", {}, {}),
-    ("independent", {}, {"decode_tasks": ("cls",)}),
-    ("independent", {}, {"decode_tasks": ("det",)}),
-    ("independent", {}, {"decode_tasks": ("part",)}),
+    ("shared", {}, {"decode_tasks": ("cls", "det", "part")}),
+    ("shared", {}, {"decode_tasks": ("cls",)}),
+    ("shared", {}, {"decode_tasks": ("det",)}),
+    ("shared", {}, {"decode_tasks": ("part",)}),
     ("shared", {}, {}),
     ("shared", {"c_part": 0}, {}),
     ("update1", {}, {}),
     ("update1", {"truncate_feedback": True}, {}),
     ("update1", {"c_part": 0}, {"n_iters": 3}),
-    ("update1", {}, {"ground": "cls"}),
-    ("update1", {}, {"ground": "det"}),
+    ("update1", {}, {"ground_cls": True}),
+    ("update1", {"truncate_feedback": True}, {"ground_cls": True}),
     ("update2", {}, {}),
     ("update2", {"truncate_feedback": True}, {}),
-    ("update2", {}, {"ground": "part"}),
+    ("update2", {}, {"ground_cls": True}),
 ]
 
 
@@ -643,11 +617,8 @@ def pool_once_setup(mode, overrides, kwargs):
     net = Multinet(cfg, seed=5)
     img, boxes = small_inputs(cfg, seed=2)
     kwargs = dict(kwargs)
-    if "ground" in kwargs:
-        r = np.random.default_rng(1)
-        task = kwargs["ground"]
-        shape = (cfg.c_cls,) if task == "cls" else (cfg.m, cfg.region_classes[task] + 1)
-        kwargs["ground"] = {task: r.uniform(size=shape)}
+    if "ground_cls" in kwargs:
+        kwargs["ground_cls"] = np.random.default_rng(1).uniform(size=cfg.c_cls)
     return net, img, boxes, kwargs
 
 
@@ -693,7 +664,7 @@ class TestPoolOnce:
     @pytest.mark.parametrize(
         "mode,decode_tasks,widths",
         [("update1", None, ["C", "task", "task"]), ("shared", None, ["C"]),
-         ("update2", None, ["C", "C", "C"]), ("independent", ("cls",), [])],
+         ("update2", None, ["C", "C", "C"]), ("shared", ("cls",), [])],
     )
     def test_spp_calls_per_forward(self, monkeypatch, mode, decode_tasks, widths):
         # update1 pools the C image channels once and only the task block
@@ -717,8 +688,8 @@ class TestPoolOnce:
         "mode,decode_tasks,steps",
         [("update1", None, ["img", "decode", "task", "decode", "task", "decode"]),
          ("shared", None, ["img", "decode"]),
-         ("independent", ("det",), ["img", "decode"]),
-         ("independent", ("cls",), []),
+         ("shared", ("det",), ["img", "decode"]),
+         ("shared", ("cls",), []),
          ("update2", None, ["whole", "decode"] * 3)],
     )
     def test_fc1_products_per_forward(self, monkeypatch, mode, decode_tasks, steps):
