@@ -77,6 +77,14 @@ class RunConfig:
     truncate_feedback: bool = False
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        try:
+            seeds = self.seed_list()
+        except ValueError:
+            seeds = []
+        if not seeds:
+            raise ConfigError(f"seeds must be a comma-separated list of integers, got {self.seeds!r}")
         for name in ("lr_phase1", "lr_phase2", "weight_cls", "weight_det", "weight_part",
                      "weight_bbox"):
             value = getattr(self, name)

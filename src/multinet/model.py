@@ -56,8 +56,9 @@ class TaskConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.c_cls < 1 or self.c_part < 0 or self.m < 1 or self.t < 0:
-            raise ValueError("invalid task configuration")
+        for name, low in (("c_cls", 1), ("c_part", 0), ("m", 1), ("t", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("channels", "cls_hidden", "region_hidden", "spp_grid"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

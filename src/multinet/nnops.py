@@ -3,6 +3,12 @@
 Feature maps are H x W x C float64 arrays. Convolution uses an im2col
 lowering; pooling ops route gradients to the first (row-major) argmax so
 backward passes are deterministic even on tied values.
+
+`max_pool2d` copies no window: its forward is a running `np.maximum` over
+the window x window strided views of the input (one per offset in the
+window, row-major), which keeps the earlier value on ties, and its
+backward scans the same views in the same order and routes each window's
+gradient to the first one that equals the maximum.
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ def _im2col_indices(hp, wp, cin, k, stride, ho, wo):
 
 
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """2-D cross-correlation plus bias; differentiable in x, filters, bias."""
+    """2-D cross-correlation plus bias; differentiable in x, filters, bias
+    (no gradient is computed for an x that needs none)."""
     h, w, cin = x.data.shape
     k, k2, fcin, cout = layer.filters.data.shape
     if k != k2:
@@ -94,6 +101,8 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         gm = g.reshape(ho * wo, cout)
         gw = (cols.T @ gm).reshape(k, k, cin, cout)
         gb = gm.sum(axis=0)
+        if not x.requires_grad:  # the image: no col2im scatter
+            return (None, gw, gb)
         gcols = gm @ wmat.T
         gxp = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=hp * wp * cin)
         gxp = gxp.reshape(hp, wp, cin)
@@ -149,20 +158,34 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise TensorError(f"max_pool2d: window {window} invalid for {h}x{w} input")
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(0, 1))
-    win = win[::stride, ::stride]  # (ho, wo, c, window, window)
-    # Reorder so the flattened window axis is row-major in (du, dv).
-    flat = win.transpose(0, 1, 3, 4, 2).reshape(ho, wo, window * window, c)
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    # Window offsets, row-major; offset (du, dv) of every window is one
+    # strided (ho, wo, c) view of the map.
+    offsets = [(du, dv) for du in range(window) for dv in range(window)]
+
+    def view(a, du, dv):
+        return a[du : du + stride * (ho - 1) + 1 : stride, dv : dv + stride * (wo - 1) + 1 : stride]
+
+    out = view(x.data, 0, 0).copy()
+    for du, dv in offsets[1:]:
+        np.maximum(view(x.data, du, dv), out, out=out)  # a tie keeps `out`
 
     def bwd(g):
-        ii = (np.arange(ho) * stride)[:, None, None]
-        jj = (np.arange(wo) * stride)[None, :, None]
-        du, dv = arg // window, arg % window
-        lin = ((ii + du) * w + (jj + dv)) * c + np.arange(c)[None, None, :]
-        gx = np.bincount(lin.ravel(), weights=g.ravel(), minlength=h * w * c)
-        return (gx.reshape(h, w, c),)
+        left = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        hits = []
+        for du, dv in offsets[:-1]:
+            hit = view(x.data, du, dv) == out
+            hit &= left
+            left ^= hit
+            hits.append(hit)
+        hits.append(left)  # the last offset holds the max of every window left
+        gx = np.zeros((h, w, c))
+        # Later offsets first, so each cell sums its windows in row-major
+        # order as one scatter over the windows would; adding the 0 of a
+        # window that routes elsewhere changes no sum.
+        for (du, dv), hit in zip(reversed(offsets), reversed(hits)):
+            gv = view(gx, du, dv)
+            gv += g * hit
+        return (gx,)
 
     return make_op(out, (x,), bwd, "max_pool2d")
 
@@ -256,21 +279,40 @@ def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     return reshape(pooled, pooled.data.shape[1:])
 
 
-def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
-    """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
-    tape node: a row gather per bin cell, a strict-`>` scan, one scatter."""
-    hh, ww, c = h.data.shape
-    g = grid.grid_size
+# Cell indices of the last box set `spp_pool_regions` pooled, keyed by the
+# boxes' bytes, dtype and shape, the grid and the map shape.
+_SPP_CELLS: dict = {}
+
+
+def _spp_cells(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> np.ndarray:
+    """(M, g, g, L) flat cell indices of every bin's candidates, row-major
+    in each bin, built once per box set. Boxes byte-equal to the memo's key
+    passed the degenerate and non-finite check when it was built."""
+    key = (boxes.tobytes(), boxes.dtype.str, boxes.shape, grid, hh, ww)
+    hit = _SPP_CELLS.get(key)
+    if hit is not None:
+        return hit
     x1, y1, x2, y2 = boxes.T
     bad = np.nonzero(~np.isfinite(boxes).all(axis=1) | (x2 <= x1) | (y2 <= y1))[0]
     if bad.size:
         i = int(bad[0])
         raise TensorError(f"spp_pool: degenerate/non-finite box {boxes[i].tolist()} (region {i})")
+    g = grid.grid_size
     fp = feature_footprints(boxes, grid.feature_stride, hh, ww)
     ridx = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
     cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
-    cells = cells.reshape(len(boxes), g, g, -1)  # (M, g, g, Lr*Lc), row-major in each bin
+    cells = cells.reshape(len(boxes), g, g, -1)
+    _SPP_CELLS.clear()
+    _SPP_CELLS[key] = cells
+    return cells
+
+
+def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
+    """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
+    tape node: a row gather per bin cell, a strict-`>` scan, one scatter."""
+    hh, ww, c = h.data.shape
+    cells = _spp_cells(boxes, grid, hh, ww)
     rows = h.data.reshape(hh * ww, c)
     out = rows[cells[..., 0]]
     win = cells[..., :1]  # winning cell of each bin and channel (broadcast until one differs)

@@ -67,12 +67,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -127,8 +121,14 @@ def make_op(
     """Wrap an op result, recording it on the active tape when needed.
 
     `backward_fn(grad_out)` must return one gradient array (or None) per
-    input, in order. Upper layers (nnops, model, tasks) use this hook to
-    define fused ops with hand-written adjoints.
+    input, in order. It may return `grad_out` itself or views of it, and
+    the same array for several inputs; `backward` copies those. Any other
+    array it returns must be new and not kept by the op, because `backward`
+    may take it as the input's gradient buffer and add into it later. An op
+    may instead add its gradient into an input's existing buffer itself
+    and return None for that input (`take_rows` does). Upper layers
+    (nnops, model, tasks) use this hook to define fused ops with
+    hand-written adjoints.
     """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
@@ -201,8 +201,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select distinct rows of a tensor; the gradient is assigned back to
-    them (zero elsewhere). A repeated row raises TensorError."""
+    """Select distinct rows of a tensor. The backward adds the gradient
+    into those rows of `a.grad` in place; only a source without a grad
+    buffer yet gets a new one (zero outside the rows). A repeated row
+    raises TensorError."""
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
@@ -210,6 +212,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
         raise TensorError(f"take_rows: repeated rows in {idx.size} indices")
 
     def bwd(g):
+        if a.grad is not None:
+            a.grad[idx] += g
+            return (None,)
         ga = np.zeros(shape)
         ga[idx] = g
         return (ga,)
@@ -242,23 +247,51 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(data, (a,), bwd, "sum_all")
 
 
+def _owned(gi, g: np.ndarray, grads, i: int) -> bool:
+    """Whether `backward` may keep gradient `gi` (entry i of `grads`, the
+    gradients a node returned for incoming gradient `g`) as a buffer: a
+    writeable C-contiguous float64 array sharing no memory with `g` or with
+    another entry. Anything else is copied, as it aliases a buffer that is
+    still read or added to (reshape views, `add` handing `g` to both
+    inputs), or has a layout the copy would change."""
+    if not (isinstance(gi, np.ndarray) and gi.dtype == np.float64
+            and gi.flags.c_contiguous and gi.flags.writeable):
+        return False
+    if np.may_share_memory(gi, g):
+        return False
+    return not any(j != i and isinstance(o, np.ndarray) and np.may_share_memory(gi, o)
+                   for j, o in enumerate(grads))
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate grads of all requires_grad ancestors of loss.
 
     Gradients add onto existing buffers (sum semantics); callers zero
-    parameter grads between steps. The tape is cleared afterwards.
+    parameter grads between steps. An input without a buffer takes the
+    first gradient it gets as its buffer when that array aliases nothing
+    else (see `_owned`), and a copy of it otherwise, so no two tensors'
+    grads share memory. The tape is cleared afterwards.
     """
     if loss.data.size != 1:
         raise TensorError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    loss.accumulate_grad(np.ones_like(loss.data))
+    if loss.grad is None:
+        loss.grad = np.ones_like(loss.data)
+    else:
+        loss.grad += 1.0
     for node in reversed(tape.nodes):
         g = node.out.grad
         if g is None:
             continue
-        grads = node.backward_fn(g)
-        for t, gi in zip(node.inputs, grads):
-            if gi is not None and t.requires_grad:
-                t.accumulate_grad(gi)
+        grads = tuple(node.backward_fn(g))
+        for i, (t, gi) in enumerate(zip(node.inputs, grads)):
+            if gi is None or not t.requires_grad:
+                continue
+            if t.grad is not None:
+                t.grad += gi
+            elif _owned(gi, g, grads, i):
+                t.grad = gi
+            else:
+                t.grad = np.array(gi, dtype=np.float64)
     tape.nodes.clear()
 
 

@@ -115,6 +115,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{key} must be finite and non-negative"):
             parse_config(f"version = 1\n{key} = {value}")
 
+    @pytest.mark.parametrize("value", ["", " , ", "0,x", "1.5", "0,,two"])
+    def test_bad_seeds_rejected(self, value):
+        with pytest.raises(ConfigError, match="^seeds must be a comma-separated list of integers"):
+            parse_config(f"version = 1\nseeds = {value}")
+
+    def test_seeds_parse(self):
+        assert parse_config("version = 1\nseeds = 3, 1,").seed_list() == [3, 1]
+
+    @pytest.mark.parametrize("mode", ["independent", "update3", ""])
+    def test_unknown_mode_rejected_at_parse(self, mode):
+        with pytest.raises(ConfigError, match=f"^mode must be one of shared, update1, update2, got {mode!r}$"):
+            parse_config(f"version = 1\nmode = {mode}")
+
     def test_lr_schedule(self):
         cfg = small_config(epochs_phase1=2, epochs_phase2=3)
         assert [cfg.lr_for_epoch(e) for e in range(5)] == [1e-3, 1e-3, 1e-4, 1e-4, 1e-4]
@@ -622,6 +635,39 @@ class TestCli:
         assert rows[0].split(",") == tasks.METRIC_CSV_COLUMNS
         modes = [row.split(",")[1] for row in rows[1:]]
         assert list(dict.fromkeys(modes)) == ["independent", "shared", "update1", "update2"]
+
+    def test_compare_without_seeds_fails_before_training(self, workdir, capsys):
+        (workdir / "run.cfg").write_text(RUN_CFG + "seeds =\n")
+        out = workdir / "compare.csv"
+        code = cli.main([
+            "compare", "--config", str(workdir / "run.cfg"), "--dataset", str(workdir / "d.bin"),
+            "--val-dataset", str(workdir / "v.bin"), "--out", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["kind"] == "ConfigError"
+        assert payload["error"].startswith("seeds must be")
+        assert not out.exists()
+
+    def test_train_independent_mode_fails_before_reading_dataset(self, workdir, capsys):
+        # The dataset does not exist: the mode is refused first.
+        code = cli.main([
+            "train", "--config", str(workdir / "run.cfg"), "--dataset", str(workdir / "d.bin"),
+            "--mode", "independent", "--out", str(workdir / "m.ckpt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload == {
+            "error": "mode must be one of shared, update1, update2, got 'independent'",
+            "kind": "ConfigError",
+        }
+        assert not (workdir / "m.ckpt").exists()
 
     def test_generate_is_deterministic(self, workdir, capsys):
         a, b = workdir / "a.bin", workdir / "b.bin"

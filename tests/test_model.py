@@ -236,6 +236,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             small_cfg(mode="update3")
 
+    @pytest.mark.parametrize("name,value,low", [
+        ("t", -1, 0), ("m", 0, 1), ("c_cls", 0, 1), ("c_part", -1, 0),
+    ])
+    def test_bad_task_field_named(self, name, value, low):
+        with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {value}$"):
+            small_cfg(**{name: value})
+
     @pytest.mark.parametrize("name", ["channels", "cls_hidden", "region_hidden", "spp_grid"])
     def test_layer_size_below_one_rejected(self, name):
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):

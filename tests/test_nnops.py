@@ -95,6 +95,24 @@ class TestConv2d:
 
         check_grads(build, [x, f, b])
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_input_without_gradient_skips_it(self, pad, rng):
+        # An input that needs no gradient (the image at conv1) gets None;
+        # the filter and bias gradients do not change.
+        x = rng.normal(size=(6, 5, 2))
+        layer = ConvLayer(Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
+                          Tensor(rng.normal(size=4), requires_grad=True), padding=pad)
+        g = rng.normal(size=(4 + 2 * pad, 3 + 2 * pad, 4))
+
+        def grads(needs):
+            with Tape() as tape:
+                conv2d(Tensor(x, requires_grad=needs), layer)
+            return tape.nodes[0].backward_fn(g)
+
+        (gx, gw, gb), (gx0, gw0, gb0) = grads(True), grads(False)
+        assert gx.shape == x.shape and gx0 is None
+        assert gw0.tobytes() == gw.tobytes() and gb0.tobytes() == gb.tobytes()
+
     def test_channel_mismatch(self):
         layer = ConvLayer(Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1)))
         with pytest.raises(TensorError, match="channels"):
@@ -165,6 +183,25 @@ def maxpool_oracle(x, window, stride):
     return out
 
 
+def maxpool_argmax_oracle(x, window, stride, g):
+    """Loop form of the argmax max-pool kernel: each window's output is
+    the value at its first row-major argmax, and its gradient is added
+    there, windows taken in row-major order from a zero map."""
+    h, w, c = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    out = np.zeros((ho, wo, c))
+    gx = np.zeros((h, w, c))
+    for i in range(ho):
+        for j in range(wo):
+            for ch in range(c):
+                patch = x[i * stride : i * stride + window, j * stride : j * stride + window, ch]
+                du, dv = divmod(int(patch.argmax()), window)
+                out[i, j, ch] = patch[du, dv]
+                gx[i * stride + du, j * stride + dv, ch] += g[i, j, ch]
+    return out, gx
+
+
 class TestPooling:
     def test_constant_map(self):
         out = max_pool2d(Tensor(np.full((4, 4, 2), 3.0)), 2, 2)
@@ -190,6 +227,32 @@ class TestPooling:
         expect = np.zeros((2, 2, 1))
         expect[0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expect)
+
+    @pytest.mark.parametrize("shape,win,stride", [
+        ((8, 8, 3), 2, 2), ((7, 9, 2), 2, 2), ((7, 7, 2), 3, 2), ((9, 8, 3), 3, 2),
+        ((6, 5, 2), 3, 1), ((5, 7, 3), 2, 1), ((4, 4, 1), 4, 4), ((5, 5, 2), 1, 1),
+    ])
+    @pytest.mark.parametrize("values", ["normal", "ties", "signed_zeros"])
+    def test_bytes_match_argmax_oracle(self, shape, win, stride, values, rng):
+        # Ties inside windows (small integers; zeros of both signs) and
+        # overlapping windows (stride < window), where a cell takes the
+        # gradient of several windows, pin the forward value of the first
+        # maximum and the order in which a cell's gradients are summed.
+        if values == "normal":
+            x = rng.normal(size=shape)
+        elif values == "ties":
+            x = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            x = rng.choice([-0.0, 0.0, 0.0, 1.0], size=shape)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = max_pool2d(xt, win, stride)
+        g = rng.normal(size=out.data.shape)
+        g.ravel()[::5] = -0.0
+        want_out, want_gx = maxpool_argmax_oracle(x, win, stride, g)
+        (gx,) = tape.nodes[0].backward_fn(g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
 
     @pytest.mark.parametrize("shape,win,stride", [
         ((6, 6, 2), 2, 2), ((5, 5, 1), 3, 1), ((4, 4, 3), 2, 1), ((8, 8, 1), 2, 2), ((6, 4, 2), 2, 2),
@@ -414,6 +477,22 @@ class TestSpp:
             spp_pool_regions(
                 Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), SppGrid(2, 8)
             )
+
+    def test_cell_memo_follows_box_bytes_and_map_shape(self, rng):
+        # The cell indices are kept for the last box set; a box set changed
+        # in place, or a map of another shape, is indexed (and checked)
+        # again.
+        boxes = random_boxes(rng, 6, 64)
+        x8, x4 = rng.normal(size=(8, 8, 3)), rng.normal(size=(4, 4, 3))
+        first = spp_pool_regions(Tensor(x8), boxes, SppGrid(3, 8)).data
+        again = spp_pool_regions(Tensor(x8), boxes.copy(), SppGrid(3, 8)).data
+        assert again.tobytes() == first.tobytes()
+        small = spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
+        for i, box in enumerate(boxes):
+            np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3))
+        boxes[4, 2] = boxes[4, 0]
+        with pytest.raises(TensorError, match="region 4"):
+            spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16))
 
     @pytest.mark.parametrize("coord", range(4))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multinet import tensor as T
+from multinet.nnops import stack_channels
 from multinet.tensor import (
     ParamGroup,
     Tape,
@@ -103,8 +104,9 @@ class TestReshapeAndIndexing:
 
     @pytest.mark.parametrize("idx", [[0, 0, 2], [3, 1, -1], [1, -3]])
     def test_take_rows_rejects_repeated_rows(self, idx):
-        # The backward assigns each row's gradient, so a row taken twice
-        # would lose one of its gradients; it is refused up front.
+        # The backward adds into the taken rows with one fancy-index update,
+        # so a row taken twice would lose one of its gradients; it is
+        # refused up front.
         with pytest.raises(TensorError, match="repeated rows"):
             take_rows(Tensor(np.ones((4, 2))), idx)
 
@@ -113,6 +115,26 @@ class TestReshapeAndIndexing:
         a = rng.normal(size=(6, 2))
         w = rng.normal(size=(4, 2))
         check_grads(lambda x: sum_all(take_rows(x, [5, 0, 3, 2]) * Tensor(w)), [a])
+
+    def test_take_rows_gradient_fd_without_buffer(self, rng):
+        # The source is an op output, so it has no grad buffer when the
+        # take_rows backward runs and gets a new one.
+        a = rng.normal(size=(6, 2))
+        w = rng.normal(size=(4, 2))
+        check_grads(lambda x: sum_all(take_rows(x * 2.0, [5, 0, 3, 2]) * Tensor(w)), [a])
+
+    def test_take_rows_adds_into_existing_buffer(self, rng):
+        a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        buf = a.grad
+        buf[:] = 1.0
+        g = rng.normal(size=(2, 3))
+        with Tape() as tape:
+            take_rows(a, [3, 1])
+        assert tape.nodes[0].backward_fn(g) == (None,)
+        assert a.grad is buf
+        expect = np.ones((5, 3))
+        expect[[3, 1]] += g
+        np.testing.assert_array_equal(a.grad, expect)
 
     def test_add_rowvec(self, rng):
         m = rng.normal(size=(4, 3))
@@ -194,6 +216,89 @@ class TestBackward:
             loss = sum_all(t.detach() * t)
             backward(loss, tape)
         np.testing.assert_allclose(t.grad, t.data)  # only the live branch
+
+
+def copying_backward(loss, tape):
+    """The reverse sweep with every first gradient copied: the reference
+    for `backward`, which keeps fresh gradients as buffers."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape.nodes):
+        g = node.out.grad
+        if g is None:
+            continue
+        for t, gi in zip(node.inputs, node.backward_fn(g)):
+            if gi is not None and t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.array(gi, dtype=np.float64)
+                else:
+                    t.grad += gi
+    tape.nodes.clear()
+
+
+# Builders of the ownership cases: x and y need gradients, w1..w3 do not.
+# Each aliasing op reads an op output, which has no grad buffer until the
+# sweep reaches it.
+def _x_plus_x(x, y, w1, w2, w3):
+    t = x * 2.0
+    return sum_all((t + t) * w1)
+
+
+def _add_then_more_gradient(x, y, w1, w2, w3):
+    # a and b get the add node's gradient first in the reverse sweep, then
+    # more from the consumers recorded before it.
+    a, b = x * 2.0, y * 3.0
+    u = sum_all(a * w2) + sum_all(b * w3)
+    return sum_all((a + b) * w1) + u
+
+
+def _reshape_two_consumers(x, y, w1, w2, w3):
+    a = x * 2.0
+    early = sum_all(a * w3)
+    r = reshape(a, (6, 2))
+    return sum_all(r * reshape(w1, (6, 2))) + sum_all(r * reshape(w2, (6, 2))) + early
+
+
+def _stack_same_twice(x, y, w1, w2, w3):
+    a = reshape(x * 1.5, (3, 2, 2))
+    s = stack_channels([a, a])
+    return sum_all(s * reshape(stack_channels([w1, w2]), (3, 2, 4)))
+
+
+def _one_fresh_array_for_two_inputs(x, y, w1, w2, w3):
+    # An op whose backward hands one new array to both of its inputs.
+    a, b = x * 2.0, y * 3.0
+    early = sum_all(a * w2)
+    s = T.make_op(a.data + b.data, (a, b), lambda g: (2.0 * g,) * 2, "double_sum")
+    return sum_all(s * w1) + early
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("build", [
+        _x_plus_x, _add_then_more_gradient, _reshape_two_consumers, _stack_same_twice,
+        _one_fresh_array_for_two_inputs,
+    ])
+    def test_grads_match_copying_reference_and_share_nothing(self, build, rng):
+        arrays = [rng.normal(size=(3, 4)) for _ in range(5)]
+
+        def run(sweep):
+            leaves = [Tensor(a, requires_grad=i < 2) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                loss = build(*leaves)
+                seen = {}
+                for node in tape.nodes:
+                    for t in (node.out, *node.inputs):
+                        if t.requires_grad:
+                            seen[id(t)] = t
+                sweep(loss, tape)
+            return list(seen.values())
+
+        got, want = run(backward), run(copying_backward)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.grad.tobytes() == w.grad.tobytes()
+        for i, a in enumerate(got):
+            for b in got[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
 
 
 class TestSgd:
