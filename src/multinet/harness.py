@@ -222,10 +222,9 @@ def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig, decode_tas
     box regression trains only while that task's own weight is above 0."""
     outputs = model.forward(batch.scene.image, batch.proposals, decode_tasks=decode_tasks)
     terms = []
-    gt_label = batch.scene.img_label.astype(np.float64)
     for out in outputs:
         if out.x_cls is not None and config.weight_cls > 0:
-            terms.append(tasks.bce_multilabel(out.x_cls, gt_label) * config.weight_cls)
+            terms.append(tasks.bce_multilabel(out.x_cls, batch.scene.img_label) * config.weight_cls)
         for task, (scores, deltas) in out.regions.items():
             w = _task_weight(config, task)
             terms.extend(_region_loss(scores, deltas, *batch.regions[task], w,
@@ -348,7 +347,7 @@ def restore_model(ckpt: dict) -> TrainState:
         data, _ = ckpt["params"][name]
         if data.shape != tensor.data.shape:
             raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
-        tensor.data[...] = data
+        tensor.data[...] = data  # rounded to the parameter's dtype, float32
     rng_state = ckpt["rng_state"]
     return TrainState(model, config, ckpt["epoch"], rng_state, list(ckpt.get("history", [])))
 

@@ -122,7 +122,8 @@ def encode_det(x: Tensor, footprints: np.ndarray, h: int, w: int) -> Tensor:
     def bwd(g):
         won = winner >= 0
         lin = (winner * k1 + np.arange(k1))[won]
-        return (np.bincount(lin, weights=g[won], minlength=m * k1).reshape(m, k1),)
+        gx = np.bincount(lin, weights=g[won], minlength=m * k1)
+        return (gx.astype(x.data.dtype, copy=False).reshape(m, k1),)
 
     return make_op(data, (x,), bwd, "encode_det")
 
@@ -141,7 +142,9 @@ class Multinet:
     """The full network for one task configuration.
 
     Parameters are created once and shared across all recurrent iterations,
-    so the parameter count is independent of the recursion depth.
+    so the parameter count is independent of the recursion depth. They are
+    float32: each is drawn in float64 and rounded once, and the network
+    computes in their dtype (`dtype`), to which `forward` casts its inputs.
     """
 
     def __init__(self, cfg: TaskConfig, seed: int = 0):
@@ -189,6 +192,14 @@ class Multinet:
             self.bottleneck = ConvLayer(f, b, stride=1, padding=0)
         else:
             self.bottleneck = None
+        for _, t, _ in self.params.items():
+            t.data = t.data.astype(np.float32)
+            t.grad = np.zeros_like(t.data)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which every op of the network follows."""
+        return self.params["backbone.conv1.filters"].data.dtype
 
     def _fc(self, rng, name, din, dout, he=False, std=0.01):
         w = _he_fc(rng, din, dout) if he else rng_tensor(rng, (din, dout), std)
@@ -207,7 +218,7 @@ class Multinet:
     # ---- encoders -------------------------------------------------------
 
     def encode_image(self, image) -> Tensor:
-        x = image if isinstance(image, Tensor) else Tensor(image)
+        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=self.dtype))
         hin, win = x.data.shape[:2]
         if hin % self.cfg.stride or win % self.cfg.stride:
             raise TensorError(
@@ -277,7 +288,7 @@ class Multinet:
         if n_iters < 0:
             raise ValueError(f"iteration count must be non-negative, got {n_iters}")
         if ground_cls is not None:
-            ground_cls = Tensor(ground_cls)
+            ground_cls = Tensor(np.asarray(ground_cls, dtype=self.dtype))
             if ground_cls.data.shape != (cfg.c_cls,):
                 raise TensorError(
                     f"grounded cls label has shape {ground_cls.data.shape}, expected {(cfg.c_cls,)}"
@@ -304,7 +315,8 @@ class Multinet:
 
         h = r_img
         if stacked:
-            h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
+            zeros = np.zeros((hh, ww, cfg.task_channels), dtype=r_img.data.dtype)
+            h = nnops.stack_channels([r_img, Tensor(zeros)])
             img_rows, task_rows = self._fc1_rows
             x_img = flat(pool(r_img)) if layers else None
             img_fc1 = {
@@ -319,7 +331,8 @@ class Multinet:
             fc1 = whole_fc1(h)
         outputs = [self._decode_all(h, fc1, tasks)]
 
-        footprints = nnops.feature_footprints(boxes, cfg.stride, hh, ww)
+        # The boxes' footprints from their SPP layout, which pooling built.
+        footprints = nnops.spp_layout(boxes, self.grid, hh, ww)[0] if n_iters else None
         for _ in range(n_iters):
             prev = outputs[-1]
             x_cls = self._feedback(prev.x_cls) if ground_cls is None else ground_cls

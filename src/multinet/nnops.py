@@ -1,8 +1,11 @@
 """Neural network layers on top of the tensor engine.
 
-Feature maps are H x W x C float64 arrays. Convolution uses an im2col
-lowering; pooling ops route gradients to the first (row-major) argmax so
-backward passes are deterministic even on tied values.
+Feature maps are H x W x C arrays of the parameters' dtype (float32 for
+the model; see `tensor`): every op computes in the dtype of its inputs,
+forward and backward, and the float64 sums of `np.bincount` scatters are
+rounded back to it. Convolution uses an im2col lowering; pooling ops route
+gradients to the first (row-major) argmax so backward passes are
+deterministic even on tied values.
 
 `max_pool2d` copies no window: its forward is a running `np.maximum` over
 the window x window strided views of the input (one per offset in the
@@ -34,6 +37,7 @@ __all__ = [
     "spp_pool",
     "spp_pool_regions",
     "feature_footprints",
+    "spp_layout",
 ]
 
 
@@ -105,7 +109,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
             return (None, gw, gb)
         gcols = gm @ wmat.T
         gxp = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=hp * wp * cin)
-        gxp = gxp.reshape(hp, wp, cin)
+        gxp = gxp.astype(x.data.dtype, copy=False).reshape(hp, wp, cin)
         gx = gxp[p : p + h, p : p + w] if p else gxp
         return (gx, gw, gb)
 
@@ -178,7 +182,7 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
             left ^= hit
             hits.append(hit)
         hits.append(left)  # the last offset holds the max of every window left
-        gx = np.zeros((h, w, c))
+        gx = np.zeros((h, w, c), dtype=x.data.dtype)
         # Later offsets first, so each cell sums its windows in row-major
         # order as one scatter over the windows would; adding the 0 of a
         # window that routes elsewhere changes no sum.
@@ -198,7 +202,7 @@ def global_max_pool(x: Tensor) -> Tensor:
     out = flat[arg, np.arange(c)]
 
     def bwd(g):
-        gx = np.zeros((h * w, c))
+        gx = np.zeros((h * w, c), dtype=x.data.dtype)
         gx[arg, np.arange(c)] = g
         return (gx.reshape(h, w, c),)
 
@@ -279,17 +283,19 @@ def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     return reshape(pooled, pooled.data.shape[1:])
 
 
-# Cell indices of the last box set `spp_pool_regions` pooled, keyed by the
-# boxes' bytes, dtype and shape, the grid and the map shape.
-_SPP_CELLS: dict = {}
+# Layout of the last box set `spp_layout` built, keyed by the boxes' bytes,
+# dtype and shape, the grid and the map shape.
+_SPP_LAYOUT: dict = {}
 
 
-def _spp_cells(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> np.ndarray:
-    """(M, g, g, L) flat cell indices of every bin's candidates, row-major
-    in each bin, built once per box set. Boxes byte-equal to the memo's key
-    passed the degenerate and non-finite check when it was built."""
+def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
+    """(footprints, cells) of an (M, 4) box set on an hh x ww map, built
+    once per box set: the boxes' `feature_footprints` at the grid's stride,
+    and the (M, g, g, L) flat cell indices of every bin's candidates,
+    row-major in each bin. Boxes byte-equal to the memo's key passed the
+    degenerate and non-finite check when it was built."""
     key = (boxes.tobytes(), boxes.dtype.str, boxes.shape, grid, hh, ww)
-    hit = _SPP_CELLS.get(key)
+    hit = _SPP_LAYOUT.get(key)
     if hit is not None:
         return hit
     x1, y1, x2, y2 = boxes.T
@@ -303,16 +309,16 @@ def _spp_cells(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> np.ndarray
     cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
     cells = cells.reshape(len(boxes), g, g, -1)
-    _SPP_CELLS.clear()
-    _SPP_CELLS[key] = cells
-    return cells
+    _SPP_LAYOUT.clear()
+    _SPP_LAYOUT[key] = fp, cells
+    return fp, cells
 
 
 def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
     """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
     tape node: a row gather per bin cell, a strict-`>` scan, one scatter."""
     hh, ww, c = h.data.shape
-    cells = _spp_cells(boxes, grid, hh, ww)
+    _, cells = spp_layout(boxes, grid, hh, ww)
     rows = h.data.reshape(hh * ww, c)
     out = rows[cells[..., 0]]
     win = cells[..., :1]  # winning cell of each bin and channel (broadcast until one differs)
@@ -325,6 +331,6 @@ def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
     def bwd(gout):
         lin = win * c + np.arange(c)
         gh = np.bincount(lin.ravel(), weights=gout.ravel(), minlength=hh * ww * c)
-        return (gh.reshape(hh, ww, c),)
+        return (gh.astype(h.data.dtype, copy=False).reshape(hh, ww, c),)
 
     return make_op(out, (h,), bwd, "spp_pool_regions")

@@ -97,7 +97,7 @@ def iou(a, b) -> float:
 def bce_multilabel(pred: Tensor, gt) -> Tensor:
     """Multi-label binary cross-entropy over C independent class
     probabilities; logs clamped at 1e-12."""
-    gt = np.asarray(gt, dtype=np.float64)
+    gt = np.asarray(gt, dtype=pred.data.dtype)
     if not np.all((gt == 0) | (gt == 1)):
         raise ValueError("bce_multilabel: ground truth must be binary")
     if gt.shape != pred.data.shape:
@@ -127,7 +127,7 @@ def softmax_ce(scores: Tensor, labels) -> Tensor:
     loss = -np.log(np.maximum(picked, LOG_CLAMP)).mean()
 
     def bwd(g):
-        gs = np.zeros((m, k1))
+        gs = np.zeros((m, k1), dtype=scores.data.dtype)
         gs[np.arange(m), labels] = np.where(
             picked > LOG_CLAMP, -1.0 / (m * picked), 0.0
         )
@@ -171,8 +171,8 @@ def smooth_l1(deltas: Tensor, targets, mask) -> Tensor:
     region; the foreground count is mask.sum() / 4. Zero foreground gives
     loss 0.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    targets = np.asarray(targets, dtype=deltas.data.dtype)
+    mask = np.asarray(mask, dtype=deltas.data.dtype)
     if targets.shape != deltas.data.shape or mask.shape != deltas.data.shape:
         raise TensorError("smooth_l1: shape mismatch between deltas/targets/mask")
     n_fg = mask.sum() / 4.0

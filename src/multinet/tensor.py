@@ -1,8 +1,12 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
-Everything runs in 64-bit precision and single-threaded per tape. Ops only
-record onto a tape when one is active (see `Tape`), so inference code that
-never opens a tape pays no autodiff overhead.
+A tensor holds a float32 or a float64 array, and every op computes in the
+dtype of its inputs, forward and backward, with no branch per dtype. The
+model keeps its parameters in float32 (see `model.Multinet`), so it runs in
+single precision; tests that build float64 tensors check finite differences
+in double precision through the same code. Everything is single-threaded
+per tape. Ops only record onto a tape when one is active (see `Tape`), so
+inference code that never opens a tape pays no autodiff overhead.
 """
 
 from __future__ import annotations
@@ -39,12 +43,15 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """N-dimensional float64 array with an optional gradient buffer."""
+    """N-dimensional float32 or float64 array with an optional gradient
+    buffer of the same dtype. A float32 array stays float32; anything else
+    becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         _check_finite(self.data, "Tensor()")
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
@@ -215,7 +222,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
         if a.grad is not None:
             a.grad[idx] += g
             return (None,)
-        ga = np.zeros(shape)
+        ga = np.zeros(shape, dtype=a.data.dtype)
         ga[idx] = g
         return (ga,)
 
@@ -242,19 +249,20 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def bwd(g):
-        return (np.full(shape, float(g)),)
+        return (np.full(shape, g, dtype=a.data.dtype),)
 
     return make_op(data, (a,), bwd, "sum_all")
 
 
-def _owned(gi, g: np.ndarray, grads, i: int) -> bool:
+def _owned(gi, dtype, g: np.ndarray, grads, i: int) -> bool:
     """Whether `backward` may keep gradient `gi` (entry i of `grads`, the
-    gradients a node returned for incoming gradient `g`) as a buffer: a
-    writeable C-contiguous float64 array sharing no memory with `g` or with
-    another entry. Anything else is copied, as it aliases a buffer that is
-    still read or added to (reshape views, `add` handing `g` to both
-    inputs), or has a layout the copy would change."""
-    if not (isinstance(gi, np.ndarray) and gi.dtype == np.float64
+    gradients a node returned for incoming gradient `g`) as the buffer of
+    an input of dtype `dtype`: a writeable C-contiguous array of that dtype
+    sharing no memory with `g` or with another entry. Anything else is
+    copied, as it aliases a buffer that is still read or added to (reshape
+    views, `add` handing `g` to both inputs), or has a layout or dtype the
+    copy would change."""
+    if not (isinstance(gi, np.ndarray) and gi.dtype == dtype
             and gi.flags.c_contiguous and gi.flags.writeable):
         return False
     if np.may_share_memory(gi, g):
@@ -288,10 +296,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             if t.grad is not None:
                 t.grad += gi
-            elif _owned(gi, g, grads, i):
+            elif _owned(gi, t.data.dtype, g, grads, i):
                 t.grad = gi
             else:
-                t.grad = np.array(gi, dtype=np.float64)
+                t.grad = np.array(gi, dtype=t.data.dtype)
     tape.nodes.clear()
 
 

@@ -55,6 +55,16 @@ def check_grads(build, arrays, tol=1e-4, eps=1e-5):
     return worst
 
 
+def as_float64(net):
+    """Cast a Multinet's parameters to float64 in place, with zeroed grads,
+    and return it. Every op follows its inputs' dtype and the network casts
+    its inputs to the parameters', so the same code then runs in float64."""
+    for _, t, _ in net.params.items():
+        t.data = t.data.astype(np.float64)
+        t.grad = np.zeros_like(t.data)
+    return net
+
+
 def reseal(path, edit):
     """Rewrite a checksummed container with body `edit(body)` and a valid
     SHA-256 trailer, so only the parser can catch the damage."""

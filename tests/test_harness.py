@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multinet import cli, harness, tasks
+from multinet import cli, container, harness, tasks
 from multinet.harness import (
     ConfigError,
     RunConfig,
@@ -28,7 +29,7 @@ from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import Tape, backward, take_rows
 
-from conftest import reseal
+from conftest import as_float64, reseal
 from test_synthdata import label_offset, patched, record_offsets
 
 
@@ -230,9 +231,30 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_resave_reproduces_committed_bytes(self, tmp_path):
+        # The committed checkpoint holds float64 parameters; they load
+        # rounded to float32 and are written back as `<f8` again. The
+        # re-save is the committed body with each parameter value replaced
+        # by its float32 rounding, every other byte kept, and a second
+        # load and save is byte-identical.
+        r = container.Reader(COMMITTED_CKPT, harness.CKPT_MAGIC, harness.CKPT_VERSION,
+                             TrainingError, "checkpoint")
+        want = bytearray(r.data)
+        r.blob()
+        for _ in range(r.u32()):
+            r.blob()
+            r.unpack("<d")
+            shape = r.unpack(f"<{r.u32()}I")
+            start = r.pos
+            rounded = r.f8(shape).astype(np.float32)
+            want[start : r.pos] = container.f8(rounded)
+        r.done()
+        assert want != r.data
         path = tmp_path / "c.ckpt"
         save_checkpoint(restore_model(load_checkpoint(COMMITTED_CKPT)), path)
-        assert path.read_bytes() == COMMITTED_CKPT.read_bytes()
+        assert path.read_bytes() == bytes(want) + hashlib.sha256(want).digest()
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(restore_model(load_checkpoint(path)), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestFixtureEvalPin:
@@ -372,7 +394,7 @@ class TestIndependentNets:
     def test_part_only_loss_has_no_det_term(self):
         config = small_config(mode="shared", weight_cls=0.0, weight_det=0.0)
         cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
-        net = Multinet(cfg, seed=0)
+        net = as_float64(Multinet(cfg, seed=0))
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
         loss, outs = scene_loss(net, batch, config, harness._active_decode_tasks(config, cfg))
         assert [list(o.regions) for o in outs] == [["part"]]
