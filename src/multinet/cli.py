@@ -37,6 +37,8 @@ def parse_dataset_config(text: str):
     values = {**GEN_DEFAULTS, **harness.parse_key_values(text, GEN_FIELDS)}
     values.pop("version")
     n = values.pop("scenes")
+    if n < 1:
+        raise harness.ConfigError(f"scenes must be at least 1, got {n}")
     rename = {"classes": "n_classes"}
     spec = synthdata.SceneSpec(**{rename.get(k, k): v for k, v in values.items()})
     return spec, n
@@ -95,7 +97,9 @@ def _cmd_eval(args):
 def _cmd_compare(args):
     config = _load_run(args)
     spec, train_scenes = synthdata.read_dataset(args.dataset)
-    _, val_scenes = synthdata.read_dataset(args.val_dataset)
+    val_spec, val_scenes = synthdata.read_dataset(args.val_dataset)
+    cfg = harness.build_task_config(config, spec, train_scenes)
+    harness.check_dataset(cfg, val_spec, val_scenes)
     results, medians = harness.compare_modes(
         config, spec, train_scenes, val_scenes, log=print
     )

@@ -19,7 +19,7 @@ import numpy as np
 from . import container, synthdata, tasks
 from .model import MODES, Multinet, MultinetOutput, TaskConfig
 from .synthdata import SceneSpec, propose_regions
-from .tasks import ScenePrediction, assign_regions
+from .tasks import assign_regions
 from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "build_task_config",
+    "check_dataset",
     "train",
     "TrainState",
     "save_checkpoint",
@@ -156,21 +157,38 @@ def load_config(path) -> RunConfig:
         return parse_config(f.read())
 
 
-def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
+def _dataset_fields(spec: SceneSpec, scenes) -> dict:
+    """The TaskConfig fields a dataset sets: its class counts and canvas."""
     has_parts = any(len(s.part_classes) for s in scenes)
+    return {"c_cls": spec.n_classes, "c_part": spec.n_part_classes if has_parts else 0,
+            "canvas": spec.canvas}
+
+
+def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
     return TaskConfig(
-        c_cls=spec.n_classes,
-        c_part=spec.n_part_classes if has_parts else 0,
+        **_dataset_fields(spec, scenes),
         m=config.proposals,
         t=config.iterations,
         mode=config.mode,
-        canvas=spec.canvas,
         channels=config.channels,
         cls_hidden=config.cls_hidden,
         region_hidden=config.region_hidden,
         spp_grid=config.spp_grid,
         truncate_feedback=config.truncate_feedback,
     )
+
+
+def _check_model_fits(cfg: TaskConfig, fields: dict, source: str) -> None:
+    for name, want in fields.items():
+        have = getattr(cfg, name)
+        if have != want:
+            raise TrainingError(f"{name} is {want!r} in {source}, {have!r} in the model")
+
+
+def check_dataset(cfg: TaskConfig, spec: SceneSpec, scenes) -> None:
+    """Raise TrainingError, naming the field, unless the dataset gives the
+    class counts and canvas of the model configured by `cfg`."""
+    _check_model_fits(cfg, _dataset_fields(spec, scenes), "the dataset")
 
 
 @dataclass
@@ -263,9 +281,17 @@ def train(
     """SGD training with the two-phase learning-rate schedule.
 
     `resume` continues a previous run bit-exactly from its epoch boundary.
+    Its model must be the one `config` and the dataset build; epoch counts,
+    learning rates and loss weights may differ.
     """
+    if not scenes:
+        raise TrainingError("scenes: the training set is empty")
     cfg = build_task_config(config, spec, scenes)
     if resume is not None:
+        _check_model_fits(resume.model.cfg, dataclasses.asdict(cfg), "the run config and dataset")
+        if resume.epoch > config.total_epochs:
+            raise TrainingError(f"epochs_phase1 + epochs_phase2 is {config.total_epochs} in the "
+                                f"run config, below the checkpoint's epoch {resume.epoch}")
         model = resume.model
         start_epoch = resume.epoch
         shuffle_rng = seed_rng(config.seed, 1)
@@ -356,27 +382,27 @@ def restore_model(ckpt: dict) -> TrainState:
 
 
 def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
-    """Per scene: its (M, 4) proposals and the outputs of one forward."""
+    """Per scene: the scene, its (M, 4) proposals and one forward's outputs."""
     for i, scene in enumerate(scenes):
         props = propose_regions(scene, spec, model.cfg.m, seed=i)
         truth = scene.img_label if ground_cls else None
         outs = model.forward(scene.image, props, ground_cls=truth, n_iters=n_iters)
-        yield props, outs
+        yield scene, props, outs
 
 
-def _prediction(out: MultinetOutput, props) -> ScenePrediction:
-    # Copies, so that no prediction keeps the forward's graph alive.
-    regions = {task: (s.data.copy(), d.data.copy()) for task, (s, d) in out.regions.items()}
-    return ScenePrediction(out.x_cls.data.copy(), regions, props)
+def _score(out: MultinetOutput, props, scene, canvas: int) -> tasks.SceneRecord:
+    regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
+    return tasks.score_scene(out.x_cls.data, regions, props, scene, canvas)
 
 
 def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False) -> dict:
     """Run the model over held-out scenes and score all enabled tasks;
     `ground_cls` re-encodes each scene's true image labels instead of the
-    cls prediction."""
-    preds = [_prediction(outs[-1], props)
-             for props, outs in _forwards(model, spec, scenes, at_iter, ground_cls)]
-    return tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
+    cls prediction. Each scene is scored as soon as its forward returns."""
+    check_dataset(model.cfg, spec, scenes)
+    records = [_score(outs[-1], props, scene, model.cfg.canvas)
+               for scene, props, outs in _forwards(model, spec, scenes, at_iter, ground_cls)]
+    return tasks.evaluate(records, model.cfg.c_cls)
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -492,15 +518,17 @@ def recurrence_sweep(state: TrainState, spec, scenes, t_max: int):
 
     Each scene runs one forward to t_max and row t scores its outputs[t]
     (outputs[0] at every t in modes without recurrence), which equals
-    `evaluate_model(..., at_iter=t)`.
+    `evaluate_model(..., at_iter=t)`. Each distinct output is scored once.
     """
     model = state.model
+    check_dataset(model.cfg, spec, scenes)
     per_t = [[] for _ in range(t_max + 1)]
-    for props, outs in _forwards(model, spec, scenes, t_max):
-        for t, preds in enumerate(per_t):
-            preds.append(_prediction(outs[min(t, len(outs) - 1)], props))
+    for scene, props, outs in _forwards(model, spec, scenes, t_max):
+        scored = [_score(out, props, scene, model.cfg.canvas) for out in outs]
+        for t, records in enumerate(per_t):
+            records.append(scored[min(t, len(scored) - 1)])
     rows = []
-    for t, preds in enumerate(per_t):
-        metrics = tasks.evaluate(preds, scenes, n_classes=model.cfg.c_cls, canvas=model.cfg.canvas)
+    for t, records in enumerate(per_t):
+        metrics = tasks.evaluate(records, model.cfg.c_cls)
         rows.append({"t": t, **{k: metrics[k] for k in ("cls_map", "det_ap", "part_ap")}})
     return rows

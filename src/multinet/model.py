@@ -159,7 +159,7 @@ class Multinet:
         for i, (k, cin, cout, pool) in enumerate(self._conv_defs):
             f = self.params.add(f"backbone.conv{i + 1}.filters", _he_conv(rng, k, cin, cout), 1.0)
             b = self.params.add(f"backbone.conv{i + 1}.bias", Tensor(np.zeros(cout)), 2.0)
-            self.backbone.append((ConvLayer(f, b, stride=1, padding=1), pool))
+            self.backbone.append((ConvLayer(f, b, padding=1), pool))
 
         dc = cfg.decoder_channels
         # Image-classification head: global max pool, two hidden FCs, a
@@ -189,7 +189,7 @@ class Multinet:
                 "bottleneck.filters", rng_tensor(rng, (1, 1, cin, c), 0.01), 1.0
             )
             b = self.params.add("bottleneck.bias", Tensor(np.zeros(c)), 2.0)
-            self.bottleneck = ConvLayer(f, b, stride=1, padding=0)
+            self.bottleneck = ConvLayer(f, b)
         else:
             self.bottleneck = None
         for _, t, _ in self.params.items():

@@ -45,8 +45,7 @@ __all__ = [
 class ConvLayer:
     filters: Tensor  # k x k x Cin x Cout
     bias: Tensor  # Cout
-    stride: int = 1
-    padding: int = 0
+    padding: int = 0  # the stride is 1
 
 
 @dataclass
@@ -65,12 +64,12 @@ class SppGrid:
 _COL2IM_CACHE: dict = {}
 
 
-def _im2col_indices(hp, wp, cin, k, stride, ho, wo):
-    key = (hp, wp, cin, k, stride, ho, wo)
+def _im2col_indices(hp, wp, cin, k, ho, wo):
+    key = (hp, wp, cin, k, ho, wo)
     idx = _COL2IM_CACHE.get(key)
     if idx is None:
-        i = (np.arange(ho) * stride)[:, None, None, None, None]
-        j = (np.arange(wo) * stride)[None, :, None, None, None]
+        i = np.arange(ho)[:, None, None, None, None]
+        j = np.arange(wo)[None, :, None, None, None]
         a = np.arange(k)[None, None, :, None, None]
         b = np.arange(k)[None, None, None, :, None]
         c = np.arange(cin)[None, None, None, None, :]
@@ -80,23 +79,23 @@ def _im2col_indices(hp, wp, cin, k, stride, ho, wo):
 
 
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """2-D cross-correlation plus bias; differentiable in x, filters, bias
-    (no gradient is computed for an x that needs none)."""
+    """2-D cross-correlation at stride 1 plus bias; differentiable in x,
+    filters, bias (no gradient is computed for an x that needs none)."""
     h, w, cin = x.data.shape
     k, k2, fcin, cout = layer.filters.data.shape
     if k != k2:
         raise TensorError("conv2d: non-square kernel")
     if fcin != cin:
         raise TensorError(f"conv2d: input has {cin} channels, filters expect {fcin}")
-    s, p = layer.stride, layer.padding
-    ho = (h + 2 * p - k) // s + 1
-    wo = (w + 2 * p - k) // s + 1
+    p = layer.padding
+    ho = h + 2 * p - k + 1
+    wo = w + 2 * p - k + 1
     if ho < 1 or wo < 1:
         raise TensorError(f"conv2d: kernel {k} larger than padded input {h + 2 * p}x{w + 2 * p}")
 
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
     hp, wp = xp.shape[:2]
-    idx = _im2col_indices(hp, wp, cin, k, s, ho, wo)
+    idx = _im2col_indices(hp, wp, cin, k, ho, wo)
     cols = xp.reshape(-1)[idx]  # (ho*wo, k*k*cin)
     wmat = layer.filters.data.reshape(k * k * cin, cout)
     out = (cols @ wmat + layer.bias.data[None, :]).reshape(ho, wo, cout)

@@ -3,6 +3,12 @@
 A set of N boxes is a float64 (N, 4) array of (x1, y1, x2, y2) rows, in the
 continuous-area convention: area = (x2 - x1) * (y2 - y1) and no +1 pixel
 terms. Their classes, where they have them, are a matching (N,) int array.
+
+Scoring runs once per scene: `score_scene` decodes, suppresses and matches
+one scene's detections against its own ground truth, since a detection's
+true-positive flag depends on nothing else, and keeps only a `SceneRecord`
+of scores, flags and gt counts. `evaluate` joins the records of any
+multiset of scenes and computes each AP with `average_precision`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ __all__ = [
     "smooth_l1",
     "assign_regions",
     "nms",
+    "match_detections",
     "average_precision",
+    "SceneRecord",
+    "score_scene",
     "evaluate",
     "METRIC_CSV_COLUMNS",
     "metrics_to_rows",
@@ -228,69 +237,54 @@ def nms(boxes, scores, iou_thresh: float = NMS_IOU):
     return keep
 
 
-def _ranked_ap(tp: np.ndarray, n_pos: int) -> float:
-    """All-point AP (area under the precision envelope) of a ranking given
-    its true-positive indicators in rank order and the number of positives
-    (> 0)."""
-    ctp = np.cumsum(tp)
+def match_detections(boxes, gt_boxes, iou_thresh: float) -> np.ndarray:
+    """(N,) true-positive flags of one image's (N, 4) detections, ranked
+    best first, against its (G, 4) ground truth of their class: each one is
+    compared with the gt of highest IoU (the first on ties) and hits when
+    that IoU is >= iou_thresh (> 0) and no higher-ranked detection matched
+    the same gt, so duplicates count as false positives."""
+    tp = np.zeros(len(boxes))
+    if len(boxes) == 0 or len(gt_boxes) == 0:
+        return tp
+    ious = iou_matrix(boxes, gt_boxes)
+    best = ious.argmax(axis=1)
+    hit = np.nonzero(ious[np.arange(len(best)), best] >= iou_thresh)[0]
+    _, first = np.unique(best[hit], return_index=True)
+    tp[hit[first]] = 1.0
+    return tp
+
+
+def average_precision(scores, tp, n_pos: int) -> float:
+    """All-point AP (area under the precision envelope) of detections with
+    `scores` and true-positive flags `tp`, ranked by score (stable on ties),
+    against `n_pos` positives; 0 when there are none."""
+    if n_pos == 0:
+        return 0.0
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    ctp = np.cumsum(np.asarray(tp, dtype=np.float64)[order])
     recall = ctp / n_pos
-    precision = ctp / np.arange(1, len(tp) + 1)
+    precision = ctp / np.arange(1, len(ctp) + 1)
     # Precision envelope: running max from the right, integrated over recall.
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
 
-def average_precision(boxes, scores, images, gts, iou_thresh: float) -> float:
-    """AP for one class.
-
-    Detection i is the box `boxes[i]` (N, 4) with `scores[i]` in image
-    `images[i]`; `gts[j]` is the (G, 4) ground truth of image j. Detections
-    are ranked by score (stable on ties). Each one is compared with the gt of
-    highest IoU in its image (the first on ties); it is a true positive when
-    that IoU is >= iou_thresh (> 0) and no higher-ranked detection matched
-    the same gt, so duplicates count as false positives.
-    """
-    n_gt = sum(len(g) for g in gts)
-    if n_gt == 0:
-        return 0.0
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
-    images = np.asarray(images)[order]
-    tp = np.zeros(len(order))
-    for img, g in enumerate(gts):
-        ranks = np.nonzero(images == img)[0]
-        if ranks.size == 0 or len(g) == 0:
-            continue
-        ious = iou_matrix(boxes[ranks], g)
-        best = ious.argmax(axis=1)
-        hit = ious[np.arange(ranks.size), best] >= iou_thresh
-        _, first = np.unique(best[hit], return_index=True)
-        tp[ranks[hit][first]] = 1.0
-    return _ranked_ap(tp, n_gt)
-
-
 def ranked_binary_ap(scores, labels) -> float:
     """AP of a binary ranking task (used for image-level classification)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0:
-        return 0.0
-    order = np.argsort(-scores, kind="stable")
-    return _ranked_ap((labels[order] == 1).astype(np.float64), n_pos)
+    positive = np.asarray(labels) == 1
+    return average_precision(scores, positive, int(positive.sum()))
 
 
-@dataclass
-class ScenePrediction:
-    """Raw per-scene network outputs as plain arrays."""
+class SceneRecord(NamedTuple):
+    """What AP needs of one scored scene."""
 
     cls_scores: np.ndarray  # (C_cls,)
-    regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
-    proposals: np.ndarray  # (M, 4) boxes
+    img_label: np.ndarray  # (C_cls,)
+    # task -> per class k >= 1: (scores of the detections NMS keeps, in keep
+    # order; their true-positive flags; the scene's gt count of class k)
+    regions: dict
 
 
 def _clip(v, lo, hi):
@@ -300,53 +294,58 @@ def _clip(v, lo, hi):
     return np.where(hi < v, hi, v)
 
 
-def _collect_detections(preds, task: str, canvas: int) -> list:
-    """Per class k >= 1, the (boxes, scores, image indices) that NMS keeps
-    in every scene: each proposal is decoded with the deltas of every class
-    in one call and clipped to the canvas."""
-    k1 = preds[0].regions[task][0].shape[1]
-    found = [[] for _ in range(1, k1)]
-    for img, p in enumerate(preds):
-        scores, deltas = p.regions[task]
-        b = bbox_decode(p.proposals[:, None, :], deltas.reshape(-1, k1, 4))
+def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneRecord:
+    """Score one scene's outputs: `regions` maps each region task to the
+    (M, K + 1) scores and (M, 4 * (K + 1)) deltas of the (M, 4) `proposals`.
+    Every proposal is decoded with the deltas of every class and clipped to
+    the canvas; per class k >= 1, NMS keeps boxes and `match_detections`
+    flags them against the scene's ground truth."""
+    rows = {}
+    for name, (scores, deltas) in regions.items():
+        task = REGION_TASKS[name]
+        classes, gt = task.ground_truth(scene)
+        k1 = scores.shape[1]
+        b = bbox_decode(proposals[:, None, :], deltas.reshape(-1, k1, 4))
         x1 = _clip(b[..., 0], 0.0, canvas - 1.0)
         y1 = _clip(b[..., 1], 0.0, canvas - 1.0)
         x2 = _clip(b[..., 2], x1 + 1e-3, float(canvas))
         y2 = _clip(b[..., 3], y1 + 1e-3, float(canvas))
         boxes = np.stack([x1, y1, x2, y2], axis=-1)
+        rows[name] = []
         for k in range(1, k1):
             keep = nms(boxes[:, k], scores[:, k])
-            found[k - 1].append((boxes[keep, k], scores[keep, k], np.full(len(keep), img)))
-    return [tuple(np.concatenate(parts) for parts in zip(*f)) for f in found]
+            g = gt[classes == k]
+            tp = match_detections(boxes[keep, k], g, task.match_iou)
+            rows[name].append((scores[keep, k], tp, len(g)))
+    return SceneRecord(np.array(cls_scores), scene.img_label, rows)
 
 
-def evaluate(preds, scenes, n_classes: int, canvas: int = 64) -> dict:
-    """Score predictions against ground-truth scenes.
+def evaluate(records, n_classes: int) -> dict:
+    """AP over the scenes of `score_scene` records.
 
     Returns {"cls_map", "det_ap", "part_ap", "cls_ap_per_class",
-    "det_ap_per_class", "part_ap_per_class"}. Each region task the
-    predictions carry is scored over the classes of its score columns; the
-    entries of a task they lack are None.
+    "det_ap_per_class", "part_ap_per_class"}. Each region task the records
+    carry is scored over its classes; the entries of a task they lack are
+    None. A scene's detections rank against every other scene's by score,
+    and the stable sort keeps each scene's keep order on ties, so records
+    can be joined in any order and repeated.
     """
-    if not scenes:
+    if not records:
         raise ValueError("evaluate: empty dataset")
     # Image-level classification: rank images per class.
-    cls_aps = []
-    for c in range(n_classes):
-        scores = [p.cls_scores[c] for p in preds]
-        labels = [s.img_label[c] for s in scenes]
-        cls_aps.append(ranked_binary_ap(scores, labels))
+    cls_scores = np.array([r.cls_scores for r in records])
+    labels = np.array([r.img_label for r in records])
+    cls_aps = [ranked_binary_ap(cls_scores[:, c], labels[:, c]) for c in range(n_classes)]
     out = {"cls_map": float(np.mean(cls_aps)), "cls_ap_per_class": cls_aps}
-    for task in REGION_TASKS.values():
+    for task in REGION_TASKS:
         aps = None
-        if task.name in preds[0].regions:
-            truth = [task.ground_truth(s) for s in scenes]
+        if task in records[0].regions:
             aps = []
-            for k, dets in enumerate(_collect_detections(preds, task.name, canvas), 1):
-                gts = [boxes[classes == k] for classes, boxes in truth]
-                aps.append(average_precision(*dets, gts, task.match_iou))
-        out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
-        out[f"{task.name}_ap_per_class"] = aps
+            for per_scene in zip(*(r.regions[task] for r in records)):
+                scores, tp, n_gt = zip(*per_scene)
+                aps.append(average_precision(np.concatenate(scores), np.concatenate(tp), sum(n_gt)))
+        out[f"{task}_ap"] = None if aps is None else float(np.mean(aps))
+        out[f"{task}_ap_per_class"] = aps
     return out
 
 

@@ -35,7 +35,7 @@ from multinet.synthdata import (
     read_dataset,
     write_dataset,
 )
-from multinet.tasks import average_precision, iou_matrix
+from multinet.tasks import average_precision, iou_matrix, match_detections
 from multinet.tensor import Tensor, sum_all
 
 from conftest import as_boxes, assert_same_scene, check_grads, n_values
@@ -248,7 +248,7 @@ def test_criterion_2_oracle_equivalences(capsys):
         # average_precision vs the exhaustive PR oracle, 100 cases
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
+            gts = as_boxes([_far_box(i) for i in range(n_gt)])
             boxes, scores, tp_seq, used = [], [], [], set()
             for s in -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10))):
                 if r.uniform() < 0.5 and len(used) < n_gt:
@@ -260,8 +260,8 @@ def test_criterion_2_oracle_equivalences(capsys):
                     boxes.append(MISS)
                     tp_seq.append(0)
                 scores.append(float(s))
-            images = np.zeros(len(scores), dtype=int)
-            ap = average_precision(as_boxes(boxes), scores, images, gts, 0.5)
+            # Scores are drawn in descending order: the list is the ranking.
+            ap = average_precision(scores, match_detections(as_boxes(boxes), gts, 0.5), n_gt)
             assert abs(ap - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
     _report(capsys, 2, "exact oracle equivalences (conv, spp, encode_det, AP, iou)", run)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from multinet.harness import (
     write_metrics_csv,
 )
 from multinet.model import Multinet, TaskConfig
-from multinet.synthdata import SceneSpec, generate_dataset
+from multinet.synthdata import SceneSpec, generate_dataset, write_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import Tape, backward, take_rows
 
@@ -174,6 +175,14 @@ class TestTraining:
         assert metrics["part_ap"] is None
 
 
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    """Checkpoint of `small_config()` trained for its 2 epochs."""
+    path = tmp_path_factory.mktemp("small") / "small.ckpt"
+    save_checkpoint(train(small_config(), SMALL_SPEC, SMALL_SCENES), path)
+    return path
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         state = train(small_config(epochs_phase1=1), SMALL_SPEC, SMALL_SCENES)
@@ -205,6 +214,33 @@ class TestCheckpoints:
             full.model.params.items(), resumed.model.params.items()
         ):
             np.testing.assert_array_equal(ta.data, tb.data, err_msg=n)
+
+    @pytest.mark.parametrize("config_kw, spec_kw, message", [
+        ({"mode": "update2"}, {}, "mode is 'update2' in the run config and dataset, 'update1'"),
+        ({"iterations": 2}, {}, "t is 2 in the run config and dataset, 1 in the model"),
+        ({}, {"n_classes": 3}, "c_cls is 3 in the run config and dataset, 5 in the model"),
+        ({}, {"parts_per_class": 0}, "c_part is 0 in the run config and dataset, 10 in the model"),
+        ({"epochs_phase1": 1}, {}, "epochs_phase1 + epochs_phase2 is 1 in the run config, "
+                                   "below the checkpoint's epoch 2"),
+    ], ids=["mode", "iterations", "classes", "no-parts", "epochs"])
+    def test_resume_refuses_another_network(self, small_ckpt, config_kw, spec_kw, message):
+        # The checkpoint holds the update1 net after 2 epochs; epoch counts,
+        # rates and weights may change, the network may not.
+        spec = dataclasses.replace(SMALL_SPEC, **spec_kw)
+        scenes = generate_dataset(spec, 2)
+        resume = restore_model(load_checkpoint(small_ckpt))
+        with pytest.raises(TrainingError, match=re.escape(message)):
+            train(small_config(**config_kw), spec, scenes, resume=resume)
+
+    def test_resume_accepts_new_rates_and_weights(self, small_ckpt):
+        config = small_config(epochs_phase2=1, lr_phase2=0.0, weight_part=0.5)
+        state = train(config, SMALL_SPEC, SMALL_SCENES[:2],
+                      resume=restore_model(load_checkpoint(small_ckpt)))
+        assert state.epoch == 3
+
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(TrainingError, match="scenes: the training set is empty"):
+            train(small_config(), SMALL_SPEC, [])
 
     def test_corrupted_checkpoint_detected(self, tmp_path):
         state = train(small_config(epochs_phase1=1), SMALL_SPEC, SMALL_SCENES)
@@ -473,6 +509,19 @@ class TestExperiments:
         with pytest.raises(TrainingError):
             harness.ground_experiment(state, SMALL_SPEC, SMALL_SCENES)
 
+    @pytest.mark.parametrize("spec_kw, field", [
+        ({"n_classes": 3}, "c_cls"), ({"parts_per_class": 0}, "c_part"), ({"canvas": 64}, "canvas"),
+    ], ids=["classes", "no-parts", "canvas"])
+    def test_scoring_refuses_a_dataset_of_another_spec(self, small_ckpt, spec_kw, field):
+        state = restore_model(load_checkpoint(small_ckpt))
+        spec = dataclasses.replace(SMALL_SPEC, **spec_kw)
+        scenes = generate_dataset(spec, 2)
+        for run in (lambda: evaluate_model(state.model, spec, scenes),
+                    lambda: recurrence_sweep(state, spec, scenes, t_max=1),
+                    lambda: harness.ground_experiment(state, spec, scenes)):
+            with pytest.raises(TrainingError, match=f"^{field} is .* in the dataset, "):
+                run()
+
     def test_metrics_csv_deterministic(self, tmp_path):
         paths = []
         for i in range(2):
@@ -530,6 +579,11 @@ class TestDatasetConfig:
     def test_missing_version(self):
         with pytest.raises(ConfigError, match="version"):
             cli.parse_dataset_config("scenes = 4")
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_scene_count_below_one_rejected(self, n):
+        with pytest.raises(ConfigError, match=f"scenes must be at least 1, got {n}"):
+            cli.parse_dataset_config(f"version = 1\nscenes = {n}")
 
 
 class TestCli:
@@ -690,6 +744,88 @@ class TestCli:
             "kind": "ConfigError",
         }
         assert not (workdir / "m.ckpt").exists()
+
+    def _error(self, capsys) -> dict:
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        return json.loads(err[0])
+
+    def _trained(self, workdir, capsys):
+        ds, ckpt = workdir / "d.bin", workdir / "m.ckpt"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                  "--out", str(ckpt)])
+        capsys.readouterr()
+        return ds, ckpt
+
+    @pytest.mark.parametrize("dataset_cfg, field", [
+        (DATASET_CFG + "classes = 3\n", "c_cls"),
+        (DATASET_CFG + "parts_per_class = 0\n", "c_part"),
+        (DATASET_CFG.replace("canvas = 32", "canvas = 64"), "canvas"),
+    ], ids=["classes", "no-parts", "canvas"])
+    def test_scoring_a_dataset_of_another_spec_fails(self, workdir, capsys, dataset_cfg, field):
+        _, ckpt = self._trained(workdir, capsys)
+        (workdir / "other.cfg").write_text(dataset_cfg)
+        other = workdir / "other.bin"
+        cli.main(["generate", "--config", str(workdir / "other.cfg"), "--out", str(other)])
+        capsys.readouterr()
+        out = workdir / "m.csv"
+        for command in (["eval"], ["ground"], ["sweep", "--t-max", "1"]):
+            code = cli.main(command + ["--checkpoint", str(ckpt), "--dataset", str(other),
+                                       "--out", str(out)])
+            assert code == 1
+            payload = self._error(capsys)
+            assert payload["kind"] == "TrainingError"
+            assert payload["error"].startswith(f"{field} is ")
+            assert not out.exists()
+
+    def test_compare_with_another_val_spec_fails_before_training(self, workdir, capsys):
+        train_ds, val_ds = workdir / "train.bin", workdir / "val.bin"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(train_ds)])
+        (workdir / "val.cfg").write_text(DATASET_CFG + "classes = 3\n")
+        cli.main(["generate", "--config", str(workdir / "val.cfg"), "--out", str(val_ds)])
+        capsys.readouterr()
+        code = cli.main([
+            "compare", "--config", str(workdir / "run.cfg"), "--dataset", str(train_ds),
+            "--val-dataset", str(val_ds), "--out", str(workdir / "compare.csv"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "c_cls is 3 in the dataset, 5 in the model",
+                                            "kind": "TrainingError"}
+        assert not (workdir / "compare.csv").exists()
+
+    def test_resume_with_another_mode_fails(self, workdir, capsys):
+        ds, ckpt = self._trained(workdir, capsys)
+        code = cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                         "--resume", str(ckpt), "--mode", "update2",
+                         "--out", str(workdir / "r.ckpt")])
+        assert code == 1
+        payload = self._error(capsys)
+        assert payload["kind"] == "TrainingError"
+        assert payload["error"].startswith("mode is 'update2' in the run config and dataset")
+        assert not (workdir / "r.ckpt").exists()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_generate_without_scenes_fails(self, workdir, capsys, n):
+        (workdir / "data.cfg").write_text(DATASET_CFG.replace("scenes = 6", f"scenes = {n}"))
+        out = workdir / "d.bin"
+        assert cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_train_on_an_empty_dataset_fails(self, workdir, capsys):
+        ds, ckpt = workdir / "empty.bin", workdir / "m.ckpt"
+        spec, _ = cli.parse_dataset_config(DATASET_CFG)
+        write_dataset([], spec, ds)
+        code = cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                         "--out", str(ckpt)])
+        assert code == 1
+        assert self._error(capsys) == {"error": "scenes: the training set is empty",
+                                       "kind": "TrainingError"}
+        assert not ckpt.exists()
 
     def test_generate_is_deterministic(self, workdir, capsys):
         a, b = workdir / "a.bin", workdir / "b.bin"

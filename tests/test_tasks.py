@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,13 @@ from multinet.tasks import (
     evaluate,
     iou,
     iou_matrix,
+    match_detections,
     metrics_to_rows,
     nms,
     ranked_binary_ap,
+    score_scene,
     smooth_l1,
     softmax_ce,
-    ScenePrediction,
 )
 from multinet.nnops import sigmoid, softmax_rows
 from multinet.tensor import Tensor, TensorError, sum_all
@@ -423,40 +426,42 @@ MISS = (5000.0, 5000.0, 5010.0, 5010.0)  # a box no ground truth overlaps
 
 
 def _ap(dets, gts, thresh=0.5):
-    """average_precision of (box, score) detections in image 0."""
-    boxes = np.array([b for b, _ in dets], dtype=float).reshape(-1, 4)
-    scores = [s for _, s in dets]
-    return average_precision(boxes, scores, np.zeros(len(dets), dtype=int), gts, thresh)
+    """AP of (box, score) detections in one image with (G, 4) ground truth
+    `gts`, matched in score order."""
+    boxes = as_boxes([b for b, _ in dets])
+    scores = np.array([s for _, s in dets], dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    return average_precision(scores[order], match_detections(boxes[order], gts, thresh), len(gts))
 
 
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
         g = (0.0, 0.0, 10.0, 10.0)
-        assert _ap([(g, 0.9)], [as_boxes([g])]) == 1.0
+        assert _ap([(g, 0.9)], as_boxes([g])) == 1.0
 
     def test_no_detections(self):
-        assert _ap([], [as_boxes([(0, 0, 5, 5)])]) == 0.0
+        assert _ap([], as_boxes([(0, 0, 5, 5)])) == 0.0
 
     def test_no_ground_truth(self):
-        assert _ap([((0, 0, 5, 5), 0.9)], []) == 0.0
+        assert _ap([((0, 0, 5, 5), 0.9)], as_boxes([])) == 0.0
 
     def test_tp_fp_tp_over_two_gts(self):
         g0, g1 = _far_box(0), _far_box(1)
         dets = [(g0, 0.9), ((500, 500, 510, 510), 0.8), (g1, 0.7)]
-        got = _ap(dets, [as_boxes([g0, g1])])
+        got = _ap(dets, as_boxes([g0, g1]))
         assert abs(got - 5.0 / 6.0) <= 1e-12
         assert abs(got - ap_oracle([1, 0, 1], 2)) <= 1e-12
 
     def test_duplicate_detection_is_false_positive(self):
         g = _far_box(0)
-        got = _ap([(g, 0.9), (g, 0.8)], [as_boxes([g])])
+        got = _ap([(g, 0.9), (g, 0.8)], as_boxes([g]))
         assert got == 1.0  # recall saturates at the first detection
 
     def test_oracle_100_random_cases(self):
         r = np.random.default_rng(55)
         for _ in range(100):
             n_gt = int(r.integers(1, 6))
-            gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
+            gts = as_boxes([_far_box(i) for i in range(n_gt)])
             dets = []
             tp_seq = []
             scores = -np.sort(-r.uniform(0.01, 1.0, r.integers(0, 10)))
@@ -478,7 +483,7 @@ class TestAveragePrecision:
     def test_monotone_score_transform_invariance(self, scale, shift):
         r = np.random.default_rng(17)
         n_gt = 3
-        gts = [as_boxes([_far_box(i) for i in range(n_gt)])]
+        gts = as_boxes([_far_box(i) for i in range(n_gt)])
         scores = r.uniform(0.1, 1.0, 6)
         dets = [
             (_far_box(i % 4) if i % 4 < n_gt else (900, 900, 910, 910), float(s))
@@ -489,17 +494,17 @@ class TestAveragePrecision:
         assert _ap(rescaled, gts) == base
 
     def test_matches_in_each_image_separately(self):
-        g = _far_box(0)
-        boxes = as_boxes([g, g, g])
-        gts = [as_boxes([g]), as_boxes([g]), np.zeros((0, 4))]
+        g = as_boxes([_far_box(0)])
+        gts = [g, g, np.zeros((0, 4))]
         # Image 1's copy of g is a hit; image 2 has no ground truth.
-        got = average_precision(boxes, [0.9, 0.8, 0.7], [0, 1, 2], gts, 0.5)
+        tp = np.concatenate([match_detections(g, gt, 0.5) for gt in gts])
+        got = average_precision([0.9, 0.8, 0.7], tp, 2)
         assert got == ap_oracle([1, 1, 0], 2)
 
     def test_detection_takes_its_best_gt_even_when_matched(self):
         # The second detection overlaps gt 0 best; gt 0 is taken, so it is
         # a false positive although it also overlaps gt 1 above threshold.
-        gts = [as_boxes([(0, 0, 10, 10), (2, 0, 12, 10)])]
+        gts = as_boxes([(0, 0, 10, 10), (2, 0, 12, 10)])
         dets = [((0, 0, 10, 10), 0.9), ((0.5, 0, 10.5, 10), 0.8)]
         assert _ap(dets, gts) == ap_oracle([1, 0], 2)
 class TestRankedBinaryAp:
@@ -527,6 +532,18 @@ class TestRankedBinaryAp:
             assert abs(ranked_binary_ap(scores, labels) - ap_oracle(tp_seq, labels.sum())) <= 1e-9
 
 
+class Prediction(NamedTuple):
+    """Raw per-scene network outputs as plain arrays."""
+
+    cls_scores: np.ndarray  # (C_cls,)
+    regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
+    proposals: np.ndarray  # (M, 4) boxes
+
+
+def _record(pred, scene, canvas=64):
+    return score_scene(pred.cls_scores, pred.regions, pred.proposals, scene, canvas)
+
+
 def _perfect_prediction(scene, proposals, n_classes, n_parts):
     m = len(proposals)
     det_scores = np.zeros((m, n_classes + 1))
@@ -549,7 +566,7 @@ def _perfect_prediction(scene, proposals, n_classes, n_parts):
                 part_scores[i, cls] = 1.0
                 part_deltas[i, 4 * cls : 4 * cls + 4] = bbox_encode(p, g)
                 break
-    return ScenePrediction(
+    return Prediction(
         cls_scores=scene.img_label.astype(float),
         regions={"det": (det_scores, det_deltas), "part": (part_scores, part_deltas)},
         proposals=proposals,
@@ -567,11 +584,11 @@ class TestEvaluate:
 
     def test_oracle_predictions_score_one(self):
         spec, scenes, props = self._scenes()
-        preds = [
-            _perfect_prediction(s, p, spec.n_classes, spec.n_part_classes)
+        records = [
+            _record(_perfect_prediction(s, p, spec.n_classes, spec.n_part_classes), s)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(preds, scenes, spec.n_classes)
+        m = evaluate(records, spec.n_classes)
         # Classes absent from every scene contribute AP 0; restrict to present.
         present = {int(c) for s in scenes for c in s.object_classes}
         for c in present:
@@ -583,27 +600,25 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([], [], 5)
+            evaluate([], 5)
 
     def test_metrics_rows_layout(self):
         spec, scenes, props = self._scenes(4)
-        preds = [
-            _perfect_prediction(s, p, spec.n_classes, spec.n_part_classes)
+        records = [
+            _record(_perfect_prediction(s, p, spec.n_classes, spec.n_part_classes), s)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(preds, scenes, spec.n_classes)
+        m = evaluate(records, spec.n_classes)
         rows = metrics_to_rows("run", "update1", 2, 0, m)
         assert all(len(r) == len(tasks.METRIC_CSV_COLUMNS) for r in rows)
         names = {r[4] for r in rows}
         assert {"cls_ap", "det_ap", "part_ap", "cls_map"} <= names
 
 
-def scalar_average_precision(dets, gts, iou_thresh):
-    """AP of one class, one detection at a time. dets: (box, score, image)
-    triples in any order; gts: dict image -> list of boxes."""
-    n_gt = sum(len(v) for v in gts.values())
-    if n_gt == 0:
-        return 0.0
+def scalar_ranking(dets, gts, iou_thresh):
+    """Scores in rank order and their true-positive flags, matched one
+    detection at a time. dets: (box, score, image) triples in any order;
+    gts: dict image -> list of boxes."""
     order = sorted(range(len(dets)), key=lambda i: -dets[i][1])
     matched = {img: np.zeros(len(v), dtype=bool) for img, v in gts.items()}
     tp = np.zeros(len(order))
@@ -617,7 +632,16 @@ def scalar_average_precision(dets, gts, iou_thresh):
         if best_j >= 0 and best_iou >= iou_thresh and not matched[img][best_j]:
             matched[img][best_j] = True
             tp[rank] = 1.0
-    return tasks._ranked_ap(tp, n_gt)
+    return [dets[i][1] for i in order], tp
+
+
+def scalar_average_precision(dets, gts, iou_thresh):
+    """AP of one class over `scalar_ranking`; the ranked scores make
+    `average_precision`'s stable sort the identity."""
+    n_gt = sum(len(v) for v in gts.values())
+    if n_gt == 0:
+        return 0.0
+    return average_precision(*scalar_ranking(dets, gts, iou_thresh), n_gt)
 
 
 def scalar_detections(preds, task, canvas=64):
@@ -642,6 +666,10 @@ def scalar_detections(preds, task, canvas=64):
     return dets
 
 
+def _scalar_gts(task, scene, k):
+    return [tuple(b) for cls, b in zip(*task.ground_truth(scene)) if cls == k]
+
+
 def scalar_evaluate(preds, scenes, n_classes, canvas=64):
     """`evaluate` over `scalar_detections`, with AP matched one detection at
     a time."""
@@ -656,8 +684,7 @@ def scalar_evaluate(preds, scenes, n_classes, canvas=64):
             dets = scalar_detections(preds, task.name, canvas)
             aps = []
             for k in dets:
-                gts = {i: [tuple(b) for cls, b in zip(*task.ground_truth(s)) if cls == k]
-                       for i, s in enumerate(scenes)}
+                gts = {i: _scalar_gts(task, s, k) for i, s in enumerate(scenes)}
                 aps.append(scalar_average_precision(dets[k], gts, task.match_iou))
         out[f"{task.name}_ap"] = None if aps is None else float(np.mean(aps))
         out[f"{task.name}_ap_per_class"] = aps
@@ -676,13 +703,13 @@ def _random_prediction(r, scene, spec, index):
         scores = np.round(r.dirichlet(np.ones(k + 1), 32) * 20) / 20
         wide = np.where(r.uniform(size=(32, 4 * (k + 1))) < 0.25, 10.0, 1.0)
         regions[task] = (scores, r.normal(0.0, 0.6, (32, 4 * (k + 1))) * wide)
-    return ScenePrediction(r.uniform(size=spec.n_classes), regions, props)
+    return Prediction(r.uniform(size=spec.n_classes), regions, props)
 
 
 class TestEvaluateMatchesScalarScoring:
     def test_random_predictions(self):
-        # Detections (decoded and clipped boxes, scores, images) and the
-        # metric dicts both equal the box-at-a-time path.
+        # Each scene's kept scores and true-positive flags, and the metric
+        # dicts, equal the box-at-a-time path.
         from multinet.synthdata import SceneSpec, generate_dataset
 
         r = np.random.default_rng(8)
@@ -690,19 +717,38 @@ class TestEvaluateMatchesScalarScoring:
             spec = SceneSpec(seed=seed, noise_std=0.0)
             scenes = generate_dataset(spec, 5)
             preds = [_random_prediction(r, s, spec, i) for i, s in enumerate(scenes)]
-            assert evaluate(preds, scenes, spec.n_classes) == scalar_evaluate(
+            records = [_record(p, s) for p, s in zip(preds, scenes)]
+            assert evaluate(records, spec.n_classes) == scalar_evaluate(
                 preds, scenes, spec.n_classes)
-            for task in ("det", "part"):
-                want = scalar_detections(preds, task)
-                for k, (boxes, scores, images) in enumerate(
-                        tasks._collect_detections(preds, task, 64), 1):
-                    assert boxes.tobytes() == as_boxes([d[0] for d in want[k]]).tobytes()
-                    assert scores.tolist() == [d[1] for d in want[k]]
-                    assert images.tolist() == [d[2] for d in want[k]]
-            det_only = [ScenePrediction(p.cls_scores, {"det": p.regions["det"]}, p.proposals)
+            for task in tasks.REGION_TASKS.values():
+                want = scalar_detections(preds, task.name)
+                for img, (rec, scene) in enumerate(zip(records, scenes)):
+                    for k, (scores, tp, n_gt) in enumerate(rec.regions[task.name], 1):
+                        gts = _scalar_gts(task, scene, k)
+                        ranked, want_tp = scalar_ranking(
+                            [d for d in want[k] if d[2] == img], {img: gts}, task.match_iou)
+                        assert scores.tolist() == ranked
+                        assert tp.tolist() == want_tp.tolist()
+                        assert n_gt == len(gts)
+            det_only = [Prediction(p.cls_scores, {"det": p.regions["det"]}, p.proposals)
                         for p in preds]
-            assert evaluate(det_only, scenes, spec.n_classes) == scalar_evaluate(
-                det_only, scenes, spec.n_classes)
+            assert evaluate([_record(p, s) for p, s in zip(det_only, scenes)],
+                            spec.n_classes) == scalar_evaluate(det_only, scenes, spec.n_classes)
+
+    def test_resampled_scenes(self):
+        # Records of a multiset of scenes (repeated, reordered) score like
+        # the same scene list scored from scratch, as a scene bootstrap needs.
+        from multinet.synthdata import SceneSpec, generate_dataset
+
+        r = np.random.default_rng(9)
+        spec = SceneSpec(seed=4, noise_std=0.0)
+        scenes = generate_dataset(spec, 4)
+        preds = [_random_prediction(r, s, spec, i) for i, s in enumerate(scenes)]
+        records = [_record(p, s) for p, s in zip(preds, scenes)]
+        for pick in ([0, 1, 2, 3], [2, 0, 2, 3, 1], [3, 3, 3, 0]):
+            got = evaluate([records[i] for i in pick], spec.n_classes)
+            assert got == scalar_evaluate(
+                [preds[i] for i in pick], [scenes[i] for i in pick], spec.n_classes)
 
     def test_fixture_predictions_at_every_t(self):
         from pathlib import Path
@@ -719,9 +765,9 @@ class TestEvaluateMatchesScalarScoring:
             props = propose_regions(scene, spec, model.cfg.m, seed=i)
             for t, out in enumerate(model.forward(scene.image, props)):
                 regions = {k: (sc.data, d.data) for k, (sc, d) in out.regions.items()}
-                per_t[t].append(ScenePrediction(out.x_cls.data, regions, props))
+                per_t[t].append(Prediction(out.x_cls.data, regions, props))
         assert len(per_t) == 3
         for preds in per_t:
-            got = evaluate(preds, scenes, spec.n_classes)
+            got = evaluate([_record(p, s) for p, s in zip(preds, scenes)], spec.n_classes)
             assert got == scalar_evaluate(preds, scenes, spec.n_classes)
             assert got["det_ap"] > 0.5
