@@ -56,13 +56,8 @@ def _cmd_generate(args):
 
 def _load_run(args):
     config = harness.load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.mode is not None:
-        config = dataclasses.replace(config, mode=args.mode)
-    if args.iterations is not None:
-        config = dataclasses.replace(config, iterations=args.iterations)
-    return config
+    overrides = {name: getattr(args, name, None) for name in ("seed", "mode", "iterations")}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_train(args):
@@ -101,7 +96,7 @@ def _cmd_compare(args):
     cfg = harness.build_task_config(config, spec, train_scenes)
     harness.check_dataset(cfg, val_spec, val_scenes)
     results, medians = harness.compare_modes(
-        config, spec, train_scenes, val_scenes, log=print
+        config, spec, train_scenes, val_spec, val_scenes, log=print
     )
     table = harness.comparison_table(medians)
     print(table)
@@ -156,12 +151,12 @@ def build_parser():
     def run_flags(sp):
         sp.add_argument("--config", required=True)
         sp.add_argument("--dataset", required=True)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--mode")
         sp.add_argument("--iterations", type=int)
 
     t = sub.add_parser("train", help="train a model")
     run_flags(t)
+    t.add_argument("--seed", type=int)
+    t.add_argument("--mode")
     t.add_argument("--out", required=True)
     t.add_argument("--resume")
     t.add_argument("--loss-curve")

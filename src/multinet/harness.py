@@ -91,8 +91,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if self.epochs_phase1 < 1 or self.epochs_phase2 < 0:
-            raise ConfigError("epoch counts invalid")
+        for name, least in (("epochs_phase1", 1), ("epochs_phase2", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
 
     @property
     def total_epochs(self) -> int:
@@ -431,23 +433,24 @@ def _train_independent(config: RunConfig, spec, train_scenes, log=None) -> dict:
     return nets
 
 
-def train_and_eval_mode(mode: str, config: RunConfig, spec, train_scenes, val_scenes,
-                        seed: int, log=None) -> dict:
-    """Train one comparison row and evaluate it on the validation scenes."""
+def train_and_eval_mode(mode: str, config: RunConfig, spec, train_scenes, val_spec,
+                        val_scenes, seed: int, log=None) -> dict:
+    """Train one comparison row on the training scenes and evaluate it on
+    the validation scenes, drawing their proposals from `val_spec`."""
     config = dataclasses.replace(config, seed=seed)
     if mode == "independent":
         nets = _train_independent(config, spec, train_scenes, log=log)
         metrics = {}
         for task, net in nets.items():
-            m = evaluate_model(net, spec, val_scenes)
+            m = evaluate_model(net, val_spec, val_scenes)
             metrics.update((k, v) for k, v in m.items() if k.startswith(task + "_"))
         # evaluate()'s key order; a task without a net of its own reads None.
         return {k: metrics.get(k) for k in m}
     state = train(dataclasses.replace(config, mode=mode), spec, train_scenes, log=log)
-    return evaluate_model(state.model, spec, val_scenes)
+    return evaluate_model(state.model, val_spec, val_scenes)
 
 
-def compare_modes(config: RunConfig, spec, train_scenes, val_scenes, log=None):
+def compare_modes(config: RunConfig, spec, train_scenes, val_spec, val_scenes, log=None):
     """Train all comparison rows across the config's seeds; returns
     {mode: {seed: metrics}} plus per-mode medians."""
     results = {mode: {} for mode in COMPARE_MODES}
@@ -456,7 +459,7 @@ def compare_modes(config: RunConfig, spec, train_scenes, val_scenes, log=None):
             if log:
                 log(f"--- mode={mode} seed={seed}")
             results[mode][seed] = train_and_eval_mode(
-                mode, config, spec, train_scenes, val_scenes, seed, log=log
+                mode, config, spec, train_scenes, val_spec, val_scenes, seed, log=log
             )
     medians = {}
     for mode in COMPARE_MODES:

@@ -218,7 +218,7 @@ class Multinet:
     # ---- encoders -------------------------------------------------------
 
     def encode_image(self, image) -> Tensor:
-        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=self.dtype))
+        x = Tensor(np.asarray(image, dtype=self.dtype))
         hin, win = x.data.shape[:2]
         if hin % self.cfg.stride or win % self.cfg.stride:
             raise TensorError(

@@ -2,16 +2,17 @@
 
 Feature maps are H x W x C arrays of the parameters' dtype (float32 for
 the model; see `tensor`): every op computes in the dtype of its inputs,
-forward and backward, and the float64 sums of `np.bincount` scatters are
-rounded back to it. Convolution uses an im2col lowering; pooling ops route
-gradients to the first (row-major) argmax so backward passes are
-deterministic even on tied values.
+forward and backward, and float64 scatter sums are rounded back to it
+once. Pooling ops route gradients to the first (row-major) argmax so
+backward passes are deterministic even on tied values.
 
-`max_pool2d` copies no window: its forward is a running `np.maximum` over
-the window x window strided views of the input (one per offset in the
-window, row-major), which keeps the earlier value on ties, and its
-backward scans the same views in the same order and routes each window's
-gradient to the first one that equals the maximum.
+The window ops keep no index table: they read the map through one strided
+view per window offset (`_offset_view`). `conv2d` copies the windows into
+a (ho*wo, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
+back one offset view at a time. `max_pool2d` copies no window: its forward
+is a running `np.maximum` over the views (row-major), which keeps the
+earlier value on ties, and its backward scans them in the same order and
+routes each window's gradient to the first one that equals the maximum.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, TensorError, make_op, reshape
 
@@ -60,22 +62,10 @@ class SppGrid:
     feature_stride: int = 1
 
 
-# Cached flat scatter indices for col2im, keyed by geometry.
-_COL2IM_CACHE: dict = {}
-
-
-def _im2col_indices(hp, wp, cin, k, ho, wo):
-    key = (hp, wp, cin, k, ho, wo)
-    idx = _COL2IM_CACHE.get(key)
-    if idx is None:
-        i = np.arange(ho)[:, None, None, None, None]
-        j = np.arange(wo)[None, :, None, None, None]
-        a = np.arange(k)[None, None, :, None, None]
-        b = np.arange(k)[None, None, None, :, None]
-        c = np.arange(cin)[None, None, None, None, :]
-        idx = (((i + a) * wp + (j + b)) * cin + c).reshape(ho * wo, k * k * cin)
-        _COL2IM_CACHE[key] = idx
-    return idx
+def _offset_view(a, du, dv, ho, wo, stride=1):
+    """The (ho, wo, ...) strided view of map `a` that holds offset (du, dv)
+    of every window, for windows `stride` cells apart."""
+    return a[du : du + stride * (ho - 1) + 1 : stride, dv : dv + stride * (wo - 1) + 1 : stride]
 
 
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
@@ -94,9 +84,8 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         raise TensorError(f"conv2d: kernel {k} larger than padded input {h + 2 * p}x{w + 2 * p}")
 
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
-    hp, wp = xp.shape[:2]
-    idx = _im2col_indices(hp, wp, cin, k, ho, wo)
-    cols = xp.reshape(-1)[idx]  # (ho*wo, k*k*cin)
+    windows = sliding_window_view(xp, (k, k), axis=(0, 1))  # (ho, wo, cin, k, k)
+    cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
     wmat = layer.filters.data.reshape(k * k * cin, cout)
     out = (cols @ wmat + layer.bias.data[None, :]).reshape(ho, wo, cout)
 
@@ -104,13 +93,19 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         gm = g.reshape(ho * wo, cout)
         gw = (cols.T @ gm).reshape(k, k, cin, cout)
         gb = gm.sum(axis=0)
-        if not x.requires_grad:  # the image: no col2im scatter
+        if not x.requires_grad:  # the image: no input gradient
             return (None, gw, gb)
-        gcols = gm @ wmat.T
-        gxp = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=hp * wp * cin)
-        gxp = gxp.astype(x.data.dtype, copy=False).reshape(hp, wp, cin)
+        gcols = (gm @ wmat.T).reshape(ho, wo, k, k, cin)
+        # Summed in float64, rounded once. Window (i, j) reads cell
+        # (i + a, j + b) at offset (a, b): later offsets first, so each cell
+        # sums its windows in row-major order.
+        gxp = np.zeros(xp.shape)
+        for a in reversed(range(k)):
+            for b in reversed(range(k)):
+                gv = _offset_view(gxp, a, b, ho, wo)
+                gv += gcols[:, :, a, b]
         gx = gxp[p : p + h, p : p + w] if p else gxp
-        return (gx, gw, gb)
+        return (gx.astype(x.data.dtype, copy=False), gw, gb)
 
     return make_op(out, (x, layer.filters, layer.bias), bwd, "conv2d")
 
@@ -166,7 +161,7 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
     offsets = [(du, dv) for du in range(window) for dv in range(window)]
 
     def view(a, du, dv):
-        return a[du : du + stride * (ho - 1) + 1 : stride, dv : dv + stride * (wo - 1) + 1 : stride]
+        return _offset_view(a, du, dv, ho, wo, stride)
 
     out = view(x.data, 0, 0).copy()
     for du, dv in offsets[1:]:

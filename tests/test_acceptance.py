@@ -436,7 +436,7 @@ def bench_results(bench_data):
                 metrics = _cached_json(
                     name,
                     lambda m=mode, s=seed: train_and_eval_mode(
-                        m, BENCH_CONFIG, BENCH_SPEC, train_scenes, val_scenes, s
+                        m, BENCH_CONFIG, BENCH_SPEC, train_scenes, BENCH_SPEC, val_scenes, s
                     ),
                 )
             results[mode][seed] = metrics

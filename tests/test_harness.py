@@ -712,6 +712,56 @@ class TestCli:
         modes = [row.split(",")[1] for row in rows[1:]]
         assert list(dict.fromkeys(modes)) == ["independent", "shared", "update1", "update2"]
 
+    def test_compare_rows_equal_eval_of_each_mode(self, workdir, capsys):
+        # The validation set has its own spec (seed 6), and with it its own
+        # proposal stream: each compare row must score what `eval` scores.
+        (workdir / "data.cfg").write_text(DATASET_CFG.replace("scenes = 6", "scenes = 8"))
+        (workdir / "run.cfg").write_text(RUN_CFG + "seeds = 0\n")
+        train_ds, val_ds = workdir / "train.bin", workdir / "val.bin"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(train_ds)])
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--seed", "6",
+                  "--out", str(val_ds)])
+        out = workdir / "compare.csv"
+        assert cli.main(["compare", "--config", str(workdir / "run.cfg"), "--dataset",
+                         str(train_ds), "--val-dataset", str(val_ds), "--out", str(out)]) == 0
+        compared = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        for mode in ("shared", "update1", "update2"):
+            ckpt, csv_path = workdir / f"{mode}.ckpt", workdir / f"{mode}.csv"
+            assert cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset",
+                             str(train_ds), "--mode", mode, "--seed", "0",
+                             "--out", str(ckpt)]) == 0
+            assert cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(val_ds),
+                             "--out", str(csv_path)]) == 0
+            evaluated = [row.split(",")[4:] for row in csv_path.read_text().splitlines()[1:]]
+            assert [row[4:] for row in compared if row[1] == mode] == evaluated, mode
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--mode", "shared"]],
+                             ids=["seed", "mode"])
+    def test_compare_rejects_train_overrides(self, workdir, capsys, flag):
+        # compare runs every mode at every seed in `seeds`; these flags
+        # would be ignored, so they are refused.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["compare", "--config", str(workdir / "run.cfg"), "--dataset", "d.bin",
+                      "--val-dataset", "v.bin", "--out", str(workdir / "c.csv"), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (workdir / "c.csv").exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("epochs_phase1 = 0", "epochs_phase1 must be at least 1, got 0"),
+        ("epochs_phase2 = -1", "epochs_phase2 must be at least 0, got -1"),
+    ], ids=["epochs_phase1", "epochs_phase2"])
+    def test_bad_epoch_count_names_field(self, workdir, capsys, line, error):
+        field = line.split(" = ")[0]
+        run_cfg = re.sub(rf"^{field} = .*$", line, RUN_CFG, flags=re.M)
+        (workdir / "run.cfg").write_text(run_cfg)
+        code = cli.main(["train", "--config", str(workdir / "run.cfg"),
+                         "--dataset", str(workdir / "d.bin"), "--out", str(workdir / "m.ckpt")])
+        assert code == 1
+        assert self._error(capsys) == {"error": error, "kind": "ConfigError"}
+        assert not (workdir / "m.ckpt").exists()
+
     def test_compare_without_seeds_fails_before_training(self, workdir, capsys):
         (workdir / "run.cfg").write_text(RUN_CFG + "seeds =\n")
         out = workdir / "compare.csv"

@@ -48,6 +48,33 @@ def conv_oracle(x, filters, bias, stride, padding):
     return out
 
 
+def conv_index_table_reference(x, filters, bias, padding, g, x_needs_grad=True):
+    """im2col through a flat index table, col2im by one `np.bincount` summed
+    in float64: (out, gx, gw, gb) for output gradient g, in x's dtype."""
+    h, w, cin = x.shape
+    k, _, _, cout = filters.shape
+    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    hp, wp = xp.shape[:2]
+    ho, wo = hp - k + 1, wp - k + 1
+    i = np.arange(ho)[:, None, None, None, None]
+    j = np.arange(wo)[None, :, None, None, None]
+    a = np.arange(k)[None, None, :, None, None]
+    b = np.arange(k)[None, None, None, :, None]
+    c = np.arange(cin)[None, None, None, None, :]
+    idx = (((i + a) * wp + (j + b)) * cin + c).reshape(ho * wo, k * k * cin)
+    cols = xp.reshape(-1)[idx]
+    wmat = filters.reshape(k * k * cin, cout)
+    out = (cols @ wmat + bias[None, :]).reshape(ho, wo, cout)
+    gm = g.reshape(ho * wo, cout)
+    gw = (cols.T @ gm).reshape(k, k, cin, cout)
+    gb = gm.sum(axis=0)
+    if not x_needs_grad:
+        return out, None, gw, gb
+    gxp = np.bincount(idx.ravel(), weights=(gm @ wmat.T).ravel(), minlength=hp * wp * cin)
+    gxp = gxp.astype(x.dtype).reshape(hp, wp, cin)
+    return out, gxp[padding : padding + h, padding : padding + w], gw, gb
+
+
 class TestConv2d:
     def test_1x1_identity(self, rng):
         x = rng.normal(size=(4, 4, 3))
@@ -77,6 +104,37 @@ class TestConv2d:
         layer = ConvLayer(Tensor(f), Tensor(b), padding=pad)
         out = conv2d(Tensor(x), layer)
         np.testing.assert_allclose(out.data, conv_oracle(x, f, b, stride, pad), atol=1e-12)
+
+    @pytest.mark.parametrize("h,w,cin,cout,k,pad", [
+        (5, 5, 2, 3, 3, 0),
+        (6, 4, 1, 2, 3, 1),
+        (7, 7, 3, 2, 3, 1),
+        (4, 4, 2, 2, 1, 0),
+        (8, 6, 2, 4, 5, 2),
+        (9, 7, 3, 5, 5, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x_grad", "no_x_grad"])
+    def test_bytes_match_index_table_reference(self, h, w, cin, cout, k, pad, dtype,
+                                               x_needs_grad, rng):
+        # Tolerances cannot see summation order: the output and all three
+        # gradients must be the reference's bytes, input gradient included.
+        x = rng.normal(size=(h, w, cin)).astype(dtype)
+        f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        layer = ConvLayer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True),
+                          padding=pad)
+        with Tape() as tape:
+            out = conv2d(Tensor(x, requires_grad=x_needs_grad), layer)
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        got = (out.data, *tape.nodes[0].backward_fn(g))
+        want = conv_index_table_reference(x, f, b, pad, g, x_needs_grad)
+        for name, have, ref in zip(("out", "gx", "gw", "gb"), got, want):
+            if ref is None:
+                assert have is None, name
+                continue
+            assert have.dtype == dtype and have.shape == ref.shape, name
+            assert np.ascontiguousarray(have).tobytes() == np.ascontiguousarray(ref).tobytes(), name
 
     @pytest.mark.parametrize("h,w,cin,cout,pad", [
         (5, 5, 2, 2, 0),
