@@ -1,46 +1,34 @@
 """Command-line entry points: generate | train | eval | compare | ground | sweep.
 
-Errors exit nonzero after printing a single machine-readable JSON line to
-stderr.
+Errors, usage errors included, exit 1 after printing a single
+machine-readable JSON line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 
 from . import harness, synthdata, tasks
 
-GEN_FIELDS = {
-    "version": int,
-    "scenes": int,
-    "canvas": int,
-    "classes": int,
-    "parts_per_class": int,
-    "objects_min": int,
-    "objects_max": int,
-    "noise_std": float,
-    "min_object_side": int,
-    "max_object_side": int,
-    "seed": int,
-}
-
-GEN_DEFAULTS = {"scenes": 500}
+_SPEC_PARSERS = harness.field_parsers(synthdata.SceneSpec)
+# Dataset-config key -> SceneSpec field: every field, `classes` naming `n_classes`.
+_SPEC_KEYS = {"classes" if name == "n_classes" else name: name for name in _SPEC_PARSERS}
+_DATASET_FIELDS = {"version": int, "scenes": int,
+                   **{key: _SPEC_PARSERS[name] for key, name in _SPEC_KEYS.items()}}
 
 
 def parse_dataset_config(text: str):
     """Synthetic dataset description in the run-config grammar; returns
-    (SceneSpec, scene count)."""
-    values = {**GEN_DEFAULTS, **harness.parse_key_values(text, GEN_FIELDS)}
-    values.pop("version")
-    n = values.pop("scenes")
+    (SceneSpec, scene count), 500 scenes unless `scenes` is given."""
+    values = harness.parse_key_values(text, _DATASET_FIELDS)
+    n = values.get("scenes", 500)
     if n < 1:
         raise harness.ConfigError(f"scenes must be at least 1, got {n}")
-    rename = {"classes": "n_classes"}
-    spec = synthdata.SceneSpec(**{rename.get(k, k): v for k, v in values.items()})
+    spec = synthdata.SceneSpec(**{name: values[key] for key, name in _SPEC_KEYS.items()
+                                  if key in values})
     return spec, n
 
 
@@ -70,23 +58,24 @@ def _cmd_train(args):
     harness.save_checkpoint(state, args.out)
     print(f"checkpoint written to {args.out}")
     if args.loss_curve:
-        with open(args.loss_curve, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["epoch", "mean_loss"])
-            for i, v in enumerate(state.history, 1):
-                w.writerow([i, f"{v:.6f}"])
+        harness.write_csv(args.loss_curve, ["epoch", "mean_loss"],
+                          ([i, f"{v:.6f}"] for i, v in enumerate(state.history, 1)))
+
+
+def _load_scored(args):
+    """The checkpoint's TrainState, then the dataset it is scored on."""
+    state = harness.restore_model(harness.load_checkpoint(args.checkpoint))
+    return (state, *synthdata.read_dataset(args.dataset))
 
 
 def _cmd_eval(args):
-    state = harness.restore_model(harness.load_checkpoint(args.checkpoint))
-    spec, scenes = synthdata.read_dataset(args.dataset)
+    state, spec, scenes = _load_scored(args)
     metrics = harness.evaluate_model(state.model, spec, scenes)
     rows = tasks.metrics_to_rows(
         args.run_id, state.config.mode, state.model.cfg.t, state.config.seed, metrics
     )
-    harness.write_metrics_csv(args.out, rows)
-    print(f"cls mAP {metrics['cls_map']:.3f}  det AP {metrics['det_ap']:.3f}"
-          + ("" if metrics["part_ap"] is None else f"  part AP {metrics['part_ap']:.3f}"))
+    harness.write_csv(args.out, tasks.METRIC_CSV_COLUMNS, rows)
+    print(tasks.summary_line(metrics))
 
 
 def _cmd_compare(args):
@@ -100,46 +89,50 @@ def _cmd_compare(args):
     )
     table = harness.comparison_table(medians)
     print(table)
-    harness.write_metrics_csv(args.out, harness.comparison_rows(results))
+    harness.write_csv(args.out, tasks.METRIC_CSV_COLUMNS, harness.comparison_rows(results))
     if args.table:
         with open(args.table, "w") as f:
             f.write(table + "\n")
 
 
 def _cmd_ground(args):
-    state = harness.restore_model(harness.load_checkpoint(args.checkpoint))
-    spec, scenes = synthdata.read_dataset(args.dataset)
+    state, spec, scenes = _load_scored(args)
     res = harness.ground_experiment(state, spec, scenes)
-    for cond in ("ungrounded", "grounded"):
-        m = res[cond]
-        print(f"{cond}: cls mAP {m['cls_map']:.3f}  det AP {m['det_ap']:.3f}"
-              + ("" if m["part_ap"] is None else f"  part AP {m['part_ap']:.3f}"))
+    conds = ("ungrounded", "grounded")
+    for cond in conds:
+        print(f"{cond}: {tasks.summary_line(res[cond])}")
     print("deltas: " + json.dumps({k: round(v, 4) for k, v in res["deltas"].items()}))
     if args.out:
-        rows = []
-        for cond in ("ungrounded", "grounded"):
-            rows.extend(
-                tasks.metrics_to_rows(cond, state.config.mode, 1, state.config.seed, res[cond])
-            )
-        harness.write_metrics_csv(args.out, rows)
+        rows = [row for cond in conds for row in
+                tasks.metrics_to_rows(cond, state.config.mode, 1, state.config.seed, res[cond])]
+        harness.write_csv(args.out, tasks.METRIC_CSV_COLUMNS, rows)
 
 
 def _cmd_sweep(args):
-    state = harness.restore_model(harness.load_checkpoint(args.checkpoint))
-    spec, scenes = synthdata.read_dataset(args.dataset)
+    state, spec, scenes = _load_scored(args)
     rows = harness.recurrence_sweep(state, spec, scenes, args.t_max)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "cls_map", "det_ap", "part_ap"])
-        for r in rows:
-            w.writerow([r["t"], f"{r['cls_map']:.6f}", f"{r['det_ap']:.6f}",
-                        "" if r["part_ap"] is None else f"{r['part_ap']:.6f}"])
+    keys = tasks.SUMMARY_KEYS
+    harness.write_csv(args.out, ["t", *keys],
+                      ([r["t"], *("" if r[k] is None else f"{r[k]:.6f}" for k in keys)]
+                       for r in rows))
     for r in rows:
         print(r)
 
 
+class UsageError(ValueError):
+    """Bad command line: unknown or missing flag, or a bad flag value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, naming the (sub)command, for `main` to report;
+    `-h` still prints help and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="multinet")
+    p = _Parser(prog="multinet")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic dataset file")
@@ -192,8 +185,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
     except Exception as e:  # noqa: BLE001 - single machine-readable error line
         print(json.dumps({"error": str(e), "kind": type(e).__name__}), file=sys.stderr)

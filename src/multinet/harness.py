@@ -26,6 +26,7 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "TrainingError",
+    "field_parsers",
     "parse_key_values",
     "parse_config",
     "load_config",
@@ -40,7 +41,7 @@ __all__ = [
     "compare_modes",
     "ground_experiment",
     "recurrence_sweep",
-    "write_metrics_csv",
+    "write_csv",
 ]
 
 CKPT_MAGIC = b"MNCKPT\x00"
@@ -116,7 +117,11 @@ def _parse_bool(raw: str) -> bool:
 
 
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
-_RUN_FIELDS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
+
+
+def field_parsers(cls) -> dict:
+    """The `parse_key_values` parser of each field of dataclass `cls`, by name."""
+    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
 
 
 def parse_key_values(text: str, fields: dict) -> dict:
@@ -151,7 +156,7 @@ def parse_key_values(text: str, fields: dict) -> dict:
 
 def parse_config(text: str) -> RunConfig:
     """Run configuration in the `parse_key_values` grammar."""
-    return RunConfig(**parse_key_values(text, _RUN_FIELDS))
+    return RunConfig(**parse_key_values(text, field_parsers(RunConfig)))
 
 
 def load_config(path) -> RunConfig:
@@ -407,10 +412,11 @@ def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False
     return tasks.evaluate(records, model.cfg.c_cls)
 
 
-def write_metrics_csv(path, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """One CSV file: the `header` row, then `rows`."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(tasks.METRIC_CSV_COLUMNS)
+        w.writerow(header)
         w.writerows(rows)
 
 
@@ -461,17 +467,12 @@ def compare_modes(config: RunConfig, spec, train_scenes, val_spec, val_scenes, l
             results[mode][seed] = train_and_eval_mode(
                 mode, config, spec, train_scenes, val_spec, val_scenes, seed, log=log
             )
-    medians = {}
-    for mode in COMPARE_MODES:
-        vals = results[mode]
-        medians[mode] = {
-            key: (
-                float(np.median([v[key] for v in vals.values()]))
-                if all(v[key] is not None for v in vals.values())
-                else None
-            )
-            for key in ("cls_map", "det_ap", "part_ap")
-        }
+
+    def median(values):
+        return None if None in values else float(np.median(values))
+
+    medians = {mode: {k: median([m[k] for m in per_seed.values()]) for k in tasks.SUMMARY_KEYS}
+               for mode, per_seed in results.items()}
     return results, medians
 
 
@@ -483,12 +484,11 @@ def comparison_table(medians) -> str:
         "update1": "Ours (stack)",
         "update2": "Ours (with bottleneck)",
     }
-    lines = ["| Method | cls mAP | det AP@0.5 | part AP@0.4 |", "|---|---|---|---|"]
+    keys = tasks.SUMMARY_KEYS
+    header = ["Method", *(tasks.metric_label(k, with_iou=True) for k in keys)]
+    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
     for mode, med in medians.items():
-        cells = [
-            "-" if med[k] is None else f"{med[k]:.3f}"
-            for k in ("cls_map", "det_ap", "part_ap")
-        ]
+        cells = ["-" if med[k] is None else f"{med[k]:.3f}" for k in keys]
         lines.append(f"| {names.get(mode, mode)} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
@@ -509,10 +509,8 @@ def ground_experiment(state: TrainState, spec, scenes) -> dict:
         raise TrainingError("grounding requires a recurrent checkpoint (T >= 1)")
     ungrounded = evaluate_model(model, spec, scenes, at_iter=1)
     grounded = evaluate_model(model, spec, scenes, at_iter=1, ground_cls=True)
-    deltas = {}
-    for key in ("cls_map", "det_ap", "part_ap"):
-        if ungrounded[key] is not None and grounded[key] is not None:
-            deltas[key] = grounded[key] - ungrounded[key]
+    deltas = {k: grounded[k] - ungrounded[k] for k in tasks.SUMMARY_KEYS
+              if ungrounded[k] is not None}
     return {"ungrounded": ungrounded, "grounded": grounded, "deltas": deltas}
 
 
@@ -533,5 +531,5 @@ def recurrence_sweep(state: TrainState, spec, scenes, t_max: int):
     rows = []
     for t, records in enumerate(per_t):
         metrics = tasks.evaluate(records, model.cfg.c_cls)
-        rows.append({"t": t, **{k: metrics[k] for k in ("cls_map", "det_ap", "part_ap")}})
+        rows.append({"t": t, **{k: metrics[k] for k in tasks.SUMMARY_KEYS}})
     return rows

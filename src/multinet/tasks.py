@@ -38,7 +38,10 @@ __all__ = [
     "SceneRecord",
     "score_scene",
     "evaluate",
+    "SUMMARY_KEYS",
     "METRIC_CSV_COLUMNS",
+    "metric_label",
+    "summary_line",
     "metrics_to_rows",
 ]
 
@@ -81,6 +84,9 @@ class RegionTask(NamedTuple):
 REGION_TASKS = {
     t.name: t for t in (RegionTask("det", "object", 0.5), RegionTask("part", "part", 0.4))
 }
+
+# Each task's headline metric, in the order eval, ground, sweep and compare report them.
+SUMMARY_KEYS = ("cls_map", *(f"{t}_ap" for t in REGION_TASKS))
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -287,13 +293,6 @@ class SceneRecord(NamedTuple):
     regions: dict
 
 
-def _clip(v, lo, hi):
-    """Elementwise `min(max(v, lo), hi)` with Python's tie rule: `v` is kept
-    unless the bound is strictly beyond it."""
-    v = np.where(lo > v, lo, v)
-    return np.where(hi < v, hi, v)
-
-
 def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneRecord:
     """Score one scene's outputs: `regions` maps each region task to the
     (M, K + 1) scores and (M, 4 * (K + 1)) deltas of the (M, 4) `proposals`.
@@ -306,10 +305,10 @@ def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneReco
         classes, gt = task.ground_truth(scene)
         k1 = scores.shape[1]
         b = bbox_decode(proposals[:, None, :], deltas.reshape(-1, k1, 4))
-        x1 = _clip(b[..., 0], 0.0, canvas - 1.0)
-        y1 = _clip(b[..., 1], 0.0, canvas - 1.0)
-        x2 = _clip(b[..., 2], x1 + 1e-3, float(canvas))
-        y2 = _clip(b[..., 3], y1 + 1e-3, float(canvas))
+        x1 = np.clip(b[..., 0], 0.0, canvas - 1.0)
+        y1 = np.clip(b[..., 1], 0.0, canvas - 1.0)
+        x2 = np.clip(b[..., 2], x1 + 1e-3, float(canvas))
+        y2 = np.clip(b[..., 3], y1 + 1e-3, float(canvas))
         boxes = np.stack([x1, y1, x2, y2], axis=-1)
         rows[name] = []
         for k in range(1, k1):
@@ -323,12 +322,11 @@ def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneReco
 def evaluate(records, n_classes: int) -> dict:
     """AP over the scenes of `score_scene` records.
 
-    Returns {"cls_map", "det_ap", "part_ap", "cls_ap_per_class",
-    "det_ap_per_class", "part_ap_per_class"}. Each region task the records
-    carry is scored over its classes; the entries of a task they lack are
-    None. A scene's detections rank against every other scene's by score,
-    and the stable sort keeps each scene's keep order on ties, so records
-    can be joined in any order and repeated.
+    Returns the `SUMMARY_KEYS` and each task's `<task>_ap_per_class` list.
+    Each region task the records carry is scored over its classes; the
+    entries of a task they lack are None. A scene's detections rank against
+    every other scene's by score, and the stable sort keeps each scene's
+    keep order on ties, so records can be joined in any order and repeated.
     """
     if not records:
         raise ValueError("evaluate: empty dataset")
@@ -352,21 +350,31 @@ def evaluate(records, n_classes: int) -> dict:
 METRIC_CSV_COLUMNS = ["run_id", "mode", "T", "seed", "metric_name", "class", "value"]
 
 
+def metric_label(key: str, with_iou: bool = False) -> str:
+    """How reports name a `SUMMARY_KEYS` metric: "cls mAP", "det AP", and
+    with `with_iou` a region task's AP match IoU as well, "det AP@0.5"."""
+    task, kind = key.split("_")
+    label = f"{task} {kind.replace('ap', 'AP')}"
+    if with_iou and task in REGION_TASKS:
+        label += f"@{REGION_TASKS[task].match_iou}"
+    return label
+
+
+def summary_line(metrics) -> str:
+    """The headline metrics a run has, e.g. "cls mAP 0.981  det AP 0.917"."""
+    return "  ".join(f"{metric_label(k)} {metrics[k]:.3f}"
+                     for k in SUMMARY_KEYS if metrics[k] is not None)
+
+
 def metrics_to_rows(run_id, mode, t, seed, metrics) -> list:
-    """Flatten an evaluate() dict to CSV rows with the fixed column order."""
+    """Flatten an evaluate() dict to CSV rows with the fixed column order:
+    per-class APs (cls classes from 0, region classes from 1), then means."""
     rows = []
-    for name, per_class in (
-        ("cls_ap", "cls_ap_per_class"),
-        ("det_ap", "det_ap_per_class"),
-        ("part_ap", "part_ap_per_class"),
-    ):
-        aps = metrics.get(per_class)
-        if aps is None:
-            continue
-        for c, v in enumerate(aps):
-            rows.append([run_id, mode, t, seed, name, c + 1 if name != "cls_ap" else c, f"{v:.6f}"])
-    rows.append([run_id, mode, t, seed, "cls_map", "mean", f"{metrics['cls_map']:.6f}"])
-    rows.append([run_id, mode, t, seed, "det_ap", "mean", f"{metrics['det_ap']:.6f}"])
-    if metrics.get("part_ap") is not None:
-        rows.append([run_id, mode, t, seed, "part_ap", "mean", f"{metrics['part_ap']:.6f}"])
+    for task in ("cls", *REGION_TASKS):
+        first = 0 if task == "cls" else 1
+        for c, v in enumerate(metrics.get(f"{task}_ap_per_class") or (), first):
+            rows.append([run_id, mode, t, seed, f"{task}_ap", c, f"{v:.6f}"])
+    for key in SUMMARY_KEYS:
+        if metrics.get(key) is not None:
+            rows.append([run_id, mode, t, seed, key, "mean", f"{metrics[key]:.6f}"])
     return rows

@@ -23,7 +23,7 @@ from multinet.harness import (
     save_checkpoint,
     scene_loss,
     train,
-    write_metrics_csv,
+    write_csv,
 )
 from multinet.model import Multinet, TaskConfig
 from multinet.synthdata import SceneSpec, generate_dataset, write_dataset
@@ -293,6 +293,13 @@ class TestCheckpoints:
         assert again.read_bytes() == path.read_bytes()
 
 
+def held_out_scenes():
+    """(spec, scenes): 8 scenes of the committed checkpoint's spec that it
+    was not trained on."""
+    spec = SceneSpec(seed=100)
+    return spec, generate_dataset(spec, 8, offset=10_000)
+
+
 class TestFixtureEvalPin:
     """`evaluate_model` and `recurrence_sweep(t_max=4)` of the committed
     update1 checkpoint on 8 held-out scenes, equal to the figures recorded
@@ -312,9 +319,7 @@ class TestFixtureEvalPin:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        spec = SceneSpec(seed=100)
-        return restore_model(load_checkpoint(COMMITTED_CKPT)), spec, generate_dataset(
-            spec, 8, offset=10_000)
+        return restore_model(load_checkpoint(COMMITTED_CKPT)), *held_out_scenes()
 
     def test_evaluate_model(self, setup):
         state, spec, scenes = setup
@@ -529,7 +534,7 @@ class TestExperiments:
             metrics = evaluate_model(state.model, SMALL_SPEC, SMALL_SCENES)
             rows = metrics_to_rows("run", state.config.mode, 1, 0, metrics)
             p = tmp_path / f"m{i}.csv"
-            write_metrics_csv(p, rows)
+            write_csv(p, tasks.METRIC_CSV_COLUMNS, rows)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -741,12 +746,32 @@ class TestCli:
     def test_compare_rejects_train_overrides(self, workdir, capsys, flag):
         # compare runs every mode at every seed in `seeds`; these flags
         # would be ignored, so they are refused.
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["compare", "--config", str(workdir / "run.cfg"), "--dataset", "d.bin",
-                      "--val-dataset", "v.bin", "--out", str(workdir / "c.csv"), *flag])
-        assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        code = cli.main(["compare", "--config", str(workdir / "run.cfg"), "--dataset", "d.bin",
+                         "--val-dataset", "v.bin", "--out", str(workdir / "c.csv"), *flag])
+        assert code == 1
+        assert self._error(capsys) == {
+            "error": f"multinet: unrecognized arguments: {' '.join(flag)}", "kind": "UsageError"}
         assert not (workdir / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["eval", "--checkpoint", "m.ckpt"],
+         "multinet eval: the following arguments are required: --dataset, --out"),
+        (["sweep", "--checkpoint", "m.ckpt", "--dataset", "d.bin", "--t-max", "two",
+          "--out", "s.csv"],
+         "multinet sweep: argument --t-max: invalid int value: 'two'"),
+        ([], "multinet: the following arguments are required: command"),
+    ], ids=["missing-flag", "non-integer", "no-command"])
+    def test_usage_error_is_one_json_line(self, capsys, argv, error):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": error, "kind": "UsageError"}
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: multinet sweep [-h]")
 
     @pytest.mark.parametrize("line, error", [
         ("epochs_phase1 = 0", "epochs_phase1 must be at least 1, got 0"),
@@ -876,6 +901,52 @@ class TestCli:
         assert self._error(capsys) == {"error": "scenes: the training set is empty",
                                        "kind": "TrainingError"}
         assert not ckpt.exists()
+
+    def test_eval_prints_summary_line(self, workdir, capsys):
+        # TestFixtureEvalPin's metrics, as eval prints them
+        ds = workdir / "held_out.bin"
+        spec, scenes = held_out_scenes()
+        write_dataset(scenes, spec, ds)
+        assert cli.main(["eval", "--checkpoint", str(COMMITTED_CKPT), "--dataset", str(ds),
+                         "--out", str(workdir / "m.csv")]) == 0
+        assert capsys.readouterr().out == "cls mAP 1.000  det AP 0.990  part AP 0.991\n"
+
+    def test_parts_free_reports(self, workdir, capsys):
+        # Without parts every report leaves the part AP out, or marks it empty.
+        (workdir / "data.cfg").write_text(DATASET_CFG + "parts_per_class = 0\n")
+        (workdir / "run.cfg").write_text(RUN_CFG + "seeds = 0\n")
+        ds, ckpt = self._trained(workdir, capsys)
+        common = ["--checkpoint", str(ckpt), "--dataset", str(ds)]
+
+        assert cli.main(["eval", *common, "--out", str(workdir / "m.csv")]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"cls mAP \d\.\d{3}  det AP \d\.\d{3}\n", out), out
+        assert "part_ap" not in (workdir / "m.csv").read_text()
+
+        assert cli.main(["ground", *common, "--out", str(workdir / "g.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for cond, line in zip(("ungrounded", "grounded"), lines):
+            assert re.fullmatch(rf"{cond}: cls mAP \d\.\d{{3}}  det AP \d\.\d{{3}}", line)
+        assert list(json.loads(lines[2].removeprefix("deltas: "))) == ["cls_map", "det_ap"]
+
+        sweep_csv = workdir / "s.csv"
+        assert cli.main(["sweep", *common, "--t-max", "2", "--out", str(sweep_csv)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in sweep_csv.read_text().splitlines()]
+        assert rows[0] == ["t", "cls_map", "det_ap", "part_ap"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert all(row[3] == "" and row[2] != "" for row in rows[1:])
+
+        table = workdir / "compare.md"
+        assert cli.main(["compare", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                         "--val-dataset", str(ds), "--out", str(workdir / "c.csv"),
+                         "--table", str(table)]) == 0
+        capsys.readouterr()
+        lines = table.read_text().splitlines()
+        assert lines[0] == "| Method | cls mAP | det AP@0.5 | part AP@0.4 |"
+        for line in lines[2:]:
+            cells = line.split(" | ")
+            assert cells[-1] == "- |" and cells[-2] != "-", line
 
     def test_generate_is_deterministic(self, workdir, capsys):
         a, b = workdir / "a.bin", workdir / "b.bin"
