@@ -345,14 +345,15 @@ def save_checkpoint(state: TrainState, path) -> None:
         "optimizer": {},  # plain SGD carries no state
         "history": state.history,
     }
-    items = state.model.params.items()
-    chunks = [container.blob(json.dumps(header, sort_keys=True).encode()), container.u32(len(items))]
-    for name, tensor, mult in items:
+    records = state.model.records()
+    chunks = [container.blob(json.dumps(header, sort_keys=True).encode()),
+              container.u32(len(records))]
+    for name, data, mult in records:
         chunks.append(container.blob(name.encode()))
         chunks.append(struct.pack("<d", mult))
-        chunks.append(container.u32(tensor.data.ndim))
-        chunks.append(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
-        chunks.append(container.f8(tensor.data))
+        chunks.append(container.u32(data.ndim))
+        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
+        chunks.append(container.f8(data))
     container.write(path, CKPT_MAGIC, CKPT_VERSION, chunks)
 
 
@@ -376,11 +377,13 @@ def restore_model(ckpt: dict) -> TrainState:
     config = RunConfig(**ckpt["run_config"])
     cfg = TaskConfig(**ckpt["task_config"])
     model = Multinet(cfg, seed=config.seed)
-    for name, tensor, _mult in model.params.items():
+    arrays = {}
+    for name, want, _mult in model.records():
         data, _ = ckpt["params"][name]
-        if data.shape != tensor.data.shape:
+        if data.shape != want.shape:
             raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
-        tensor.data[...] = data  # rounded to the parameter's dtype, float32
+        arrays[name] = data
+    model.load_records(arrays)  # rounded to the parameters' dtype, float32
     rng_state = ckpt["rng_state"]
     return TrainState(model, config, ckpt["epoch"], rng_state, list(ckpt.get("history", [])))
 

@@ -20,17 +20,18 @@ from .tensor import (
     ParamGroup,
     Tensor,
     TensorError,
-    add_rowvec,
     elementwise,
     make_op,
     matmul,
     reshape,
     rng_tensor,
     seed_rng,
-    take_rows,
 )
 
-__all__ = ["TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "encode_det", "MODES"]
+__all__ = [
+    "TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "covering_regions", "encode_det",
+    "fc1_rows", "MODES",
+]
 
 MODES = ("shared", "update1", "update2")
 
@@ -105,19 +106,34 @@ def encode_cls(x_cls: Tensor, h: int, w: int) -> Tensor:
     return make_op(data, (x_cls,), bwd, "encode_cls")
 
 
-def encode_det(x: Tensor, footprints: np.ndarray, h: int, w: int) -> Tensor:
-    """Heat map of region scores: each cell takes the channelwise max over
-    the scores of regions whose feature footprint ((M, 4) [r0, r1, c0, c1]
-    from `nnops.feature_footprints`) covers it, or 0 when no region does.
-    Gradient routes to the first covering region attaining the max
-    (strictly positive maxima only)."""
-    m, k1 = x.data.shape
+def covering_regions(footprints: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(h*w, L) table of the regions whose footprint ((M, 4) [r0, r1, c0,
+    c1] from `nnops.feature_footprints`) covers each cell of an h x w map,
+    row-major: each row lists its cell's regions in ascending order and is
+    padded with M, the index of the zero row `encode_det` appends to the
+    scores. L is the largest number of regions covering one cell."""
+    m = len(footprints)
     r0, r1, c0, c1 = (footprints[:, j, None] for j in range(4))
     rows, cols = np.arange(h), np.arange(w)
     cover = ((r0 <= rows) & (rows < r1))[:, :, None] & ((c0 <= cols) & (cols < c1))[:, None, :]
-    cand = np.where(cover[..., None], x.data[:, None, None, :], 0.0)  # (M, H, W, K1)
-    data = np.maximum(cand.max(axis=0), 0.0)
-    winner = np.where(data > 0, cand.argmax(axis=0), -1)  # first covering max
+    cover = cover.reshape(m, h * w).T
+    table = np.sort(np.where(cover, np.arange(m), m), axis=1)
+    return table[:, : cover.sum(axis=1).max()]
+
+
+def encode_det(x: Tensor, covering: np.ndarray, h: int, w: int) -> Tensor:
+    """Heat map of region scores: each cell takes the channelwise max over
+    the scores of the regions that cover it (its row of the `covering`
+    table from `covering_regions`), or 0 when no region does. Gradient
+    routes to the first covering region attaining the max (strictly
+    positive maxima only)."""
+    m, k1 = x.data.shape
+    padded = np.concatenate([x.data, np.zeros((1, k1), dtype=x.data.dtype)])
+    cand = padded[covering]  # (H*W, L, K1)
+    pos = cand.argmax(axis=1)  # each cell's first covering max, per channel
+    cells = np.arange(h * w)[:, None]
+    data = np.maximum(cand[cells, pos, np.arange(k1)], 0.0).reshape(h, w, k1)
+    winner = np.where(data > 0, covering[cells, pos].reshape(h, w, k1), -1)
 
     def bwd(g):
         won = winner >= 0
@@ -126,6 +142,16 @@ def encode_det(x: Tensor, footprints: np.ndarray, h: int, w: int) -> Tensor:
         return (gx.astype(x.data.dtype, copy=False).reshape(m, k1),)
 
     return make_op(data, (x,), bwd, "encode_det")
+
+
+def fc1_rows(cfg: TaskConfig) -> dict:
+    """Block -> the rows of a stacking-mode region fc1's checkpoint record
+    `<task>.fc1.weight` it holds, in order. Row cell*D + ch of that stacked
+    weight reads channel ch of SPP cell `cell` (D = `decoder_channels`):
+    the "image" block holds the rows with ch < C, the "task" block the rest."""
+    dc = cfg.decoder_channels
+    layout = np.arange(cfg.spp_grid**2 * dc).reshape(-1, dc)
+    return {"image": layout[:, : cfg.channels].ravel(), "task": layout[:, cfg.channels :].ravel()}
 
 
 def _he_conv(rng, k, cin, cout):
@@ -145,6 +171,9 @@ class Multinet:
     so the parameter count is independent of the recursion depth. They are
     float32: each is drawn in float64 and rounded once, and the network
     computes in their dtype (`dtype`), to which `forward` casts its inputs.
+    A stacking-mode region fc1 weight is two parameters,
+    `<task>.fc1.weight:image` and `<task>.fc1.weight:task`, which
+    checkpoints record as the one stacked weight (`records`).
     """
 
     def __init__(self, cfg: TaskConfig, seed: int = 0):
@@ -177,11 +206,6 @@ class Multinet:
             task: self._region_head(rng, task, din, hr, k + 1)
             for task, k in cfg.region_classes.items()
         }
-        # Row cell*dc + ch of a region fc1 weight reads channel ch of SPP
-        # cell `cell`: the image rows (ch < C) and the task rows, in the
-        # order of a flattened (G, G, C) or (G, G, task_channels) block.
-        layout = np.arange(din).reshape(-1, dc)
-        self._fc1_rows = (layout[:, :c].ravel(), layout[:, c:].ravel())
 
         if cfg.mode == "update2":
             cin = c + cfg.stacked_channels  # h_prev stacked with image + task maps
@@ -208,12 +232,55 @@ class Multinet:
         return FCLayer(weight, bias)
 
     def _region_head(self, rng, name, din, hidden, k1):
+        if self.cfg.mode in _STACKED_MODES:
+            # The stacked He draw, held as the blocks the forward reads: the
+            # image block with the bias, and the task block (`fc1_rows`).
+            w = _he_fc(rng, din, hidden).data
+            image, task = (
+                self.params.add(f"{name}.fc1.weight:{block}", Tensor(w[rows]), 1.0)
+                for block, rows in fc1_rows(self.cfg).items()
+            )
+            bias = self.params.add(f"{name}.fc1.bias", Tensor(np.zeros(hidden)), 2.0)
+            fc1 = FCLayer(image, bias)
+        else:
+            fc1, task = self._fc(rng, f"{name}.fc1", din, hidden, he=True), None
         return {
-            "fc1": self._fc(rng, f"{name}.fc1", din, hidden, he=True),
+            "fc1": fc1,
+            "fc1_task": task,
             "fc2": self._fc(rng, f"{name}.fc2", hidden, hidden, he=True),
             "score": self._fc(rng, f"{name}.score", hidden, k1, std=0.01),
             "delta": self._fc(rng, f"{name}.delta", hidden, 4 * k1, std=0.001),
         }
+
+    # ---- checkpoint records ---------------------------------------------
+
+    def records(self, grads: bool = False) -> list:
+        """(name, array, lr multiplier) of each checkpoint record, in record
+        order: every parameter's data (its gradient when `grads`), except
+        that a stacking-mode region fc1's image and task blocks are joined
+        into their stacked `<task>.fc1.weight` (`fc1_rows`)."""
+        out = []
+        for name, t, mult in self.params.items():
+            record, _, block = name.partition(":")
+            data = t.grad if grads else t.data
+            if block == "task":  # joined to the image block, recorded last
+                rows, image = fc1_rows(self.cfg), out[-1][1]
+                stacked = np.empty((len(image) + len(data), data.shape[1]), data.dtype)
+                stacked[rows["image"]], stacked[rows["task"]] = image, data
+                out[-1] = (record, stacked, mult)
+            else:
+                out.append((record, data, mult))
+        return out
+
+    def load_records(self, arrays: dict) -> None:
+        """Set every parameter from `arrays`, record name -> array in the
+        shapes `records` gives, rounded to the parameters' dtype."""
+        for name, t, _mult in self.params.items():
+            record, _, block = name.partition(":")
+            data = arrays[record]
+            if block:
+                data = data[fc1_rows(self.cfg)[block]]
+            t.data[...] = data
 
     # ---- encoders -------------------------------------------------------
 
@@ -272,14 +339,15 @@ class Multinet:
         in front of that stack and mixes it back to C channels.
 
         Region features are pooled once per map and shared by the region
-        heads. With the stacking integrator each region head's fc1 is split
-        at the image/task boundary of its input rows: SPP max pooling is per
-        channel, so the image block is pooled once per forward and its fc1
-        product (plus bias) is taken once, and iteration t >= 1 adds the
-        product of its own pooled task block with the task rows. At t = 0
-        the task block is zero, so the image product is the whole
-        pre-activation. The bottleneck integrator pools its C-channel map at
-        every iteration and applies the whole fc1.
+        heads. With the stacking integrator each region head's fc1 is held
+        as the two blocks of its input rows (`fc1_rows`): SPP max pooling is
+        per channel, so the image channels are pooled once per forward and
+        their product with the image block (plus bias) is taken once, and
+        iteration t >= 1 adds the product of its own pooled task channels
+        with the task block. At t = 0 the task channels are zero, so the
+        image product is the whole pre-activation. The bottleneck integrator
+        pools its C-channel map at every iteration and applies the whole
+        fc1.
         """
         cfg = self.cfg
         if len(boxes) != cfg.m:
@@ -309,7 +377,9 @@ class Multinet:
 
         layers = {task: hd["fc1"] for task, hd in self.region_heads.items() if task in tasks}
 
-        def whole_fc1(h):
+        def fc1_from(h):
+            # the whole fc1 in update2; with the stacking integrator h is
+            # r_img and the layers hold the image block
             x = flat(pool(h)) if layers else None
             return {task: nnops.fully_connected(x, fc) for task, fc in layers.items()}
 
@@ -317,40 +387,32 @@ class Multinet:
         if stacked:
             zeros = np.zeros((hh, ww, cfg.task_channels), dtype=r_img.data.dtype)
             h = nnops.stack_channels([r_img, Tensor(zeros)])
-            img_rows, task_rows = self._fc1_rows
-            x_img = flat(pool(r_img)) if layers else None
-            img_fc1 = {
-                task: add_rowvec(matmul(x_img, take_rows(fc.weight, img_rows)), fc.bias)
-                for task, fc in layers.items()
-            }
-            w_task = {
-                task: take_rows(fc.weight, task_rows) for task, fc in layers.items()
-            } if n_iters > 0 else {}
-            fc1 = img_fc1  # the task block is zero at t = 0
-        else:
-            fc1 = whole_fc1(h)
+        fc1 = img_fc1 = fc1_from(r_img)  # whole at t = 0, where the task channels are zero
         outputs = [self._decode_all(h, fc1, tasks)]
 
-        # The boxes' footprints from their SPP layout, which pooling built.
-        footprints = nnops.spp_layout(boxes, self.grid, hh, ww)[0] if n_iters else None
+        # Each cell's covering regions, from the footprints pooling built.
+        if n_iters:
+            covering = covering_regions(nnops.spp_layout(boxes, self.grid, hh, ww)[0], hh, ww)
         for _ in range(n_iters):
             prev = outputs[-1]
             x_cls = self._feedback(prev.x_cls) if ground_cls is None else ground_cls
             maps = [encode_cls(x_cls, hh, ww)]
             for task in cfg.region_classes:
-                maps.append(encode_det(self._feedback(prev.regions[task][0]), footprints, hh, ww))
+                maps.append(encode_det(self._feedback(prev.regions[task][0]), covering, hh, ww))
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
                 x_task = flat(pool(task_maps))
                 fc1 = {
-                    task: elementwise("add", pre, matmul(x_task, w_task[task]))
+                    task: elementwise(
+                        "add", pre, matmul(x_task, self.region_heads[task]["fc1_task"])
+                    )
                     for task, pre in img_fc1.items()
                 }
             else:
                 stack = nnops.stack_channels([h, r_img] + maps)
                 h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
-                fc1 = whole_fc1(h)
+                fc1 = fc1_from(h)
             outputs.append(self._decode_all(h, fc1, all_tasks))
         return outputs
 

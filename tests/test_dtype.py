@@ -17,6 +17,7 @@ from multinet.tensor import Tape, Tensor, add_rowvec, backward, matmul, reshape,
 
 # Region geometry stays float64 whatever the network's dtype.
 BOXES = np.array([[0.0, 0.0, 16.0, 16.0], [4.0, 8.0, 30.0, 20.0], [10.0, 2.0, 14.0, 31.0]])
+COVERING = model.covering_regions(nnops.feature_footprints(BOXES, 8, 4, 4), 4, 4)
 TARGETS = np.linspace(-2.0, 2.0, 24).reshape(3, 8)
 MASK = np.zeros((3, 8))
 MASK[0, 4:] = MASK[2, :4] = 1.0
@@ -46,8 +47,7 @@ CASES = {
     "stack_channels": (lambda a, b: nnops.stack_channels([a, b]), [(2, 2, 1), (2, 2, 3)]),
     "spp_pool_regions": (lambda h: nnops.spp_pool_regions(h, BOXES, SppGrid(2, 8)), [(4, 4, 3)]),
     "encode_cls": (lambda x: model.encode_cls(x, 4, 4), [(3,)]),
-    "encode_det": (lambda x: model.encode_det(x, nnops.feature_footprints(BOXES, 8, 4, 4), 4, 4),
-                   [(3, 4)]),
+    "encode_det": (lambda x: model.encode_det(x, COVERING, 4, 4), [(3, 4)]),
     # The harness passes the image label as uint8 and the box targets and
     # mask as float64.
     "bce_multilabel": (lambda p: tasks.bce_multilabel(p, np.array([1, 0, 1], dtype=np.uint8)),

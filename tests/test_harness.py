@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multinet import cli, container, harness, tasks
+from multinet import cli, container, harness, model, nnops, tasks
 from multinet.harness import (
     ConfigError,
     RunConfig,
@@ -25,10 +25,12 @@ from multinet.harness import (
     train,
     write_csv,
 )
-from multinet.model import Multinet, TaskConfig
+from multinet.model import Multinet, TaskConfig, fc1_rows
 from multinet.synthdata import SceneSpec, generate_dataset, write_dataset
 from multinet.tasks import metrics_to_rows
-from multinet.tensor import Tape, backward, take_rows
+from multinet.tensor import (
+    ParamGroup, Tape, Tensor, add_rowvec, backward, matmul, sgd_step, take_rows,
+)
 
 from conftest import as_float64, reseal
 from test_synthdata import label_offset, patched, record_offsets
@@ -338,19 +340,21 @@ def _copy_two_task_weights(src: Multinet, dst: Multinet):
     dc_src = src.cfg.decoder_channels
     g2 = dst.cfg.spp_grid ** 2
     hid = dst.cfg.region_hidden
-    for name, tensor, _ in dst.params.items():
+    source = {name: data for name, data, _ in src.records()}
+    arrays = {}
+    for name, data, _ in dst.records():
         if name.startswith("part."):
-            continue
-        source = src.params[name].data
-        if name == "cls.fc1.weight":
-            tensor.data[:] = 0.0
-            tensor.data[:dc_src] = source
+            arrays[name] = data.copy()
+        elif name == "cls.fc1.weight":
+            arrays[name] = np.zeros_like(data)
+            arrays[name][:dc_src] = source[name]
         elif name in ("det.fc1.weight",):
-            w = tensor.data.reshape(g2, dst.cfg.decoder_channels, hid)
-            w[:] = 0.0
-            w[:, :dc_src] = source.reshape(g2, dc_src, hid)
+            w = np.zeros((g2, dst.cfg.decoder_channels, hid), dtype=data.dtype)
+            w[:, :dc_src] = source[name].reshape(g2, dc_src, hid)
+            arrays[name] = w.reshape(data.shape)
         else:
-            tensor.data[:] = source
+            arrays[name] = source[name]
+    dst.load_records(arrays)
 
 
 class TestTwoTaskGradientMatch:
@@ -375,7 +379,7 @@ class TestTwoTaskGradientMatch:
             with Tape() as tape:
                 loss, _ = scene_loss(net, batch, config, ("cls", "det"))
                 backward(loss, tape)
-            return float(loss.data), {n: t.grad.copy() for n, t, _ in net.params.items()}
+            return float(loss.data), {n: g.copy() for n, g, _ in net.records(grads=True)}
 
         loss3, g3 = grads(net3, batch3, config3)
         loss2, g2 = grads(net2, batch2, config2)
@@ -390,6 +394,71 @@ class TestTwoTaskGradientMatch:
             else:
                 got = g3[name]
             np.testing.assert_allclose(got, g, atol=1e-12, err_msg=name)
+
+
+class TestGatheredFc1Step:
+    """A training step equals one in the earlier layout, where each region
+    fc1 of the stacking modes was one parameter, the stacked checkpoint
+    record, and every forward gathered its image and task rows with
+    `take_rows`: the same loss bytes, block gradients equal to the stacked
+    gradient's rows, and the same weight bytes after the SGD step."""
+
+    @pytest.mark.parametrize("mode", ["update1", "shared"])
+    def test_step_bit_identical(self, monkeypatch, mode):
+        config = small_config(mode=mode, iterations=2)
+        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+
+        def step(net, params):
+            with Tape() as tape:
+                loss, _ = scene_loss(net, batch, config)
+                backward(loss, tape)
+            sgd_step(params, config.lr_phase1)
+            return loss.data.tobytes()
+
+        net = Multinet(cfg, seed=0)
+        loss = step(net, net.params)
+
+        # The earlier layout: each stacked fc1 record is a parameter, and
+        # the blocks' products read its rows, gathered once per forward.
+        old = Multinet(cfg, seed=0)
+        stacked = ParamGroup()
+        region_fc1 = {f"{task}.fc1.weight" for task in old.region_heads}
+        for name, data, mult in old.records():
+            stacked.add(name, Tensor(data.copy()) if name in region_fc1 else old.params[name], mult)
+        rows = fc1_rows(cfg)
+        owner = {}
+        for task, hd in old.region_heads.items():
+            owner[hd["fc1"].weight] = (stacked[f"{task}.fc1.weight"], "image")
+            owner[hd["fc1_task"]] = (stacked[f"{task}.fc1.weight"], "task")
+        gathered = {}
+        full = nnops.fully_connected
+
+        def gather(block):
+            if block not in gathered:
+                weight, kind = owner[block]
+                gathered[block] = take_rows(weight, rows[kind])
+            return gathered[block]
+
+        def fully_connected(x, layer):
+            if layer.weight in owner:
+                return add_rowvec(matmul(x, gather(layer.weight)), layer.bias)
+            return full(x, layer)
+
+        monkeypatch.setattr(nnops, "fully_connected", fully_connected)
+        monkeypatch.setattr(model, "matmul", lambda a, b: matmul(a, gather(b)))
+        assert step(old, stacked) == loss
+        assert len(gathered) == (4 if mode == "update1" else 2)
+
+        for task, hd in net.region_heads.items():
+            g = stacked[f"{task}.fc1.weight"].grad
+            assert hd["fc1"].weight.grad.tobytes() == g[rows["image"]].tobytes()
+            assert hd["fc1_task"].grad.tobytes() == g[rows["task"]].tobytes()
+            assert hd["fc1_task"].grad.any() == (mode == "update1")
+        for (name, g, _), (old_name, t, _) in zip(net.records(grads=True), stacked.items()):
+            assert name == old_name and g.tobytes() == t.grad.tobytes(), name
+        for (name, data, _), (_, t, _) in zip(net.records(), stacked.items()):
+            assert data.tobytes() == t.data.tobytes(), name
 
 
 class TestRegionTargets:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from multinet import model, nnops
-from multinet.model import MODES, Multinet, MultinetOutput, TaskConfig, encode_cls, encode_det
-from multinet.nnops import feature_footprints
+from multinet.model import (
+    MODES, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det, fc1_rows,
+)
+from multinet.nnops import FCLayer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
-from multinet.tensor import Tape, Tensor, TensorError, backward, reshape, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
 from conftest import as_float64, check_grads, n_values
 from test_nnops import footprint_oracle, random_boxes
@@ -82,17 +84,44 @@ def encode_det_oracle(scores, boxes, h, w, stride):
     return out
 
 
+def encode_det_dense(x, footprints, h, w):
+    """`encode_det` as computed from footprints before the covering-region
+    table: a dense (M, H, W, K+1) `np.where` array of each region's scores
+    on the cells it covers (0 elsewhere), its max over the regions and its
+    first argmax."""
+    m, k1 = x.data.shape
+    r0, r1, c0, c1 = (footprints[:, j, None] for j in range(4))
+    rows, cols = np.arange(h), np.arange(w)
+    cover = ((r0 <= rows) & (rows < r1))[:, :, None] & ((c0 <= cols) & (cols < c1))[:, None, :]
+    cand = np.where(cover[..., None], x.data[:, None, None, :], 0.0)  # (M, H, W, K1)
+    data = np.maximum(cand.max(axis=0), 0.0)
+    winner = np.where(data > 0, cand.argmax(axis=0), -1)  # first covering max
+
+    def bwd(g):
+        won = winner >= 0
+        lin = (winner * k1 + np.arange(k1))[won]
+        gx = np.bincount(lin, weights=g[won], minlength=m * k1)
+        return (gx.astype(x.data.dtype, copy=False).reshape(m, k1),)
+
+    return make_op(data, (x,), bwd, "encode_det")
+
+
+def covering(boxes, stride, h, w):
+    """The covering-region table of image-coordinate boxes on an h x w map."""
+    return covering_regions(feature_footprints(boxes, stride, h, w), h, w)
+
+
 class TestEncodeDet:
     def test_no_coverage_is_zero(self):
         scores = Tensor(np.array([[0.5, 0.5]]))
-        out = encode_det(scores, feature_footprints(np.array([[0.0, 0, 8, 8]]), 8, 4, 4), 4, 4)
+        out = encode_det(scores, covering(np.array([[0.0, 0, 8, 8]]), 8, 4, 4), 4, 4)
         assert np.all(out.data[0, 0] == 0.5)
         assert np.all(out.data[1:, :] == 0.0)
         assert np.all(out.data[0, 1:] == 0.0)
 
     def test_full_box_broadcasts_row(self):
         scores = Tensor(np.array([[0.1, 0.7, 0.2]]))
-        out = encode_det(scores, feature_footprints(np.array([[0.0, 0, 32, 32]]), 8, 4, 4), 4, 4)
+        out = encode_det(scores, covering(np.array([[0.0, 0, 32, 32]]), 8, 4, 4), 4, 4)
         for c in range(3):
             assert np.all(out.data[:, :, c] == scores.data[0, c])
 
@@ -106,7 +135,7 @@ class TestEncodeDet:
                 x = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 y = np.sort(r.uniform(0, 30, 2) + [0, 2])
                 boxes.append((x[0], y[0], x[1], y[1]))
-            out = encode_det(Tensor(scores), feature_footprints(np.array(boxes), 8, 4, 4), 4, 4)
+            out = encode_det(Tensor(scores), covering(np.array(boxes), 8, 4, 4), 4, 4)
             np.testing.assert_array_equal(
                 out.data, encode_det_oracle(scores, boxes, 4, 4, 8)
             )
@@ -124,7 +153,8 @@ class TestEncodeDet:
             g = r.normal(size=(4, 4, 3))
             x = Tensor(scores, requires_grad=True)
             with Tape() as tape:
-                backward(sum_all(encode_det(x, fps, 4, 4) * Tensor(g)), tape)
+                out = encode_det(x, covering_regions(fps, 4, 4), 4, 4)
+                backward(sum_all(out * Tensor(g)), tape)
             want = np.zeros((m, 3))
             for u, v, k in np.ndindex(4, 4, 3):
                 best, win = 0.0, None
@@ -135,11 +165,41 @@ class TestEncodeDet:
                     want[win, k] += g[u, v, k]
             np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_dense_oracle(self, dtype):
+        # Output and gradient bytes equal the dense oracle's on random
+        # footprints, with tied and zero scores and uncovered cells.
+        r = np.random.default_rng(16)
+        uncovered = ties = 0
+        for _ in range(150):
+            m, k1 = int(r.integers(1, 12)), int(r.integers(1, 5))
+            h, w = (int(n) for n in r.integers(1, 8, 2))
+            x1, y1 = r.uniform(0, 8 * w - 1, m), r.uniform(0, 8 * h - 1, m)
+            boxes = np.stack([x1, y1, np.minimum(x1 + r.uniform(1, 4 * w, m), 8 * w),
+                              np.minimum(y1 + r.uniform(1, 4 * h, m), 8 * h)], axis=1)
+            fps = feature_footprints(boxes, 8, h, w)
+            scores = (r.integers(0, 4, size=(m, k1)) / 4.0).astype(dtype)
+            g = r.normal(size=(h, w, k1)).astype(dtype)
+            outs, grads = [], []
+            for op, regions in ((encode_det, covering_regions(fps, h, w)), (encode_det_dense, fps)):
+                x = Tensor(scores, requires_grad=True)
+                with Tape() as tape:
+                    out = op(x, regions, h, w)
+                    backward(sum_all(out * Tensor(g)), tape)
+                outs.append(out.data)
+                grads.append(x.grad)
+            assert outs[0].dtype == outs[1].dtype == grads[0].dtype == grads[1].dtype == dtype
+            assert outs[0].tobytes() == outs[1].tobytes()
+            assert grads[0].tobytes() == grads[1].tobytes()
+            uncovered += int(np.sum(covering_regions(fps, h, w)[:, 0] == m))
+            ties += int(np.any(np.sort(scores, axis=0)[1:] == np.sort(scores, axis=0)[:-1]))
+        assert uncovered > 0 and ties > 0
+
     def test_negative_scores_floor_at_zero(self):
         scores = Tensor(np.array([[-0.5, 0.25]]), requires_grad=True)
-        fps = feature_footprints(np.array([[0.0, 0, 16, 16]]), 8, 2, 2)
+        cov = covering(np.array([[0.0, 0, 16, 16]]), 8, 2, 2)
         with Tape() as tape:
-            out = encode_det(scores, fps, 2, 2)
+            out = encode_det(scores, cov, 2, 2)
             backward(sum_all(out), tape)
         np.testing.assert_array_equal(out.data, np.broadcast_to([0.0, 0.25], (2, 2, 2)))
         np.testing.assert_array_equal(scores.grad, [[0.0, 4.0]])
@@ -148,8 +208,8 @@ class TestEncodeDet:
         scores = Tensor(np.array([[0.5], [0.5]]), requires_grad=True)
         box = (0, 0, 8, 8)
         with Tape() as tape:
-            fps = feature_footprints(np.array([box, box], dtype=float), 8, 1, 1)
-            backward(sum_all(encode_det(scores, fps, 1, 1)), tape)
+            cov = covering(np.array([box, box], dtype=float), 8, 1, 1)
+            backward(sum_all(encode_det(scores, cov, 1, 1)), tape)
         np.testing.assert_array_equal(scores.grad, [[1.0], [0.0]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -162,9 +222,9 @@ class TestEncodeDet:
             y = np.sort(r.uniform(0, 30, 2) + [0, 3])
             boxes.append((x[0], y[0], x[1], y[1]))
         w = r.normal(size=(4, 4, 2))
-        fps = feature_footprints(np.array(boxes), 8, 4, 4)
+        cov = covering(np.array(boxes), 8, 4, 4)
         check_grads(
-            lambda t: sum_all(encode_det(t, fps, 4, 4) * Tensor(w)),
+            lambda t: sum_all(encode_det(t, cov, 4, 4) * Tensor(w)),
             [scores],
         )
 
@@ -188,11 +248,11 @@ class TestStructure:
         img, boxes = small_inputs(cfg)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        fps = feature_footprints(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, cfg.stride, hh, ww)
         r_cls = encode_cls(Tensor(np.full(c_cls, 0.5)), hh, ww)
-        r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), fps, hh, ww)
+        r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), cov, hh, ww)
         r_part = (
-            encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), fps, hh, ww)
+            encode_det(Tensor(np.full((cfg.m, c_part + 1), 0.2)), cov, hh, ww)
             if c_part
             else None
         )
@@ -248,8 +308,8 @@ class TestStructure:
         with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
             small_cfg(**{name: 0})
 
-    # SHA-256 over (name, float64 bytes) of every parameter of
-    # Multinet(small_cfg(mode=mode), seed=0), in creation order: the float32
+    # SHA-256 over (name, float64 bytes) of every checkpoint record of
+    # Multinet(small_cfg(mode=mode), seed=0), in record order: the float32
     # rounding of the float64 draws. Init calls no BLAS, so the digest is
     # machine-independent; a reordered, renamed, re-drawn or differently
     # rounded parameter changes it.
@@ -262,9 +322,9 @@ class TestStructure:
     @pytest.mark.parametrize("mode", MODES)
     def test_init_pin(self, mode):
         h = hashlib.sha256()
-        for name, t, _mult in Multinet(small_cfg(mode=mode), seed=0).params.items():
+        for name, data, _mult in Multinet(small_cfg(mode=mode), seed=0).records():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(data, dtype="<f8").tobytes())
         assert h.hexdigest() == self.INIT_PINS[mode]
 
 
@@ -347,16 +407,17 @@ class TestForward:
         outs = net.forward(img, boxes)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        fps = feature_footprints(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, cfg.stride, hh, ww)
         o0 = outs[0]
         r_cls = encode_cls(o0.x_cls, hh, ww)
-        r_det = encode_det(o0.regions["det"][0], fps, hh, ww)
-        r_part = encode_det(o0.regions["part"][0], fps, hh, ww)
+        r_det = encode_det(o0.regions["det"][0], cov, hh, ww)
+        r_part = encode_det(o0.regions["part"][0], cov, hh, ww)
         if mode == "update1":
             h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
-        fc1 = {task: whole_fc1(net, h1, boxes, task) for task in ("det", "part")}
+        layers = whole_fc1_layers(net)
+        fc1 = {task: whole_fc1(net, layers[task], h1, boxes) for task in ("det", "part")}
         manual = net._decode_all(h1, fc1, ("cls", "det", "part"))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
@@ -421,11 +482,13 @@ class TestForward:
 
 
 class TestSplitFc1Gradient:
-    """update1, T = 2: the image rows of a region fc1 read the pooled image
-    block at every t, the task rows read only the task blocks of t >= 1."""
+    """update1, T = 2: the image rows of a region fc1's stacked record read
+    the pooled image channels at every t, the task rows read only the task
+    channels of t >= 1."""
 
     def grads(self, iters):
-        """Analytic gradient of det.fc1.weight, and central differences at
+        """Analytic gradient of the det.fc1.weight record (`fc1_rows` gives
+        its image and task rows), and central differences at
         six image-row and six task-row entries, of a weighted sum of the
         outputs of the iterations `iters`. Each output's weights are the
         same whichever iterations are summed. Entries are drawn from rows
@@ -433,7 +496,9 @@ class TestSplitFc1Gradient:
         is zero in every region has none)."""
         net = as_float64(Multinet(small_cfg(mode="update1", t=2, canvas=16, m=4), seed=4))
         img, boxes = small_inputs(net.cfg, seed=1)
-        w = net.params["det.fc1.weight"]
+        records = {name: data.copy() for name, data, _ in net.records()}
+        w = records["det.fc1.weight"]
+        fc1_record_rows = tuple(fc1_rows(net.cfg).values())  # (image rows, task rows)
 
         def scalar():
             r = np.random.default_rng(0)
@@ -445,28 +510,30 @@ class TestSplitFc1Gradient:
                         total = total + sum_all(x * weights)
             return total
 
+        def perturbed(i, j, eps):
+            """scalar() with entry (i, j) of the stacked record moved by eps."""
+            orig = w[i, j]
+            w[i, j] = orig + eps
+            net.load_records(records)
+            value = float(scalar().data)
+            w[i, j] = orig
+            net.load_records(records)
+            return value
+
         with Tape() as tape:
             backward(scalar(), tape)
-        ana = w.grad.copy()
+        ana = {name: g for name, g, _ in net.records(grads=True)}["det.fc1.weight"]
         r = np.random.default_rng(0)
         entries = []
-        for rows in net._fc1_rows:
+        for rows in fc1_record_rows:
             live = rows[ana[rows].any(axis=1)]
             pick = r.choice(live if live.size >= 6 else rows, 6, replace=False)
-            entries += [(i, int(r.integers(w.data.shape[1]))) for i in pick]
-        num = []
-        for i, j in entries:
-            orig = w.data[i, j]
-            w.data[i, j] = orig + 1e-5
-            fp = float(scalar().data)
-            w.data[i, j] = orig - 1e-5
-            fm = float(scalar().data)
-            w.data[i, j] = orig
-            num.append((fp - fm) / 2e-5)
+            entries += [(i, int(r.integers(w.shape[1]))) for i in pick]
+        num = np.array([(perturbed(i, j, 1e-5) - perturbed(i, j, -1e-5)) / 2e-5
+                        for i, j in entries])
         rows, cols = np.array(entries).T
-        num = np.array(num)
         assert np.max(np.abs(ana[rows, cols] - num)) <= 1e-6 * np.max(np.abs(num))
-        return net._fc1_rows, ana, num
+        return fc1_record_rows, ana, num
 
     def test_fd_over_all_iterations(self):
         (img_rows, task_rows), ana, _ = self.grads((0, 1, 2))
@@ -516,10 +583,10 @@ class TestGrounding:
         outs = net.forward(img, boxes, ground_cls=truth, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        fps = feature_footprints(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, cfg.stride, hh, ww)
         r_cls = encode_cls(Tensor(truth), hh, ww)
-        r_det = encode_det(outs[0].regions["det"][0], fps, hh, ww)
-        r_part = encode_det(outs[0].regions["part"][0], fps, hh, ww)
+        r_det = encode_det(outs[0].regions["det"][0], cov, hh, ww)
+        r_part = encode_det(outs[0].regions["part"][0], cov, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         manual = net._decode_all(h1, {}, ("cls",))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
@@ -532,18 +599,31 @@ class TestGrounding:
             net.forward(img, boxes, ground_cls=np.zeros(7), n_iters=1)
 
 
-def whole_fc1(net, h, boxes, task):
+def whole_fc1_layers(net):
+    """Each region head's unsplit fc1: its checkpoint record's stacked
+    weight, as a new tensor that collects the whole weight's gradient, with
+    the head's bias."""
+    records = {name: data for name, data, _ in net.records()}
+    return {
+        task: FCLayer(Tensor(records[f"{task}.fc1.weight"].copy(), requires_grad=True),
+                      hd["fc1"].bias)
+        for task, hd in net.region_heads.items()
+    }
+
+
+def whole_fc1(net, layer, h, boxes):
     """fc1 pre-activation of one region head from the whole map `h`: the
-    regions of every channel of `h` pooled and fed through the unsplit fc1."""
+    regions of every channel of `h` pooled and fed through the unsplit fc1
+    `layer`."""
     pooled = nnops.spp_pool_regions(h, boxes, net.grid)
     flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
-    return nnops.fully_connected(flat, net.region_heads[task]["fc1"])
+    return nnops.fully_connected(flat, layer)
 
 
-def forward_oracle(net, img, boxes, ground_cls=None, n_iters=None, decode_tasks=None):
+def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None, decode_tasks=None):
     """The iteration schedule of `Multinet.forward` built from its public
     pieces, with every region head pooling the full map `h` on its own and
-    decoding it through its unsplit fc1."""
+    decoding it through its unsplit fc1 from `whole_fc1_layers`."""
     cfg = net.cfg
     r_img = net.encode_image(img)
     hh, ww = r_img.data.shape[:2]
@@ -556,7 +636,7 @@ def forward_oracle(net, img, boxes, ground_cls=None, n_iters=None, decode_tasks=
     def decode(h, tasks):
         x_cls = net.decode_cls(h) if "cls" in tasks else None
         regions = {
-            task: net.decode_regions(whole_fc1(net, h, boxes, task), task)
+            task: net.decode_regions(whole_fc1(net, layers[task], h, boxes), task)
             for task in cfg.region_classes if task in tasks
         }
         return MultinetOutput(x_cls, regions)
@@ -568,12 +648,12 @@ def forward_oracle(net, img, boxes, ground_cls=None, n_iters=None, decode_tasks=
     if cfg.mode != "update2":
         h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
     outs = [decode(h, tasks)]
-    fps = feature_footprints(boxes, cfg.stride, hh, ww)
+    cov = covering(boxes, cfg.stride, hh, ww)
     for _ in range(n_iters):
         prev = outs[-1]
         x_cls = label(prev.x_cls) if ground_cls is None else Tensor(ground_cls)
         maps = [encode_cls(x_cls, hh, ww)]
-        maps += [encode_det(label(x[0]), fps, hh, ww) for x in prev.regions.values()]
+        maps += [encode_det(label(x[0]), cov, hh, ww) for x in prev.regions.values()]
         if cfg.mode == "update1":
             h = integrate_stack(r_img, *maps)
         else:
@@ -640,7 +720,7 @@ class TestPoolOnce:
         # rounding may differ.
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
         got = net.forward(img, boxes, **kwargs)
-        want = forward_oracle(net, img, boxes, **kwargs)
+        want = forward_oracle(net, whole_fc1_layers(net), img, boxes, **kwargs)
         assert len(got) == len(want) > 0
         for t, (out_a, out_b) in enumerate(zip(got, want)):
             pairs = list(zip(output_tensors([out_a]), output_tensors([out_b])))
@@ -656,14 +736,18 @@ class TestPoolOnce:
     def test_gradients_match_per_head_pooling(self, mode, overrides, kwargs):
         # Pooling once sums the heads' (and iterations') gradients before
         # one scatter instead of after several: only rounding may differ.
+        # Gradients are compared as checkpoint records, the oracle's unsplit
+        # fc1 weights standing in for the records they were built from.
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
+        layers = whole_fc1_layers(net)
         grads = []
-        for fwd in (net.forward, lambda *a, **k: forward_oracle(net, *a, **k)):
+        for fwd in (net.forward, lambda *a, **k: forward_oracle(net, layers, *a, **k)):
             net.params.zero_grads()
             with Tape() as tape:
                 backward(weighted_sum(output_tensors(fwd(img, boxes, **kwargs))), tape)
-            grads.append({name: t.grad.copy() for name, t, _ in net.params.items()})
+            grads.append({name: g.copy() for name, g, _ in net.records(grads=True)})
         got, want = grads
+        want.update({f"{task}.fc1.weight": fc.weight.grad for task, fc in layers.items()})
         assert any(np.any(g) for g in want.values())
         for name, g in want.items():
             scale = np.max(np.abs(g))
@@ -718,32 +802,28 @@ class TestPoolOnce:
          ("update2", None, ["whole", "decode"] * 3)],
     )
     def test_fc1_products_per_forward(self, monkeypatch, mode, decode_tasks, steps):
-        # The stacking modes take each head's image-row product once per
-        # forward and a task-row product only at t >= 1, from weight rows
-        # gathered once per forward; update2 applies the whole fc1 at every
-        # t. No pooled (4-D) block is ever joined by `stack_channels`.
+        # The stacking modes take each head's image-block product once per
+        # forward and a task-block product only at t >= 1; update2 applies
+        # the whole fc1 at every t. No op gathers rows of a parameter: every
+        # parameter is read whole by a product. No pooled (4-D) block is
+        # ever joined by `stack_channels`.
         net = Multinet(small_cfg(mode=mode, t=2), seed=0)
         img, boxes = small_inputs(net.cfg)
-        fc1 = {net.region_heads[task]["fc1"].weight: task for task in net.region_heads}
-        row_kinds = dict(zip(("img", "task"), net._fc1_rows))
-        seen, gathers, gathered = [], [], {}
-        take, mul, full = model.take_rows, model.matmul, nnops.fully_connected
+        image = "whole" if mode == "update2" else "img"
+        fc1 = {hd["fc1"].weight: f"{task}:{image}" for task, hd in net.region_heads.items()}
+        fc1.update({hd["fc1_task"]: f"{task}:task" for task, hd in net.region_heads.items()
+                    if hd["fc1_task"] is not None})
+        seen = []
+        mul, full = model.matmul, nnops.fully_connected
         decode, stack = Multinet.decode_regions, nnops.stack_channels
 
-        def take_rows(a, idx):
-            out = take(a, idx)
-            kind = next(k for k, rows in row_kinds.items() if np.array_equal(rows, idx))
-            gathers.append((fc1[a], kind))
-            gathered[out] = gathers[-1]
-            return out
-
         def matmul(a, b):
-            seen.append("{}:{}".format(*gathered[b]))
+            seen.append(fc1[b])
             return mul(a, b)
 
         def fully_connected(x, layer):
             if layer.weight in fc1:
-                seen.append(f"{fc1[layer.weight]}:whole")
+                seen.append(fc1[layer.weight])
             return full(x, layer)
 
         def decode_regions(self, pre, task):
@@ -754,19 +834,19 @@ class TestPoolOnce:
             assert all(t.data.ndim == 3 for t in tensors)
             return stack(tensors)
 
-        monkeypatch.setattr(model, "take_rows", take_rows)
         monkeypatch.setattr(model, "matmul", matmul)
         monkeypatch.setattr(nnops, "fully_connected", fully_connected)
         monkeypatch.setattr(Multinet, "decode_regions", decode_regions)
         monkeypatch.setattr(nnops, "stack_channels", stack_channels)
-        net.forward(img, boxes, decode_tasks=decode_tasks)
+        with Tape() as tape:
+            net.forward(img, boxes, decode_tasks=decode_tasks)
 
         heads = [task for task in net.region_heads if decode_tasks is None or task in decode_tasks]
         want = [f"decode:{h}" if step == "decode" else f"{h}:{step}"
                 for step in steps for h in heads]
         assert seen == want
-        stacked = mode != "update2"
-        recurrent = mode in ("update1", "update2")
-        want_gathers = [(h, "img") for h in heads] if stacked else []
-        want_gathers += [(h, "task") for h in heads] if stacked and recurrent else []
-        assert gathers == want_gathers
+        params = {t for _, t, _ in net.params.items()}
+        readers = [node.backward_fn.__qualname__.partition(".")[0] for node in tape.nodes
+                   if params.intersection(node.inputs)]
+        assert readers.count("take_rows") == 0
+        assert set(readers) <= {"conv2d", "fully_connected", "matmul"}
