@@ -377,9 +377,15 @@ def restore_model(ckpt: dict) -> TrainState:
     config = RunConfig(**ckpt["run_config"])
     cfg = TaskConfig(**ckpt["task_config"])
     model = Multinet(cfg, seed=config.seed)
+    params, records = ckpt["params"], model.records()
+    extra = set(params) - {name for name, _, _ in records}
+    if extra:
+        raise TrainingError(f"checkpoint parameter {min(extra)!r} is not in the model")
     arrays = {}
-    for name, want, _mult in model.records():
-        data, _ = ckpt["params"][name]
+    for name, want, _mult in records:
+        if name not in params:
+            raise TrainingError(f"checkpoint parameter {name!r} is missing")
+        data, _ = params[name]
         if data.shape != want.shape:
             raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
         arrays[name] = data

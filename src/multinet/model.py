@@ -294,7 +294,7 @@ class Multinet:
         for layer, pool in self.backbone:
             x = nnops.relu(nnops.conv2d(x, layer))
             if pool:
-                x = nnops.max_pool2d(x, 2, 2)
+                x = nnops.max_pool2d(x)
         return x
 
     # ---- decoders -------------------------------------------------------

@@ -7,12 +7,13 @@ once. Pooling ops route gradients to the first (row-major) argmax so
 backward passes are deterministic even on tied values.
 
 The window ops keep no index table: they read the map through one strided
-view per window offset (`_offset_view`). `conv2d` copies the windows into
-a (ho*wo, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
-back one offset view at a time. `max_pool2d` copies no window: its forward
-is a running `np.maximum` over the views (row-major), which keeps the
-earlier value on ties, and its backward scans them in the same order and
-routes each window's gradient to the first one that equals the maximum.
+view per window offset. `conv2d` copies the windows into a
+(ho*wo, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
+back one offset view at a time. `max_pool2d` pools 2 x 2 windows at
+stride 2 and copies no window: its forward is a running `np.maximum` over
+the four views (row-major), which keeps the earlier value on ties, and its
+backward scans them in the same order and writes each window's gradient to
+the first one that equals the maximum.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class SppGrid:
     feature_stride: int = 1
 
 
-def _offset_view(a, du, dv, ho, wo, stride=1):
-    """The (ho, wo, ...) strided view of map `a` that holds offset (du, dv)
-    of every window, for windows `stride` cells apart."""
-    return a[du : du + stride * (ho - 1) + 1 : stride, dv : dv + stride * (wo - 1) + 1 : stride]
-
-
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     """2-D cross-correlation at stride 1 plus bias; differentiable in x,
     filters, bias (no gradient is computed for an x that needs none)."""
@@ -102,7 +97,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         gxp = np.zeros(xp.shape)
         for a in reversed(range(k)):
             for b in reversed(range(k)):
-                gv = _offset_view(gxp, a, b, ho, wo)
+                gv = gxp[a : a + ho, b : b + wo]
                 gv += gcols[:, :, a, b]
         gx = gxp[p : p + h, p : p + w] if p else gxp
         return (gx.astype(x.data.dtype, copy=False), gw, gb)
@@ -148,41 +143,36 @@ def softmax_rows(x: Tensor) -> Tensor:
     return make_op(p, (x,), bwd, "softmax_rows")
 
 
-def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Channelwise max over window x window patches; gradient goes to the
-    first row-major argmax of each window."""
+def max_pool2d(x: Tensor) -> Tensor:
+    """Channelwise max over 2 x 2 windows at stride 2 (a trailing odd row or
+    column is dropped); gradient goes to the first row-major argmax of each
+    window."""
     h, w, c = x.data.shape
-    if window < 1 or window > h or window > w:
-        raise TensorError(f"max_pool2d: window {window} invalid for {h}x{w} input")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    if h < 2 or w < 2:
+        raise TensorError(f"max_pool2d: 2x2 window invalid for {h}x{w} input")
+    ho, wo = h // 2, w // 2
     # Window offsets, row-major; offset (du, dv) of every window is one
-    # strided (ho, wo, c) view of the map.
-    offsets = [(du, dv) for du in range(window) for dv in range(window)]
+    # strided (ho, wo, c) view of the map, and each cell is in one window.
+    offsets = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def view(a, du, dv):
-        return _offset_view(a, du, dv, ho, wo, stride)
+        return a[du : 2 * ho : 2, dv : 2 * wo : 2]
 
     out = view(x.data, 0, 0).copy()
     for du, dv in offsets[1:]:
         np.maximum(view(x.data, du, dv), out, out=out)  # a tie keeps `out`
 
     def bwd(g):
+        gx = np.zeros((h, w, c), dtype=x.data.dtype)
         left = np.ones(out.shape, dtype=bool)  # windows not yet routed
-        hits = []
         for du, dv in offsets[:-1]:
             hit = view(x.data, du, dv) == out
             hit &= left
             left ^= hit
-            hits.append(hit)
-        hits.append(left)  # the last offset holds the max of every window left
-        gx = np.zeros((h, w, c), dtype=x.data.dtype)
-        # Later offsets first, so each cell sums its windows in row-major
-        # order as one scatter over the windows would; adding the 0 of a
-        # window that routes elsewhere changes no sum.
-        for (du, dv), hit in zip(reversed(offsets), reversed(hits)):
-            gv = view(gx, du, dv)
-            gv += g * hit
+            np.multiply(g, hit, out=view(gx, du, dv))
+        np.multiply(g, left, out=view(gx, *offsets[-1]))  # the max of every window left
+        # A window's -0.0 becomes +0.0, as when it is added onto a zero map.
+        gx += 0.0
         return (gx,)
 
     return make_op(out, (x,), bwd, "max_pool2d")

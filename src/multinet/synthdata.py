@@ -75,13 +75,14 @@ class SceneSpec:
     def n_part_classes(self) -> int:
         return self.n_classes * self.parts_per_class
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_classes < 1 or self.n_classes > len(_BASE_COLORS):
             raise ValueError(f"n_classes must be in [1, {len(_BASE_COLORS)}]")
         if self.parts_per_class not in (0, 2):
             raise ValueError("parts_per_class must be 0 or 2")
         if self.max_object_side >= self.canvas:
-            raise ValueError("objects cannot fit the canvas")
+            raise ValueError(f"max_object_side {self.max_object_side} does not fit the "
+                             f"canvas {self.canvas}")
         if self.min_object_side < 16:
             raise ValueError("min_object_side below 16 breaks the 6px part floor")
 
@@ -114,7 +115,6 @@ def _paint(img, box, color) -> None:
 
 def generate_scene(spec: SceneSpec, seed: int) -> Scene:
     """One scene, fully determined by (spec, seed)."""
-    spec.validate()
     rng = seed_rng(spec.seed, seed)
     canvas = spec.canvas
     img = np.full((canvas, canvas, 3), 0.5)

@@ -228,12 +228,12 @@ def assign_regions(regions, classes, gt_boxes) -> RegionTargets:
     return RegionTargets(labels, deltas)
 
 
-def nms(boxes, scores, iou_thresh: float = NMS_IOU):
+def nms(boxes, scores):
     """Greedy non-maximum suppression of (N, 4) boxes; returns kept indices,
     score-descending (stable on ties). A box is dropped when its IoU with a
-    kept box exceeds `iou_thresh`."""
+    kept box exceeds `NMS_IOU`."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    overlaps = iou_matrix(boxes, boxes) > iou_thresh
+    overlaps = iou_matrix(boxes, boxes) > NMS_IOU
     dropped = np.zeros(len(order), dtype=bool)
     keep = []
     for i in order:

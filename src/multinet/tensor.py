@@ -131,11 +131,10 @@ def make_op(
     input, in order. It may return `grad_out` itself or views of it, and
     the same array for several inputs; `backward` copies those. Any other
     array it returns must be new and not kept by the op, because `backward`
-    may take it as the input's gradient buffer and add into it later. An op
-    may instead add its gradient into an input's existing buffer itself
-    and return None for that input (`take_rows` does). Upper layers
-    (nnops, model, tasks) use this hook to define fused ops with
-    hand-written adjoints.
+    may take it as the input's gradient buffer and add into it later. None
+    means the input gets no gradient (`conv2d` returns it for the image).
+    Upper layers (nnops, model, tasks) use this hook to define fused ops
+    with hand-written adjoints.
     """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
@@ -208,10 +207,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Select distinct rows of a tensor. The backward adds the gradient
-    into those rows of `a.grad` in place; only a source without a grad
-    buffer yet gets a new one (zero outside the rows). A repeated row
-    raises TensorError."""
+    """Select distinct rows of a tensor. The backward returns a new gradient,
+    zero outside the selected rows. A repeated row raises TensorError."""
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
@@ -219,9 +216,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
         raise TensorError(f"take_rows: repeated rows in {idx.size} indices")
 
     def bwd(g):
-        if a.grad is not None:
-            a.grad[idx] += g
-            return (None,)
         ga = np.zeros(shape, dtype=a.data.dtype)
         ga[idx] = g
         return (ga,)

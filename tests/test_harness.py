@@ -268,6 +268,18 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match=r"checkpoint .*: trailing bytes"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("part.delta.bias"), "'part.delta.bias' is missing"),
+        (lambda p: p.update({"det.fc3.weight": p["det.fc2.weight"]}),
+         "'det.fc3.weight' is not in the model"),
+        (lambda p: p.update({"cls.out.bias": (np.zeros(3), 2.0)}), "'cls.out.bias' has wrong shape"),
+    ], ids=["missing", "extra", "wrong-shape"])
+    def test_restore_refuses_another_record_set(self, small_ckpt, edit, message):
+        ckpt = load_checkpoint(small_ckpt)
+        edit(ckpt["params"])
+        with pytest.raises(TrainingError, match=f"^checkpoint parameter {re.escape(message)}$"):
+            restore_model(ckpt)
+
     def test_resave_reproduces_committed_bytes(self, tmp_path):
         # The committed checkpoint holds float64 parameters; they load
         # rounded to float32 and are written back as `<f8` again. The
@@ -653,6 +665,11 @@ class TestDatasetConfig:
     def test_missing_version(self):
         with pytest.raises(ConfigError, match="version"):
             cli.parse_dataset_config("scenes = 4")
+
+    def test_spec_that_generation_rejects_is_rejected(self):
+        # Before `generate` makes any scene.
+        with pytest.raises(ValueError, match="parts_per_class must be 0 or 2"):
+            cli.parse_dataset_config("version = 1\nparts_per_class = 1")
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_scene_count_below_one_rejected(self, n):

@@ -71,14 +71,15 @@ class TestSceneGeneration:
         assert np.any(np.all(s.image == 0.5, axis=2))
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SceneSpec(n_classes=9).validate()
-        with pytest.raises(ValueError):
-            SceneSpec(parts_per_class=1).validate()
-        with pytest.raises(ValueError):
-            SceneSpec(min_object_side=8).validate()
-        with pytest.raises(ValueError):
-            SceneSpec(max_object_side=70).validate()
+        # At construction, before any scene is generated.
+        with pytest.raises(ValueError, match="n_classes"):
+            SceneSpec(n_classes=9)
+        with pytest.raises(ValueError, match="parts_per_class"):
+            SceneSpec(parts_per_class=1)
+        with pytest.raises(ValueError, match="min_object_side"):
+            SceneSpec(min_object_side=8)
+        with pytest.raises(ValueError, match="max_object_side"):
+            SceneSpec(max_object_side=70)
 
 
 class TestProposals:
@@ -280,6 +281,21 @@ class TestDatasetValidation:
 
         reseal(path, edit)
         with pytest.raises(DatasetError, match="d.bin: bad spec header: .*colour"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [("parts_per_class", 1), ("max_object_side", 70)])
+    def test_invalid_spec_header_rejected(self, tmp_path, field, value):
+        # A file with no scenes: only the spec's own check can catch it.
+        path = tmp_path / "empty.bin"
+        write_dataset([], SceneSpec(), path)
+
+        def edit(body):
+            n = struct.unpack_from("<I", body, 12)[0]
+            spec = json.loads(body[16 : 16 + n])
+            return self._with_spec_header(body, json.dumps({**spec, field: value}).encode())
+
+        reseal(path, edit)
+        with pytest.raises(DatasetError, match=f"empty.bin: bad spec header: {field}"):
             read_dataset(path)
 
     @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"\xff\xfe"],

@@ -372,25 +372,26 @@ def scalar_nms(boxes, scores, iou_thresh):
 class TestNms:
     def test_keeps_highest_of_overlapping_pair(self):
         boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11]], dtype=float)
-        assert nms(boxes, [0.3, 0.9], 0.3) == [1]
+        assert nms(boxes, [0.3, 0.9]) == [1]
 
     def test_disjoint_boxes_all_kept(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25], [40, 0, 45, 5]], dtype=float)
-        assert sorted(nms(boxes, [0.5, 0.9, 0.1], 0.3)) == [0, 1, 2]
+        assert sorted(nms(boxes, [0.5, 0.9, 0.1])) == [0, 1, 2]
 
     def test_output_is_score_descending(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
-        assert nms(boxes, [0.2, 0.8], 0.3) == [1, 0]
+        assert nms(boxes, [0.2, 0.8]) == [1, 0]
 
     def test_tie_is_stable(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
-        assert nms(boxes, [0.5, 0.5], 0.3) == [0, 1]
+        assert nms(boxes, [0.5, 0.5]) == [0, 1]
 
-    def test_iou_at_threshold_is_kept(self):
+    def test_iou_at_threshold_is_kept(self, monkeypatch):
         boxes = np.array([[0, 0, 2, 2], [1, 1, 3, 3]], dtype=float)  # IoU 1/7
-        assert nms(boxes, [0.9, 0.8], iou((0, 0, 2, 2), (1, 1, 3, 3))) == [0, 1]
+        monkeypatch.setattr(tasks, "NMS_IOU", iou((0, 0, 2, 2), (1, 1, 3, 3)))
+        assert nms(boxes, [0.9, 0.8]) == [0, 1]
 
-    def test_200_random_cases_vs_scalar_loop(self):
+    def test_200_random_cases_vs_scalar_loop(self, monkeypatch):
         r = np.random.default_rng(77)
         for case in range(200):
             n = int(r.integers(1, 16))
@@ -399,7 +400,8 @@ class TestNms:
             ious = iou_matrix(boxes, boxes)
             # Every fourth case sets the threshold to an IoU that occurs.
             thresh = ious[r.integers(n), r.integers(n)] if case % 4 == 0 else r.uniform(0.0, 0.8)
-            assert nms(boxes, scores, thresh) == scalar_nms(boxes, scores, thresh)
+            monkeypatch.setattr(tasks, "NMS_IOU", thresh)
+            assert nms(boxes, scores) == scalar_nms(boxes, scores, thresh)
 
 
 def ap_oracle(tp_sequence, n_gt):
