@@ -92,7 +92,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        for name, least in (("epochs_phase1", 1), ("epochs_phase2", 0)):
+        bounds = [("epochs_phase1", 1), ("epochs_phase2", 0)]
+        bounds += [(name, TaskConfig.LEAST[f]) for f, name in _MODEL_FIELDS.items()
+                   if f in TaskConfig.LEAST]
+        for name, least in bounds:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
@@ -171,18 +174,19 @@ def _dataset_fields(spec: SceneSpec, scenes) -> dict:
             "canvas": spec.canvas}
 
 
+# TaskConfig field -> the RunConfig field that sets it.
+_MODEL_FIELDS = {"m": "proposals", "t": "iterations", "mode": "mode", "channels": "channels",
+                 "cls_hidden": "cls_hidden", "region_hidden": "region_hidden",
+                 "spp_grid": "spp_grid", "truncate_feedback": "truncate_feedback"}
+
+
+def _task_config(config: RunConfig, dataset: dict) -> TaskConfig:
+    """The network `config` builds given the dataset's `_dataset_fields`."""
+    return TaskConfig(**dataset, **{f: getattr(config, name) for f, name in _MODEL_FIELDS.items()})
+
+
 def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
-    return TaskConfig(
-        **_dataset_fields(spec, scenes),
-        m=config.proposals,
-        t=config.iterations,
-        mode=config.mode,
-        channels=config.channels,
-        cls_hidden=config.cls_hidden,
-        region_hidden=config.region_hidden,
-        spp_grid=config.spp_grid,
-        truncate_feedback=config.truncate_feedback,
-    )
+    return _task_config(config, _dataset_fields(spec, scenes))
 
 
 def _check_model_fits(cfg: TaskConfig, fields: dict, source: str) -> None:
@@ -374,8 +378,14 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_model(ckpt: dict) -> TrainState:
+    """The checkpoint's training state. Its `task_config` must be the
+    network its `run_config` builds on a dataset of the same class counts
+    and canvas, or TrainingError names the field that differs."""
     config = RunConfig(**ckpt["run_config"])
     cfg = TaskConfig(**ckpt["task_config"])
+    dataset = {name: getattr(cfg, name) for name in ("c_cls", "c_part", "canvas")}
+    _check_model_fits(cfg, dataclasses.asdict(_task_config(config, dataset)),
+                      "the checkpoint's run_config")
     model = Multinet(cfg, seed=config.seed)
     params, records = ckpt["params"], model.records()
     extra = set(params) - {name for name, _, _ in records}

@@ -23,7 +23,6 @@ from .tensor import (
     elementwise,
     make_op,
     matmul,
-    reshape,
     rng_tensor,
     seed_rng,
 )
@@ -54,15 +53,16 @@ class TaskConfig:
     stride: int = 8  # fixed by the 3 pooling stages of the backbone
     truncate_feedback: bool = False  # stop gradients at label re-encoding
 
+    # The least value of each bounded field.
+    LEAST = {"c_cls": 1, "c_part": 0, "m": 1, "t": 0, "channels": 1, "cls_hidden": 1,
+             "region_hidden": 1, "spp_grid": 1}
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name, low in (("c_cls", 1), ("c_part", 0), ("m", 1), ("t", 0)):
+        for name, low in self.LEAST.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("channels", "cls_hidden", "region_hidden", "spp_grid"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.canvas % self.stride != 0:
             raise ValueError(f"canvas {self.canvas} not divisible by stride {self.stride}")
 
@@ -372,15 +372,12 @@ class Multinet:
         def pool(x):
             return nnops.spp_pool_regions(x, boxes, self.grid)
 
-        def flat(x):
-            return reshape(x, (cfg.m, x.data.size // cfg.m))
-
         layers = {task: hd["fc1"] for task, hd in self.region_heads.items() if task in tasks}
 
         def fc1_from(h):
             # the whole fc1 in update2; with the stacking integrator h is
             # r_img and the layers hold the image block
-            x = flat(pool(h)) if layers else None
+            x = pool(h) if layers else None
             return {task: nnops.fully_connected(x, fc) for task, fc in layers.items()}
 
         h = r_img
@@ -402,7 +399,7 @@ class Multinet:
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
-                x_task = flat(pool(task_maps))
+                x_task = pool(task_maps)
                 fc1 = {
                     task: elementwise(
                         "add", pre, matmul(x_task, self.region_heads[task]["fc1_task"])

@@ -228,7 +228,7 @@ def stack_channels(tensors) -> Tensor:
     splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=-1))
+        return np.split(g, splits, axis=-1)
 
     return make_op(out, tuple(tensors), bwd, "stack_channels")
 
@@ -263,8 +263,8 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
 def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     """Fixed-grid max pooling of one image-coordinate box: G x G x C out
     (`spp_pool_regions` with one box)."""
-    pooled = spp_pool_regions(h, np.asarray(box, dtype=np.float64).reshape(1, 4), grid)
-    return reshape(pooled, pooled.data.shape[1:])
+    row = spp_pool_regions(h, np.asarray(box, dtype=np.float64).reshape(1, 4), grid)
+    return reshape(row, (grid.grid_size, grid.grid_size, h.data.shape[2]))
 
 
 # Layout of the last box set `spp_layout` built, keyed by the boxes' bytes,
@@ -299,8 +299,10 @@ def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
 
 
 def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
-    """Batched SPP over (M, 4) image-coordinate boxes: M x G x G x C, one
-    tape node: a row gather per bin cell, a strict-`>` scan, one scatter."""
+    """Batched SPP over (M, 4) image-coordinate boxes, one tape node: a row
+    gather per bin cell, a strict-`>` scan, one scatter. Returns the
+    (M, G*G*C) rows a region fc1 reads, bin-major (row-major over the
+    G x G grid), then channel."""
     hh, ww, c = h.data.shape
     _, cells = spp_layout(boxes, grid, hh, ww)
     rows = h.data.reshape(hh * ww, c)
@@ -317,4 +319,4 @@ def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
         gh = np.bincount(lin.ravel(), weights=gout.ravel(), minlength=hh * ww * c)
         return (gh.astype(h.data.dtype, copy=False).reshape(hh, ww, c),)
 
-    return make_op(out, (h,), bwd, "spp_pool_regions")
+    return make_op(out.reshape(len(out), -1), (h,), bwd, "spp_pool_regions")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -85,6 +86,14 @@ class SceneSpec:
                              f"canvas {self.canvas}")
         if self.min_object_side < 16:
             raise ValueError("min_object_side below 16 breaks the 6px part floor")
+        if self.min_object_side > self.max_object_side:
+            raise ValueError(f"min_object_side {self.min_object_side} is above max_object_side "
+                             f"{self.max_object_side}")
+        if not 0 <= self.objects_min <= self.objects_max:
+            raise ValueError(f"objects_min {self.objects_min} must be in [0, objects_max "
+                             f"{self.objects_max}]")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
 
 
 @dataclass

@@ -128,11 +128,10 @@ def make_op(
     """Wrap an op result, recording it on the active tape when needed.
 
     `backward_fn(grad_out)` must return one gradient array (or None) per
-    input, in order. It may return `grad_out` itself or views of it, and
-    the same array for several inputs; `backward` copies those. Any other
-    array it returns must be new and not kept by the op, because `backward`
-    may take it as the input's gradient buffer and add into it later. None
-    means the input gets no gradient (`conv2d` returns it for the image).
+    input, in order. `backward` never keeps or writes into what it returns,
+    so views of `grad_out`, one array for several inputs and arrays the op
+    keeps are all fine. None means the input gets no gradient (`conv2d`
+    returns it for the image).
     Upper layers (nnops, model, tasks) use this hook to define fused ops
     with hand-written adjoints.
     """
@@ -248,31 +247,13 @@ def sum_all(a: Tensor) -> Tensor:
     return make_op(data, (a,), bwd, "sum_all")
 
 
-def _owned(gi, dtype, g: np.ndarray, grads, i: int) -> bool:
-    """Whether `backward` may keep gradient `gi` (entry i of `grads`, the
-    gradients a node returned for incoming gradient `g`) as the buffer of
-    an input of dtype `dtype`: a writeable C-contiguous array of that dtype
-    sharing no memory with `g` or with another entry. Anything else is
-    copied, as it aliases a buffer that is still read or added to (reshape
-    views, `add` handing `g` to both inputs), or has a layout or dtype the
-    copy would change."""
-    if not (isinstance(gi, np.ndarray) and gi.dtype == dtype
-            and gi.flags.c_contiguous and gi.flags.writeable):
-        return False
-    if np.may_share_memory(gi, g):
-        return False
-    return not any(j != i and isinstance(o, np.ndarray) and np.may_share_memory(gi, o)
-                   for j, o in enumerate(grads))
-
-
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep: accumulate grads of all requires_grad ancestors of loss.
 
     Gradients add onto existing buffers (sum semantics); callers zero
-    parameter grads between steps. An input without a buffer takes the
-    first gradient it gets as its buffer when that array aliases nothing
-    else (see `_owned`), and a copy of it otherwise, so no two tensors'
-    grads share memory. The tape is cleared afterwards.
+    parameter grads between steps. An input without a buffer gets a copy
+    of the first gradient it receives, so every buffer is the sweep's own
+    and no two tensors' grads share memory. The tape is cleared afterwards.
     """
     if loss.data.size != 1:
         raise TensorError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -284,16 +265,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
         g = node.out.grad
         if g is None:
             continue
-        grads = tuple(node.backward_fn(g))
-        for i, (t, gi) in enumerate(zip(node.inputs, grads)):
+        for t, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
-            if t.grad is not None:
-                t.grad += gi
-            elif _owned(gi, t.data.dtype, g, grads, i):
-                t.grad = gi
-            else:
+            if t.grad is None:
                 t.grad = np.array(gi, dtype=t.data.dtype)
+            else:
+                t.grad += gi
     tape.nodes.clear()
 
 

@@ -88,18 +88,6 @@ def test_op_follows_input_dtype(op, dtype):
     assert {t.grad.dtype for t in inputs} == {want}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_backward_keeps_fresh_gradients_of_either_dtype(dtype):
-    # A new gradient array of the input's dtype becomes its buffer as is.
-    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4).astype(dtype), requires_grad=True)
-    with Tape() as tape:
-        a = x * 2.0
-        loss = sum_all(nnops.relu(a) * Tensor(np.ones((3, 4), dtype=dtype)))
-        returned = record_backward(list(tape.nodes))
-        backward(loss, tape)
-    assert any(a.grad is g for g in returned)
-
-
 @pytest.mark.parametrize("mode", ["update1", "update2"])
 def test_training_step_stays_float32(mode):
     spec = SceneSpec(canvas=32, max_object_side=20, objects_min=1, objects_max=2, seed=6)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,15 @@ class TestConfigParsing:
     def test_unknown_mode_rejected_at_parse(self, mode):
         with pytest.raises(ConfigError, match=f"^mode must be one of shared, update1, update2, got {mode!r}$"):
             parse_config(f"version = 1\nmode = {mode}")
+
+    @pytest.mark.parametrize("key, value, low", [
+        ("iterations", -1, 0), ("proposals", 0, 1), ("channels", 0, 1), ("cls_hidden", 0, 1),
+        ("region_hidden", 0, 1), ("spp_grid", 0, 1),
+    ])
+    def test_model_bound_names_the_key(self, key, value, low):
+        # The network's bounds (`TaskConfig.LEAST`), under the run config's names.
+        with pytest.raises(ConfigError, match=f"^{key} must be at least {low}, got {value}$"):
+            parse_config(f"version = 1\n{key} = {value}")
 
     def test_lr_schedule(self):
         cfg = small_config(epochs_phase1=2, epochs_phase2=3)
@@ -278,6 +288,29 @@ class TestCheckpoints:
         ckpt = load_checkpoint(small_ckpt)
         edit(ckpt["params"])
         with pytest.raises(TrainingError, match=f"^checkpoint parameter {re.escape(message)}$"):
+            restore_model(ckpt)
+
+    @pytest.mark.parametrize("edit, message", [
+        # The backbone's three pooling stages fix the stride at 8.
+        (lambda h: h["task_config"].update(stride=4),
+         "stride is 8 in the checkpoint's run_config, 4 in the model"),
+        (lambda h: h["run_config"].update(mode="update2", iterations=5),
+         "t is 5 in the checkpoint's run_config, 2 in the model"),
+    ], ids=["stride", "run-config"])
+    def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(COMMITTED_CKPT.read_bytes())
+
+        def rewrite(body):
+            start = len(harness.CKPT_MAGIC) + 4
+            end = start + 4 + struct.unpack_from("<I", body, start)[0]
+            header = json.loads(body[start + 4 : end])
+            edit(header)
+            return body[:start] + container.blob(json.dumps(header).encode()) + body[end:]
+
+        reseal(path, rewrite)
+        ckpt = load_checkpoint(path)
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
             restore_model(ckpt)
 
     def test_resave_reproduces_committed_bytes(self, tmp_path):

@@ -395,13 +395,15 @@ class TestStackChannels:
 
     def test_pooling_commutes_with_stacking(self, rng):
         # SPP max pooling is per channel: pooling channel blocks apart and
-        # stacking the results equals pooling the stacked map.
+        # stacking the results bin by bin equals pooling the stacked map.
         a, b = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 2))
         boxes = random_boxes(rng, 6, 64)
         grid = SppGrid(3, 8)
         whole = spp_pool_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
-        parts = stack_channels([spp_pool_regions(Tensor(x), boxes, grid) for x in (a, b)])
-        np.testing.assert_array_equal(parts.data, whole.data)
+        parts = stack_channels([
+            Tensor(spp_pool_regions(Tensor(x), boxes, grid).data.reshape(6, 9, -1)) for x in (a, b)
+        ])
+        np.testing.assert_array_equal(parts.data, whole.data.reshape(6, 9, 5))
 
 
 def footprint_oracle(box, stride, h, w):
@@ -500,7 +502,7 @@ class TestSpp:
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 12 * 3)
             out = spp_pool_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
-            np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6))
+            np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
@@ -509,7 +511,7 @@ class TestSpp:
         batched = spp_pool_regions(Tensor(x), boxes, SppGrid(6, 8))
         for i, b in enumerate(boxes):
             single = spp_pool(Tensor(x), b, SppGrid(6, 8))
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            np.testing.assert_array_equal(batched.data[i], single.data.ravel())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_single(self, seed):
@@ -542,7 +544,7 @@ class TestSpp:
         assert again.tobytes() == first.tobytes()
         small = spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
         for i, box in enumerate(boxes):
-            np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3))
+            np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3).ravel())
         boxes[4, 2] = boxes[4, 0]
         with pytest.raises(TensorError, match="region 4"):
             spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16))
@@ -586,7 +588,8 @@ class TestSpp:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             pooled = spp_pool_regions(xt, boxes, SppGrid(g, 8))
-            backward(sum_all(elementwise("mul", pooled, Tensor(gout))), tape)
+            weights = Tensor(gout.reshape(len(boxes), -1))
+            backward(sum_all(elementwise("mul", pooled, weights)), tape)
         out, gh, ties = spp_routed_oracle(x, boxes, 8, g, gout)
         assert (ties > 0) == tied
         assert pooled.data.tobytes() == out.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -80,6 +81,25 @@ class TestSceneGeneration:
             SceneSpec(min_object_side=8)
         with pytest.raises(ValueError, match="max_object_side"):
             SceneSpec(max_object_side=70)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"objects_min": 3, "objects_max": 1}, "objects_min 3 must be in [0, objects_max 1]"),
+        ({"objects_min": -1}, "objects_min -1 must be in [0, objects_max 3]"),
+        ({"min_object_side": 24, "max_object_side": 20},
+         "min_object_side 24 is above max_object_side 20"),
+        ({"noise_std": -0.1}, "noise_std must be finite and non-negative, got -0.1"),
+        ({"noise_std": float("nan")}, "noise_std must be finite and non-negative, got nan"),
+        ({"noise_std": float("inf")}, "noise_std must be finite and non-negative, got inf"),
+    ], ids=["objects-range", "objects-negative", "side-range", "noise-negative", "noise-nan",
+            "noise-inf"])
+    def test_inconsistent_spec_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SceneSpec(**fields)
+
+    def test_equal_bounds_accepted(self):
+        spec = SceneSpec(objects_min=0, objects_max=0, min_object_side=20, max_object_side=20,
+                         noise_std=0.0)
+        assert generate_scene(spec, 0).object_classes.size == 0
 
 
 class TestProposals:

@@ -220,23 +220,6 @@ class TestBackward:
         np.testing.assert_allclose(t.grad, t.data)  # only the live branch
 
 
-def copying_backward(loss, tape):
-    """The reverse sweep with every first gradient copied: the reference
-    for `backward`, which keeps fresh gradients as buffers."""
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        for t, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is not None and t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.array(gi, dtype=np.float64)
-                else:
-                    t.grad += gi
-    tape.nodes.clear()
-
-
 # Builders of the ownership cases: x and y need gradients, w1..w3 do not.
 # Each aliasing op reads an op output, which has no grad buffer until the
 # sweep reaches it.
@@ -274,33 +257,57 @@ def _one_fresh_array_for_two_inputs(x, y, w1, w2, w3):
     return sum_all(s * w1) + early
 
 
+def _stacked_twice_grad(w1, w2):
+    w = np.concatenate([w1, w2], axis=1).reshape(3, 2, 4)
+    return 1.5 * (w[..., :2] + w[..., 2:]).reshape(3, 4)
+
+
+# builder -> the gradients of x and y it implies, from the arrays of x, y,
+# w1, w2 and w3.
+IMPLIED_GRADS = {
+    _x_plus_x: lambda x, y, w1, w2, w3: (4.0 * w1, np.zeros_like(y)),
+    _add_then_more_gradient: lambda x, y, w1, w2, w3: (2.0 * (w1 + w2), 3.0 * (w1 + w3)),
+    _reshape_two_consumers: lambda x, y, w1, w2, w3: (2.0 * (w1 + w2 + w3), np.zeros_like(y)),
+    _stack_same_twice: lambda x, y, w1, w2, w3: (_stacked_twice_grad(w1, w2), np.zeros_like(y)),
+    _one_fresh_array_for_two_inputs: lambda x, y, w1, w2, w3: (2.0 * (2.0 * w1 + w2), 6.0 * w1),
+}
+
+
 class TestGradientOwnership:
-    @pytest.mark.parametrize("build", [
-        _x_plus_x, _add_then_more_gradient, _reshape_two_consumers, _stack_same_twice,
-        _one_fresh_array_for_two_inputs,
-    ])
+    @pytest.mark.parametrize("build", list(IMPLIED_GRADS))
     def test_grads_match_copying_reference_and_share_nothing(self, build, rng):
+        # The reference is the sum of gradients each builder implies: what a
+        # sweep that copies every first gradient gives.
         arrays = [rng.normal(size=(3, 4)) for _ in range(5)]
-
-        def run(sweep):
-            leaves = [Tensor(a, requires_grad=i < 2) for i, a in enumerate(arrays)]
-            with Tape() as tape:
-                loss = build(*leaves)
-                seen = {}
-                for node in tape.nodes:
-                    for t in (node.out, *node.inputs):
-                        if t.requires_grad:
-                            seen[id(t)] = t
-                sweep(loss, tape)
-            return list(seen.values())
-
-        got, want = run(backward), run(copying_backward)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.grad.tobytes() == w.grad.tobytes()
+        leaves = [Tensor(a, requires_grad=i < 2) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            loss = build(*leaves)
+            seen = {}
+            for node in tape.nodes:
+                for t in (node.out, *node.inputs):
+                    if t.requires_grad:
+                        seen[id(t)] = t
+            backward(loss, tape)
+        want = IMPLIED_GRADS[build](*arrays)
+        for leaf, w in zip(leaves, want):
+            np.testing.assert_allclose(leaf.grad, w, rtol=1e-12, atol=0)
+        got = list(seen.values())
         for i, a in enumerate(got):
             for b in got[i + 1:]:
                 assert not np.shares_memory(a.grad, b.grad)
+
+    def test_kept_gradient_array_is_never_written(self):
+        # An op's backward may return an array it keeps: the sweep copies
+        # it before the input's later gradient is added.
+        kept = np.ones(3)
+        x = Tensor(np.zeros(3), requires_grad=True)
+        with Tape() as tape:
+            a = x * 1.0
+            early = sum_all(a)
+            out = T.make_op(a.data.copy(), (a,), lambda g: (kept,), "kept_gradient")
+            backward(sum_all(out) + early, tape)
+        np.testing.assert_array_equal(kept, np.ones(3))
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 class TestSgd:
