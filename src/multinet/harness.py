@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container, synthdata, tasks
-from .model import MODES, Multinet, MultinetOutput, TaskConfig
+from .model import MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, check_mode
 from .synthdata import SceneSpec, propose_regions
 from .tasks import assign_regions
 from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
@@ -79,14 +79,16 @@ class RunConfig:
     truncate_feedback: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        check_mode(self.mode, ConfigError)
         try:
             seeds = self.seed_list()
         except ValueError:
             seeds = []
         if not seeds:
             raise ConfigError(f"seeds must be a comma-separated list of integers, got {self.seeds!r}")
+        repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seeds lists seed {repeated[0]} more than once: {self.seeds!r}")
         for name in ("lr_phase1", "lr_phase2", "weight_cls", "weight_det", "weight_part",
                      "weight_bbox"):
             value = getattr(self, name)
@@ -189,9 +191,9 @@ def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
     return _task_config(config, _dataset_fields(spec, scenes))
 
 
-def _check_model_fits(cfg: TaskConfig, fields: dict, source: str) -> None:
+def _check_model_fits(model: dict, fields: dict, source: str) -> None:
     for name, want in fields.items():
-        have = getattr(cfg, name)
+        have = model.get(name)
         if have != want:
             raise TrainingError(f"{name} is {want!r} in {source}, {have!r} in the model")
 
@@ -199,7 +201,7 @@ def _check_model_fits(cfg: TaskConfig, fields: dict, source: str) -> None:
 def check_dataset(cfg: TaskConfig, spec: SceneSpec, scenes) -> None:
     """Raise TrainingError, naming the field, unless the dataset gives the
     class counts and canvas of the model configured by `cfg`."""
-    _check_model_fits(cfg, _dataset_fields(spec, scenes), "the dataset")
+    _check_model_fits(dataclasses.asdict(cfg), _dataset_fields(spec, scenes), "the dataset")
 
 
 @dataclass
@@ -222,8 +224,16 @@ def _delta_matrix(targets: tasks.RegionTargets, k: int):
     return mat.reshape(m, -1), mask.reshape(m, -1)
 
 
+def _proposals(scene, spec: SceneSpec, m: int, index: int) -> np.ndarray:
+    """Scene `index`'s (m, 4) proposals, or TrainingError naming the scene."""
+    try:
+        return propose_regions(scene, spec, m, seed=index)
+    except ValueError as e:
+        raise TrainingError(f"scene {index}: {e}") from None
+
+
 def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneBatch:
-    props = propose_regions(scene, spec, cfg.m, seed=index)
+    props = _proposals(scene, spec, cfg.m, index)
     regions = {}
     for task, k in cfg.region_classes.items():
         targets = assign_regions(props, *tasks.REGION_TASKS[task].ground_truth(scene))
@@ -242,35 +252,20 @@ def _region_loss(scores, deltas, labels, delta_t, delta_mask, w_cls, w_bbox):
     return terms
 
 
-def _task_weight(config: RunConfig, task: str) -> float:
-    return getattr(config, f"weight_{task}")
-
-
-def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig, decode_tasks=None):
-    """Total loss: every iteration's outputs are supervised. A region task's
-    box regression trains only while that task's own weight is above 0."""
-    outputs = model.forward(batch.scene.image, batch.proposals, decode_tasks=decode_tasks)
+def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig):
+    """Total loss: every iteration's outputs are supervised. A task whose
+    loss weight is 0 has no term, so its head gets no gradient; a region
+    task's box regression trains only while that task's weight is above 0."""
+    outputs = model.forward(batch.scene.image, batch.proposals)
     terms = []
     for out in outputs:
-        if out.x_cls is not None and config.weight_cls > 0:
+        if config.weight_cls > 0:
             terms.append(tasks.bce_multilabel(out.x_cls, batch.scene.img_label) * config.weight_cls)
         for task, (scores, deltas) in out.regions.items():
-            w = _task_weight(config, task)
+            w = getattr(config, f"weight_{task}")
             terms.extend(_region_loss(scores, deltas, *batch.regions[task], w,
                                       config.weight_bbox if w > 0 else 0.0))
-    if not terms:
-        return Tensor(0.0), outputs
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total, outputs
-
-
-def _active_decode_tasks(config: RunConfig, cfg: TaskConfig):
-    # Heads with zero loss weight are skipped in non-recurrent runs; None
-    # (every head) when no weight is positive.
-    active = tuple(t for t in ("cls", *cfg.region_classes) if _task_weight(config, t) > 0)
-    return active or None
+    return (sum(terms[1:], terms[0]) if terms else Tensor(0.0)), outputs
 
 
 @dataclass
@@ -298,24 +293,23 @@ def train(
     if not scenes:
         raise TrainingError("scenes: the training set is empty")
     cfg = build_task_config(config, spec, scenes)
+    shuffle_rng = seed_rng(config.seed, 1)
     if resume is not None:
-        _check_model_fits(resume.model.cfg, dataclasses.asdict(cfg), "the run config and dataset")
+        _check_model_fits(dataclasses.asdict(resume.model.cfg), dataclasses.asdict(cfg),
+                          "the run config and dataset")
         if resume.epoch > config.total_epochs:
             raise TrainingError(f"epochs_phase1 + epochs_phase2 is {config.total_epochs} in the "
                                 f"run config, below the checkpoint's epoch {resume.epoch}")
         model = resume.model
         start_epoch = resume.epoch
-        shuffle_rng = seed_rng(config.seed, 1)
         shuffle_rng.bit_generator.state = resume.rng_state
         history = list(resume.history)
     else:
         model = Multinet(cfg, seed=config.seed)
         start_epoch = 0
-        shuffle_rng = seed_rng(config.seed, 1)
         history = []
 
     batches = [prepare_scene(s, spec, cfg, i) for i, s in enumerate(scenes)]
-    decode_tasks = _active_decode_tasks(config, cfg)
     for epoch in range(start_epoch, config.total_epochs):
         lr = config.lr_for_epoch(epoch)
         order = shuffle_rng.permutation(len(batches))
@@ -323,7 +317,7 @@ def train(
         for i in order:
             try:
                 with Tape() as tape:
-                    loss, _ = scene_loss(model, batches[i], config, decode_tasks)
+                    loss, _ = scene_loss(model, batches[i], config)
                     backward(loss, tape)
                 if lr > 0:
                     sgd_step(model.params, lr)
@@ -340,10 +334,15 @@ def train(
 # ---- checkpoints ---------------------------------------------------------
 
 
+def _task_header(cfg: TaskConfig) -> dict:
+    """A checkpoint header's `task_config`: `cfg` and the backbone's stride."""
+    return {**dataclasses.asdict(cfg), "stride": STRIDE}
+
+
 def save_checkpoint(state: TrainState, path) -> None:
     header = {
         "run_config": dataclasses.asdict(state.config),
-        "task_config": dataclasses.asdict(state.model.cfg),
+        "task_config": _task_header(state.model.cfg),
         "epoch": state.epoch,
         "rng_state": state.rng_state,
         "optimizer": {},  # plain SGD carries no state
@@ -378,14 +377,17 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_model(ckpt: dict) -> TrainState:
-    """The checkpoint's training state. Its `task_config` must be the
-    network its `run_config` builds on a dataset of the same class counts
-    and canvas, or TrainingError names the field that differs."""
-    config = RunConfig(**ckpt["run_config"])
-    cfg = TaskConfig(**ckpt["task_config"])
-    dataset = {name: getattr(cfg, name) for name in ("c_cls", "c_part", "canvas")}
-    _check_model_fits(cfg, dataclasses.asdict(_task_config(config, dataset)),
-                      "the checkpoint's run_config")
+    """The checkpoint's training state: the network its `run_config` builds
+    for its `task_config`'s class counts and canvas, which that `task_config`
+    must describe, or TrainingError names the field that differs."""
+    config, header = RunConfig(**ckpt["run_config"]), ckpt["task_config"]
+    try:
+        cfg = _task_config(config, {name: header[name] for name in ("c_cls", "c_part", "canvas")})
+    except KeyError as e:
+        raise TrainingError(f"the checkpoint's task_config has no {e.args[0]!r}") from None
+    fields = _task_header(cfg)
+    fields.update((name, None) for name in header if name not in fields)
+    _check_model_fits(header, fields, "the checkpoint's run_config")
     model = Multinet(cfg, seed=config.seed)
     params, records = ckpt["params"], model.records()
     extra = set(params) - {name for name, _, _ in records}
@@ -400,8 +402,7 @@ def restore_model(ckpt: dict) -> TrainState:
             raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
         arrays[name] = data
     model.load_records(arrays)  # rounded to the parameters' dtype, float32
-    rng_state = ckpt["rng_state"]
-    return TrainState(model, config, ckpt["epoch"], rng_state, list(ckpt.get("history", [])))
+    return TrainState(model, config, ckpt["epoch"], ckpt["rng_state"], list(ckpt.get("history", [])))
 
 
 # ---- evaluation ----------------------------------------------------------
@@ -410,7 +411,7 @@ def restore_model(ckpt: dict) -> TrainState:
 def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
     """Per scene: the scene, its (M, 4) proposals and one forward's outputs."""
     for i, scene in enumerate(scenes):
-        props = propose_regions(scene, spec, model.cfg.m, seed=i)
+        props = _proposals(scene, spec, model.cfg.m, i)
         truth = scene.img_label if ground_cls else None
         outs = model.forward(scene.image, props, ground_cls=truth, n_iters=n_iters)
         yield scene, props, outs

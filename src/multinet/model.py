@@ -29,13 +29,24 @@ from .tensor import (
 
 __all__ = [
     "TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "covering_regions", "encode_det",
-    "fc1_rows", "MODES",
+    "fc1_rows", "MODES", "STRIDE", "check_mode",
 ]
 
 MODES = ("shared", "update1", "update2")
 
+# Whether each backbone 3x3 conv is followed by a 2x2 max pooling.
+_POOLED = (True, True, True, False)
+# Image pixels per backbone feature cell: each 2x2 pooling halves the map.
+STRIDE = 2 ** sum(_POOLED)
+
 # Modes whose decoders read the stacked (image + task channel) layout.
 _STACKED_MODES = ("shared", "update1")
+
+
+def check_mode(mode: str, error=ValueError) -> None:
+    """Raise `error` unless `mode` is one of `MODES`."""
+    if mode not in MODES:
+        raise error(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
 
 
 @dataclass
@@ -50,7 +61,6 @@ class TaskConfig:
     cls_hidden: int = 64
     region_hidden: int = 64
     spp_grid: int = 6
-    stride: int = 8  # fixed by the 3 pooling stages of the backbone
     truncate_feedback: bool = False  # stop gradients at label re-encoding
 
     # The least value of each bounded field.
@@ -58,13 +68,12 @@ class TaskConfig:
              "region_hidden": 1, "spp_grid": 1}
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
         for name, low in self.LEAST.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.canvas % self.stride != 0:
-            raise ValueError(f"canvas {self.canvas} not divisible by stride {self.stride}")
+        if self.canvas % STRIDE != 0:
+            raise ValueError(f"canvas {self.canvas} not divisible by stride {STRIDE}")
 
     @property
     def region_classes(self) -> dict:
@@ -91,7 +100,7 @@ class TaskConfig:
 
 @dataclass
 class MultinetOutput:
-    x_cls: Tensor | None  # (C_cls,) sigmoid probabilities
+    x_cls: Tensor  # (C_cls,) sigmoid probabilities
     regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
 
 
@@ -179,16 +188,16 @@ class Multinet:
     def __init__(self, cfg: TaskConfig, seed: int = 0):
         self.cfg = cfg
         self.params = ParamGroup()
-        self.grid = SppGrid(cfg.spp_grid, cfg.stride)
+        self.grid = SppGrid(cfg.spp_grid, STRIDE)
         rng = seed_rng(seed, 0xC0FFEE)
         c = cfg.channels
-        c1 = max(c // 2, 4)
-        self._conv_defs = [(3, 3, c1, True), (3, c1, c, True), (3, c, c, True), (3, c, c, False)]
+        widths = [3, max(c // 2, 4), c, c, c]  # RGB in, then each conv's output
         self.backbone = []
-        for i, (k, cin, cout, pool) in enumerate(self._conv_defs):
-            f = self.params.add(f"backbone.conv{i + 1}.filters", _he_conv(rng, k, cin, cout), 1.0)
+        for i, pool in enumerate(_POOLED):
+            cin, cout = widths[i : i + 2]
+            f = self.params.add(f"backbone.conv{i + 1}.filters", _he_conv(rng, 3, cin, cout), 1.0)
             b = self.params.add(f"backbone.conv{i + 1}.bias", Tensor(np.zeros(cout)), 2.0)
-            self.backbone.append((ConvLayer(f, b, padding=1), pool))
+            self.backbone.append((ConvLayer(f, b), pool))
 
         dc = cfg.decoder_channels
         # Image-classification head: global max pool, two hidden FCs, a
@@ -287,10 +296,8 @@ class Multinet:
     def encode_image(self, image) -> Tensor:
         x = Tensor(np.asarray(image, dtype=self.dtype))
         hin, win = x.data.shape[:2]
-        if hin % self.cfg.stride or win % self.cfg.stride:
-            raise TensorError(
-                f"image dims {hin}x{win} not divisible by stride {self.cfg.stride}"
-            )
+        if hin % STRIDE or win % STRIDE:
+            raise TensorError(f"image dims {hin}x{win} not divisible by stride {STRIDE}")
         for layer, pool in self.backbone:
             x = nnops.relu(nnops.conv2d(x, layer))
             if pool:
@@ -315,28 +322,24 @@ class Multinet:
         deltas = nnops.fully_connected(feat, hd["delta"])
         return scores, deltas
 
-    def _decode_all(self, h: Tensor, fc1: dict, tasks) -> MultinetOutput:
-        """Decode cls from the map `h` when it is in `tasks`, and each region
-        task of `fc1` from its fc1 pre-activation there."""
-        x_cls = self.decode_cls(h) if "cls" in tasks else None
+    def _decode_all(self, h: Tensor, fc1: dict) -> MultinetOutput:
+        """Decode cls from the map `h` and each region task from its fc1."""
         regions = {task: self.decode_regions(pre, task) for task, pre in fc1.items()}
-        return MultinetOutput(x_cls, regions)
+        return MultinetOutput(self.decode_cls(h), regions)
 
     # ---- iteration schedule ---------------------------------------------
 
-    def forward(self, image, boxes, ground_cls=None, n_iters=None, decode_tasks=None) -> list:
+    def forward(self, image, boxes, ground_cls=None, n_iters=None) -> list:
         """Run the recurrent schedule over the (M, 4) region `boxes`; returns
-        T+1 per-iteration outputs.
+        T+1 per-iteration outputs, each with every head decoded.
 
         `ground_cls`, a (C_cls,) ground-truth image label array, is
         re-encoded in place of the cls prediction at every iteration (the
         label is treated as an input). Modes without recurrence return
-        outputs[0] only. `decode_tasks` restricts which heads run when there
-        is no recurrence (recurrent iterations always decode every task
-        since the feedback loop needs all labels). The stacking integrator
-        stacks the image features with the re-encoded labels (cls, then
-        each region task); the bottleneck integrator puts the previous map
-        in front of that stack and mixes it back to C channels.
+        outputs[0] only. The stacking integrator stacks the image features
+        with the re-encoded labels (cls, then each region task); the
+        bottleneck integrator puts the previous map in front of that stack
+        and mixes it back to C channels.
 
         Region features are pooled once per map and shared by the region
         heads. With the stacking integrator each region head's fc1 is held
@@ -361,31 +364,25 @@ class Multinet:
                 raise TensorError(
                     f"grounded cls label has shape {ground_cls.data.shape}, expected {(cfg.c_cls,)}"
                 )
-        all_tasks = ("cls", *cfg.region_classes)
         r_img = self.encode_image(image)
         hh, ww = r_img.data.shape[:2]
         if cfg.mode == "shared":
             n_iters = 0
-        tasks = all_tasks if n_iters > 0 or decode_tasks is None else tuple(decode_tasks)
         stacked = cfg.mode in _STACKED_MODES
-
-        def pool(x):
-            return nnops.spp_pool_regions(x, boxes, self.grid)
-
-        layers = {task: hd["fc1"] for task, hd in self.region_heads.items() if task in tasks}
 
         def fc1_from(h):
             # the whole fc1 in update2; with the stacking integrator h is
-            # r_img and the layers hold the image block
-            x = pool(h) if layers else None
-            return {task: nnops.fully_connected(x, fc) for task, fc in layers.items()}
+            # r_img and each head's "fc1" layer holds its image block
+            x = nnops.spp_pool_regions(h, boxes, self.grid)
+            return {task: nnops.fully_connected(x, hd["fc1"])
+                    for task, hd in self.region_heads.items()}
 
         h = r_img
         if stacked:
             zeros = np.zeros((hh, ww, cfg.task_channels), dtype=r_img.data.dtype)
             h = nnops.stack_channels([r_img, Tensor(zeros)])
         fc1 = img_fc1 = fc1_from(r_img)  # whole at t = 0, where the task channels are zero
-        outputs = [self._decode_all(h, fc1, tasks)]
+        outputs = [self._decode_all(h, fc1)]
 
         # Each cell's covering regions, from the footprints pooling built.
         if n_iters:
@@ -399,7 +396,7 @@ class Multinet:
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
-                x_task = pool(task_maps)
+                x_task = nnops.spp_pool_regions(task_maps, boxes, self.grid)
                 fc1 = {
                     task: elementwise(
                         "add", pre, matmul(x_task, self.region_heads[task]["fc1_task"])
@@ -410,7 +407,7 @@ class Multinet:
                 stack = nnops.stack_channels([h, r_img] + maps)
                 h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
                 fc1 = fc1_from(h)
-            outputs.append(self._decode_all(h, fc1, all_tasks))
+            outputs.append(self._decode_all(h, fc1))
         return outputs
 
     def _feedback(self, pred: Tensor) -> Tensor:

@@ -8,7 +8,7 @@ backward passes are deterministic even on tied values.
 
 The window ops keep no index table: they read the map through one strided
 view per window offset. `conv2d` copies the windows into a
-(ho*wo, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
+(h*w, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
 back one offset view at a time. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
@@ -46,9 +46,8 @@ __all__ = [
 
 @dataclass
 class ConvLayer:
-    filters: Tensor  # k x k x Cin x Cout
+    filters: Tensor  # k x k x Cin x Cout, k odd
     bias: Tensor  # Cout
-    padding: int = 0  # the stride is 1
 
 
 @dataclass
@@ -64,42 +63,39 @@ class SppGrid:
 
 
 def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """2-D cross-correlation at stride 1 plus bias; differentiable in x,
-    filters, bias (no gradient is computed for an x that needs none)."""
+    """2-D cross-correlation at stride 1 plus bias, zero-padded by k // 2
+    so the output keeps the input's H x W; differentiable in x, filters,
+    bias (no gradient is computed for an x that needs none)."""
     h, w, cin = x.data.shape
     k, k2, fcin, cout = layer.filters.data.shape
-    if k != k2:
-        raise TensorError("conv2d: non-square kernel")
+    if k != k2 or k % 2 == 0:
+        raise TensorError(f"conv2d: kernel {k}x{k2} is not square with an odd side")
     if fcin != cin:
         raise TensorError(f"conv2d: input has {cin} channels, filters expect {fcin}")
-    p = layer.padding
-    ho = h + 2 * p - k + 1
-    wo = w + 2 * p - k + 1
-    if ho < 1 or wo < 1:
-        raise TensorError(f"conv2d: kernel {k} larger than padded input {h + 2 * p}x{w + 2 * p}")
+    p = k // 2
 
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
-    windows = sliding_window_view(xp, (k, k), axis=(0, 1))  # (ho, wo, cin, k, k)
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(ho * wo, k * k * cin)
+    windows = sliding_window_view(xp, (k, k), axis=(0, 1))  # (h, w, cin, k, k)
+    cols = windows.transpose(0, 1, 3, 4, 2).reshape(h * w, k * k * cin)
     wmat = layer.filters.data.reshape(k * k * cin, cout)
-    out = (cols @ wmat + layer.bias.data[None, :]).reshape(ho, wo, cout)
+    out = (cols @ wmat + layer.bias.data[None, :]).reshape(h, w, cout)
 
     def bwd(g):
-        gm = g.reshape(ho * wo, cout)
+        gm = g.reshape(h * w, cout)
         gw = (cols.T @ gm).reshape(k, k, cin, cout)
         gb = gm.sum(axis=0)
         if not x.requires_grad:  # the image: no input gradient
             return (None, gw, gb)
-        gcols = (gm @ wmat.T).reshape(ho, wo, k, k, cin)
+        gcols = (gm @ wmat.T).reshape(h, w, k, k, cin)
         # Summed in float64, rounded once. Window (i, j) reads cell
         # (i + a, j + b) at offset (a, b): later offsets first, so each cell
         # sums its windows in row-major order.
         gxp = np.zeros(xp.shape)
         for a in reversed(range(k)):
             for b in reversed(range(k)):
-                gv = gxp[a : a + ho, b : b + wo]
+                gv = gxp[a : a + h, b : b + w]
                 gv += gcols[:, :, a, b]
-        gx = gxp[p : p + h, p : p + w] if p else gxp
+        gx = gxp[p : p + h, p : p + w]
         return (gx.astype(x.data.dtype, copy=False), gw, gb)
 
     return make_op(out, (x, layer.filters, layer.bias), bwd, "conv2d")

@@ -293,6 +293,10 @@ def read_dataset(path):
         obj_classes, obj_boxes, _ = _read_records(r, _OBJECT, i, "object", spec.n_classes)
         part_classes, part_boxes, parts = _read_records(r, _PART, i, "part", spec.n_part_classes)
         parents = parts["parent"].astype(np.int64)
+        orphan = np.nonzero(parents >= len(obj_classes))[0]
+        if orphan.size:
+            r.fail(f"scene {i}: part {orphan[0]} has parent {parents[orphan[0]]}, not one of "
+                   f"the scene's {len(obj_classes)} objects")
         label = np.frombuffer(r.blob(), dtype=np.uint8).copy()
         if label.size != spec.n_classes:
             r.fail(f"scene {i}: image label has {label.size} entries, expected {spec.n_classes}")

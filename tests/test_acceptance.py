@@ -32,7 +32,7 @@ from multinet.harness import (
     train_and_eval_mode,
     write_csv,
 )
-from multinet.model import Multinet, TaskConfig, encode_cls, encode_det
+from multinet.model import STRIDE, Multinet, TaskConfig, encode_cls, encode_det
 from multinet.nnops import ConvLayer, FCLayer, SppGrid
 from multinet.synthdata import (
     DatasetError,
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_suite(capsys):
                 [r.normal(size=(2, 3)), r.normal(size=3)],
             )
             check_grads(
-                lambda xt, ft, bt: sum_all(conv2d(xt, ConvLayer(ft, bt, padding=1))),
+                lambda xt, ft, bt: sum_all(conv2d(xt, ConvLayer(ft, bt))),
                 [r.normal(size=(5, 5, 2)), r.normal(size=(3, 3, 2, 2)), r.normal(size=2)],
             )
             check_grads(lambda a: sum_all(max_pool2d(a)), [r.normal(size=(6, 6, 2))])
@@ -229,7 +229,7 @@ def test_criterion_2_oracle_equivalences(capsys):
             x = r.normal(size=(6, 6, 2))
             f = r.normal(size=(3, 3, 2, 3))
             b = r.normal(size=3)
-            out = nnops.conv2d(Tensor(x), ConvLayer(Tensor(f), Tensor(b), padding=1))
+            out = nnops.conv2d(Tensor(x), ConvLayer(Tensor(f), Tensor(b)))
             np.testing.assert_allclose(out.data, conv_oracle(x, f, b, 1, 1), atol=1e-12)
 
         # one-box spp_pool_regions vs the naive per-bin oracle, 100 cases
@@ -306,7 +306,7 @@ def test_criterion_3_structural_invariants(capsys):
             bxs = boxes_for(cfg.m)
             r_img = net.encode_image(img)
             hh, ww = r_img.data.shape[:2]
-            cov = covering(bxs, cfg.stride, hh, ww)
+            cov = covering(bxs, STRIDE, hh, ww)
             r_cls = encode_cls(Tensor(np.full(c_cls, 0.5)), hh, ww)
             r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), cov, hh, ww)
             r_part = (

@@ -31,7 +31,7 @@ CASES = {
     "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "take_rows": (lambda a: take_rows(a, [3, 0, 2]), [(4, 2)]),
     "add_rowvec": (add_rowvec, [(3, 2), (2,)]),
-    "conv2d": (lambda x, f, b: nnops.conv2d(x, ConvLayer(f, b, padding=1)),
+    "conv2d": (lambda x, f, b: nnops.conv2d(x, ConvLayer(f, b)),
                [(6, 6, 2), (3, 3, 2, 3), (3,)]),
     "relu": (nnops.relu, [(3, 4)]),
     "sigmoid": (nnops.sigmoid, [(3, 4)]),

@@ -128,6 +128,14 @@ class TestConfigParsing:
     def test_seeds_parse(self):
         assert parse_config("version = 1\nseeds = 3, 1,").seed_list() == [3, 1]
 
+    @pytest.mark.parametrize("value, seed", [("0,0", 0), ("2, 1, 3, 1, 2", 1)])
+    def test_repeated_seed_rejected(self, value, seed):
+        # compare_modes keys its results by seed, so a repeat would train
+        # twice and take medians over fewer seeds than the config lists.
+        with pytest.raises(ConfigError,
+                           match=f"^seeds lists seed {seed} more than once: {value!r}$"):
+            parse_config(f"version = 1\nseeds = {value}")
+
     @pytest.mark.parametrize("mode", ["independent", "update3", ""])
     def test_unknown_mode_rejected_at_parse(self, mode):
         with pytest.raises(ConfigError, match=f"^mode must be one of shared, update1, update2, got {mode!r}$"):
@@ -254,6 +262,23 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match="scenes: the training set is empty"):
             train(small_config(), SMALL_SPEC, [])
 
+    def test_scene_with_more_boxes_than_proposals_named(self):
+        # Each ground-truth box needs a proposal of its own; train, eval and
+        # the sweep name the first scene that has more boxes than proposals.
+        boxes = [len(s.object_boxes) + len(s.part_boxes) for s in SMALL_SCENES]
+        m = max(boxes) - 1
+        first = next(i for i, n in enumerate(boxes) if n > m)
+        want = f"^scene {first}: need at least {boxes[first]} proposals, got {m}$"
+        config = small_config(proposals=m)
+        with pytest.raises(TrainingError, match=want):
+            train(config, SMALL_SPEC, SMALL_SCENES)
+        state = TrainState(Multinet(build_task_config(config, SMALL_SPEC, SMALL_SCENES)),
+                           config, 0, {})
+        with pytest.raises(TrainingError, match=want):
+            evaluate_model(state.model, SMALL_SPEC, SMALL_SCENES)
+        with pytest.raises(TrainingError, match=want):
+            recurrence_sweep(state, SMALL_SPEC, SMALL_SCENES, t_max=1)
+
     def test_corrupted_checkpoint_detected(self, tmp_path):
         state = train(small_config(epochs_phase1=1), SMALL_SPEC, SMALL_SCENES)
         path = tmp_path / "c.ckpt"
@@ -296,7 +321,10 @@ class TestCheckpoints:
          "stride is 8 in the checkpoint's run_config, 4 in the model"),
         (lambda h: h["run_config"].update(mode="update2", iterations=5),
          "t is 5 in the checkpoint's run_config, 2 in the model"),
-    ], ids=["stride", "run-config"])
+        (lambda h: h["task_config"].pop("canvas"), "the checkpoint's task_config has no 'canvas'"),
+        (lambda h: h["task_config"].update(colour=1),
+         "colour is None in the checkpoint's run_config, 1 in the model"),
+    ], ids=["stride", "run-config", "no-canvas", "extra-field"])
     def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):
         path = tmp_path / "c.ckpt"
         path.write_bytes(COMMITTED_CKPT.read_bytes())
@@ -422,7 +450,7 @@ class TestTwoTaskGradientMatch:
         def grads(net, batch, config):
             net.params.zero_grads()
             with Tape() as tape:
-                loss, _ = scene_loss(net, batch, config, ("cls", "det"))
+                loss, _ = scene_loss(net, batch, config)
                 backward(loss, tape)
             return float(loss.data), {n: g.copy() for n, g, _ in net.records(grads=True)}
 
@@ -527,10 +555,9 @@ class TestRegionTargets:
 
 
 class TestIndependentNets:
-    def test_each_net_decodes_and_trains_only_its_task(self, monkeypatch):
-        # The independent baseline trains one network per task; each one
-        # decodes only its own head (the part net used to decode and
-        # regress object boxes too).
+    def test_each_net_trains_only_its_task(self, monkeypatch):
+        # The independent baseline trains one `shared` network per task,
+        # with every other task's loss weight at 0.
         configs = {}
 
         def fake_train(config, spec, scenes, log=None):
@@ -541,18 +568,43 @@ class TestIndependentNets:
         monkeypatch.setattr(harness, "train", fake_train)
         harness._train_independent(small_config(), SMALL_SPEC, SMALL_SCENES)
         assert set(configs) == {"cls", "det", "part"}
-        cfg = build_task_config(small_config(), SMALL_SPEC, SMALL_SCENES)
         for task, config in configs.items():
             assert config.mode == "shared"
-            assert harness._active_decode_tasks(config, cfg) == (task,)
+            weights = {t: getattr(config, f"weight_{t}") for t in configs}
+            assert weights == {t: float(t == task) for t in configs}
+
+    @pytest.mark.parametrize("task", ["cls", "det", "part"])
+    def test_zero_weight_heads_keep_their_init_parameters(self, task):
+        # Every forward decodes every head; a zero loss weight alone keeps
+        # a head out of the loss and its parameters at their init bytes.
+        others = [t for t in ("cls", "det", "part") if t != task]
+        config = small_config(mode="shared", **{f"weight_{t}": 0.0 for t in others})
+        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        init = {name: t.data.copy() for name, t, _ in Multinet(cfg, seed=0).params.items()}
+        state = train(config, SMALL_SPEC, SMALL_SCENES)
+        moved = {name.split(".")[0] for name, t, _ in state.model.params.items()
+                 if t.data.tobytes() != init[name].tobytes()}
+        assert moved == {"backbone", task}
+
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        loss, (out,) = scene_loss(state.model, batch, config)
+        assert set(out.regions) == {"det", "part"}
+        if task == "cls":
+            want = tasks.bce_multilabel(out.x_cls, batch.scene.img_label).item()
+        else:
+            scores, deltas = out.regions[task]
+            labels, delta_t, mask = batch.regions[task]
+            keep = np.nonzero(labels >= 0)[0]
+            want = (tasks.softmax_ce(take_rows(scores, keep), labels[keep])
+                    + tasks.smooth_l1(deltas, delta_t, mask)).item()
+        assert loss.item() == want
 
     def test_part_only_loss_has_no_det_term(self):
         config = small_config(mode="shared", weight_cls=0.0, weight_det=0.0)
         cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
         net = as_float64(Multinet(cfg, seed=0))
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
-        loss, outs = scene_loss(net, batch, config, harness._active_decode_tasks(config, cfg))
-        assert [list(o.regions) for o in outs] == [["part"]]
+        loss, outs = scene_loss(net, batch, config)
         scores, deltas = outs[0].regions["part"]
         labels, delta_t, mask = batch.regions["part"]
         keep = np.nonzero(labels >= 0)[0]

@@ -5,7 +5,8 @@ import pytest
 
 from multinet import model, nnops
 from multinet.model import (
-    MODES, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det, fc1_rows,
+    MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det,
+    fc1_rows,
 )
 from multinet.nnops import FCLayer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
@@ -248,7 +249,7 @@ class TestStructure:
         img, boxes = small_inputs(cfg)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        cov = covering(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, STRIDE, hh, ww)
         r_cls = encode_cls(Tensor(np.full(c_cls, 0.5)), hh, ww)
         r_det = encode_det(Tensor(np.full((cfg.m, c_cls + 1), 0.2)), cov, hh, ww)
         r_part = (
@@ -279,7 +280,8 @@ class TestStructure:
         net = Multinet(cfg, seed=0)
         img, _ = small_inputs(cfg)
         r = net.encode_image(img)
-        fs = cfg.canvas // cfg.stride
+        fs = cfg.canvas // 8  # three 2x2 poolings
+        assert STRIDE == 8
         assert r.data.shape == (fs, fs, cfg.channels)
 
     def test_indivisible_image_rejected(self):
@@ -293,7 +295,7 @@ class TestStructure:
             assert mult == (2.0 if name.endswith("bias") else 1.0)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mode must be one of shared, update1, update2, got 'update3'$"):
             small_cfg(mode="update3")
 
     @pytest.mark.parametrize("name,value,low", [
@@ -407,7 +409,7 @@ class TestForward:
         outs = net.forward(img, boxes)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        cov = covering(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, STRIDE, hh, ww)
         o0 = outs[0]
         r_cls = encode_cls(o0.x_cls, hh, ww)
         r_det = encode_det(o0.regions["det"][0], cov, hh, ww)
@@ -418,7 +420,7 @@ class TestForward:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
         layers = whole_fc1_layers(net)
         fc1 = {task: whole_fc1(net, layers[task], h1, boxes) for task in ("det", "part")}
-        manual = net._decode_all(h1, fc1, ("cls", "det", "part"))
+        manual = net._decode_all(h1, fc1)
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
@@ -583,13 +585,13 @@ class TestGrounding:
         outs = net.forward(img, boxes, ground_cls=truth, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
-        cov = covering(boxes, cfg.stride, hh, ww)
+        cov = covering(boxes, STRIDE, hh, ww)
         r_cls = encode_cls(Tensor(truth), hh, ww)
         r_det = encode_det(outs[0].regions["det"][0], cov, hh, ww)
         r_part = encode_det(outs[0].regions["part"][0], cov, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
-        manual = net._decode_all(h1, {}, ("cls",))
-        np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
+        manual = net.decode_cls(h1)
+        np.testing.assert_allclose(outs[1].x_cls.data, manual.data, atol=1e-12)
 
     def test_bad_ground_shape_rejected(self):
         cfg = small_cfg(t=1)
@@ -620,7 +622,7 @@ def whole_fc1(net, layer, h, boxes):
     return nnops.fully_connected(flat, layer)
 
 
-def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None, decode_tasks=None):
+def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None):
     """The iteration schedule of `Multinet.forward` built from its public
     pieces, with every region head pooling the full map `h` on its own and
     decoding it through its unsplit fc1 from `whole_fc1_layers`."""
@@ -630,16 +632,13 @@ def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None, decod
     if cfg.mode == "shared":
         n_iters = 0
     n_iters = cfg.t if n_iters is None else n_iters
-    all_tasks = ("cls", *cfg.region_classes)
-    tasks = all_tasks if n_iters or decode_tasks is None else decode_tasks
 
-    def decode(h, tasks):
-        x_cls = net.decode_cls(h) if "cls" in tasks else None
+    def decode(h):
         regions = {
             task: net.decode_regions(whole_fc1(net, layers[task], h, boxes), task)
-            for task in cfg.region_classes if task in tasks
+            for task in cfg.region_classes
         }
-        return MultinetOutput(x_cls, regions)
+        return MultinetOutput(net.decode_cls(h), regions)
 
     def label(pred):
         return pred.detach() if cfg.truncate_feedback else pred
@@ -647,8 +646,8 @@ def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None, decod
     h = r_img
     if cfg.mode != "update2":
         h = nnops.stack_channels([r_img, Tensor(np.zeros((hh, ww, cfg.task_channels)))])
-    outs = [decode(h, tasks)]
-    cov = covering(boxes, cfg.stride, hh, ww)
+    outs = [decode(h)]
+    cov = covering(boxes, STRIDE, hh, ww)
     for _ in range(n_iters):
         prev = outs[-1]
         x_cls = label(prev.x_cls) if ground_cls is None else Tensor(ground_cls)
@@ -658,7 +657,7 @@ def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None, decod
             h = integrate_stack(r_img, *maps)
         else:
             h = integrate_bottleneck(net, h, r_img, *maps)
-        outs.append(decode(h, all_tasks))
+        outs.append(decode(h))
     return outs
 
 
@@ -666,7 +665,7 @@ def output_tensors(outs):
     """Every output tensor of a forward, in a fixed order."""
     flat = []
     for out in outs:
-        flat += [] if out.x_cls is None else [out.x_cls]
+        flat.append(out.x_cls)
         flat += [x for task in sorted(out.regions) for x in out.regions[task]]
     return flat
 
@@ -683,10 +682,11 @@ def weighted_sum(tensors, seed=0):
 
 # (mode, TaskConfig overrides, forward kwargs)
 POOL_ONCE_CASES = [
-    ("shared", {}, {"decode_tasks": ("cls", "det", "part")}),
-    ("shared", {}, {"decode_tasks": ("cls",)}),
-    ("shared", {}, {"decode_tasks": ("det",)}),
-    ("shared", {}, {"decode_tasks": ("part",)}),
+    # a shared net runs t = 0 only, whatever its feedback, depth or labels
+    ("shared", {"truncate_feedback": True}, {}),
+    ("shared", {}, {"n_iters": 3}),
+    ("shared", {}, {"ground_cls": True}),
+    ("shared", {"c_part": 0, "t": 0}, {}),
     ("shared", {}, {}),
     ("shared", {"c_part": 0}, {}),
     ("update1", {}, {}),
@@ -754,15 +754,15 @@ class TestPoolOnce:
             assert np.max(np.abs(got[name] - g)) <= 1e-12 * scale, name
 
     @pytest.mark.parametrize(
-        "mode,decode_tasks,widths",
+        "mode,overrides,widths",
         [("update1", None, ["C", "task", "task"]), ("shared", None, ["C"]),
-         ("update2", None, ["C", "C", "C"]), ("shared", ("cls",), [])],
+         ("update2", None, ["C", "C", "C"]), ("shared", {"c_part": 0}, ["C"])],
     )
-    def test_spp_calls_per_forward(self, monkeypatch, mode, decode_tasks, widths):
+    def test_spp_calls_per_forward(self, monkeypatch, mode, overrides, widths):
         # update1 pools the C image channels once and only the task block
         # at each iteration t >= 1; update2 pools its C-channel map once per
-        # iteration; a cls-only net pools nothing.
-        net = Multinet(small_cfg(mode=mode, t=2), seed=0)
+        # iteration; one pooling serves every region head.
+        net = Multinet(small_cfg(mode=mode, t=2, **(overrides or {})), seed=0)
         img, boxes = small_inputs(net.cfg)
         seen = []
         pool = nnops.spp_pool_regions
@@ -772,7 +772,7 @@ class TestPoolOnce:
             return pool(h, rois, grid)
 
         monkeypatch.setattr(nnops, "spp_pool_regions", counted)
-        net.forward(img, boxes, decode_tasks=decode_tasks)
+        net.forward(img, boxes)
         width = {"C": net.cfg.channels, "task": net.cfg.task_channels}
         assert seen == [width[w] for w in widths]
 
@@ -794,20 +794,20 @@ class TestPoolOnce:
         assert len(built) == 1
 
     @pytest.mark.parametrize(
-        "mode,decode_tasks,steps",
+        "mode,overrides,steps",
         [("update1", None, ["img", "decode", "task", "decode", "task", "decode"]),
          ("shared", None, ["img", "decode"]),
-         ("shared", ("det",), ["img", "decode"]),
-         ("shared", ("cls",), []),
+         ("shared", {"c_part": 0}, ["img", "decode"]),
+         ("update1", {"c_part": 0}, ["img", "decode", "task", "decode", "task", "decode"]),
          ("update2", None, ["whole", "decode"] * 3)],
     )
-    def test_fc1_products_per_forward(self, monkeypatch, mode, decode_tasks, steps):
+    def test_fc1_products_per_forward(self, monkeypatch, mode, overrides, steps):
         # The stacking modes take each head's image-block product once per
         # forward and a task-block product only at t >= 1; update2 applies
         # the whole fc1 at every t. No op gathers rows of a parameter: every
         # parameter is read whole by a product. No pooled (4-D) block is
         # ever joined by `stack_channels`.
-        net = Multinet(small_cfg(mode=mode, t=2), seed=0)
+        net = Multinet(small_cfg(mode=mode, t=2, **(overrides or {})), seed=0)
         img, boxes = small_inputs(net.cfg)
         image = "whole" if mode == "update2" else "img"
         fc1 = {hd["fc1"].weight: f"{task}:{image}" for task, hd in net.region_heads.items()}
@@ -839,9 +839,9 @@ class TestPoolOnce:
         monkeypatch.setattr(Multinet, "decode_regions", decode_regions)
         monkeypatch.setattr(nnops, "stack_channels", stack_channels)
         with Tape() as tape:
-            net.forward(img, boxes, decode_tasks=decode_tasks)
+            net.forward(img, boxes)
 
-        heads = [task for task in net.region_heads if decode_tasks is None or task in decode_tasks]
+        heads = list(net.region_heads)
         want = [f"decode:{h}" if step == "decode" else f"{h}:{step}"
                 for step in steps for h in heads]
         assert seen == want

@@ -75,7 +75,17 @@ def conv_index_table_reference(x, filters, bias, padding, g, x_needs_grad=True):
     return out, gxp[padding : padding + h, padding : padding + w], gw, gb
 
 
+def bordered(x, pad):
+    """x with a border of `pad` zero cells. conv2d pads by k // 2 itself,
+    so conv2d of `bordered(x, pad)` is the convolution of x at padding
+    pad + k // 2, cropped by `pad`."""
+    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+
+
 class TestConv2d:
+    # In the parametrised cases, `pad` is the zero border put around x
+    # before the call (`bordered`); the oracles pad x by pad + k // 2.
+
     def test_1x1_identity(self, rng):
         x = rng.normal(size=(4, 4, 3))
         f = np.zeros((1, 1, 3, 3))
@@ -85,10 +95,13 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, x)
 
     def test_all_ones_3x3(self):
+        # Padded by 1: each output cell counts the input cells in its window.
         x = np.ones((5, 5, 1))
         layer = ConvLayer(Tensor(np.ones((3, 3, 1, 1))), Tensor(np.zeros(1)))
         out = conv2d(Tensor(x), layer)
-        np.testing.assert_allclose(out.data, np.full((3, 3, 1), 9.0))
+        edge = [4.0, 6.0, 6.0, 6.0, 4.0]
+        want = np.array([edge] + [[6.0, 9.0, 9.0, 9.0, 6.0]] * 3 + [edge])
+        np.testing.assert_array_equal(out.data[:, :, 0], want)
 
     @pytest.mark.parametrize("h,w,cin,cout,k,stride,pad", [
         (5, 5, 2, 3, 3, 1, 0),
@@ -101,9 +114,10 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin))
         f = rng.normal(size=(k, k, cin, cout))
         b = rng.normal(size=cout)
-        layer = ConvLayer(Tensor(f), Tensor(b), padding=pad)
-        out = conv2d(Tensor(x), layer)
-        np.testing.assert_allclose(out.data, conv_oracle(x, f, b, stride, pad), atol=1e-12)
+        layer = ConvLayer(Tensor(f), Tensor(b))
+        out = conv2d(Tensor(bordered(x, pad)), layer)
+        want = conv_oracle(x, f, b, stride, pad + k // 2)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     @pytest.mark.parametrize("h,w,cin,cout,k,pad", [
         (5, 5, 2, 3, 3, 0),
@@ -122,13 +136,14 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin)).astype(dtype)
         f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
-        layer = ConvLayer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True),
-                          padding=pad)
+        layer = ConvLayer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True))
         with Tape() as tape:
-            out = conv2d(Tensor(x, requires_grad=x_needs_grad), layer)
+            out = conv2d(Tensor(bordered(x, pad), requires_grad=x_needs_grad), layer)
         g = rng.normal(size=out.data.shape).astype(dtype)
-        got = (out.data, *tape.nodes[0].backward_fn(g))
-        want = conv_index_table_reference(x, f, b, pad, g, x_needs_grad)
+        got = list((out.data, *tape.nodes[0].backward_fn(g)))
+        if x_needs_grad and pad:
+            got[1] = got[1][pad:-pad, pad:-pad]  # the gradient of x, not of its border
+        want = conv_index_table_reference(x, f, b, pad + k // 2, g, x_needs_grad)
         for name, have, ref in zip(("out", "gx", "gw", "gb"), got, want):
             if ref is None:
                 assert have is None, name
@@ -144,12 +159,12 @@ class TestConv2d:
         (7, 5, 1, 2, 0),
     ])
     def test_gradients(self, h, w, cin, cout, pad, rng):
-        x = rng.normal(size=(h, w, cin))
+        x = bordered(rng.normal(size=(h, w, cin)), pad)
         f = rng.normal(size=(3, 3, cin, cout))
         b = rng.normal(size=cout)
 
         def build(xt, ft, bt):
-            return sum_all(conv2d(xt, ConvLayer(ft, bt, padding=pad)))
+            return sum_all(conv2d(xt, ConvLayer(ft, bt)))
 
         check_grads(build, [x, f, b])
 
@@ -157,10 +172,10 @@ class TestConv2d:
     def test_input_without_gradient_skips_it(self, pad, rng):
         # An input that needs no gradient (the image at conv1) gets None;
         # the filter and bias gradients do not change.
-        x = rng.normal(size=(6, 5, 2))
+        x = bordered(rng.normal(size=(6, 5, 2)), pad)
         layer = ConvLayer(Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
-                          Tensor(rng.normal(size=4), requires_grad=True), padding=pad)
-        g = rng.normal(size=(4 + 2 * pad, 3 + 2 * pad, 4))
+                          Tensor(rng.normal(size=4), requires_grad=True))
+        g = rng.normal(size=(6 + 2 * pad, 5 + 2 * pad, 4))
 
         def grads(needs):
             with Tape() as tape:
@@ -176,10 +191,17 @@ class TestConv2d:
         with pytest.raises(TensorError, match="channels"):
             conv2d(Tensor(np.zeros((5, 5, 3))), layer)
 
-    def test_kernel_larger_than_input(self):
-        layer = ConvLayer(Tensor(np.zeros((5, 5, 1, 1))), Tensor(np.zeros(1)))
-        with pytest.raises(TensorError):
-            conv2d(Tensor(np.zeros((3, 3, 1))), layer)
+    def test_kernel_larger_than_input(self, rng):
+        # Padded by k // 2, the output keeps the input's size.
+        x, f = rng.normal(size=(3, 3, 1)), rng.normal(size=(5, 5, 1, 2))
+        out = conv2d(Tensor(x), ConvLayer(Tensor(f), Tensor(np.zeros(2))))
+        np.testing.assert_allclose(out.data, conv_oracle(x, f, np.zeros(2), 1, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1, 1), (3, 1, 1, 1), (1, 3, 1, 1)])
+    def test_kernel_must_be_square_with_an_odd_side(self, shape):
+        layer = ConvLayer(Tensor(np.zeros(shape)), Tensor(np.zeros(1)))
+        with pytest.raises(TensorError, match="not square with an odd side"):
+            conv2d(Tensor(np.zeros((4, 4, 1))), layer)
 
 
 class TestActivations:

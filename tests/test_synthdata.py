@@ -271,6 +271,13 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError, match="scene 0: part 0 has a non-finite or degenerate"):
             read_dataset(path)
 
+    def test_part_of_no_object_rejected(self, path):
+        # A part's u32 parent follows its class and box; scene 0 has 3 objects.
+        reseal(path, lambda body: patched(body, record_offsets(body)[1] + 36, "<I", 7))
+        want = r"d.bin: scene 0: part 0 has parent 7, not one of the scene's 3 objects"
+        with pytest.raises(DatasetError, match=want):
+            read_dataset(path)
+
     def test_short_image_label_rejected(self, path):
         def drop_last_class(body):
             at = label_offset(body)
