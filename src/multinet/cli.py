@@ -82,8 +82,7 @@ def _cmd_compare(args):
     config = _load_run(args)
     spec, train_scenes = synthdata.read_dataset(args.dataset)
     val_spec, val_scenes = synthdata.read_dataset(args.val_dataset)
-    cfg = harness.build_task_config(config, spec, train_scenes)
-    harness.check_dataset(cfg, val_spec, val_scenes)
+    harness.check_dataset(harness.build_task_config(config, spec), val_spec)
     results, medians = harness.compare_modes(
         config, spec, train_scenes, val_spec, val_scenes, log=print
     )

@@ -89,12 +89,15 @@ class RunConfig:
         repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
         if repeated:
             raise ConfigError(f"seeds lists seed {repeated[0]} more than once: {self.seeds!r}")
+        negative = [s for s in seeds if s < 0]
+        if negative:
+            raise ConfigError(f"seeds lists negative seed {negative[0]}: {self.seeds!r}")
         for name in ("lr_phase1", "lr_phase2", "weight_cls", "weight_det", "weight_part",
                      "weight_bbox"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        bounds = [("epochs_phase1", 1), ("epochs_phase2", 0)]
+        bounds = [("epochs_phase1", 1), ("epochs_phase2", 0), ("seed", 0)]
         bounds += [(name, TaskConfig.LEAST[f]) for f, name in _MODEL_FIELDS.items()
                    if f in TaskConfig.LEAST]
         for name, least in bounds:
@@ -169,11 +172,9 @@ def load_config(path) -> RunConfig:
         return parse_config(f.read())
 
 
-def _dataset_fields(spec: SceneSpec, scenes) -> dict:
-    """The TaskConfig fields a dataset sets: its class counts and canvas."""
-    has_parts = any(len(s.part_classes) for s in scenes)
-    return {"c_cls": spec.n_classes, "c_part": spec.n_part_classes if has_parts else 0,
-            "canvas": spec.canvas}
+def _dataset_fields(spec: SceneSpec) -> dict:
+    """The TaskConfig fields a dataset's spec sets: its class counts and canvas."""
+    return {"c_cls": spec.n_classes, "c_part": spec.n_part_classes, "canvas": spec.canvas}
 
 
 # TaskConfig field -> the RunConfig field that sets it.
@@ -187,8 +188,8 @@ def _task_config(config: RunConfig, dataset: dict) -> TaskConfig:
     return TaskConfig(**dataset, **{f: getattr(config, name) for f, name in _MODEL_FIELDS.items()})
 
 
-def build_task_config(config: RunConfig, spec: SceneSpec, scenes) -> TaskConfig:
-    return _task_config(config, _dataset_fields(spec, scenes))
+def build_task_config(config: RunConfig, spec: SceneSpec) -> TaskConfig:
+    return _task_config(config, _dataset_fields(spec))
 
 
 def _check_model_fits(model: dict, fields: dict, source: str) -> None:
@@ -198,10 +199,10 @@ def _check_model_fits(model: dict, fields: dict, source: str) -> None:
             raise TrainingError(f"{name} is {want!r} in {source}, {have!r} in the model")
 
 
-def check_dataset(cfg: TaskConfig, spec: SceneSpec, scenes) -> None:
-    """Raise TrainingError, naming the field, unless the dataset gives the
-    class counts and canvas of the model configured by `cfg`."""
-    _check_model_fits(dataclasses.asdict(cfg), _dataset_fields(spec, scenes), "the dataset")
+def check_dataset(cfg: TaskConfig, spec: SceneSpec) -> None:
+    """Raise TrainingError, naming the field, unless the dataset's spec gives
+    the class counts and canvas of the model configured by `cfg`."""
+    _check_model_fits(dataclasses.asdict(cfg), _dataset_fields(spec), "the dataset")
 
 
 @dataclass
@@ -292,7 +293,7 @@ def train(
     """
     if not scenes:
         raise TrainingError("scenes: the training set is empty")
-    cfg = build_task_config(config, spec, scenes)
+    cfg = build_task_config(config, spec)
     shuffle_rng = seed_rng(config.seed, 1)
     if resume is not None:
         _check_model_fits(dataclasses.asdict(resume.model.cfg), dataclasses.asdict(cfg),
@@ -364,7 +365,12 @@ def load_checkpoint(path) -> dict:
     """Header dict plus `params`: name -> (array, lr multiplier); raises
     TrainingError on any corruption."""
     r = container.Reader(path, CKPT_MAGIC, CKPT_VERSION, TrainingError, "checkpoint")
-    header = json.loads(r.blob().decode())
+    try:
+        header = json.loads(r.blob().decode())
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        r.fail("the header is not a JSON object")
     params = {}
     for _ in range(r.u32()):
         name = r.blob().decode()
@@ -376,11 +382,28 @@ def load_checkpoint(path) -> dict:
     return header
 
 
+def _run_config(fields: dict) -> RunConfig:
+    """The RunConfig of a checkpoint header's `run_config`, or TrainingError
+    naming the key it does not know or the field it rejects."""
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise TrainingError(f"the checkpoint's run_config has an unknown key {unknown[0]!r}")
+    try:
+        return RunConfig(**fields)
+    except ConfigError as e:
+        raise TrainingError(f"the checkpoint's run_config: {e}") from None
+
+
 def restore_model(ckpt: dict) -> TrainState:
     """The checkpoint's training state: the network its `run_config` builds
     for its `task_config`'s class counts and canvas, which that `task_config`
-    must describe, or TrainingError names the field that differs."""
-    config, header = RunConfig(**ckpt["run_config"]), ckpt["task_config"]
+    must describe, or TrainingError names the field that differs or is
+    missing."""
+    missing = [name for name in ("run_config", "task_config", "epoch", "rng_state")
+               if name not in ckpt]
+    if missing:
+        raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
+    config, header = _run_config(ckpt["run_config"]), ckpt["task_config"]
     try:
         cfg = _task_config(config, {name: header[name] for name in ("c_cls", "c_part", "canvas")})
     except KeyError as e:
@@ -426,7 +449,7 @@ def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False
     """Run the model over held-out scenes and score all enabled tasks;
     `ground_cls` re-encodes each scene's true image labels instead of the
     cls prediction. Each scene is scored as soon as its forward returns."""
-    check_dataset(model.cfg, spec, scenes)
+    check_dataset(model.cfg, spec)
     records = [_score(outs[-1], props, scene, model.cfg.canvas)
                for scene, props, outs in _forwards(model, spec, scenes, at_iter, ground_cls)]
     return tasks.evaluate(records, model.cfg.c_cls)
@@ -450,7 +473,7 @@ COMPARE_MODES = ("independent", *MODES)
 def _train_independent(config: RunConfig, spec, train_scenes, log=None) -> dict:
     """One single-task network per task, each trained in mode `shared` with
     every other task's loss weight zeroed; returns them by task."""
-    names = ("cls", *build_task_config(config, spec, train_scenes).region_classes)
+    names = ("cls", *build_task_config(config, spec).region_classes)
     nets = {}
     for task in names:
         zeroed = {f"weight_{other}": 0.0 for other in names if other != task}
@@ -542,7 +565,7 @@ def recurrence_sweep(state: TrainState, spec, scenes, t_max: int):
     `evaluate_model(..., at_iter=t)`. Each distinct output is scored once.
     """
     model = state.model
-    check_dataset(model.cfg, spec, scenes)
+    check_dataset(model.cfg, spec)
     per_t = [[] for _ in range(t_max + 1)]
     for scene, props, outs in _forwards(model, spec, scenes, t_max):
         scored = [_score(out, props, scene, model.cfg.canvas) for out in outs]

@@ -89,6 +89,8 @@ class SceneSpec:
         if self.min_object_side > self.max_object_side:
             raise ValueError(f"min_object_side {self.min_object_side} is above max_object_side "
                              f"{self.max_object_side}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.objects_min <= self.objects_max:
             raise ValueError(f"objects_min {self.objects_min} must be in [0, objects_max "
                              f"{self.objects_max}]")
@@ -289,6 +291,9 @@ def read_dataset(path):
     scenes = []
     for i in range(r.u32()):
         h, w = r.unpack("<HH")
+        if (h, w) != (spec.canvas, spec.canvas):
+            r.fail(f"scene {i}: image is {h} x {w}, not the spec's canvas "
+                   f"{spec.canvas} x {spec.canvas}")
         img = r.f8((h, w, 3))
         obj_classes, obj_boxes, _ = _read_records(r, _OBJECT, i, "object", spec.n_classes)
         part_classes, part_boxes, parts = _read_records(r, _PART, i, "part", spec.n_part_classes)

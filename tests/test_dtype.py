@@ -94,7 +94,7 @@ def test_training_step_stays_float32(mode):
     scenes = generate_dataset(spec, 1)
     config = RunConfig(version=1, mode=mode, iterations=2, proposals=16, channels=8,
                        cls_hidden=16, region_hidden=16, spp_grid=3)
-    cfg = build_task_config(config, spec, scenes)
+    cfg = build_task_config(config, spec)
     net = Multinet(cfg, seed=0)
     batch = prepare_scene(scenes[0], spec, cfg, 0)
     with Tape() as tape:

@@ -125,6 +125,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^seeds must be a comma-separated list of integers"):
             parse_config(f"version = 1\nseeds = {value}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = -1", "seed must be at least 0, got -1"),
+        ("seeds = 0, -2, 1", "seeds lists negative seed -2: '0, -2, 1'"),
+    ], ids=["seed", "seeds"])
+    def test_negative_seed_rejected(self, text, message):
+        # numpy's seed streams take non-negative seeds only.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"version = 1\n{text}")
+
     def test_seeds_parse(self):
         assert parse_config("version = 1\nseeds = 3, 1,").seed_list() == [3, 1]
 
@@ -158,7 +167,7 @@ class TestConfigParsing:
 class TestTraining:
     def test_zero_lr_leaves_parameters_unchanged(self):
         config = small_config(lr_phase1=0.0, epochs_phase1=1)
-        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(config, SMALL_SPEC)
         before = {
             n: t.data.copy() for n, t, _ in Multinet(cfg, seed=0).params.items()
         }
@@ -188,11 +197,43 @@ class TestTraining:
     def test_part_task_auto_disabled(self):
         spec = dataclasses.replace(SMALL_SPEC, parts_per_class=0)
         scenes = generate_dataset(spec, 4)
-        cfg = build_task_config(small_config(), spec, scenes)
+        cfg = build_task_config(small_config(), spec)
         assert cfg.c_part == 0
         state = train(small_config(epochs_phase1=1), spec, scenes)
         metrics = evaluate_model(state.model, spec, scenes)
         assert metrics["part_ap"] is None
+
+    def test_object_free_scenes_of_a_parts_spec_train_a_part_head(self):
+        # The spec alone sets the heads: scenes that happen to hold no
+        # object, and so no part, still build the spec's part head.
+        scenes = object_free_scenes()
+        assert scenes and not any(len(s.part_classes) for s in scenes)
+        state = train(small_config(epochs_phase1=1), OPEN_SPEC, scenes)
+        assert state.model.cfg.c_part == OPEN_SPEC.n_part_classes == 10
+        assert list(state.model.cfg.region_classes) == ["det", "part"]
+
+    def test_net_trained_with_parts_scores_object_free_scenes(self):
+        # Object-free scenes of the spec a net was trained on are its
+        # dataset too: evaluation and the sweep score them.
+        with_objects = [s for s in generate_dataset(OPEN_SPEC, 8) if len(s.object_classes)]
+        state = train(small_config(epochs_phase1=1), OPEN_SPEC, with_objects)
+        assert state.model.cfg.c_part == 10
+        scenes = object_free_scenes()
+        metrics = evaluate_model(state.model, OPEN_SPEC, scenes)
+        rows = recurrence_sweep(state, OPEN_SPEC, scenes, t_max=1)
+        assert metrics["part_ap"] is not None
+        assert [r["t"] for r in rows] == [0, 1]
+        assert {k: rows[1][k] for k in tasks.SUMMARY_KEYS} == {
+            k: metrics[k] for k in tasks.SUMMARY_KEYS}
+
+
+# SMALL_SPEC with scenes of no object or one.
+OPEN_SPEC = dataclasses.replace(SMALL_SPEC, objects_min=0, objects_max=1)
+
+
+def object_free_scenes():
+    """The scenes of OPEN_SPEC's first 8 that hold no object."""
+    return [s for s in generate_dataset(OPEN_SPEC, 8) if not len(s.object_classes)]
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +313,7 @@ class TestCheckpoints:
         config = small_config(proposals=m)
         with pytest.raises(TrainingError, match=want):
             train(config, SMALL_SPEC, SMALL_SCENES)
-        state = TrainState(Multinet(build_task_config(config, SMALL_SPEC, SMALL_SCENES)),
+        state = TrainState(Multinet(build_task_config(config, SMALL_SPEC)),
                            config, 0, {})
         with pytest.raises(TrainingError, match=want):
             evaluate_model(state.model, SMALL_SPEC, SMALL_SCENES)
@@ -324,7 +365,17 @@ class TestCheckpoints:
         (lambda h: h["task_config"].pop("canvas"), "the checkpoint's task_config has no 'canvas'"),
         (lambda h: h["task_config"].update(colour=1),
          "colour is None in the checkpoint's run_config, 1 in the model"),
-    ], ids=["stride", "run-config", "no-canvas", "extra-field"])
+        (lambda h: h.pop("epoch"), "the checkpoint header has no 'epoch'"),
+        (lambda h: h.pop("run_config"), "the checkpoint header has no 'run_config'"),
+        (lambda h: h["run_config"].update(colour=1),
+         "the checkpoint's run_config has an unknown key 'colour'"),
+        (lambda h: h["run_config"].update(mode="x"), "the checkpoint's run_config: mode must be "
+                                                     "one of shared, update1, update2, got 'x'"),
+        # `load_checkpoint` refuses it, naming the file.
+        (lambda h: h.update(not_an_object=True),
+         "checkpoint {path}: the header is not a JSON object"),
+    ], ids=["stride", "run-config", "no-canvas", "extra-field", "no-epoch", "no-run-config",
+            "unknown-run-config-key", "bad-run-config-value", "not-an-object"])
     def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):
         path = tmp_path / "c.ckpt"
         path.write_bytes(COMMITTED_CKPT.read_bytes())
@@ -334,12 +385,13 @@ class TestCheckpoints:
             end = start + 4 + struct.unpack_from("<I", body, start)[0]
             header = json.loads(body[start + 4 : end])
             edit(header)
+            if header.pop("not_an_object", False):
+                header = [header]
             return body[:start] + container.blob(json.dumps(header).encode()) + body[end:]
 
         reseal(path, rewrite)
-        ckpt = load_checkpoint(path)
-        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
-            restore_model(ckpt)
+        with pytest.raises(TrainingError, match=f"^{re.escape(message.format(path=path))}$"):
+            restore_model(load_checkpoint(path))
 
     def test_resave_reproduces_committed_bytes(self, tmp_path):
         # The committed checkpoint holds float64 parameters; they load
@@ -479,7 +531,7 @@ class TestGatheredFc1Step:
     @pytest.mark.parametrize("mode", ["update1", "shared"])
     def test_step_bit_identical(self, monkeypatch, mode):
         config = small_config(mode=mode, iterations=2)
-        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(config, SMALL_SPEC)
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
 
         def step(net, params):
@@ -536,7 +588,7 @@ class TestGatheredFc1Step:
 
 class TestRegionTargets:
     def test_delta_matrix_matches_per_region_loop(self):
-        cfg = build_task_config(small_config(), SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(small_config(), SMALL_SPEC)
         for i, scene in enumerate(SMALL_SCENES):
             batch = prepare_scene(scene, SMALL_SPEC, cfg, i)
             for task, k in cfg.region_classes.items():
@@ -579,7 +631,7 @@ class TestIndependentNets:
         # a head out of the loss and its parameters at their init bytes.
         others = [t for t in ("cls", "det", "part") if t != task]
         config = small_config(mode="shared", **{f"weight_{t}": 0.0 for t in others})
-        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(config, SMALL_SPEC)
         init = {name: t.data.copy() for name, t, _ in Multinet(cfg, seed=0).params.items()}
         state = train(config, SMALL_SPEC, SMALL_SCENES)
         moved = {name.split(".")[0] for name, t, _ in state.model.params.items()
@@ -601,7 +653,7 @@ class TestIndependentNets:
 
     def test_part_only_loss_has_no_det_term(self):
         config = small_config(mode="shared", weight_cls=0.0, weight_det=0.0)
-        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(config, SMALL_SPEC)
         net = as_float64(Multinet(cfg, seed=0))
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
         loss, outs = scene_loss(net, batch, config)
@@ -616,7 +668,7 @@ class TestIndependentNets:
         # weight_bbox scales box regression but never trains a task whose
         # own weight is zero.
         config = small_config(mode="shared", weight_cls=0.0, weight_part=0.0, weight_det=0.0)
-        cfg = build_task_config(config, SMALL_SPEC, SMALL_SCENES)
+        cfg = build_task_config(config, SMALL_SPEC)
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
         assert all(mask.any() for _labels, _targets, mask in batch.regions.values())
         loss, _ = scene_loss(Multinet(cfg, seed=0), batch, config)

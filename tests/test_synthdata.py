@@ -90,8 +90,9 @@ class TestSceneGeneration:
         ({"noise_std": -0.1}, "noise_std must be finite and non-negative, got -0.1"),
         ({"noise_std": float("nan")}, "noise_std must be finite and non-negative, got nan"),
         ({"noise_std": float("inf")}, "noise_std must be finite and non-negative, got inf"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
     ], ids=["objects-range", "objects-negative", "side-range", "noise-negative", "noise-nan",
-            "noise-inf"])
+            "noise-inf", "seed-negative"])
     def test_inconsistent_spec_rejected(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SceneSpec(**fields)
@@ -275,6 +276,17 @@ class TestDatasetValidation:
         # A part's u32 parent follows its class and box; scene 0 has 3 objects.
         reseal(path, lambda body: patched(body, record_offsets(body)[1] + 36, "<I", 7))
         want = r"d.bin: scene 0: part 0 has parent 7, not one of the scene's 3 objects"
+        with pytest.raises(DatasetError, match=want):
+            read_dataset(path)
+
+    def test_image_off_the_canvas_rejected(self, tmp_path):
+        # The spec's canvas is the size of every image the file holds.
+        spec = SceneSpec(seed=3)
+        scenes = generate_dataset(spec, 2)
+        scenes[1].image = scenes[1].image[:32, :32]
+        path = tmp_path / "d.bin"
+        write_dataset(scenes, spec, path)
+        want = r"d.bin: scene 1: image is 32 x 32, not the spec's canvas 64 x 64"
         with pytest.raises(DatasetError, match=want):
             read_dataset(path)
 
