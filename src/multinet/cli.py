@@ -11,9 +11,9 @@ import dataclasses
 import json
 import sys
 
-from . import harness, synthdata, tasks
+from . import harness, schema, synthdata, tasks
 
-_SPEC_PARSERS = harness.field_parsers(synthdata.SceneSpec)
+_SPEC_PARSERS = schema.parsers(synthdata.SceneSpec)
 # Dataset-config key -> SceneSpec field: every field, `classes` naming `n_classes`.
 _SPEC_KEYS = {"classes" if name == "n_classes" else name: name for name in _SPEC_PARSERS}
 _DATASET_FIELDS = {"version": int, "scenes": int,

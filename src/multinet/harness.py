@@ -10,14 +10,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import container, synthdata, tasks
-from .model import MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, check_mode
+from . import container, schema, synthdata, tasks
+from .model import MODES, STRIDE, Multinet, MultinetOutput, TaskConfig
+from .schema import ConfigError, bounded
 from .synthdata import SceneSpec, propose_regions
 from .tasks import assign_regions
 from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
@@ -26,7 +26,6 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "TrainingError",
-    "field_parsers",
     "parse_key_values",
     "parse_config",
     "load_config",
@@ -48,38 +47,40 @@ CKPT_MAGIC = b"MNCKPT\x00"
 CKPT_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Malformed run configuration."""
-
-
 class TrainingError(RuntimeError):
     """Aborted training run (with epoch/scene context)."""
 
 
+def _sets(name: str):
+    """A RunConfig field that sets TaskConfig field `name`, with its default and bounds."""
+    task_field = next(f for f in dataclasses.fields(TaskConfig) if f.name == name)
+    return field(default=task_field.default, metadata={**task_field.metadata, "sets": name})
+
+
 @dataclass
 class RunConfig:
-    version: int = 1
-    mode: str = "update1"
-    iterations: int = 2
+    version: int = bounded(1, choices=(1,))
+    mode: str = _sets("mode")
+    iterations: int = _sets("t")
     lr_phase1: float = 1e-3
-    epochs_phase1: int = 12
+    epochs_phase1: int = bounded(12, least=1)
     lr_phase2: float = 1e-4
-    epochs_phase2: int = 12
+    epochs_phase2: int = bounded(12, least=0)
     weight_cls: float = 1.0
     weight_det: float = 1.0
     weight_part: float = 1.0
     weight_bbox: float = 1.0
-    seed: int = 0
+    seed: int = bounded(0, least=0)
     seeds: str = "0,1,2"  # used by the mode-comparison runner
-    proposals: int = 64
-    channels: int = 32
-    cls_hidden: int = 64
-    region_hidden: int = 64
-    spp_grid: int = 6
-    truncate_feedback: bool = False
+    proposals: int = _sets("m")
+    channels: int = _sets("channels")
+    cls_hidden: int = _sets("cls_hidden")
+    region_hidden: int = _sets("region_hidden")
+    spp_grid: int = _sets("spp_grid")
+    truncate_feedback: bool = _sets("truncate_feedback")
 
     def __post_init__(self):
-        check_mode(self.mode, ConfigError)
+        schema.check(self)
         try:
             seeds = self.seed_list()
         except ValueError:
@@ -92,18 +93,6 @@ class RunConfig:
         negative = [s for s in seeds if s < 0]
         if negative:
             raise ConfigError(f"seeds lists negative seed {negative[0]}: {self.seeds!r}")
-        for name in ("lr_phase1", "lr_phase2", "weight_cls", "weight_det", "weight_part",
-                     "weight_bbox"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        bounds = [("epochs_phase1", 1), ("epochs_phase2", 0), ("seed", 0)]
-        bounds += [(name, TaskConfig.LEAST[f]) for f, name in _MODEL_FIELDS.items()
-                   if f in TaskConfig.LEAST]
-        for name, least in bounds:
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigError(f"{name} must be at least {least}, got {value}")
 
     @property
     def total_epochs(self) -> int:
@@ -114,22 +103,6 @@ class RunConfig:
 
     def seed_list(self):
         return [int(s) for s in self.seeds.split(",") if s.strip() != ""]
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
-
-
-def field_parsers(cls) -> dict:
-    """The `parse_key_values` parser of each field of dataclass `cls`, by name."""
-    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls)}
 
 
 def parse_key_values(text: str, fields: dict) -> dict:
@@ -164,7 +137,7 @@ def parse_key_values(text: str, fields: dict) -> dict:
 
 def parse_config(text: str) -> RunConfig:
     """Run configuration in the `parse_key_values` grammar."""
-    return RunConfig(**parse_key_values(text, field_parsers(RunConfig)))
+    return RunConfig(**parse_key_values(text, schema.parsers(RunConfig)))
 
 
 def load_config(path) -> RunConfig:
@@ -177,26 +150,22 @@ def _dataset_fields(spec: SceneSpec) -> dict:
     return {"c_cls": spec.n_classes, "c_part": spec.n_part_classes, "canvas": spec.canvas}
 
 
-# TaskConfig field -> the RunConfig field that sets it.
-_MODEL_FIELDS = {"m": "proposals", "t": "iterations", "mode": "mode", "channels": "channels",
-                 "cls_hidden": "cls_hidden", "region_hidden": "region_hidden",
-                 "spp_grid": "spp_grid", "truncate_feedback": "truncate_feedback"}
-
-
 def _task_config(config: RunConfig, dataset: dict) -> TaskConfig:
-    """The network `config` builds given the dataset's `_dataset_fields`."""
-    return TaskConfig(**dataset, **{f: getattr(config, name) for f, name in _MODEL_FIELDS.items()})
+    """The network `config` builds given the dataset's `_dataset_fields`: each
+    RunConfig field passes its value to the TaskConfig field it `_sets`."""
+    return TaskConfig(**dataset, **{f.metadata["sets"]: getattr(config, f.name)
+                                    for f in dataclasses.fields(config) if "sets" in f.metadata})
 
 
 def build_task_config(config: RunConfig, spec: SceneSpec) -> TaskConfig:
     return _task_config(config, _dataset_fields(spec))
 
 
-def _check_model_fits(model: dict, fields: dict, source: str) -> None:
+def _check_model_fits(model: dict, fields: dict, source: str, model_name="the model") -> None:
     for name, want in fields.items():
         have = model.get(name)
         if have != want:
-            raise TrainingError(f"{name} is {want!r} in {source}, {have!r} in the model")
+            raise TrainingError(f"{name} is {want!r} in {source}, {have!r} in {model_name}")
 
 
 def check_dataset(cfg: TaskConfig, spec: SceneSpec) -> None:
@@ -382,35 +351,32 @@ def load_checkpoint(path) -> dict:
     return header
 
 
-def _run_config(fields: dict) -> RunConfig:
-    """The RunConfig of a checkpoint header's `run_config`, or TrainingError
-    naming the key it does not know or the field it rejects."""
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(RunConfig)})
-    if unknown:
-        raise TrainingError(f"the checkpoint's run_config has an unknown key {unknown[0]!r}")
-    try:
-        return RunConfig(**fields)
-    except ConfigError as e:
-        raise TrainingError(f"the checkpoint's run_config: {e}") from None
-
-
 def restore_model(ckpt: dict) -> TrainState:
     """The checkpoint's training state: the network its `run_config` builds
     for its `task_config`'s class counts and canvas, which that `task_config`
-    must describe, or TrainingError names the field that differs or is
-    missing."""
+    must describe, or TrainingError names the field that is unknown, missing,
+    of the wrong type, out of bounds or different."""
     missing = [name for name in ("run_config", "task_config", "epoch", "rng_state")
                if name not in ckpt]
     if missing:
         raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
-    config, header = _run_config(ckpt["run_config"]), ckpt["task_config"]
+    fields, header = ckpt["run_config"], ckpt["task_config"]
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise TrainingError(f"the checkpoint's run_config has an unknown key {unknown[0]!r}")
+    try:
+        config = RunConfig(**fields)
+    except ConfigError as e:
+        raise TrainingError(f"the checkpoint's run_config: {e}") from None
     try:
         cfg = _task_config(config, {name: header[name] for name in ("c_cls", "c_part", "canvas")})
     except KeyError as e:
         raise TrainingError(f"the checkpoint's task_config has no {e.args[0]!r}") from None
-    fields = _task_header(cfg)
-    fields.update((name, None) for name in header if name not in fields)
-    _check_model_fits(header, fields, "the checkpoint's run_config")
+    except ConfigError as e:
+        raise TrainingError(f"the checkpoint's task_config: {e}") from None
+    built = _task_header(cfg)
+    _check_model_fits(built, {**dict.fromkeys(built), **header}, "the checkpoint's task_config",
+                      "the network its run_config builds")
     model = Multinet(cfg, seed=config.seed)
     params, records = ckpt["params"], model.records()
     extra = set(params) - {name for name, _, _ in records}

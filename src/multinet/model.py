@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnops
+from . import nnops, schema
 from .nnops import ConvLayer, FCLayer, SppGrid
 from .tensor import (
     ParamGroup,
@@ -29,7 +29,7 @@ from .tensor import (
 
 __all__ = [
     "TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "covering_regions", "encode_det",
-    "fc1_rows", "MODES", "STRIDE", "check_mode",
+    "fc1_rows", "MODES", "STRIDE",
 ]
 
 MODES = ("shared", "update1", "update2")
@@ -43,37 +43,24 @@ STRIDE = 2 ** sum(_POOLED)
 _STACKED_MODES = ("shared", "update1")
 
 
-def check_mode(mode: str, error=ValueError) -> None:
-    """Raise `error` unless `mode` is one of `MODES`."""
-    if mode not in MODES:
-        raise error(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-
-
 @dataclass
 class TaskConfig:
-    c_cls: int = 5
-    c_part: int = 10  # 0 disables the part task entirely
-    m: int = 64  # region proposals per image
-    t: int = 2  # recursion depth
-    mode: str = "update1"
+    c_cls: int = schema.bounded(5, least=1)
+    c_part: int = schema.bounded(10, least=0)  # 0 disables the part task entirely
+    m: int = schema.bounded(64, least=1)  # region proposals per image
+    t: int = schema.bounded(2, least=0)  # recursion depth
+    mode: str = schema.bounded("update1", choices=MODES)
     canvas: int = 64
-    channels: int = 32  # backbone output channels C
-    cls_hidden: int = 64
-    region_hidden: int = 64
-    spp_grid: int = 6
+    channels: int = schema.bounded(32, least=1)  # backbone output channels C
+    cls_hidden: int = schema.bounded(64, least=1)
+    region_hidden: int = schema.bounded(64, least=1)
+    spp_grid: int = schema.bounded(6, least=1)
     truncate_feedback: bool = False  # stop gradients at label re-encoding
 
-    # The least value of each bounded field.
-    LEAST = {"c_cls": 1, "c_part": 0, "m": 1, "t": 0, "channels": 1, "cls_hidden": 1,
-             "region_hidden": 1, "spp_grid": 1}
-
     def __post_init__(self):
-        check_mode(self.mode)
-        for name, low in self.LEAST.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        schema.check(self)
         if self.canvas % STRIDE != 0:
-            raise ValueError(f"canvas {self.canvas} not divisible by stride {STRIDE}")
+            raise schema.ConfigError(f"canvas {self.canvas} not divisible by stride {STRIDE}")
 
     @property
     def region_classes(self) -> dict:

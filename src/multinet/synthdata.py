@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import container
+from . import container, schema
 from .tasks import iou_matrix
 from .tensor import seed_rng
 
@@ -63,39 +62,30 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class SceneSpec:
     canvas: int = 64
-    n_classes: int = 5
-    parts_per_class: int = 2
-    objects_min: int = 1
+    n_classes: int = schema.bounded(5, least=1, most=len(_BASE_COLORS))
+    parts_per_class: int = schema.bounded(2, choices=(0, 2))
+    objects_min: int = schema.bounded(1, least=0)
     objects_max: int = 3
     noise_std: float = 0.02
-    min_object_side: int = 16
+    min_object_side: int = schema.bounded(16, least=16)  # below 16 breaks the 6px part floor
     max_object_side: int = 26
-    seed: int = 0
+    seed: int = schema.bounded(0, least=0)
 
     @property
     def n_part_classes(self) -> int:
         return self.n_classes * self.parts_per_class
 
     def __post_init__(self):
-        if self.n_classes < 1 or self.n_classes > len(_BASE_COLORS):
-            raise ValueError(f"n_classes must be in [1, {len(_BASE_COLORS)}]")
-        if self.parts_per_class not in (0, 2):
-            raise ValueError("parts_per_class must be 0 or 2")
+        schema.check(self)
         if self.max_object_side >= self.canvas:
-            raise ValueError(f"max_object_side {self.max_object_side} does not fit the "
-                             f"canvas {self.canvas}")
-        if self.min_object_side < 16:
-            raise ValueError("min_object_side below 16 breaks the 6px part floor")
+            raise schema.ConfigError(f"max_object_side {self.max_object_side} does not fit "
+                                     f"the canvas {self.canvas}")
         if self.min_object_side > self.max_object_side:
-            raise ValueError(f"min_object_side {self.min_object_side} is above max_object_side "
-                             f"{self.max_object_side}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 <= self.objects_min <= self.objects_max:
-            raise ValueError(f"objects_min {self.objects_min} must be in [0, objects_max "
-                             f"{self.objects_max}]")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+            raise schema.ConfigError(f"min_object_side {self.min_object_side} is above "
+                                     f"max_object_side {self.max_object_side}")
+        if self.objects_min > self.objects_max:
+            raise schema.ConfigError(f"objects_min {self.objects_min} is above objects_max "
+                                     f"{self.objects_max}")
 
 
 @dataclass

@@ -34,10 +34,23 @@ from multinet.tensor import (
 )
 
 from conftest import as_float64, reseal
-from test_synthdata import label_offset, patched, record_offsets
+from test_synthdata import (
+    WRONG_TYPED_SPEC_FIELDS, label_offset, patched, record_offsets, with_spec_fields,
+)
 
 
 COMMITTED_CKPT = Path(__file__).parent / "_cache" / "bench_27af23a54b4faaee.ckpt"
+
+# A checkpoint run_config value of the wrong JSON type, and the error that
+# names it. The first three escaped as a bare AttributeError or TypeError
+# before, and a bool was taken as an int.
+WRONG_TYPED_RUN_CONFIG = [
+    pytest.param({"seeds": 5}, "seeds must be of type str, got 5", id="int-seeds"),
+    pytest.param({"lr_phase1": "x"}, "lr_phase1 must be of type float, got 'x'", id="str-lr"),
+    pytest.param({"proposals": "8"}, "proposals must be of type int, got '8'", id="str-proposals"),
+    pytest.param({"iterations": True}, "iterations must be of type int, got True",
+                 id="bool-iterations"),
+]
 
 SMALL_SPEC = SceneSpec(canvas=32, max_object_side=20, objects_min=1, objects_max=2, seed=6)
 SMALL_SCENES = generate_dataset(SMALL_SPEC, 8)
@@ -155,9 +168,20 @@ class TestConfigParsing:
         ("region_hidden", 0, 1), ("spp_grid", 0, 1),
     ])
     def test_model_bound_names_the_key(self, key, value, low):
-        # The network's bounds (`TaskConfig.LEAST`), under the run config's names.
+        # The network's bounds, declared once on TaskConfig's fields, under the
+        # run config's names.
         with pytest.raises(ConfigError, match=f"^{key} must be at least {low}, got {value}$"):
             parse_config(f"version = 1\n{key} = {value}")
+
+    @pytest.mark.parametrize("fields, message", [
+        *WRONG_TYPED_RUN_CONFIG,
+        # Config files check it as they parse; a checkpoint's run_config
+        # reaches RunConfig directly.
+        pytest.param({"version": 2}, "version must be one of 1, got 2", id="version"),
+    ])
+    def test_header_value_names_the_field(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**fields)
 
     def test_lr_schedule(self):
         cfg = small_config(epochs_phase1=2, epochs_phase2=3)
@@ -225,6 +249,60 @@ class TestTraining:
         assert [r["t"] for r in rows] == [0, 1]
         assert {k: rows[1][k] for k in tasks.SUMMARY_KEYS} == {
             k: metrics[k] for k in tasks.SUMMARY_KEYS}
+
+
+class TestTrajectoryPin:
+    """Exact loss histories of six tiny training runs, and the SHA-256 of one
+    final checkpoint, so that tier-1 fails when training changes.
+
+    Each run trains 8 scenes of criterion 9's canvas-32 spec for 3 epochs (2
+    at lr 1e-3, 1 at 1e-4) with 2 recurrent iterations, channels 8, hidden
+    16, `spp_grid` 2 and 16 proposals: `shared`, `update1` and `update2`,
+    each with `truncate_feedback` off and on. It takes about 0.6 s.
+
+    Training-semantics mutants, each a one-line source change; this test
+    fails on all six. Before it, tier-1 caught the first four with the test
+    named, and passed on the last two:
+      - `lr_for_epoch` always returns `lr_phase1` (`test_lr_schedule`);
+      - `sgd_step` ignores the lr multiplier (`TestSgd::test_bias_multiplier`);
+      - feedback always detached (`TestSplitFc1Gradient::test_fd_over_all_iterations`);
+      - gradients not zeroed between steps (criterion 9);
+      - `scene_loss` supervises only the last output;
+      - epochs are not shuffled.
+
+    Scope: the values are bit-exact for one machine class, one BLAS build and
+    one BLAS thread count. They were recorded on x86-64 with numpy 2.4.6 and
+    scipy-openblas 0.3.31, and read the same at one and two threads there.
+    Another CPU or BLAS may sum matrix products in another order and move the
+    last bits. A change that moves training on purpose re-pins these values
+    and says why in CHANGES.md.
+    """
+
+    HISTORIES = {
+        ("shared", False): [7.684306085109711, 7.651153862476349, 7.6293394565582275],
+        ("shared", True): [7.684306085109711, 7.651153862476349, 7.6293394565582275],
+        ("update1", False): [22.968812704086304, 22.638390064239502, 22.418598175048828],
+        ("update1", True): [22.96893548965454, 22.63805365562439, 22.417946338653564],
+        ("update2", False): [23.090429306030273, 22.835932731628418, 22.670726776123047],
+        ("update2", True): [23.09043312072754, 22.835944890975952, 22.670736074447632],
+    }
+    # `save_checkpoint` of the final ("update1", False) state.
+    CKPT_SHA256 = "9e30f8cfdbe2e018341003467c10784f8d936710712beff89bde9e63f99709fa"
+
+    def test_loss_histories_and_checkpoint(self, tmp_path):
+        spec = SceneSpec(canvas=32, max_object_side=20, objects_max=2, seed=9)
+        scenes = generate_dataset(spec, 8)
+        histories, path = {}, tmp_path / "update1.ckpt"
+        for mode, truncate in self.HISTORIES:
+            config = RunConfig(mode=mode, epochs_phase1=2, epochs_phase2=1, proposals=16,
+                               channels=8, cls_hidden=16, region_hidden=16, spp_grid=2,
+                               truncate_feedback=truncate)
+            state = train(config, spec, scenes)
+            histories[mode, truncate] = state.history
+            if (mode, truncate) == ("update1", False):
+                save_checkpoint(state, path)
+        assert histories == self.HISTORIES
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CKPT_SHA256
 
 
 # SMALL_SPEC with scenes of no object or one.
@@ -359,38 +437,38 @@ class TestCheckpoints:
     @pytest.mark.parametrize("edit, message", [
         # The backbone's three pooling stages fix the stride at 8.
         (lambda h: h["task_config"].update(stride=4),
-         "stride is 8 in the checkpoint's run_config, 4 in the model"),
+         "stride is 4 in the checkpoint's task_config, 8 in the network its run_config builds"),
         (lambda h: h["run_config"].update(mode="update2", iterations=5),
-         "t is 5 in the checkpoint's run_config, 2 in the model"),
+         "t is 2 in the checkpoint's task_config, 5 in the network its run_config builds"),
         (lambda h: h["task_config"].pop("canvas"), "the checkpoint's task_config has no 'canvas'"),
         (lambda h: h["task_config"].update(colour=1),
-         "colour is None in the checkpoint's run_config, 1 in the model"),
+         "colour is 1 in the checkpoint's task_config, None in the network its run_config builds"),
         (lambda h: h.pop("epoch"), "the checkpoint header has no 'epoch'"),
         (lambda h: h.pop("run_config"), "the checkpoint header has no 'run_config'"),
         (lambda h: h["run_config"].update(colour=1),
          "the checkpoint's run_config has an unknown key 'colour'"),
         (lambda h: h["run_config"].update(mode="x"), "the checkpoint's run_config: mode must be "
                                                      "one of shared, update1, update2, got 'x'"),
+        (lambda h: h["run_config"].update(version=2),
+         "the checkpoint's run_config: version must be one of 1, got 2"),
+        (lambda h: h["task_config"].update(c_cls="5"),
+         "the checkpoint's task_config: c_cls must be of type int, got '5'"),
         # `load_checkpoint` refuses it, naming the file.
         (lambda h: h.update(not_an_object=True),
          "checkpoint {path}: the header is not a JSON object"),
     ], ids=["stride", "run-config", "no-canvas", "extra-field", "no-epoch", "no-run-config",
-            "unknown-run-config-key", "bad-run-config-value", "not-an-object"])
+            "unknown-run-config-key", "bad-run-config-value", "version", "wrong-typed-task-config",
+            "not-an-object"])
     def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):
-        path = tmp_path / "c.ckpt"
-        path.write_bytes(COMMITTED_CKPT.read_bytes())
-
-        def rewrite(body):
-            start = len(harness.CKPT_MAGIC) + 4
-            end = start + 4 + struct.unpack_from("<I", body, start)[0]
-            header = json.loads(body[start + 4 : end])
-            edit(header)
-            if header.pop("not_an_object", False):
-                header = [header]
-            return body[:start] + container.blob(json.dumps(header).encode()) + body[end:]
-
-        reseal(path, rewrite)
+        path = edited_checkpoint(tmp_path, edit)
         with pytest.raises(TrainingError, match=f"^{re.escape(message.format(path=path))}$"):
+            restore_model(load_checkpoint(path))
+
+    @pytest.mark.parametrize("fields, message", WRONG_TYPED_RUN_CONFIG)
+    def test_restore_names_a_wrong_typed_run_config_value(self, tmp_path, fields, message):
+        path = edited_checkpoint(tmp_path, lambda h: h["run_config"].update(fields))
+        want = f"the checkpoint's run_config: {message}"
+        with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
             restore_model(load_checkpoint(path))
 
     def test_resave_reproduces_committed_bytes(self, tmp_path):
@@ -418,6 +496,26 @@ class TestCheckpoints:
         again = tmp_path / "again.ckpt"
         save_checkpoint(restore_model(load_checkpoint(path)), again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def edited_checkpoint(tmp_path, edit):
+    """A copy of the committed checkpoint, resealed after `edit` changed its
+    header dict in place; an `edit` that sets the marker key `not_an_object`
+    makes the header a one-element list."""
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(COMMITTED_CKPT.read_bytes())
+
+    def rewrite(body):
+        start = len(harness.CKPT_MAGIC) + 4
+        end = start + 4 + struct.unpack_from("<I", body, start)[0]
+        header = json.loads(body[start + 4 : end])
+        edit(header)
+        if header.pop("not_an_object", False):
+            header = [header]
+        return body[:start] + container.blob(json.dumps(header).encode()) + body[end:]
+
+    reseal(path, rewrite)
+    return path
 
 
 def held_out_scenes():
@@ -805,7 +903,7 @@ class TestDatasetConfig:
 
     def test_spec_that_generation_rejects_is_rejected(self):
         # Before `generate` makes any scene.
-        with pytest.raises(ValueError, match="parts_per_class must be 0 or 2"):
+        with pytest.raises(ConfigError, match="^parts_per_class must be one of 0, 2, got 1$"):
             cli.parse_dataset_config("version = 1\nparts_per_class = 1")
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -1105,6 +1203,46 @@ class TestCli:
         assert payload["kind"] == "TrainingError"
         assert payload["error"].startswith("mode is 'update2' in the run config and dataset")
         assert not (workdir / "r.ckpt").exists()
+
+    @pytest.mark.parametrize("line, error", [
+        ("scenes = 0", "scenes must be at least 1, got 0"),
+        ("parts_per_class = 1", "parts_per_class must be one of 0, 2, got 1"),
+        ("max_object_side = 64", "max_object_side 64 does not fit the canvas 64"),
+    ], ids=["scenes", "parts", "side"])
+    def test_generate_rejects_a_dataset_config_as_a_config_error(self, workdir, capsys, line,
+                                                                error):
+        # One kind for every rejection, whether the grammar, the scene count
+        # or the SceneSpec made it.
+        (workdir / "data.cfg").write_text(f"version = 1\n{line}\n")
+        out = workdir / "d.bin"
+        assert cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(out)]) == 1
+        assert self._error(capsys) == {"error": error, "kind": "ConfigError"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", WRONG_TYPED_RUN_CONFIG)
+    def test_wrong_typed_checkpoint_value_is_one_json_line(self, workdir, capsys, fields,
+                                                           message):
+        ckpt = edited_checkpoint(workdir, lambda h: h["run_config"].update(fields))
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(workdir / "d.bin"),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        assert self._error(capsys) == {"error": f"the checkpoint's run_config: {message}",
+                                       "kind": "TrainingError"}
+
+    @pytest.mark.parametrize("field, value, message", WRONG_TYPED_SPEC_FIELDS)
+    def test_wrong_typed_spec_header_is_one_json_line(self, workdir, capsys, field, value,
+                                                      message):
+        (workdir / "data.cfg").write_text("version = 1\nscenes = 2\nseed = 5\n")  # canvas 64
+        ds, ckpt = workdir / "d.bin", workdir / "m.ckpt"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        reseal(ds, lambda body: with_spec_fields(body, **{field: value}))
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                         "--out", str(ckpt)])
+        assert code == 1
+        assert self._error(capsys) == {"error": f"dataset {ds}: bad spec header: {message}",
+                                       "kind": "DatasetError"}
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_generate_without_scenes_fails(self, workdir, capsys, n):

@@ -83,14 +83,14 @@ class TestSceneGeneration:
             SceneSpec(max_object_side=70)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"objects_min": 3, "objects_max": 1}, "objects_min 3 must be in [0, objects_max 1]"),
-        ({"objects_min": -1}, "objects_min -1 must be in [0, objects_max 3]"),
+        ({"objects_min": 3, "objects_max": 1}, "objects_min 3 is above objects_max 1"),
+        ({"objects_min": -1}, "objects_min must be at least 0, got -1"),
         ({"min_object_side": 24, "max_object_side": 20},
          "min_object_side 24 is above max_object_side 20"),
         ({"noise_std": -0.1}, "noise_std must be finite and non-negative, got -0.1"),
         ({"noise_std": float("nan")}, "noise_std must be finite and non-negative, got nan"),
         ({"noise_std": float("inf")}, "noise_std must be finite and non-negative, got inf"),
-        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
     ], ids=["objects-range", "objects-negative", "side-range", "noise-negative", "noise-nan",
             "noise-inf", "seed-negative"])
     def test_inconsistent_spec_rejected(self, fields, message):
@@ -235,6 +235,29 @@ def patched(body, offset, fmt, *values):
     return bytes(out)
 
 
+def with_spec_header(body, header: bytes):
+    """A dataset body with its spec header blob replaced by `header`."""
+    n = struct.unpack_from("<I", body, 12)[0]
+    return body[:12] + struct.pack("<I", len(header)) + header + body[16 + n :]
+
+
+def with_spec_fields(body, **fields):
+    """A dataset body with `fields` set in its JSON spec header."""
+    n = struct.unpack_from("<I", body, 12)[0]
+    return with_spec_header(body, json.dumps({**json.loads(body[16 : 16 + n]), **fields}).encode())
+
+
+# A spec header field of the wrong JSON type, and the error that names it.
+# A file of canvas-64 scenes with any of these loaded before, and a seed of
+# 1.5 then failed in training with a bare TypeError.
+WRONG_TYPED_SPEC_FIELDS = [
+    pytest.param("seed", 1.5, "seed must be of type int, got 1.5", id="float-seed"),
+    pytest.param("noise_std", True, "noise_std must be of type float, got True",
+                 id="bool-noise-std"),
+    pytest.param("canvas", 64.0, "canvas must be of type int, got 64.0", id="float-canvas"),
+]
+
+
 class TestDatasetValidation:
     """Faults that survive the checksum: `reseal` rewrites the digest, so
     only the reader's own checks can catch them."""
@@ -308,39 +331,31 @@ class TestDatasetValidation:
                            match=r"scene 0: image label \[0, 0, 0, 0, 0\] does not mark exactly"):
             read_dataset(path)
 
-    def _with_spec_header(self, body, header: bytes):
-        n = struct.unpack_from("<I", body, 12)[0]
-        return body[:12] + struct.pack("<I", len(header)) + header + body[16 + n :]
-
     def test_unknown_spec_key_rejected(self, path):
-        def edit(body):
-            n = struct.unpack_from("<I", body, 12)[0]
-            spec = json.loads(body[16 : 16 + n])
-            return self._with_spec_header(body, json.dumps({**spec, "colour": 1}).encode())
-
-        reseal(path, edit)
+        reseal(path, lambda body: with_spec_fields(body, colour=1))
         with pytest.raises(DatasetError, match="d.bin: bad spec header: .*colour"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("field, value", [("parts_per_class", 1), ("max_object_side", 70)])
-    def test_invalid_spec_header_rejected(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("parts_per_class", 1, "parts_per_class must be one of 0, 2, got 1",
+                     id="parts_per_class-1"),
+        pytest.param("max_object_side", 70, "max_object_side 70 does not fit the canvas 64",
+                     id="max_object_side-70"),
+        *WRONG_TYPED_SPEC_FIELDS,
+    ])
+    def test_invalid_spec_header_rejected(self, tmp_path, field, value, message):
         # A file with no scenes: only the spec's own check can catch it.
         path = tmp_path / "empty.bin"
         write_dataset([], SceneSpec(), path)
-
-        def edit(body):
-            n = struct.unpack_from("<I", body, 12)[0]
-            spec = json.loads(body[16 : 16 + n])
-            return self._with_spec_header(body, json.dumps({**spec, field: value}).encode())
-
-        reseal(path, edit)
-        with pytest.raises(DatasetError, match=f"empty.bin: bad spec header: {field}"):
+        reseal(path, lambda body: with_spec_fields(body, **{field: value}))
+        want = f"dataset {path}: bad spec header: {message}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(want)}$"):
             read_dataset(path)
 
     @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"\xff\xfe"],
                              ids=["not-json", "not-an-object", "not-utf8"])
     def test_malformed_spec_header_rejected(self, path, header):
-        reseal(path, lambda body: self._with_spec_header(body, header))
+        reseal(path, lambda body: with_spec_header(body, header))
         with pytest.raises(DatasetError, match="bad spec header"):
             read_dataset(path)
 
