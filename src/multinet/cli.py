@@ -25,10 +25,12 @@ def parse_dataset_config(text: str):
     (SceneSpec, scene count), 500 scenes unless `scenes` is given."""
     values = harness.parse_key_values(text, _DATASET_FIELDS)
     n = values.get("scenes", 500)
-    if n < 1:
-        raise harness.ConfigError(f"scenes must be at least 1, got {n}")
-    spec = synthdata.SceneSpec(**{name: values[key] for key, name in _SPEC_KEYS.items()
-                                  if key in values})
+    schema.check_value("scenes", "int", n, {"least": 1})
+    try:
+        spec = synthdata.SceneSpec(**{name: values[key] for key, name in _SPEC_KEYS.items()
+                                      if key in values})
+    except harness.ConfigError as e:  # name the file's key, not the spec field
+        raise harness.ConfigError(str(e).replace("n_classes", "classes")) from None
     return spec, n
 
 

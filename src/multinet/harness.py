@@ -360,6 +360,19 @@ def restore_model(ckpt: dict) -> TrainState:
                if name not in ckpt]
     if missing:
         raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
+    history = ckpt.get("history", [])
+    try:
+        schema.check_value("epoch", "int", ckpt["epoch"], {"least": 0})
+        if not isinstance(history, list):
+            raise ConfigError(f"history must be a list, got {history!r}")
+        for i, loss in enumerate(history):
+            schema.check_value(f"history[{i}]", "float", loss, {})
+    except ConfigError as e:
+        raise TrainingError(f"the checkpoint header: {e}") from None
+    try:
+        seed_rng(0).bit_generator.state = ckpt["rng_state"]
+    except (TypeError, ValueError, LookupError, OverflowError) as e:
+        raise TrainingError(f"the checkpoint header: rng_state is not a PCG64 state: {e}") from None
     fields, header = ckpt["run_config"], ckpt["task_config"]
     unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
@@ -382,16 +395,13 @@ def restore_model(ckpt: dict) -> TrainState:
     extra = set(params) - {name for name, _, _ in records}
     if extra:
         raise TrainingError(f"checkpoint parameter {min(extra)!r} is not in the model")
-    arrays = {}
     for name, want, _mult in records:
         if name not in params:
             raise TrainingError(f"checkpoint parameter {name!r} is missing")
-        data, _ = params[name]
-        if data.shape != want.shape:
+        if params[name][0].shape != want.shape:
             raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
-        arrays[name] = data
-    model.load_records(arrays)  # rounded to the parameters' dtype, float32
-    return TrainState(model, config, ckpt["epoch"], ckpt["rng_state"], list(ckpt.get("history", [])))
+    model.load_records({name: data for name, (data, _) in params.items()})  # to float32
+    return TrainState(model, config, ckpt["epoch"], ckpt["rng_state"], list(history))
 
 
 # ---- evaluation ----------------------------------------------------------

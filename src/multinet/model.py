@@ -250,22 +250,21 @@ class Multinet:
 
     # ---- checkpoint records ---------------------------------------------
 
-    def records(self, grads: bool = False) -> list:
+    def records(self) -> list:
         """(name, array, lr multiplier) of each checkpoint record, in record
-        order: every parameter's data (its gradient when `grads`), except
-        that a stacking-mode region fc1's image and task blocks are joined
-        into their stacked `<task>.fc1.weight` (`fc1_rows`)."""
+        order: every parameter's data, except that a stacking-mode region
+        fc1's image and task blocks are joined into their stacked
+        `<task>.fc1.weight` (`fc1_rows`)."""
         out = []
         for name, t, mult in self.params.items():
             record, _, block = name.partition(":")
-            data = t.grad if grads else t.data
             if block == "task":  # joined to the image block, recorded last
                 rows, image = fc1_rows(self.cfg), out[-1][1]
-                stacked = np.empty((len(image) + len(data), data.shape[1]), data.dtype)
-                stacked[rows["image"]], stacked[rows["task"]] = image, data
+                stacked = np.empty((len(image) + len(t.data), t.data.shape[1]), t.data.dtype)
+                stacked[rows["image"]], stacked[rows["task"]] = image, t.data
                 out[-1] = (record, stacked, mult)
             else:
-                out.append((record, data, mult))
+                out.append((record, t.data, mult))
         return out
 
     def load_records(self, arrays: dict) -> None:

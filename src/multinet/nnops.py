@@ -258,7 +258,8 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
 
 def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     """Fixed-grid max pooling of one image-coordinate box: G x G x C out
-    (`spp_pool_regions` with one box)."""
+    (`spp_pool_regions` with one box).
+    Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     row = spp_pool_regions(h, np.asarray(box, dtype=np.float64).reshape(1, 4), grid)
     return reshape(row, (grid.grid_size, grid.grid_size, h.data.shape[2]))
 

@@ -37,19 +37,22 @@ def parsers(cls) -> dict:
 
 
 def check(obj) -> None:
-    """Raise ConfigError naming the first field of `obj` of the wrong type or
-    out of bounds. A bool is not an int, an int is a float, and every float
-    must be finite and non-negative."""
+    """`check_value` of each field of dataclass `obj`, in field order."""
     for f in dataclasses.fields(obj):
-        value, bounds, (kinds, _) = getattr(obj, f.name), f.metadata, _TYPES[f.type]
-        if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if f.type == "float" and not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{f.name} must be finite and non-negative, got {value}")
-        if value not in bounds.get("choices", (value,)):
-            raise ConfigError(f"{f.name} must be one of "
-                              f"{', '.join(map(str, bounds['choices']))}, got {value!r}")
-        if value < bounds.get("least", value):
-            raise ConfigError(f"{f.name} must be at least {bounds['least']}, got {value}")
-        if value > bounds.get("most", value):
-            raise ConfigError(f"{f.name} must be at most {bounds['most']}, got {value}")
+        check_value(f.name, f.type, getattr(obj, f.name), f.metadata)
+
+
+def check_value(name: str, kind: str, value, bounds) -> None:
+    """Raise ConfigError naming `name` unless `value` is of table type `kind`
+    within `bounds`. A bool is not an int, an int is a float, and a float is finite and >= 0."""
+    if not isinstance(value, _TYPES[kind][0]) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+    if kind == "float" and not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+    if value not in bounds.get("choices", (value,)):
+        raise ConfigError(f"{name} must be one of "
+                          f"{', '.join(map(str, bounds['choices']))}, got {value!r}")
+    if value < bounds.get("least", value):
+        raise ConfigError(f"{name} must be at least {bounds['least']}, got {value}")
+    if value > bounds.get("most", value):
+        raise ConfigError(f"{name} must be at most {bounds['most']}, got {value}")

@@ -105,7 +105,8 @@ def iou_matrix(a, b) -> np.ndarray:
 
 
 def iou(a, b) -> float:
-    """IoU of two boxes: the 1 x 1 case of `iou_matrix`."""
+    """IoU of two boxes: the 1 x 1 case of `iou_matrix`.
+    Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     return float(iou_matrix(a, b)[0, 0])
 
 

@@ -56,28 +56,16 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        return out
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        return Tensor(self.data)  # the same array, with no gradient
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars allowed on the right.
+    # Operator sugar for the two `elementwise` forms.
     def __add__(self, other):
         return elementwise("add", self, other)
 
@@ -114,10 +102,6 @@ class Tape:
         Tape._stack.pop()
         return False
 
-    @staticmethod
-    def active() -> "Tape | None":
-        return Tape._stack[-1] if Tape._stack else None
-
 
 def make_op(
     data: np.ndarray,
@@ -139,7 +123,7 @@ def make_op(
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    tape = Tape.active()
+    tape = Tape._stack[-1] if Tape._stack else None  # the innermost open tape
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out.requires_grad = needs
     if needs:
@@ -148,36 +132,16 @@ def make_op(
 
 
 def elementwise(kind: str, a: Tensor, b) -> Tensor:
-    """Elementwise op: kind in {add, mul}; b is a Tensor of the same shape
-    or a scalar."""
-    if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape:
-            raise TensorError(
-                f"elementwise {kind}: shape {a.data.shape} vs {b.data.shape}"
-            )
-        bd = b.data
-        b_in: tuple = (a, b)
-    else:
-        bd = float(b)
-        b_in = (a,)
-
+    """The two elementwise ops the model runs: `add` of two Tensors of the
+    same shape, and `mul` of a Tensor by a number."""
     if kind == "add":
-        data = a.data + bd
-
-        def bwd(g):
-            return (g, g)[: len(b_in)]
-
-    elif kind == "mul":
-        data = a.data * bd
-
-        def bwd(g, bd=bd, ad=a.data):
-            if len(b_in) == 2:
-                return (g * bd, g * ad)
-            return (g * bd,)
-
-    else:
-        raise TensorError(f"unknown elementwise kind {kind!r}")
-    return make_op(data, b_in, bwd, f"elementwise:{kind}")
+        if a.data.shape != b.data.shape:
+            raise TensorError(f"elementwise add: shape {a.data.shape} vs {b.data.shape}")
+        return make_op(a.data + b.data, (a, b), lambda g: (g, g), "elementwise:add")
+    if kind == "mul":
+        k = float(b)
+        return make_op(a.data * k, (a,), lambda g: (g * k,), "elementwise:mul")
+    raise TensorError(f"unknown elementwise kind {kind!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -195,6 +159,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    """Kept only for `nnops.spp_pool` and the benchmark's name bindings (ROADMAP item 1)."""
     shape = tuple(shape)
     data = a.data.reshape(shape)
     orig = a.data.shape
@@ -224,7 +189,8 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 def add_rowvec(mat: Tensor, vec: Tensor) -> Tensor:
     """Add a length-D vector to every row of an N x D matrix (explicit op;
-    no silent broadcasting elsewhere)."""
+    no silent broadcasting elsewhere).
+    Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     if mat.data.ndim != 2 or vec.data.ndim != 1 or mat.data.shape[1] != vec.data.shape[0]:
         raise TensorError(
             f"add_rowvec: shapes {mat.data.shape} and {vec.data.shape}"
@@ -238,6 +204,7 @@ def add_rowvec(mat: Tensor, vec: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    """Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     data = np.asarray(a.data.sum())
     shape = a.data.shape
 
@@ -248,7 +215,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Reverse sweep: accumulate grads of all requires_grad ancestors of loss.
+    """Reverse sweep from `loss`, an op output, whose gradient it sets to 1:
+    accumulate grads of all requires_grad ancestors of loss.
 
     Gradients add onto existing buffers (sum semantics); callers zero
     parameter grads between steps. An input without a buffer gets a copy
@@ -257,10 +225,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise TensorError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad += 1.0
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         g = node.out.grad
         if g is None:
@@ -301,7 +266,7 @@ class ParamGroup:
 
     def zero_grads(self) -> None:
         for t, _ in self._params.values():
-            t.zero_grad()
+            t.grad.fill(0.0)
 
 
 def sgd_step(params: ParamGroup, base_lr: float) -> None:
@@ -309,8 +274,6 @@ def sgd_step(params: ParamGroup, base_lr: float) -> None:
     if base_lr <= 0:
         raise TensorError("base_lr must be positive")
     for name, t, mult in params.items():
-        if t.grad is None:
-            continue
         if not np.all(np.isfinite(t.grad)):
             raise TensorError(f"non-finite gradient for parameter {name!r}")
         t.data -= base_lr * mult * t.grad

@@ -4,7 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from multinet.tensor import Tape, Tensor, backward
+from multinet.model import fc1_rows
+from multinet.tensor import Tape, Tensor, backward, make_op
 
 
 def rel_err(a, b):
@@ -30,6 +31,15 @@ def numeric_grads(f, arrays, eps=1e-5):
             gf[i] = (fp - fm) / (2 * eps)
         grads.append(g)
     return grads
+
+
+def weighted_sum(t, w):
+    """Scalar sum(t * w) for a constant array w, as one tape op. A gradient
+    check reads an op's output through random weights so that each output
+    element carries its own gradient; the engine's `elementwise` mul takes
+    only a number, the one form the model runs, so the tests bring this op."""
+    w = np.asarray(w)
+    return make_op(np.asarray((t.data * w).sum()), (t,), lambda g: (g * w,), "weighted_sum")
 
 
 def analytic_grads(build, arrays):
@@ -63,6 +73,22 @@ def as_float64(net):
         t.data = t.data.astype(np.float64)
         t.grad = np.zeros_like(t.data)
     return net
+
+
+def record_grads(net):
+    """Record name -> the gradient of that checkpoint record of a Multinet, in
+    the order and shapes `records` gives: a stacking-mode region fc1's image
+    and task block gradients are joined through `fc1_rows`."""
+    grads = {}
+    for name, t, _ in net.params.items():
+        record, _, block = name.partition(":")
+        if block:
+            rows = fc1_rows(net.cfg)
+            shape = (len(rows["image"]) + len(rows["task"]), t.grad.shape[1])
+            grads.setdefault(record, np.empty(shape, t.grad.dtype))[rows[block]] = t.grad
+        else:
+            grads[record] = t.grad.copy()
+    return grads
 
 
 def reseal(path, edit):

@@ -44,7 +44,7 @@ from multinet.synthdata import (
 from multinet.tasks import average_precision, iou_matrix, match_detections
 from multinet.tensor import Tensor, sum_all
 
-from conftest import as_boxes, assert_same_scene, check_grads, n_values
+from conftest import as_boxes, assert_same_scene, check_grads, n_values, weighted_sum
 from test_model import covering, encode_det_oracle, integrate_bottleneck
 from test_nnops import conv_oracle, random_box, random_boxes, spp_oracle
 from test_tasks import MISS, ap_oracle, _far_box
@@ -125,13 +125,14 @@ def test_criterion_1_gradient_suite(capsys):
         for seed in range(5):
             r = np.random.default_rng(seed)
             w23 = r.normal(size=(2, 3))
-            for kind in ("add", "mul"):
-                check_grads(
-                    lambda a, b, k=kind: sum_all(
-                        elementwise(k, a, b) * Tensor(w23)
-                    ),
-                    [r.normal(size=(2, 3)), r.normal(size=(2, 3))],
-                )
+            # the two elementwise forms the model runs
+            check_grads(
+                lambda a, b: weighted_sum(elementwise("add", a, b), w23),
+                [r.normal(size=(2, 3)), r.normal(size=(2, 3))],
+            )
+            check_grads(
+                lambda a: weighted_sum(elementwise("mul", a, 0.7), w23), [r.normal(size=(2, 3))]
+            )
             check_grads(
                 lambda a, b: sum_all(matmul(a, b)),
                 [r.normal(size=(4, 3)), r.normal(size=(3, 2))],
@@ -139,11 +140,11 @@ def test_criterion_1_gradient_suite(capsys):
             # the labelled regions of a region loss: distinct rows
             w42 = r.normal(size=(4, 2))
             check_grads(
-                lambda a: sum_all(take_rows(a, [5, 0, 3, 2]) * Tensor(w42)),
+                lambda a: weighted_sum(take_rows(a, [5, 0, 3, 2]), w42),
                 [r.normal(size=(6, 2))],
             )
             check_grads(
-                lambda a, b: sum_all(add_rowvec(a, b) * Tensor(w23)),
+                lambda a, b: weighted_sum(add_rowvec(a, b), w23),
                 [r.normal(size=(2, 3)), r.normal(size=3)],
             )
             check_grads(
@@ -162,7 +163,7 @@ def test_criterion_1_gradient_suite(capsys):
             check_grads(lambda a: sum_all(sigmoid(a)), [r.normal(size=(3, 3))])
             wsm = r.normal(size=(3, 4))
             check_grads(
-                lambda a: sum_all(softmax_rows(a) * Tensor(wsm)),
+                lambda a: weighted_sum(softmax_rows(a), wsm),
                 [r.normal(size=(3, 4))],
             )
             box = random_box(r, 64)
@@ -188,14 +189,14 @@ def test_criterion_1_gradient_suite(capsys):
             # label encoders
             wc = r.normal(size=(3, 3, 4))
             check_grads(
-                lambda a: sum_all(encode_cls(a, 3, 3) * Tensor(wc)),
+                lambda a: weighted_sum(encode_cls(a, 3, 3), wc),
                 [r.uniform(0.1, 0.9, size=4)],
             )
             dboxes = random_boxes(r, 3, 30)
             wd = r.normal(size=(4, 4, 2))
             dcov = covering(dboxes, 8, 4, 4)
             check_grads(
-                lambda a: sum_all(encode_det(a, dcov, 4, 4) * Tensor(wd)),
+                lambda a: weighted_sum(encode_det(a, dcov, 4, 4), wd),
                 [r.uniform(0.05, 1.0, size=(3, 2))],
             )
             # losses

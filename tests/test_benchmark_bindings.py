@@ -4,6 +4,7 @@ benchmark. This checks that every binding still resolves, that a tiny run
 of each workload's calls still produces every per-layer metric, and that
 the analysis workload's checkpoint is still the committed acceptance one."""
 
+import ast
 import importlib
 import math
 from pathlib import Path
@@ -57,3 +58,39 @@ def test_fixture_checkpoint_is_the_acceptance_checkpoint():
     fixture = PERFBENCH / "fixtures" / "update1_seed0.ckpt"
     cached = PERFBENCH.parent / "tests" / "_cache" / "bench_27af23a54b4faaee.ckpt"
     assert fixture.read_bytes() == cached.read_bytes()
+
+
+# Public functions that no code in src/multinet calls: the benchmark binds
+# them by name, so they stay until it no longer does (ROADMAP item 1).
+KEPT_FOR_BENCHMARK = {("nnops", "spp_pool"), ("tasks", "iou"), ("tensor", "add_rowvec"),
+                      ("tensor", "sum_all")}
+
+
+def test_every_public_name_has_a_caller_in_src(monkeypatch):
+    # A name in a module's `__all__` must be read somewhere in the package:
+    # as a name, an attribute or a `from` import. One that lost its last
+    # caller fails here unless the benchmark still binds it.
+    src = Path(__file__).resolve().parents[1] / "src" / "multinet"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    orphans = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                orphans |= {(module, name) for name in ast.literal_eval(node.value)
+                            if name not in loaded}
+    assert orphans == KEPT_FOR_BENCHMARK
+    layers = _perfbench(monkeypatch, "layers")
+    bound = {(mod.__name__.rsplit(".", 1)[-1], name)
+             for table in (layers.SPANNED, layers.COUNTED) for mod, names in table.items()
+             for name in names}
+    assert KEPT_FOR_BENCHMARK <= bound

@@ -33,7 +33,7 @@ from multinet.tensor import (
     ParamGroup, Tape, Tensor, add_rowvec, backward, matmul, sgd_step, take_rows,
 )
 
-from conftest import as_float64, reseal
+from conftest import as_float64, record_grads, reseal
 from test_synthdata import (
     WRONG_TYPED_SPEC_FIELDS, label_offset, patched, record_offsets, with_spec_fields,
 )
@@ -50,6 +50,26 @@ WRONG_TYPED_RUN_CONFIG = [
     pytest.param({"proposals": "8"}, "proposals must be of type int, got '8'", id="str-proposals"),
     pytest.param({"iterations": True}, "iterations must be of type int, got True",
                  id="bool-iterations"),
+]
+
+# A checkpoint header's own value that cannot be resumed from, and the error
+# that names it. Before, the wrong-typed epoch and rng_state restored and then
+# broke `train` with a bare TypeError, a non-list history broke the restore
+# with one, and the rest restored and resumed silently.
+BAD_HEADER_VALUES = [
+    pytest.param({"epoch": "2"}, "epoch must be of type int, got '2'", id="str-epoch"),
+    pytest.param({"epoch": -1}, "epoch must be at least 0, got -1", id="negative-epoch"),
+    pytest.param({"epoch": True}, "epoch must be of type int, got True", id="bool-epoch"),
+    pytest.param({"history": 5}, "history must be a list, got 5", id="int-history"),
+    pytest.param({"history": ["x"]}, "history[0] must be of type float, got 'x'",
+                 id="str-history-entry"),
+    pytest.param({"history": [1.0, float("nan")]},
+                 "history[1] must be finite and non-negative, got nan", id="nan-history-entry"),
+    pytest.param({"rng_state": 5}, "rng_state is not a PCG64 state: state must be a dict",
+                 id="int-rng-state"),
+    pytest.param({"rng_state": {"bit_generator": "MT19937"}},
+                 "rng_state is not a PCG64 state: state must be for a PCG64 RNG",
+                 id="other-rng-state"),
 ]
 
 SMALL_SPEC = SceneSpec(canvas=32, max_object_side=20, objects_min=1, objects_max=2, seed=6)
@@ -464,6 +484,13 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match=f"^{re.escape(message.format(path=path))}$"):
             restore_model(load_checkpoint(path))
 
+    @pytest.mark.parametrize("fields, message", BAD_HEADER_VALUES)
+    def test_restore_names_a_bad_header_value(self, tmp_path, fields, message):
+        path = edited_checkpoint(tmp_path, lambda h: h.update(fields))
+        want = f"the checkpoint header: {message}"
+        with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
+            restore_model(load_checkpoint(path))
+
     @pytest.mark.parametrize("fields, message", WRONG_TYPED_RUN_CONFIG)
     def test_restore_names_a_wrong_typed_run_config_value(self, tmp_path, fields, message):
         path = edited_checkpoint(tmp_path, lambda h: h["run_config"].update(fields))
@@ -602,7 +629,7 @@ class TestTwoTaskGradientMatch:
             with Tape() as tape:
                 loss, _ = scene_loss(net, batch, config)
                 backward(loss, tape)
-            return float(loss.data), {n: g.copy() for n, g, _ in net.records(grads=True)}
+            return float(loss.data), record_grads(net)
 
         loss3, g3 = grads(net3, batch3, config3)
         loss2, g2 = grads(net2, batch2, config2)
@@ -678,7 +705,7 @@ class TestGatheredFc1Step:
             assert hd["fc1"].weight.grad.tobytes() == g[rows["image"]].tobytes()
             assert hd["fc1_task"].grad.tobytes() == g[rows["task"]].tobytes()
             assert hd["fc1_task"].grad.any() == (mode == "update1")
-        for (name, g, _), (old_name, t, _) in zip(net.records(grads=True), stacked.items()):
+        for (name, g), (old_name, t, _) in zip(record_grads(net).items(), stacked.items()):
             assert name == old_name and g.tobytes() == t.grad.tobytes(), name
         for (name, data, _), (_, t, _) in zip(net.records(), stacked.items()):
             assert data.tobytes() == t.data.tobytes(), name
@@ -1208,7 +1235,9 @@ class TestCli:
         ("scenes = 0", "scenes must be at least 1, got 0"),
         ("parts_per_class = 1", "parts_per_class must be one of 0, 2, got 1"),
         ("max_object_side = 64", "max_object_side 64 does not fit the canvas 64"),
-    ], ids=["scenes", "parts", "side"])
+        # The file's key, not the SceneSpec field it sets (`n_classes`).
+        ("classes = 9", "classes must be at most 8, got 9"),
+    ], ids=["scenes", "parts", "side", "classes"])
     def test_generate_rejects_a_dataset_config_as_a_config_error(self, workdir, capsys, line,
                                                                 error):
         # One kind for every rejection, whether the grammar, the scene count
@@ -1228,6 +1257,20 @@ class TestCli:
         assert code == 1
         assert self._error(capsys) == {"error": f"the checkpoint's run_config: {message}",
                                        "kind": "TrainingError"}
+
+    @pytest.mark.parametrize("fields, message", BAD_HEADER_VALUES)
+    def test_resume_from_a_bad_header_value_is_one_json_line(self, workdir, capsys, fields,
+                                                             message):
+        ds, out = workdir / "d.bin", workdir / "r.ckpt"
+        cli.main(["generate", "--config", str(workdir / "data.cfg"), "--out", str(ds)])
+        capsys.readouterr()
+        ckpt = edited_checkpoint(workdir, lambda h: h.update(fields))
+        code = cli.main(["train", "--config", str(workdir / "run.cfg"), "--dataset", str(ds),
+                         "--resume", str(ckpt), "--out", str(out)])
+        assert code == 1
+        assert self._error(capsys) == {"error": f"the checkpoint header: {message}",
+                                       "kind": "TrainingError"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value, message", WRONG_TYPED_SPEC_FIELDS)
     def test_wrong_typed_spec_header_is_one_json_line(self, workdir, capsys, field, value,

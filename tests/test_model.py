@@ -12,7 +12,7 @@ from multinet.nnops import FCLayer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
-from conftest import as_float64, check_grads, n_values
+from conftest import as_float64, check_grads, n_values, record_grads, weighted_sum
 from test_nnops import footprint_oracle, random_boxes
 
 
@@ -69,7 +69,7 @@ class TestEncodeCls:
         r = np.random.default_rng(seed)
         p = r.uniform(0.1, 0.9, size=4)
         w = r.normal(size=(3, 3, 4))
-        check_grads(lambda t: sum_all(encode_cls(t, 3, 3) * Tensor(w)), [p])
+        check_grads(lambda t: weighted_sum(encode_cls(t, 3, 3), w), [p])
 
 
 def encode_det_oracle(scores, boxes, h, w, stride):
@@ -155,7 +155,7 @@ class TestEncodeDet:
             x = Tensor(scores, requires_grad=True)
             with Tape() as tape:
                 out = encode_det(x, covering_regions(fps, 4, 4), 4, 4)
-                backward(sum_all(out * Tensor(g)), tape)
+                backward(weighted_sum(out, g), tape)
             want = np.zeros((m, 3))
             for u, v, k in np.ndindex(4, 4, 3):
                 best, win = 0.0, None
@@ -186,7 +186,7 @@ class TestEncodeDet:
                 x = Tensor(scores, requires_grad=True)
                 with Tape() as tape:
                     out = op(x, regions, h, w)
-                    backward(sum_all(out * Tensor(g)), tape)
+                    backward(weighted_sum(out, g), tape)
                 outs.append(out.data)
                 grads.append(x.grad)
             assert outs[0].dtype == outs[1].dtype == grads[0].dtype == grads[1].dtype == dtype
@@ -225,7 +225,7 @@ class TestEncodeDet:
         w = r.normal(size=(4, 4, 2))
         cov = covering(np.array(boxes), 8, 4, 4)
         check_grads(
-            lambda t: sum_all(encode_det(t, cov, 4, 4) * Tensor(w)),
+            lambda t: weighted_sum(encode_det(t, cov, 4, 4), w),
             [scores],
         )
 
@@ -507,9 +507,9 @@ class TestSplitFc1Gradient:
             total = Tensor(0.0)
             for t, out in enumerate(net.forward(img, boxes)):
                 for x in output_tensors([out]):
-                    weights = Tensor(r.normal(size=x.data.shape))
+                    weights = r.normal(size=x.data.shape)
                     if t in iters:
-                        total = total + sum_all(x * weights)
+                        total = total + weighted_sum(x, weights)
             return total
 
         def perturbed(i, j, eps):
@@ -524,7 +524,7 @@ class TestSplitFc1Gradient:
 
         with Tape() as tape:
             backward(scalar(), tape)
-        ana = {name: g for name, g, _ in net.records(grads=True)}["det.fc1.weight"]
+        ana = record_grads(net)["det.fc1.weight"]
         r = np.random.default_rng(0)
         entries = []
         for rows in fc1_record_rows:
@@ -670,12 +670,12 @@ def output_tensors(outs):
     return flat
 
 
-def weighted_sum(tensors, seed=0):
+def weighted_total(tensors, seed=0):
     """A scalar that reads every element of every tensor."""
     r = np.random.default_rng(seed)
     total = None
     for x in tensors:
-        term = sum_all(x * Tensor(r.normal(size=x.data.shape)))
+        term = weighted_sum(x, r.normal(size=x.data.shape))
         total = term if total is None else total + term
     return total
 
@@ -744,8 +744,8 @@ class TestPoolOnce:
         for fwd in (net.forward, lambda *a, **k: forward_oracle(net, layers, *a, **k)):
             net.params.zero_grads()
             with Tape() as tape:
-                backward(weighted_sum(output_tensors(fwd(img, boxes, **kwargs))), tape)
-            grads.append({name: g.copy() for name, g, _ in net.records(grads=True)})
+                backward(weighted_total(output_tensors(fwd(img, boxes, **kwargs))), tape)
+            grads.append(record_grads(net))
         got, want = grads
         want.update({f"{task}.fc1.weight": fc.weight.grad for task, fc in layers.items()})
         assert any(np.any(g) for g in want.values())

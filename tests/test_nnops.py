@@ -22,9 +22,9 @@ from multinet.nnops import (
     spp_pool_regions,
     stack_channels,
 )
-from multinet.tensor import Tape, Tensor, TensorError, backward, elementwise, sum_all
+from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
-from conftest import check_grads
+from conftest import check_grads, weighted_sum
 
 
 def conv_oracle(x, filters, bias, stride, padding):
@@ -248,7 +248,7 @@ class TestActivations:
     def test_softmax_gradient(self, m, k, rng):
         x = rng.normal(size=(m, k))
         w = rng.normal(size=(m, k))
-        check_grads(lambda t: sum_all(softmax_rows(t) * Tensor(w)), [x])
+        check_grads(lambda t: weighted_sum(softmax_rows(t), w), [x])
 
 
 def maxpool_oracle(x, window, stride):
@@ -398,7 +398,7 @@ class TestStackChannels:
         b = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
         w = rng.normal(size=(2, 2, 5))
         with Tape() as tape:
-            backward(sum_all(stack_channels([a, b]) * Tensor(w)), tape)
+            backward(weighted_sum(stack_channels([a, b]), w), tape)
         np.testing.assert_array_equal(a.grad, w[:, :, :2])
         np.testing.assert_array_equal(b.grad, w[:, :, 2:])
 
@@ -610,8 +610,7 @@ class TestSpp:
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             pooled = spp_pool_regions(xt, boxes, SppGrid(g, 8))
-            weights = Tensor(gout.reshape(len(boxes), -1))
-            backward(sum_all(elementwise("mul", pooled, weights)), tape)
+            backward(weighted_sum(pooled, gout.reshape(len(boxes), -1)), tape)
         out, gh, ties = spp_routed_oracle(x, boxes, 8, g, gout)
         assert (ties > 0) == tied
         assert pooled.data.tobytes() == out.tobytes()
