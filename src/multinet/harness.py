@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container, schema, synthdata, tasks
-from .model import MODES, STRIDE, Multinet, MultinetOutput, TaskConfig
+from .model import MODES, STRIDE, Multinet, TaskConfig
 from .schema import ConfigError, bounded
 from .synthdata import SceneSpec, propose_regions
 from .tasks import assign_regions
@@ -36,6 +36,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "restore_model",
+    "scored_pass",
     "evaluate_model",
     "compare_modes",
     "ground_experiment",
@@ -355,7 +356,8 @@ def restore_model(ckpt: dict) -> TrainState:
     """The checkpoint's training state: the network its `run_config` builds
     for its `task_config`'s class counts and canvas, which that `task_config`
     must describe, or TrainingError names the field that is unknown, missing,
-    of the wrong type, out of bounds or different."""
+    of the wrong type, out of bounds or different, or the parameter record
+    that is not the model's, misshapen, non-finite or of another lr multiplier."""
     missing = [name for name in ("run_config", "task_config", "epoch", "rng_state")
                if name not in ckpt]
     if missing:
@@ -395,11 +397,15 @@ def restore_model(ckpt: dict) -> TrainState:
     extra = set(params) - {name for name, _, _ in records}
     if extra:
         raise TrainingError(f"checkpoint parameter {min(extra)!r} is not in the model")
-    for name, want, _mult in records:
-        if name not in params:
-            raise TrainingError(f"checkpoint parameter {name!r} is missing")
-        if params[name][0].shape != want.shape:
-            raise TrainingError(f"checkpoint parameter {name!r} has wrong shape")
+    for name, want, mult in records:
+        data, stored = params.get(name, (None, mult))
+        fault = ("is missing" if data is None
+                 else "has wrong shape" if data.shape != want.shape
+                 else "has non-finite values" if not np.isfinite(data).all()
+                 else f"has lr multiplier {stored!r}, the network's is {mult!r}" if stored != mult
+                 else None)
+        if fault:
+            raise TrainingError(f"checkpoint parameter {name!r} {fault}")
     model.load_records({name: data for name, (data, _) in params.items()})  # to float32
     return TrainState(model, config, ckpt["epoch"], ckpt["rng_state"], list(history))
 
@@ -407,28 +413,33 @@ def restore_model(ckpt: dict) -> TrainState:
 # ---- evaluation ----------------------------------------------------------
 
 
-def _forwards(model: Multinet, spec, scenes, n_iters=None, ground_cls=False):
-    """Per scene: the scene, its (M, 4) proposals and one forward's outputs."""
+def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False) -> dict:
+    """{t: `tasks.evaluate` metrics} for each iteration t in `ts`, from one
+    forward per held-out scene unrolled to the largest t; `ground_cls`
+    re-encodes each scene's true image labels instead of the cls prediction.
+    Modes without recurrence read outputs[0] at every t. Each distinct
+    output is scored once, as soon as its forward returns."""
+    check_dataset(model.cfg, spec)
+    records = {t: [] for t in ts}
     for i, scene in enumerate(scenes):
         props = _proposals(scene, spec, model.cfg.m, i)
         truth = scene.img_label if ground_cls else None
-        outs = model.forward(scene.image, props, ground_cls=truth, n_iters=n_iters)
-        yield scene, props, outs
+        outs = model.forward(scene.image, props, ground_cls=truth, n_iters=max(ts))
+        last = len(outs) - 1
+        scored = {}
+        for k in {min(t, last) for t in ts}:
+            regions = {task: (s.data, d.data) for task, (s, d) in outs[k].regions.items()}
+            scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, props, scene,
+                                          model.cfg.canvas)
+        for t, per_t in records.items():
+            per_t.append(scored[min(t, last)])
+    return {t: tasks.evaluate(per_t, model.cfg.c_cls) for t, per_t in records.items()}
 
 
-def _score(out: MultinetOutput, props, scene, canvas: int) -> tasks.SceneRecord:
-    regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
-    return tasks.score_scene(out.x_cls.data, regions, props, scene, canvas)
-
-
-def evaluate_model(model: Multinet, spec, scenes, at_iter=None, ground_cls=False) -> dict:
-    """Run the model over held-out scenes and score all enabled tasks;
-    `ground_cls` re-encodes each scene's true image labels instead of the
-    cls prediction. Each scene is scored as soon as its forward returns."""
-    check_dataset(model.cfg, spec)
-    records = [_score(outs[-1], props, scene, model.cfg.canvas)
-               for scene, props, outs in _forwards(model, spec, scenes, at_iter, ground_cls)]
-    return tasks.evaluate(records, model.cfg.c_cls)
+def evaluate_model(model: Multinet, spec, scenes) -> dict:
+    """Score every enabled task of the model's prediction at t = T on
+    held-out scenes (`scored_pass`)."""
+    return scored_pass(model, spec, scenes, [model.cfg.t])[model.cfg.t]
 
 
 def write_csv(path, header, rows) -> None:
@@ -526,29 +537,17 @@ def ground_experiment(state: TrainState, spec, scenes) -> dict:
     model = state.model
     if model.cfg.mode == "shared" or model.cfg.t < 1:
         raise TrainingError("grounding requires a recurrent checkpoint (T >= 1)")
-    ungrounded = evaluate_model(model, spec, scenes, at_iter=1)
-    grounded = evaluate_model(model, spec, scenes, at_iter=1, ground_cls=True)
+    ungrounded, grounded = (scored_pass(model, spec, scenes, [1], ground_cls=g)[1]
+                            for g in (False, True))
     deltas = {k: grounded[k] - ungrounded[k] for k in tasks.SUMMARY_KEYS
               if ungrounded[k] is not None}
     return {"ungrounded": ungrounded, "grounded": grounded, "deltas": deltas}
 
 
 def recurrence_sweep(state: TrainState, spec, scenes, t_max: int):
-    """Evaluate the same trained model unrolled to t = 0..t_max.
-
-    Each scene runs one forward to t_max and row t scores its outputs[t]
-    (outputs[0] at every t in modes without recurrence), which equals
-    `evaluate_model(..., at_iter=t)`. Each distinct output is scored once.
-    """
-    model = state.model
-    check_dataset(model.cfg, spec)
-    per_t = [[] for _ in range(t_max + 1)]
-    for scene, props, outs in _forwards(model, spec, scenes, t_max):
-        scored = [_score(out, props, scene, model.cfg.canvas) for out in outs]
-        for t, records in enumerate(per_t):
-            records.append(scored[min(t, len(scored) - 1)])
-    rows = []
-    for t, records in enumerate(per_t):
-        metrics = tasks.evaluate(records, model.cfg.c_cls)
-        rows.append({"t": t, **{k: metrics[k] for k in tasks.SUMMARY_KEYS}})
-    return rows
+    """Summary metrics of the same trained model unrolled to t = 0..t_max,
+    from one `scored_pass`: row t reads outputs[t] (outputs[0] at every t in
+    modes without recurrence)."""
+    # A negative t_max asks for no t; the forward to it refuses the count.
+    by_t = scored_pass(state.model, spec, scenes, range(t_max + 1) or [t_max])
+    return [{"t": t, **{k: m[k] for k in tasks.SUMMARY_KEYS}} for t, m in by_t.items()]

@@ -23,11 +23,10 @@ from multinet import harness, nnops, tasks
 from multinet.harness import (
     RunConfig,
     evaluate_model,
-    ground_experiment,
     load_checkpoint,
-    recurrence_sweep,
     restore_model,
     save_checkpoint,
+    scored_pass,
     train,
     train_and_eval_mode,
     write_csv,
@@ -417,39 +416,52 @@ def _bench_key(mode, seed):
 
 
 @pytest.fixture(scope="module")
-def bench_results(bench_data):
-    """{mode: {seed: metrics}} plus cached update1 TrainStates per seed;
-    the update1 metrics are computed from the checkpoints on every run."""
+def update1_passes(bench_data):
+    """Per seed, the committed update1 checkpoint scored on the validation
+    scenes: one `scored_pass` ({t: metrics}) and one grounded pass at t = 1.
+    Criterion 6 reads t = T, criterion 7 t = 1 on both sides, and
+    criterion 8 seed 0's t = T against t = 4."""
+    train_scenes, val_scenes = bench_data
+    t = BENCH_CONFIG.iterations
+    passes = {}
+    for seed in BENCH_SEEDS:
+        state = _cached_state(
+            _bench_key("update1", seed),
+            lambda s=seed: train(
+                dataclasses.replace(BENCH_CONFIG, seed=s, mode="update1"),
+                BENCH_SPEC, train_scenes,
+            ),
+        )
+        ts = (1, t, 4) if seed == BENCH_SEEDS[0] else (1, t)
+        passes[seed] = (scored_pass(state.model, BENCH_SPEC, val_scenes, ts),
+                        scored_pass(state.model, BENCH_SPEC, val_scenes, [1], ground_cls=True)[1])
+    return passes
+
+
+@pytest.fixture(scope="module")
+def bench_results(bench_data, update1_passes):
+    """{mode: {seed: metrics}}; the update1 metrics are scored from the
+    checkpoints on every run."""
     train_scenes, val_scenes = bench_data
     results = {}
-    states = {}
     for mode in harness.COMPARE_MODES:
         results[mode] = {}
         for seed in BENCH_SEEDS:
-            name = _bench_key(mode, seed)
             if mode == "update1":
-                state = _cached_state(
-                    name,
-                    lambda s=seed: train(
-                        dataclasses.replace(BENCH_CONFIG, seed=s, mode="update1"),
-                        BENCH_SPEC, train_scenes,
-                    ),
-                )
-                states[seed] = state
-                metrics = evaluate_model(state.model, BENCH_SPEC, val_scenes)
+                metrics = update1_passes[seed][0][BENCH_CONFIG.iterations]
             else:
                 metrics = _cached_json(
-                    name,
+                    _bench_key(mode, seed),
                     lambda m=mode, s=seed: train_and_eval_mode(
                         m, BENCH_CONFIG, BENCH_SPEC, train_scenes, BENCH_SPEC, val_scenes, s
                     ),
                 )
             results[mode][seed] = metrics
-    return results, states
+    return results
 
 
 def test_criterion_6_comparative_structure(capsys, bench_results, tmp_path):
-    results, _states = bench_results
+    results = bench_results
 
     def med(mode, key):
         return float(np.median([results[mode][s][key] for s in BENCH_SEEDS]))
@@ -477,31 +489,9 @@ def test_criterion_6_comparative_structure(capsys, bench_results, tmp_path):
     )
 
 
-@pytest.fixture(scope="module")
-def seed0_sweep(bench_results, bench_data):
-    """`recurrence_sweep(t_max=4)` of seed 0's update1 checkpoint on the
-    validation scenes, by t: criterion 8's rows, and criterion 7's seed-0
-    ungrounded side (row t = 1 equals `evaluate_model(at_iter=1)`)."""
-    _results, states = bench_results
-    _train_scenes, val_scenes = bench_data
-    sweep = recurrence_sweep(states[BENCH_SEEDS[0]], BENCH_SPEC, val_scenes, 4)
-    return {row["t"]: row for row in sweep}
-
-
-def test_criterion_7_grounding(capsys, bench_results, bench_data, seed0_sweep):
-    _results, states = bench_results
-    _train_scenes, val_scenes = bench_data
-
-    def sides(seed):
-        """(ungrounded, grounded) metrics, read one iteration after grounding."""
-        if seed != BENCH_SEEDS[0]:
-            row = ground_experiment(states[seed], BENCH_SPEC, val_scenes)
-            return row["ungrounded"], row["grounded"]
-        grounded = evaluate_model(states[seed].model, BENCH_SPEC, val_scenes,
-                                  at_iter=1, ground_cls=True)
-        return seed0_sweep[1], grounded
-
-    rows = [sides(seed) for seed in BENCH_SEEDS]
+def test_criterion_7_grounding(capsys, update1_passes):
+    # (ungrounded, grounded) metrics per seed, read one iteration after grounding
+    rows = [(scored[1], grounded) for scored, grounded in update1_passes.values()]
     g_cls = float(np.median([g["cls_map"] for _, g in rows]))
     u_cls = float(np.median([u["cls_map"] for u, _ in rows]))
     g_det = float(np.median([g["det_ap"] for _, g in rows]))
@@ -519,8 +509,8 @@ def test_criterion_7_grounding(capsys, bench_results, bench_data, seed0_sweep):
     )
 
 
-def test_criterion_8_recurrence_saturation(capsys, seed0_sweep):
-    at = seed0_sweep
+def test_criterion_8_recurrence_saturation(capsys, update1_passes):
+    at = update1_passes[BENCH_SEEDS[0]][0]
 
     def run():
         for key in ("cls_map", "det_ap", "part_ap"):

@@ -27,7 +27,7 @@ from multinet.harness import (
     write_csv,
 )
 from multinet.model import Multinet, TaskConfig, fc1_rows
-from multinet.synthdata import SceneSpec, generate_dataset, write_dataset
+from multinet.synthdata import SceneSpec, generate_dataset, propose_regions, write_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import (
     ParamGroup, Tape, Tensor, add_rowvec, backward, matmul, sgd_step, take_rows,
@@ -455,6 +455,25 @@ class TestCheckpoints:
             restore_model(ckpt)
 
     @pytest.mark.parametrize("edit, message", [
+        (lambda p: np.put(p["det.delta.weight"][0], 0, np.nan),
+         "'det.delta.weight' has non-finite values"),
+        (lambda p: np.put(p["backbone.conv1.filters"][0], 5, -np.inf),
+         "'backbone.conv1.filters' has non-finite values"),
+        (lambda p: p.update({"det.delta.weight": (p["det.delta.weight"][0], -3.0)}),
+         "'det.delta.weight' has lr multiplier -3.0, the network's is 1.0"),
+        (lambda p: p.update({"cls.out.bias": (p["cls.out.bias"][0], 1.0)}),
+         "'cls.out.bias' has lr multiplier 1.0, the network's is 2.0"),
+    ], ids=["nan-weight", "inf-filter", "negative-lr-mult", "bias-lr-mult"])
+    def test_restore_refuses_a_record_it_would_not_train(self, small_ckpt, edit, message):
+        # Before, each of these restored silently: the multiplier was dropped,
+        # and a NaN surfaced only in the first forward, naming neither the
+        # parameter nor the file.
+        ckpt = load_checkpoint(small_ckpt)
+        edit(ckpt["params"])
+        with pytest.raises(TrainingError, match=f"^checkpoint parameter {re.escape(message)}$"):
+            restore_model(ckpt)
+
+    @pytest.mark.parametrize("edit, message", [
         # The backbone's three pooling stages fix the stride at 8.
         (lambda h: h["task_config"].update(stride=4),
          "stride is 4 in the checkpoint's task_config, 8 in the network its run_config builds"),
@@ -826,12 +845,20 @@ class TestExperiments:
     @pytest.mark.parametrize("mode", ["update1", "update2", "shared"])
     def test_sweep_runs_one_forward_per_scene_and_matches_eval(self, mode, monkeypatch):
         state = self._trained(mode=mode, iterations=2, epochs_phase1=1)
-        rows_by_t = [
-            {"t": t, **{k: v for k, v in evaluate_model(
-                state.model, SMALL_SPEC, SMALL_SCENES, at_iter=t).items()
-                if k in ("cls_map", "det_ap", "part_ap")}}
-            for t in range(4)
-        ]
+        net = state.model
+
+        def scored_at(t):
+            # the last output of a forward to t, scored scene by scene
+            records = []
+            for i, scene in enumerate(SMALL_SCENES):
+                props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
+                out = net.forward(scene.image, props, n_iters=t)[-1]
+                regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
+                records.append(
+                    tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))
+            return tasks.evaluate(records, net.cfg.c_cls)
+
+        by_t = [scored_at(t) for t in range(4)]
         calls = []
         forward = Multinet.forward
 
@@ -840,11 +867,20 @@ class TestExperiments:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(Multinet, "forward", counted)
+        n = len(SMALL_SCENES)
         rows = recurrence_sweep(state, SMALL_SPEC, SMALL_SCENES, t_max=3)
-        assert calls == [3] * len(SMALL_SCENES)
-        assert rows == rows_by_t
+        assert calls == [3] * n
+        assert rows == [{"t": t, **{k: m[k] for k in tasks.SUMMARY_KEYS}}
+                        for t, m in enumerate(by_t)]
+        calls.clear()
+        assert evaluate_model(net, SMALL_SPEC, SMALL_SCENES) == by_t[2]
+        assert calls == [2] * n
         if mode != "shared":
             assert rows[1] != rows[0]  # the rows do read different iterations
+            calls.clear()
+            res = harness.ground_experiment(state, SMALL_SPEC, SMALL_SCENES)
+            assert calls == [1] * (2 * n)
+            assert res["ungrounded"] == by_t[1]
 
     def test_ground_experiment_shapes(self):
         state = self._trained(epochs_phase1=1)
