@@ -182,17 +182,7 @@ class SceneBatch:
 
     scene: synthdata.Scene
     proposals: np.ndarray  # (M, 4)
-    regions: dict  # task -> (labels (M,), delta targets (M, 4 * (K + 1)), delta mask)
-
-
-def _delta_matrix(targets: tasks.RegionTargets, k: int):
-    m = targets.labels.shape[0]
-    mat = np.zeros((m, k + 1, 4))
-    mask = np.zeros((m, k + 1, 4))
-    fg = np.nonzero(targets.labels >= 1)[0]
-    mat[fg, targets.labels[fg]] = targets.deltas[fg]
-    mask[fg, targets.labels[fg]] = 1.0
-    return mat.reshape(m, -1), mask.reshape(m, -1)
+    regions: dict  # task -> tasks.RegionTargets
 
 
 def _proposals(scene, spec: SceneSpec, m: int, index: int) -> np.ndarray:
@@ -205,38 +195,31 @@ def _proposals(scene, spec: SceneSpec, m: int, index: int) -> np.ndarray:
 
 def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneBatch:
     props = _proposals(scene, spec, cfg.m, index)
-    regions = {}
-    for task, k in cfg.region_classes.items():
-        targets = assign_regions(props, *tasks.REGION_TASKS[task].ground_truth(scene))
-        regions[task] = (targets.labels, *_delta_matrix(targets, k))
+    regions = {task: assign_regions(props, *tasks.REGION_TASKS[task].ground_truth(scene), k)
+               for task, k in cfg.region_classes.items()}
     return SceneBatch(scene, props, regions)
 
 
-def _region_loss(scores, deltas, labels, delta_t, delta_mask, w_cls, w_bbox):
-    terms = []
-    keep = np.nonzero(labels >= 0)[0]
-    if w_cls > 0 and keep.size:
-        ce = tasks.softmax_ce(take_rows(scores, keep), labels[keep])
-        terms.append(ce * w_cls)
-    if w_bbox > 0 and delta_mask.any():
-        terms.append(tasks.smooth_l1(deltas, delta_t, delta_mask) * w_bbox)
-    return terms
-
-
-def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig):
+def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
     """Total loss: every iteration's outputs are supervised. A task whose
     loss weight is 0 has no term, so its head gets no gradient; a region
     task's box regression trains only while that task's weight is above 0."""
-    outputs = model.forward(batch.scene.image, batch.proposals)
     terms = []
-    for out in outputs:
+    for out in model.forward(batch.scene.image, batch.proposals):
         if config.weight_cls > 0:
             terms.append(tasks.bce_multilabel(out.x_cls, batch.scene.img_label) * config.weight_cls)
         for task, (scores, deltas) in out.regions.items():
             w = getattr(config, f"weight_{task}")
-            terms.extend(_region_loss(scores, deltas, *batch.regions[task], w,
-                                      config.weight_bbox if w > 0 else 0.0))
-    return (sum(terms[1:], terms[0]) if terms else Tensor(0.0)), outputs
+            if w == 0:
+                continue
+            target = batch.regions[task]
+            keep = np.nonzero(target.labels >= 0)[0]
+            if keep.size:
+                terms.append(tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]) * w)
+            if config.weight_bbox > 0 and target.mask.any():
+                terms.append(tasks.smooth_l1(deltas, target.deltas, target.mask)
+                             * config.weight_bbox)
+    return sum(terms[1:], terms[0]) if terms else Tensor(0.0)
 
 
 @dataclass
@@ -288,7 +271,7 @@ def train(
         for i in order:
             try:
                 with Tape() as tape:
-                    loss, _ = scene_loss(model, batches[i], config)
+                    loss = scene_loss(model, batches[i], config)
                     backward(loss, tape)
                 if lr > 0:
                     sgd_step(model.params, lr)

@@ -57,11 +57,14 @@ BG_IOU = (0.1, 0.5)  # assign_regions: background within [lo, hi)
 
 @dataclass
 class RegionTargets:
-    """Per-region label (IGNORE, 0 = background, k >= 1 = class) and, for
-    foreground regions, (tx, ty, tw, th) regression targets."""
+    """Training targets of M regions in a task of K classes. `deltas` and
+    `mask` have the layout of the region head's (M, 4 * (K + 1)) box output,
+    class k in columns 4k..4k+3: a foreground region's (tx, ty, tw, th) and
+    mask 1 sit in the columns of its label, and every other entry is 0."""
 
-    labels: np.ndarray  # (M,) int
-    deltas: np.ndarray  # (M, 4) float, valid only where labels >= 1
+    labels: np.ndarray  # (M,) int: IGNORE, 0 = background, k >= 1 = class
+    deltas: np.ndarray  # (M, 4 * (K + 1)) float
+    mask: np.ndarray  # (M, 4 * (K + 1)) float, 0 or 1
 
 
 class RegionTask(NamedTuple):
@@ -205,9 +208,9 @@ def smooth_l1(deltas: Tensor, targets, mask) -> Tensor:
     return make_op(np.asarray(loss), (deltas,), bwd, "smooth_l1")
 
 
-def assign_regions(regions, classes, gt_boxes) -> RegionTargets:
-    """Label (M, 4) regions against ground truth: (G,) classes of (G, 4)
-    boxes.
+def assign_regions(regions, classes, gt_boxes, n_classes: int) -> RegionTargets:
+    """Targets of (M, 4) regions against ground truth: (G,) classes in
+    [1, n_classes] of (G, 4) boxes.
 
     Foreground when max IoU >= FG_IOU (ties go to the lowest gt index),
     background when max IoU lies in [BG_IOU[0], BG_IOU[1]), IGNORE
@@ -215,18 +218,20 @@ def assign_regions(regions, classes, gt_boxes) -> RegionTargets:
     """
     m = len(regions)
     labels = np.full(m, IGNORE, dtype=np.int64)
-    deltas = np.zeros((m, 4))
+    deltas = np.zeros((m, n_classes + 1, 4))
+    mask = np.zeros((m, n_classes + 1, 4))
     if len(gt_boxes) == 0:
         labels[:] = 0
-        return RegionTargets(labels, deltas)
-    ious = iou_matrix(regions, gt_boxes)
-    best = ious.argmax(axis=1)  # argmax takes the lowest index on ties
-    best_iou = ious[np.arange(m), best]
-    fg = best_iou >= FG_IOU
-    labels[fg] = classes[best[fg]]
-    deltas[fg] = bbox_encode(regions[fg], gt_boxes[best[fg]])
-    labels[~fg & (BG_IOU[0] <= best_iou) & (best_iou < BG_IOU[1])] = 0
-    return RegionTargets(labels, deltas)
+    else:
+        ious = iou_matrix(regions, gt_boxes)
+        best = ious.argmax(axis=1)  # argmax takes the lowest index on ties
+        best_iou = ious[np.arange(m), best]
+        fg = best_iou >= FG_IOU
+        labels[fg] = classes[best[fg]]
+        deltas[fg, labels[fg]] = bbox_encode(regions[fg], gt_boxes[best[fg]])
+        mask[fg, labels[fg]] = 1.0
+        labels[~fg & (BG_IOU[0] <= best_iou) & (best_iou < BG_IOU[1])] = 0
+    return RegionTargets(labels, deltas.reshape(m, -1), mask.reshape(m, -1))
 
 
 def nms(boxes, scores):

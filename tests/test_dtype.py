@@ -97,7 +97,7 @@ def test_training_step_stays_float32(mode):
     net = Multinet(cfg, seed=0)
     batch = prepare_scene(scenes[0], spec, cfg, 0)
     with Tape() as tape:
-        loss, _ = scene_loss(net, batch, config)
+        loss = scene_loss(net, batch, config)
         nodes = list(tape.nodes)
         returned = record_backward(nodes)
         backward(loss, tape)

@@ -646,7 +646,7 @@ class TestTwoTaskGradientMatch:
         def grads(net, batch, config):
             net.params.zero_grads()
             with Tape() as tape:
-                loss, _ = scene_loss(net, batch, config)
+                loss = scene_loss(net, batch, config)
                 backward(loss, tape)
             return float(loss.data), record_grads(net)
 
@@ -680,7 +680,7 @@ class TestGatheredFc1Step:
 
         def step(net, params):
             with Tape() as tape:
-                loss, _ = scene_loss(net, batch, config)
+                loss = scene_loss(net, batch, config)
                 backward(loss, tape)
             sgd_step(params, config.lr_phase1)
             return loss.data.tobytes()
@@ -736,18 +736,20 @@ class TestRegionTargets:
         for i, scene in enumerate(SMALL_SCENES):
             batch = prepare_scene(scene, SMALL_SPEC, cfg, i)
             for task, k in cfg.region_classes.items():
-                gts = tasks.REGION_TASKS[task].ground_truth(scene)
-                targets = tasks.assign_regions(batch.proposals, *gts)
-                labels, mat, mask = batch.regions[task]
+                classes, gt = tasks.REGION_TASKS[task].ground_truth(scene)
+                targets = batch.regions[task]
                 want, want_mask = np.zeros((2, cfg.m, 4 * (k + 1)))
                 for m, lab in enumerate(targets.labels):
                     if lab >= 1:
-                        want[m, 4 * lab : 4 * lab + 4] = targets.deltas[m]
+                        g = tasks.iou_matrix(batch.proposals[m], gt)[0].argmax()
+                        assert classes[g] == lab
+                        want[m, 4 * lab : 4 * lab + 4] = tasks.bbox_encode(batch.proposals[m], gt[g])
                         want_mask[m, 4 * lab : 4 * lab + 4] = 1.0
-                assert mat.tobytes() == want.tobytes()
-                assert mask.tobytes() == want_mask.tobytes()
-                np.testing.assert_array_equal(labels, targets.labels)
-                assert (labels >= 1).any()
+                assert targets.deltas.tobytes() == want.tobytes()
+                assert targets.mask.tobytes() == want_mask.tobytes()
+                again = tasks.assign_regions(batch.proposals, classes, gt, k)
+                np.testing.assert_array_equal(targets.labels, again.labels)
+                assert (targets.labels >= 1).any()
 
 
 class TestIndependentNets:
@@ -783,16 +785,17 @@ class TestIndependentNets:
         assert moved == {"backbone", task}
 
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
-        loss, (out,) = scene_loss(state.model, batch, config)
+        loss = scene_loss(state.model, batch, config)
+        (out,) = state.model.forward(batch.scene.image, batch.proposals)
         assert set(out.regions) == {"det", "part"}
         if task == "cls":
             want = tasks.bce_multilabel(out.x_cls, batch.scene.img_label).item()
         else:
             scores, deltas = out.regions[task]
-            labels, delta_t, mask = batch.regions[task]
-            keep = np.nonzero(labels >= 0)[0]
-            want = (tasks.softmax_ce(take_rows(scores, keep), labels[keep])
-                    + tasks.smooth_l1(deltas, delta_t, mask)).item()
+            target = batch.regions[task]
+            keep = np.nonzero(target.labels >= 0)[0]
+            want = (tasks.softmax_ce(take_rows(scores, keep), target.labels[keep])
+                    + tasks.smooth_l1(deltas, target.deltas, target.mask)).item()
         assert loss.item() == want
 
     def test_part_only_loss_has_no_det_term(self):
@@ -800,12 +803,13 @@ class TestIndependentNets:
         cfg = build_task_config(config, SMALL_SPEC)
         net = as_float64(Multinet(cfg, seed=0))
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
-        loss, outs = scene_loss(net, batch, config)
-        scores, deltas = outs[0].regions["part"]
-        labels, delta_t, mask = batch.regions["part"]
-        keep = np.nonzero(labels >= 0)[0]
-        part_only = (tasks.softmax_ce(take_rows(scores, keep), labels[keep]).item()
-                     + tasks.smooth_l1(deltas, delta_t, mask).item())
+        loss = scene_loss(net, batch, config)
+        (out,) = net.forward(batch.scene.image, batch.proposals)
+        scores, deltas = out.regions["part"]
+        target = batch.regions["part"]
+        keep = np.nonzero(target.labels >= 0)[0]
+        part_only = (tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]).item()
+                     + tasks.smooth_l1(deltas, target.deltas, target.mask).item())
         assert loss.item() == pytest.approx(part_only, rel=1e-12)
 
     def test_zero_task_weight_disables_its_box_loss(self):
@@ -814,8 +818,8 @@ class TestIndependentNets:
         config = small_config(mode="shared", weight_cls=0.0, weight_part=0.0, weight_det=0.0)
         cfg = build_task_config(config, SMALL_SPEC)
         batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
-        assert all(mask.any() for _labels, _targets, mask in batch.regions.values())
-        loss, _ = scene_loss(Multinet(cfg, seed=0), batch, config)
+        assert all(target.mask.any() for target in batch.regions.values())
+        loss = scene_loss(Multinet(cfg, seed=0), batch, config)
         assert loss.item() == 0.0
 
 

@@ -285,35 +285,40 @@ class TestSmoothL1:
         check_grads(lambda t: smooth_l1(t, targets, mask), [d])
 
 
+N_CLASSES = 4  # the largest class the assignment tests use
+
+
 def assign(regions, gts):
-    """`assign_regions` of a list of boxes against (class, box) pairs."""
+    """`assign_regions` of a list of boxes against (class, box) pairs of
+    classes in [1, N_CLASSES]."""
     classes = np.array([cls for cls, _ in gts], dtype=np.int64)
-    return assign_regions(as_boxes(regions), classes, as_boxes([g for _, g in gts]))
+    return assign_regions(as_boxes(regions), classes, as_boxes([g for _, g in gts]), N_CLASSES)
 
 
 def assign_oracle(regions, gts, fg=0.5, bg=(0.1, 0.5)):
     """Reference assignment of a list of boxes against (class, box) pairs,
-    written as straight-line logic."""
-    labels, deltas = [], []
-    for r in regions:
+    written as straight-line logic: labels, then box targets and their mask
+    in the (M, 4 * (N_CLASSES + 1)) layout of the region head."""
+    labels = []
+    deltas, mask = np.zeros((2, len(regions), 4 * (N_CLASSES + 1)))
+    for m, r in enumerate(regions):
         best_iou, best = -1.0, None
         for cls, g in gts:
             ov = iou(r, g)
             if ov > best_iou:
                 best_iou, best = ov, (cls, g)
         if gts and best_iou >= fg:
-            labels.append(best[0])
-            deltas.append(bbox_encode(r, best[1]))
+            cls = best[0]
+            labels.append(cls)
+            deltas[m, 4 * cls : 4 * cls + 4] = bbox_encode(r, best[1])
+            mask[m, 4 * cls : 4 * cls + 4] = 1.0
         elif not gts:
             labels.append(0)
-            deltas.append(np.zeros(4))
         elif bg[0] <= best_iou < bg[1]:
             labels.append(0)
-            deltas.append(np.zeros(4))
         else:
             labels.append(IGNORE)
-            deltas.append(np.zeros(4))
-    return np.array(labels), np.array(deltas)
+    return np.array(labels), deltas, mask
 
 
 class TestAssignment:
@@ -321,25 +326,32 @@ class TestAssignment:
         g = (4, 4, 20, 20)
         t = assign([g], [(3, g)])
         assert t.labels[0] == 3
-        np.testing.assert_allclose(t.deltas[0], np.zeros(4), atol=1e-15)
+        assert t.deltas.shape == t.mask.shape == (1, 4 * (N_CLASSES + 1))
+        np.testing.assert_allclose(t.deltas[0], np.zeros(4 * (N_CLASSES + 1)), atol=1e-15)
+        np.testing.assert_array_equal(t.mask[0], np.arange(4 * (N_CLASSES + 1)) // 4 == 3)
 
     def test_disjoint_region_is_ignored(self):
         t = assign([(0, 0, 4, 4)], [(1, (30, 30, 50, 50))])
         assert t.labels[0] == IGNORE
+        assert not t.mask.any()
 
     def test_moderate_overlap_is_background(self):
         # IoU = 16/64 = 0.25, inside [0.1, 0.5)
         t = assign([(0, 0, 8, 4)], [(1, (4, 0, 12, 4))])
         assert t.labels[0] == 0
+        assert not t.mask.any()
 
     def test_no_ground_truth_all_background(self):
         t = assign([(0, 0, 4, 4), (5, 5, 9, 9)], [])
         np.testing.assert_array_equal(t.labels, [0, 0])
+        assert t.deltas.shape == (2, 4 * (N_CLASSES + 1))
+        assert not t.deltas.any() and not t.mask.any()
 
     def test_tie_goes_to_lowest_index(self):
         r = (0, 0, 10, 10)
         t = assign([r], [(2, r), (4, r)])
         assert t.labels[0] == 2
+        np.testing.assert_array_equal(t.mask[0], np.arange(4 * (N_CLASSES + 1)) // 4 == 2)
 
     def test_randomized_vs_oracle(self):
         r = np.random.default_rng(21)
@@ -352,10 +364,10 @@ class TestAssignment:
             regions = [rand_box() for _ in range(12)]
             gts = [(int(r.integers(1, 4)), rand_box()) for _ in range(r.integers(0, 4))]
             got = assign(regions, gts)
-            labels, deltas = assign_oracle(regions, gts)
+            labels, deltas, mask = assign_oracle(regions, gts)
             np.testing.assert_array_equal(got.labels, labels)
-            fg = labels >= 1
-            np.testing.assert_allclose(got.deltas[fg], deltas[fg], atol=1e-12)
+            np.testing.assert_allclose(got.deltas, deltas, atol=1e-12)
+            assert got.mask.tobytes() == mask.tobytes()
 
 
 def scalar_nms(boxes, scores, iou_thresh):
