@@ -324,9 +324,14 @@ def load_checkpoint(path) -> dict:
         header = None
     if not isinstance(header, dict):
         r.fail("the header is not a JSON object")
+    if "params" in header:
+        r.fail("the header has a 'params' key, which the parameter records fill")
     params = {}
-    for _ in range(r.u32()):
-        name = r.blob().decode()
+    for i in range(r.u32()):
+        try:
+            name = r.blob().decode()
+        except UnicodeDecodeError:
+            r.fail(f"parameter record {i} has a name that is not valid UTF-8")
         (mult,) = r.unpack("<d")
         ndim = r.u32()
         params[name] = (r.f8(r.unpack(f"<{ndim}I")), mult)
@@ -340,11 +345,19 @@ def restore_model(ckpt: dict) -> TrainState:
     for its `task_config`'s class counts and canvas, which that `task_config`
     must describe, or TrainingError names the field that is unknown, missing,
     of the wrong type, out of bounds or different, or the parameter record
-    that is not the model's, misshapen, non-finite or of another lr multiplier."""
-    missing = [name for name in ("run_config", "task_config", "epoch", "rng_state")
-               if name not in ckpt]
+    that is not the model's, misshapen, non-finite or of another lr multiplier.
+    An unknown header key, or an `optimizer` other than {} (plain SGD keeps
+    no state), is a TrainingError too."""
+    required = ("run_config", "task_config", "epoch", "rng_state")
+    missing = [name for name in required if name not in ckpt]
     if missing:
         raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
+    unknown = sorted(set(ckpt) - {*required, "optimizer", "history", "params"})
+    if unknown:
+        raise TrainingError(f"the checkpoint header has an unknown key {unknown[0]!r}")
+    if ckpt.get("optimizer", {}) != {}:
+        raise TrainingError(f"the checkpoint header: optimizer must be {{}} for plain SGD, "
+                            f"got {ckpt['optimizer']!r}")
     history = ckpt.get("history", [])
     try:
         schema.check_value("epoch", "int", ckpt["epoch"], {"least": 0})
@@ -407,13 +420,16 @@ def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False) -> dict:
     for i, scene in enumerate(scenes):
         props = _proposals(scene, spec, model.cfg.m, i)
         truth = scene.img_label if ground_cls else None
-        outs = model.forward(scene.image, props, ground_cls=truth, n_iters=max(ts))
-        last = len(outs) - 1
-        scored = {}
-        for k in {min(t, last) for t in ts}:
-            regions = {task: (s.data, d.data) for task, (s, d) in outs[k].regions.items()}
-            scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, props, scene,
-                                          model.cfg.canvas)
+        try:
+            outs = model.forward(scene.image, props, ground_cls=truth, n_iters=max(ts))
+            last = len(outs) - 1
+            scored = {}
+            for k in {min(t, last) for t in ts}:
+                regions = {task: (s.data, d.data) for task, (s, d) in outs[k].regions.items()}
+                scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, props, scene,
+                                              model.cfg.canvas)
+        except TensorError as e:
+            raise TensorError(f"scene {i}: {e}") from None
         for t, per_t in records.items():
             per_t.append(scored[min(t, last)])
     return {t: tasks.evaluate(per_t, model.cfg.c_cls) for t, per_t in records.items()}

@@ -272,7 +272,8 @@ def _read_records(r: container.Reader, dtype, scene: int, kind: str, n_classes: 
 
 
 def read_dataset(path):
-    """Returns (spec, scenes); raises DatasetError on any corruption."""
+    """Returns (spec, scenes); raises DatasetError on any corruption, a pixel
+    that is non-finite or outside [0, 1] included."""
     r = container.Reader(path, MAGIC, VERSION, DatasetError, "dataset")
     try:
         spec = SceneSpec(**json.loads(r.blob().decode()))
@@ -285,6 +286,10 @@ def read_dataset(path):
             r.fail(f"scene {i}: image is {h} x {w}, not the spec's canvas "
                    f"{spec.canvas} x {spec.canvas}")
         img = r.f8((h, w, 3))
+        bad = np.argwhere(~((img >= 0.0) & (img <= 1.0)))  # NaN fails both
+        if bad.size:
+            r.fail(f"scene {i}: pixel {tuple(bad[0].tolist())} is {img[tuple(bad[0])]}, "
+                   f"not a finite value in [0, 1]")
         obj_classes, obj_boxes, _ = _read_records(r, _OBJECT, i, "object", spec.n_classes)
         part_classes, part_boxes, parts = _read_records(r, _PART, i, "part", spec.n_part_classes)
         parents = parts["parent"].astype(np.int64)

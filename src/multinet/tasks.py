@@ -303,14 +303,18 @@ def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneReco
     """Score one scene's outputs: `regions` maps each region task to the
     (M, K + 1) scores and (M, 4 * (K + 1)) deltas of the (M, 4) `proposals`.
     Every proposal is decoded with the deltas of every class and clipped to
-    the canvas; per class k >= 1, NMS keeps boxes and `match_detections`
-    flags them against the scene's ground truth."""
+    the canvas, or TensorError names the task whose boxes decode to a
+    non-finite value; per class k >= 1, NMS keeps boxes and
+    `match_detections` flags them against the scene's ground truth."""
     rows = {}
     for name, (scores, deltas) in regions.items():
         task = REGION_TASKS[name]
         classes, gt = task.ground_truth(scene)
         k1 = scores.shape[1]
-        b = bbox_decode(proposals[:, None, :], deltas.reshape(-1, k1, 4))
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the task
+            b = bbox_decode(proposals[:, None, :], deltas.reshape(-1, k1, 4))
+        if not np.isfinite(b).all():
+            raise TensorError(f"{name} deltas decode to non-finite boxes")
         x1 = np.clip(b[..., 0], 0.0, canvas - 1.0)
         y1 = np.clip(b[..., 1], 0.0, canvas - 1.0)
         x2 = np.clip(b[..., 2], x1 + 1e-3, float(canvas))

@@ -30,7 +30,7 @@ from multinet.model import Multinet, TaskConfig, fc1_rows
 from multinet.synthdata import SceneSpec, generate_dataset, propose_regions, write_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import (
-    ParamGroup, Tape, Tensor, add_rowvec, backward, matmul, sgd_step, take_rows,
+    ParamGroup, Tape, Tensor, TensorError, add_rowvec, backward, matmul, sgd_step, take_rows,
 )
 
 from conftest import as_float64, record_grads, reseal
@@ -492,16 +492,34 @@ class TestCheckpoints:
          "the checkpoint's run_config: version must be one of 1, got 2"),
         (lambda h: h["task_config"].update(c_cls="5"),
          "the checkpoint's task_config: c_cls must be of type int, got '5'"),
-        # `load_checkpoint` refuses it, naming the file.
+        (lambda h: h.update(colour=1), "the checkpoint header has an unknown key 'colour'"),
+        # `load_checkpoint` refuses these, naming the file.
         (lambda h: h.update(not_an_object=True),
          "checkpoint {path}: the header is not a JSON object"),
+        (lambda h: h.update(params=[]),
+         "checkpoint {path}: the header has a 'params' key, which the parameter records fill"),
     ], ids=["stride", "run-config", "no-canvas", "extra-field", "no-epoch", "no-run-config",
             "unknown-run-config-key", "bad-run-config-value", "version", "wrong-typed-task-config",
-            "not-an-object"])
+            "unknown-header-key", "not-an-object", "params-in-header"])
     def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):
         path = edited_checkpoint(tmp_path, edit)
         with pytest.raises(TrainingError, match=f"^{re.escape(message.format(path=path))}$"):
             restore_model(load_checkpoint(path))
+
+    @pytest.mark.parametrize("optimizer", [{"momentum": 0.9}, [], None])
+    def test_restore_refuses_optimizer_state(self, tmp_path, optimizer):
+        # Plain SGD keeps no state; before, a momentum entry restored and was
+        # ignored.
+        path = edited_checkpoint(tmp_path, lambda h: h.update(optimizer=optimizer))
+        want = f"the checkpoint header: optimizer must be {{}} for plain SGD, got {optimizer!r}"
+        with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
+            restore_model(load_checkpoint(path))
+
+    def test_parameter_name_not_utf8_is_training_error(self, tmp_path):
+        path = non_utf8_name_checkpoint(tmp_path)
+        want = f"checkpoint {path}: parameter record 0 has a name that is not valid UTF-8"
+        with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("fields, message", BAD_HEADER_VALUES)
     def test_restore_names_a_bad_header_value(self, tmp_path, fields, message):
@@ -561,6 +579,32 @@ def edited_checkpoint(tmp_path, edit):
         return body[:start] + container.blob(json.dumps(header).encode()) + body[end:]
 
     reseal(path, rewrite)
+    return path
+
+
+def non_utf8_name_checkpoint(tmp_path):
+    """A copy of the committed checkpoint, resealed with the first byte of
+    its first parameter record's name set to 0xff."""
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(COMMITTED_CKPT.read_bytes())
+
+    def spoil_first_name(body):
+        start = len(harness.CKPT_MAGIC) + 4
+        header_end = start + 4 + struct.unpack_from("<I", body, start)[0]
+        return patched(body, header_end + 4 + 4, "<B", 0xFF)  # record count, name length
+
+    reseal(path, spoil_first_name)
+    return path
+
+
+def overflowing_checkpoint(path):
+    """The committed checkpoint saved again with `backbone.conv2.filters`
+    scaled by 1e37: every parameter is finite in float32, and the region
+    deltas of the held-out scenes overflow when decoded."""
+    ckpt = load_checkpoint(COMMITTED_CKPT)
+    data, mult = ckpt["params"]["backbone.conv2.filters"]
+    ckpt["params"]["backbone.conv2.filters"] = (data * 1e37, mult)
+    save_checkpoint(restore_model(ckpt), path)
     return path
 
 
@@ -624,6 +668,19 @@ def _copy_two_task_weights(src: Multinet, dst: Multinet):
         else:
             arrays[name] = source[name]
     dst.load_records(arrays)
+
+
+class TestNonFiniteBoxes:
+    def test_evaluate_names_the_scene(self, tmp_path):
+        # Before, `evaluate_model` returned metrics after only a RuntimeWarning
+        # from the overflowing exp, the infinite boxes clipped to the canvas.
+        state = restore_model(load_checkpoint(overflowing_checkpoint(tmp_path / "c.ckpt")))
+        spec, scenes = held_out_scenes()
+        want = "^scene 0: det deltas decode to non-finite boxes$"
+        with pytest.raises(TensorError, match=want):
+            evaluate_model(state.model, spec, scenes)
+        with pytest.raises(TensorError, match=want):
+            recurrence_sweep(state, spec, scenes, t_max=2)
 
 
 class TestTwoTaskGradientMatch:
@@ -741,9 +798,10 @@ class TestRegionTargets:
                 want, want_mask = np.zeros((2, cfg.m, 4 * (k + 1)))
                 for m, lab in enumerate(targets.labels):
                     if lab >= 1:
-                        g = tasks.iou_matrix(batch.proposals[m], gt)[0].argmax()
+                        p = batch.proposals[m]
+                        g = tasks.iou_matrix(p, gt)[0].argmax()
                         assert classes[g] == lab
-                        want[m, 4 * lab : 4 * lab + 4] = tasks.bbox_encode(batch.proposals[m], gt[g])
+                        want[m, 4 * lab : 4 * lab + 4] = tasks.bbox_encode(p, gt[g])
                         want_mask[m, 4 * lab : 4 * lab + 4] = 1.0
                 assert targets.deltas.tobytes() == want.tobytes()
                 assert targets.mask.tobytes() == want_mask.tobytes()
@@ -1345,6 +1403,49 @@ class TestCli:
         assert self._error(capsys) == {"error": "scenes: the training set is empty",
                                        "kind": "TrainingError"}
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda d: edited_checkpoint(d, lambda h: h.update(colour=1)),
+         "the checkpoint header has an unknown key 'colour'"),
+        (lambda d: edited_checkpoint(d, lambda h: h.update(optimizer={"momentum": 0.9})),
+         "the checkpoint header: optimizer must be {} for plain SGD, got {'momentum': 0.9}"),
+        (lambda d: edited_checkpoint(d, lambda h: h.update(params={})),
+         "checkpoint {path}: the header has a 'params' key, which the parameter records fill"),
+        (non_utf8_name_checkpoint,
+         "checkpoint {path}: parameter record 0 has a name that is not valid UTF-8"),
+    ], ids=["unknown-header-key", "stateful-optimizer", "params-in-header", "non-utf8-name"])
+    def test_bad_checkpoint_header_or_name_is_one_json_line(self, workdir, capsys, make,
+                                                            message):
+        ckpt = make(workdir)
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(workdir / "d.bin"),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        assert self._error(capsys) == {"error": message.replace("{path}", str(ckpt)),
+                                       "kind": "TrainingError"}
+
+    def test_eval_of_a_nan_pixel_is_one_json_line(self, workdir, capsys):
+        # Before, eval failed in the forward with "non-finite values produced
+        # by Tensor()", naming neither the file nor the scene.
+        ds = workdir / "held_out.bin"
+        spec, scenes = held_out_scenes()
+        scenes[2].image[4, 7, 1] = np.nan
+        write_dataset(scenes, spec, ds)
+        code = cli.main(["eval", "--checkpoint", str(COMMITTED_CKPT), "--dataset", str(ds),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        want = f"dataset {ds}: scene 2: pixel (4, 7, 1) is nan, not a finite value in [0, 1]"
+        assert self._error(capsys) == {"error": want, "kind": "DatasetError"}
+
+    def test_eval_of_overflowing_boxes_is_one_json_line(self, workdir, capsys):
+        ds = workdir / "held_out.bin"
+        spec, scenes = held_out_scenes()
+        write_dataset(scenes, spec, ds)
+        ckpt = overflowing_checkpoint(workdir / "c.ckpt")
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        assert self._error(capsys) == {"error": "scene 0: det deltas decode to non-finite boxes",
+                                       "kind": "TensorError"}
 
     def test_eval_prints_summary_line(self, workdir, capsys):
         # TestFixtureEvalPin's metrics, as eval prints them

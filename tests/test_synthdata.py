@@ -209,14 +209,20 @@ class TestContainer:
         assert a.read_bytes() == b.read_bytes()
 
 
+def image_offset(body):
+    """Byte offset, in a dataset body, of scene 0's (H, W, 3) `<f8` image,
+    after its u16 height and width."""
+    pos = 8 + 4  # magic, version
+    pos += 4 + struct.unpack_from("<I", body, pos)[0]  # spec blob
+    return pos + 4 + 4  # scene count, height and width
+
+
 def record_offsets(body):
     """Byte offsets, in a dataset body, of scene 0's first object record and
     first part record (each starts with its u32 class)."""
-    pos = 8 + 4  # magic, version
-    pos += 4 + struct.unpack_from("<I", body, pos)[0]  # spec blob
-    pos += 4  # scene count
-    h, w = struct.unpack_from("<HH", body, pos)
-    pos += 4 + 8 * h * w * 3
+    pos = image_offset(body)
+    h, w = struct.unpack_from("<HH", body, pos - 4)
+    pos += 8 * h * w * 3
     n_objects = struct.unpack_from("<I", body, pos)[0]
     first_object = pos + 4
     return first_object, first_object + 36 * n_objects + 4
@@ -311,6 +317,17 @@ class TestDatasetValidation:
         write_dataset(scenes, spec, path)
         want = r"d.bin: scene 1: image is 32 x 32, not the spec's canvas 64 x 64"
         with pytest.raises(DatasetError, match=want):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 5.0, -0.5],
+                             ids=["nan", "inf", "above-one", "negative"])
+    def test_pixel_outside_unit_range_rejected(self, path, value):
+        # Before, a NaN pixel read without error and surfaced only as a
+        # non-finite tensor in the forward, naming neither file nor scene.
+        at = image_offset(path.read_bytes()) + 8 * 5  # pixel (0, 1), channel 2
+        reseal(path, lambda body: patched(body, at, "<d", value))
+        want = f"d.bin: scene 0: pixel (0, 1, 2) is {value}, not a finite value in [0, 1]"
+        with pytest.raises(DatasetError, match=re.escape(want)):
             read_dataset(path)
 
     def test_short_image_label_rejected(self, path):

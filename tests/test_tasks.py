@@ -370,6 +370,13 @@ class TestAssignment:
             assert got.mask.tobytes() == mask.tobytes()
 
 
+def test_numpy_floating_point_warnings_fail_the_suite():
+    # pyproject.toml turns every RuntimeWarning into an error, so an overflow,
+    # invalid value or division by zero that escapes the code fails a test.
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.exp(np.float64(800.0))
+
+
 def scalar_nms(boxes, scores, iou_thresh):
     """Greedy suppression one pair at a time: a box is kept when its IoU with
     every box kept before it is <= iou_thresh."""
@@ -748,6 +755,19 @@ class TestEvaluateMatchesScalarScoring:
                         for p in preds]
             assert evaluate([_record(p, s) for p, s in zip(det_only, scenes)],
                             spec.n_classes) == scalar_evaluate(det_only, scenes, spec.n_classes)
+
+    @pytest.mark.parametrize("value", [800.0, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+    def test_non_finite_box_is_tensor_error(self, value):
+        # Before, exp overflowed with only a RuntimeWarning, and the infinite
+        # box was clipped to the canvas and scored.
+        from multinet.synthdata import SceneSpec, generate_scene
+
+        spec = SceneSpec(seed=0)
+        scene = generate_scene(spec, 0)
+        pred = _random_prediction(np.random.default_rng(0), scene, spec, 0)
+        pred.regions["part"][1][3, 6] = value  # region 3, class 1's log-width target
+        with pytest.raises(TensorError, match="^part deltas decode to non-finite boxes$"):
+            _record(pred, scene)
 
     def test_resampled_scenes(self):
         # Records of a multiset of scenes (repeated, reordered) score like
