@@ -346,20 +346,23 @@ def restore_model(ckpt: dict) -> TrainState:
     must describe, or TrainingError names the field that is unknown, missing,
     of the wrong type, out of bounds or different, or the parameter record
     that is not the model's, misshapen, non-finite or of another lr multiplier.
-    An unknown header key, or an `optimizer` other than {} (plain SGD keeps
-    no state), is a TrainingError too."""
-    required = ("run_config", "task_config", "epoch", "rng_state")
+    The header must hold every key `save_checkpoint` writes and no other, and
+    its `optimizer` must be {} (plain SGD keeps no state)."""
+    required = ("run_config", "task_config", "epoch", "rng_state", "optimizer", "history")
     missing = [name for name in required if name not in ckpt]
     if missing:
         raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
-    unknown = sorted(set(ckpt) - {*required, "optimizer", "history", "params"})
+    unknown = sorted(set(ckpt) - {*required, "params"})
     if unknown:
         raise TrainingError(f"the checkpoint header has an unknown key {unknown[0]!r}")
-    if ckpt.get("optimizer", {}) != {}:
+    if ckpt["optimizer"] != {}:
         raise TrainingError(f"the checkpoint header: optimizer must be {{}} for plain SGD, "
                             f"got {ckpt['optimizer']!r}")
-    history = ckpt.get("history", [])
+    history = ckpt["history"]
     try:
+        for section in ("run_config", "task_config"):
+            if not isinstance(ckpt[section], dict):
+                raise ConfigError(f"{section} must be a JSON object, got {ckpt[section]!r}")
         schema.check_value("epoch", "int", ckpt["epoch"], {"least": 0})
         if not isinstance(history, list):
             raise ConfigError(f"history must be a list, got {history!r}")
@@ -372,9 +375,13 @@ def restore_model(ckpt: dict) -> TrainState:
     except (TypeError, ValueError, LookupError, OverflowError) as e:
         raise TrainingError(f"the checkpoint header: rng_state is not a PCG64 state: {e}") from None
     fields, header = ckpt["run_config"], ckpt["task_config"]
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(RunConfig)})
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    unknown = sorted(set(fields) - set(names))
     if unknown:
         raise TrainingError(f"the checkpoint's run_config has an unknown key {unknown[0]!r}")
+    missing = [name for name in names if name not in fields]
+    if missing:
+        raise TrainingError(f"the checkpoint's run_config has no {missing[0]!r}")
     try:
         config = RunConfig(**fields)
     except ConfigError as e:

@@ -10,22 +10,14 @@ heads decode again. Decoder weights are tied across iterations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nnops, schema
-from .nnops import ConvLayer, FCLayer, SppGrid
-from .tensor import (
-    ParamGroup,
-    Tensor,
-    TensorError,
-    elementwise,
-    make_op,
-    matmul,
-    rng_tensor,
-    seed_rng,
-)
+from .nnops import Layer, SppGrid
+from .tensor import ParamGroup, Tensor, TensorError, elementwise, make_op, matmul, seed_rng
 
 __all__ = [
     "TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "covering_regions", "encode_det",
@@ -150,16 +142,6 @@ def fc1_rows(cfg: TaskConfig) -> dict:
     return {"image": layout[:, : cfg.channels].ravel(), "task": layout[:, cfg.channels :].ravel()}
 
 
-def _he_conv(rng, k, cin, cout):
-    std = np.sqrt(2.0 / (k * k * cin))
-    return rng_tensor(rng, (k, k, cin, cout), std)
-
-
-def _he_fc(rng, din, dout):
-    std = np.sqrt(2.0 / din)
-    return rng_tensor(rng, (din, dout), std)
-
-
 class Multinet:
     """The full network for one task configuration.
 
@@ -179,20 +161,18 @@ class Multinet:
         rng = seed_rng(seed, 0xC0FFEE)
         c = cfg.channels
         widths = [3, max(c // 2, 4), c, c, c]  # RGB in, then each conv's output
-        self.backbone = []
-        for i, pool in enumerate(_POOLED):
-            cin, cout = widths[i : i + 2]
-            f = self.params.add(f"backbone.conv{i + 1}.filters", _he_conv(rng, 3, cin, cout), 1.0)
-            b = self.params.add(f"backbone.conv{i + 1}.bias", Tensor(np.zeros(cout)), 2.0)
-            self.backbone.append((ConvLayer(f, b), pool))
+        self.backbone = [
+            (self._layer(rng, f"backbone.conv{i + 1}", (3, 3, *widths[i : i + 2])), pool)
+            for i, pool in enumerate(_POOLED)
+        ]
 
         dc = cfg.decoder_channels
         # Image-classification head: global max pool, two hidden FCs, a
         # sigmoid output layer (final layer Gaussian std 0.01).
         hc = cfg.cls_hidden
-        self.cls_fc1 = self._fc(rng, "cls.fc1", dc, hc, he=True)
-        self.cls_fc2 = self._fc(rng, "cls.fc2", hc, hc, he=True)
-        self.cls_out = self._fc(rng, "cls.out", hc, cfg.c_cls, std=0.01)
+        self.cls_fc1 = self._layer(rng, "cls.fc1", (dc, hc))
+        self.cls_fc2 = self._layer(rng, "cls.fc2", (hc, hc))
+        self.cls_out = self._layer(rng, "cls.out", (hc, cfg.c_cls), std=0.01)
 
         # Region heads (shared structure for objects and parts): SPP,
         # two hidden FCs, softmax scores (std 0.01) + box deltas (std 0.001).
@@ -203,49 +183,45 @@ class Multinet:
             for task, k in cfg.region_classes.items()
         }
 
+        self.bottleneck = None
         if cfg.mode == "update2":
             cin = c + cfg.stacked_channels  # h_prev stacked with image + task maps
-            f = self.params.add(
-                "bottleneck.filters", rng_tensor(rng, (1, 1, cin, c), 0.01), 1.0
-            )
-            b = self.params.add("bottleneck.bias", Tensor(np.zeros(c)), 2.0)
-            self.bottleneck = ConvLayer(f, b)
-        else:
-            self.bottleneck = None
-        for _, t, _ in self.params.items():
-            t.data = t.data.astype(np.float32)
-            t.grad = np.zeros_like(t.data)
+            self.bottleneck = self._layer(rng, "bottleneck", (1, 1, cin, c), std=0.01)
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which every op of the network follows."""
         return self.params["backbone.conv1.filters"].data.dtype
 
-    def _fc(self, rng, name, din, dout, he=False, std=0.01):
-        w = _he_fc(rng, din, dout) if he else rng_tensor(rng, (din, dout), std)
-        weight = self.params.add(f"{name}.weight", w, 1.0)
-        bias = self.params.add(f"{name}.bias", Tensor(np.zeros(dout)), 2.0)
-        return FCLayer(weight, bias)
+    def _layer(self, rng, name, shape, std=None, blocks=None) -> Layer:
+        """Add layer `name`'s weight of `shape`, then its zero bias, as float32
+        parameters. The weight is one float64 Gaussian draw with std `std`,
+        or He's sqrt(2 / fan-in) with fan-in the product of every axis but
+        the last, rounded to float32 once. A conv's weight is named
+        `filters`. With `blocks` (`fc1_rows`), each block of the weight's rows
+        is its own parameter `<name>.weight:<block>`, and the layer holds the
+        first."""
+        std = np.sqrt(2.0 / math.prod(shape[:-1])) if std is None else std
+        w = (std * rng.standard_normal(shape)).astype(np.float32)
+        kind = "filters" if len(shape) == 4 else "weight"
+        parts = {"": w} if blocks is None else {f":{b}": w[rows] for b, rows in blocks.items()}
+        weights = [self.params.add(f"{name}.{kind}{key}", Tensor(part), 1.0)
+                   for key, part in parts.items()]
+        bias = self.params.add(f"{name}.bias", Tensor(np.zeros(shape[-1], np.float32)), 2.0)
+        return Layer(weights[0], bias)
 
     def _region_head(self, rng, name, din, hidden, k1):
-        if self.cfg.mode in _STACKED_MODES:
-            # The stacked He draw, held as the blocks the forward reads: the
-            # image block with the bias, and the task block (`fc1_rows`).
-            w = _he_fc(rng, din, hidden).data
-            image, task = (
-                self.params.add(f"{name}.fc1.weight:{block}", Tensor(w[rows]), 1.0)
-                for block, rows in fc1_rows(self.cfg).items()
-            )
-            bias = self.params.add(f"{name}.fc1.bias", Tensor(np.zeros(hidden)), 2.0)
-            fc1 = FCLayer(image, bias)
-        else:
-            fc1, task = self._fc(rng, f"{name}.fc1", din, hidden, he=True), None
+        # With the stacking integrator fc1's weight is held as the blocks the
+        # forward reads: the image block with the bias, and the task block.
+        stacked = self.cfg.mode in _STACKED_MODES
+        fc1 = self._layer(rng, f"{name}.fc1", (din, hidden),
+                          blocks=fc1_rows(self.cfg) if stacked else None)
         return {
             "fc1": fc1,
-            "fc1_task": task,
-            "fc2": self._fc(rng, f"{name}.fc2", hidden, hidden, he=True),
-            "score": self._fc(rng, f"{name}.score", hidden, k1, std=0.01),
-            "delta": self._fc(rng, f"{name}.delta", hidden, 4 * k1, std=0.001),
+            "fc1_task": self.params[f"{name}.fc1.weight:task"] if stacked else None,
+            "fc2": self._layer(rng, f"{name}.fc2", (hidden, hidden)),
+            "score": self._layer(rng, f"{name}.score", (hidden, k1), std=0.01),
+            "delta": self._layer(rng, f"{name}.delta", (hidden, 4 * k1), std=0.001),
         }
 
     # ---- checkpoint records ---------------------------------------------

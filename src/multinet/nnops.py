@@ -26,8 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, TensorError, make_op, reshape
 
 __all__ = [
-    "ConvLayer",
-    "FCLayer",
+    "Layer",
     "SppGrid",
     "conv2d",
     "relu",
@@ -45,15 +44,9 @@ __all__ = [
 
 
 @dataclass
-class ConvLayer:
-    filters: Tensor  # k x k x Cin x Cout, k odd
-    bias: Tensor  # Cout
-
-
-@dataclass
-class FCLayer:
-    weight: Tensor  # Din x Dout
-    bias: Tensor  # Dout
+class Layer:
+    weight: Tensor  # Din x Dout, or k x k x Cin x Cout (k odd) for conv2d
+    bias: Tensor  # Dout or Cout
 
 
 @dataclass(frozen=True)
@@ -62,12 +55,12 @@ class SppGrid:
     feature_stride: int = 1
 
 
-def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
+def conv2d(x: Tensor, layer: Layer) -> Tensor:
     """2-D cross-correlation at stride 1 plus bias, zero-padded by k // 2
-    so the output keeps the input's H x W; differentiable in x, filters,
+    so the output keeps the input's H x W; differentiable in x, weight,
     bias (no gradient is computed for an x that needs none)."""
     h, w, cin = x.data.shape
-    k, k2, fcin, cout = layer.filters.data.shape
+    k, k2, fcin, cout = layer.weight.data.shape
     if k != k2 or k % 2 == 0:
         raise TensorError(f"conv2d: kernel {k}x{k2} is not square with an odd side")
     if fcin != cin:
@@ -77,7 +70,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
     windows = sliding_window_view(xp, (k, k), axis=(0, 1))  # (h, w, cin, k, k)
     cols = windows.transpose(0, 1, 3, 4, 2).reshape(h * w, k * k * cin)
-    wmat = layer.filters.data.reshape(k * k * cin, cout)
+    wmat = layer.weight.data.reshape(k * k * cin, cout)
     out = (cols @ wmat + layer.bias.data[None, :]).reshape(h, w, cout)
 
     def bwd(g):
@@ -98,7 +91,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         gx = gxp[p : p + h, p : p + w]
         return (gx.astype(x.data.dtype, copy=False), gw, gb)
 
-    return make_op(out, (x, layer.filters, layer.bias), bwd, "conv2d")
+    return make_op(out, (x, layer.weight, layer.bias), bwd, "conv2d")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -189,7 +182,7 @@ def global_max_pool(x: Tensor) -> Tensor:
     return make_op(out, (x,), bwd, "global_max_pool")
 
 
-def fully_connected(x: Tensor, layer: FCLayer) -> Tensor:
+def fully_connected(x: Tensor, layer: Layer) -> Tensor:
     """x @ W + b for a Din vector or an N x Din batch of rows."""
     wd, bd = layer.weight.data, layer.bias.data
     vec = x.data.ndim == 1

@@ -28,7 +28,6 @@ __all__ = [
     "sum_all",
     "backward",
     "sgd_step",
-    "rng_tensor",
     "seed_rng",
 ]
 
@@ -282,10 +281,3 @@ def sgd_step(params: ParamGroup, base_lr: float) -> None:
 def seed_rng(*entropy: int) -> np.random.Generator:
     """Deterministic generator from one or more integer seed components."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
-
-
-def rng_tensor(rng: np.random.Generator, shape, std: float = 1.0) -> Tensor:
-    """Sample a tensor from a zero-mean Gaussian with standard deviation std."""
-    if std < 0:
-        raise TensorError("gaussian std must be >= 0")
-    return Tensor(std * rng.standard_normal(tuple(shape)))

@@ -4,11 +4,12 @@ Criteria 5-8 train real models. Trained checkpoints are cached under
 tests/_cache keyed by their configuration, so only the first run is slow.
 Every run evaluates, grounds and sweeps the cached update1 checkpoints
 afresh; the other comparison modes keep no checkpoint, so their computed
-metrics are cached instead. Those `*.json` files and the overfit checkpoint
-may be deleted to recompute them. The three `bench_*.ckpt` update1
-checkpoints may not: they were trained in float64, and the perfbench
-fixture, `TestFixtureEvalPin` and `test_resave_reproduces_committed_bytes`
-pin their bytes and figures.
+metrics are cached instead, keyed by the trajectory pin's loss histories too,
+so a change that moves training recomputes them. Those `*.json` files and
+the overfit checkpoint may be deleted to recompute them. The three
+`bench_*.ckpt` update1 checkpoints may not: they were trained in float64,
+and the perfbench fixture, `TestFixtureEvalPin` and
+`test_resave_reproduces_committed_bytes` pin their bytes and figures.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from multinet.harness import (
     write_csv,
 )
 from multinet.model import STRIDE, Multinet, TaskConfig, encode_cls, encode_det
-from multinet.nnops import ConvLayer, FCLayer, SppGrid
+from multinet.nnops import Layer, SppGrid
 from multinet.synthdata import (
     DatasetError,
     SceneSpec,
@@ -43,6 +44,7 @@ from multinet.synthdata import (
 from multinet.tasks import average_precision, iou_matrix, match_detections
 from multinet.tensor import Tensor, sum_all
 
+import test_harness
 from conftest import as_boxes, assert_same_scene, check_grads, n_values, weighted_sum
 from test_model import covering, encode_det_oracle, integrate_bottleneck
 from test_nnops import conv_oracle, random_box, random_boxes, spp_oracle
@@ -57,6 +59,10 @@ BENCH_CONFIG = RunConfig(
     version=1, mode="update1", iterations=2,
     lr_phase1=3e-3, epochs_phase1=4, lr_phase2=3e-4, epochs_phase2=2,
 )
+# The trajectory pin's loss histories key the cached metrics of the modes that
+# keep no checkpoint: a change that moves training re-pins them, and so misses
+# these entries and retrains.
+TRAJECTORY = list(test_harness.TestTrajectoryPin.HISTORIES.items())
 
 # Overfit smoke settings: lr tuned for a from-scratch backbone on 32 scenes.
 OVERFIT_CONFIG = RunConfig(
@@ -147,13 +153,13 @@ def test_criterion_1_gradient_suite(capsys):
                 [r.normal(size=(2, 3)), r.normal(size=3)],
             )
             check_grads(
-                lambda xt, ft, bt: sum_all(conv2d(xt, ConvLayer(ft, bt))),
+                lambda xt, ft, bt: sum_all(conv2d(xt, Layer(ft, bt))),
                 [r.normal(size=(5, 5, 2)), r.normal(size=(3, 3, 2, 2)), r.normal(size=2)],
             )
             check_grads(lambda a: sum_all(max_pool2d(a)), [r.normal(size=(6, 6, 2))])
             check_grads(lambda a: sum_all(global_max_pool(a)), [r.normal(size=(4, 4, 3))])
             check_grads(
-                lambda xt, wt, bt: sum_all(fully_connected(xt, FCLayer(wt, bt))),
+                lambda xt, wt, bt: sum_all(fully_connected(xt, Layer(wt, bt))),
                 [r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=2)],
             )
             xr = r.normal(size=(2, 4))
@@ -181,7 +187,7 @@ def test_criterion_1_gradient_suite(capsys):
             )
             # bottleneck integrator: 1x1 conv over a stacked map
             check_grads(
-                lambda st, ft, bt: sum_all(relu(conv2d(st, ConvLayer(ft, bt)))),
+                lambda st, ft, bt: sum_all(relu(conv2d(st, Layer(ft, bt)))),
                 [r.normal(size=(4, 4, 5)), r.normal(size=(1, 1, 5, 2)) * 0.1 + 0.2,
                  r.normal(size=2)],
             )
@@ -229,7 +235,7 @@ def test_criterion_2_oracle_equivalences(capsys):
             x = r.normal(size=(6, 6, 2))
             f = r.normal(size=(3, 3, 2, 3))
             b = r.normal(size=3)
-            out = nnops.conv2d(Tensor(x), ConvLayer(Tensor(f), Tensor(b)))
+            out = nnops.conv2d(Tensor(x), Layer(Tensor(f), Tensor(b)))
             np.testing.assert_allclose(out.data, conv_oracle(x, f, b, 1, 1), atol=1e-12)
 
         # one-box spp_pool_regions vs the naive per-bin oracle, 100 cases
@@ -409,9 +415,9 @@ def bench_data():
     return train_scenes, val_scenes
 
 
-def _bench_key(mode, seed):
+def _bench_key(mode, seed, *extra):
     return "bench_" + _key(
-        dataclasses.asdict(BENCH_CONFIG), dataclasses.asdict(BENCH_SPEC), mode, seed
+        dataclasses.asdict(BENCH_CONFIG), dataclasses.asdict(BENCH_SPEC), mode, seed, *extra
     )
 
 
@@ -451,7 +457,7 @@ def bench_results(bench_data, update1_passes):
                 metrics = update1_passes[seed][0][BENCH_CONFIG.iterations]
             else:
                 metrics = _cached_json(
-                    _bench_key(mode, seed),
+                    _bench_key(mode, seed, TRAJECTORY),
                     lambda m=mode, s=seed: train_and_eval_mode(
                         m, BENCH_CONFIG, BENCH_SPEC, train_scenes, BENCH_SPEC, val_scenes, s
                     ),

@@ -11,7 +11,7 @@ import pytest
 from multinet import model, nnops, tasks
 from multinet.harness import RunConfig, build_task_config, prepare_scene, scene_loss
 from multinet.model import Multinet
-from multinet.nnops import ConvLayer, FCLayer, SppGrid
+from multinet.nnops import Layer, SppGrid
 from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tensor import Tape, Tensor, add_rowvec, backward, matmul, reshape, sum_all, take_rows
 
@@ -30,16 +30,16 @@ CASES = {
     "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "take_rows": (lambda a: take_rows(a, [3, 0, 2]), [(4, 2)]),
     "add_rowvec": (add_rowvec, [(3, 2), (2,)]),
-    "conv2d": (lambda x, f, b: nnops.conv2d(x, ConvLayer(f, b)),
+    "conv2d": (lambda x, f, b: nnops.conv2d(x, Layer(f, b)),
                [(6, 6, 2), (3, 3, 2, 3), (3,)]),
     "relu": (nnops.relu, [(3, 4)]),
     "sigmoid": (nnops.sigmoid, [(3, 4)]),
     "softmax_rows": (nnops.softmax_rows, [(3, 4)]),
     "max_pool2d": (nnops.max_pool2d, [(6, 6, 2)]),
     "global_max_pool": (nnops.global_max_pool, [(4, 4, 3)]),
-    "fully_connected": (lambda x, w, b: nnops.fully_connected(x, FCLayer(w, b)),
+    "fully_connected": (lambda x, w, b: nnops.fully_connected(x, Layer(w, b)),
                         [(3, 4), (4, 2), (2,)]),
-    "fully_connected:vector": (lambda x, w, b: nnops.fully_connected(x, FCLayer(w, b)),
+    "fully_connected:vector": (lambda x, w, b: nnops.fully_connected(x, Layer(w, b)),
                                [(4,), (4, 2), (2,)]),
     "stack_channels": (lambda a, b: nnops.stack_channels([a, b]), [(2, 2, 1), (2, 2, 3)]),
     "spp_pool_regions": (lambda h: nnops.spp_pool_regions(h, BOXES, SppGrid(2, 8)), [(4, 4, 3)]),

@@ -72,6 +72,26 @@ BAD_HEADER_VALUES = [
                  id="other-rng-state"),
 ]
 
+# A checkpoint header edit that drops a key `save_checkpoint` writes, or makes
+# run_config or task_config another JSON type, and the error that names it.
+# Before, a missing run_config field took its default (a seed 2 checkpoint
+# restored as seed 0), a missing history or optimizer read as empty, and a
+# section of another type escaped as a bare TypeError.
+INCOMPLETE_HEADERS = [
+    pytest.param(lambda h: h["run_config"].pop("seed"),
+                 "the checkpoint's run_config has no 'seed'", id="no-seed"),
+    pytest.param(lambda h: h.pop("history"), "the checkpoint header has no 'history'",
+                 id="no-history"),
+    pytest.param(lambda h: h.pop("optimizer"), "the checkpoint header has no 'optimizer'",
+                 id="no-optimizer"),
+    pytest.param(lambda h: h.update(run_config=5),
+                 "the checkpoint header: run_config must be a JSON object, got 5",
+                 id="int-run-config"),
+    pytest.param(lambda h: h.update(task_config=[1]),
+                 "the checkpoint header: task_config must be a JSON object, got [1]",
+                 id="list-task-config"),
+]
+
 SMALL_SPEC = SceneSpec(canvas=32, max_object_side=20, objects_min=1, objects_max=2, seed=6)
 SMALL_SCENES = generate_dataset(SMALL_SPEC, 8)
 
@@ -526,6 +546,12 @@ class TestCheckpoints:
         path = edited_checkpoint(tmp_path, lambda h: h.update(fields))
         want = f"the checkpoint header: {message}"
         with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
+            restore_model(load_checkpoint(path))
+
+    @pytest.mark.parametrize("edit, message", INCOMPLETE_HEADERS)
+    def test_restore_refuses_an_incomplete_header(self, tmp_path, edit, message):
+        path = edited_checkpoint(tmp_path, edit)
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
             restore_model(load_checkpoint(path))
 
     @pytest.mark.parametrize("fields, message", WRONG_TYPED_RUN_CONFIG)
@@ -1355,6 +1381,15 @@ class TestCli:
         assert code == 1
         assert self._error(capsys) == {"error": f"the checkpoint's run_config: {message}",
                                        "kind": "TrainingError"}
+
+    @pytest.mark.parametrize("edit, message", INCOMPLETE_HEADERS)
+    def test_incomplete_checkpoint_header_is_one_json_line(self, workdir, capsys, edit, message):
+        ckpt = edited_checkpoint(workdir, edit)
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--dataset", str(workdir / "d.bin"),
+                         "--out", str(workdir / "m.csv")])
+        assert code == 1
+        assert self._error(capsys) == {"error": message, "kind": "TrainingError"}
+        assert not (workdir / "m.csv").exists()
 
     @pytest.mark.parametrize("fields, message", BAD_HEADER_VALUES)
     def test_resume_from_a_bad_header_value_is_one_json_line(self, workdir, capsys, fields,

@@ -8,7 +8,7 @@ from multinet.model import (
     MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det,
     fc1_rows,
 )
-from multinet.nnops import FCLayer, feature_footprints
+from multinet.nnops import Layer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
@@ -607,7 +607,7 @@ def whole_fc1_layers(net):
     the head's bias."""
     records = {name: data for name, data, _ in net.records()}
     return {
-        task: FCLayer(Tensor(records[f"{task}.fc1.weight"].copy(), requires_grad=True),
+        task: Layer(Tensor(records[f"{task}.fc1.weight"].copy(), requires_grad=True),
                       hd["fc1"].bias)
         for task, hd in net.region_heads.items()
     }

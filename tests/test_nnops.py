@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from multinet import nnops
 from multinet.nnops import (
-    ConvLayer,
-    FCLayer,
+    Layer,
     SppGrid,
     conv2d,
     feature_footprints,
@@ -90,14 +89,14 @@ class TestConv2d:
         x = rng.normal(size=(4, 4, 3))
         f = np.zeros((1, 1, 3, 3))
         f[0, 0] = np.eye(3)
-        layer = ConvLayer(Tensor(f), Tensor(np.zeros(3)))
+        layer = Layer(Tensor(f), Tensor(np.zeros(3)))
         out = conv2d(Tensor(x), layer)
         np.testing.assert_allclose(out.data, x)
 
     def test_all_ones_3x3(self):
         # Padded by 1: each output cell counts the input cells in its window.
         x = np.ones((5, 5, 1))
-        layer = ConvLayer(Tensor(np.ones((3, 3, 1, 1))), Tensor(np.zeros(1)))
+        layer = Layer(Tensor(np.ones((3, 3, 1, 1))), Tensor(np.zeros(1)))
         out = conv2d(Tensor(x), layer)
         edge = [4.0, 6.0, 6.0, 6.0, 4.0]
         want = np.array([edge] + [[6.0, 9.0, 9.0, 9.0, 6.0]] * 3 + [edge])
@@ -114,7 +113,7 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin))
         f = rng.normal(size=(k, k, cin, cout))
         b = rng.normal(size=cout)
-        layer = ConvLayer(Tensor(f), Tensor(b))
+        layer = Layer(Tensor(f), Tensor(b))
         out = conv2d(Tensor(bordered(x, pad)), layer)
         want = conv_oracle(x, f, b, stride, pad + k // 2)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
@@ -136,7 +135,7 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin)).astype(dtype)
         f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
-        layer = ConvLayer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True))
+        layer = Layer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True))
         with Tape() as tape:
             out = conv2d(Tensor(bordered(x, pad), requires_grad=x_needs_grad), layer)
         g = rng.normal(size=out.data.shape).astype(dtype)
@@ -164,7 +163,7 @@ class TestConv2d:
         b = rng.normal(size=cout)
 
         def build(xt, ft, bt):
-            return sum_all(conv2d(xt, ConvLayer(ft, bt)))
+            return sum_all(conv2d(xt, Layer(ft, bt)))
 
         check_grads(build, [x, f, b])
 
@@ -173,7 +172,7 @@ class TestConv2d:
         # An input that needs no gradient (the image at conv1) gets None;
         # the filter and bias gradients do not change.
         x = bordered(rng.normal(size=(6, 5, 2)), pad)
-        layer = ConvLayer(Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
+        layer = Layer(Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
                           Tensor(rng.normal(size=4), requires_grad=True))
         g = rng.normal(size=(6 + 2 * pad, 5 + 2 * pad, 4))
 
@@ -187,19 +186,19 @@ class TestConv2d:
         assert gw0.tobytes() == gw.tobytes() and gb0.tobytes() == gb.tobytes()
 
     def test_channel_mismatch(self):
-        layer = ConvLayer(Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1)))
+        layer = Layer(Tensor(np.zeros((3, 3, 2, 1))), Tensor(np.zeros(1)))
         with pytest.raises(TensorError, match="channels"):
             conv2d(Tensor(np.zeros((5, 5, 3))), layer)
 
     def test_kernel_larger_than_input(self, rng):
         # Padded by k // 2, the output keeps the input's size.
         x, f = rng.normal(size=(3, 3, 1)), rng.normal(size=(5, 5, 1, 2))
-        out = conv2d(Tensor(x), ConvLayer(Tensor(f), Tensor(np.zeros(2))))
+        out = conv2d(Tensor(x), Layer(Tensor(f), Tensor(np.zeros(2))))
         np.testing.assert_allclose(out.data, conv_oracle(x, f, np.zeros(2), 1, 2), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 2, 1, 1), (3, 1, 1, 1), (1, 3, 1, 1)])
     def test_kernel_must_be_square_with_an_odd_side(self, shape):
-        layer = ConvLayer(Tensor(np.zeros(shape)), Tensor(np.zeros(1)))
+        layer = Layer(Tensor(np.zeros(shape)), Tensor(np.zeros(1)))
         with pytest.raises(TensorError, match="not square with an odd side"):
             conv2d(Tensor(np.zeros((4, 4, 1))), layer)
 
@@ -353,17 +352,17 @@ class TestPooling:
 class TestFullyConnected:
     def test_identity_weight(self, rng):
         x = rng.normal(size=4)
-        layer = FCLayer(Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        layer = Layer(Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(fully_connected(Tensor(x), layer).data, x)
 
     def test_zero_weight_gives_bias(self, rng):
         b = rng.normal(size=3)
-        layer = FCLayer(Tensor(np.zeros((4, 3))), Tensor(b))
+        layer = Layer(Tensor(np.zeros((4, 3))), Tensor(b))
         np.testing.assert_array_equal(fully_connected(Tensor(np.ones(4)), layer).data, b)
 
     def test_batched_matches_vector(self, rng):
         x = rng.normal(size=(5, 4))
-        layer = FCLayer(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3)))
+        layer = Layer(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3)))
         batched = fully_connected(Tensor(x), layer).data
         rows = [fully_connected(Tensor(x[i]), layer).data for i in range(5)]
         np.testing.assert_allclose(batched, np.stack(rows))
@@ -373,10 +372,10 @@ class TestFullyConnected:
         x = rng.normal(size=(din,) if n is None else (n, din))
         w = rng.normal(size=(din, dout))
         b = rng.normal(size=dout)
-        check_grads(lambda xt, wt, bt: sum_all(fully_connected(xt, FCLayer(wt, bt))), [x, w, b])
+        check_grads(lambda xt, wt, bt: sum_all(fully_connected(xt, Layer(wt, bt))), [x, w, b])
 
     def test_dim_mismatch(self):
-        layer = FCLayer(Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+        layer = Layer(Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
         with pytest.raises(TensorError):
             fully_connected(Tensor(np.zeros(3)), layer)
 

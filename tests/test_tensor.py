@@ -12,7 +12,6 @@ from multinet.tensor import (
     backward,
     matmul,
     reshape,
-    rng_tensor,
     seed_rng,
     sgd_step,
     sum_all,
@@ -354,23 +353,10 @@ class TestSgd:
 
 
 class TestRng:
-    def test_std_zero_degenerate(self):
-        t = rng_tensor(seed_rng(0), (100,), std=0.0)
-        np.testing.assert_array_equal(t.data, np.zeros(100))
-
     def test_same_seed_identical(self):
-        a = rng_tensor(seed_rng(7, 3), (50,))
-        b = rng_tensor(seed_rng(7, 3), (50,))
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_gaussian_std_statistics(self):
-        t = rng_tensor(seed_rng(42), (1_000_000,), std=0.01)
-        assert 0.0099 <= t.data.std() <= 0.0101
-        assert abs(t.data.mean()) < 1e-4
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(TensorError):
-            rng_tensor(seed_rng(0), (3,), std=-1.0)
+        a = seed_rng(7, 3).standard_normal(50)
+        b = seed_rng(7, 3).standard_normal(50)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestFiniteness:
