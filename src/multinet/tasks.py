@@ -7,8 +7,10 @@ terms. Their classes, where they have them, are a matching (N,) int array.
 Scoring runs once per scene: `score_scene` decodes, suppresses and matches
 one scene's detections against its own ground truth, since a detection's
 true-positive flag depends on nothing else, and keeps only a `SceneRecord`
-of scores, flags and gt counts. `evaluate` joins the records of any
-multiset of scenes and computes each AP with `average_precision`.
+of scores, flags and gt counts. Each step runs once over all the region
+classes of the scene: one decode, one `nms` over every class, one
+`match_detections` per task. `evaluate` joins the records of any multiset
+of scenes and computes each AP with `average_precision`.
 """
 
 from __future__ import annotations
@@ -92,18 +94,37 @@ REGION_TASKS = {
 SUMMARY_KEYS = ("cls_map", *(f"{t}_ap" for t in REGION_TASKS))
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """(N, K) IoUs of (N, 4) boxes against (K, 4) boxes: 0 unless both
-    overlaps are positive, else inter / (area_a + area_b - inter)."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
-    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = ix * iy
+def _overlaps(a, b):
+    """(inter, union, overlap) of (..., N, 4) boxes against (..., K, 4)
+    boxes, each (..., N, K) with the leading dimensions broadcast (a lone
+    (4,) box is one row): intersection and union areas, and whether both
+    overlaps are positive, without which the two areas mean nothing."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a.reshape(a.shape[:-2] + (-1, 1, 4))
+    b = b.reshape(b.shape[:-2] + (1, -1, 4))
+    inter = np.minimum(a[..., 2], b[..., 2])
+    other = np.maximum(a[..., 0], b[..., 0])
+    inter -= other
+    overlap = inter > 0
+    iy = np.minimum(a[..., 3], b[..., 3])
+    iy -= np.maximum(a[..., 1], b[..., 1], out=other)
+    overlap &= iy > 0
+    inter *= iy
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = np.add(area_a, area_b, out=iy)
+    union -= inter
+    return inter, union, overlap
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """(..., N, K) IoUs of (..., N, 4) boxes against (..., K, 4) boxes: 0
+    unless both overlaps are positive, else inter / (area_a + area_b -
+    inter)."""
+    inter, union, overlap = _overlaps(a, b)
     out = np.zeros(inter.shape)
-    np.divide(inter, area_a + area_b - inter, out=out, where=(ix > 0) & (iy > 0))
+    np.divide(inter, union, out=out, where=overlap)
     return out
 
 
@@ -235,30 +256,50 @@ def assign_regions(regions, classes, gt_boxes, n_classes: int) -> RegionTargets:
 
 
 def nms(boxes, scores):
-    """Greedy non-maximum suppression of (N, 4) boxes; returns kept indices,
-    score-descending (stable on ties). A box is dropped when its IoU with a
-    kept box exceeds `NMS_IOU`."""
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    overlaps = iou_matrix(boxes, boxes) > NMS_IOU
-    dropped = np.zeros(len(order), dtype=bool)
+    """Greedy non-maximum suppression of C sets of M boxes at once: (C * M, 4)
+    boxes, set after set, with their (C, M) scores, or one set's (M, 4)
+    boxes with (M,) scores. Returns the kept flat indices, set after set,
+    each set's score-descending (stable on ties). A box is dropped when its
+    IoU with a kept box of its own set exceeds `NMS_IOU`."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    c, m = scores.shape
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked = np.asarray(boxes, dtype=np.float64).reshape(c, m, 4)[np.arange(c)[:, None], order]
+    # Row p of a set's block flags the boxes that its p-th ranked box
+    # suppresses, packed into bytes (bit q = rank q). Each flag is
+    # `iou_matrix(ranked, ranked) > NMS_IOU`: a pair without overlap has
+    # IoU 0, which never exceeds it, so its quotient is left unread.
+    inter, union, overlap = _overlaps(ranked, ranked)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        over = np.divide(inter, union, out=union) > NMS_IOU
+    over &= overlap
+    width = (m + 7) // 8
+    rows = np.packbits(over, axis=2, bitorder="little").tobytes()
     keep = []
-    for i in order:
-        if not dropped[i]:
-            keep.append(int(i))
-            dropped |= overlaps[i]
+    for s, ranks in enumerate(order.tolist()):
+        # Keep the best box still standing; drop it and all it suppresses.
+        standing = (1 << m) - 1
+        while standing:
+            best = standing & -standing
+            p = best.bit_length() - 1
+            keep.append(s * m + ranks[p])
+            at = (s * m + p) * width
+            standing &= ~(int.from_bytes(rows[at:at + width], "little") | best)
     return keep
 
 
-def match_detections(boxes, gt_boxes, iou_thresh: float) -> np.ndarray:
-    """(N,) true-positive flags of one image's (N, 4) detections, ranked
-    best first, against its (G, 4) ground truth of their class: each one is
-    compared with the gt of highest IoU (the first on ties) and hits when
-    that IoU is >= iou_thresh (> 0) and no higher-ranked detection matched
-    the same gt, so duplicates count as false positives."""
+def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float) -> np.ndarray:
+    """(N,) true-positive flags of one image's (N, 4) detections of (N,)
+    classes, each class's ranked best first, against its (G, 4) ground truth
+    of (G,) classes: each detection is compared with the gt of its class of
+    highest IoU (the first on ties) and hits when that IoU is >= iou_thresh
+    (> 0) and no higher-ranked detection matched the same gt, so duplicates
+    count as false positives."""
     tp = np.zeros(len(boxes))
     if len(boxes) == 0 or len(gt_boxes) == 0:
         return tp
     ious = iou_matrix(boxes, gt_boxes)
+    ious[np.asarray(classes)[:, None] != np.asarray(gt_classes)] = -1.0
     best = ious.argmax(axis=1)
     hit = np.nonzero(ious[np.arange(len(best)), best] >= iou_thresh)[0]
     _, first = np.unique(best[hit], return_index=True)
@@ -302,30 +343,45 @@ class SceneRecord(NamedTuple):
 def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneRecord:
     """Score one scene's outputs: `regions` maps each region task to the
     (M, K + 1) scores and (M, 4 * (K + 1)) deltas of the (M, 4) `proposals`.
-    Every proposal is decoded with the deltas of every class and clipped to
-    the canvas, or TensorError names the task whose boxes decode to a
-    non-finite value; per class k >= 1, NMS keeps boxes and
-    `match_detections` flags them against the scene's ground truth."""
+    Every proposal is decoded with the deltas of every class of every task
+    in one call and clipped to the canvas, or TensorError names the first
+    task whose boxes decode to a non-finite value. One `nms` call suppresses
+    the boxes of all foreground classes of all tasks, each class on its own,
+    and one `match_detections` call per task flags the kept boxes against the
+    scene's ground truth."""
+    m = len(proposals)
+    starts = np.cumsum([0] + [scores.shape[1] for scores, _ in regions.values()])
+    deltas = np.concatenate([d.reshape(m, -1, 4) for _, d in regions.values()], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the task
+        b = bbox_decode(proposals[:, None, :], deltas)
+    for name, lo, hi in zip(regions, starts, starts[1:]):
+        if not np.isfinite(b[:, lo:hi]).all():
+            raise TensorError(f"{name} deltas decode to non-finite boxes")
+    # Every task's foreground classes in turn: C rows of M boxes.
+    b = np.delete(b, starts[:-1], axis=1).transpose(1, 0, 2)
+    x1 = np.clip(b[..., 0], 0.0, canvas - 1.0)
+    y1 = np.clip(b[..., 1], 0.0, canvas - 1.0)
+    x2 = np.clip(b[..., 2], x1 + 1e-3, float(canvas))
+    y2 = np.clip(b[..., 3], y1 + 1e-3, float(canvas))
+    boxes = np.stack([x1, y1, x2, y2], axis=-1).reshape(-1, 4)
+    fg_scores = np.concatenate([scores[:, 1:] for scores, _ in regions.values()], axis=1)
+    keep = np.array(nms(boxes, fg_scores.T), dtype=np.intp)
+    row, idx = np.divmod(keep, m)
+    # keep[ends[r]:ends[r + 1]] are class row r's kept boxes, in keep order.
+    ends = np.searchsorted(row, np.arange(fg_scores.shape[1] + 1))
+    tp = np.empty(len(keep))
     rows = {}
-    for name, (scores, deltas) in regions.items():
+    lo = 0
+    for name, (scores, _) in regions.items():
         task = REGION_TASKS[name]
         classes, gt = task.ground_truth(scene)
-        k1 = scores.shape[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the task
-            b = bbox_decode(proposals[:, None, :], deltas.reshape(-1, k1, 4))
-        if not np.isfinite(b).all():
-            raise TensorError(f"{name} deltas decode to non-finite boxes")
-        x1 = np.clip(b[..., 0], 0.0, canvas - 1.0)
-        y1 = np.clip(b[..., 1], 0.0, canvas - 1.0)
-        x2 = np.clip(b[..., 2], x1 + 1e-3, float(canvas))
-        y2 = np.clip(b[..., 3], y1 + 1e-3, float(canvas))
-        boxes = np.stack([x1, y1, x2, y2], axis=-1)
-        rows[name] = []
-        for k in range(1, k1):
-            keep = nms(boxes[:, k], scores[:, k])
-            g = gt[classes == k]
-            tp = match_detections(boxes[keep, k], g, task.match_iou)
-            rows[name].append((scores[keep, k], tp, len(g)))
+        k = scores.shape[1] - 1
+        mine = slice(ends[lo], ends[lo + k])
+        tp[mine] = match_detections(boxes[keep[mine]], row[mine] - lo + 1, gt, classes,
+                                    task.match_iou)
+        rows[name] = [(scores[idx[u:v], c], tp[u:v], int(np.count_nonzero(classes == c)))
+                      for c, u, v in zip(range(1, k + 1), ends[lo:], ends[lo + 1:])]
+        lo += k
     return SceneRecord(np.array(cls_scores), scene.img_label, rows)
 
 

@@ -273,7 +273,10 @@ def test_criterion_2_oracle_equivalences(capsys):
                     tp_seq.append(0)
                 scores.append(float(s))
             # Scores are drawn in descending order: the list is the ranking.
-            ap = average_precision(scores, match_detections(as_boxes(boxes), gts, 0.5), n_gt)
+            # Every detection and gt box is of class 1.
+            tp = match_detections(as_boxes(boxes), np.ones(len(boxes), int), gts,
+                                  np.ones(n_gt, int), 0.5)
+            ap = average_precision(scores, tp, n_gt)
             assert abs(ap - ap_oracle(tp_seq, n_gt)) <= 1e-9
 
     _report(capsys, 2, "exact oracle equivalences (conv, spp, encode_det, AP, iou)", run)

@@ -10,8 +10,10 @@ import math
 import shutil
 from pathlib import Path
 
-from multinet import harness
+from multinet import harness, tasks
 from multinet.synthdata import SceneSpec, generate_dataset
+
+from test_tasks import Prediction, scalar_detections
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,6 +39,14 @@ def test_instrumented_run_reports_every_layer_metric(monkeypatch):
     config = harness.RunConfig(mode="update1", iterations=1, epochs_phase1=1, epochs_phase2=0,
                                proposals=16, channels=8, cls_hidden=16, region_hidden=16,
                                spp_grid=3)
+    scored = []
+    score_scene = tasks.score_scene
+
+    def recorded(cls_scores, regions, proposals, scene, canvas):
+        scored.append((Prediction(cls_scores, regions, proposals), canvas))
+        return score_scene(cls_scores, regions, proposals, scene, canvas)
+
+    monkeypatch.setattr(tasks, "score_scene", recorded)
     tracer = spans.Tracer()
     layers.instrument(tracer)
     try:
@@ -51,6 +61,15 @@ def test_instrumented_run_reports_every_layer_metric(monkeypatch):
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     # max_pool2d and nms ran through their wrappers.
     assert metrics["nnops.max_pool2d.calls"] > 0 and metrics["tasks.nms.calls"] > 0
+    # The nms hook counts boxes considered and kept: its kept fraction is
+    # what the scalar loop keeps of every class of every scored output.
+    kept = considered = 0
+    for pred, canvas in scored:
+        for task, (scores, _) in pred.regions.items():
+            kept += sum(map(len, scalar_detections([pred], task, canvas).values()))
+            considered += (scores.shape[1] - 1) * len(pred.proposals)
+    assert 0 < kept < considered
+    assert metrics["tasks.nms.kept_frac"] == kept / considered
 
 
 def test_fixture_checkpoint_is_the_acceptance_checkpoint():

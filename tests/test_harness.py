@@ -970,6 +970,35 @@ class TestExperiments:
             assert calls == [1] * (2 * n)
             assert res["ungrounded"] == by_t[1]
 
+    def test_grounded_pass_reads_the_true_labels(self):
+        # A grounded pass equals forward(ground_cls=img_label) scored scene by
+        # scene. Here that differs from the ungrounded forward and from one
+        # grounded on all-zero labels, so each would show; ground_experiment's
+        # deltas are grounded - ungrounded.
+        state = self._trained(epochs_phase1=1)
+        net = state.model
+
+        def scored_at_1(label):
+            records = []
+            for i, scene in enumerate(SMALL_SCENES):
+                props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
+                out = net.forward(scene.image, props, ground_cls=label(scene), n_iters=1)[1]
+                regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
+                records.append(
+                    tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))
+            return tasks.evaluate(records, net.cfg.c_cls)
+
+        grounded = scored_at_1(lambda scene: scene.img_label)
+        assert grounded != scored_at_1(lambda scene: None)
+        assert grounded != scored_at_1(lambda scene: np.zeros_like(scene.img_label))
+        assert harness.scored_pass(net, SMALL_SPEC, SMALL_SCENES, [1], ground_cls=True) == {
+            1: grounded}
+        res = harness.ground_experiment(state, SMALL_SPEC, SMALL_SCENES)
+        assert res["grounded"] == grounded
+        deltas = {k: grounded[k] - res["ungrounded"][k] for k in tasks.SUMMARY_KEYS}
+        assert res["deltas"] == deltas
+        assert any(deltas.values())
+
     def test_ground_experiment_shapes(self):
         state = self._trained(epochs_phase1=1)
         res = harness.ground_experiment(state, SMALL_SPEC, SMALL_SCENES)
@@ -1093,6 +1122,18 @@ class TestCli:
             "--t-max", "2", "--out", str(sweep_csv),
         ]) == 0
         assert len(sweep_csv.read_text().splitlines()) == 4
+        capsys.readouterr()
+
+    def test_eval_csv_t_is_the_checkpoint_models_t(self, workdir, capsys):
+        ds, out = workdir / "val.bin", workdir / "m.csv"
+        (workdir / "val.cfg").write_text("version = 1\nscenes = 2\nseed = 7\n")
+        assert cli.main(["generate", "--config", str(workdir / "val.cfg"), "--out", str(ds)]) == 0
+        assert cli.main(["eval", "--checkpoint", str(COMMITTED_CKPT), "--dataset", str(ds),
+                         "--out", str(out)]) == 0
+        t = restore_model(load_checkpoint(COMMITTED_CKPT)).model.cfg.t
+        assert t == 2
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and {row[2] for row in rows} == {str(t)}
         capsys.readouterr()
 
     def test_missing_dataset_fails_with_json_error(self, workdir, capsys):

@@ -410,6 +410,15 @@ class TestNms:
         monkeypatch.setattr(tasks, "NMS_IOU", iou((0, 0, 2, 2), (1, 1, 3, 3)))
         assert nms(boxes, [0.9, 0.8]) == [0, 1]
 
+    def test_threshold_of_one_keeps_every_box(self, monkeypatch):
+        # No IoU exceeds 1, not even a box's own: each box is still taken once.
+        boxes = np.array([[0, 0, 5, 5], [0, 0, 5, 5], [1, 1, 5, 5]], dtype=float)
+        monkeypatch.setattr(tasks, "NMS_IOU", 1.0)
+        assert nms(boxes, [0.2, 0.9, 0.5]) == [1, 2, 0]
+
+    def test_no_boxes(self):
+        assert nms(np.zeros((0, 4)), []) == []
+
     def test_200_random_cases_vs_scalar_loop(self, monkeypatch):
         r = np.random.default_rng(77)
         for case in range(200):
@@ -421,6 +430,23 @@ class TestNms:
             thresh = ious[r.integers(n), r.integers(n)] if case % 4 == 0 else r.uniform(0.0, 0.8)
             monkeypatch.setattr(tasks, "NMS_IOU", thresh)
             assert nms(boxes, scores) == scalar_nms(boxes, scores, thresh)
+
+    @pytest.mark.parametrize("m", [1, 3, 64, 80])
+    def test_sets_each_equal_scalar_loop(self, monkeypatch, m):
+        # C sets at once keep, set after set, what the scalar loop keeps of
+        # each set on its own; 80 boxes take more than one 64-bit word.
+        r = np.random.default_rng(m)
+        for case in range(12):
+            c = int(r.integers(1, 6))
+            boxes = random_boxes(r, c * m)
+            boxes[r.integers(c * m, size=m // 2)] = boxes[r.integers(c * m)]  # duplicates
+            scores = np.round(r.uniform(size=(c, m)), 1)
+            sets = boxes.reshape(c, m, 4)
+            ious = iou_matrix(sets[0], sets[0])
+            thresh = ious[r.integers(m), r.integers(m)] if case % 3 == 0 else r.uniform(0.0, 0.8)
+            monkeypatch.setattr(tasks, "NMS_IOU", thresh)
+            want = [s * m + i for s in range(c) for i in scalar_nms(sets[s], scores[s], thresh)]
+            assert nms(boxes, scores) == want
 
 
 def ap_oracle(tp_sequence, n_gt):
@@ -452,7 +478,9 @@ def _ap(dets, gts, thresh=0.5):
     boxes = as_boxes([b for b, _ in dets])
     scores = np.array([s for _, s in dets], dtype=float)
     order = np.argsort(-scores, kind="stable")
-    return average_precision(scores[order], match_detections(boxes[order], gts, thresh), len(gts))
+    tp = match_detections(boxes[order], np.ones(len(boxes), int), gts, np.ones(len(gts), int),
+                          thresh)
+    return average_precision(scores[order], tp, len(gts))
 
 
 class TestAveragePrecision:
@@ -518,7 +546,8 @@ class TestAveragePrecision:
         g = as_boxes([_far_box(0)])
         gts = [g, g, np.zeros((0, 4))]
         # Image 1's copy of g is a hit; image 2 has no ground truth.
-        tp = np.concatenate([match_detections(g, gt, 0.5) for gt in gts])
+        tp = np.concatenate([match_detections(g, [1], gt, np.ones(len(gt), int), 0.5)
+                             for gt in gts])
         got = average_precision([0.9, 0.8, 0.7], tp, 2)
         assert got == ap_oracle([1, 1, 0], 2)
 
@@ -665,23 +694,31 @@ def scalar_average_precision(dets, gts, iou_thresh):
     return average_precision(*scalar_ranking(dets, gts, iou_thresh), n_gt)
 
 
+def scalar_boxes(pred, task, k, canvas=64):
+    """Every proposal of `pred` decoded with class k's deltas of `task` and
+    clipped to the canvas, one box at a time."""
+    deltas = pred.regions[task][1]
+    boxes = []
+    for m, prop in enumerate(pred.proposals):
+        b = scalar_decode(prop, deltas[m, 4 * k : 4 * k + 4])
+        x1 = min(max(b[0], 0.0), canvas - 1.0)
+        y1 = min(max(b[1], 0.0), canvas - 1.0)
+        x2 = min(max(b[2], x1 + 1e-3), float(canvas))
+        y2 = min(max(b[3], y1 + 1e-3), float(canvas))
+        boxes.append((x1, y1, x2, y2))
+    return boxes
+
+
 def scalar_detections(preds, task, canvas=64):
     """Class k -> the (box, score, image) detections NMS keeps, with every
     proposal decoded, clipped and suppressed one box at a time."""
     k_max = preds[0].regions[task][0].shape[1] - 1
     dets = {k: [] for k in range(1, k_max + 1)}
     for img, p in enumerate(preds):
-        scores, deltas = p.regions[task]
+        scores = p.regions[task][0]
         for k in range(1, k_max + 1):
-            boxes, ss = [], []
-            for m, prop in enumerate(p.proposals):
-                b = scalar_decode(prop, deltas[m, 4 * k : 4 * k + 4])
-                x1 = min(max(b[0], 0.0), canvas - 1.0)
-                y1 = min(max(b[1], 0.0), canvas - 1.0)
-                x2 = min(max(b[2], x1 + 1e-3), float(canvas))
-                y2 = min(max(b[3], y1 + 1e-3), float(canvas))
-                boxes.append((x1, y1, x2, y2))
-                ss.append(float(scores[m, k]))
+            boxes = scalar_boxes(p, task, k, canvas)
+            ss = [float(v) for v in scores[:, k]]
             for i in scalar_nms(boxes, ss, tasks.NMS_IOU):
                 dets[k].append((boxes[i], ss[i], img))
     return dets
@@ -805,3 +842,124 @@ class TestEvaluateMatchesScalarScoring:
             got = evaluate([_record(p, s) for p, s in zip(preds, scenes)], spec.n_classes)
             assert got == scalar_evaluate(preds, scenes, spec.n_classes)
             assert got["det_ap"] > 0.5
+
+
+class GroundTruth(NamedTuple):
+    """The fields of a Scene that scoring reads."""
+
+    object_classes: np.ndarray
+    object_boxes: np.ndarray
+    part_classes: np.ndarray
+    part_boxes: np.ndarray
+    img_label: np.ndarray
+
+
+def _ground_truth(objects=(), parts=()):
+    """A GroundTruth of (class, box) objects and parts."""
+    def split(pairs):
+        return (np.array([c for c, _ in pairs], dtype=np.int64),
+                as_boxes([b for _, b in pairs]))
+
+    return GroundTruth(*split(objects), *split(parts), np.ones(3, dtype=np.int64))
+
+
+def scalar_scene_regions(pred, scene, canvas=64):
+    """Task -> per class k >= 1: the scores `scalar_nms` keeps in keep order,
+    their true-positive flags from the one-detection-at-a-time first-best-gt
+    matcher, and the scene's gt count of class k."""
+    out = {}
+    for name in pred.regions:
+        task = tasks.REGION_TASKS[name]
+        rows = []
+        for k, kept in scalar_detections([pred], name, canvas).items():
+            gts = _scalar_gts(task, scene, k)
+            scores, tp = scalar_ranking(kept, {0: gts}, task.match_iou)
+            rows.append((scores, tp.tolist(), len(gts)))
+        out[name] = rows
+    return out
+
+
+def _scored_regions(pred, scene):
+    return {name: [(s.tolist(), tp.tolist(), n) for s, tp, n in rows]
+            for name, rows in _record(pred, scene).regions.items()}
+
+
+def _tricky_prediction(r, m, n_det=5, n_part=10):
+    """Outputs of m proposals on a coarse grid, some of them duplicates.
+    Half the deltas are 0, so that duplicates still decode to one box; the
+    scores are rounded to 0.1, so that they tie."""
+    props = random_boxes(r, m, span=40.0) + r.integers(0, 3, (m, 1)) * 10.0
+    props[r.integers(m, size=m // 3)] = props[r.integers(m)]
+    regions = {}
+    for task, k in (("det", n_det), ("part", n_part)):
+        deltas = r.normal(0.0, 0.3, (m, 4 * (k + 1))) * (r.uniform(size=(m, 4 * (k + 1))) < 0.5)
+        regions[task] = (np.round(r.uniform(size=(m, k + 1)), 1).astype(np.float32),
+                         deltas.astype(np.float32))
+    return Prediction(r.uniform(size=3), regions, props)
+
+
+def _tricky_ground_truth(r, pred, n_det=5, n_part=10):
+    """0-4 gt boxes per task of random classes, so that some classes have
+    none and some several; most are proposals, so that detections hit."""
+    def draw(k):
+        pairs = []
+        for _ in range(r.integers(0, 5)):
+            box = (pred.proposals[r.integers(len(pred.proposals))] if r.uniform() < 0.7
+                   else random_boxes(r, 1, span=40.0)[0])
+            pairs.append((int(r.integers(1, k + 1)), tuple(box)))
+        return pairs
+
+    return _ground_truth(draw(n_det), draw(n_part))
+
+
+class TestScoreSceneMatchesPerClassOracle:
+    """`score_scene` suppresses and matches every class of both tasks in one
+    pass; each class's record equals the per-class scalar NMS and matcher."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 80])
+    def test_random_outputs(self, monkeypatch, m):
+        r = np.random.default_rng(100 + m)
+        for case in range(8):
+            pred = _tricky_prediction(r, m)
+            scene = _tricky_ground_truth(r, pred)
+            if case % 2:  # an IoU that occurs between two boxes of one class
+                boxes = scalar_boxes(pred, "part", int(r.integers(1, 11)))
+                a, b = r.integers(m, size=2)
+                monkeypatch.setattr(tasks, "NMS_IOU", scalar_iou(boxes[a], boxes[b]))
+            else:
+                monkeypatch.setattr(tasks, "NMS_IOU", 0.3)
+            assert _scored_regions(pred, scene) == scalar_scene_regions(pred, scene)
+            det_only = pred._replace(regions={"det": pred.regions["det"]})
+            assert _scored_regions(det_only, scene) == scalar_scene_regions(det_only, scene)
+
+    def test_edge_cases(self):
+        props = as_boxes([
+            (0, 0, 10, 1), (0, 0, 3, 1),  # IoU 3 / 10: exactly NMS_IOU
+            (20, 0, 30, 6), (20, 4, 30, 10),  # IoU 0.2; each 0.6 with (20, 0, 30, 10)
+            (40, 40, 50, 50), (40, 40, 50, 50),  # identical
+        ])
+        assert iou(props[0], props[1]) == tasks.NMS_IOU
+        det_scores = np.zeros((6, 4))
+        det_scores[:, 1] = [0.9, 0.8, 0.1, 0.1, 0.1, 0.1]
+        det_scores[:, 2] = [0.3, 0.7, 0.5, 0.7, 0.2, 0.6]
+        det_scores[:, 3] = 0.5
+        det_deltas = np.zeros((6, 16))
+        # Class 2 moves every proposal onto one box: all suppress to one.
+        det_deltas[:, 8:12] = bbox_encode(props, np.array([20.0, 20.0, 30.0, 30.0]))
+        part_scores = np.zeros((6, 3))
+        part_scores[:, 1] = [0.0, 0.0, 0.7, 0.6, 0.0, 0.0]
+        part_scores[:, 2] = [0.1, 0.1, 0.1, 0.1, 0.4, 0.4]  # tied and identical
+        pred = Prediction(np.ones(3), {"det": (det_scores, det_deltas),
+                                       "part": (part_scores, np.zeros((6, 12)))}, props)
+        scene = _ground_truth(objects=[(1, (0, 0, 10, 1)), (1, (0, 0, 3, 1))],  # class 3: none
+                              parts=[(1, (20, 0, 30, 10)), (2, (40, 40, 50, 50))])
+        got = _scored_regions(pred, scene)
+        assert got == scalar_scene_regions(pred, scene)
+        det, part = got["det"], got["part"]
+        assert det[0] == ([0.9, 0.8, 0.1, 0.1, 0.1], [1.0, 1.0, 0.0, 0.0, 0.0], 2)
+        assert det[1] == ([0.7], [0.0], 0)  # the first of the tied best
+        assert det[2] == ([0.5] * 5, [0.0] * 5, 0)  # no gt: every detection misses
+        # Both detections overlap the one part gt best; the second is a duplicate.
+        assert part[0] == ([0.7, 0.6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], 1)
+        assert part[1] == ([0.4, 0.1, 0.1, 0.1, 0.1], [1.0, 0.0, 0.0, 0.0, 0.0], 1)
+
