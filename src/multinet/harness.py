@@ -293,24 +293,35 @@ def _task_header(cfg: TaskConfig) -> dict:
     return {**dataclasses.asdict(cfg), "stride": STRIDE}
 
 
+@dataclass
+class CheckpointHeader:
+    """A checkpoint's JSON header: the six keys `save_checkpoint` writes."""
+    run_config: dict
+    task_config: dict
+    epoch: int = bounded(least=0)
+    rng_state: dict
+    optimizer: dict = bounded(choices=({},))  # plain SGD carries no state
+    history: list  # per-epoch mean loss
+
+    def __post_init__(self):
+        schema.check(self)
+        for i, loss in enumerate(self.history):
+            schema.check_value(f"history[{i}]", "float", loss, {})
+        try:
+            seed_rng(0).bit_generator.state = self.rng_state
+        except (TypeError, ValueError, LookupError, OverflowError) as e:
+            raise ConfigError(f"rng_state is not a PCG64 state: {e}") from None
+
+
 def save_checkpoint(state: TrainState, path) -> None:
-    header = {
-        "run_config": dataclasses.asdict(state.config),
-        "task_config": _task_header(state.model.cfg),
-        "epoch": state.epoch,
-        "rng_state": state.rng_state,
-        "optimizer": {},  # plain SGD carries no state
-        "history": state.history,
-    }
+    header = CheckpointHeader(dataclasses.asdict(state.config), _task_header(state.model.cfg),
+                              state.epoch, state.rng_state, {}, state.history)
     records = state.model.records()
-    chunks = [container.blob(json.dumps(header, sort_keys=True).encode()),
+    chunks = [container.blob(json.dumps(dataclasses.asdict(header), sort_keys=True).encode()),
               container.u32(len(records))]
     for name, data, mult in records:
-        chunks.append(container.blob(name.encode()))
-        chunks.append(struct.pack("<d", mult))
-        chunks.append(container.u32(data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(container.f8(data))
+        chunks += [container.blob(name.encode()), struct.pack("<d", mult), container.u32(data.ndim),
+                   struct.pack(f"<{data.ndim}I", *data.shape), container.f8(data)]
     container.write(path, CKPT_MAGIC, CKPT_VERSION, chunks)
 
 
@@ -341,76 +352,40 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_model(ckpt: dict) -> TrainState:
-    """The checkpoint's training state: the network its `run_config` builds
-    for its `task_config`'s class counts and canvas, which that `task_config`
-    must describe, or TrainingError names the field that is unknown, missing,
-    of the wrong type, out of bounds or different, or the parameter record
-    that is not the model's, misshapen, non-finite or of another lr multiplier.
-    The header must hold every key `save_checkpoint` writes and no other, and
-    its `optimizer` must be {} (plain SGD keeps no state)."""
-    required = ("run_config", "task_config", "epoch", "rng_state", "optimizer", "history")
-    missing = [name for name in required if name not in ckpt]
-    if missing:
-        raise TrainingError(f"the checkpoint header has no {missing[0]!r}")
-    unknown = sorted(set(ckpt) - {*required, "params"})
-    if unknown:
-        raise TrainingError(f"the checkpoint header has an unknown key {unknown[0]!r}")
-    if ckpt["optimizer"] != {}:
-        raise TrainingError(f"the checkpoint header: optimizer must be {{}} for plain SGD, "
-                            f"got {ckpt['optimizer']!r}")
-    history = ckpt["history"]
+    """The checkpoint's training state, built from its records with nothing
+    drawn: the network its `run_config` builds for its `task_config`'s class
+    counts and canvas, which that `task_config` must describe. TrainingError
+    names the header key, field or record that is unknown, missing or wrong."""
     try:
-        for section in ("run_config", "task_config"):
-            if not isinstance(ckpt[section], dict):
-                raise ConfigError(f"{section} must be a JSON object, got {ckpt[section]!r}")
-        schema.check_value("epoch", "int", ckpt["epoch"], {"least": 0})
-        if not isinstance(history, list):
-            raise ConfigError(f"history must be a list, got {history!r}")
-        for i, loss in enumerate(history):
-            schema.check_value(f"history[{i}]", "float", loss, {})
+        header = schema.from_json(CheckpointHeader,
+                                  {k: v for k, v in ckpt.items() if k != "params"})
     except ConfigError as e:
         raise TrainingError(f"the checkpoint header: {e}") from None
     try:
-        seed_rng(0).bit_generator.state = ckpt["rng_state"]
-    except (TypeError, ValueError, LookupError, OverflowError) as e:
-        raise TrainingError(f"the checkpoint header: rng_state is not a PCG64 state: {e}") from None
-    fields, header = ckpt["run_config"], ckpt["task_config"]
-    names = [f.name for f in dataclasses.fields(RunConfig)]
-    unknown = sorted(set(fields) - set(names))
-    if unknown:
-        raise TrainingError(f"the checkpoint's run_config has an unknown key {unknown[0]!r}")
-    missing = [name for name in names if name not in fields]
-    if missing:
-        raise TrainingError(f"the checkpoint's run_config has no {missing[0]!r}")
-    try:
-        config = RunConfig(**fields)
+        config = schema.from_json(RunConfig, header.run_config)
     except ConfigError as e:
         raise TrainingError(f"the checkpoint's run_config: {e}") from None
+    fields = header.task_config
     try:
-        cfg = _task_config(config, {name: header[name] for name in ("c_cls", "c_part", "canvas")})
+        cfg = _task_config(config, {name: fields[name] for name in ("c_cls", "c_part", "canvas")})
     except KeyError as e:
         raise TrainingError(f"the checkpoint's task_config has no {e.args[0]!r}") from None
     except ConfigError as e:
         raise TrainingError(f"the checkpoint's task_config: {e}") from None
     built = _task_header(cfg)
-    _check_model_fits(built, {**dict.fromkeys(built), **header}, "the checkpoint's task_config",
+    _check_model_fits(built, {**dict.fromkeys(built), **fields}, "the checkpoint's task_config",
                       "the network its run_config builds")
-    model = Multinet(cfg, seed=config.seed)
-    params, records = ckpt["params"], model.records()
-    extra = set(params) - {name for name, _, _ in records}
-    if extra:
-        raise TrainingError(f"checkpoint parameter {min(extra)!r} is not in the model")
-    for name, want, mult in records:
-        data, stored = params.get(name, (None, mult))
-        fault = ("is missing" if data is None
-                 else "has wrong shape" if data.shape != want.shape
-                 else "has non-finite values" if not np.isfinite(data).all()
-                 else f"has lr multiplier {stored!r}, the network's is {mult!r}" if stored != mult
-                 else None)
-        if fault:
-            raise TrainingError(f"checkpoint parameter {name!r} {fault}")
-    model.load_records({name: data for name, (data, _) in params.items()})  # to float32
-    return TrainState(model, config, ckpt["epoch"], ckpt["rng_state"], list(history))
+    try:
+        model = Multinet(cfg, records={name: data for name, (data, _) in ckpt["params"].items()})
+    except TensorError as e:
+        raise TrainingError(f"checkpoint {e}") from None
+    mults = {name.partition(":")[0]: mult for name, _, mult in model.params.items()}
+    for name, (_, stored) in ckpt["params"].items():
+        if stored != mults.get(name):
+            raise TrainingError(f"checkpoint parameter {name!r} " + (
+                "is not in the model" if name not in mults
+                else f"has lr multiplier {stored!r}, the network's is {mults[name]!r}"))
+    return TrainState(model, config, header.epoch, header.rng_state, list(header.history))
 
 
 # ---- evaluation ----------------------------------------------------------

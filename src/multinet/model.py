@@ -142,27 +142,42 @@ def fc1_rows(cfg: TaskConfig) -> dict:
     return {"image": layout[:, : cfg.channels].ravel(), "task": layout[:, cfg.channels :].ravel()}
 
 
+def _record(records: dict, name: str, shape: tuple) -> np.ndarray:
+    """Record `name` rounded to float32, or TensorError naming it if it is
+    missing, not of `shape` or non-finite once rounded."""
+    data = records.get(name)
+    if data is None or np.shape(data) != shape:
+        fault = "is missing" if data is None else "has wrong shape"
+        raise TensorError(f"parameter {name!r} {fault}")
+    with np.errstate(over="ignore"):  # an overflow rounds to inf, refused below
+        data = np.array(data, np.float32)
+    if not np.isfinite(data).all():
+        raise TensorError(f"parameter {name!r} has non-finite values")
+    return data
+
+
 class Multinet:
     """The full network for one task configuration.
 
     Parameters are created once and shared across all recurrent iterations,
     so the parameter count is independent of the recursion depth. They are
-    float32: each is drawn in float64 and rounded once, and the network
+    float32: each is drawn in float64 from `seed`, or is its entry of
+    `records` (as `records()` names them), rounded once, and the network
     computes in their dtype (`dtype`), to which `forward` casts its inputs.
     A stacking-mode region fc1 weight is two parameters,
     `<task>.fc1.weight:image` and `<task>.fc1.weight:task`, which
     checkpoints record as the one stacked weight (`records`).
     """
 
-    def __init__(self, cfg: TaskConfig, seed: int = 0):
+    def __init__(self, cfg: TaskConfig, seed: int = 0, records: dict | None = None):
         self.cfg = cfg
         self.params = ParamGroup()
         self.grid = SppGrid(cfg.spp_grid, STRIDE)
-        rng = seed_rng(seed, 0xC0FFEE)
+        source = seed_rng(seed, 0xC0FFEE) if records is None else records
         c = cfg.channels
         widths = [3, max(c // 2, 4), c, c, c]  # RGB in, then each conv's output
         self.backbone = [
-            (self._layer(rng, f"backbone.conv{i + 1}", (3, 3, *widths[i : i + 2])), pool)
+            (self._layer(source, f"backbone.conv{i + 1}", (3, 3, *widths[i : i + 2])), pool)
             for i, pool in enumerate(_POOLED)
         ]
 
@@ -170,58 +185,62 @@ class Multinet:
         # Image-classification head: global max pool, two hidden FCs, a
         # sigmoid output layer (final layer Gaussian std 0.01).
         hc = cfg.cls_hidden
-        self.cls_fc1 = self._layer(rng, "cls.fc1", (dc, hc))
-        self.cls_fc2 = self._layer(rng, "cls.fc2", (hc, hc))
-        self.cls_out = self._layer(rng, "cls.out", (hc, cfg.c_cls), std=0.01)
+        self.cls_fc1 = self._layer(source, "cls.fc1", (dc, hc))
+        self.cls_fc2 = self._layer(source, "cls.fc2", (hc, hc))
+        self.cls_out = self._layer(source, "cls.out", (hc, cfg.c_cls), std=0.01)
 
         # Region heads (shared structure for objects and parts): SPP,
         # two hidden FCs, softmax scores (std 0.01) + box deltas (std 0.001).
         din = cfg.spp_grid * cfg.spp_grid * dc
         hr = cfg.region_hidden
         self.region_heads = {
-            task: self._region_head(rng, task, din, hr, k + 1)
+            task: self._region_head(source, task, din, hr, k + 1)
             for task, k in cfg.region_classes.items()
         }
 
         self.bottleneck = None
         if cfg.mode == "update2":
             cin = c + cfg.stacked_channels  # h_prev stacked with image + task maps
-            self.bottleneck = self._layer(rng, "bottleneck", (1, 1, cin, c), std=0.01)
+            self.bottleneck = self._layer(source, "bottleneck", (1, 1, cin, c), std=0.01)
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which every op of the network follows."""
         return self.params["backbone.conv1.filters"].data.dtype
 
-    def _layer(self, rng, name, shape, std=None, blocks=None) -> Layer:
-        """Add layer `name`'s weight of `shape`, then its zero bias, as float32
-        parameters. The weight is one float64 Gaussian draw with std `std`,
-        or He's sqrt(2 / fan-in) with fan-in the product of every axis but
-        the last, rounded to float32 once. A conv's weight is named
-        `filters`. With `blocks` (`fc1_rows`), each block of the weight's rows
-        is its own parameter `<name>.weight:<block>`, and the layer holds the
-        first."""
-        std = np.sqrt(2.0 / math.prod(shape[:-1])) if std is None else std
-        w = (std * rng.standard_normal(shape)).astype(np.float32)
+    def _layer(self, source, name, shape, std=None, blocks=None) -> Layer:
+        """Add layer `name`'s weight of `shape`, then its bias, as float32
+        parameters; a conv's weight is named `filters`. From a records dict
+        `source` each is its record (`_record`); from a Generator the weight is
+        one float64 Gaussian draw with std `std`, or He's sqrt(2 / fan-in) with
+        fan-in the product of every axis but the last, rounded once, and the bias
+        is zero. With `blocks` (`fc1_rows`), each block of the weight's rows is
+        its own parameter `<name>.weight:<block>`, and the layer holds the first."""
         kind = "filters" if len(shape) == 4 else "weight"
+        if isinstance(source, dict):
+            w = _record(source, f"{name}.{kind}", shape)
+            bias = _record(source, f"{name}.bias", shape[-1:])
+        else:
+            std = np.sqrt(2.0 / math.prod(shape[:-1])) if std is None else std
+            w = (std * source.standard_normal(shape)).astype(np.float32)
+            bias = np.zeros(shape[-1], np.float32)
         parts = {"": w} if blocks is None else {f":{b}": w[rows] for b, rows in blocks.items()}
         weights = [self.params.add(f"{name}.{kind}{key}", Tensor(part), 1.0)
                    for key, part in parts.items()]
-        bias = self.params.add(f"{name}.bias", Tensor(np.zeros(shape[-1], np.float32)), 2.0)
-        return Layer(weights[0], bias)
+        return Layer(weights[0], self.params.add(f"{name}.bias", Tensor(bias), 2.0))
 
-    def _region_head(self, rng, name, din, hidden, k1):
+    def _region_head(self, source, name, din, hidden, k1):
         # With the stacking integrator fc1's weight is held as the blocks the
         # forward reads: the image block with the bias, and the task block.
         stacked = self.cfg.mode in _STACKED_MODES
-        fc1 = self._layer(rng, f"{name}.fc1", (din, hidden),
+        fc1 = self._layer(source, f"{name}.fc1", (din, hidden),
                           blocks=fc1_rows(self.cfg) if stacked else None)
         return {
             "fc1": fc1,
             "fc1_task": self.params[f"{name}.fc1.weight:task"] if stacked else None,
-            "fc2": self._layer(rng, f"{name}.fc2", (hidden, hidden)),
-            "score": self._layer(rng, f"{name}.score", (hidden, k1), std=0.01),
-            "delta": self._layer(rng, f"{name}.delta", (hidden, 4 * k1), std=0.001),
+            "fc2": self._layer(source, f"{name}.fc2", (hidden, hidden)),
+            "score": self._layer(source, f"{name}.score", (hidden, k1), std=0.01),
+            "delta": self._layer(source, f"{name}.delta", (hidden, 4 * k1), std=0.001),
         }
 
     # ---- checkpoint records ---------------------------------------------
@@ -242,16 +261,6 @@ class Multinet:
             else:
                 out.append((record, t.data, mult))
         return out
-
-    def load_records(self, arrays: dict) -> None:
-        """Set every parameter from `arrays`, record name -> array in the
-        shapes `records` gives, rounded to the parameters' dtype."""
-        for name, t, _mult in self.params.items():
-            record, _, block = name.partition(":")
-            data = arrays[record]
-            if block:
-                data = data[fc1_rows(self.cfg)[block]]
-            t.data[...] = data
 
     # ---- encoders -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """One type-and-bound table for every config, spec and header field.
 
-A dataclass field's annotation, `int`, `float`, `bool` or `str`, is its
-type; its metadata may bound it with `least`, `most` or `choices`.
+A dataclass field's annotation, `int`, `float`, `bool`, `str`, `dict` or
+`list`, is its type; its metadata may bound it with `least`, `most` or `choices`.
 """
 
 import dataclasses
@@ -12,8 +12,8 @@ class ConfigError(ValueError):
     """Malformed config, spec or header value; the message names its key or field."""
 
 
-def bounded(default, **bounds):
-    """A dataclass field with `default` and the bounds `least`, `most` or `choices`."""
+def bounded(default=dataclasses.MISSING, **bounds):
+    """A dataclass field with `default`, if any, and the bounds `least`, `most` or `choices`."""
     return dataclasses.field(default=default, metadata=bounds)
 
 
@@ -28,12 +28,27 @@ def _parse_bool(raw: str) -> bool:
 # Annotation (a string: the package defers annotations) -> (the Python types
 # a value may have, its `key = value` parser).
 _TYPES = {"int": (int, int), "float": ((int, float), float), "bool": (bool, _parse_bool),
-          "str": (str, str)}
+          "str": (str, str), "dict": (dict, None), "list": (list, None)}
 
 
 def parsers(cls) -> dict:
     """The `key = value` parser of each field of dataclass `cls`, by name."""
     return {f.name: _TYPES[f.type][1] for f in dataclasses.fields(cls)}
+
+
+def from_json(cls, obj):
+    """`cls(**obj)` for a JSON object `obj` of exactly the fields of dataclass
+    `cls`; ConfigError names the first unknown key or missing field."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected a JSON object, got {obj!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ConfigError(f"missing key {missing[0]!r}")
+    return cls(**obj)
 
 
 def check(obj) -> None:
@@ -52,7 +67,7 @@ def check_value(name: str, kind: str, value, bounds) -> None:
     if value not in bounds.get("choices", (value,)):
         raise ConfigError(f"{name} must be one of "
                           f"{', '.join(map(str, bounds['choices']))}, got {value!r}")
-    if value < bounds.get("least", value):
+    if "least" in bounds and value < bounds["least"]:
         raise ConfigError(f"{name} must be at least {bounds['least']}, got {value}")
-    if value > bounds.get("most", value):
+    if "most" in bounds and value > bounds["most"]:
         raise ConfigError(f"{name} must be at most {bounds['most']}, got {value}")

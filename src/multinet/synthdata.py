@@ -276,8 +276,8 @@ def read_dataset(path):
     that is non-finite or outside [0, 1] included."""
     r = container.Reader(path, MAGIC, VERSION, DatasetError, "dataset")
     try:
-        spec = SceneSpec(**json.loads(r.blob().decode()))
-    except (ValueError, TypeError) as e:
+        spec = schema.from_json(SceneSpec, json.loads(r.blob().decode()))
+    except ValueError as e:
         r.fail(f"bad spec header: {e}")
     scenes = []
     for i in range(r.u32()):

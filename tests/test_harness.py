@@ -60,13 +60,12 @@ BAD_HEADER_VALUES = [
     pytest.param({"epoch": "2"}, "epoch must be of type int, got '2'", id="str-epoch"),
     pytest.param({"epoch": -1}, "epoch must be at least 0, got -1", id="negative-epoch"),
     pytest.param({"epoch": True}, "epoch must be of type int, got True", id="bool-epoch"),
-    pytest.param({"history": 5}, "history must be a list, got 5", id="int-history"),
+    pytest.param({"history": 5}, "history must be of type list, got 5", id="int-history"),
     pytest.param({"history": ["x"]}, "history[0] must be of type float, got 'x'",
                  id="str-history-entry"),
     pytest.param({"history": [1.0, float("nan")]},
                  "history[1] must be finite and non-negative, got nan", id="nan-history-entry"),
-    pytest.param({"rng_state": 5}, "rng_state is not a PCG64 state: state must be a dict",
-                 id="int-rng-state"),
+    pytest.param({"rng_state": 5}, "rng_state must be of type dict, got 5", id="int-rng-state"),
     pytest.param({"rng_state": {"bit_generator": "MT19937"}},
                  "rng_state is not a PCG64 state: state must be for a PCG64 RNG",
                  id="other-rng-state"),
@@ -79,16 +78,16 @@ BAD_HEADER_VALUES = [
 # section of another type escaped as a bare TypeError.
 INCOMPLETE_HEADERS = [
     pytest.param(lambda h: h["run_config"].pop("seed"),
-                 "the checkpoint's run_config has no 'seed'", id="no-seed"),
-    pytest.param(lambda h: h.pop("history"), "the checkpoint header has no 'history'",
+                 "the checkpoint's run_config: missing key 'seed'", id="no-seed"),
+    pytest.param(lambda h: h.pop("history"), "the checkpoint header: missing key 'history'",
                  id="no-history"),
-    pytest.param(lambda h: h.pop("optimizer"), "the checkpoint header has no 'optimizer'",
+    pytest.param(lambda h: h.pop("optimizer"), "the checkpoint header: missing key 'optimizer'",
                  id="no-optimizer"),
     pytest.param(lambda h: h.update(run_config=5),
-                 "the checkpoint header: run_config must be a JSON object, got 5",
+                 "the checkpoint header: run_config must be of type dict, got 5",
                  id="int-run-config"),
     pytest.param(lambda h: h.update(task_config=[1]),
-                 "the checkpoint header: task_config must be a JSON object, got [1]",
+                 "the checkpoint header: task_config must be of type dict, got [1]",
                  id="list-task-config"),
 ]
 
@@ -483,15 +482,30 @@ class TestCheckpoints:
          "'det.delta.weight' has lr multiplier -3.0, the network's is 1.0"),
         (lambda p: p.update({"cls.out.bias": (p["cls.out.bias"][0], 1.0)}),
          "'cls.out.bias' has lr multiplier 1.0, the network's is 2.0"),
-    ], ids=["nan-weight", "inf-filter", "negative-lr-mult", "bias-lr-mult"])
+        (lambda p: np.put(p["det.delta.weight"][0], 0, 1e39),
+         "'det.delta.weight' has non-finite values"),
+    ], ids=["nan-weight", "inf-filter", "negative-lr-mult", "bias-lr-mult", "float32-overflow"])
     def test_restore_refuses_a_record_it_would_not_train(self, small_ckpt, edit, message):
         # Before, each of these restored silently: the multiplier was dropped,
-        # and a NaN surfaced only in the first forward, naming neither the
-        # parameter nor the file.
+        # a NaN surfaced only in the first forward, naming neither the
+        # parameter nor the file, and a finite float64 beyond float32's range
+        # restored as inf.
         ckpt = load_checkpoint(small_ckpt)
         edit(ckpt["params"])
         with pytest.raises(TrainingError, match=f"^checkpoint parameter {re.escape(message)}$"):
             restore_model(ckpt)
+
+    def test_restore_draws_nothing(self, monkeypatch):
+        # Each parameter is its record rounded to float32 once. Before, restore
+        # drew a whole random init and then overwrote it.
+        def refuse(*args):
+            raise AssertionError("restore_model drew a parameter init")
+
+        monkeypatch.setattr(model, "seed_rng", refuse)
+        ckpt = load_checkpoint(COMMITTED_CKPT)
+        state = restore_model(ckpt)
+        for name, data, _ in state.model.records():
+            assert data.tobytes() == ckpt["params"][name][0].astype(np.float32).tobytes(), name
 
     @pytest.mark.parametrize("edit, message", [
         # The backbone's three pooling stages fix the stride at 8.
@@ -502,17 +516,17 @@ class TestCheckpoints:
         (lambda h: h["task_config"].pop("canvas"), "the checkpoint's task_config has no 'canvas'"),
         (lambda h: h["task_config"].update(colour=1),
          "colour is 1 in the checkpoint's task_config, None in the network its run_config builds"),
-        (lambda h: h.pop("epoch"), "the checkpoint header has no 'epoch'"),
-        (lambda h: h.pop("run_config"), "the checkpoint header has no 'run_config'"),
+        (lambda h: h.pop("epoch"), "the checkpoint header: missing key 'epoch'"),
+        (lambda h: h.pop("run_config"), "the checkpoint header: missing key 'run_config'"),
         (lambda h: h["run_config"].update(colour=1),
-         "the checkpoint's run_config has an unknown key 'colour'"),
+         "the checkpoint's run_config: unknown key 'colour'"),
         (lambda h: h["run_config"].update(mode="x"), "the checkpoint's run_config: mode must be "
                                                      "one of shared, update1, update2, got 'x'"),
         (lambda h: h["run_config"].update(version=2),
          "the checkpoint's run_config: version must be one of 1, got 2"),
         (lambda h: h["task_config"].update(c_cls="5"),
          "the checkpoint's task_config: c_cls must be of type int, got '5'"),
-        (lambda h: h.update(colour=1), "the checkpoint header has an unknown key 'colour'"),
+        (lambda h: h.update(colour=1), "the checkpoint header: unknown key 'colour'"),
         # `load_checkpoint` refuses these, naming the file.
         (lambda h: h.update(not_an_object=True),
          "checkpoint {path}: the header is not a JSON object"),
@@ -531,7 +545,8 @@ class TestCheckpoints:
         # Plain SGD keeps no state; before, a momentum entry restored and was
         # ignored.
         path = edited_checkpoint(tmp_path, lambda h: h.update(optimizer=optimizer))
-        want = f"the checkpoint header: optimizer must be {{}} for plain SGD, got {optimizer!r}"
+        rule = "one of {}" if isinstance(optimizer, dict) else "of type dict"
+        want = f"the checkpoint header: optimizer must be {rule}, got {optimizer!r}"
         with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
             restore_model(load_checkpoint(path))
 
@@ -673,9 +688,9 @@ class TestFixtureEvalPin:
             {"t": t, **row} for t in range(5)]
 
 
-def _copy_two_task_weights(src: Multinet, dst: Multinet):
-    """Copy a part-free network's weights into the corresponding channel
-    positions of a three-task network, zeroing the part-channel rows."""
+def _copy_two_task_weights(src: Multinet, dst: Multinet) -> Multinet:
+    """The three-task network `dst` with a part-free network's weights in the
+    corresponding channel positions, zeroing the part-channel rows."""
     dc_src = src.cfg.decoder_channels
     g2 = dst.cfg.spp_grid ** 2
     hid = dst.cfg.region_hidden
@@ -693,7 +708,7 @@ def _copy_two_task_weights(src: Multinet, dst: Multinet):
             arrays[name] = w.reshape(data.shape)
         else:
             arrays[name] = source[name]
-    dst.load_records(arrays)
+    return Multinet(dst.cfg, records=arrays)
 
 
 class TestNonFiniteBoxes:
@@ -717,9 +732,8 @@ class TestTwoTaskGradientMatch:
         cfg3 = TaskConfig(c_cls=5, c_part=10, m=16, t=0, mode="shared", canvas=32,
                           channels=8, cls_hidden=16, region_hidden=16, spp_grid=3)
         cfg2 = dataclasses.replace(cfg3, c_part=0)
-        net3 = Multinet(cfg3, seed=0)
         net2 = Multinet(cfg2, seed=1)  # different init; weights get copied over
-        _copy_two_task_weights(net2, net3)
+        net3 = _copy_two_task_weights(net2, Multinet(cfg3, seed=0))
 
         config3 = small_config(mode="shared", weight_part=0.0)
         config2 = small_config(mode="shared")
@@ -1033,6 +1047,42 @@ class TestExperiments:
             write_csv(p, tasks.METRIC_CSV_COLUMNS, rows)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestCompareModes:
+    """`compare_modes` over three seeds: each row is `train_and_eval_mode` at
+    its seed, which trains as that seed, and each median is `np.median` of the
+    rows."""
+
+    TRAIN, VAL = SMALL_SCENES[:4], SMALL_SCENES[4:]
+
+    @pytest.fixture(scope="class")
+    def compared(self):
+        config = small_config(epochs_phase1=1, seeds="0,1,2")
+        return config, *harness.compare_modes(config, SMALL_SPEC, self.TRAIN, SMALL_SPEC,
+                                              self.VAL)
+
+    def test_medians_are_medians(self, compared):
+        _, results, medians = compared
+        spread = []
+        for mode, per_seed in results.items():
+            assert list(per_seed) == [0, 1, 2]
+            for k in tasks.SUMMARY_KEYS:
+                values = [m[k] for m in per_seed.values()]
+                if None in values:  # a task the independent row has no net for
+                    assert medians[mode][k] is None
+                    continue
+                assert medians[mode][k] == float(np.median(values))
+                spread.append(float(np.mean(values)) != medians[mode][k])
+        assert any(spread)  # a mean would show
+
+    def test_each_seed_trains_as_that_seed(self, compared):
+        config, results, _ = compared
+        rows = results["update1"]
+        for seed in (1, 2):
+            state = train(dataclasses.replace(config, seed=seed), SMALL_SPEC, self.TRAIN)
+            assert rows[seed] == evaluate_model(state.model, SMALL_SPEC, self.VAL)
+            assert rows[seed] != rows[0]  # seed 0's run would show
 
 
 DATASET_CFG = """
@@ -1482,9 +1532,9 @@ class TestCli:
 
     @pytest.mark.parametrize("make, message", [
         (lambda d: edited_checkpoint(d, lambda h: h.update(colour=1)),
-         "the checkpoint header has an unknown key 'colour'"),
+         "the checkpoint header: unknown key 'colour'"),
         (lambda d: edited_checkpoint(d, lambda h: h.update(optimizer={"momentum": 0.9})),
-         "the checkpoint header: optimizer must be {} for plain SGD, got {'momentum': 0.9}"),
+         "the checkpoint header: optimizer must be one of {}, got {'momentum': 0.9}"),
         (lambda d: edited_checkpoint(d, lambda h: h.update(params={})),
          "checkpoint {path}: the header has a 'params' key, which the parameter records fill"),
         (non_utf8_name_checkpoint,

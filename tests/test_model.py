@@ -498,9 +498,11 @@ class TestSplitFc1Gradient:
         is zero in every region has none)."""
         net = as_float64(Multinet(small_cfg(mode="update1", t=2, canvas=16, m=4), seed=4))
         img, boxes = small_inputs(net.cfg, seed=1)
-        records = {name: data.copy() for name, data, _ in net.records()}
-        w = records["det.fc1.weight"]
-        fc1_record_rows = tuple(fc1_rows(net.cfg).values())  # (image rows, task rows)
+        blocks = fc1_rows(net.cfg)
+        fc1_record_rows = tuple(blocks.values())  # (image rows, task rows)
+        # Record row -> (the block parameter holding it, its row there).
+        block_row = {int(i): (net.params[f"det.fc1.weight:{b}"].data, k)
+                     for b, rows in blocks.items() for k, i in enumerate(rows)}
 
         def scalar():
             r = np.random.default_rng(0)
@@ -513,13 +515,13 @@ class TestSplitFc1Gradient:
             return total
 
         def perturbed(i, j, eps):
-            """scalar() with entry (i, j) of the stacked record moved by eps."""
-            orig = w[i, j]
-            w[i, j] = orig + eps
-            net.load_records(records)
+            """scalar() with entry (i, j) of the stacked record moved by eps, in
+            the float64 block parameter that holds it."""
+            block, k = block_row[i]
+            orig = block[k, j]
+            block[k, j] = orig + eps
             value = float(scalar().data)
-            w[i, j] = orig
-            net.load_records(records)
+            block[k, j] = orig
             return value
 
         with Tape() as tape:
@@ -530,7 +532,7 @@ class TestSplitFc1Gradient:
         for rows in fc1_record_rows:
             live = rows[ana[rows].any(axis=1)]
             pick = r.choice(live if live.size >= 6 else rows, 6, replace=False)
-            entries += [(i, int(r.integers(w.shape[1]))) for i in pick]
+            entries += [(i, int(r.integers(ana.shape[1]))) for i in pick]
         num = np.array([(perturbed(i, j, 1e-5) - perturbed(i, j, -1e-5)) / 2e-5
                         for i, j in entries])
         rows, cols = np.array(entries).T

@@ -353,6 +353,22 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError, match="d.bin: bad spec header: .*colour"):
             read_dataset(path)
 
+    def test_spec_header_without_a_field_rejected(self, tmp_path):
+        # Before, a header without "seed" loaded as seed 0.
+        path = tmp_path / "d.bin"
+        write_dataset([], SceneSpec(seed=3), path)
+
+        def drop_seed(body):
+            n = struct.unpack_from("<I", body, 12)[0]
+            header = json.loads(body[16 : 16 + n])
+            del header["seed"]
+            return with_spec_header(body, json.dumps(header).encode())
+
+        reseal(path, drop_seed)
+        want = f"dataset {path}: bad spec header: missing key 'seed'"
+        with pytest.raises(DatasetError, match=f"^{re.escape(want)}$"):
+            read_dataset(path)
+
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("parts_per_class", 1, "parts_per_class must be one of 0, 2, got 1",
                      id="parts_per_class-1"),
