@@ -20,7 +20,7 @@ from .model import MODES, STRIDE, Multinet, TaskConfig
 from .schema import ConfigError, bounded
 from .synthdata import SceneSpec, propose_regions
 from .tasks import assign_regions
-from .tensor import Tape, Tensor, TensorError, backward, seed_rng, sgd_step, take_rows
+from .tensor import Tape, Tensor, TensorError, backward, make_op, seed_rng, sgd_step, take_rows
 
 __all__ = [
     "RunConfig",
@@ -203,11 +203,13 @@ def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneB
 def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
     """Total loss: every iteration's outputs are supervised. A task whose
     loss weight is 0 has no term, so its head gets no gradient; a region
-    task's box regression trains only while that task's weight is above 0."""
-    terms = []
+    task's box regression trains only while that task's weight is above 0.
+    One tape node adds the terms, each times its weight, left to right."""
+    terms = []  # (term, weight)
     for out in model.forward(batch.scene.image, batch.proposals):
         if config.weight_cls > 0:
-            terms.append(tasks.bce_multilabel(out.x_cls, batch.scene.img_label) * config.weight_cls)
+            cls = tasks.bce_multilabel(out.x_cls, batch.scene.img_label)
+            terms.append((cls, config.weight_cls))
         for task, (scores, deltas) in out.regions.items():
             w = getattr(config, f"weight_{task}")
             if w == 0:
@@ -215,11 +217,13 @@ def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
             target = batch.regions[task]
             keep = np.nonzero(target.labels >= 0)[0]
             if keep.size:
-                terms.append(tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]) * w)
+                terms.append((tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]), w))
             if config.weight_bbox > 0 and target.mask.any():
-                terms.append(tasks.smooth_l1(deltas, target.deltas, target.mask)
-                             * config.weight_bbox)
-    return sum(terms[1:], terms[0]) if terms else Tensor(0.0)
+                terms.append((tasks.smooth_l1(deltas, target.deltas, target.mask),
+                              config.weight_bbox))
+    parts = [t.data * w for t, w in terms] or [np.asarray(0.0)]  # no term: a constant 0
+    return make_op(sum(parts[1:], parts[0]), [t for t, _ in terms],
+                   lambda g: [g * w for _, w in terms], "weighted_loss")
 
 
 @dataclass
@@ -367,14 +371,13 @@ def restore_model(ckpt: dict) -> TrainState:
         raise TrainingError(f"the checkpoint's run_config: {e}") from None
     fields = header.task_config
     try:
+        schema.check_keys(fields, [*(f.name for f in dataclasses.fields(TaskConfig)), "stride"])
         cfg = _task_config(config, {name: fields[name] for name in ("c_cls", "c_part", "canvas")})
-    except KeyError as e:
-        raise TrainingError(f"the checkpoint's task_config has no {e.args[0]!r}") from None
     except ConfigError as e:
         raise TrainingError(f"the checkpoint's task_config: {e}") from None
     built = _task_header(cfg)
-    _check_model_fits(built, {**dict.fromkeys(built), **fields}, "the checkpoint's task_config",
-                      "the network its run_config builds")
+    _check_model_fits(built, {name: fields[name] for name in built},
+                      "the checkpoint's task_config", "the network its run_config builds")
     try:
         model = Multinet(cfg, records={name: data for name, (data, _) in ckpt["params"].items()})
     except TensorError as e:

@@ -6,10 +6,10 @@ forward and backward, and float64 scatter sums are rounded back to it
 once. Pooling ops route gradients to the first (row-major) argmax so
 backward passes are deterministic even on tied values.
 
-The window ops keep no index table: they read the map through one strided
-view per window offset. `conv2d` copies the windows into a
-(h*w, k*k*Cin) patch matrix for its GEMMs and adds its input gradient
-back one offset view at a time. `max_pool2d` pools 2 x 2 windows at
+The window ops keep no index table: they read the map through strided
+views. `conv2d` copies one (h, w, k, k, Cin) view of its zero-padded input
+into a (h*w, k*k*Cin) patch matrix for its GEMMs and adds its input
+gradient back one offset view at a time. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
 backward scans them in the same order and writes each window's gradient to
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, TensorError, make_op, reshape
 
@@ -67,9 +67,10 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
         raise TensorError(f"conv2d: input has {cin} channels, filters expect {fcin}")
     p = k // 2
 
-    xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p else x.data
-    windows = sliding_window_view(xp, (k, k), axis=(0, 1))  # (h, w, cin, k, k)
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(h * w, k * k * cin)
+    xp = np.zeros((h + 2 * p, w + 2 * p, cin), x.data.dtype)
+    xp[p : p + h, p : p + w] = x.data
+    windows = as_strided(xp, (h, w, k, k, cin), xp.strides[:2] * 2 + xp.strides[2:])
+    cols = windows.reshape(h * w, k * k * cin)
     wmat = layer.weight.data.reshape(k * k * cin, cout)
     out = (cols @ wmat + layer.bias.data[None, :]).reshape(h, w, cout)
 
@@ -191,7 +192,8 @@ def fully_connected(x: Tensor, layer: Layer) -> Tensor:
             f"fully_connected: input dim {x.data.shape[-1]} vs weight {wd.shape}"
         )
     xd = x.data[None, :] if vec else x.data
-    out = xd @ wd + bd[None, :]
+    out = xd @ wd
+    out += bd
 
     def bwd(g):
         gm = g[None, :] if vec else g
@@ -214,10 +216,10 @@ def stack_channels(tensors) -> Tensor:
                 f"stack_channels: leading shape mismatch {t.data.shape[:-1]} vs {lead}"
             )
     out = np.concatenate([t.data for t in tensors], axis=-1)
-    splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
+    ends = np.cumsum([0] + [t.data.shape[-1] for t in tensors]).tolist()
 
     def bwd(g):
-        return np.split(g, splits, axis=-1)
+        return [g[..., a:b] for a, b in zip(ends, ends[1:])]
 
     return make_op(out, tuple(tensors), bwd, "stack_channels")
 

@@ -39,16 +39,20 @@ def parsers(cls) -> dict:
 def from_json(cls, obj):
     """`cls(**obj)` for a JSON object `obj` of exactly the fields of dataclass
     `cls`; ConfigError names the first unknown key or missing field."""
+    check_keys(obj, [f.name for f in dataclasses.fields(cls)])
+    return cls(**obj)
+
+
+def check_keys(obj, names) -> None:
+    """ConfigError names the first unknown key or missing name of JSON object `obj`."""
     if not isinstance(obj, dict):
         raise ConfigError(f"expected a JSON object, got {obj!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
     unknown = sorted(set(obj) - set(names))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
     missing = [name for name in names if name not in obj]
     if missing:
         raise ConfigError(f"missing key {missing[0]!r}")
-    return cls(**obj)
 
 
 def check(obj) -> None:

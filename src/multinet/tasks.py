@@ -266,15 +266,19 @@ def nms(boxes, scores):
     order = np.argsort(-scores, axis=1, kind="stable")
     ranked = np.asarray(boxes, dtype=np.float64).reshape(c, m, 4)[np.arange(c)[:, None], order]
     # Row p of a set's block flags the boxes that its p-th ranked box
-    # suppresses, packed into bytes (bit q = rank q). Each flag is
+    # suppresses, as one int (bit q = rank q). Each flag is
     # `iou_matrix(ranked, ranked) > NMS_IOU`: a pair without overlap has
     # IoU 0, which never exceeds it, so its quotient is left unread.
     inter, union, overlap = _overlaps(ranked, ranked)
+    n = -(-m // 64) or 1  # 64-bit words per row
+    over = np.zeros((c, m, 64 * n), bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        over = np.divide(inter, union, out=union) > NMS_IOU
-    over &= overlap
-    width = (m + 7) // 8
-    rows = np.packbits(over, axis=2, bitorder="little").tobytes()
+        np.greater(np.divide(inter, union, out=union), NMS_IOU, out=over[..., :m])
+    over[..., :m] &= overlap
+    words = np.packbits(over, axis=2, bitorder="little").view("<u8").reshape(c * m, n)
+    rows = words[:, 0].tolist()
+    for j in range(1, n):
+        rows = [r | w << 64 * j for r, w in zip(rows, words[:, j].tolist())]
     keep = []
     for s, ranks in enumerate(order.tolist()):
         # Keep the best box still standing; drop it and all it suppresses.
@@ -283,8 +287,7 @@ def nms(boxes, scores):
             best = standing & -standing
             p = best.bit_length() - 1
             keep.append(s * m + ranks[p])
-            at = (s * m + p) * width
-            standing &= ~(int.from_bytes(rows[at:at + width], "little") | best)
+            standing &= ~(rows[s * m + p] | best)
     return keep
 
 

@@ -36,11 +36,6 @@ class TensorError(ValueError):
     """Shape mismatch or non-finite values in a tensor operation."""
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise TensorError(f"non-finite values produced by {op}")
-
-
 class Tensor:
     """N-dimensional float32 or float64 array with an optional gradient
     buffer of the same dtype. A float32 array stays float32; anything else
@@ -51,7 +46,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        _check_finite(self.data, "Tensor()")
+        if not np.isfinite(self.data).all():
+            raise TensorError("non-finite values produced by Tensor()")
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
 
@@ -118,15 +114,18 @@ def make_op(
     Upper layers (nnops, model, tasks) use this hook to define fused ops
     with hand-written adjoints.
     """
-    _check_finite(data, op)
+    if not np.isfinite(data).all():
+        raise TensorError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    tape = Tape._stack[-1] if Tape._stack else None  # the innermost open tape
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out.requires_grad = needs
-    if needs:
-        tape.nodes.append(_Node(out, tuple(inputs), backward_fn))
+    out.requires_grad = False
+    if Tape._stack:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                Tape._stack[-1].nodes.append(_Node(out, tuple(inputs), backward_fn))  # innermost
+                break
     return out
 
 
@@ -269,13 +268,14 @@ class ParamGroup:
 
 
 def sgd_step(params: ParamGroup, base_lr: float) -> None:
-    """Plain SGD: w <- w - base_lr * multiplier * grad. No momentum."""
+    """Plain SGD, no momentum: grad <- base_lr * multiplier * grad in place, then w <- w - grad."""
     if base_lr <= 0:
         raise TensorError("base_lr must be positive")
     for name, t, mult in params.items():
-        if not np.all(np.isfinite(t.grad)):
+        if not np.isfinite(t.grad).all():
             raise TensorError(f"non-finite gradient for parameter {name!r}")
-        t.data -= base_lr * mult * t.grad
+        t.grad *= base_lr * mult
+        t.data -= t.grad
 
 
 def seed_rng(*entropy: int) -> np.random.Generator:

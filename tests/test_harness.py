@@ -344,6 +344,64 @@ class TestTrajectoryPin:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CKPT_SHA256
 
 
+def chained_loss(net, batch, config):
+    """`scene_loss` as a chain of tape ops: each term times its weight, then
+    pairwise adds left to right. Every weight must be above 0 and every
+    region task must have labelled and foreground regions."""
+    terms = []
+    for out in net.forward(batch.scene.image, batch.proposals):
+        terms.append(tasks.bce_multilabel(out.x_cls, batch.scene.img_label) * config.weight_cls)
+        for task, (scores, deltas) in out.regions.items():
+            target = batch.regions[task]
+            keep = np.nonzero(target.labels >= 0)[0]
+            assert keep.size and target.mask.any()
+            terms.append(tasks.softmax_ce(take_rows(scores, keep), target.labels[keep])
+                         * getattr(config, f"weight_{task}"))
+            terms.append(tasks.smooth_l1(deltas, target.deltas, target.mask) * config.weight_bbox)
+    return sum(terms[1:], terms[0])
+
+
+class TestLossNode:
+    @pytest.mark.parametrize("mode", ["shared", "update1", "update2"])
+    def test_one_node_is_bit_equal_to_the_chain(self, mode):
+        # The weighted sum of the loss terms is one tape node. Its loss and
+        # every parameter gradient equal those of the multiply-and-add chain,
+        # with weights other than 1.
+        config = small_config(mode=mode, iterations=2, weight_det=0.5, weight_part=3.0,
+                              weight_bbox=0.25)
+        cfg = build_task_config(config, SMALL_SPEC)
+        net = Multinet(cfg, seed=0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        got = {}
+        for name, build in (("node", scene_loss), ("chain", chained_loss)):
+            with Tape() as tape:
+                loss = build(net, batch, config)
+                backward(loss, tape)
+            got[name] = (np.asarray(loss.data), {n: t.grad.copy() for n, t, _ in net.params.items()})
+            net.params.zero_grads()
+        (loss_node, grads_node), (loss_chain, grads_chain) = got["node"], got["chain"]
+        assert loss_node.dtype == loss_chain.dtype == np.float32
+        assert loss_node.tobytes() == loss_chain.tobytes()
+        trained = {name.split(".")[0] for name, g in grads_chain.items() if g.any()}
+        assert {"backbone", "cls", "det", "part"} <= trained
+        for name, g in grads_chain.items():
+            assert grads_node[name].tobytes() == g.tobytes(), name
+
+    # Tape nodes one training step records, by mode, with T = 2 and both
+    # region tasks: the loss's 15 terms (5 in `shared`) are one node.
+    NODES_PER_STEP = {"shared": 42, "update1": 114, "update2": 111}
+
+    @pytest.mark.parametrize("mode", sorted(NODES_PER_STEP))
+    def test_nodes_per_step(self, mode):
+        config = small_config(mode=mode, iterations=2)
+        cfg = build_task_config(config, SMALL_SPEC)
+        net = Multinet(cfg, seed=0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        with Tape() as tape:
+            scene_loss(net, batch, config)
+            assert len(tape.nodes) == self.NODES_PER_STEP[mode]
+
+
 # SMALL_SPEC with scenes of no object or one.
 OPEN_SPEC = dataclasses.replace(SMALL_SPEC, objects_min=0, objects_max=1)
 
@@ -513,9 +571,14 @@ class TestCheckpoints:
          "stride is 4 in the checkpoint's task_config, 8 in the network its run_config builds"),
         (lambda h: h["run_config"].update(mode="update2", iterations=5),
          "t is 2 in the checkpoint's task_config, 5 in the network its run_config builds"),
-        (lambda h: h["task_config"].pop("canvas"), "the checkpoint's task_config has no 'canvas'"),
+        # The task_config key set follows the schema's key-set rule.
+        (lambda h: h["task_config"].pop("canvas"),
+         "the checkpoint's task_config: missing key 'canvas'"),
         (lambda h: h["task_config"].update(colour=1),
-         "colour is 1 in the checkpoint's task_config, None in the network its run_config builds"),
+         "the checkpoint's task_config: unknown key 'colour'"),
+        (lambda h: h["task_config"].pop("t"), "the checkpoint's task_config: missing key 't'"),
+        (lambda h: h["task_config"].pop("stride"),
+         "the checkpoint's task_config: missing key 'stride'"),
         (lambda h: h.pop("epoch"), "the checkpoint header: missing key 'epoch'"),
         (lambda h: h.pop("run_config"), "the checkpoint header: missing key 'run_config'"),
         (lambda h: h["run_config"].update(colour=1),
@@ -532,7 +595,8 @@ class TestCheckpoints:
          "checkpoint {path}: the header is not a JSON object"),
         (lambda h: h.update(params=[]),
          "checkpoint {path}: the header has a 'params' key, which the parameter records fill"),
-    ], ids=["stride", "run-config", "no-canvas", "extra-field", "no-epoch", "no-run-config",
+    ], ids=["stride", "run-config", "no-canvas", "extra-field", "no-t", "no-stride", "no-epoch",
+            "no-run-config",
             "unknown-run-config-key", "bad-run-config-value", "version", "wrong-typed-task-config",
             "unknown-header-key", "not-an-object", "params-in-header"])
     def test_restore_refuses_a_header_its_run_config_does_not_build(self, tmp_path, edit, message):

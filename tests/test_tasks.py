@@ -448,6 +448,26 @@ class TestNms:
             want = [s * m + i for s in range(c) for i in scalar_nms(sets[s], scores[s], thresh)]
             assert nms(boxes, scores) == want
 
+    @pytest.mark.parametrize("m", [65, 128, 150])
+    def test_rows_past_one_word_equal_scalar_loop(self, monkeypatch, m):
+        # A suppression row of more than 64 boxes is joined from several
+        # 64-bit words; 128 fills two words exactly and 150 spills into a third.
+        r = np.random.default_rng(m)
+        late = set()  # whether boxes ranked 64 or later were kept, dropped
+        for thresh in (0.1, 0.4):
+            boxes = random_boxes(r, 2 * m, span=120.0)
+            scores = np.round(r.uniform(size=(2, m)), 2)
+            monkeypatch.setattr(tasks, "NMS_IOU", thresh)
+            sets = boxes.reshape(2, m, 4)
+            want = []
+            for s in range(2):
+                kept = scalar_nms(sets[s], scores[s], thresh)
+                ranks = np.argsort(-scores[s], kind="stable")[64:]
+                late |= {i in kept for i in ranks.tolist()}
+                want += [s * m + i for i in kept]
+            assert nms(boxes, scores) == want
+        assert late == {True, False}
+
 
 def ap_oracle(tp_sequence, n_gt):
     """All-point AP from a rank-ordered TP/FP sequence: every true positive
