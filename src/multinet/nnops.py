@@ -8,8 +8,10 @@ backward passes are deterministic even on tied values.
 
 The window ops keep no index table: they read the map through strided
 views. `conv2d` copies one (h, w, k, k, Cin) view of its zero-padded input
-into a (h*w, k*k*Cin) patch matrix for its GEMMs and adds its input
-gradient back one offset view at a time. `max_pool2d` pools 2 x 2 windows at
+into a (h*w, k*k*Cin) patch matrix for its GEMMs; its backward adds each
+offset's window gradients into the flat padded map as one contiguous
+shifted run, as numpy's in-place add through a strided (h, w, Cin) view
+costs several times a contiguous one. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
 backward scans them in the same order and writes each window's gradient to
@@ -72,7 +74,8 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
     windows = as_strided(xp, (h, w, k, k, cin), xp.strides[:2] * 2 + xp.strides[2:])
     cols = windows.reshape(h * w, k * k * cin)
     wmat = layer.weight.data.reshape(k * k * cin, cout)
-    out = (cols @ wmat + layer.bias.data[None, :]).reshape(h, w, cout)
+    out = (cols @ wmat).reshape(h, w, cout)
+    out += layer.bias.data
 
     def bwd(g):
         gm = g.reshape(h * w, cout)
@@ -81,15 +84,21 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
         if not x.requires_grad:  # the image: no input gradient
             return (None, gw, gb)
         gcols = (gm @ wmat.T).reshape(h, w, k, k, cin)
-        # Summed in float64, rounded once. Window (i, j) reads cell
-        # (i + a, j + b) at offset (a, b): later offsets first, so each cell
-        # sums its windows in row-major order.
-        gxp = np.zeros(xp.shape)
+        # Summed in float64, rounded once. Window (i, j) reads cell (i + a, j + b)
+        # at offset (a, b): later offsets first, so each cell sums its windows in
+        # row-major order. Rows padded by +0.0 to width wp make each offset one
+        # contiguous run of the flat map; +0.0 changes no sum started at +0.0.
+        wp = w + 2 * p
+        gwin = np.empty((k, k, h, wp, cin))
+        gwin[:, :, :, :w] = gcols.transpose(2, 3, 0, 1, 4)
+        gwin[:, :, :, w:] = 0.0
+        n = (h - 1) * wp + w  # rows up to the last real window
+        gxp = np.zeros((xp.shape[0] * wp, cin))
         for a in reversed(range(k)):
             for b in reversed(range(k)):
-                gv = gxp[a : a + h, b : b + w]
-                gv += gcols[:, :, a, b]
-        gx = gxp[p : p + h, p : p + w]
+                gv = gxp[a * wp + b : a * wp + b + n]
+                gv += gwin[a, b].reshape(h * wp, cin)[:n]
+        gx = gxp.reshape(xp.shape)[p : p + h, p : p + w]
         return (gx.astype(x.data.dtype, copy=False), gw, gb)
 
     return make_op(out, (x, layer.weight, layer.bias), bwd, "conv2d")

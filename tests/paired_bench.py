@@ -16,11 +16,18 @@ even-numbered pairs (counting from 0) and the change first on odd ones.
 For each workload and end-to-end metric of `BENCHMARK.json` the file holds
 both sides' runs, their quartiles (linear interpolation), how many pairs
 the change won, the change of the median (change / parent - 1) and the
-parent's quartile spread (q3 - q1). It also sums operations attempted and
-failed per side, and says whether each seed's quality figures (final
-training loss, APs) were equal on both sides. With --claim it states
-whether the change won at least 9 of the pairs on that metric by a median
-change larger than the parent's quartile spread relative to its median.
+parent's quartile spread (q3 - q1), with a verdict against the metric's
+`bound`: "regressed" when the change's median is worse than the parent's
+by more than the bound (relative to the parent's median), "unresolved"
+when the parent's relative quartile spread is wider than the bound and
+not every run of the change reads better than every run of the parent,
+"ok" otherwise. It also sums operations attempted and failed per side,
+with the failed share, and says whether each seed's quality figures
+(final training loss, APs) were equal on both sides. With --claim it states whether the change won at least 9 of the
+pairs on that metric by a median change larger than the parent's quartile
+spread relative to its median. With --traced-seed S it also runs
+`perfbench/run.py --trace 1` once per side and workload at seed S and
+keeps their per-layer metrics in a `traced` block.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 QUALITY_UNITS = ("loss", "AP")
+TRACED_SECONDS = 3.0  # a traced run's counts repeat exactly; its times are not a claim
 
 
 def export(side: str, dest: Path) -> str:
@@ -66,11 +74,11 @@ def export(side: str, dest: Path) -> str:
     return rev
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its env, report and result lines."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run: its env, report and result lines."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True,
     ).stdout.splitlines()
     lines = [json.loads(line) for line in out if line.startswith("{")]
@@ -90,6 +98,17 @@ def seeds_arg(text: str) -> list:
 def quartiles(values) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
+
+
+def verdict(m: dict) -> str:
+    """A metric block's verdict against its bound (see the module doc)."""
+    sign = 1.0 if m["better"] == "higher" else -1.0
+    if -sign * m["median_rel_change"] > m["bound"]:
+        return "regressed"
+    wide = m["parent_quartile_spread"] / m["parent"]["median"] > m["bound"]
+    if wide and min(sign * v for v in m["change_runs"]) <= max(sign * v for v in m["parent_runs"]):
+        return "unresolved"
+    return "ok"
 
 
 def summarize(spec: dict, runs: dict, seeds: list) -> dict:
@@ -113,24 +132,32 @@ def summarize(spec: dict, runs: dict, seeds: list) -> dict:
                 "median_rel_change": quartiles(c)["median"] / pq["median"] - 1.0,
                 "parent_quartile_spread": pq["q3"] - pq["q1"],
             }
+            metrics[key]["verdict"] = verdict(metrics[key])
 
         def quality(run):
             return {k: v["value"] for k, v in run["report"]["metrics"].items()
                     if v["unit"] in QUALITY_UNITS}
 
+        sides = (("parent", parent), ("change", change))
+        failed = {side: sum(r["result"]["failed"] for r in rs) for side, rs in sides}
+        attempted = {side: sum(r["result"]["attempted"] for r in rs) for side, rs in sides}
         workloads[name] = {
             "seeds": seeds,
             "pairs": len(seeds),
             "metrics": metrics,
-            "correct": {side: all(r["result"]["correct"] for r in rs)
-                        for side, rs in (("parent", parent), ("change", change))},
-            "failed": {side: sum(r["result"]["failed"] for r in rs)
-                       for side, rs in (("parent", parent), ("change", change))},
-            "attempted": {side: sum(r["result"]["attempted"] for r in rs)
-                          for side, rs in (("parent", parent), ("change", change))},
+            "correct": {side: all(r["result"]["correct"] for r in rs) for side, rs in sides},
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share": {side: failed[side] / attempted[side] if attempted[side] else None
+                             for side, _ in sides},
             "quality_equal_per_seed": all(quality(a) == quality(b) for a, b in zip(parent, change)),
         }
     return workloads
+
+
+def per_layer(run: dict) -> dict:
+    """A traced run's per-layer metrics, name -> value."""
+    return {k: v["value"] for k, v in run["result"]["metrics"].items()}
 
 
 def claim_block(workloads: dict, claim: str) -> dict:
@@ -156,6 +183,8 @@ def main(argv=None) -> int:
                    help="seconds per run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--title", default="")
     p.add_argument("--claim", default=None, help="workload:metric the change claims to improve")
+    p.add_argument("--traced-seed", type=int, default=None,
+                   help="also make one traced run per side and workload at this seed")
     p.add_argument("--workdir", type=Path, default=None,
                    help="where the two copies go (default: a temporary directory)")
     p.add_argument("--out", type=Path, required=True)
@@ -195,6 +224,20 @@ def main(argv=None) -> int:
                        "them"}
     if args.claim:
         out["claim"] = claim_block(workloads, args.claim)
+    if args.traced_seed is not None:
+        rows = {}
+        for w in spec["workloads"]:
+            rows[w["name"]] = {}
+            for side in ("parent", "change"):
+                r = run_once(trees[side], w["name"], args.traced_seed, TRACED_SECONDS, trace=1)
+                rows[w["name"]][side] = per_layer(r)
+        out["traced"] = {
+            "command": f"python3 perfbench/run.py --workload W --seed {args.traced_seed} "
+                       f"--seconds {TRACED_SECONDS:g} --trace 1",
+            "note": "one traced run per side and workload: counts repeat exactly, times are "
+                    "single traced runs",
+            "rows": rows,
+        }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if args.workdir is None:
         shutil.rmtree(work)

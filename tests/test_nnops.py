@@ -125,6 +125,10 @@ class TestConv2d:
         (4, 4, 2, 2, 1, 0),
         (8, 6, 2, 4, 5, 2),
         (9, 7, 3, 5, 5, 1),
+        # the inputs of the backbone's conv2, conv3 and conv4
+        (32, 32, 16, 32, 3, 0),
+        (16, 16, 32, 32, 3, 0),
+        (8, 8, 32, 32, 3, 0),
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x_grad", "no_x_grad"])
@@ -269,8 +273,8 @@ def maxpool_argmax_oracle(x, window, stride, g):
     h, w, c = x.shape
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    out = np.zeros((ho, wo, c))
-    gx = np.zeros((h, w, c))
+    out = np.zeros((ho, wo, c), x.dtype)
+    gx = np.zeros((h, w, c), x.dtype)
     for i in range(ho):
         for j in range(wo):
             for ch in range(c):
@@ -306,11 +310,16 @@ class TestPooling:
         expect[0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expect)
 
-    @pytest.mark.parametrize("shape", [
-        (8, 8, 3), (7, 9, 2), (7, 7, 2), (9, 8, 3), (6, 5, 2), (5, 7, 3), (4, 4, 1), (2, 3, 2),
+    @pytest.mark.parametrize("shape,dtype", [
+        *(pytest.param(shape, np.float64, id=f"shape{i}") for i, shape in enumerate([
+            (8, 8, 3), (7, 9, 2), (7, 7, 2), (9, 8, 3), (6, 5, 2), (5, 7, 3), (4, 4, 1), (2, 3, 2),
+        ])),
+        # the backbone's three pooled maps, in the model's dtype
+        *(pytest.param(shape, np.float32, id="x".join(map(str, shape)) + "-float32")
+          for shape in [(64, 64, 16), (32, 32, 32), (16, 16, 32)]),
     ])
     @pytest.mark.parametrize("values", ["normal", "ties", "signed_zeros"])
-    def test_bytes_match_argmax_oracle(self, shape, values, rng):
+    def test_bytes_match_argmax_oracle(self, shape, dtype, values, rng):
         # Ties inside windows (small integers; zeros of both signs) pin the
         # forward value of the first maximum; -0.0 output gradients and
         # cells that take no gradient pin the zeros' signs.
@@ -320,10 +329,11 @@ class TestPooling:
             x = rng.integers(0, 3, size=shape).astype(float)
         else:
             x = rng.choice([-0.0, 0.0, 0.0, 1.0], size=shape)
+        x = x.astype(dtype)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = max_pool2d(xt)
-        g = rng.normal(size=out.data.shape)
+        g = rng.normal(size=out.data.shape).astype(dtype)
         g.ravel()[::5] = -0.0
         want_out, want_gx = maxpool_argmax_oracle(x, 2, 2, g)
         (gx,) = tape.nodes[0].backward_fn(g)
