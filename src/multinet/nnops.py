@@ -2,16 +2,17 @@
 
 Feature maps are H x W x C arrays of the parameters' dtype (float32 for
 the model; see `tensor`): every op computes in the dtype of its inputs,
-forward and backward, and float64 scatter sums are rounded back to it
-once. Pooling ops route gradients to the first (row-major) argmax so
-backward passes are deterministic even on tied values.
+forward and backward, and `spp_pool_regions`' float64 scatter sums are
+rounded back to it once. Pooling ops route gradients to the first
+(row-major) argmax so backward passes are deterministic even on tied values.
 
 The window ops keep no index table: they read the map through strided
-views. `conv2d` copies one (h, w, k, k, Cin) view of its zero-padded input
-into a (h*w, k*k*Cin) patch matrix for its GEMMs; its backward adds each
-offset's window gradients into the flat padded map as one contiguous
-shifted run, as numpy's in-place add through a strided (h, w, Cin) view
-costs several times a contiguous one. `max_pool2d` pools 2 x 2 windows at
+views. `conv2d` copies one (h, w, k, k, C) view of a zero-padded map into
+a (h*w, k*k*C) patch matrix (`_patches`): of its input for the forward and
+the weight gradient, and of its output gradient for the input gradient, a
+transposed convolution with the filters flipped in space and transposed in
+channels, so every product is one GEMM in the input's dtype and no window
+gradient is scattered. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
 backward scans them in the same order and writes each window's gradient to
@@ -57,6 +58,17 @@ class SppGrid:
     feature_stride: int = 1
 
 
+def _patches(a: np.ndarray, k: int) -> np.ndarray:
+    """The (h*w, k*k*C) patch matrix of an h x w x C map zero-padded by
+    k // 2: row i*w + j holds window (i, j), its columns ordered (a, b, c)."""
+    h, w, c = a.shape
+    p = k // 2
+    ap = np.zeros((h + 2 * p, w + 2 * p, c), a.dtype)
+    ap[p : p + h, p : p + w] = a
+    windows = as_strided(ap, (h, w, k, k, c), ap.strides[:2] * 2 + ap.strides[2:])
+    return windows.reshape(h * w, k * k * c)
+
+
 def conv2d(x: Tensor, layer: Layer) -> Tensor:
     """2-D cross-correlation at stride 1 plus bias, zero-padded by k // 2
     so the output keeps the input's H x W; differentiable in x, weight,
@@ -67,12 +79,8 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
         raise TensorError(f"conv2d: kernel {k}x{k2} is not square with an odd side")
     if fcin != cin:
         raise TensorError(f"conv2d: input has {cin} channels, filters expect {fcin}")
-    p = k // 2
 
-    xp = np.zeros((h + 2 * p, w + 2 * p, cin), x.data.dtype)
-    xp[p : p + h, p : p + w] = x.data
-    windows = as_strided(xp, (h, w, k, k, cin), xp.strides[:2] * 2 + xp.strides[2:])
-    cols = windows.reshape(h * w, k * k * cin)
+    cols = _patches(x.data, k)
     wmat = layer.weight.data.reshape(k * k * cin, cout)
     out = (cols @ wmat).reshape(h, w, cout)
     out += layer.bias.data
@@ -83,23 +91,10 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
         gb = gm.sum(axis=0)
         if not x.requires_grad:  # the image: no input gradient
             return (None, gw, gb)
-        gcols = (gm @ wmat.T).reshape(h, w, k, k, cin)
-        # Summed in float64, rounded once. Window (i, j) reads cell (i + a, j + b)
-        # at offset (a, b): later offsets first, so each cell sums its windows in
-        # row-major order. Rows padded by +0.0 to width wp make each offset one
-        # contiguous run of the flat map; +0.0 changes no sum started at +0.0.
-        wp = w + 2 * p
-        gwin = np.empty((k, k, h, wp, cin))
-        gwin[:, :, :, :w] = gcols.transpose(2, 3, 0, 1, 4)
-        gwin[:, :, :, w:] = 0.0
-        n = (h - 1) * wp + w  # rows up to the last real window
-        gxp = np.zeros((xp.shape[0] * wp, cin))
-        for a in reversed(range(k)):
-            for b in reversed(range(k)):
-                gv = gxp[a * wp + b : a * wp + b + n]
-                gv += gwin[a, b].reshape(h * wp, cin)[:n]
-        gx = gxp.reshape(xp.shape)[p : p + h, p : p + w]
-        return (gx.astype(x.data.dtype, copy=False), gw, gb)
+        # A transposed convolution: the output gradient, zero-padded by k // 2,
+        # correlated with the filters flipped in space and transposed in channels.
+        wflip = layer.weight.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+        return ((_patches(g, k) @ wflip).reshape(h, w, cin), gw, gb)
 
     return make_op(out, (x, layer.weight, layer.bias), bwd, "conv2d")
 

@@ -60,13 +60,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar for the two `elementwise` forms.
-    def __add__(self, other):
-        return elementwise("add", self, other)
-
-    def __mul__(self, other):
-        return elementwise("mul", self, other)
-
 
 class _Node:
     __slots__ = ("out", "inputs", "backward_fn")
@@ -129,17 +122,14 @@ def make_op(
     return out
 
 
-def elementwise(kind: str, a: Tensor, b) -> Tensor:
-    """The two elementwise ops the model runs: `add` of two Tensors of the
-    same shape, and `mul` of a Tensor by a number."""
-    if kind == "add":
-        if a.data.shape != b.data.shape:
-            raise TensorError(f"elementwise add: shape {a.data.shape} vs {b.data.shape}")
-        return make_op(a.data + b.data, (a, b), lambda g: (g, g), "elementwise:add")
-    if kind == "mul":
-        k = float(b)
-        return make_op(a.data * k, (a,), lambda g: (g * k,), "elementwise:mul")
-    raise TensorError(f"unknown elementwise kind {kind!r}")
+def elementwise(kind: str, a: Tensor, b: Tensor) -> Tensor:
+    """The one elementwise op the model runs: `add` of two Tensors of the
+    same shape."""
+    if kind != "add":
+        raise TensorError(f"unknown elementwise kind {kind!r}")
+    if a.data.shape != b.data.shape:
+        raise TensorError(f"elementwise add: shape {a.data.shape} vs {b.data.shape}")
+    return make_op(a.data + b.data, (a, b), lambda g: (g, g), "elementwise:add")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from multinet.model import fc1_rows
-from multinet.tensor import Tape, Tensor, backward, make_op
+from multinet.tensor import Tape, Tensor, backward, elementwise, make_op
 
 
 def rel_err(a, b):
@@ -36,10 +36,24 @@ def numeric_grads(f, arrays, eps=1e-5):
 def weighted_sum(t, w):
     """Scalar sum(t * w) for a constant array w, as one tape op. A gradient
     check reads an op's output through random weights so that each output
-    element carries its own gradient; the engine's `elementwise` mul takes
-    only a number, the one form the model runs, so the tests bring this op."""
+    element carries its own gradient; the engine has no multiply (the model
+    weights its loss terms inside one `weighted_loss` node), so the tests
+    bring this op."""
     w = np.asarray(w)
     return make_op(np.asarray((t.data * w).sum()), (t,), lambda g: (g * w,), "weighted_sum")
+
+
+def scale(t, k):
+    """t times the number k, as one tape op whose backward returns a new
+    array."""
+    k = float(k)
+    return make_op(t.data * k, (t,), lambda g: (g * k,), "scale")
+
+
+def add(a, b):
+    """a + b of two Tensors of the same shape: the engine's `elementwise`
+    add, whose backward hands its one gradient array to both inputs."""
+    return elementwise("add", a, b)
 
 
 def analytic_grads(build, arrays):

@@ -23,9 +23,12 @@ when the parent's relative quartile spread is wider than the bound and
 not every run of the change reads better than every run of the parent,
 "ok" otherwise. It also sums operations attempted and failed per side,
 with the failed share, and says whether each seed's quality figures
-(final training loss, APs) were equal on both sides. With --claim it states whether the change won at least 9 of the
-pairs on that metric by a median change larger than the parent's quartile
-spread relative to its median. With --traced-seed S it also runs
+(final training loss, APs) were equal on both sides and, per figure, the
+largest relative difference between the sides over the seeds
+(|change - parent| / max(|parent|, |change|), 0 where they are equal), so
+a change that moves numerics states by how much. With --claim it states
+whether the change won at least 9 of the pairs on that metric by a median
+change larger than the parent's quartile spread relative to its median. With --traced-seed S it also runs
 `perfbench/run.py --trace 1` once per side and workload at seed S and
 keeps their per-layer metrics in a `traced` block.
 """
@@ -111,6 +114,11 @@ def verdict(m: dict) -> str:
     return "ok"
 
 
+def rel_diff(a: float, b: float) -> float:
+    """|b - a| relative to the larger magnitude; 0 when a == b."""
+    return 0.0 if a == b else abs(b - a) / max(abs(a), abs(b))
+
+
 def summarize(spec: dict, runs: dict, seeds: list) -> dict:
     """The per-workload block of a BENCH file from `runs[workload][side]`,
     one run per seed, in seed order."""
@@ -138,6 +146,7 @@ def summarize(spec: dict, runs: dict, seeds: list) -> dict:
             return {k: v["value"] for k, v in run["report"]["metrics"].items()
                     if v["unit"] in QUALITY_UNITS}
 
+        qualities = [(quality(a), quality(b)) for a, b in zip(parent, change)]
         sides = (("parent", parent), ("change", change))
         failed = {side: sum(r["result"]["failed"] for r in rs) for side, rs in sides}
         attempted = {side: sum(r["result"]["attempted"] for r in rs) for side, rs in sides}
@@ -150,7 +159,11 @@ def summarize(spec: dict, runs: dict, seeds: list) -> dict:
             "attempted": attempted,
             "failed_share": {side: failed[side] / attempted[side] if attempted[side] else None
                              for side, _ in sides},
-            "quality_equal_per_seed": all(quality(a) == quality(b) for a, b in zip(parent, change)),
+            "quality_equal_per_seed": all(qp == qc for qp, qc in qualities),
+            "quality_max_rel_diff": {
+                key: max(rel_diff(qp[key], qc[key]) for qp, qc in qualities)
+                for key in sorted(set.intersection(*(set(qp) & set(qc) for qp, qc in qualities)))
+            },
         }
     return workloads
 

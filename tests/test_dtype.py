@@ -15,6 +15,8 @@ from multinet.nnops import Layer, SppGrid
 from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tensor import Tape, Tensor, add_rowvec, backward, matmul, reshape, sum_all, take_rows
 
+from conftest import add
+
 # Region geometry stays float64 whatever the network's dtype.
 BOXES = np.array([[0.0, 0.0, 16.0, 16.0], [4.0, 8.0, 30.0, 20.0], [10.0, 2.0, 14.0, 31.0]])
 COVERING = model.covering_regions(nnops.feature_footprints(BOXES, 8, 4, 4), 4, 4)
@@ -24,8 +26,7 @@ MASK[0, 4:] = MASK[2, :4] = 1.0
 
 # op -> (build(*tensors) -> Tensor, shapes of its differentiable inputs)
 CASES = {
-    "elementwise:add": (lambda a, b: a + b, [(2, 3), (2, 3)]),
-    "elementwise:mul_scalar": (lambda a: a * 0.5, [(2, 3)]),
+    "elementwise:add": (add, [(2, 3), (2, 3)]),
     "matmul": (matmul, [(3, 4), (4, 2)]),
     "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "take_rows": (lambda a: take_rows(a, [3, 0, 2]), [(4, 2)]),

@@ -12,7 +12,7 @@ from multinet.nnops import Layer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
-from conftest import as_float64, check_grads, n_values, record_grads, weighted_sum
+from conftest import add, as_float64, check_grads, n_values, record_grads, weighted_sum
 from test_nnops import footprint_oracle, random_boxes
 
 
@@ -511,7 +511,7 @@ class TestSplitFc1Gradient:
                 for x in output_tensors([out]):
                     weights = r.normal(size=x.data.shape)
                     if t in iters:
-                        total = total + weighted_sum(x, weights)
+                        total = add(total, weighted_sum(x, weights))
             return total
 
         def perturbed(i, j, eps):
@@ -678,7 +678,7 @@ def weighted_total(tensors, seed=0):
     total = None
     for x in tensors:
         term = weighted_sum(x, r.normal(size=x.data.shape))
-        total = term if total is None else total + term
+        total = term if total is None else add(total, term)
     return total
 
 

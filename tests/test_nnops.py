@@ -47,31 +47,61 @@ def conv_oracle(x, filters, bias, stride, padding):
     return out
 
 
-def conv_index_table_reference(x, filters, bias, padding, g, x_needs_grad=True):
-    """im2col through a flat index table, col2im by one `np.bincount` summed
-    in float64: (out, gx, gw, gb) for output gradient g, in x's dtype."""
-    h, w, cin = x.shape
-    k, _, _, cout = filters.shape
-    xp = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    hp, wp = xp.shape[:2]
+def index_table_patches(a, k, padding):
+    """The patch matrix of map `a` zero-padded by `padding` for k x k
+    windows at stride 1, gathered through a flat index table: (cols, idx),
+    with row i*wo + j holding window (i, j), its columns ordered (a, b, c)
+    (C-contiguous), and idx the flat padded-map cell of every entry."""
+    c = a.shape[2]
+    ap = np.pad(a, ((padding, padding), (padding, padding), (0, 0)))
+    hp, wp = ap.shape[:2]
     ho, wo = hp - k + 1, wp - k + 1
     i = np.arange(ho)[:, None, None, None, None]
     j = np.arange(wo)[None, :, None, None, None]
-    a = np.arange(k)[None, None, :, None, None]
-    b = np.arange(k)[None, None, None, :, None]
-    c = np.arange(cin)[None, None, None, None, :]
-    idx = (((i + a) * wp + (j + b)) * cin + c).reshape(ho * wo, k * k * cin)
-    cols = xp.reshape(-1)[idx]
+    da = np.arange(k)[None, None, :, None, None]
+    db = np.arange(k)[None, None, None, :, None]
+    dc = np.arange(c)[None, None, None, None, :]
+    idx = (((i + da) * wp + (j + db)) * c + dc).reshape(ho * wo, k * k * c)
+    return ap.reshape(-1)[idx], idx
+
+
+def conv_index_table_reference(x, filters, bias, padding, g, x_needs_grad=True):
+    """(out, gx, gw, gb) for output gradient g, in x's dtype: im2col through
+    a flat index table, and the input gradient as a transposed convolution,
+    the index-table patch matrix of g zero-padded by k // 2 times the filters
+    flipped in space and transposed in channels, in one matmul. Cells of the
+    output beyond x's own padding by k // 2 (`padding` > k // 2) are those of
+    conv2d's bordered input, so gx is that input's gradient, cropped."""
+    h, w, cin = x.shape
+    k, _, _, cout = filters.shape
+    cols, _ = index_table_patches(x, k, padding)
     wmat = filters.reshape(k * k * cin, cout)
+    ho, wo = h + 2 * padding - k + 1, w + 2 * padding - k + 1
     out = (cols @ wmat + bias[None, :]).reshape(ho, wo, cout)
     gm = g.reshape(ho * wo, cout)
     gw = (cols.T @ gm).reshape(k, k, cin, cout)
     gb = gm.sum(axis=0)
     if not x_needs_grad:
         return out, None, gw, gb
-    gxp = np.bincount(idx.ravel(), weights=(gm @ wmat.T).ravel(), minlength=hp * wp * cin)
+    gcols, _ = index_table_patches(g, k, k // 2)
+    wflip = np.ascontiguousarray(filters[::-1, ::-1].transpose(0, 1, 3, 2))
+    gx = (gcols @ wflip.reshape(k * k * cout, cin)).reshape(ho, wo, cin)
+    border = padding - k // 2
+    return out, gx[border : border + h, border : border + w], gw, gb
+
+
+def col2im_bincount_reference(x, filters, padding, g):
+    """The input gradient by col2im: each window's gradient scattered onto
+    the padded map by one `np.bincount`, summed in float64 and rounded to
+    x's dtype once."""
+    h, w, cin = x.shape
+    k, _, _, cout = filters.shape
+    _, idx = index_table_patches(x, k, padding)
+    gcols = g.reshape(-1, cout) @ filters.reshape(k * k * cin, cout).T
+    hp, wp = h + 2 * padding, w + 2 * padding
+    gxp = np.bincount(idx.ravel(), weights=gcols.ravel(), minlength=hp * wp * cin)
     gxp = gxp.astype(x.dtype).reshape(hp, wp, cin)
-    return out, gxp[padding : padding + h, padding : padding + w], gw, gb
+    return gxp[padding : padding + h, padding : padding + w]
 
 
 def bordered(x, pad):
@@ -79,6 +109,21 @@ def bordered(x, pad):
     so conv2d of `bordered(x, pad)` is the convolution of x at padding
     pad + k // 2, cropped by `pad`."""
     return np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+
+
+# (h, w, cin, cout, k, pad) of the reference comparisons
+CONV_CASES = [
+    (5, 5, 2, 3, 3, 0),
+    (6, 4, 1, 2, 3, 1),
+    (7, 7, 3, 2, 3, 1),
+    (4, 4, 2, 2, 1, 0),
+    (8, 6, 2, 4, 5, 2),
+    (9, 7, 3, 5, 5, 1),
+    # the inputs of the backbone's conv2, conv3 and conv4
+    (32, 32, 16, 32, 3, 0),
+    (16, 16, 32, 32, 3, 0),
+    (8, 8, 32, 32, 3, 0),
+]
 
 
 class TestConv2d:
@@ -118,18 +163,7 @@ class TestConv2d:
         want = conv_oracle(x, f, b, stride, pad + k // 2)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
-    @pytest.mark.parametrize("h,w,cin,cout,k,pad", [
-        (5, 5, 2, 3, 3, 0),
-        (6, 4, 1, 2, 3, 1),
-        (7, 7, 3, 2, 3, 1),
-        (4, 4, 2, 2, 1, 0),
-        (8, 6, 2, 4, 5, 2),
-        (9, 7, 3, 5, 5, 1),
-        # the inputs of the backbone's conv2, conv3 and conv4
-        (32, 32, 16, 32, 3, 0),
-        (16, 16, 32, 32, 3, 0),
-        (8, 8, 32, 32, 3, 0),
-    ])
+    @pytest.mark.parametrize("h,w,cin,cout,k,pad", CONV_CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_needs_grad", [True, False], ids=["x_grad", "no_x_grad"])
     def test_bytes_match_index_table_reference(self, h, w, cin, cout, k, pad, dtype,
@@ -153,6 +187,23 @@ class TestConv2d:
                 continue
             assert have.dtype == dtype and have.shape == ref.shape, name
             assert np.ascontiguousarray(have).tobytes() == np.ascontiguousarray(ref).tobytes(), name
+
+    @pytest.mark.parametrize("h,w,cin,cout,k,pad", CONV_CASES)
+    @pytest.mark.parametrize("dtype,rel", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_input_gradient_matches_float64_col2im(self, h, w, cin, cout, k, pad, dtype, rel,
+                                                    rng):
+        # The transposed convolution sums each cell in its GEMM's order, not
+        # in float64 rounded once, so it matches col2im to a tolerance only.
+        x = rng.normal(size=(h, w, cin)).astype(dtype)
+        f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
+        layer = Layer(Tensor(f), Tensor(np.zeros(cout, dtype)))
+        with Tape() as tape:
+            out = conv2d(Tensor(bordered(x, pad), requires_grad=True), layer)
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        gx = tape.nodes[0].backward_fn(g)[0][pad : pad + h, pad : pad + w]
+        ref = col2im_bincount_reference(x, f, pad + k // 2, g)
+        assert gx.dtype == ref.dtype == dtype
+        assert np.abs(gx.astype(np.float64) - ref).max() <= rel * np.abs(ref).max()
 
     @pytest.mark.parametrize("h,w,cin,cout,pad", [
         (5, 5, 2, 2, 0),

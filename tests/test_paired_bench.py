@@ -13,11 +13,12 @@ SPEC = {
 }
 
 
-def run(speed, rss=100.0, failed=0, attempted=10, loss=1.0):
+def run(speed, rss=100.0, failed=0, attempted=10, loss=1.0, ap=0.5):
     """One run as `run_once` returns it."""
     return {
         "env": {},
         "report": {"metrics": {"train_final_loss": {"value": loss, "unit": "loss"},
+                               "det_ap": {"value": ap, "unit": "AP"},
                                "setup_s": {"value": 0.5, "unit": "s"}}},
         "result": {"correct": True, "attempted": attempted, "failed": failed,
                    "metrics": {"scenes_per_s": {"value": speed},
@@ -109,6 +110,20 @@ def test_quality_compared_per_seed():
     same = summary([run(100, loss=1.0)], [run(120, loss=1.0)])["train"]
     differs = summary([run(100, loss=1.0)], [run(120, loss=1.5)])["train"]
     assert same["quality_equal_per_seed"] and not differs["quality_equal_per_seed"]
+
+
+def test_quality_difference_is_the_largest_over_seeds():
+    parent = [run(100, loss=v) for v in (2.0, 4.0, 1.0)]
+    change = [run(100, loss=v) for v in (2.0, 3.0, 1.1)]
+    diff = summary(parent, change)["train"]["quality_max_rel_diff"]
+    # the AP figures are equal on every seed; setup_s is not a quality figure
+    assert diff == {"det_ap": 0.0, "train_final_loss": pytest.approx(0.25)}
+
+
+def test_quality_difference_is_symmetric_and_finite_at_zero():
+    assert paired_bench.rel_diff(0.0, 0.0) == 0.0
+    assert paired_bench.rel_diff(0.0, 0.5) == paired_bench.rel_diff(0.5, 0.0) == 1.0
+    assert paired_bench.rel_diff(-2.0, -1.0) == pytest.approx(0.5)
 
 
 def test_per_layer_keeps_every_traced_value():
