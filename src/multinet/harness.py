@@ -7,6 +7,7 @@ and checkpoints restore training bit-exactly from any epoch boundary.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import json
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import container, schema, synthdata, tasks
-from .model import MODES, STRIDE, Multinet, TaskConfig
+from .model import MODES, STRIDE, Multinet, SceneGeometry, TaskConfig
 from .schema import ConfigError, bounded
 from .synthdata import SceneSpec, propose_regions
 from .tasks import assign_regions
@@ -175,29 +176,38 @@ def check_dataset(cfg: TaskConfig, spec: SceneSpec) -> None:
     _check_model_fits(dataclasses.asdict(cfg), _dataset_fields(spec), "the dataset")
 
 
+# A region task's loss targets in the network's dtype: the labelled rows, their labels, the
+# (M, 4 * (K + 1)) box deltas and mask, and whether the mask has any entry.
+RegionLoss = collections.namedtuple("RegionLoss", "keep labels deltas mask boxed")
+
+
 @dataclass
 class SceneBatch:
-    """Precomputed per-scene training inputs (proposals are fixed across
-    iterations and derived only from the dataset, not the training seed)."""
+    """One training scene, prepared once per run (its proposals are fixed
+    across iterations and derive only from the dataset, not the seed)."""
 
     scene: synthdata.Scene
-    proposals: np.ndarray  # (M, 4)
-    regions: dict  # task -> tasks.RegionTargets
+    geometry: SceneGeometry
+    regions: dict  # task -> RegionLoss
 
 
-def _proposals(scene, spec: SceneSpec, m: int, index: int) -> np.ndarray:
-    """Scene `index`'s (m, 4) proposals, or TrainingError naming the scene."""
+def _geometry(model: Multinet, scene, spec: SceneSpec, index: int) -> SceneGeometry:
+    """Scene `index`'s proposals and their geometry, or TrainingError naming the scene."""
     try:
-        return propose_regions(scene, spec, m, seed=index)
+        return model.geometry(propose_regions(scene, spec, model.cfg.m, seed=index))
     except ValueError as e:
         raise TrainingError(f"scene {index}: {e}") from None
 
 
-def prepare_scene(scene, spec: SceneSpec, cfg: TaskConfig, index: int) -> SceneBatch:
-    props = _proposals(scene, spec, cfg.m, index)
-    regions = {task: assign_regions(props, *tasks.REGION_TASKS[task].ground_truth(scene), k)
-               for task, k in cfg.region_classes.items()}
-    return SceneBatch(scene, props, regions)
+def prepare_scene(scene, spec: SceneSpec, model: Multinet, index: int) -> SceneBatch:
+    geometry = _geometry(model, scene, spec, index)
+    regions = {}
+    for task, k in model.cfg.region_classes.items():
+        t = assign_regions(geometry.boxes, *tasks.REGION_TASKS[task].ground_truth(scene), k)
+        keep = np.nonzero(t.labels >= 0)[0]
+        regions[task] = RegionLoss(keep, t.labels[keep], t.deltas.astype(model.dtype),
+                                   t.mask.astype(model.dtype), bool(t.mask.any()))
+    return SceneBatch(scene, geometry, regions)
 
 
 def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
@@ -206,7 +216,7 @@ def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
     task's box regression trains only while that task's weight is above 0.
     One tape node adds the terms, each times its weight, left to right."""
     terms = []  # (term, weight)
-    for out in model.forward(batch.scene.image, batch.proposals):
+    for out in model.forward(batch.scene.image, batch.geometry):
         if config.weight_cls > 0:
             cls = tasks.bce_multilabel(out.x_cls, batch.scene.img_label)
             terms.append((cls, config.weight_cls))
@@ -215,10 +225,9 @@ def scene_loss(model: Multinet, batch: SceneBatch, config: RunConfig) -> Tensor:
             if w == 0:
                 continue
             target = batch.regions[task]
-            keep = np.nonzero(target.labels >= 0)[0]
-            if keep.size:
-                terms.append((tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]), w))
-            if config.weight_bbox > 0 and target.mask.any():
+            if target.keep.size:
+                terms.append((tasks.softmax_ce(take_rows(scores, target.keep), target.labels), w))
+            if config.weight_bbox > 0 and target.boxed:
                 terms.append((tasks.smooth_l1(deltas, target.deltas, target.mask),
                               config.weight_bbox))
     parts = [t.data * w for t, w in terms] or [np.asarray(0.0)]  # no term: a constant 0
@@ -267,7 +276,7 @@ def train(
         start_epoch = 0
         history = []
 
-    batches = [prepare_scene(s, spec, cfg, i) for i, s in enumerate(scenes)]
+    batches = [prepare_scene(s, spec, model, i) for i, s in enumerate(scenes)]
     for epoch in range(start_epoch, config.total_epochs):
         lr = config.lr_for_epoch(epoch)
         order = shuffle_rng.permutation(len(batches))
@@ -394,24 +403,25 @@ def restore_model(ckpt: dict) -> TrainState:
 # ---- evaluation ----------------------------------------------------------
 
 
-def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False) -> dict:
+def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False, geometries=None) -> dict:
     """{t: `tasks.evaluate` metrics} for each iteration t in `ts`, from one
     forward per held-out scene unrolled to the largest t; `ground_cls`
     re-encodes each scene's true image labels instead of the cls prediction.
     Modes without recurrence read outputs[0] at every t. Each distinct
-    output is scored once, as soon as its forward returns."""
+    output is scored once, as soon as its forward returns. `geometries[i]`,
+    if given, is scene i's `_geometry`."""
     check_dataset(model.cfg, spec)
     records = {t: [] for t in ts}
     for i, scene in enumerate(scenes):
-        props = _proposals(scene, spec, model.cfg.m, i)
+        geometry = geometries[i] if geometries else _geometry(model, scene, spec, i)
         truth = scene.img_label if ground_cls else None
         try:
-            outs = model.forward(scene.image, props, ground_cls=truth, n_iters=max(ts))
+            outs = model.forward(scene.image, geometry, ground_cls=truth, n_iters=max(ts))
             last = len(outs) - 1
             scored = {}
             for k in {min(t, last) for t in ts}:
                 regions = {task: (s.data, d.data) for task, (s, d) in outs[k].regions.items()}
-                scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, props, scene,
+                scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, geometry.boxes, scene,
                                               model.cfg.canvas)
         except TensorError as e:
             raise TensorError(f"scene {i}: {e}") from None
@@ -521,7 +531,9 @@ def ground_experiment(state: TrainState, spec, scenes) -> dict:
     model = state.model
     if model.cfg.mode == "shared" or model.cfg.t < 1:
         raise TrainingError("grounding requires a recurrent checkpoint (T >= 1)")
-    ungrounded, grounded = (scored_pass(model, spec, scenes, [1], ground_cls=g)[1]
+    check_dataset(model.cfg, spec)
+    geometries = [_geometry(model, scene, spec, i) for i, scene in enumerate(scenes)]
+    ungrounded, grounded = (scored_pass(model, spec, scenes, [1], g, geometries)[1]
                             for g in (False, True))
     deltas = {k: grounded[k] - ungrounded[k] for k in tasks.SUMMARY_KEYS
               if ungrounded[k] is not None}

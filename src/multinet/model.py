@@ -20,8 +20,8 @@ from .nnops import Layer, SppGrid
 from .tensor import ParamGroup, Tensor, TensorError, elementwise, make_op, matmul, seed_rng
 
 __all__ = [
-    "TaskConfig", "MultinetOutput", "Multinet", "encode_cls", "covering_regions", "encode_det",
-    "fc1_rows", "MODES", "STRIDE",
+    "TaskConfig", "MultinetOutput", "SceneGeometry", "Multinet", "encode_cls", "covering_regions",
+    "encode_det", "fc1_rows", "MODES", "STRIDE",
 ]
 
 MODES = ("shared", "update1", "update2")
@@ -81,6 +81,15 @@ class TaskConfig:
 class MultinetOutput:
     x_cls: Tensor  # (C_cls,) sigmoid probabilities
     regions: dict  # task -> (scores (M, K + 1) row-stochastic, deltas (M, 4 * (K + 1)))
+
+
+@dataclass(frozen=True)
+class SceneGeometry:
+    """A scene's (M, 4) region `boxes`, their SPP bin `cells` (`nnops.spp_layout`)
+    and the `covering_regions` table where the mode recurs (`Multinet.geometry`)."""
+    boxes: np.ndarray
+    cells: np.ndarray
+    covering: np.ndarray | None
 
 
 def encode_cls(x_cls: Tensor, h: int, w: int) -> Tensor:
@@ -172,7 +181,6 @@ class Multinet:
     def __init__(self, cfg: TaskConfig, seed: int = 0, records: dict | None = None):
         self.cfg = cfg
         self.params = ParamGroup()
-        self.grid = SppGrid(cfg.spp_grid, STRIDE)
         source = seed_rng(seed, 0xC0FFEE) if records is None else records
         c = cfg.channels
         widths = [3, max(c // 2, 4), c, c, c]  # RGB in, then each conv's output
@@ -262,13 +270,20 @@ class Multinet:
                 out.append((record, t.data, mult))
         return out
 
+    def geometry(self, boxes) -> SceneGeometry:
+        """The `SceneGeometry` of the (M, 4) region `boxes` on the map of a
+        canvas image; TensorError on a degenerate box."""
+        side = self.cfg.canvas // STRIDE
+        fp, cells = nnops.spp_layout(boxes, SppGrid(self.cfg.spp_grid, STRIDE), side, side)
+        return SceneGeometry(boxes, cells, covering_regions(fp, side, side)
+                             if self.cfg.mode != "shared" else None)
+
     # ---- encoders -------------------------------------------------------
 
     def encode_image(self, image) -> Tensor:
         x = Tensor(np.asarray(image, dtype=self.dtype))
-        hin, win = x.data.shape[:2]
-        if hin % STRIDE or win % STRIDE:
-            raise TensorError(f"image dims {hin}x{win} not divisible by stride {STRIDE}")
+        if x.data.shape[:2] != (self.cfg.canvas,) * 2:
+            raise TensorError(f"image is {x.data.shape[:2]}, not the canvas {(self.cfg.canvas,) * 2}")
         for layer, pool in self.backbone:
             x = nnops.relu(nnops.conv2d(x, layer))
             if pool:
@@ -300,8 +315,8 @@ class Multinet:
 
     # ---- iteration schedule ---------------------------------------------
 
-    def forward(self, image, boxes, ground_cls=None, n_iters=None) -> list:
-        """Run the recurrent schedule over the (M, 4) region `boxes`; returns
+    def forward(self, image, geometry: SceneGeometry, ground_cls=None, n_iters=None) -> list:
+        """Run the recurrent schedule over the regions of `geometry`; returns
         T+1 per-iteration outputs, each with every head decoded.
 
         `ground_cls`, a (C_cls,) ground-truth image label array, is
@@ -324,8 +339,8 @@ class Multinet:
         fc1.
         """
         cfg = self.cfg
-        if len(boxes) != cfg.m:
-            raise TensorError(f"expected {cfg.m} regions, got {len(boxes)}")
+        if len(geometry.boxes) != cfg.m or (geometry.covering is None) != (cfg.mode == "shared"):
+            raise TensorError(f"expected the {cfg.mode} geometry of {cfg.m} regions")
         n_iters = cfg.t if n_iters is None else n_iters
         if n_iters < 0:
             raise ValueError(f"iteration count must be non-negative, got {n_iters}")
@@ -344,7 +359,7 @@ class Multinet:
         def fc1_from(h):
             # the whole fc1 in update2; with the stacking integrator h is
             # r_img and each head's "fc1" layer holds its image block
-            x = nnops.spp_pool_regions(h, boxes, self.grid)
+            x = nnops.spp_pool_regions(h, geometry.boxes, geometry.cells)
             return {task: nnops.fully_connected(x, hd["fc1"])
                     for task, hd in self.region_heads.items()}
 
@@ -354,20 +369,16 @@ class Multinet:
             h = nnops.stack_channels([r_img, Tensor(zeros)])
         fc1 = img_fc1 = fc1_from(r_img)  # whole at t = 0, where the task channels are zero
         outputs = [self._decode_all(h, fc1)]
-
-        # Each cell's covering regions, from the footprints pooling built.
-        if n_iters:
-            covering = covering_regions(nnops.spp_layout(boxes, self.grid, hh, ww)[0], hh, ww)
         for _ in range(n_iters):
             prev = outputs[-1]
             x_cls = self._feedback(prev.x_cls) if ground_cls is None else ground_cls
             maps = [encode_cls(x_cls, hh, ww)]
-            for task in cfg.region_classes:
-                maps.append(encode_det(self._feedback(prev.regions[task][0]), covering, hh, ww))
+            maps += [encode_det(self._feedback(prev.regions[t][0]), geometry.covering, hh, ww)
+                     for t in cfg.region_classes]
             if stacked:
                 task_maps = nnops.stack_channels(maps)
                 h = nnops.stack_channels([r_img, task_maps])
-                x_task = nnops.spp_pool_regions(task_maps, boxes, self.grid)
+                x_task = nnops.spp_pool_regions(task_maps, geometry.boxes, geometry.cells)
                 fc1 = {
                     task: elementwise(
                         "add", pre, matmul(x_task, self.region_heads[task]["fc1_task"])

@@ -16,7 +16,9 @@ gradient is scattered. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
 backward scans them in the same order and writes each window's gradient to
-the first one that equals the maximum.
+the first one that equals the maximum. SPP reads the bin cells that
+`spp_layout` builds once per box set, which the caller keeps
+(`model.SceneGeometry`): the module holds no state.
 """
 
 from __future__ import annotations
@@ -257,27 +259,18 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
 
 def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     """Fixed-grid max pooling of one image-coordinate box: G x G x C out
-    (`spp_pool_regions` with one box).
+    (`spp_pool_regions` with one box and its `spp_layout`).
     Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
-    row = spp_pool_regions(h, np.asarray(box, dtype=np.float64).reshape(1, 4), grid)
+    boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
+    row = spp_pool_regions(h, boxes, spp_layout(boxes, grid, *h.data.shape[:2])[1])
     return reshape(row, (grid.grid_size, grid.grid_size, h.data.shape[2]))
 
 
-# Layout of the last box set `spp_layout` built, keyed by the boxes' bytes,
-# dtype and shape, the grid and the map shape.
-_SPP_LAYOUT: dict = {}
-
-
 def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
-    """(footprints, cells) of an (M, 4) box set on an hh x ww map, built
-    once per box set: the boxes' `feature_footprints` at the grid's stride,
-    and the (M, g, g, L) flat cell indices of every bin's candidates,
-    row-major in each bin. Boxes byte-equal to the memo's key passed the
-    degenerate and non-finite check when it was built."""
-    key = (boxes.tobytes(), boxes.dtype.str, boxes.shape, grid, hh, ww)
-    hit = _SPP_LAYOUT.get(key)
-    if hit is not None:
-        return hit
+    """(footprints, cells) of an (M, 4) box set on an hh x ww map: the
+    boxes' `feature_footprints` at the grid's stride, and the (M, g, g, L)
+    flat cell indices of every bin's candidates, row-major in each bin.
+    TensorError names the first degenerate or non-finite box."""
     x1, y1, x2, y2 = boxes.T
     bad = np.nonzero(~np.isfinite(boxes).all(axis=1) | (x2 <= x1) | (y2 <= y1))[0]
     if bad.size:
@@ -288,19 +281,17 @@ def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
     ridx = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
     cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
-    cells = cells.reshape(len(boxes), g, g, -1)
-    _SPP_LAYOUT.clear()
-    _SPP_LAYOUT[key] = fp, cells
-    return fp, cells
+    return fp, cells.reshape(len(boxes), g, g, -1)
 
 
-def spp_pool_regions(h: Tensor, boxes: np.ndarray, grid: SppGrid) -> Tensor:
-    """Batched SPP over (M, 4) image-coordinate boxes, one tape node: a row
-    gather per bin cell, a strict-`>` scan, one scatter. Returns the
-    (M, G*G*C) rows a region fc1 reads, bin-major (row-major over the
-    G x G grid), then channel."""
+def spp_pool_regions(h: Tensor, boxes: np.ndarray, cells: np.ndarray) -> Tensor:
+    """Batched SPP over (M, 4) image-coordinate boxes and the bin `cells`
+    `spp_layout` built of them on h's map, one tape node: a row gather per
+    bin cell, a strict-`>` scan, one scatter. Returns the (M, G*G*C) rows a
+    region fc1 reads, bin-major (row-major over the G x G grid), then channel."""
     hh, ww, c = h.data.shape
-    _, cells = spp_layout(boxes, grid, hh, ww)
+    if len(cells) != len(boxes):
+        raise TensorError(f"spp_pool: {len(cells)} regions' cells for {len(boxes)} boxes")
     rows = h.data.reshape(hh * ww, c)
     out = rows[cells[..., 0]]
     win = cells[..., :1]  # winning cell of each bin and channel (broadcast until one differs)

@@ -209,12 +209,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Gradients add onto existing buffers (sum semantics); callers zero
     parameter grads between steps. An input without a buffer gets a copy
     of the first gradient it receives, so every buffer is the sweep's own
-    and no two tensors' grads share memory. The tape is cleared afterwards.
+    and no two tensors' grads share memory. Each node leaves the tape as the
+    sweep reaches it, so what only it holds is freed before the next runs.
     """
     if loss.data.size != 1:
         raise TensorError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
         g = node.out.grad
         if g is None:
             continue
@@ -225,7 +227,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 t.grad = np.array(gi, dtype=t.data.dtype)
             else:
                 t.grad += gi
-    tape.nodes.clear()
 
 
 class ParamGroup:

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from multinet import nnops
 from multinet.model import fc1_rows
 from multinet.tensor import Tape, Tensor, backward, elementwise, make_op
 
@@ -103,6 +104,19 @@ def record_grads(net):
         else:
             grads[record] = t.grad.copy()
     return grads
+
+
+def forward_boxes(net, image, boxes, **kwargs):
+    """`net.forward` over the (M, 4) region `boxes`, with the geometry
+    record (`Multinet.geometry`) built for this call."""
+    return net.forward(image, net.geometry(boxes), **kwargs)
+
+
+def spp_regions(h, boxes, grid):
+    """`nnops.spp_pool_regions` over (M, 4) `boxes`, with the bin cells
+    `nnops.spp_layout` builds of them on h's map at `grid`."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    return nnops.spp_pool_regions(h, boxes, nnops.spp_layout(boxes, grid, *h.data.shape[:2])[1])
 
 
 def reseal(path, edit):

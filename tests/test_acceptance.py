@@ -5,8 +5,9 @@ tests/_cache keyed by their configuration, so only the first run is slow.
 Every run evaluates, grounds and sweeps the cached update1 checkpoints
 afresh; the other comparison modes keep no checkpoint, so their computed
 metrics are cached instead, keyed by the trajectory pin's loss histories too,
-so a change that moves training recomputes them. Those `*.json` files and
-the overfit checkpoint may be deleted to recompute them. The three
+so a change that moves training recomputes them. The overfit checkpoint is
+keyed by the pin as well. Those `*.json` files and the overfit checkpoint
+may be deleted to recompute them. The three
 `bench_*.ckpt` update1 checkpoints may not: they were trained in float64,
 and the perfbench fixture, `TestFixtureEvalPin` and
 `test_resave_reproduces_committed_bytes` pin their bytes and figures.
@@ -45,7 +46,9 @@ from multinet.tasks import average_precision, iou_matrix, match_detections
 from multinet.tensor import Tensor, sum_all
 
 import test_harness
-from conftest import as_boxes, assert_same_scene, check_grads, n_values, weighted_sum
+from conftest import (
+    as_boxes, assert_same_scene, check_grads, forward_boxes, n_values, spp_regions, weighted_sum,
+)
 from test_model import covering, encode_det_oracle, integrate_bottleneck
 from test_nnops import conv_oracle, random_box, random_boxes, spp_oracle
 from test_tasks import MISS, ap_oracle, _far_box
@@ -121,7 +124,6 @@ def test_criterion_1_gradient_suite(capsys):
             relu,
             sigmoid,
             softmax_rows,
-            spp_pool_regions,
             stack_channels,
         )
         from multinet.tasks import bce_multilabel, smooth_l1, softmax_ce
@@ -170,12 +172,12 @@ def test_criterion_1_gradient_suite(capsys):
             )
             box = random_box(r, 64)
             check_grads(
-                lambda a: sum_all(spp_pool_regions(a, np.array([box]), SppGrid(3, 8))),
+                lambda a: sum_all(spp_regions(a, np.array([box]), SppGrid(3, 8))),
                 [r.normal(size=(8, 8, 2))],
             )
             boxes = random_boxes(r, 3, 64)
             check_grads(
-                lambda a: sum_all(spp_pool_regions(a, boxes, SppGrid(3, 8))),
+                lambda a: sum_all(spp_regions(a, boxes, SppGrid(3, 8))),
                 [r.normal(size=(8, 8, 2))],
             )
             check_grads(
@@ -239,7 +241,7 @@ def test_criterion_2_oracle_equivalences(capsys):
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 36)
-            out = nnops.spp_pool_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
+            out = spp_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
 
         # encode_det vs the per-cell brute force, 100 cases
@@ -326,7 +328,7 @@ def test_criterion_3_structural_invariants(capsys):
         bxs = boxes_for(8)
         ref = None
         for t in (0, 1, 3):
-            out0 = Multinet(small("update1", 3, 4, t), seed=4).forward(img, bxs)[0]
+            out0 = forward_boxes(Multinet(small("update1", 3, 4, t), seed=4), img, bxs)[0]
             if ref is None:
                 ref = out0
             else:
@@ -363,8 +365,8 @@ def test_criterion_4_ordinary_mtl_reduction(capsys):
             ys = np.sort(r.uniform(0, 30, 2) + [0, 2])
             bxs.append((xs[0], ys[0], xs[1], ys[1]))
         bxs = np.array(bxs)
-        s = shared.forward(img, bxs)
-        u = stacked.forward(img, bxs)
+        s = forward_boxes(shared, img, bxs)
+        u = forward_boxes(stacked, img, bxs)
         assert len(s) == 1
         np.testing.assert_array_equal(s[0].x_cls.data, u[0].x_cls.data)
         for task in ("det", "part"):
@@ -385,7 +387,7 @@ def test_criterion_5_overfit_smoke(capsys):
     config = OVERFIT_CONFIG
 
     state = _cached_state(
-        "overfit_" + _key(dataclasses.asdict(config), dataclasses.asdict(spec), 32),
+        "overfit_" + _key(dataclasses.asdict(config), dataclasses.asdict(spec), 32, TRAJECTORY),
         lambda: train(config, spec, scenes),
     )
     metrics = evaluate_model(state.model, spec, scenes)

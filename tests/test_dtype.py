@@ -15,7 +15,7 @@ from multinet.nnops import Layer, SppGrid
 from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tensor import Tape, Tensor, add_rowvec, backward, matmul, reshape, sum_all, take_rows
 
-from conftest import add
+from conftest import add, forward_boxes, spp_regions
 
 # Region geometry stays float64 whatever the network's dtype.
 BOXES = np.array([[0.0, 0.0, 16.0, 16.0], [4.0, 8.0, 30.0, 20.0], [10.0, 2.0, 14.0, 31.0]])
@@ -43,11 +43,11 @@ CASES = {
     "fully_connected:vector": (lambda x, w, b: nnops.fully_connected(x, Layer(w, b)),
                                [(4,), (4, 2), (2,)]),
     "stack_channels": (lambda a, b: nnops.stack_channels([a, b]), [(2, 2, 1), (2, 2, 3)]),
-    "spp_pool_regions": (lambda h: nnops.spp_pool_regions(h, BOXES, SppGrid(2, 8)), [(4, 4, 3)]),
+    "spp_pool_regions": (lambda h: spp_regions(h, BOXES, SppGrid(2, 8)), [(4, 4, 3)]),
     "encode_cls": (lambda x: model.encode_cls(x, 4, 4), [(3,)]),
     "encode_det": (lambda x: model.encode_det(x, COVERING, 4, 4), [(3, 4)]),
-    # The harness passes the image label as uint8 and the box targets and
-    # mask as float64.
+    # The harness passes the image label as uint8; the box losses also take
+    # float64 targets and mask, which they cast to the deltas' dtype.
     "bce_multilabel": (lambda p: tasks.bce_multilabel(p, np.array([1, 0, 1], dtype=np.uint8)),
                        [(3,)]),
     "softmax_ce": (lambda s: tasks.softmax_ce(s, np.array([0, 2, 1])), [(3, 4)]),
@@ -96,7 +96,7 @@ def test_training_step_stays_float32(mode):
                        cls_hidden=16, region_hidden=16, spp_grid=3)
     cfg = build_task_config(config, spec)
     net = Multinet(cfg, seed=0)
-    batch = prepare_scene(scenes[0], spec, cfg, 0)
+    batch = prepare_scene(scenes[0], spec, net, 0)
     with Tape() as tape:
         loss = scene_loss(net, batch, config)
         nodes = list(tape.nodes)
@@ -109,6 +109,8 @@ def test_training_step_stays_float32(mode):
     for name, t, _ in net.params.items():
         assert t.data.dtype == f32 and t.grad.dtype == f32, name
     assert net.dtype == f32
+    for target in batch.regions.values():  # loss targets are held in the network's dtype
+        assert target.deltas.dtype == target.mask.dtype == f32
 
 
 def test_grounded_forward_stays_float32():
@@ -120,6 +122,6 @@ def test_grounded_forward_stays_float32():
                                     canvas=32, channels=8, cls_hidden=16, region_hidden=16,
                                     spp_grid=3), seed=0)
     boxes = BOXES[np.arange(16) % 3]
-    outs = net.forward(scene.image, boxes, ground_cls=scene.img_label)
+    outs = forward_boxes(net, scene.image, boxes, ground_cls=scene.img_label)
     tensors = [x for o in outs for x in (o.x_cls, *(t for r in o.regions.values() for t in r))]
     assert {x.data.dtype for x in tensors} == {np.dtype(np.float32)}

@@ -33,7 +33,7 @@ from multinet.tensor import (
     ParamGroup, Tape, Tensor, TensorError, add_rowvec, backward, matmul, sgd_step, take_rows,
 )
 
-from conftest import add, as_float64, record_grads, reseal, scale
+from conftest import add, as_float64, forward_boxes, record_grads, reseal, scale
 from test_synthdata import (
     WRONG_TYPED_SPEC_FIELDS, label_offset, patched, record_offsets, with_spec_fields,
 )
@@ -349,14 +349,13 @@ def chained_loss(net, batch, config):
     pairwise adds left to right. Every weight must be above 0 and every
     region task must have labelled and foreground regions."""
     terms = []
-    for out in net.forward(batch.scene.image, batch.proposals):
+    for out in net.forward(batch.scene.image, batch.geometry):
         terms.append(scale(tasks.bce_multilabel(out.x_cls, batch.scene.img_label),
                            config.weight_cls))
         for task, (scores, deltas) in out.regions.items():
             target = batch.regions[task]
-            keep = np.nonzero(target.labels >= 0)[0]
-            assert keep.size and target.mask.any()
-            terms.append(scale(tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]),
+            assert target.keep.size and target.mask.any()
+            terms.append(scale(tasks.softmax_ce(take_rows(scores, target.keep), target.labels),
                                getattr(config, f"weight_{task}")))
             terms.append(scale(tasks.smooth_l1(deltas, target.deltas, target.mask),
                                config.weight_bbox))
@@ -376,7 +375,7 @@ class TestLossNode:
                               weight_bbox=0.25)
         cfg = build_task_config(config, SMALL_SPEC)
         net = Multinet(cfg, seed=0)
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net, 0)
         got = {}
         for name, build in (("node", scene_loss), ("chain", chained_loss)):
             with Tape() as tape:
@@ -401,7 +400,7 @@ class TestLossNode:
         config = small_config(mode=mode, iterations=2)
         cfg = build_task_config(config, SMALL_SPEC)
         net = Multinet(cfg, seed=0)
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net, 0)
         with Tape() as tape:
             scene_loss(net, batch, config)
             assert len(tape.nodes) == self.NODES_PER_STEP[mode]
@@ -806,8 +805,8 @@ class TestTwoTaskGradientMatch:
 
         config3 = small_config(mode="shared", weight_part=0.0)
         config2 = small_config(mode="shared")
-        batch3 = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg3, 0)
-        batch2 = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg2, 0)
+        batch3 = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net3, 0)
+        batch2 = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net2, 0)
 
         def grads(net, batch, config):
             net.params.zero_grads()
@@ -842,7 +841,7 @@ class TestGatheredFc1Step:
     def test_step_bit_identical(self, monkeypatch, mode):
         config = small_config(mode=mode, iterations=2)
         cfg = build_task_config(config, SMALL_SPEC)
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, Multinet(cfg, seed=0), 0)
 
         def step(net, params):
             with Tape() as tape:
@@ -898,25 +897,32 @@ class TestGatheredFc1Step:
 
 class TestRegionTargets:
     def test_delta_matrix_matches_per_region_loop(self):
-        cfg = build_task_config(small_config(), SMALL_SPEC)
+        # The targets are held in the network's dtype (float32), with the
+        # labelled rows and their labels apart.
+        net = Multinet(build_task_config(small_config(), SMALL_SPEC), seed=0)
+        cfg = net.cfg
         for i, scene in enumerate(SMALL_SCENES):
-            batch = prepare_scene(scene, SMALL_SPEC, cfg, i)
+            batch = prepare_scene(scene, SMALL_SPEC, net, i)
+            props = batch.geometry.boxes
             for task, k in cfg.region_classes.items():
                 classes, gt = tasks.REGION_TASKS[task].ground_truth(scene)
                 targets = batch.regions[task]
+                labels = np.full(cfg.m, tasks.IGNORE)
+                labels[targets.keep] = targets.labels
                 want, want_mask = np.zeros((2, cfg.m, 4 * (k + 1)))
-                for m, lab in enumerate(targets.labels):
+                for m, lab in enumerate(labels):
                     if lab >= 1:
-                        p = batch.proposals[m]
+                        p = props[m]
                         g = tasks.iou_matrix(p, gt)[0].argmax()
                         assert classes[g] == lab
                         want[m, 4 * lab : 4 * lab + 4] = tasks.bbox_encode(p, gt[g])
                         want_mask[m, 4 * lab : 4 * lab + 4] = 1.0
-                assert targets.deltas.tobytes() == want.tobytes()
-                assert targets.mask.tobytes() == want_mask.tobytes()
-                again = tasks.assign_regions(batch.proposals, classes, gt, k)
-                np.testing.assert_array_equal(targets.labels, again.labels)
-                assert (targets.labels >= 1).any()
+                assert targets.deltas.tobytes() == want.astype(np.float32).tobytes()
+                assert targets.mask.tobytes() == want_mask.astype(np.float32).tobytes()
+                again = tasks.assign_regions(props, classes, gt, k)
+                np.testing.assert_array_equal(labels, again.labels)
+                assert np.all(targets.labels >= 0) and targets.boxed == (labels >= 1).any()
+                assert (labels >= 1).any()
 
 
 class TestIndependentNets:
@@ -951,17 +957,16 @@ class TestIndependentNets:
                  if t.data.tobytes() != init[name].tobytes()}
         assert moved == {"backbone", task}
 
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, state.model, 0)
         loss = scene_loss(state.model, batch, config)
-        (out,) = state.model.forward(batch.scene.image, batch.proposals)
+        (out,) = state.model.forward(batch.scene.image, batch.geometry)
         assert set(out.regions) == {"det", "part"}
         if task == "cls":
             want = tasks.bce_multilabel(out.x_cls, batch.scene.img_label).item()
         else:
             scores, deltas = out.regions[task]
             target = batch.regions[task]
-            keep = np.nonzero(target.labels >= 0)[0]
-            want = add(tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]),
+            want = add(tasks.softmax_ce(take_rows(scores, target.keep), target.labels),
                        tasks.smooth_l1(deltas, target.deltas, target.mask)).item()
         assert loss.item() == want
 
@@ -969,13 +974,12 @@ class TestIndependentNets:
         config = small_config(mode="shared", weight_cls=0.0, weight_det=0.0)
         cfg = build_task_config(config, SMALL_SPEC)
         net = as_float64(Multinet(cfg, seed=0))
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net, 0)
         loss = scene_loss(net, batch, config)
-        (out,) = net.forward(batch.scene.image, batch.proposals)
+        (out,) = net.forward(batch.scene.image, batch.geometry)
         scores, deltas = out.regions["part"]
         target = batch.regions["part"]
-        keep = np.nonzero(target.labels >= 0)[0]
-        part_only = (tasks.softmax_ce(take_rows(scores, keep), target.labels[keep]).item()
+        part_only = (tasks.softmax_ce(take_rows(scores, target.keep), target.labels).item()
                      + tasks.smooth_l1(deltas, target.deltas, target.mask).item())
         assert loss.item() == pytest.approx(part_only, rel=1e-12)
 
@@ -983,10 +987,10 @@ class TestIndependentNets:
         # weight_bbox scales box regression but never trains a task whose
         # own weight is zero.
         config = small_config(mode="shared", weight_cls=0.0, weight_part=0.0, weight_det=0.0)
-        cfg = build_task_config(config, SMALL_SPEC)
-        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, cfg, 0)
-        assert all(target.mask.any() for target in batch.regions.values())
-        loss = scene_loss(Multinet(cfg, seed=0), batch, config)
+        net = Multinet(build_task_config(config, SMALL_SPEC), seed=0)
+        batch = prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net, 0)
+        assert all(target.boxed for target in batch.regions.values())
+        loss = scene_loss(net, batch, config)
         assert loss.item() == 0.0
 
 
@@ -1023,7 +1027,7 @@ class TestExperiments:
             records = []
             for i, scene in enumerate(SMALL_SCENES):
                 props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
-                out = net.forward(scene.image, props, n_iters=t)[-1]
+                out = forward_boxes(net, scene.image, props, n_iters=t)[-1]
                 regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
                 records.append(
                     tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))
@@ -1053,6 +1057,31 @@ class TestExperiments:
             assert calls == [1] * (2 * n)
             assert res["ungrounded"] == by_t[1]
 
+    def test_ground_prepares_each_scene_once(self, monkeypatch):
+        # Both conditions of `ground_experiment` read one set of proposals
+        # and geometry records, built once per scene; a plain pass builds
+        # them once per scene too.
+        state = self._trained(epochs_phase1=1)
+        seeds, geometries = [], []
+        propose, geometry = harness.propose_regions, Multinet.geometry
+
+        def proposed(*args, seed):
+            seeds.append(seed)
+            return propose(*args, seed=seed)
+
+        def built(self, boxes):
+            geometries.append(geometry(self, boxes))
+            return geometries[-1]
+
+        monkeypatch.setattr(harness, "propose_regions", proposed)
+        monkeypatch.setattr(Multinet, "geometry", built)
+        harness.ground_experiment(state, SMALL_SPEC, SMALL_SCENES)
+        n = len(SMALL_SCENES)
+        assert seeds == list(range(n)) and len(geometries) == n
+        seeds.clear()
+        harness.scored_pass(state.model, SMALL_SPEC, SMALL_SCENES, [0, 1, 2])
+        assert seeds == list(range(n))
+
     def test_grounded_pass_reads_the_true_labels(self):
         # A grounded pass equals forward(ground_cls=img_label) scored scene by
         # scene. Here that differs from the ungrounded forward and from one
@@ -1065,7 +1094,8 @@ class TestExperiments:
             records = []
             for i, scene in enumerate(SMALL_SCENES):
                 props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
-                out = net.forward(scene.image, props, ground_cls=label(scene), n_iters=1)[1]
+                out = forward_boxes(net, scene.image, props, ground_cls=label(scene),
+                                    n_iters=1)[1]
                 regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
                 records.append(
                     tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))

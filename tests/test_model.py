@@ -8,11 +8,13 @@ from multinet.model import (
     MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det,
     fc1_rows,
 )
-from multinet.nnops import Layer, feature_footprints
+from multinet.nnops import Layer, SppGrid, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
-from conftest import add, as_float64, check_grads, n_values, record_grads, weighted_sum
+from conftest import (
+    add, as_float64, check_grads, forward_boxes, n_values, record_grads, spp_regions, weighted_sum,
+)
 from test_nnops import footprint_oracle, random_boxes
 
 
@@ -285,9 +287,12 @@ class TestStructure:
         assert r.data.shape == (fs, fs, cfg.channels)
 
     def test_indivisible_image_rejected(self):
+        # 40 is a multiple of the stride but not the 32-pixel canvas, on
+        # whose map a scene's geometry record indexes its SPP cells.
         net = Multinet(small_cfg(), seed=0)
-        with pytest.raises(TensorError):
-            net.encode_image(np.zeros((30, 30, 3)))
+        for side in (30, 40):
+            with pytest.raises(TensorError, match=r"not the canvas \(32, 32\)"):
+                net.encode_image(np.zeros((side, side, 3)))
 
     def test_bias_multiplier_is_two(self):
         net = Multinet(small_cfg(), seed=0)
@@ -335,14 +340,14 @@ class TestForward:
         cfg = small_cfg(t=3)
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
+        outs = forward_boxes(net, img, boxes)
         assert len(outs) == 4
 
     def test_output_shapes(self):
         cfg = small_cfg()
         net = as_float64(Multinet(cfg, seed=0))
         img, boxes = small_inputs(cfg)
-        out = net.forward(img, boxes)[0]
+        out = forward_boxes(net, img, boxes)[0]
         assert out.x_cls.data.shape == (cfg.c_cls,)
         assert out.regions["det"][0].data.shape == (cfg.m, cfg.c_cls + 1)
         assert out.regions["det"][1].data.shape == (cfg.m, 4 * (cfg.c_cls + 1))
@@ -355,21 +360,29 @@ class TestForward:
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(ValueError, match="iteration count must be non-negative, got -1"):
-            net.forward(img, boxes, n_iters=-1)
+            forward_boxes(net, img, boxes, n_iters=-1)
 
     def test_wrong_region_count_rejected(self):
         cfg = small_cfg()
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(TensorError):
-            net.forward(img, boxes[:-1])
+            forward_boxes(net, img, boxes[:-1])
+
+    @pytest.mark.parametrize("builder_mode, mode", [("shared", "update1"), ("update1", "shared")])
+    def test_geometry_of_another_mode_rejected(self, builder_mode, mode):
+        cfg = small_cfg(mode=mode)
+        img, boxes = small_inputs(cfg)
+        other = Multinet(small_cfg(mode=builder_mode), seed=0).geometry(boxes)
+        with pytest.raises(TensorError, match=f"expected the {mode} geometry"):
+            Multinet(cfg, seed=0).forward(img, other)
 
     def test_outputs0_invariant_to_t(self):
         img, boxes = small_inputs(small_cfg())
         first = None
         for t in (0, 1, 3):
             net = Multinet(small_cfg(t=t), seed=4)
-            out0 = net.forward(img, boxes)[0]
+            out0 = forward_boxes(net, img, boxes)[0]
             if first is None:
                 first = out0
             else:
@@ -383,8 +396,8 @@ class TestForward:
         img, boxes = small_inputs(small_cfg())
         shared = Multinet(small_cfg(mode="shared"), seed=2)
         stacked = Multinet(small_cfg(mode="update1"), seed=2)
-        s_out = shared.forward(img, boxes)
-        u_out = stacked.forward(img, boxes)
+        s_out = forward_boxes(shared, img, boxes)
+        u_out = forward_boxes(stacked, img, boxes)
         assert len(s_out) == 1
         np.testing.assert_array_equal(s_out[0].x_cls.data, u_out[0].x_cls.data)
         np.testing.assert_array_equal(s_out[0].regions["det"][0].data, u_out[0].regions["det"][0].data)
@@ -394,8 +407,8 @@ class TestForward:
     def test_determinism(self):
         cfg = small_cfg()
         img, boxes = small_inputs(cfg)
-        a = Multinet(cfg, seed=1).forward(img, boxes)
-        b = Multinet(cfg, seed=1).forward(img, boxes)
+        a = forward_boxes(Multinet(cfg, seed=1), img, boxes)
+        b = forward_boxes(Multinet(cfg, seed=1), img, boxes)
         for oa, ob in zip(a, b):
             np.testing.assert_array_equal(oa.regions["det"][0].data, ob.regions["det"][0].data)
 
@@ -406,7 +419,7 @@ class TestForward:
         cfg = small_cfg(mode=mode, t=1)
         net = as_float64(Multinet(cfg, seed=7))
         img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
+        outs = forward_boxes(net, img, boxes)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
         cov = covering(boxes, STRIDE, hh, ww)
@@ -431,15 +444,15 @@ class TestForward:
         cfg = small_cfg(mode="update1")
         net = Multinet(cfg, seed=3)
         img, boxes = small_inputs(cfg)
-        o2 = net.forward(img, boxes, n_iters=2)
-        o4 = net.forward(img, boxes, n_iters=4)
+        o2 = forward_boxes(net, img, boxes, n_iters=2)
+        o4 = forward_boxes(net, img, boxes, n_iters=4)
         for a, b in zip(o2, o4[:3]):
             np.testing.assert_array_equal(a.regions["det"][0].data, b.regions["det"][0].data)
 
     def test_truncate_feedback_same_forward_values(self):
         img, boxes = small_inputs(small_cfg())
-        full = Multinet(small_cfg(), seed=6).forward(img, boxes)
-        trunc = Multinet(small_cfg(truncate_feedback=True), seed=6).forward(img, boxes)
+        full = forward_boxes(Multinet(small_cfg(), seed=6), img, boxes)
+        trunc = forward_boxes(Multinet(small_cfg(truncate_feedback=True), seed=6), img, boxes)
         for a, b in zip(full, trunc):
             np.testing.assert_array_equal(a.regions["det"][0].data, b.regions["det"][0].data)
 
@@ -447,7 +460,7 @@ class TestForward:
         cfg = small_cfg(c_part=0)
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
+        outs = forward_boxes(net, img, boxes)
         assert all("part" not in o.regions for o in outs)
 
     def test_bottleneck_gradient_fd(self):
@@ -458,7 +471,7 @@ class TestForward:
         A = net.params["bottleneck.filters"]
 
         def scalar():
-            outs = net.forward(img, boxes)
+            outs = forward_boxes(net, img, boxes)
             return sum_all(outs[1].regions["det"][0])
 
         with Tape() as tape:
@@ -507,7 +520,7 @@ class TestSplitFc1Gradient:
         def scalar():
             r = np.random.default_rng(0)
             total = Tensor(0.0)
-            for t, out in enumerate(net.forward(img, boxes)):
+            for t, out in enumerate(forward_boxes(net, img, boxes)):
                 for x in output_tensors([out]):
                     weights = r.normal(size=x.data.shape)
                     if t in iters:
@@ -563,8 +576,8 @@ class TestGrounding:
         cfg = small_cfg(t=1)
         net = Multinet(cfg, seed=9)
         img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
-        grounded = net.forward(img, boxes, ground_cls=outs[0].x_cls.data, n_iters=1)
+        outs = forward_boxes(net, img, boxes)
+        grounded = forward_boxes(net, img, boxes, ground_cls=outs[0].x_cls.data, n_iters=1)
         np.testing.assert_allclose(grounded[1].x_cls.data, outs[1].x_cls.data, atol=1e-14)
         np.testing.assert_allclose(grounded[1].regions["det"][0].data, outs[1].regions["det"][0].data, atol=1e-14)
 
@@ -572,9 +585,9 @@ class TestGrounding:
         cfg = small_cfg(t=1)
         net = Multinet(cfg, seed=9)
         img, boxes = small_inputs(cfg)
-        outs = net.forward(img, boxes)
+        outs = forward_boxes(net, img, boxes)
         flipped = 1.0 - outs[0].x_cls.data
-        grounded = net.forward(img, boxes, ground_cls=flipped, n_iters=1)
+        grounded = forward_boxes(net, img, boxes, ground_cls=flipped, n_iters=1)
         assert not np.allclose(grounded[1].x_cls.data, outs[1].x_cls.data)
 
     def test_grounded_truth_reencoded_every_iteration(self):
@@ -584,7 +597,7 @@ class TestGrounding:
         net = as_float64(Multinet(cfg, seed=11))
         img, boxes = small_inputs(cfg)
         truth = np.array([1.0, 0.0, 1.0])
-        outs = net.forward(img, boxes, ground_cls=truth, n_iters=1)
+        outs = forward_boxes(net, img, boxes, ground_cls=truth, n_iters=1)
         r_img = net.encode_image(img)
         hh, ww = r_img.data.shape[:2]
         cov = covering(boxes, STRIDE, hh, ww)
@@ -600,7 +613,7 @@ class TestGrounding:
         net = Multinet(cfg, seed=0)
         img, boxes = small_inputs(cfg)
         with pytest.raises(TensorError):
-            net.forward(img, boxes, ground_cls=np.zeros(7), n_iters=1)
+            forward_boxes(net, img, boxes, ground_cls=np.zeros(7), n_iters=1)
 
 
 def whole_fc1_layers(net):
@@ -619,7 +632,7 @@ def whole_fc1(net, layer, h, boxes):
     """fc1 pre-activation of one region head from the whole map `h`: the
     regions of every channel of `h` pooled and fed through the unsplit fc1
     `layer`."""
-    pooled = nnops.spp_pool_regions(h, boxes, net.grid)
+    pooled = spp_regions(h, boxes, SppGrid(net.cfg.spp_grid, STRIDE))
     flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
     return nnops.fully_connected(flat, layer)
 
@@ -721,7 +734,7 @@ class TestPoolOnce:
         # the image rows (plus bias) apart from the task rows, so only
         # rounding may differ.
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
-        got = net.forward(img, boxes, **kwargs)
+        got = forward_boxes(net, img, boxes, **kwargs)
         want = forward_oracle(net, whole_fc1_layers(net), img, boxes, **kwargs)
         assert len(got) == len(want) > 0
         for t, (out_a, out_b) in enumerate(zip(got, want)):
@@ -743,7 +756,8 @@ class TestPoolOnce:
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
         layers = whole_fc1_layers(net)
         grads = []
-        for fwd in (net.forward, lambda *a, **k: forward_oracle(net, layers, *a, **k)):
+        for fwd in (lambda *a, **k: forward_boxes(net, *a, **k),
+                    lambda *a, **k: forward_oracle(net, layers, *a, **k)):
             net.params.zero_grads()
             with Tape() as tape:
                 backward(weighted_total(output_tensors(fwd(img, boxes, **kwargs))), tape)
@@ -769,31 +783,54 @@ class TestPoolOnce:
         seen = []
         pool = nnops.spp_pool_regions
 
-        def counted(h, rois, grid):
+        def counted(h, rois, cells):
             seen.append(h.data.shape[2])
-            return pool(h, rois, grid)
+            return pool(h, rois, cells)
 
         monkeypatch.setattr(nnops, "spp_pool_regions", counted)
-        net.forward(img, boxes)
+        forward_boxes(net, img, boxes)
         width = {"C": net.cfg.channels, "task": net.cfg.task_channels}
         assert seen == [width[w] for w in widths]
 
     @pytest.mark.parametrize("mode", ["update1", "update2"])
     def test_footprints_built_once_per_box_set(self, monkeypatch, mode):
-        # Pooling and the label maps of `encode_det` read one layout per box
-        # set: a forward over new boxes builds their footprints once, and a
-        # forward over the same boxes again builds none.
+        # Pooling and the label maps of `encode_det` read the one layout of
+        # a box set's geometry record: building the record builds their
+        # footprints once, and forwards over it build none.
         net = Multinet(small_cfg(mode=mode, t=2), seed=0)
         img, boxes = small_inputs(net.cfg)
         built = []
         footprints = nnops.feature_footprints
         monkeypatch.setattr(nnops, "feature_footprints",
                             lambda *args: built.append(args) or footprints(*args))
-        nnops._SPP_LAYOUT.clear()
-        net.forward(img, boxes)
+        geometry = net.geometry(boxes)
         assert len(built) == 1
-        net.forward(img, boxes)
+        net.forward(img, geometry)
+        net.forward(img, geometry)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_box_sets_match_their_own_forward(self, mode):
+        # Forwards over box set A, then B, then A again each equal that
+        # set's forward on a fresh network: no layout of one set is read
+        # for another.
+        cfg = small_cfg(mode=mode, t=2)
+        img, a = small_inputs(cfg, seed=1)
+        _, b = small_inputs(cfg, seed=2)
+        net = Multinet(cfg, seed=0)
+        got = {}
+        for name, boxes in (("a", a), ("b", b), ("a", a)):
+            got[name] = [x.data.tobytes() for x in output_tensors(forward_boxes(net, img, boxes))]
+            want = output_tensors(forward_boxes(Multinet(cfg, seed=0), img, boxes))
+            assert got[name] == [x.data.tobytes() for x in want]
+        assert got["a"][1] != got["b"][1]  # the det scores read the boxes
+
+    def test_geometry_covering_only_where_the_mode_recurs(self):
+        img, boxes = small_inputs(small_cfg())
+        for mode in MODES:
+            geometry = Multinet(small_cfg(mode=mode), seed=0).geometry(boxes)
+            assert (geometry.covering is None) == (mode == "shared")
+            assert geometry.cells.shape[:3] == (len(boxes), 3, 3)
 
     @pytest.mark.parametrize(
         "mode,overrides,steps",
@@ -841,7 +878,7 @@ class TestPoolOnce:
         monkeypatch.setattr(Multinet, "decode_regions", decode_regions)
         monkeypatch.setattr(nnops, "stack_channels", stack_channels)
         with Tape() as tape:
-            net.forward(img, boxes)
+            forward_boxes(net, img, boxes)
 
         heads = list(net.region_heads)
         want = [f"decode:{h}" if step == "decode" else f"{h}:{step}"
@@ -852,3 +889,21 @@ class TestPoolOnce:
                    if params.intersection(node.inputs)]
         assert readers.count("take_rows") == 0
         assert set(readers) <= {"conv2d", "fully_connected", "matmul"}
+
+
+@pytest.mark.parametrize("module", [nnops, model])
+def test_no_mutable_module_state(module):
+    # A box set's layout lives in the geometry record its caller keeps, so
+    # neither module holds a cache: no module-level dict, list or set.
+    state = [name for name, value in vars(module).items()
+             if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert state == []
+
+
+def test_geometry_names_a_degenerate_box():
+    # The degenerate/non-finite box check runs once, when the record is built.
+    cfg = small_cfg()
+    _, boxes = small_inputs(cfg)
+    boxes[3, 2] = boxes[3, 0]
+    with pytest.raises(TensorError, match=r"degenerate/non-finite box .* \(region 3\)"):
+        Multinet(cfg, seed=0).geometry(boxes)

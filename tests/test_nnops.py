@@ -17,13 +17,14 @@ from multinet.nnops import (
     relu,
     sigmoid,
     softmax_rows,
+    spp_layout,
     spp_pool,
     spp_pool_regions,
     stack_channels,
 )
 from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
-from conftest import check_grads, weighted_sum
+from conftest import check_grads, spp_regions, weighted_sum
 
 
 def conv_oracle(x, filters, bias, stride, padding):
@@ -481,9 +482,9 @@ class TestStackChannels:
         a, b = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 2))
         boxes = random_boxes(rng, 6, 64)
         grid = SppGrid(3, 8)
-        whole = spp_pool_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
+        whole = spp_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
         parts = stack_channels([
-            Tensor(spp_pool_regions(Tensor(x), boxes, grid).data.reshape(6, 9, -1)) for x in (a, b)
+            Tensor(spp_regions(Tensor(x), boxes, grid).data.reshape(6, 9, -1)) for x in (a, b)
         ])
         np.testing.assert_array_equal(parts.data, whole.data.reshape(6, 9, 5))
 
@@ -583,14 +584,14 @@ class TestSpp:
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 12 * 3)
-            out = spp_pool_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
+            out = spp_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
         x = r.normal(size=(8, 8, 5))
         boxes = random_boxes(r, 20, 64)
-        batched = spp_pool_regions(Tensor(x), boxes, SppGrid(6, 8))
+        batched = spp_regions(Tensor(x), boxes, SppGrid(6, 8))
         for i, b in enumerate(boxes):
             single = spp_pool(Tensor(x), b, SppGrid(6, 8))
             np.testing.assert_array_equal(batched.data[i], single.data.ravel())
@@ -600,36 +601,42 @@ class TestSpp:
         r = np.random.default_rng(seed)
         x = r.normal(size=(8, 8, 2))
         box = random_box(r, 64)
-        check_grads(lambda t: sum_all(spp_pool_regions(t, np.array([box]), SppGrid(4, 8))), [x])
+        check_grads(lambda t: sum_all(spp_regions(t, np.array([box]), SppGrid(4, 8))), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_batched(self, seed):
         r = np.random.default_rng(100 + seed)
         x = r.normal(size=(8, 8, 2))
         boxes = random_boxes(r, 3, 64)
-        check_grads(lambda t: sum_all(spp_pool_regions(t, boxes, SppGrid(3, 8))), [x])
+        check_grads(lambda t: sum_all(spp_regions(t, boxes, SppGrid(3, 8))), [x])
 
     def test_batched_degenerate_box_names_region(self):
         with pytest.raises(TensorError, match="region 1"):
-            spp_pool_regions(
+            spp_regions(
                 Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), SppGrid(2, 8)
             )
 
-    def test_cell_memo_follows_box_bytes_and_map_shape(self, rng):
-        # The cell indices are kept for the last box set; a box set changed
-        # in place, or a map of another shape, is indexed (and checked)
-        # again.
+    def test_layout_follows_box_bytes_and_map_shape(self, rng):
+        # A layout is built of the boxes and the map shape alone: equal
+        # boxes pool alike, and a box set changed in place, or a map of
+        # another shape, is indexed (and checked) anew.
         boxes = random_boxes(rng, 6, 64)
         x8, x4 = rng.normal(size=(8, 8, 3)), rng.normal(size=(4, 4, 3))
-        first = spp_pool_regions(Tensor(x8), boxes, SppGrid(3, 8)).data
-        again = spp_pool_regions(Tensor(x8), boxes.copy(), SppGrid(3, 8)).data
+        first = spp_regions(Tensor(x8), boxes, SppGrid(3, 8)).data
+        again = spp_regions(Tensor(x8), boxes.copy(), SppGrid(3, 8)).data
         assert again.tobytes() == first.tobytes()
-        small = spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
+        small = spp_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
         for i, box in enumerate(boxes):
             np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3).ravel())
         boxes[4, 2] = boxes[4, 0]
         with pytest.raises(TensorError, match="region 4"):
-            spp_pool_regions(Tensor(x4), boxes, SppGrid(3, 16))
+            spp_regions(Tensor(x4), boxes, SppGrid(3, 16))
+
+    def test_cells_must_match_boxes(self, rng):
+        boxes = random_boxes(rng, 3, 64)
+        _, cells = spp_layout(boxes, SppGrid(2, 8), 8, 8)
+        with pytest.raises(TensorError, match="2 regions' cells for 3 boxes"):
+            spp_pool_regions(Tensor(rng.normal(size=(8, 8, 1))), boxes, cells[:2])
 
     @pytest.mark.parametrize("coord", range(4))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -639,7 +646,7 @@ class TestSpp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any cast to cell indices
             with pytest.raises(TensorError, match="region 2"):
-                spp_pool_regions(Tensor(np.zeros((4, 4, 1))), boxes, SppGrid(2, 8))
+                spp_regions(Tensor(np.zeros((4, 4, 1))), boxes, SppGrid(2, 8))
 
     # (grid size, integer-valued map, box draw, ties expected): integer maps
     # tie often; G = 3 on an 8 x 8 map makes bins of 2-3 cells; G = 10 and
@@ -669,7 +676,7 @@ class TestSpp:
         gout = r.normal(size=(len(boxes), g, g, 3))
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            pooled = spp_pool_regions(xt, boxes, SppGrid(g, 8))
+            pooled = spp_regions(xt, boxes, SppGrid(g, 8))
             backward(weighted_sum(pooled, gout.reshape(len(boxes), -1)), tape)
         out, gh, ties = spp_routed_oracle(x, boxes, 8, g, gout)
         assert (ties > 0) == tied

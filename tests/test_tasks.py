@@ -27,7 +27,7 @@ from multinet.tasks import (
 from multinet.nnops import sigmoid, softmax_rows
 from multinet.tensor import Tensor, TensorError, sum_all
 
-from conftest import as_boxes, check_grads
+from conftest import as_boxes, check_grads, forward_boxes
 
 
 def iou_rasterized(a, b, n=2000):
@@ -854,7 +854,7 @@ class TestEvaluateMatchesScalarScoring:
         per_t = [[] for _ in range(model.cfg.t + 1)]
         for i, scene in enumerate(scenes):
             props = propose_regions(scene, spec, model.cfg.m, seed=i)
-            for t, out in enumerate(model.forward(scene.image, props)):
+            for t, out in enumerate(forward_boxes(model, scene.image, props)):
                 regions = {k: (sc.data, d.data) for k, (sc, d) in out.regions.items()}
                 per_t[t].append(Prediction(out.x_cls.data, regions, props))
         assert len(per_t) == 3

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from multinet.tensor import (
     TensorError,
     add_rowvec,
     backward,
+    make_op,
     matmul,
     reshape,
     seed_rng,
@@ -204,6 +207,25 @@ class TestBackward:
             loss = matmul(reshape(t.detach(), (1, 3)), reshape(t, (3, 1)))
             backward(loss, tape)
         np.testing.assert_allclose(t.grad, t.data)  # only the live branch
+
+    def test_node_state_freed_before_the_node_before_it_runs(self, rng):
+        # The sweep drops each node as it reaches it, so what a later op's
+        # backward keeps is freed before the earlier op's backward runs.
+        class Saved:  # state an op's backward keeps, such as a patch matrix
+            pass
+
+        x = Tensor(rng.normal(size=3), requires_grad=True)
+        alive = []
+        with Tape() as tape:
+            first = make_op(x.data * 1.0, (x,), lambda g: alive.append(kept()) or (g,), "first")
+            saved = Saved()
+            kept = weakref.ref(saved)
+            second = make_op(first.data * 1.0, (first,), lambda g, s=saved: (g,), "second")
+            del saved
+            assert kept() is not None
+            backward(weighted_sum(second, np.ones(3)), tape)
+        assert alive == [None] and tape.nodes == []
+        np.testing.assert_array_equal(x.grad, np.ones(3))
 
 
 # Builders of the ownership cases: x and y need gradients, w1..w3 do not.
