@@ -1,11 +1,11 @@
 """Recurrent multi-task architecture: shared conv backbone, per-task label
 encoders/decoders, and two integrator variants.
 
-Iteration schedule: at t=0 the shared map holds image features only (task
-channels start at zero for the stacking integrator) and each head makes an
-ordinary multi-task prediction. For t >= 1 the previous predictions are
-re-encoded into spatial maps, integrated with the image features, and all
-heads decode again. Decoder weights are tied across iterations.
+Iteration schedule: at t=0 every head reads the image features only and
+makes an ordinary multi-task prediction. For t >= 1 the previous
+predictions are re-encoded into spatial maps, integrated with the image
+features, and all heads decode again. Decoder weights are tied across
+iterations.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _POOLED = (True, True, True, False)
 # Image pixels per backbone feature cell: each 2x2 pooling halves the map.
 STRIDE = 2 ** sum(_POOLED)
 
-# Modes whose decoders read the stacked (image + task channel) layout.
+# Modes whose heads read the stacked (image + task channel) layout.
 _STACKED_MODES = ("shared", "update1")
 
 
@@ -71,9 +71,8 @@ class TaskConfig:
 
     @property
     def decoder_channels(self) -> int:
-        """Channel count decoders consume: the full stacked layout for the
-        stacking integrator (task channels zeroed at t=0), C for the
-        bottleneck integrator."""
+        """Channels each head's fc1 reads per pooled cell: the stacked
+        layout's for the stacking integrator, C for the bottleneck one."""
         return self.stacked_channels if self.mode in _STACKED_MODES else self.channels
 
 
@@ -141,13 +140,15 @@ def encode_det(x: Tensor, covering: np.ndarray, h: int, w: int) -> Tensor:
     return make_op(data, (x,), bwd, "encode_det")
 
 
-def fc1_rows(cfg: TaskConfig) -> dict:
-    """Block -> the rows of a stacking-mode region fc1's checkpoint record
-    `<task>.fc1.weight` it holds, in order. Row cell*D + ch of that stacked
-    weight reads channel ch of SPP cell `cell` (D = `decoder_channels`):
-    the "image" block holds the rows with ch < C, the "task" block the rest."""
+def fc1_rows(cfg: TaskConfig, head: str) -> dict:
+    """Block -> the rows of head `head`'s stacking-mode fc1 record
+    `<head>.fc1.weight` it holds, in order. Row cell*D + ch of that stacked
+    weight reads channel ch of pooled cell `cell` (D = `decoder_channels`;
+    one cell for "cls", G*G SPP cells for a region head): the "image" block
+    holds the rows with ch < C, the "task" block the rest."""
     dc = cfg.decoder_channels
-    layout = np.arange(cfg.spp_grid**2 * dc).reshape(-1, dc)
+    cells = 1 if head == "cls" else cfg.spp_grid**2
+    layout = np.arange(cells * dc).reshape(-1, dc)
     return {"image": layout[:, : cfg.channels].ravel(), "task": layout[:, cfg.channels :].ravel()}
 
 
@@ -173,9 +174,9 @@ class Multinet:
     float32: each is drawn in float64 from `seed`, or is its entry of
     `records` (as `records()` names them), rounded once, and the network
     computes in their dtype (`dtype`), to which `forward` casts its inputs.
-    A stacking-mode region fc1 weight is two parameters,
-    `<task>.fc1.weight:image` and `<task>.fc1.weight:task`, which
-    checkpoints record as the one stacked weight (`records`).
+    A stacking-mode fc1 weight is two parameters, `<head>.fc1.weight:image`
+    and `<head>.fc1.weight:task`, which checkpoints record as the one
+    stacked weight (`records`).
     """
 
     def __init__(self, cfg: TaskConfig, seed: int = 0, records: dict | None = None):
@@ -189,11 +190,16 @@ class Multinet:
             for i, pool in enumerate(_POOLED)
         ]
 
+        # Head -> its fc1 as (layer, task block). With the stacking
+        # integrator the layer holds the image block with the bias, and the
+        # task block is a parameter of its own; in update2 the layer is the
+        # whole fc1 and there is no task block.
+        self.fc1 = {}
         dc = cfg.decoder_channels
         # Image-classification head: global max pool, two hidden FCs, a
         # sigmoid output layer (final layer Gaussian std 0.01).
         hc = cfg.cls_hidden
-        self.cls_fc1 = self._layer(source, "cls.fc1", (dc, hc))
+        self._fc1(source, "cls", (dc, hc))
         self.cls_fc2 = self._layer(source, "cls.fc2", (hc, hc))
         self.cls_out = self._layer(source, "cls.out", (hc, cfg.c_cls), std=0.01)
 
@@ -237,15 +243,15 @@ class Multinet:
                    for key, part in parts.items()]
         return Layer(weights[0], self.params.add(f"{name}.bias", Tensor(bias), 2.0))
 
-    def _region_head(self, source, name, din, hidden, k1):
-        # With the stacking integrator fc1's weight is held as the blocks the
-        # forward reads: the image block with the bias, and the task block.
+    def _fc1(self, source, head, shape):
         stacked = self.cfg.mode in _STACKED_MODES
-        fc1 = self._layer(source, f"{name}.fc1", (din, hidden),
-                          blocks=fc1_rows(self.cfg) if stacked else None)
+        layer = self._layer(source, f"{head}.fc1", shape,
+                            blocks=fc1_rows(self.cfg, head) if stacked else None)
+        self.fc1[head] = (layer, self.params[f"{head}.fc1.weight:task"] if stacked else None)
+
+    def _region_head(self, source, name, din, hidden, k1):
+        self._fc1(source, name, (din, hidden))
         return {
-            "fc1": fc1,
-            "fc1_task": self.params[f"{name}.fc1.weight:task"] if stacked else None,
             "fc2": self._layer(source, f"{name}.fc2", (hidden, hidden)),
             "score": self._layer(source, f"{name}.score", (hidden, k1), std=0.01),
             "delta": self._layer(source, f"{name}.delta", (hidden, 4 * k1), std=0.001),
@@ -255,14 +261,14 @@ class Multinet:
 
     def records(self) -> list:
         """(name, array, lr multiplier) of each checkpoint record, in record
-        order: every parameter's data, except that a stacking-mode region
-        fc1's image and task blocks are joined into their stacked
-        `<task>.fc1.weight` (`fc1_rows`)."""
+        order: every parameter's data, except that a stacking-mode fc1's
+        image and task blocks are joined into their stacked
+        `<head>.fc1.weight` (`fc1_rows`)."""
         out = []
         for name, t, mult in self.params.items():
             record, _, block = name.partition(":")
             if block == "task":  # joined to the image block, recorded last
-                rows, image = fc1_rows(self.cfg), out[-1][1]
+                rows, image = fc1_rows(self.cfg, record.partition(".")[0]), out[-1][1]
                 stacked = np.empty((len(image) + len(t.data), t.data.shape[1]), t.data.dtype)
                 stacked[rows["image"]], stacked[rows["task"]] = image, t.data
                 out[-1] = (record, stacked, mult)
@@ -292,9 +298,10 @@ class Multinet:
 
     # ---- decoders -------------------------------------------------------
 
-    def decode_cls(self, h: Tensor) -> Tensor:
-        v = nnops.global_max_pool(h)
-        v = nnops.relu(nnops.fully_connected(v, self.cls_fc1))
+    def decode_cls(self, fc1: Tensor) -> Tensor:
+        """Image-class probabilities from the (cls_hidden,) fc1
+        pre-activation."""
+        v = nnops.relu(fc1)
         v = nnops.relu(nnops.fully_connected(v, self.cls_fc2))
         return nnops.sigmoid(nnops.fully_connected(v, self.cls_out))
 
@@ -308,10 +315,10 @@ class Multinet:
         deltas = nnops.fully_connected(feat, hd["delta"])
         return scores, deltas
 
-    def _decode_all(self, h: Tensor, fc1: dict) -> MultinetOutput:
-        """Decode cls from the map `h` and each region task from its fc1."""
-        regions = {task: self.decode_regions(pre, task) for task, pre in fc1.items()}
-        return MultinetOutput(self.decode_cls(h), regions)
+    def _decode_all(self, fc1: dict) -> MultinetOutput:
+        """Decode every head from its fc1 pre-activation."""
+        return MultinetOutput(self.decode_cls(fc1["cls"]), {
+            task: self.decode_regions(fc1[task], task) for task in self.cfg.region_classes})
 
     # ---- iteration schedule ---------------------------------------------
 
@@ -327,16 +334,16 @@ class Multinet:
         bottleneck integrator puts the previous map in front of that stack
         and mixes it back to C channels.
 
-        Region features are pooled once per map and shared by the region
-        heads. With the stacking integrator each region head's fc1 is held
-        as the two blocks of its input rows (`fc1_rows`): SPP max pooling is
-        per channel, so the image channels are pooled once per forward and
-        their product with the image block (plus bias) is taken once, and
-        iteration t >= 1 adds the product of its own pooled task channels
-        with the task block. At t = 0 the task channels are zero, so the
-        image product is the whole pre-activation. The bottleneck integrator
-        pools its C-channel map at every iteration and applies the whole
-        fc1.
+        Every head reads one pooling of a map (`pool`): its global max for
+        cls, its SPP rows for the region heads, which share them. With the
+        stacking integrator each head's fc1 is held as the two blocks of its
+        input rows (`fc1_rows`): max pooling is per channel, so the image
+        channels are pooled once per forward and their product with the
+        image block (plus bias) is taken once, which is the whole
+        pre-activation at t = 0, and iteration t >= 1 adds the product of
+        its own pooled task channels with the task block. The bottleneck
+        integrator pools its C-channel map at every iteration and applies
+        the whole fc1.
         """
         cfg = self.cfg
         if len(geometry.boxes) != cfg.m or (geometry.covering is None) != (cfg.mode == "shared"):
@@ -354,42 +361,33 @@ class Multinet:
         hh, ww = r_img.data.shape[:2]
         if cfg.mode == "shared":
             n_iters = 0
-        stacked = cfg.mode in _STACKED_MODES
 
-        def fc1_from(h):
-            # the whole fc1 in update2; with the stacking integrator h is
-            # r_img and each head's "fc1" layer holds its image block
+        def pool(h):
             x = nnops.spp_pool_regions(h, geometry.boxes, geometry.cells)
-            return {task: nnops.fully_connected(x, hd["fc1"])
-                    for task, hd in self.region_heads.items()}
+            return {"cls": nnops.global_max_pool(h), **dict.fromkeys(cfg.region_classes, x)}
+
+        def fc1_from(h):  # the image block's product, or update2's whole fc1
+            return {head: nnops.fully_connected(x, self.fc1[head][0])
+                    for head, x in pool(h).items()}
 
         h = r_img
-        if stacked:
-            zeros = np.zeros((hh, ww, cfg.task_channels), dtype=r_img.data.dtype)
-            h = nnops.stack_channels([r_img, Tensor(zeros)])
-        fc1 = img_fc1 = fc1_from(r_img)  # whole at t = 0, where the task channels are zero
-        outputs = [self._decode_all(h, fc1)]
+        fc1 = img_fc1 = fc1_from(r_img)
+        outputs = [self._decode_all(fc1)]
         for _ in range(n_iters):
             prev = outputs[-1]
             x_cls = self._feedback(prev.x_cls) if ground_cls is None else ground_cls
             maps = [encode_cls(x_cls, hh, ww)]
             maps += [encode_det(self._feedback(prev.regions[t][0]), geometry.covering, hh, ww)
                      for t in cfg.region_classes]
-            if stacked:
-                task_maps = nnops.stack_channels(maps)
-                h = nnops.stack_channels([r_img, task_maps])
-                x_task = nnops.spp_pool_regions(task_maps, geometry.boxes, geometry.cells)
-                fc1 = {
-                    task: elementwise(
-                        "add", pre, matmul(x_task, self.region_heads[task]["fc1_task"])
-                    )
-                    for task, pre in img_fc1.items()
-                }
+            if cfg.mode in _STACKED_MODES:
+                x_task = pool(nnops.stack_channels(maps))
+                fc1 = {head: elementwise(pre, matmul(x_task[head], self.fc1[head][1]))
+                       for head, pre in img_fc1.items()}
             else:
                 stack = nnops.stack_channels([h, r_img] + maps)
                 h = nnops.relu(nnops.conv2d(stack, self.bottleneck))
                 fc1 = fc1_from(h)
-            outputs.append(self._decode_all(h, fc1))
+            outputs.append(self._decode_all(fc1))
         return outputs
 
     def _feedback(self, pred: Tensor) -> Tensor:

@@ -122,28 +122,24 @@ def make_op(
     return out
 
 
-def elementwise(kind: str, a: Tensor, b: Tensor) -> Tensor:
-    """The one elementwise op the model runs: `add` of two Tensors of the
+def elementwise(a: Tensor, b: Tensor) -> Tensor:
+    """The one elementwise op the model runs: the sum of two Tensors of the
     same shape."""
-    if kind != "add":
-        raise TensorError(f"unknown elementwise kind {kind!r}")
     if a.data.shape != b.data.shape:
         raise TensorError(f"elementwise add: shape {a.data.shape} vs {b.data.shape}")
     return make_op(a.data + b.data, (a, b), lambda g: (g, g), "elementwise:add")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise TensorError(
-            f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
-        )
-    data = a.data @ b.data
+    """a @ b of a D vector or an N x D matrix `a` and a D x K matrix `b`."""
     ad, bd = a.data, b.data
+    if ad.ndim not in (1, 2) or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+        raise TensorError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
 
     def bwd(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T, np.outer(ad, g) if ad.ndim == 1 else ad.T @ g)
 
-    return make_op(data, (a, b), bwd, "matmul")
+    return make_op(ad @ bd, (a, b), bwd, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:

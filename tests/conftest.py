@@ -1,5 +1,12 @@
 import dataclasses
 import hashlib
+import os
+
+# One BLAS thread, set before numpy loads its BLAS, so that the trajectory
+# pin and the cache entries a run rebuilds do not depend on the host's core
+# count (README, "Determinism").
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest
@@ -54,7 +61,7 @@ def scale(t, k):
 def add(a, b):
     """a + b of two Tensors of the same shape: the engine's `elementwise`
     add, whose backward hands its one gradient array to both inputs."""
-    return elementwise("add", a, b)
+    return elementwise(a, b)
 
 
 def analytic_grads(build, arrays):
@@ -92,13 +99,13 @@ def as_float64(net):
 
 def record_grads(net):
     """Record name -> the gradient of that checkpoint record of a Multinet, in
-    the order and shapes `records` gives: a stacking-mode region fc1's image
-    and task block gradients are joined through `fc1_rows`."""
+    the order and shapes `records` gives: a stacking-mode fc1's image and
+    task block gradients are joined through `fc1_rows` of its head."""
     grads = {}
     for name, t, _ in net.params.items():
         record, _, block = name.partition(":")
         if block:
-            rows = fc1_rows(net.cfg)
+            rows = fc1_rows(net.cfg, record.partition(".")[0])
             shape = (len(rows["image"]) + len(rows["task"]), t.grad.shape[1])
             grads.setdefault(record, np.empty(shape, t.grad.dtype))[rows[block]] = t.grad
         else:

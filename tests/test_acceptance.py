@@ -134,12 +134,17 @@ def test_criterion_1_gradient_suite(capsys):
             w23 = r.normal(size=(2, 3))
             # the one elementwise op the model runs
             check_grads(
-                lambda a, b: weighted_sum(elementwise("add", a, b), w23),
+                lambda a, b: weighted_sum(elementwise(a, b), w23),
                 [r.normal(size=(2, 3)), r.normal(size=(2, 3))],
             )
             check_grads(
                 lambda a, b: sum_all(matmul(a, b)),
                 [r.normal(size=(4, 3)), r.normal(size=(3, 2))],
+            )
+            # the cls task block's product: a pooled vector times a matrix
+            check_grads(
+                lambda a, b: weighted_sum(matmul(a, b), w23[0]),
+                [r.normal(size=2), r.normal(size=(2, 3))],
             )
             # the labelled regions of a region loss: distinct rows
             w42 = r.normal(size=(4, 2))

@@ -28,6 +28,7 @@ MASK[0, 4:] = MASK[2, :4] = 1.0
 CASES = {
     "elementwise:add": (add, [(2, 3), (2, 3)]),
     "matmul": (matmul, [(3, 4), (4, 2)]),
+    "matmul:vector": (matmul, [(4,), (4, 2)]),
     "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
     "take_rows": (lambda a: take_rows(a, [3, 0, 2]), [(4, 2)]),
     "add_rowvec": (add_rowvec, [(3, 2), (2,)]),

@@ -27,10 +27,11 @@ from multinet.harness import (
     write_csv,
 )
 from multinet.model import Multinet, TaskConfig, fc1_rows
+from multinet.nnops import Layer
 from multinet.synthdata import SceneSpec, generate_dataset, propose_regions, write_dataset
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import (
-    ParamGroup, Tape, Tensor, TensorError, add_rowvec, backward, matmul, sgd_step, take_rows,
+    ParamGroup, Tape, Tensor, TensorError, backward, matmul, sgd_step, take_rows,
 )
 
 from conftest import add, as_float64, forward_boxes, record_grads, reseal, scale
@@ -311,22 +312,22 @@ class TestTrajectoryPin:
 
     Scope: the values are bit-exact for one machine class, one BLAS build and
     one BLAS thread count. They were recorded on x86-64 with numpy 2.4.6 and
-    scipy-openblas 0.3.31, and read the same at one and two threads there.
-    Another CPU or BLAS may sum matrix products in another order and move the
-    last bits. A change that moves training on purpose re-pins these values
-    and says why in CHANGES.md.
+    scipy-openblas 0.3.31, and read the same at one and two threads there;
+    tier-1 runs at one (`conftest.py`). Another CPU or BLAS may sum matrix
+    products in another order and move the last bits. A change that moves
+    training on purpose re-pins these values and says why in CHANGES.md.
     """
 
     HISTORIES = {
         ("shared", False): [7.684306085109711, 7.651153862476349, 7.6293394565582275],
         ("shared", True): [7.684306085109711, 7.651153862476349, 7.6293394565582275],
-        ("update1", False): [22.968812704086304, 22.638390064239502, 22.418598175048828],
-        ("update1", True): [22.96893548965454, 22.63805365562439, 22.417946577072144],
+        ("update1", False): [22.968812704086304, 22.638390064239502, 22.418598413467407],
+        ("update1", True): [22.96893548965454, 22.63805365562439, 22.417946338653564],
         ("update2", False): [23.090429306030273, 22.835932731628418, 22.670726776123047],
         ("update2", True): [23.09043312072754, 22.835944890975952, 22.670736074447632],
     }
     # `save_checkpoint` of the final ("update1", False) state.
-    CKPT_SHA256 = "3f097b1886e82e28ac89e1c8d4b1c5b1181b5579fd4d67d6fe703406d3aae6e2"
+    CKPT_SHA256 = "b556cd1aac2120fc735f03476885b82d93964a12a4a549a783f3c3f783cfc0d2"
 
     def test_loss_histories_and_checkpoint(self, tmp_path):
         spec = SceneSpec(canvas=32, max_object_side=20, objects_max=2, seed=9)
@@ -393,7 +394,7 @@ class TestLossNode:
 
     # Tape nodes one training step records, by mode, with T = 2 and both
     # region tasks: the loss's 15 terms (5 in `shared`) are one node.
-    NODES_PER_STEP = {"shared": 42, "update1": 114, "update2": 111}
+    NODES_PER_STEP = {"shared": 41, "update1": 113, "update2": 111}
 
     @pytest.mark.parametrize("mode", sorted(NODES_PER_STEP))
     def test_nodes_per_step(self, mode):
@@ -831,11 +832,11 @@ class TestTwoTaskGradientMatch:
 
 
 class TestGatheredFc1Step:
-    """A training step equals one in the earlier layout, where each region
-    fc1 of the stacking modes was one parameter, the stacked checkpoint
-    record, and every forward gathered its image and task rows with
-    `take_rows`: the same loss bytes, block gradients equal to the stacked
-    gradient's rows, and the same weight bytes after the SGD step."""
+    """A training step equals one in the earlier layout, where each fc1 of
+    the stacking modes was one parameter, the stacked checkpoint record, and
+    every forward gathered its image and task rows with `take_rows`: the
+    same loss bytes, block gradients equal to the stacked gradient's rows,
+    and the same weight bytes after the SGD step."""
 
     @pytest.mark.parametrize("mode", ["update1", "shared"])
     def test_step_bit_identical(self, monkeypatch, mode):
@@ -857,38 +858,37 @@ class TestGatheredFc1Step:
         # the blocks' products read its rows, gathered once per forward.
         old = Multinet(cfg, seed=0)
         stacked = ParamGroup()
-        region_fc1 = {f"{task}.fc1.weight" for task in old.region_heads}
+        fc1 = {f"{head}.fc1.weight" for head in old.fc1}
         for name, data, mult in old.records():
-            stacked.add(name, Tensor(data.copy()) if name in region_fc1 else old.params[name], mult)
-        rows = fc1_rows(cfg)
-        owner = {}
-        for task, hd in old.region_heads.items():
-            owner[hd["fc1"].weight] = (stacked[f"{task}.fc1.weight"], "image")
-            owner[hd["fc1_task"]] = (stacked[f"{task}.fc1.weight"], "task")
+            stacked.add(name, Tensor(data.copy()) if name in fc1 else old.params[name], mult)
+        owner = {}  # block parameter -> (stacked record, the record's rows it holds)
+        for head, (layer, task_block) in old.fc1.items():
+            rows = fc1_rows(cfg, head)
+            owner[layer.weight] = (stacked[f"{head}.fc1.weight"], rows["image"])
+            owner[task_block] = (stacked[f"{head}.fc1.weight"], rows["task"])
         gathered = {}
         full = nnops.fully_connected
 
         def gather(block):
             if block not in gathered:
-                weight, kind = owner[block]
-                gathered[block] = take_rows(weight, rows[kind])
+                gathered[block] = take_rows(*owner[block])
             return gathered[block]
 
         def fully_connected(x, layer):
             if layer.weight in owner:
-                return add_rowvec(matmul(x, gather(layer.weight)), layer.bias)
+                return full(x, Layer(gather(layer.weight), layer.bias))
             return full(x, layer)
 
         monkeypatch.setattr(nnops, "fully_connected", fully_connected)
         monkeypatch.setattr(model, "matmul", lambda a, b: matmul(a, gather(b)))
         assert step(old, stacked) == loss
-        assert len(gathered) == (4 if mode == "update1" else 2)
+        assert len(gathered) == (6 if mode == "update1" else 3)
 
-        for task, hd in net.region_heads.items():
-            g = stacked[f"{task}.fc1.weight"].grad
-            assert hd["fc1"].weight.grad.tobytes() == g[rows["image"]].tobytes()
-            assert hd["fc1_task"].grad.tobytes() == g[rows["task"]].tobytes()
-            assert hd["fc1_task"].grad.any() == (mode == "update1")
+        for head, (layer, task_block) in net.fc1.items():
+            g, rows = stacked[f"{head}.fc1.weight"].grad, fc1_rows(cfg, head)
+            assert layer.weight.grad.tobytes() == g[rows["image"]].tobytes()
+            assert task_block.grad.tobytes() == g[rows["task"]].tobytes()
+            assert task_block.grad.any() == (mode == "update1")
         for (name, g), (old_name, t, _) in zip(record_grads(net).items(), stacked.items()):
             assert name == old_name and g.tobytes() == t.grad.tobytes(), name
         for (name, data, _), (_, t, _) in zip(net.records(), stacked.items()):

@@ -431,9 +431,7 @@ class TestForward:
             h1 = integrate_stack(r_img, r_cls, r_det, r_part)
         else:
             h1 = integrate_bottleneck(net, r_img, r_img, r_cls, r_det, r_part)
-        layers = whole_fc1_layers(net)
-        fc1 = {task: whole_fc1(net, layers[task], h1, boxes) for task in ("det", "part")}
-        manual = net._decode_all(h1, fc1)
+        manual = net._decode_all(whole_fc1(net, whole_fc1_layers(net), h1, boxes))
         np.testing.assert_allclose(outs[1].x_cls.data, manual.x_cls.data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["det"][0].data, manual.regions["det"][0].data, atol=1e-12)
         np.testing.assert_allclose(outs[1].regions["part"][1].data, manual.regions["part"][1].data, atol=1e-12)
@@ -499,22 +497,24 @@ class TestForward:
 class TestSplitFc1Gradient:
     """update1, T = 2: the image rows of a region fc1's stacked record read
     the pooled image channels at every t, the task rows read only the task
-    channels of t >= 1."""
+    channels of t >= 1. The cls head's fc1 record is split the same way,
+    over its one globally pooled cell. A shared net reads no task row."""
 
-    def grads(self, iters):
-        """Analytic gradient of the det.fc1.weight record (`fc1_rows` gives
-        its image and task rows), and central differences at
+    def grads(self, iters, head="det", mode="update1"):
+        """Analytic gradient of the `<head>.fc1.weight` record (`fc1_rows`
+        gives its image and task rows) of a `mode` net, and central
+        differences at
         six image-row and six task-row entries, of a weighted sum of the
         outputs of the iterations `iters`. Each output's weights are the
         same whichever iterations are summed. Entries are drawn from rows
         with some gradient when a row set has any (a row whose pooled input
         is zero in every region has none)."""
-        net = as_float64(Multinet(small_cfg(mode="update1", t=2, canvas=16, m=4), seed=4))
+        net = as_float64(Multinet(small_cfg(mode=mode, t=2, canvas=16, m=4), seed=4))
         img, boxes = small_inputs(net.cfg, seed=1)
-        blocks = fc1_rows(net.cfg)
+        blocks = fc1_rows(net.cfg, head)
         fc1_record_rows = tuple(blocks.values())  # (image rows, task rows)
         # Record row -> (the block parameter holding it, its row there).
-        block_row = {int(i): (net.params[f"det.fc1.weight:{b}"].data, k)
+        block_row = {int(i): (net.params[f"{head}.fc1.weight:{b}"].data, k)
                      for b, rows in blocks.items() for k, i in enumerate(rows)}
 
         def scalar():
@@ -539,7 +539,7 @@ class TestSplitFc1Gradient:
 
         with Tape() as tape:
             backward(scalar(), tape)
-        ana = record_grads(net)["det.fc1.weight"]
+        ana = record_grads(net)[f"{head}.fc1.weight"]
         r = np.random.default_rng(0)
         entries = []
         for rows in fc1_record_rows:
@@ -569,6 +569,21 @@ class TestSplitFc1Gradient:
         assert later[img_rows].any() and later[task_rows].any()
         np.testing.assert_allclose(later[task_rows], every[task_rows], rtol=1e-12, atol=0)
         assert np.any(later[img_rows] != every[img_rows])
+
+    def test_cls_fd_over_all_iterations(self):
+        (img_rows, task_rows), ana, _ = self.grads((0, 1, 2), "cls")
+        assert ana[img_rows].any() and ana[task_rows].any()
+
+    def test_cls_task_rows_get_no_gradient_from_t0(self):
+        (img_rows, task_rows), ana, num = self.grads((0,), "cls")
+        assert ana[img_rows].any()
+        assert np.all(ana[task_rows] == 0.0) and np.all(num[6:] == 0.0)
+
+    @pytest.mark.parametrize("head", ["cls", "det"])
+    def test_task_rows_get_no_gradient_in_shared(self, head):
+        (img_rows, task_rows), ana, num = self.grads((0,), head, mode="shared")
+        assert ana[img_rows].any()
+        assert np.all(ana[task_rows] == 0.0) and np.all(num[6:] == 0.0)
 
 
 class TestGrounding:
@@ -605,7 +620,7 @@ class TestGrounding:
         r_det = encode_det(outs[0].regions["det"][0], cov, hh, ww)
         r_part = encode_det(outs[0].regions["part"][0], cov, hh, ww)
         h1 = integrate_stack(r_img, r_cls, r_det, r_part)
-        manual = net.decode_cls(h1)
+        manual = net.decode_cls(whole_fc1(net, whole_fc1_layers(net), h1, boxes)["cls"])
         np.testing.assert_allclose(outs[1].x_cls.data, manual.data, atol=1e-12)
 
     def test_bad_ground_shape_rejected(self):
@@ -617,30 +632,35 @@ class TestGrounding:
 
 
 def whole_fc1_layers(net):
-    """Each region head's unsplit fc1: its checkpoint record's stacked
-    weight, as a new tensor that collects the whole weight's gradient, with
-    the head's bias."""
+    """Each head's unsplit fc1: its checkpoint record's stacked weight, as a
+    new tensor that collects the whole weight's gradient, with the head's
+    bias."""
     records = {name: data for name, data, _ in net.records()}
     return {
-        task: Layer(Tensor(records[f"{task}.fc1.weight"].copy(), requires_grad=True),
-                      hd["fc1"].bias)
-        for task, hd in net.region_heads.items()
+        head: Layer(Tensor(records[f"{head}.fc1.weight"].copy(), requires_grad=True),
+                    layer.bias)
+        for head, (layer, _) in net.fc1.items()
     }
 
 
-def whole_fc1(net, layer, h, boxes):
-    """fc1 pre-activation of one region head from the whole map `h`: the
-    regions of every channel of `h` pooled and fed through the unsplit fc1
-    `layer`."""
-    pooled = spp_regions(h, boxes, SppGrid(net.cfg.spp_grid, STRIDE))
-    flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
-    return nnops.fully_connected(flat, layer)
+def whole_fc1(net, layers, h, boxes):
+    """Each head's fc1 pre-activation from the whole map `h` through its
+    unsplit fc1 in `layers`: cls from the global max of every channel of
+    `h`, each region head from its own pooling of the regions of every
+    channel of `h`."""
+    fc1 = {"cls": nnops.fully_connected(nnops.global_max_pool(h), layers["cls"])}
+    for task in net.cfg.region_classes:
+        pooled = spp_regions(h, boxes, SppGrid(net.cfg.spp_grid, STRIDE))
+        flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
+        fc1[task] = nnops.fully_connected(flat, layers[task])
+    return fc1
 
 
 def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None):
     """The iteration schedule of `Multinet.forward` built from its public
-    pieces, with every region head pooling the full map `h` on its own and
-    decoding it through its unsplit fc1 from `whole_fc1_layers`."""
+    pieces, with the stacking modes' map `h` built whole (the image features
+    stacked with zero task channels at t = 0) and every head pooling it on
+    its own and decoding it through its unsplit fc1 from `whole_fc1_layers`."""
     cfg = net.cfg
     r_img = net.encode_image(img)
     hh, ww = r_img.data.shape[:2]
@@ -649,11 +669,9 @@ def forward_oracle(net, layers, img, boxes, ground_cls=None, n_iters=None):
     n_iters = cfg.t if n_iters is None else n_iters
 
     def decode(h):
-        regions = {
-            task: net.decode_regions(whole_fc1(net, layers[task], h, boxes), task)
-            for task in cfg.region_classes
-        }
-        return MultinetOutput(net.decode_cls(h), regions)
+        fc1 = whole_fc1(net, layers, h, boxes)
+        regions = {task: net.decode_regions(fc1[task], task) for task in cfg.region_classes}
+        return MultinetOutput(net.decode_cls(fc1["cls"]), regions)
 
     def label(pred):
         return pred.detach() if cfg.truncate_feedback else pred
@@ -729,10 +747,12 @@ class TestPoolOnce:
     @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
     def test_forward_bit_identical_to_per_head_pooling(self, mode, overrides, kwargs):
         # Bit-identical wherever the fc1 sum runs in the oracle's order: in
-        # every mode but update1, and at update1's t = 0, where the task
-        # rows only add exact zeros. At update1's t >= 1 the split fc1 sums
-        # the image rows (plus bias) apart from the task rows, so only
-        # rounding may differ.
+        # update2, and for the region heads at t = 0 in the stacking modes,
+        # where the oracle's zero task rows only add exact zeros to an
+        # M-row product. The stacking modes' cls product at t = 0 is one
+        # row over the C image rows, not over the whole stacked layout, and
+        # at t >= 1 every split fc1 sums the image rows (plus bias) apart
+        # from the task rows, so there only rounding may differ.
         net, img, boxes, kwargs = pool_once_setup(mode, overrides, kwargs)
         got = forward_boxes(net, img, boxes, **kwargs)
         want = forward_oracle(net, whole_fc1_layers(net), img, boxes, **kwargs)
@@ -740,12 +760,12 @@ class TestPoolOnce:
         for t, (out_a, out_b) in enumerate(zip(got, want)):
             pairs = list(zip(output_tensors([out_a]), output_tensors([out_b])))
             assert pairs
-            for a, b in pairs:
-                if mode == "update1" and t > 0:
+            for i, (a, b) in enumerate(pairs):
+                if mode == "update2" or (t == 0 and i > 0):  # output 0 is x_cls
+                    np.testing.assert_array_equal(a.data, b.data)
+                else:
                     scale = np.max(np.abs(b.data))
                     assert np.max(np.abs(a.data - b.data)) <= 1e-12 * scale
-                else:
-                    np.testing.assert_array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("mode,overrides,kwargs", POOL_ONCE_CASES)
     def test_gradients_match_per_head_pooling(self, mode, overrides, kwargs):
@@ -763,7 +783,7 @@ class TestPoolOnce:
                 backward(weighted_total(output_tensors(fwd(img, boxes, **kwargs))), tape)
             grads.append(record_grads(net))
         got, want = grads
-        want.update({f"{task}.fc1.weight": fc.weight.grad for task, fc in layers.items()})
+        want.update({f"{head}.fc1.weight": fc.weight.grad for head, fc in layers.items()})
         assert any(np.any(g) for g in want.values())
         for name, g in want.items():
             scale = np.max(np.abs(g))
@@ -841,20 +861,21 @@ class TestPoolOnce:
          ("update2", None, ["whole", "decode"] * 3)],
     )
     def test_fc1_products_per_forward(self, monkeypatch, mode, overrides, steps):
-        # The stacking modes take each head's image-block product once per
-        # forward and a task-block product only at t >= 1; update2 applies
-        # the whole fc1 at every t. No op gathers rows of a parameter: every
-        # parameter is read whole by a product. No pooled (4-D) block is
-        # ever joined by `stack_channels`.
+        # The stacking modes take each head's image-block product, cls's
+        # included, once per forward and a task-block product only at
+        # t >= 1; update2 applies the whole fc1 at every t. No op gathers
+        # rows of a parameter: every parameter is read whole by a product.
+        # No pooled (4-D) block is ever joined by `stack_channels`.
         net = Multinet(small_cfg(mode=mode, t=2, **(overrides or {})), seed=0)
         img, boxes = small_inputs(net.cfg)
         image = "whole" if mode == "update2" else "img"
-        fc1 = {hd["fc1"].weight: f"{task}:{image}" for task, hd in net.region_heads.items()}
-        fc1.update({hd["fc1_task"]: f"{task}:task" for task, hd in net.region_heads.items()
-                    if hd["fc1_task"] is not None})
+        fc1 = {layer.weight: f"{head}:{image}" for head, (layer, _) in net.fc1.items()}
+        fc1.update({task_block: f"{head}:task" for head, (_, task_block) in net.fc1.items()
+                    if task_block is not None})
         seen = []
         mul, full = model.matmul, nnops.fully_connected
-        decode, stack = Multinet.decode_regions, nnops.stack_channels
+        decode, decode_cls = Multinet.decode_regions, Multinet.decode_cls
+        stack = nnops.stack_channels
 
         def matmul(a, b):
             seen.append(fc1[b])
@@ -869,6 +890,10 @@ class TestPoolOnce:
             seen.append(f"decode:{task}")
             return decode(self, pre, task)
 
+        def decode_cls_counted(self, pre):
+            seen.append("decode:cls")
+            return decode_cls(self, pre)
+
         def stack_channels(tensors):
             assert all(t.data.ndim == 3 for t in tensors)
             return stack(tensors)
@@ -876,11 +901,13 @@ class TestPoolOnce:
         monkeypatch.setattr(model, "matmul", matmul)
         monkeypatch.setattr(nnops, "fully_connected", fully_connected)
         monkeypatch.setattr(Multinet, "decode_regions", decode_regions)
+        monkeypatch.setattr(Multinet, "decode_cls", decode_cls_counted)
         monkeypatch.setattr(nnops, "stack_channels", stack_channels)
         with Tape() as tape:
             forward_boxes(net, img, boxes)
 
-        heads = list(net.region_heads)
+        heads = list(net.fc1)
+        assert heads == ["cls", *net.cfg.region_classes]
         want = [f"decode:{h}" if step == "decode" else f"{h}:{step}"
                 for step in steps for h in heads]
         assert seen == want
@@ -889,6 +916,29 @@ class TestPoolOnce:
                    if params.intersection(node.inputs)]
         assert readers.count("take_rows") == 0
         assert set(readers) <= {"conv2d", "fully_connected", "matmul"}
+
+    def test_update1_stacks_only_label_maps(self, monkeypatch):
+        # Every head adds its task-block product to the image product, so an
+        # update1 forward at T = 2 stacks the label maps once per t >= 1 and
+        # never joins them to the image features.
+        net = Multinet(small_cfg(mode="update1", t=2), seed=0)
+        img, boxes = small_inputs(net.cfg)
+        images, calls = [], []
+        encode, stack = Multinet.encode_image, nnops.stack_channels
+
+        def encode_image(self, image):
+            images.append(encode(self, image))
+            return images[-1]
+
+        def stack_channels(tensors):
+            calls.append(list(tensors))
+            return stack(tensors)
+
+        monkeypatch.setattr(Multinet, "encode_image", encode_image)
+        monkeypatch.setattr(nnops, "stack_channels", stack_channels)
+        forward_boxes(net, img, boxes)
+        assert len(images) == 1 and len(calls) == 2
+        assert not any(t is images[0] for tensors in calls for t in tensors)
 
 
 @pytest.mark.parametrize("module", [nnops, model])

@@ -26,24 +26,20 @@ from conftest import add, check_grads, n_values, scale, weighted_sum
 
 class TestElementwise:
     def test_add_values(self):
-        out = T.elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = T.elementwise(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_shape_mismatch_message(self):
         with pytest.raises(TensorError, match=r"\(2,\).*\(3,\)"):
-            T.elementwise("add", Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+            T.elementwise(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
-    def test_add_is_the_only_kind(self):
-        with pytest.raises(TensorError, match="unknown elementwise kind 'mul'"):
-            T.elementwise("mul", Tensor([1.0]), Tensor([2.0]))
-
-    @pytest.mark.parametrize("kind", ["add"])
+    @pytest.mark.parametrize("op", [T.elementwise], ids=["add"])
     @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 2, 2), (5, 1)])
-    def test_gradients_random_shapes(self, kind, shape, rng):
+    def test_gradients_random_shapes(self, op, shape, rng):
         a = rng.normal(size=shape)
         b = rng.normal(size=shape)
         w = rng.normal(size=shape)
-        check_grads(lambda x, y: weighted_sum(T.elementwise(kind, x, y), w), [a, b], tol=1e-6)
+        check_grads(lambda x, y: weighted_sum(op(x, y), w), [a, b], tol=1e-6)
 
 
 class TestMatmul:
@@ -59,6 +55,17 @@ class TestMatmul:
     def test_dim_mismatch(self):
         with pytest.raises(TensorError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        with pytest.raises(TensorError, match=r"\(2,\) and \(3, 2\)"):
+            matmul(Tensor(np.ones(2)), Tensor(np.ones((3, 2))))
+
+    def test_vector_left_operand_is_a_one_row_product(self, rng):
+        # A D vector times D x K gives a K vector, with the values and
+        # gradients of the (1, D) row's product.
+        a, b, w = rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=4)
+        out = matmul(Tensor(a), Tensor(b))
+        assert out.data.shape == (4,)
+        np.testing.assert_allclose(out.data, (a[None, :] @ b)[0], rtol=1e-14)
+        check_grads(lambda x, y: weighted_sum(matmul(x, y), w), [a, b], tol=1e-6)
 
     def test_gradient_4x3_3x2(self, rng):
         a = rng.normal(size=(4, 3))
