@@ -84,10 +84,12 @@ class MultinetOutput:
 
 @dataclass(frozen=True)
 class SceneGeometry:
-    """A scene's (M, 4) region `boxes`, their SPP bin `cells` (`nnops.spp_layout`)
-    and the `covering_regions` table where the mode recurs (`Multinet.geometry`)."""
+    """A scene's (M, 4) region `boxes`, their SPP bin `cells` and scatter
+    `plan` (`nnops.spp_layout`), and the `covering_regions` table where the
+    mode recurs (`Multinet.geometry`)."""
     boxes: np.ndarray
     cells: np.ndarray
+    plan: nnops.SppPlan
     covering: np.ndarray | None
 
 
@@ -122,16 +124,15 @@ def encode_det(x: Tensor, covering: np.ndarray, h: int, w: int) -> Tensor:
     the scores of the regions that cover it (its row of the `covering`
     table from `covering_regions`), or 0 when no region does. Gradient
     routes to the first covering region attaining the max (strictly
-    positive maxima only)."""
+    positive maxima only), which the backward looks up."""
     m, k1 = x.data.shape
     padded = np.concatenate([x.data, np.zeros((1, k1), dtype=x.data.dtype)])
     cand = padded[covering]  # (H*W, L, K1)
-    pos = cand.argmax(axis=1)  # each cell's first covering max, per channel
-    cells = np.arange(h * w)[:, None]
-    data = np.maximum(cand[cells, pos, np.arange(k1)], 0.0).reshape(h, w, k1)
-    winner = np.where(data > 0, covering[cells, pos].reshape(h, w, k1), -1)
+    pos = cand.argmax(axis=1)[:, None]  # each cell's first covering max, per channel
+    data = np.maximum(np.take_along_axis(cand, pos, 1), 0.0).reshape(h, w, k1)
 
     def bwd(g):
+        winner = np.where(data > 0, np.take_along_axis(covering, pos[:, 0], 1).reshape(h, w, k1), -1)
         won = winner >= 0
         lin = (winner * k1 + np.arange(k1))[won]
         gx = np.bincount(lin, weights=g[won], minlength=m * k1)
@@ -280,20 +281,24 @@ class Multinet:
         """The `SceneGeometry` of the (M, 4) region `boxes` on the map of a
         canvas image; TensorError on a degenerate box."""
         side = self.cfg.canvas // STRIDE
-        fp, cells = nnops.spp_layout(boxes, SppGrid(self.cfg.spp_grid, STRIDE), side, side)
-        return SceneGeometry(boxes, cells, covering_regions(fp, side, side)
+        fp, cells, plan = nnops.spp_layout(boxes, SppGrid(self.cfg.spp_grid, STRIDE), side, side)
+        return SceneGeometry(boxes, cells, plan, covering_regions(fp, side, side)
                              if self.cfg.mode != "shared" else None)
 
     # ---- encoders -------------------------------------------------------
 
     def encode_image(self, image) -> Tensor:
+        """The backbone's map of a canvas image: each conv, its 2x2 max pooling
+        where it has one, then ReLU, which is monotone, so this gives conv ->
+        ReLU -> pool's bytes, gradients too, with ReLU on a quarter of the cells.
+        Only a -0.0 could tell the orders apart, and no conv output is one: GEMM
+        sums start at +0.0, as biases do, and SGD never makes a bias -0.0."""
         x = Tensor(np.asarray(image, dtype=self.dtype))
         if x.data.shape[:2] != (self.cfg.canvas,) * 2:
             raise TensorError(f"image is {x.data.shape[:2]}, not the canvas {(self.cfg.canvas,) * 2}")
         for layer, pool in self.backbone:
-            x = nnops.relu(nnops.conv2d(x, layer))
-            if pool:
-                x = nnops.max_pool2d(x)
+            x = nnops.conv2d(x, layer)
+            x = nnops.relu(nnops.max_pool2d(x) if pool else x)
         return x
 
     # ---- decoders -------------------------------------------------------
@@ -363,7 +368,7 @@ class Multinet:
             n_iters = 0
 
         def pool(h):
-            x = nnops.spp_pool_regions(h, geometry.boxes, geometry.cells)
+            x = nnops.spp_pool_regions(h, geometry.boxes, geometry.cells, geometry.plan)
             return {"cls": nnops.global_max_pool(h), **dict.fromkeys(cfg.region_classes, x)}
 
         def fc1_from(h):  # the image block's product, or update2's whole fc1

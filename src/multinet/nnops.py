@@ -16,14 +16,16 @@ gradient is scattered. `max_pool2d` pools 2 x 2 windows at
 stride 2 and copies no window: its forward is a running `np.maximum` over
 the four views (row-major), which keeps the earlier value on ties, and its
 backward scans them in the same order and writes each window's gradient to
-the first one that equals the maximum. SPP reads the bin cells that
-`spp_layout` builds once per box set, which the caller keeps
-(`model.SceneGeometry`): the module holds no state.
+the first one that equals the maximum. SPP reads the bin cells and the
+scatter plan (`SppPlan`) that `spp_layout` builds once per box set, which
+the caller keeps (`model.SceneGeometry`): the module holds no state.
+relu's mask is computed in its backward, so inference never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,6 +35,7 @@ from .tensor import Tensor, TensorError, make_op, reshape
 __all__ = [
     "Layer",
     "SppGrid",
+    "SppPlan",
     "conv2d",
     "relu",
     "sigmoid",
@@ -102,10 +105,8 @@ def conv2d(x: Tensor, layer: Layer) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
     def bwd(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return make_op(np.maximum(x.data, 0.0), (x,), bwd, "relu")
 
@@ -242,8 +243,9 @@ def feature_footprints(boxes, stride: int, h: int, w: int) -> np.ndarray:
 
 
 def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
-    """Absolute gather indices (M, g, L) for per-region clamped bins over
-    the [start, stop) cell ranges of n cells: bin i nominally spans
+    """(idx, real): absolute gather indices (M, g, L) for per-region clamped
+    bins over the [start, stop) cell ranges of n cells, and whether each is
+    a cell of its bin rather than a pad. Bin i nominally spans
     [floor(i*n/g), floor((i+1)*n/g)); an empty bin collapses to the single
     cell at its clamped start. Padding repeats each bin's last cell, so a
     strict-`>` scan in row-major order keeps the first max, never a pad."""
@@ -251,10 +253,10 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
     i = np.arange(g)[None, :]
     starts = np.minimum((i * n) // g, n - 1)
     ends = np.maximum(((i + 1) * n) // g, starts + 1)
-    length = int((ends - starts).max())
-    idx = starts[:, :, None] + np.arange(length)[None, None, :]
-    idx = np.minimum(idx, (ends - 1)[:, :, None])
-    return idx + start[:, None, None]
+    offset = np.arange(int((ends - starts).max()))[None, None, :]
+    real = offset < (ends - starts)[:, :, None]
+    idx = np.minimum(starts[:, :, None] + offset, (ends - 1)[:, :, None])
+    return idx + start[:, None, None], real
 
 
 def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
@@ -262,15 +264,41 @@ def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
     (`spp_pool_regions` with one box and its `spp_layout`).
     Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
-    row = spp_pool_regions(h, boxes, spp_layout(boxes, grid, *h.data.shape[:2])[1])
+    row = spp_pool_regions(h, boxes, *spp_layout(boxes, grid, *h.data.shape[:2])[1:])
     return reshape(row, (grid.grid_size, grid.grid_size, h.data.shape[2]))
 
 
+class SppPlan(NamedTuple):
+    """How `spp_pool_regions`' backward sums its B = M*G*G bins' gradients
+    onto the map. Column j of `rows` lists each bin that reads cell
+    `cells[j]` once (pad repeats dropped), in (region, bin row, bin column)
+    order, as `np.bincount` adds them, then B, a zero row, to the longest
+    list's length. numpy sums an outer axis rank by rank only when a rank
+    holds two or more values (one is summed pairwise): the last column is B."""
+
+    cells: np.ndarray  # (n,) the flat map cells some bin reads, ascending
+    rows: np.ndarray  # (R, n + 1) int32 bin rows; R is the most bins one cell is in
+
+
+def _scatter_plan(cells: np.ndarray, real: np.ndarray) -> SppPlan:
+    """The `SppPlan` of (B, L) bin `cells` whose slots `real` marks."""
+    slot_bin, slot = np.nonzero(real)  # (bin, slot) order
+    slot_cell = cells[slot_bin, slot]
+    order = np.argsort(slot_cell, kind="stable")
+    counts = np.bincount(slot_cell)
+    hit = np.flatnonzero(counts)
+    runs = counts[hit]
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(runs) - runs, runs)
+    rows = np.full((runs.max(), len(hit) + 1), len(cells), np.int32)
+    rows[rank, np.repeat(np.arange(len(hit)), runs)] = slot_bin[order]
+    return SppPlan(hit, rows)
+
+
 def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
-    """(footprints, cells) of an (M, 4) box set on an hh x ww map: the
-    boxes' `feature_footprints` at the grid's stride, and the (M, g, g, L)
-    flat cell indices of every bin's candidates, row-major in each bin.
-    TensorError names the first degenerate or non-finite box."""
+    """(footprints, cells, plan) of an (M, 4) box set on an hh x ww map: the
+    boxes' `feature_footprints` at the grid's stride, the (M, g, g, L)
+    flat cell indices of every bin's candidates, row-major in each bin, and
+    their `SppPlan`. TensorError names the first degenerate or non-finite box."""
     x1, y1, x2, y2 = boxes.T
     bad = np.nonzero(~np.isfinite(boxes).all(axis=1) | (x2 <= x1) | (y2 <= y1))[0]
     if bad.size:
@@ -278,16 +306,21 @@ def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
         raise TensorError(f"spp_pool: degenerate/non-finite box {boxes[i].tolist()} (region {i})")
     g = grid.grid_size
     fp = feature_footprints(boxes, grid.feature_stride, hh, ww)
-    ridx = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
-    cidx = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
+    ridx, rreal = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
+    cidx, creal = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
-    return fp, cells.reshape(len(boxes), g, g, -1)
+    real = rreal[:, :, None, :, None] & creal[:, None, :, None, :]
+    bins = len(boxes) * g * g
+    plan = _scatter_plan(cells.reshape(bins, -1), real.reshape(bins, -1))
+    return fp, cells.reshape(len(boxes), g, g, -1), plan
 
 
-def spp_pool_regions(h: Tensor, boxes: np.ndarray, cells: np.ndarray) -> Tensor:
+def spp_pool_regions(h: Tensor, boxes: np.ndarray, cells: np.ndarray, plan: SppPlan) -> Tensor:
     """Batched SPP over (M, 4) image-coordinate boxes and the bin `cells`
-    `spp_layout` built of them on h's map, one tape node: a row gather per
-    bin cell, a strict-`>` scan, one scatter. Returns the (M, G*G*C) rows a
+    and `plan` `spp_layout` built of them on h's map, one tape node: a row
+    gather per bin cell and a strict-`>` scan; the backward gathers the
+    output gradient's rows in plan order and sums each cell's in float64,
+    in `np.bincount`'s order, rounding once. Returns the (M, G*G*C) rows a
     region fc1 reads, bin-major (row-major over the G x G grid), then channel."""
     hh, ww, c = h.data.shape
     if len(cells) != len(boxes):
@@ -302,8 +335,14 @@ def spp_pool_regions(h: Tensor, boxes: np.ndarray, cells: np.ndarray) -> Tensor:
         win = np.where(take, cells[..., k : k + 1], win)
 
     def bwd(gout):
-        lin = win * c + np.arange(c)
-        gh = np.bincount(lin.ravel(), weights=gout.ravel(), minlength=hh * ww * c)
-        return (gh.astype(h.data.dtype, copy=False).reshape(hh, ww, c),)
+        g = np.concatenate([gout.reshape(-1, c), np.zeros((1, c), gout.dtype)])  # pads read row B
+        slots = np.take(g, plan.rows, axis=0)  # (R, n + 1, C): each cell's bins, rank by rank
+        if cells.shape[3] > 1:  # some bin has several cells: a slot keeps the channels it won
+            winner = np.take(win.reshape(len(g) - 1, -1), plan.rows, axis=0, mode="clip")
+            slots *= winner == np.append(plan.cells, -1)[:, None]
+        sums = np.add.reduce(slots, axis=0, dtype=np.float64, initial=0.0)
+        gh = np.zeros((hh * ww, c), h.data.dtype)
+        gh[plan.cells] = sums[:-1]
+        return (gh.reshape(hh, ww, c),)
 
     return make_op(out.reshape(len(out), -1), (h,), bwd, "spp_pool_regions")

@@ -6,7 +6,9 @@ model keeps its parameters in float32 (see `model.Multinet`), so it runs in
 single precision; tests that build float64 tensors check finite differences
 in double precision through the same code. Everything is single-threaded
 per tape. Ops only record onto a tape when one is active (see `Tape`), so
-inference code that never opens a tape pays no autodiff overhead.
+inference code that never opens a tape pays no autodiff overhead. A
+parameter holds no gradient until a backward sweep reaches it: `sgd_step`
+steps only the parameters that hold one, and `zero_grads` drops them.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ class TensorError(ValueError):
 class Tensor:
     """N-dimensional float32 or float64 array with an optional gradient
     buffer of the same dtype. A float32 array stays float32; anything else
-    becomes float64."""
+    becomes float64. `spare` is a dropped gradient's array, which the next
+    sweep writes the tensor's first gradient into (`ParamGroup.zero_grads`)."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "spare")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -50,6 +53,7 @@ class Tensor:
             raise TensorError("non-finite values produced by Tensor()")
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.spare = None
 
     def item(self) -> float:
         return float(self.data)
@@ -111,7 +115,7 @@ def make_op(
         raise TensorError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
+    out.grad = out.spare = None
     out.requires_grad = False
     if Tape._stack:
         for t in inputs:
@@ -202,10 +206,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep from `loss`, an op output, whose gradient it sets to 1:
     accumulate grads of all requires_grad ancestors of loss.
 
-    Gradients add onto existing buffers (sum semantics); callers zero
-    parameter grads between steps. An input without a buffer gets a copy
-    of the first gradient it receives, so every buffer is the sweep's own
-    and no two tensors' grads share memory. Each node leaves the tape as the
+    Gradients add onto existing buffers (sum semantics); callers drop
+    parameter grads between steps (`ParamGroup.zero_grads`). An input
+    without a buffer gets its first gradient plus 0.0, the bytes adding it
+    onto zeros gives (-0.0 becomes +0.0), in its `spare` or a new array, so
+    every buffer is the sweep's own and no two tensors' grads share memory.
+    Each node leaves the tape as the
     sweep reaches it, so what only it holds is freed before the next runs.
     """
     if loss.data.size != 1:
@@ -220,14 +226,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
             if gi is None or not t.requires_grad:
                 continue
             if t.grad is None:
-                t.grad = np.array(gi, dtype=t.data.dtype)
+                t.grad = gi + 0.0 if t.spare is None else np.add(gi, 0.0, out=t.spare)
+                t.spare = None
             else:
                 t.grad += gi
 
 
 class ParamGroup:
     """Named parameter tensors with per-parameter learning-rate multipliers
-    (1 for filters/weights, 2 for biases)."""
+    (1 for filters/weights, 2 for biases). A parameter has no gradient
+    (`grad` None) until a backward sweep reaches it."""
 
     def __init__(self):
         self._params: dict[str, tuple[Tensor, float]] = {}
@@ -238,8 +246,6 @@ class ParamGroup:
         if lr_mult <= 0:
             raise TensorError(f"lr multiplier for {name!r} must be positive")
         tensor.requires_grad = True
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
         self._params[name] = (tensor, lr_mult)
         return tensor
 
@@ -250,15 +256,22 @@ class ParamGroup:
         return [(n, t, m) for n, (t, m) in self._params.items()]
 
     def zero_grads(self) -> None:
+        """Drop every gradient, keeping its array as the tensor's `spare`
+        for the next sweep, so a step allocates no parameter gradient."""
         for t, _ in self._params.values():
-            t.grad.fill(0.0)
+            if t.grad is not None:
+                t.spare, t.grad = t.grad, None
 
 
 def sgd_step(params: ParamGroup, base_lr: float) -> None:
-    """Plain SGD, no momentum: grad <- base_lr * multiplier * grad in place, then w <- w - grad."""
+    """Plain SGD, no momentum: grad <- base_lr * multiplier * grad in place,
+    then w <- w - grad, for each parameter that has a gradient. One without
+    stays as it is, as subtracting a zero step would leave it."""
     if base_lr <= 0:
         raise TensorError("base_lr must be positive")
     for name, t, mult in params.items():
+        if t.grad is None:
+            continue
         if not np.isfinite(t.grad).all():
             raise TensorError(f"non-finite gradient for parameter {name!r}")
         t.grad *= base_lr * mult

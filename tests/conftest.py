@@ -88,28 +88,31 @@ def check_grads(build, arrays, tol=1e-4, eps=1e-5):
 
 
 def as_float64(net):
-    """Cast a Multinet's parameters to float64 in place, with zeroed grads,
+    """Cast a Multinet's parameters to float64 in place, with no gradient,
     and return it. Every op follows its inputs' dtype and the network casts
     its inputs to the parameters', so the same code then runs in float64."""
     for _, t, _ in net.params.items():
         t.data = t.data.astype(np.float64)
-        t.grad = np.zeros_like(t.data)
+        t.grad = t.spare = None
     return net
 
 
 def record_grads(net):
     """Record name -> the gradient of that checkpoint record of a Multinet, in
     the order and shapes `records` gives: a stacking-mode fc1's image and
-    task block gradients are joined through `fc1_rows` of its head."""
+    task block gradients are joined through `fc1_rows` of its head. A
+    parameter the last sweep did not reach (`grad` None) has no gradient,
+    which reads as zeros of its shape."""
     grads = {}
     for name, t, _ in net.params.items():
+        g = np.zeros_like(t.data) if t.grad is None else t.grad
         record, _, block = name.partition(":")
         if block:
             rows = fc1_rows(net.cfg, record.partition(".")[0])
-            shape = (len(rows["image"]) + len(rows["task"]), t.grad.shape[1])
-            grads.setdefault(record, np.empty(shape, t.grad.dtype))[rows[block]] = t.grad
+            shape = (len(rows["image"]) + len(rows["task"]), g.shape[1])
+            grads.setdefault(record, np.empty(shape, g.dtype))[rows[block]] = g
         else:
-            grads[record] = t.grad.copy()
+            grads[record] = g.copy()
     return grads
 
 
@@ -120,10 +123,10 @@ def forward_boxes(net, image, boxes, **kwargs):
 
 
 def spp_regions(h, boxes, grid):
-    """`nnops.spp_pool_regions` over (M, 4) `boxes`, with the bin cells
-    `nnops.spp_layout` builds of them on h's map at `grid`."""
+    """`nnops.spp_pool_regions` over (M, 4) `boxes`, with the bin cells and
+    scatter plan `nnops.spp_layout` builds of them on h's map at `grid`."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    return nnops.spp_pool_regions(h, boxes, nnops.spp_layout(boxes, grid, *h.data.shape[:2])[1])
+    return nnops.spp_pool_regions(h, boxes, *nnops.spp_layout(boxes, grid, *h.data.shape[:2])[1:])
 
 
 def reseal(path, edit):

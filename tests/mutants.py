@@ -14,7 +14,7 @@ Every run writes only to its own copy, so the repository's `tests/_cache`
 is never written. A mutant whose old
 text is not found exactly once in its file is an error: the source moved,
 and the list must follow it. The exit status is 1 when a mutant survived.
-With the committed cache, the eight mutants take about 2 min on a 2-CPU
+With the committed cache, the thirteen mutants take about 3 min on a 2-CPU
 x86-64 host.
 """
 
@@ -30,7 +30,7 @@ from pathlib import Path
 from paired_bench import export
 
 HARNESS, MODEL = "src/multinet/harness.py", "src/multinet/model.py"
-TENSOR = "src/multinet/tensor.py"
+NNOPS, TENSOR = "src/multinet/nnops.py", "src/multinet/tensor.py"
 TASK_PRODUCT = "fc1 = {head: elementwise(pre, matmul(x_task[head], self.fc1[head][1]))"
 
 # (name, file, old, new)
@@ -56,6 +56,17 @@ MUTANTS = [
     ("cls image product taken at every t", MODEL, TASK_PRODUCT,
      "fc1 = {head: elementwise(nnops.fully_connected(nnops.global_max_pool(r_img), "
      'self.fc1["cls"][0]) if head == "cls" else pre, matmul(x_task[head], self.fc1[head][1]))'),
+    # SPP's scatter plan and the optimizer's unreached parameters
+    ("SPP plan's sort made unstable", NNOPS,
+     'order = np.argsort(slot_cell, kind="stable")', 'order = np.argsort(slot_cell, kind="heapsort")'),
+    ("SPP plan's sums start at -0.0", NNOPS,
+     "dtype=np.float64, initial=0.0)", "dtype=np.float64, initial=-0.0)"),
+    ("SPP winner mask skipped for multi-cell bins", NNOPS,
+     "if cells.shape[3] > 1:", "if False:"),
+    ("first gradient stored without + 0.0", TENSOR,
+     "t.grad = gi + 0.0 if t.spare is None", "t.grad = gi.copy() if t.spare is None"),
+    ("sgd_step steps only the first reached parameter", TENSOR,
+     "t.data -= t.grad", "t.data -= t.grad\n        break"),
 ]
 
 

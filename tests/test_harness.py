@@ -382,15 +382,20 @@ class TestLossNode:
             with Tape() as tape:
                 loss = build(net, batch, config)
                 backward(loss, tape)
-            got[name] = (np.asarray(loss.data), {n: t.grad.copy() for n, t, _ in net.params.items()})
+            # A parameter neither loss reaches has no gradient (None).
+            got[name] = (np.asarray(loss.data), {n: None if t.grad is None else t.grad.copy()
+                                                  for n, t, _ in net.params.items()})
             net.params.zero_grads()
         (loss_node, grads_node), (loss_chain, grads_chain) = got["node"], got["chain"]
         assert loss_node.dtype == loss_chain.dtype == np.float32
         assert loss_node.tobytes() == loss_chain.tobytes()
-        trained = {name.split(".")[0] for name, g in grads_chain.items() if g.any()}
+        trained = {name.split(".")[0] for name, g in grads_chain.items() if g is not None and g.any()}
         assert {"backbone", "cls", "det", "part"} <= trained
         for name, g in grads_chain.items():
-            assert grads_node[name].tobytes() == g.tobytes(), name
+            if g is None:
+                assert grads_node[name] is None, name
+            else:
+                assert grads_node[name].tobytes() == g.tobytes(), name
 
     # Tape nodes one training step records, by mode, with T = 2 and both
     # region tasks: the loss's 15 terms (5 in `shared`) are one node.
@@ -887,12 +892,47 @@ class TestGatheredFc1Step:
         for head, (layer, task_block) in net.fc1.items():
             g, rows = stacked[f"{head}.fc1.weight"].grad, fc1_rows(cfg, head)
             assert layer.weight.grad.tobytes() == g[rows["image"]].tobytes()
-            assert task_block.grad.tobytes() == g[rows["task"]].tobytes()
-            assert task_block.grad.any() == (mode == "update1")
+            if mode == "shared":  # no forward reads the task block: no gradient
+                assert task_block.grad is None and not g[rows["task"]].any()
+            else:
+                assert task_block.grad.tobytes() == g[rows["task"]].tobytes()
+                assert task_block.grad.any()
         for (name, g), (old_name, t, _) in zip(record_grads(net).items(), stacked.items()):
             assert name == old_name and g.tobytes() == t.grad.tobytes(), name
         for (name, data, _), (_, t, _) in zip(net.records(), stacked.items()):
             assert data.tobytes() == t.data.tobytes(), name
+
+
+class TestUnreachedParameters:
+    """`sgd_step` steps only the parameters a sweep reached, so a parameter
+    no loss term reaches ends training at its init bytes, as a zero step
+    would leave it, and with no gradient."""
+
+    def trained(self, **kw):
+        config = small_config(**kw)
+        init = Multinet(build_task_config(config, SMALL_SPEC), seed=config.seed)
+        return init, train(config, SMALL_SPEC, SMALL_SCENES[:4]).model
+
+    def test_shared_task_blocks_stay_at_init(self):
+        init, net = self.trained(mode="shared")
+        blocks = [name for name, _, _ in net.params.items() if name.endswith(".fc1.weight:task")]
+        assert sorted(blocks) == [f"{h}.fc1.weight:task" for h in ("cls", "det", "part")]
+        for name in blocks:
+            assert net.params[name].data.tobytes() == init.params[name].data.tobytes(), name
+            assert net.params[name].grad is None, name
+        assert net.params["det.fc1.weight:image"].data.tobytes() != \
+            init.params["det.fc1.weight:image"].data.tobytes()
+        with Tape() as tape:  # a step's sweep reaches every parameter but the task blocks
+            backward(scene_loss(net, prepare_scene(SMALL_SCENES[0], SMALL_SPEC, net, 0),
+                                small_config(mode="shared")), tape)
+        for name, t, _ in net.params.items():
+            assert (t.grad is None) == (name in blocks), name
+
+    def test_zero_det_weight_leaves_the_det_head_at_init(self):
+        init, net = self.trained(mode="shared", weight_det=0.0)
+        for name, t, _ in net.params.items():
+            moved = t.data.tobytes() != init.params[name].data.tobytes()
+            assert moved == (not name.startswith("det.") and not name.endswith(":task")), name
 
 
 class TestRegionTargets:

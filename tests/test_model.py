@@ -494,6 +494,53 @@ class TestForward:
         assert np.max(np.abs(sel - num[idx]) / denom) <= 1e-4
 
 
+class TestBackboneOrder:
+    """`encode_image` pools each pooled stage before its ReLU. The oracle
+    runs conv -> ReLU -> pool from the same layers; both orders give the
+    same map and the same backbone gradients, byte for byte."""
+
+    @staticmethod
+    def relu_then_pool(net, image):
+        x = Tensor(np.asarray(image, net.dtype))
+        for layer, pool in net.backbone:
+            x = nnops.relu(nnops.conv2d(x, layer))
+            if pool:
+                x = nnops.max_pool2d(x)
+        return x
+
+    def test_matches_relu_then_pool(self):
+        net = Multinet(small_cfg(canvas=64), seed=5)
+        r = np.random.default_rng(5)
+        # 16 x 16 pixel blocks of one colour give windows of equal conv
+        # outputs (ties); the noisy top half gives windows without.
+        image = np.kron(r.uniform(-1, 1, size=(4, 4, 3)), np.ones((16, 16, 1)))
+        image[:32] += r.normal(scale=0.1, size=(32, 64, 3))
+        w = r.normal(size=(8, 8, net.cfg.channels))
+        got = []
+        for encode in (net.encode_image, lambda img: self.relu_then_pool(net, img)):
+            net.params.zero_grads()
+            with Tape() as tape:
+                out = encode(image)
+                backward(weighted_sum(out, w), tape)
+            got.append((out.data.tobytes(), [t.grad.tobytes() for name, t, _ in net.params.items()
+                                             if name.startswith("backbone.")]))
+        assert len(got[0][1]) == 8 and got[0] == got[1]
+
+        # The windows the two orders see differently: all four values <= 0
+        # (ReLU first ties them at 0) and tied maxima. No conv output is -0.0.
+        nonpositive = tied = 0
+        x = Tensor(np.asarray(image, net.dtype))
+        for layer, pool in net.backbone:
+            c = nnops.conv2d(x, layer).data
+            assert not np.signbit(c[c == 0]).any()
+            if pool:
+                win = np.stack([c[a::2, b::2] for a in (0, 1) for b in (0, 1)])
+                nonpositive += int((win <= 0).all(axis=0).sum())
+                tied += int((((win > 0) & (win == win.max(axis=0))).sum(axis=0) > 1).sum())
+            x = nnops.relu(nnops.max_pool2d(Tensor(c)) if pool else Tensor(c))
+        assert nonpositive > 0 and tied > 0
+
+
 class TestSplitFc1Gradient:
     """update1, T = 2: the image rows of a region fc1's stacked record read
     the pooled image channels at every t, the task rows read only the task
@@ -803,9 +850,9 @@ class TestPoolOnce:
         seen = []
         pool = nnops.spp_pool_regions
 
-        def counted(h, rois, cells):
+        def counted(h, rois, cells, plan):
             seen.append(h.data.shape[2])
-            return pool(h, rois, cells)
+            return pool(h, rois, cells, plan)
 
         monkeypatch.setattr(nnops, "spp_pool_regions", counted)
         forward_boxes(net, img, boxes)

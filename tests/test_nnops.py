@@ -562,6 +562,59 @@ def random_boxes(r, n, canvas):
     return np.array([random_box(r, canvas) for _ in range(n)])
 
 
+def spp_bincount_reference(x, cells, gout):
+    """SPP's input gradient as the scatter before the plan computed it: each
+    bin and channel's winning cell by the strict-`>` scan, then one
+    `np.bincount` over `win * C + channel` in (region, bin row, bin column,
+    channel) order, summed in float64 and rounded to x's dtype once."""
+    hh, ww, c = x.shape
+    rows = x.reshape(hh * ww, c)
+    out = rows[cells[..., 0]]
+    win = np.broadcast_to(cells[..., :1], out.shape)
+    for k in range(1, cells.shape[3]):
+        cand = rows[cells[..., k]]
+        take = cand > out
+        out = np.where(take, cand, out)
+        win = np.where(take, cells[..., k : k + 1], win)
+    lin = win * c + np.arange(c)
+    gh = np.bincount(lin.ravel(), weights=gout.ravel(), minlength=hh * ww * c)
+    return gh.astype(x.dtype).reshape(hh, ww, c)
+
+
+def spp_backward(x, boxes, grid, gout):
+    """(input gradient, cells): what `spp_pool_regions`' backward returns
+    for output gradient `gout`, read from its tape node, so no gradient
+    buffer adds it onto zeros."""
+    _, cells, plan = spp_layout(boxes, grid, *x.shape[:2])
+    with Tape() as tape:
+        spp_pool_regions(Tensor(x, requires_grad=True), boxes, cells, plan)
+    (gh,) = tape.nodes[0].backward_fn(gout.reshape(len(boxes), -1).astype(x.dtype))
+    return gh, cells
+
+
+def mixed_gradient(r, shape):
+    """Output gradients of both signs, magnitudes 1e-9 to 1e3, a fifth of
+    the bins' rows -0.0: sums that round differently in any other order."""
+    g = r.choice([-1.0, 1.0], shape) * 10.0 ** r.uniform(-9, 3, shape)
+    g[r.random(shape[:-1]) < 0.2] = -0.0
+    return g
+
+
+def assert_scatter_matches_bincount(x, boxes, grid, seed=0):
+    """SPP's backward is byte-equal to `spp_bincount_reference`, in float64
+    and float32, for a `mixed_gradient` and for one that is -0.0 everywhere
+    (every cell's sum is then +0.0, as bincount's sums start at +0.0)."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    g = grid.grid_size
+    shape = (len(boxes), g, g, x.shape[2])
+    for gout in (mixed_gradient(np.random.default_rng(seed), shape), np.full(shape, -0.0)):
+        for dtype in (np.float64, np.float32):
+            xd, gd = x.astype(dtype), gout.astype(dtype)
+            gh, cells = spp_backward(xd, boxes, grid, gd)
+            assert gh.dtype == dtype
+            assert gh.tobytes() == spp_bincount_reference(xd, cells, gd).tobytes()
+
+
 class TestSpp:
     def test_full_map_identity_grid(self, rng):
         # 6x6 map, 6x6 grid, stride 1, box covering everything: each bin is
@@ -569,11 +622,13 @@ class TestSpp:
         x = rng.normal(size=(6, 6, 2))
         out = spp_pool(Tensor(x), (0, 0, 6, 6), SppGrid(6, 1))
         np.testing.assert_array_equal(out.data, x)
+        assert_scatter_matches_bincount(x, (0, 0, 6, 6), SppGrid(6, 1))
 
     def test_constant_map(self):
         x = np.full((8, 8, 3), 2.5)
         out = spp_pool(Tensor(x), (3, 1, 30, 50), SppGrid(6, 8))
         np.testing.assert_array_equal(out.data, np.full((6, 6, 3), 2.5))
+        assert_scatter_matches_bincount(x, (3, 1, 30, 50), SppGrid(6, 8))
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(TensorError):
@@ -586,6 +641,7 @@ class TestSpp:
             box = random_box(r, 12 * 3)
             out = spp_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
+            assert_scatter_matches_bincount(x, box, SppGrid(6, 3))
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
@@ -595,6 +651,7 @@ class TestSpp:
         for i, b in enumerate(boxes):
             single = spp_pool(Tensor(x), b, SppGrid(6, 8))
             np.testing.assert_array_equal(batched.data[i], single.data.ravel())
+        assert_scatter_matches_bincount(x, boxes, SppGrid(6, 8))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_single(self, seed):
@@ -602,6 +659,7 @@ class TestSpp:
         x = r.normal(size=(8, 8, 2))
         box = random_box(r, 64)
         check_grads(lambda t: sum_all(spp_regions(t, np.array([box]), SppGrid(4, 8))), [x])
+        assert_scatter_matches_bincount(x, box, SppGrid(4, 8), seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_batched(self, seed):
@@ -609,6 +667,7 @@ class TestSpp:
         x = r.normal(size=(8, 8, 2))
         boxes = random_boxes(r, 3, 64)
         check_grads(lambda t: sum_all(spp_regions(t, boxes, SppGrid(3, 8))), [x])
+        assert_scatter_matches_bincount(x, boxes, SppGrid(3, 8), seed)
 
     def test_batched_degenerate_box_names_region(self):
         with pytest.raises(TensorError, match="region 1"):
@@ -628,15 +687,17 @@ class TestSpp:
         small = spp_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
         for i, box in enumerate(boxes):
             np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3).ravel())
+        assert_scatter_matches_bincount(x8, boxes, SppGrid(3, 8))
+        assert_scatter_matches_bincount(x4, boxes, SppGrid(3, 16))
         boxes[4, 2] = boxes[4, 0]
         with pytest.raises(TensorError, match="region 4"):
             spp_regions(Tensor(x4), boxes, SppGrid(3, 16))
 
     def test_cells_must_match_boxes(self, rng):
         boxes = random_boxes(rng, 3, 64)
-        _, cells = spp_layout(boxes, SppGrid(2, 8), 8, 8)
+        _, cells, plan = spp_layout(boxes, SppGrid(2, 8), 8, 8)
         with pytest.raises(TensorError, match="2 regions' cells for 3 boxes"):
-            spp_pool_regions(Tensor(rng.normal(size=(8, 8, 1))), boxes, cells[:2])
+            spp_pool_regions(Tensor(rng.normal(size=(8, 8, 1))), boxes, cells[:2], plan)
 
     @pytest.mark.parametrize("coord", range(4))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -682,6 +743,57 @@ class TestSpp:
         assert (ties > 0) == tied
         assert pooled.data.tobytes() == out.tobytes()
         assert xt.grad.tobytes() == gh.tobytes()
+        assert_scatter_matches_bincount(x, boxes, SppGrid(g, 8), seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scatter_bytes_match_bincount_on_random_layouts(self, seed):
+        # 50 layouts per seed on maps of 1-12 cells a side: footprints wider
+        # than the grid give multi-cell bins with pad repeats, integer maps
+        # give tied maxima (-0.0 and +0.0 tie too), and `mixed_gradient`
+        # puts rows of -0.0 and gradients of 1e-9 to 1e3 in one cell's sum.
+        r = np.random.default_rng(4200 + seed)
+        seen = {"padded": 0, "tied": 0}
+        for _ in range(50):
+            hh, ww = r.integers(1, 13, 2)
+            stride, g = int(r.choice([1, 2, 4])), int(r.integers(1, 7))
+            if r.random() < 0.5:
+                x = r.integers(-1, 2, size=(hh, ww, int(r.integers(1, 4)))) * 1.0
+                x[x == 0] = r.choice([0.0, -0.0], (x == 0).sum())
+            else:
+                x = r.normal(size=(hh, ww, int(r.integers(1, 4))))
+            boxes = random_boxes(r, int(r.integers(1, 12)), stride * min(hh, ww) + 2)
+            boxes[:, 2:] = np.minimum(boxes[:, 2:], (stride * ww, stride * hh))
+            boxes[:, :2] = np.minimum(boxes[:, :2], boxes[:, 2:] - 0.5)
+            _, cells, _ = spp_layout(boxes, SppGrid(g, stride), hh, ww)
+            flat = cells.reshape(-1, cells.shape[3])
+            seen["padded"] += bool((flat[:, 1:] == flat[:, :-1]).any())
+            seen["tied"] += bool((np.diff(np.sort(x[..., 0].ravel())) == 0).any())
+            assert_scatter_matches_bincount(x, boxes, SppGrid(g, stride), seed)
+        assert seen["padded"] and seen["tied"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plan_lists_each_real_slot_once(self, seed):
+        # Column j of the plan holds, above its pads, each bin that reads
+        # cell j once, in ascending bin order (bincount's); a bin's pad
+        # repeats are not listed, and the last column is all pads.
+        r = np.random.default_rng(4300 + seed)
+        for _ in range(20):
+            hh, ww = (int(v) for v in r.integers(1, 13, 2))
+            boxes = random_boxes(r, int(r.integers(1, 10)), 4 * min(hh, ww) + 2)
+            boxes[:, 2:] = np.minimum(boxes[:, 2:], (4 * ww, 4 * hh))
+            boxes[:, :2] = np.minimum(boxes[:, :2], boxes[:, 2:] - 0.5)
+            _, cells, plan = spp_layout(boxes, SppGrid(int(r.integers(1, 7)), 4), hh, ww)
+            flat = cells.reshape(-1, cells.shape[3])
+            bins = len(flat)
+            want = sorted({(b, int(cell)) for b in range(bins) for cell in flat[b]})
+            column_cell = np.append(plan.cells, -1)
+            got = [(int(plan.rows[i, j]), int(column_cell[j]))
+                   for i, j in zip(*np.nonzero(plan.rows < bins))]
+            assert sorted(got) == want and len(got) == len(want)
+            assert (plan.rows[:, -1] == bins).all()
+            for col in plan.rows.T[:-1]:
+                n = int((col < bins).sum())
+                assert n > 0 and (col[n:] == bins).all() and (np.diff(col[:n]) > 0).all()
 
 
 def one_footprint(box, stride, h, w):

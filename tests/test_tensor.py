@@ -334,25 +334,63 @@ class TestSgd:
 
     def test_basic_step(self):
         g = self._group(1.0, 1.0)
-        g["w"].grad[:] = 0.5
+        g["w"].grad = np.array([0.5])
         sgd_step(g, 0.1)
         np.testing.assert_allclose(g["w"].data, [0.95])
 
     def test_bias_multiplier(self):
         g = self._group(1.0, 2.0)
-        g["w"].grad[:] = 0.5
+        g["w"].grad = np.array([0.5])
         sgd_step(g, 0.1)
         np.testing.assert_allclose(g["w"].data, [0.9])
 
     def test_zero_grad_fixed_point(self):
         g = self._group(1.0, 1.0)
+        assert g["w"].grad is None  # the group allocates no gradient
         for _ in range(5):
             sgd_step(g, 0.1)
         np.testing.assert_array_equal(g["w"].data, [1.0])
 
+    def test_only_reached_parameters_step(self):
+        # A parameter the sweep did not reach keeps no gradient and is not
+        # stepped: its bytes are where a zero step would leave them.
+        g = ParamGroup()
+        for name in ("a", "b", "c"):
+            g.add(name, Tensor(np.array([1.0, -0.5])))
+        with Tape() as tape:
+            backward(add(weighted_sum(g["a"], [1.0, 2.0]), weighted_sum(g["c"], [3.0, 4.0])), tape)
+        assert g["b"].grad is None
+        sgd_step(g, 0.1)
+        np.testing.assert_array_equal(g["a"].data, [0.9, -0.7])
+        np.testing.assert_array_equal(g["c"].data, [0.7, -0.9])
+        assert g["b"].data.tobytes() == np.array([1.0, -0.5]).tobytes()
+
+    def test_nan_gradient_after_unreached_parameter_names_it(self):
+        g = ParamGroup()
+        g.add("unreached", Tensor(np.zeros(2)))
+        g.add("w", Tensor(np.zeros(2))).grad = np.array([1.0, np.nan])
+        with pytest.raises(TensorError, match="'w'"):
+            sgd_step(g, 0.1)
+
+    def test_zero_grads_drops_and_the_next_sweep_reuses_the_array(self):
+        # The first gradient of a sweep is the op's gradient plus 0.0, so a
+        # -0.0 reads +0.0, as on the zero buffer the group no longer keeps;
+        # after `zero_grads` it is written into the dropped array.
+        g = ParamGroup()
+        w = g.add("w", Tensor(np.array([1.0, 2.0, 3.0])))
+        for step in range(2):
+            with Tape() as tape:
+                backward(weighted_sum(w, [-0.0, 0.0, -2.0]), tape)
+            assert w.grad.tobytes() == np.array([0.0, 0.0, -2.0]).tobytes()
+            if step:
+                assert w.grad is first
+            first = w.grad
+            g.zero_grads()
+            assert w.grad is None
+
     def test_nan_gradient_names_parameter(self):
         g = self._group(1.0, 1.0)
-        g["w"].grad[:] = np.nan
+        g["w"].grad = np.array([np.nan])
         with pytest.raises(TensorError, match="'w'"):
             sgd_step(g, 0.1)
 
