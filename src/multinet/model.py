@@ -127,7 +127,7 @@ def encode_det(x: Tensor, covering: np.ndarray, h: int, w: int) -> Tensor:
     positive maxima only), which the backward looks up."""
     m, k1 = x.data.shape
     padded = np.concatenate([x.data, np.zeros((1, k1), dtype=x.data.dtype)])
-    cand = padded[covering]  # (H*W, L, K1)
+    cand = np.take(padded, covering, axis=0)  # (H*W, L, K1)
     pos = cand.argmax(axis=1)[:, None]  # each cell's first covering max, per channel
     data = np.maximum(np.take_along_axis(cand, pos, 1), 0.0).reshape(h, w, k1)
 

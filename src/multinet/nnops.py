@@ -280,18 +280,21 @@ class SppPlan(NamedTuple):
     rows: np.ndarray  # (R, n + 1) int32 bin rows; R is the most bins one cell is in
 
 
-def _scatter_plan(cells: np.ndarray, real: np.ndarray) -> SppPlan:
-    """The `SppPlan` of (B, L) bin `cells` whose slots `real` marks."""
-    slot_bin, slot = np.nonzero(real)  # (bin, slot) order
-    slot_cell = cells[slot_bin, slot]
-    order = np.argsort(slot_cell, kind="stable")
-    counts = np.bincount(slot_cell)
-    hit = np.flatnonzero(counts)
-    runs = counts[hit]
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(runs) - runs, runs)
-    rows = np.full((runs.max(), len(hit) + 1), len(cells), np.int32)
-    rows[rank, np.repeat(np.arange(len(hit)), runs)] = slot_bin[order]
-    return SppPlan(hit, rows)
+def _scatter_plan(cells: np.ndarray, real: np.ndarray, n_cells: int) -> SppPlan:
+    """The `SppPlan` of (B, L) bin `cells` of an `n_cells`-cell map whose
+    slots `real` marks: one stable small-int sort of the slots by cell, with
+    the pads given cell `n_cells` so they sort last, and `np.bincount` runs."""
+    slot_cell = np.where(real, cells, n_cells).astype(np.min_scalar_type(n_cells)).ravel()
+    order = np.argsort(slot_cell, kind="stable")  # each cell's slots in (bin, slot) order
+    runs = np.bincount(slot_cell, minlength=n_cells + 1)[:n_cells]
+    hit = np.flatnonzero(runs)
+    runs, n = runs[hit], len(hit) + 1
+    slots = runs.sum()
+    # sorted slot i goes to rank i - (its run's start), column (its cell's rank in hit)
+    at = np.arange(slots) * n + np.repeat(np.arange(len(hit)) - (np.cumsum(runs) - runs) * n, runs)
+    rows = np.full(runs.max() * n, len(cells), np.int32)
+    rows[at] = order[:slots] // cells.shape[1]
+    return SppPlan(hit, rows.reshape(-1, n))
 
 
 def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
@@ -311,7 +314,7 @@ def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]
     real = rreal[:, :, None, :, None] & creal[:, None, :, None, :]
     bins = len(boxes) * g * g
-    plan = _scatter_plan(cells.reshape(bins, -1), real.reshape(bins, -1))
+    plan = _scatter_plan(cells.reshape(bins, -1), real.reshape(bins, -1), hh * ww)
     return fp, cells.reshape(len(boxes), g, g, -1), plan
 
 
@@ -326,10 +329,10 @@ def spp_pool_regions(h: Tensor, boxes: np.ndarray, cells: np.ndarray, plan: SppP
     if len(cells) != len(boxes):
         raise TensorError(f"spp_pool: {len(cells)} regions' cells for {len(boxes)} boxes")
     rows = h.data.reshape(hh * ww, c)
-    out = rows[cells[..., 0]]
+    out = np.take(rows, cells[..., 0], axis=0)
     win = cells[..., :1]  # winning cell of each bin and channel (broadcast until one differs)
     for k in range(1, cells.shape[3]):
-        cand = rows[cells[..., k]]
+        cand = np.take(rows, cells[..., k], axis=0)
         take = cand > out
         np.copyto(out, cand, where=take)
         win = np.where(take, cells[..., k : k + 1], win)

@@ -14,7 +14,7 @@ Every run writes only to its own copy, so the repository's `tests/_cache`
 is never written. A mutant whose old
 text is not found exactly once in its file is an error: the source moved,
 and the list must follow it. The exit status is 1 when a mutant survived.
-With the committed cache, the thirteen mutants take about 3 min on a 2-CPU
+With the committed cache, the fourteen mutants take about 3 min on a 2-CPU
 x86-64 host.
 """
 
@@ -61,6 +61,8 @@ MUTANTS = [
      'order = np.argsort(slot_cell, kind="stable")', 'order = np.argsort(slot_cell, kind="heapsort")'),
     ("SPP plan's sums start at -0.0", NNOPS,
      "dtype=np.float64, initial=0.0)", "dtype=np.float64, initial=-0.0)"),
+    ("SPP plan's pad key wraps to a real cell", NNOPS,
+     "astype(np.min_scalar_type(n_cells))", "astype(np.min_scalar_type(n_cells - 1))"),
     ("SPP winner mask skipped for multi-cell bins", NNOPS,
      "if cells.shape[3] > 1:", "if False:"),
     ("first gradient stored without + 0.0", TENSOR,

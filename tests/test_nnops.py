@@ -795,6 +795,23 @@ class TestSpp:
                 n = int((col < bins).sum())
                 assert n > 0 and (col[n:] == bins).all() and (np.diff(col[:n]) > 0).all()
 
+    @pytest.mark.parametrize("hh, ww", [(15, 17), (16, 16), (1, 65_536)])
+    def test_scatter_bytes_on_maps_past_a_small_int(self, hh, ww):
+        # The plan sorts cells as the smallest unsigned type that holds the
+        # map's cell count, its pads' sort key: 255 cells (uint8), 256
+        # (uint16) and 65,536 (uint32). Cell 0 wins the padded bins that
+        # read it, so a pad key wrapped to 0 would add their gradients twice.
+        r = np.random.default_rng(hh * ww)
+        x = r.normal(size=(hh, ww, 2))
+        x[0, 0] = 10.0
+        side = min(hh, 7)
+        boxes = np.array([[0.0, 0.0, 7.0, side], [0.5, 0.0, 8.0, hh],
+                          [ww - 7.5, hh - side, ww, hh], [ww - 9.0, 0.0, ww, hh]])
+        gout = r.normal(size=(len(boxes), 3, 3, 2))
+        gh, cells = spp_backward(x, boxes, SppGrid(3, 1), gout)
+        assert gh.tobytes() == spp_bincount_reference(x, cells, gout).tobytes()
+        assert_scatter_matches_bincount(x, boxes, SppGrid(3, 1), 0)
+
 
 def one_footprint(box, stride, h, w):
     return tuple(int(v) for v in feature_footprints(np.array([box], dtype=float), stride, h, w)[0])
