@@ -407,9 +407,10 @@ def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False, geometries=
     """{t: `tasks.evaluate` metrics} for each iteration t in `ts`, from one
     forward per held-out scene unrolled to the largest t; `ground_cls`
     re-encodes each scene's true image labels instead of the cls prediction.
-    Modes without recurrence read outputs[0] at every t. Each distinct
-    output is scored once, as soon as its forward returns. `geometries[i]`,
-    if given, is scene i's `_geometry`."""
+    Modes without recurrence read outputs[0] at every t. The distinct
+    outputs a forward returns are scored once each, together in one
+    `tasks.score_scene` call, as soon as the forward returns.
+    `geometries[i]`, if given, is scene i's `_geometry`."""
     check_dataset(model.cfg, spec)
     records = {t: [] for t in ts}
     for i, scene in enumerate(scenes):
@@ -418,11 +419,13 @@ def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False, geometries=
         try:
             outs = model.forward(scene.image, geometry, ground_cls=truth, n_iters=max(ts))
             last = len(outs) - 1
-            scored = {}
-            for k in {min(t, last) for t in ts}:
-                regions = {task: (s.data, d.data) for task, (s, d) in outs[k].regions.items()}
-                scored[k] = tasks.score_scene(outs[k].x_cls.data, regions, geometry.boxes, scene,
-                                              model.cfg.canvas)
+            picked = sorted({min(t, last) for t in ts})
+            regions = {task: tuple(np.stack([outs[k].regions[task][j].data for k in picked])
+                                   for j in (0, 1))
+                       for task in outs[0].regions}
+            cls_scores = np.stack([outs[k].x_cls.data for k in picked])
+            scored = dict(zip(picked, tasks.score_scene(cls_scores, regions, geometry.boxes, scene,
+                                                        model.cfg.canvas)))
         except TensorError as e:
             raise TensorError(f"scene {i}: {e}") from None
         for t, per_t in records.items():

@@ -171,18 +171,21 @@ def generate_dataset(spec: SceneSpec, n_scenes: int, offset: int = 0) -> list:
     return [generate_scene(spec, offset + i) for i in range(n_scenes)]
 
 
-def _jitter(rng, boxes, canvas: int, frac: float = 0.15) -> np.ndarray:
-    """The (K, 4) boxes with centers moved by up to `frac` of their size and
-    sides scaled by up to 1 +- `frac` (four draws per box), kept on the
-    canvas and at least one pixel wide."""
-    u = rng.uniform(-frac, frac, (len(boxes), 4))
-    lo, hi = boxes[:, :2], boxes[:, 2:]
+def _jitter(boxes, u, canvas: int) -> np.ndarray:
+    """The (..., 4) boxes with centers moved by u[..., :2] of their size and
+    sides scaled by 1 + u[..., 2:], kept on the canvas and at least one
+    pixel wide; `boxes` and the (..., 4) draws `u` broadcast."""
+    lo, hi = boxes[..., :2], boxes[..., 2:]
     size = hi - lo
-    center = 0.5 * (lo + hi) + u[:, :2] * size
-    half = size * (1.0 + u[:, 2:]) / 2
+    center = 0.5 * (lo + hi) + u[..., :2] * size
+    half = size * (1.0 + u[..., 2:]) / 2
     lo = np.minimum(np.maximum(center - half, 0.0), canvas - 2.0)
     hi = np.minimum(np.maximum(center + half, lo + 1.0), float(canvas))
-    return np.concatenate([lo, hi], axis=1)
+    return np.concatenate([lo, hi], axis=-1)
+
+
+# Jitters a gt box may draw for its guaranteed hit: the first and 20 retries.
+_TRIES = 21
 
 
 def _grid_boxes(canvas: int) -> np.ndarray:
@@ -197,28 +200,40 @@ def _grid_boxes(canvas: int) -> np.ndarray:
 
 def propose_regions(scene: Scene, spec: SceneSpec, m: int, seed: int) -> np.ndarray:
     """(m, 4) candidate boxes: jittered ground truth (with a guaranteed
-    IoU >= 0.7 hit per gt box), a sliding grid, and random fills."""
+    IoU >= 0.7 hit per gt box), a sliding grid, and random fills.
+
+    Each gt box in turn draws jitters until one reaches IoU 0.7; when the
+    first `_TRIES - 1` all miss, it draws one more, untested, and is its own
+    hit. The `_TRIES` possible jitters of every box are drawn, jittered and
+    tested as one block, and the generator is then set to where the ones
+    the boxes used end, so the stream is the one a box-by-box loop draws."""
     gt = np.concatenate([scene.object_boxes, scene.part_boxes])
     n = len(gt)
     if m < n:
         raise ValueError(f"need at least {n} proposals, got {m}")
     rng = seed_rng(spec.seed, seed, 0x9E3779B9)
     canvas = spec.canvas
-    # Guaranteed high-overlap proposal per gt box (recall floor at 0.7 IoU);
-    # each retry draws for its own box only, so the draw order is fixed.
-    hits = np.empty((n, 4))
-    for i in range(n):
-        g = gt[i : i + 1]
-        cand = _jitter(rng, g, canvas)
-        for _ in range(20):
-            if iou_matrix(cand, g)[0, 0] >= 0.7:
-                break
-            cand = _jitter(rng, g, canvas)
-        else:
-            cand = g
-        hits[i] = cand[0]
+    # Guaranteed high-overlap proposal per gt box (recall floor at 0.7 IoU).
+    # Box i's tries start at the row after box i - 1's last, so every box
+    # is jittered by every row and the walk below finds the rows it used.
+    hits = gt.copy()
+    if n:
+        state = rng.bit_generator.state
+        cand = _jitter(gt[:, None], rng.uniform(-0.15, 0.15, (_TRIES * n, 4)), canvas)
+        ok = iou_matrix(cand, gt[:, None])[..., 0] >= 0.7
+        row = 0
+        for i in range(n):
+            hit = np.flatnonzero(ok[i, row : row + _TRIES - 1])
+            if hit.size:
+                hits[i] = cand[i, row + hit[0]]
+                row += int(hit[0]) + 1
+            else:
+                row += _TRIES
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(4 * row)  # one PCG64 output per uniform double
     # One extra looser jitter per gt box while room remains, then the grid.
-    loose = _jitter(rng, gt[: min(n, m - n)], canvas, frac=0.3)
+    loose = gt[: min(n, m - n)]
+    loose = _jitter(loose, rng.uniform(-0.3, 0.3, (len(loose), 4)), canvas)
     proposals = np.concatenate([hits, loose, _grid_boxes(canvas)])[:m]
     # Random boxes fill the rest.
     fill = np.empty((m - len(proposals), 4))

@@ -5,12 +5,14 @@ continuous-area convention: area = (x2 - x1) * (y2 - y1) and no +1 pixel
 terms. Their classes, where they have them, are a matching (N,) int array.
 
 Scoring runs once per scene: `score_scene` decodes, suppresses and matches
-one scene's detections against its own ground truth, since a detection's
-true-positive flag depends on nothing else, and keeps only a `SceneRecord`
-of scores, flags and gt counts. Each step runs once over all the region
-classes of the scene: one decode, one `nms` over every class, one
-`match_detections` per task. `evaluate` joins the records of any multiset
-of scenes and computes each AP with `average_precision`.
+the detections of every output of one forward on a scene against the
+scene's own ground truth, since a detection's true-positive flag depends
+on nothing else, and keeps one `SceneRecord` of scores, flags and gt
+counts per output. Decoding runs once over all the outputs and region
+classes of the scene, `nms` once per output over every class, and
+`match_detections` once per task over every output. `evaluate` joins the
+records of any multiset of scenes and computes each AP with
+`average_precision`.
 """
 
 from __future__ import annotations
@@ -291,13 +293,16 @@ def nms(boxes, scores):
     return keep
 
 
-def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float) -> np.ndarray:
+def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float,
+                     groups=None) -> np.ndarray:
     """(N,) true-positive flags of one image's (N, 4) detections of (N,)
     classes, each class's ranked best first, against its (G, 4) ground truth
     of (G,) classes: each detection is compared with the gt of its class of
     highest IoU (the first on ties) and hits when that IoU is >= iou_thresh
     (> 0) and no higher-ranked detection matched the same gt, so duplicates
-    count as false positives."""
+    count as false positives. With (N,) int `groups`, such as the output
+    each detection comes from, only a higher-ranked detection of the same
+    group makes one a duplicate."""
     tp = np.zeros(len(boxes))
     if len(boxes) == 0 or len(gt_boxes) == 0:
         return tp
@@ -305,7 +310,8 @@ def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float) ->
     ious[np.asarray(classes)[:, None] != np.asarray(gt_classes)] = -1.0
     best = ious.argmax(axis=1)
     hit = np.nonzero(ious[np.arange(len(best)), best] >= iou_thresh)[0]
-    _, first = np.unique(best[hit], return_index=True)
+    key = best[hit] if groups is None else np.asarray(groups)[hit] * len(gt_boxes) + best[hit]
+    _, first = np.unique(key, return_index=True)
     tp[hit[first]] = 1.0
     return tp
 
@@ -343,49 +349,65 @@ class SceneRecord(NamedTuple):
     regions: dict
 
 
-def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> SceneRecord:
-    """Score one scene's outputs: `regions` maps each region task to the
-    (M, K + 1) scores and (M, 4 * (K + 1)) deltas of the (M, 4) `proposals`.
-    Every proposal is decoded with the deltas of every class of every task
-    in one call and clipped to the canvas, or TensorError names the first
-    task whose boxes decode to a non-finite value. One `nms` call suppresses
-    the boxes of all foreground classes of all tasks, each class on its own,
-    and one `match_detections` call per task flags the kept boxes against the
-    scene's ground truth."""
-    m = len(proposals)
-    starts = np.cumsum([0] + [scores.shape[1] for scores, _ in regions.values()])
-    deltas = np.concatenate([d.reshape(m, -1, 4) for _, d in regions.values()], axis=1)
+def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> list:
+    """The `SceneRecord`s of S outputs of one forward on one scene, stacked:
+    (S, C_cls) `cls_scores`, and `regions` mapping each region task to the
+    (S, M, K + 1) scores and (S, M, 4 * (K + 1)) deltas of the (M, 4)
+    `proposals`. Every proposal is decoded with the deltas of every class of
+    every task of every output in one call and clipped to the canvas, or
+    TensorError names the first task, of the first output, whose boxes
+    decode to a non-finite value. One `nms` call per output suppresses the
+    boxes of all its foreground classes, each class on its own; one
+    `match_detections` call per task flags every output's kept boxes
+    against the scene's ground truth, each output's duplicates on their
+    own."""
+    n_out, m = len(cls_scores), len(proposals)
+    starts = np.cumsum([0] + [scores.shape[2] for scores, _ in regions.values()])
+    deltas = np.concatenate([d.reshape(n_out, m, -1, 4) for _, d in regions.values()], axis=2)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the task
         b = bbox_decode(proposals[:, None, :], deltas)
-    for name, lo, hi in zip(regions, starts, starts[1:]):
-        if not np.isfinite(b[:, lo:hi]).all():
-            raise TensorError(f"{name} deltas decode to non-finite boxes")
-    # Every task's foreground classes in turn: C rows of M boxes.
-    b = np.delete(b, starts[:-1], axis=1).transpose(1, 0, 2)
+    if not np.isfinite(b).all():
+        for out in b:
+            for name, lo, hi in zip(regions, starts, starts[1:]):
+                if not np.isfinite(out[:, lo:hi]).all():
+                    raise TensorError(f"{name} deltas decode to non-finite boxes")
+    # Every output's foreground classes of every task in turn: S * C rows of
+    # M boxes, output o's class row c at o * C + c.
+    b = np.delete(b, starts[:-1], axis=2).transpose(0, 2, 1, 3)
     x1 = np.clip(b[..., 0], 0.0, canvas - 1.0)
     y1 = np.clip(b[..., 1], 0.0, canvas - 1.0)
     x2 = np.clip(b[..., 2], x1 + 1e-3, float(canvas))
     y2 = np.clip(b[..., 3], y1 + 1e-3, float(canvas))
-    boxes = np.stack([x1, y1, x2, y2], axis=-1).reshape(-1, 4)
-    fg_scores = np.concatenate([scores[:, 1:] for scores, _ in regions.values()], axis=1)
-    keep = np.array(nms(boxes, fg_scores.T), dtype=np.intp)
-    row, idx = np.divmod(keep, m)
-    # keep[ends[r]:ends[r + 1]] are class row r's kept boxes, in keep order.
-    ends = np.searchsorted(row, np.arange(fg_scores.shape[1] + 1))
+    boxes = np.stack([x1, y1, x2, y2], axis=-1).reshape(n_out, -1, 4)
+    fg_scores = np.concatenate([scores[..., 1:] for scores, _ in regions.values()], axis=2)
+    fg_scores = fg_scores.transpose(0, 2, 1)
+    n_rows = fg_scores.shape[1]
+    keep = np.concatenate([np.array(nms(boxes[o], fg_scores[o]), dtype=np.intp) + o * n_rows * m
+                           for o in range(n_out)])
+    row = keep // m
+    output, cls_row = np.divmod(row, n_rows)
+    boxes = boxes.reshape(-1, 4)[keep]
     tp = np.empty(len(keep))
-    rows = {}
     lo = 0
+    n_gt = {}
     for name, (scores, _) in regions.items():
         task = REGION_TASKS[name]
         classes, gt = task.ground_truth(scene)
-        k = scores.shape[1] - 1
-        mine = slice(ends[lo], ends[lo + k])
-        tp[mine] = match_detections(boxes[keep[mine]], row[mine] - lo + 1, gt, classes,
-                                    task.match_iou)
-        rows[name] = [(scores[idx[u:v], c], tp[u:v], int(np.count_nonzero(classes == c)))
-                      for c, u, v in zip(range(1, k + 1), ends[lo:], ends[lo + 1:])]
+        k = scores.shape[2] - 1
+        mine = np.flatnonzero((lo <= cls_row) & (cls_row < lo + k))
+        tp[mine] = match_detections(boxes[mine], cls_row[mine] - lo + 1, gt, classes,
+                                    task.match_iou, groups=output[mine])
+        n_gt[name] = np.bincount(classes, minlength=k + 1)[1 : k + 1].tolist()
         lo += k
-    return SceneRecord(np.array(cls_scores), scene.img_label, rows)
+    # keep[ends[r]:ends[r + 1]] are class row r's kept boxes, in keep order.
+    ends = np.searchsorted(row, np.arange(n_out * n_rows + 1)).tolist()
+    kept = fg_scores.reshape(-1)[keep]
+    per_row = iter([(kept[u:v], tp[u:v]) for u, v in zip(ends, ends[1:])])
+    records = []
+    for cls in np.array(cls_scores):
+        rows = {name: [(*next(per_row), c) for c in counts] for name, counts in n_gt.items()}
+        records.append(SceneRecord(cls, scene.img_label, rows))
+    return records
 
 
 def evaluate(records, n_classes: int) -> dict:

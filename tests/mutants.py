@@ -14,7 +14,7 @@ Every run writes only to its own copy, so the repository's `tests/_cache`
 is never written. A mutant whose old
 text is not found exactly once in its file is an error: the source moved,
 and the list must follow it. The exit status is 1 when a mutant survived.
-With the committed cache, the fourteen mutants take about 3 min on a 2-CPU
+With the committed cache, the seventeen mutants take about 4 min on a 2-CPU
 x86-64 host.
 """
 
@@ -31,6 +31,7 @@ from paired_bench import export
 
 HARNESS, MODEL = "src/multinet/harness.py", "src/multinet/model.py"
 NNOPS, TENSOR = "src/multinet/nnops.py", "src/multinet/tensor.py"
+SYNTHDATA, TASKS = "src/multinet/synthdata.py", "src/multinet/tasks.py"
 TASK_PRODUCT = "fc1 = {head: elementwise(pre, matmul(x_task[head], self.fc1[head][1]))"
 
 # (name, file, old, new)
@@ -69,6 +70,14 @@ MUTANTS = [
      "t.grad = gi + 0.0 if t.spare is None", "t.grad = gi.copy() if t.spare is None"),
     ("sgd_step steps only the first reached parameter", TENSOR,
      "t.data -= t.grad", "t.data -= t.grad\n        break"),
+    # the batched scorer and the block-drawn proposals
+    ("matcher keys all outputs' duplicates together", TASKS,
+     "key = best[hit] if groups is None else", "key = best[hit] if True else"),
+    ("finite check scans task-major", TASKS,
+     "for out in b:\n            for name, lo, hi in zip(regions, starts, starts[1:]):",
+     "for name, lo, hi in zip(regions, starts, starts[1:]):\n            for out in b:"),
+    ("proposal fallback advances 20 tries instead of 21", SYNTHDATA,
+     "row += _TRIES\n", "row += _TRIES - 1\n"),
 ]
 
 

@@ -43,7 +43,9 @@ def test_instrumented_run_reports_every_layer_metric(monkeypatch):
     score_scene = tasks.score_scene
 
     def recorded(cls_scores, regions, proposals, scene, canvas):
-        scored.append((Prediction(cls_scores, regions, proposals), canvas))
+        for o, cls in enumerate(cls_scores):
+            unstacked = {task: (s[o], d[o]) for task, (s, d) in regions.items()}
+            scored.append((Prediction(cls, unstacked, proposals), canvas))
         return score_scene(cls_scores, regions, proposals, scene, canvas)
 
     monkeypatch.setattr(tasks, "score_scene", recorded)

@@ -1068,9 +1068,10 @@ class TestExperiments:
             for i, scene in enumerate(SMALL_SCENES):
                 props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
                 out = forward_boxes(net, scene.image, props, n_iters=t)[-1]
-                regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
-                records.append(
-                    tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))
+                regions = {task: (s.data[None], d.data[None])
+                           for task, (s, d) in out.regions.items()}
+                records.append(tasks.score_scene(out.x_cls.data[None], regions, props, scene,
+                                                 net.cfg.canvas)[0])
             return tasks.evaluate(records, net.cfg.c_cls)
 
         by_t = [scored_at(t) for t in range(4)]
@@ -1136,9 +1137,10 @@ class TestExperiments:
                 props = propose_regions(scene, SMALL_SPEC, net.cfg.m, seed=i)
                 out = forward_boxes(net, scene.image, props, ground_cls=label(scene),
                                     n_iters=1)[1]
-                regions = {task: (s.data, d.data) for task, (s, d) in out.regions.items()}
-                records.append(
-                    tasks.score_scene(out.x_cls.data, regions, props, scene, net.cfg.canvas))
+                regions = {task: (s.data[None], d.data[None])
+                           for task, (s, d) in out.regions.items()}
+                records.append(tasks.score_scene(out.x_cls.data[None], regions, props, scene,
+                                                 net.cfg.canvas)[0])
             return tasks.evaluate(records, net.cfg.c_cls)
 
         grounded = scored_at_1(lambda scene: scene.img_label)

@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from multinet import synthdata
 from multinet.synthdata import (
     DatasetError,
+    Scene,
     SceneSpec,
     generate_dataset,
     generate_scene,
@@ -17,7 +19,7 @@ from multinet.synthdata import (
 )
 from multinet.tasks import iou, iou_matrix
 
-from conftest import assert_same_scene, check_scene, reseal
+from conftest import as_boxes, assert_same_scene, check_scene, reseal
 
 
 class TestSceneGeneration:
@@ -413,3 +415,53 @@ class TestGenerationPin:
         for i, scene in enumerate(generate_dataset(self.SPEC, 20)):
             h.update(propose_regions(scene, self.SPEC, 64, i).tobytes())
         assert h.hexdigest() == self.PROPOSALS_SHA256
+
+    # Digests of every branch of `propose_regions`, recorded before it drew
+    # its jitters as one block: each call's proposals, then the next draw
+    # of the generator it drew from, so a stream left too far on or too
+    # short fails even where the boxes agree. m = n (no loose jitters),
+    # n < m < 2n (some), 64 and 200 (random fills).
+    BRANCHES_SHA256 = {
+        "n": "e59223559140423c7eb7c792c69dcae14bd6c4773925e9bc1905bce70609f6db",
+        "between": "c310b02a33a38fc22c9d8f37a4eb791194a9e6f82db79c72ba88ff6dbee5314a",
+        64: "4b374e6e57540b119ae5c3e0b667ba7b00cdf9e664a724184c8c80250b49dfa7",
+        200: "0c72cd5afe25fd152899c8fa306c372ac9dd9274f727157784cbc4ac6c98ae5f",
+    }
+    FALLBACK_SHA256 = "a5f672d1531cd2acc260248dbb0fe6871e21795c41882888376385352cd5ff3b"
+
+    @staticmethod
+    def _digest(monkeypatch, calls) -> str:
+        """SHA-256 over (scene, spec, m, seed) calls of their proposals and
+        of the four uint32 draws that follow each call on its generator."""
+        made = []
+        seed_rng = synthdata.seed_rng
+        monkeypatch.setattr(synthdata, "seed_rng", lambda *e: made.append(seed_rng(*e)) or made[-1])
+        h = hashlib.sha256()
+        for scene, spec, m, seed in calls:
+            h.update(propose_regions(scene, spec, m, seed).tobytes())
+            h.update(made[-1].integers(2**32, size=4, dtype=np.uint32).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("m", ["n", "between", 64, 200])
+    def test_proposal_branches(self, monkeypatch, m):
+        calls = []
+        for i, scene in enumerate(generate_dataset(self.SPEC, 20)):
+            n = len(scene.object_boxes) + len(scene.part_boxes)
+            calls.append((scene, self.SPEC, {"n": n, "between": n + n // 2}.get(m, m), i))
+        assert self._digest(monkeypatch, calls) == self.BRANCHES_SHA256[m]
+
+    def test_proposal_fallback(self, monkeypatch):
+        # Boxes 0 and 3 are 0.5 px wide and every jitter at least 1 px, so
+        # each jitter's IoU with them is at most 0.5: all 20 retries fail,
+        # the box is its own hit, and the boxes after it draw from where its
+        # 21 jitters end. Generated scenes do not reach this branch: none of
+        # the 9,042 gt boxes of 300 scenes from each of SceneSpec seeds 0-4.
+        objects = as_boxes([(10, 10, 10.5, 30), (30, 30, 50, 52)])
+        parts = as_boxes([(32, 31, 48, 38), (40, 40, 40.5, 50)])
+        scene = Scene(np.full((64, 64, 3), 0.5), np.array([1, 2]), objects, np.array([3, 4]),
+                      parts, np.array([1, 1]), np.array([1, 1, 0, 0, 0], dtype=np.uint8))
+        spec = SceneSpec()
+        got = propose_regions(scene, spec, 4, 0)
+        assert np.array_equal(got[[0, 3]], np.concatenate([objects, parts])[[0, 3]])
+        calls = [(scene, spec, m, seed) for m in (4, 6, 64) for seed in range(3)]
+        assert self._digest(monkeypatch, calls) == self.FALLBACK_SHA256

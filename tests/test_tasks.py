@@ -611,7 +611,8 @@ class Prediction(NamedTuple):
 
 
 def _record(pred, scene, canvas=64):
-    return score_scene(pred.cls_scores, pred.regions, pred.proposals, scene, canvas)
+    regions = {task: (s[None], d[None]) for task, (s, d) in pred.regions.items()}
+    return score_scene(pred.cls_scores[None], regions, pred.proposals, scene, canvas)[0]
 
 
 def _perfect_prediction(scene, proposals, n_classes, n_parts):
@@ -983,3 +984,79 @@ class TestScoreSceneMatchesPerClassOracle:
         assert part[0] == ([0.7, 0.6, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], 1)
         assert part[1] == ([0.4, 0.1, 0.1, 0.1, 0.1], [1.0, 0.0, 0.0, 0.0, 0.0], 1)
 
+
+
+def _stacked(preds):
+    """`score_scene`'s (S, C) cls scores and stacked regions of S outputs
+    on one set of proposals."""
+    regions = {task: tuple(np.stack([p.regions[task][j] for p in preds]) for j in (0, 1))
+               for task in preds[0].regions}
+    return np.stack([p.cls_scores for p in preds]), regions
+
+
+def _assert_bit_equal(got, want):
+    """Two SceneRecords hold the same bytes of the same dtypes."""
+    assert got.cls_scores.dtype == want.cls_scores.dtype
+    assert got.cls_scores.tobytes() == want.cls_scores.tobytes()
+    assert got.img_label is want.img_label
+    assert list(got.regions) == list(want.regions)
+    for name, rows in got.regions.items():
+        assert len(rows) == len(want.regions[name])
+        for (scores, tp, n_gt), (w_scores, w_tp, w_n_gt) in zip(rows, want.regions[name]):
+            assert (scores.dtype, scores.tobytes()) == (w_scores.dtype, w_scores.tobytes())
+            assert (tp.dtype, tp.tobytes()) == (w_tp.dtype, w_tp.tobytes())
+            assert type(n_gt) is int and n_gt == w_n_gt
+
+
+class TestScoreSceneBatched:
+    """S outputs of one forward scored together: each output's record is
+    bit-equal to the one it gets scored alone."""
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_random_outputs(self, k):
+        r = np.random.default_rng(200 + k)
+        for m in (1, 7, 64):
+            first = _tricky_prediction(r, m)
+            preds = [first] + [_tricky_prediction(r, m)._replace(proposals=first.proposals)
+                               for _ in range(k - 1)]
+            preds[-1] = first  # one output repeats another
+            scene = _tricky_ground_truth(r, first)
+            for outputs in (preds, [p._replace(regions={"det": p.regions["det"]}) for p in preds]):
+                got = score_scene(*_stacked(outputs), first.proposals, scene, 64)
+                assert len(got) == k
+                for record, pred in zip(got, outputs):
+                    _assert_bit_equal(record, _record(pred, scene))
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_same_hit_in_every_output_is_a_true_positive(self, k):
+        # The same detections hit the same gt in every output; each output's
+        # duplicates are judged on their own, so every hit stays a TP.
+        from multinet.synthdata import SceneSpec, generate_scene, propose_regions
+
+        spec = SceneSpec(seed=0)
+        scene = generate_scene(spec, 0)
+        pred = _perfect_prediction(scene, propose_regions(scene, spec, 64, 0), spec.n_classes,
+                                   spec.n_part_classes)
+        alone = _record(pred, scene)
+        assert sum(tp.sum() for rows in alone.regions.values() for _, tp, _ in rows) > 0
+        for record in score_scene(*_stacked([pred] * k), pred.proposals, scene, 64):
+            _assert_bit_equal(record, alone)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_first_output_names_the_non_finite_task(self, k):
+        # Output 0 fails in part and output 1 in det: the error names the
+        # task of the first failing output, as scoring them in turn does.
+        from multinet.synthdata import SceneSpec, generate_scene
+
+        spec = SceneSpec(seed=0)
+        scene = generate_scene(spec, 0)
+        r = np.random.default_rng(k)
+        preds = [_random_prediction(r, scene, spec, 0) for _ in range(k)]  # one proposal set
+        props = preds[0].proposals
+        preds[0].regions["part"][1][3, 6] = np.inf
+        preds[1].regions["det"][1][5, 2] = np.nan
+        for order, name in ((preds, "part"), ([preds[1], preds[0], *preds[2:]], "det")):
+            with pytest.raises(TensorError, match=f"^{name} deltas decode to non-finite boxes$"):
+                _record(order[0], scene)
+            with pytest.raises(TensorError, match=f"^{name} deltas decode to non-finite boxes$"):
+                score_scene(*_stacked(order), props, scene, 64)
