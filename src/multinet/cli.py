@@ -46,7 +46,7 @@ def _cmd_generate(args):
 
 def _load_run(args):
     config = harness.load_config(args.config)
-    overrides = {name: getattr(args, name, None) for name in ("seed", "mode", "iterations")}
+    overrides = {name: getattr(args, name, None) for name in ("seed", "mode")}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -74,7 +74,7 @@ def _cmd_eval(args):
     state, spec, scenes = _load_scored(args)
     metrics = harness.evaluate_model(state.model, spec, scenes)
     rows = tasks.metrics_to_rows(
-        args.run_id, state.config.mode, state.model.cfg.t, state.config.seed, metrics
+        "eval", state.config.mode, state.model.cfg.t, state.config.seed, metrics
     )
     harness.write_csv(args.out, tasks.METRIC_CSV_COLUMNS, rows)
     print(tasks.summary_line(metrics))
@@ -145,7 +145,6 @@ def build_parser():
     def run_flags(sp):
         sp.add_argument("--config", required=True)
         sp.add_argument("--dataset", required=True)
-        sp.add_argument("--iterations", type=int)
 
     t = sub.add_parser("train", help="train a model")
     run_flags(t)
@@ -160,7 +159,6 @@ def build_parser():
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--dataset", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--run-id", default="eval")
     e.set_defaults(fn=_cmd_eval)
 
     c = sub.add_parser("compare", help="train/evaluate all four modes")

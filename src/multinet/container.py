@@ -8,6 +8,7 @@ read by the body, and reject bytes left over after the last field.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -79,7 +80,7 @@ class Reader:
         return self.take(self.u32())
 
     def f8(self, shape) -> np.ndarray:
-        n = 8 * int(np.prod(shape))
+        n = 8 * math.prod(shape)
         return np.frombuffer(self.take(n), dtype="<f8").reshape(shape).copy()
 
     def done(self) -> None:

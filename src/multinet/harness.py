@@ -356,6 +356,8 @@ def load_checkpoint(path) -> dict:
             name = r.blob().decode()
         except UnicodeDecodeError:
             r.fail(f"parameter record {i} has a name that is not valid UTF-8")
+        if name in params:
+            r.fail(f"parameter record {i} repeats the name {name!r}")
         (mult,) = r.unpack("<d")
         ndim = r.u32()
         params[name] = (r.f8(r.unpack(f"<{ndim}I")), mult)
@@ -430,7 +432,7 @@ def scored_pass(model: Multinet, spec, scenes, ts, ground_cls=False, geometries=
             raise TensorError(f"scene {i}: {e}") from None
         for t, per_t in records.items():
             per_t.append(scored[min(t, last)])
-    return {t: tasks.evaluate(per_t, model.cfg.c_cls) for t, per_t in records.items()}
+    return {t: tasks.evaluate(per_t) for t, per_t in records.items()}
 
 
 def evaluate_model(model: Multinet, spec, scenes) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops, schema
-from .nnops import Layer, SppGrid
+from .nnops import Layer
 from .tensor import ParamGroup, Tensor, TensorError, elementwise, make_op, matmul, seed_rng
 
 __all__ = [
@@ -281,7 +281,7 @@ class Multinet:
         """The `SceneGeometry` of the (M, 4) region `boxes` on the map of a
         canvas image; TensorError on a degenerate box."""
         side = self.cfg.canvas // STRIDE
-        fp, cells, plan = nnops.spp_layout(boxes, SppGrid(self.cfg.spp_grid, STRIDE), side, side)
+        fp, cells, plan = nnops.spp_layout(boxes, self.cfg.spp_grid, STRIDE, side, side)
         return SceneGeometry(boxes, cells, plan, covering_regions(fp, side, side)
                              if self.cfg.mode != "shared" else None)
 

@@ -34,7 +34,6 @@ from .tensor import Tensor, TensorError, make_op, reshape
 
 __all__ = [
     "Layer",
-    "SppGrid",
     "SppPlan",
     "conv2d",
     "relu",
@@ -55,12 +54,6 @@ __all__ = [
 class Layer:
     weight: Tensor  # Din x Dout, or k x k x Cin x Cout (k odd) for conv2d
     bias: Tensor  # Dout or Cout
-
-
-@dataclass(frozen=True)
-class SppGrid:
-    grid_size: int = 6
-    feature_stride: int = 1
 
 
 def _patches(a: np.ndarray, k: int) -> np.ndarray:
@@ -259,13 +252,13 @@ def _batch_bin_index(start: np.ndarray, stop: np.ndarray, g: int):
     return idx + start[:, None, None], real
 
 
-def spp_pool(h: Tensor, box, grid: SppGrid) -> Tensor:
-    """Fixed-grid max pooling of one image-coordinate box: G x G x C out
+def spp_pool(h: Tensor, box, g: int, stride: int) -> Tensor:
+    """Fixed-grid max pooling of one image-coordinate box: g x g x C out
     (`spp_pool_regions` with one box and its `spp_layout`).
     Kept only for the benchmark, which binds it by name (ROADMAP item 1)."""
     boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
-    row = spp_pool_regions(h, boxes, *spp_layout(boxes, grid, *h.data.shape[:2])[1:])
-    return reshape(row, (grid.grid_size, grid.grid_size, h.data.shape[2]))
+    row = spp_pool_regions(h, boxes, *spp_layout(boxes, g, stride, *h.data.shape[:2])[1:])
+    return reshape(row, (g, g, h.data.shape[2]))
 
 
 class SppPlan(NamedTuple):
@@ -297,18 +290,18 @@ def _scatter_plan(cells: np.ndarray, real: np.ndarray, n_cells: int) -> SppPlan:
     return SppPlan(hit, rows.reshape(-1, n))
 
 
-def spp_layout(boxes: np.ndarray, grid: SppGrid, hh: int, ww: int) -> tuple:
-    """(footprints, cells, plan) of an (M, 4) box set on an hh x ww map: the
-    boxes' `feature_footprints` at the grid's stride, the (M, g, g, L)
-    flat cell indices of every bin's candidates, row-major in each bin, and
-    their `SppPlan`. TensorError names the first degenerate or non-finite box."""
+def spp_layout(boxes: np.ndarray, g: int, stride: int, hh: int, ww: int) -> tuple:
+    """(footprints, cells, plan) of an (M, 4) box set on an hh x ww map of
+    `stride` image pixels per cell, pooled over a g x g grid: the boxes'
+    `feature_footprints`, the (M, g, g, L) flat cell indices of every bin's
+    candidates, row-major in each bin, and their `SppPlan`. TensorError
+    names the first degenerate or non-finite box."""
     x1, y1, x2, y2 = boxes.T
     bad = np.nonzero(~np.isfinite(boxes).all(axis=1) | (x2 <= x1) | (y2 <= y1))[0]
     if bad.size:
         i = int(bad[0])
         raise TensorError(f"spp_pool: degenerate/non-finite box {boxes[i].tolist()} (region {i})")
-    g = grid.grid_size
-    fp = feature_footprints(boxes, grid.feature_stride, hh, ww)
+    fp = feature_footprints(boxes, stride, hh, ww)
     ridx, rreal = _batch_bin_index(fp[:, 0], fp[:, 1], g)  # (M, g, Lr)
     cidx, creal = _batch_bin_index(fp[:, 2], fp[:, 3], g)  # (M, g, Lc)
     cells = ridx[:, :, None, :, None] * ww + cidx[:, None, :, None, :]

@@ -259,11 +259,11 @@ def assign_regions(regions, classes, gt_boxes, n_classes: int) -> RegionTargets:
 
 def nms(boxes, scores):
     """Greedy non-maximum suppression of C sets of M boxes at once: (C * M, 4)
-    boxes, set after set, with their (C, M) scores, or one set's (M, 4)
-    boxes with (M,) scores. Returns the kept flat indices, set after set,
-    each set's score-descending (stable on ties). A box is dropped when its
-    IoU with a kept box of its own set exceeds `NMS_IOU`."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    boxes, set after set, with their (C, M) scores. Returns the kept flat
+    indices, set after set, each set's score-descending (stable on ties). A
+    box is dropped when its IoU with a kept box of its own set exceeds
+    `NMS_IOU`."""
+    scores = np.asarray(scores, dtype=np.float64)
     c, m = scores.shape
     order = np.argsort(-scores, axis=1, kind="stable")
     ranked = np.asarray(boxes, dtype=np.float64).reshape(c, m, 4)[np.arange(c)[:, None], order]
@@ -294,15 +294,14 @@ def nms(boxes, scores):
 
 
 def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float,
-                     groups=None) -> np.ndarray:
+                     groups) -> np.ndarray:
     """(N,) true-positive flags of one image's (N, 4) detections of (N,)
-    classes, each class's ranked best first, against its (G, 4) ground truth
-    of (G,) classes: each detection is compared with the gt of its class of
-    highest IoU (the first on ties) and hits when that IoU is >= iou_thresh
-    (> 0) and no higher-ranked detection matched the same gt, so duplicates
-    count as false positives. With (N,) int `groups`, such as the output
-    each detection comes from, only a higher-ranked detection of the same
-    group makes one a duplicate."""
+    classes and (N,) int `groups`, such as the output each detection comes
+    from, each class's ranked best first within its group, against its
+    (G, 4) ground truth of (G,) classes: each detection is compared with the
+    gt of its class of highest IoU (the first on ties) and hits when that
+    IoU is >= iou_thresh (> 0) and no higher-ranked detection of its group
+    matched the same gt, so duplicates count as false positives."""
     tp = np.zeros(len(boxes))
     if len(boxes) == 0 or len(gt_boxes) == 0:
         return tp
@@ -310,7 +309,7 @@ def match_detections(boxes, classes, gt_boxes, gt_classes, iou_thresh: float,
     ious[np.asarray(classes)[:, None] != np.asarray(gt_classes)] = -1.0
     best = ious.argmax(axis=1)
     hit = np.nonzero(ious[np.arange(len(best)), best] >= iou_thresh)[0]
-    key = best[hit] if groups is None else np.asarray(groups)[hit] * len(gt_boxes) + best[hit]
+    key = np.asarray(groups)[hit] * len(gt_boxes) + best[hit]
     _, first = np.unique(key, return_index=True)
     tp[hit[first]] = 1.0
     return tp
@@ -396,7 +395,7 @@ def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> list:
         k = scores.shape[2] - 1
         mine = np.flatnonzero((lo <= cls_row) & (cls_row < lo + k))
         tp[mine] = match_detections(boxes[mine], cls_row[mine] - lo + 1, gt, classes,
-                                    task.match_iou, groups=output[mine])
+                                    task.match_iou, output[mine])
         n_gt[name] = np.bincount(classes, minlength=k + 1)[1 : k + 1].tolist()
         lo += k
     # keep[ends[r]:ends[r + 1]] are class row r's kept boxes, in keep order.
@@ -410,21 +409,22 @@ def score_scene(cls_scores, regions, proposals, scene, canvas: int) -> list:
     return records
 
 
-def evaluate(records, n_classes: int) -> dict:
+def evaluate(records) -> dict:
     """AP over the scenes of `score_scene` records.
 
     Returns the `SUMMARY_KEYS` and each task's `<task>_ap_per_class` list.
-    Each region task the records carry is scored over its classes; the
-    entries of a task they lack are None. A scene's detections rank against
-    every other scene's by score, and the stable sort keeps each scene's
-    keep order on ties, so records can be joined in any order and repeated.
+    cls is scored over the classes of the records' cls scores, and each
+    region task the records carry over its classes; the entries of a task
+    they lack are None. A scene's detections rank against every other
+    scene's by score, and the stable sort keeps each scene's keep order on
+    ties, so records can be joined in any order and repeated.
     """
     if not records:
         raise ValueError("evaluate: empty dataset")
     # Image-level classification: rank images per class.
     cls_scores = np.array([r.cls_scores for r in records])
     labels = np.array([r.img_label for r in records])
-    cls_aps = [ranked_binary_ap(cls_scores[:, c], labels[:, c]) for c in range(n_classes)]
+    cls_aps = [ranked_binary_ap(scores, truth) for scores, truth in zip(cls_scores.T, labels.T)]
     out = {"cls_map": float(np.mean(cls_aps)), "cls_ap_per_class": cls_aps}
     for task in REGION_TASKS:
         aps = None

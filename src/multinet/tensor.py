@@ -41,19 +41,19 @@ class TensorError(ValueError):
 class Tensor:
     """N-dimensional float32 or float64 array with an optional gradient
     buffer of the same dtype. A float32 array stays float32; anything else
-    becomes float64. `spare` is a dropped gradient's array, which the next
-    sweep writes the tensor's first gradient into (`ParamGroup.zero_grads`)."""
+    becomes float64. Only `ParamGroup.add` and ops mark a tensor as needing a
+    gradient. `spare` is a dropped gradient's array, which the next sweep
+    writes the tensor's first gradient into (`ParamGroup.zero_grads`)."""
 
     __slots__ = ("data", "requires_grad", "grad", "spare")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if not np.isfinite(self.data).all():
             raise TensorError("non-finite values produced by Tensor()")
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-        self.spare = None
+        self.requires_grad = False
+        self.grad = self.spare = None
 
     def item(self) -> float:
         return float(self.data)

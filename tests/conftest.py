@@ -64,9 +64,17 @@ def add(a, b):
     return elementwise(a, b)
 
 
+def leaf(data):
+    """A Tensor that backward sweeps give a gradient, as `ParamGroup.add`
+    marks a parameter; it holds none until a sweep reaches it."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
 def analytic_grads(build, arrays):
     """Tape gradients of scalar build(*tensors) w.r.t. each input array."""
-    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    ts = [leaf(a) for a in arrays]
     with Tape() as tape:
         loss = build(*ts)
         backward(loss, tape)
@@ -122,11 +130,13 @@ def forward_boxes(net, image, boxes, **kwargs):
     return net.forward(image, net.geometry(boxes), **kwargs)
 
 
-def spp_regions(h, boxes, grid):
+def spp_regions(h, boxes, g, stride):
     """`nnops.spp_pool_regions` over (M, 4) `boxes`, with the bin cells and
-    scatter plan `nnops.spp_layout` builds of them on h's map at `grid`."""
+    scatter plan `nnops.spp_layout` builds of them on h's map of `stride`
+    image pixels per cell, over a g x g grid."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    return nnops.spp_pool_regions(h, boxes, *nnops.spp_layout(boxes, grid, *h.data.shape[:2])[1:])
+    return nnops.spp_pool_regions(
+        h, boxes, *nnops.spp_layout(boxes, g, stride, *h.data.shape[:2])[1:])
 
 
 def reseal(path, edit):

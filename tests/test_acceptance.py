@@ -34,7 +34,7 @@ from multinet.harness import (
     write_csv,
 )
 from multinet.model import STRIDE, Multinet, TaskConfig, encode_cls, encode_det
-from multinet.nnops import Layer, SppGrid
+from multinet.nnops import Layer
 from multinet.synthdata import (
     DatasetError,
     SceneSpec,
@@ -177,12 +177,12 @@ def test_criterion_1_gradient_suite(capsys):
             )
             box = random_box(r, 64)
             check_grads(
-                lambda a: sum_all(spp_regions(a, np.array([box]), SppGrid(3, 8))),
+                lambda a: sum_all(spp_regions(a, np.array([box]), 3, 8)),
                 [r.normal(size=(8, 8, 2))],
             )
             boxes = random_boxes(r, 3, 64)
             check_grads(
-                lambda a: sum_all(spp_regions(a, boxes, SppGrid(3, 8))),
+                lambda a: sum_all(spp_regions(a, boxes, 3, 8)),
                 [r.normal(size=(8, 8, 2))],
             )
             check_grads(
@@ -246,7 +246,7 @@ def test_criterion_2_oracle_equivalences(capsys):
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 36)
-            out = spp_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
+            out = spp_regions(Tensor(x), np.array([box]), 6, 3)
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
 
         # encode_det vs the per-cell brute force, 100 cases
@@ -277,9 +277,9 @@ def test_criterion_2_oracle_equivalences(capsys):
                     tp_seq.append(0)
                 scores.append(float(s))
             # Scores are drawn in descending order: the list is the ranking.
-            # Every detection and gt box is of class 1.
+            # Every detection and gt box is of class 1, in one group.
             tp = match_detections(as_boxes(boxes), np.ones(len(boxes), int), gts,
-                                  np.ones(n_gt, int), 0.5)
+                                  np.ones(n_gt, int), 0.5, np.zeros(len(boxes), int))
             ap = average_precision(scores, tp, n_gt)
             assert abs(ap - ap_oracle(tp_seq, n_gt)) <= 1e-9
 

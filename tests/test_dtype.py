@@ -11,11 +11,11 @@ import pytest
 from multinet import model, nnops, tasks
 from multinet.harness import RunConfig, build_task_config, prepare_scene, scene_loss
 from multinet.model import Multinet
-from multinet.nnops import Layer, SppGrid
+from multinet.nnops import Layer
 from multinet.synthdata import SceneSpec, generate_dataset
 from multinet.tensor import Tape, Tensor, add_rowvec, backward, matmul, reshape, sum_all, take_rows
 
-from conftest import add, forward_boxes, spp_regions
+from conftest import add, forward_boxes, leaf, spp_regions
 
 # Region geometry stays float64 whatever the network's dtype.
 BOXES = np.array([[0.0, 0.0, 16.0, 16.0], [4.0, 8.0, 30.0, 20.0], [10.0, 2.0, 14.0, 31.0]])
@@ -44,7 +44,7 @@ CASES = {
     "fully_connected:vector": (lambda x, w, b: nnops.fully_connected(x, Layer(w, b)),
                                [(4,), (4, 2), (2,)]),
     "stack_channels": (lambda a, b: nnops.stack_channels([a, b]), [(2, 2, 1), (2, 2, 3)]),
-    "spp_pool_regions": (lambda h: spp_regions(h, BOXES, SppGrid(2, 8)), [(4, 4, 3)]),
+    "spp_pool_regions": (lambda h: spp_regions(h, BOXES, 2, 8), [(4, 4, 3)]),
     "encode_cls": (lambda x: model.encode_cls(x, 4, 4), [(3,)]),
     "encode_det": (lambda x: model.encode_det(x, COVERING, 4, 4), [(3, 4)]),
     # The harness passes the image label as uint8; the box losses also take
@@ -74,8 +74,7 @@ def record_backward(nodes) -> list:
 def test_op_follows_input_dtype(op, dtype):
     build, shapes = CASES[op]
     r = np.random.default_rng(0)
-    inputs = [Tensor(r.uniform(0.1, 1.0, size=s).astype(dtype), requires_grad=True)
-              for s in shapes]
+    inputs = [leaf(r.uniform(0.1, 1.0, size=s).astype(dtype)) for s in shapes]
     with Tape() as tape:
         out = build(*inputs)
         loss = sum_all(out)

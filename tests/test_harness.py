@@ -28,7 +28,9 @@ from multinet.harness import (
 )
 from multinet.model import Multinet, TaskConfig, fc1_rows
 from multinet.nnops import Layer
-from multinet.synthdata import SceneSpec, generate_dataset, propose_regions, write_dataset
+from multinet.synthdata import (
+    SceneSpec, generate_dataset, propose_regions, read_dataset, write_dataset,
+)
 from multinet.tasks import metrics_to_rows
 from multinet.tensor import (
     ParamGroup, Tape, Tensor, TensorError, backward, matmul, sgd_step, take_rows,
@@ -630,6 +632,42 @@ class TestCheckpoints:
         with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
             load_checkpoint(path)
 
+    def test_repeated_record_name_is_training_error(self, tmp_path):
+        # Before, the last record of a name was kept: a repeated
+        # `part.delta.bias` of zeros restored, and the model held the zeros.
+        params = load_checkpoint(COMMITTED_CKPT)["params"]
+        data, mult = params["part.delta.bias"]
+        record = [container.blob(b"part.delta.bias"), struct.pack("<d", mult), container.u32(1),
+                  struct.pack("<I", len(data)), container.f8(np.zeros_like(data))]
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(COMMITTED_CKPT.read_bytes())
+
+        def repeat_last(body):
+            header_end = ckpt_header_end(body)
+            return patched(body, header_end, "<I", len(params) + 1) + b"".join(record)
+
+        reseal(path, repeat_last)
+        want = (f"checkpoint {path}: parameter record {len(params)} repeats the name "
+                "'part.delta.bias'")
+        with pytest.raises(TrainingError, match=f"^{re.escape(want)}$"):
+            load_checkpoint(path)
+
+    def test_record_shape_past_int64_is_truncated(self, tmp_path):
+        # 2^21 * 2^21 * 2^21 * 4 values of 8 bytes wrap to 0 in int64; before,
+        # the record read as empty and failed to reshape, naming no file.
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(COMMITTED_CKPT.read_bytes())
+        name = b"backbone.conv1.filters"  # the first record, of 4 axes
+
+        def huge_first_shape(body):
+            shape_at = ckpt_header_end(body) + 4 + 4 + len(name) + 8 + 4
+            assert body[shape_at - 4 - 8 - len(name) : shape_at - 4 - 8] == name
+            return patched(body, shape_at, "<4I", 2**21, 2**21, 2**21, 4)
+
+        reseal(path, huge_first_shape)
+        with pytest.raises(TrainingError, match=f"^{re.escape(f'checkpoint {path}: truncated')}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("fields, message", BAD_HEADER_VALUES)
     def test_restore_names_a_bad_header_value(self, tmp_path, fields, message):
         path = edited_checkpoint(tmp_path, lambda h: h.update(fields))
@@ -697,6 +735,12 @@ def edited_checkpoint(tmp_path, edit):
     return path
 
 
+def ckpt_header_end(body) -> int:
+    """Offset of a checkpoint body's record count, after its header blob."""
+    start = len(harness.CKPT_MAGIC) + 4
+    return start + 4 + struct.unpack_from("<I", body, start)[0]
+
+
 def non_utf8_name_checkpoint(tmp_path):
     """A copy of the committed checkpoint, resealed with the first byte of
     its first parameter record's name set to 0xff."""
@@ -704,9 +748,8 @@ def non_utf8_name_checkpoint(tmp_path):
     path.write_bytes(COMMITTED_CKPT.read_bytes())
 
     def spoil_first_name(body):
-        start = len(harness.CKPT_MAGIC) + 4
-        header_end = start + 4 + struct.unpack_from("<I", body, start)[0]
-        return patched(body, header_end + 4 + 4, "<B", 0xFF)  # record count, name length
+        # after the record count and the name's length
+        return patched(body, ckpt_header_end(body) + 4 + 4, "<B", 0xFF)
 
     reseal(path, spoil_first_name)
     return path
@@ -1072,7 +1115,7 @@ class TestExperiments:
                            for task, (s, d) in out.regions.items()}
                 records.append(tasks.score_scene(out.x_cls.data[None], regions, props, scene,
                                                  net.cfg.canvas)[0])
-            return tasks.evaluate(records, net.cfg.c_cls)
+            return tasks.evaluate(records)
 
         by_t = [scored_at(t) for t in range(4)]
         calls = []
@@ -1141,7 +1184,7 @@ class TestExperiments:
                            for task, (s, d) in out.regions.items()}
                 records.append(tasks.score_scene(out.x_cls.data[None], regions, props, scene,
                                                  net.cfg.canvas)[0])
-            return tasks.evaluate(records, net.cfg.c_cls)
+            return tasks.evaluate(records)
 
         grounded = scored_at_1(lambda scene: scene.img_label)
         assert grounded != scored_at_1(lambda scene: None)
@@ -1326,6 +1369,21 @@ class TestCli:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows and {row[2] for row in rows} == {str(t)}
         capsys.readouterr()
+
+    def test_ground_csv_rows_name_their_condition(self, workdir, capsys):
+        # Each condition's rows hold its own metrics, which differ here, so
+        # rows written under the other condition's name would show.
+        ds, ckpt = self._trained(workdir, capsys)
+        out = workdir / "g.csv"
+        assert cli.main(["ground", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        state = restore_model(load_checkpoint(ckpt))
+        res = harness.ground_experiment(state, *read_dataset(ds))
+        assert res["grounded"] != res["ungrounded"]
+        want = [[str(v) for v in row] for cond in ("ungrounded", "grounded") for row in
+                metrics_to_rows(cond, state.config.mode, 1, state.config.seed, res[cond])]
+        assert [line.split(",") for line in out.read_text().splitlines()[1:]] == want
 
     def test_missing_dataset_fails_with_json_error(self, workdir, capsys):
         code = cli.main([

@@ -8,12 +8,13 @@ from multinet.model import (
     MODES, STRIDE, Multinet, MultinetOutput, TaskConfig, covering_regions, encode_cls, encode_det,
     fc1_rows,
 )
-from multinet.nnops import Layer, SppGrid, feature_footprints
+from multinet.nnops import Layer, feature_footprints
 from multinet.synthdata import SceneSpec, generate_scene, propose_regions
 from multinet.tensor import Tape, Tensor, TensorError, backward, make_op, reshape, sum_all
 
 from conftest import (
-    add, as_float64, check_grads, forward_boxes, n_values, record_grads, spp_regions, weighted_sum,
+    add, as_float64, check_grads, forward_boxes, leaf, n_values, record_grads, spp_regions,
+    weighted_sum,
 )
 from test_nnops import footprint_oracle, random_boxes
 
@@ -61,7 +62,7 @@ class TestEncodeCls:
             assert np.all(out.data[:, :, c] == p.data[c])
 
     def test_gradient_sums_over_cells(self):
-        p = Tensor(np.array([0.3, 0.6]), requires_grad=True)
+        p = leaf(np.array([0.3, 0.6]))
         with Tape() as tape:
             backward(sum_all(encode_cls(p, 3, 4)), tape)
         np.testing.assert_array_equal(p.grad, [12.0, 12.0])
@@ -154,7 +155,7 @@ class TestEncodeDet:
             boxes = random_boxes(r, m, 32)
             fps = feature_footprints(boxes, 8, 4, 4)
             g = r.normal(size=(4, 4, 3))
-            x = Tensor(scores, requires_grad=True)
+            x = leaf(scores)
             with Tape() as tape:
                 out = encode_det(x, covering_regions(fps, 4, 4), 4, 4)
                 backward(weighted_sum(out, g), tape)
@@ -185,7 +186,7 @@ class TestEncodeDet:
             g = r.normal(size=(h, w, k1)).astype(dtype)
             outs, grads = [], []
             for op, regions in ((encode_det, covering_regions(fps, h, w)), (encode_det_dense, fps)):
-                x = Tensor(scores, requires_grad=True)
+                x = leaf(scores)
                 with Tape() as tape:
                     out = op(x, regions, h, w)
                     backward(weighted_sum(out, g), tape)
@@ -199,7 +200,7 @@ class TestEncodeDet:
         assert uncovered > 0 and ties > 0
 
     def test_negative_scores_floor_at_zero(self):
-        scores = Tensor(np.array([[-0.5, 0.25]]), requires_grad=True)
+        scores = leaf(np.array([[-0.5, 0.25]]))
         cov = covering(np.array([[0.0, 0, 16, 16]]), 8, 2, 2)
         with Tape() as tape:
             out = encode_det(scores, cov, 2, 2)
@@ -208,7 +209,7 @@ class TestEncodeDet:
         np.testing.assert_array_equal(scores.grad, [[0.0, 4.0]])
 
     def test_tie_gradient_goes_to_first_box(self):
-        scores = Tensor(np.array([[0.5], [0.5]]), requires_grad=True)
+        scores = leaf(np.array([[0.5], [0.5]]))
         box = (0, 0, 8, 8)
         with Tape() as tape:
             cov = covering(np.array([box, box], dtype=float), 8, 1, 1)
@@ -684,8 +685,7 @@ def whole_fc1_layers(net):
     bias."""
     records = {name: data for name, data, _ in net.records()}
     return {
-        head: Layer(Tensor(records[f"{head}.fc1.weight"].copy(), requires_grad=True),
-                    layer.bias)
+        head: Layer(leaf(records[f"{head}.fc1.weight"].copy()), layer.bias)
         for head, (layer, _) in net.fc1.items()
     }
 
@@ -697,7 +697,7 @@ def whole_fc1(net, layers, h, boxes):
     channel of `h`."""
     fc1 = {"cls": nnops.fully_connected(nnops.global_max_pool(h), layers["cls"])}
     for task in net.cfg.region_classes:
-        pooled = spp_regions(h, boxes, SppGrid(net.cfg.spp_grid, STRIDE))
+        pooled = spp_regions(h, boxes, net.cfg.spp_grid, STRIDE)
         flat = reshape(pooled, (len(boxes), pooled.data.size // len(boxes)))
         fc1[task] = nnops.fully_connected(flat, layers[task])
     return fc1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from multinet import nnops
 from multinet.nnops import (
     Layer,
-    SppGrid,
     conv2d,
     feature_footprints,
     fully_connected,
@@ -24,7 +23,7 @@ from multinet.nnops import (
 )
 from multinet.tensor import Tape, Tensor, TensorError, backward, sum_all
 
-from conftest import check_grads, spp_regions, weighted_sum
+from conftest import check_grads, leaf, spp_regions, weighted_sum
 
 
 def conv_oracle(x, filters, bias, stride, padding):
@@ -174,9 +173,9 @@ class TestConv2d:
         x = rng.normal(size=(h, w, cin)).astype(dtype)
         f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
         b = rng.normal(size=cout).astype(dtype)
-        layer = Layer(Tensor(f, requires_grad=True), Tensor(b, requires_grad=True))
+        layer = Layer(leaf(f), leaf(b))
         with Tape() as tape:
-            out = conv2d(Tensor(bordered(x, pad), requires_grad=x_needs_grad), layer)
+            out = conv2d((leaf if x_needs_grad else Tensor)(bordered(x, pad)), layer)
         g = rng.normal(size=out.data.shape).astype(dtype)
         got = list((out.data, *tape.nodes[0].backward_fn(g)))
         if x_needs_grad and pad:
@@ -199,7 +198,7 @@ class TestConv2d:
         f = rng.normal(size=(k, k, cin, cout)).astype(dtype)
         layer = Layer(Tensor(f), Tensor(np.zeros(cout, dtype)))
         with Tape() as tape:
-            out = conv2d(Tensor(bordered(x, pad), requires_grad=True), layer)
+            out = conv2d(leaf(bordered(x, pad)), layer)
         g = rng.normal(size=out.data.shape).astype(dtype)
         gx = tape.nodes[0].backward_fn(g)[0][pad : pad + h, pad : pad + w]
         ref = col2im_bincount_reference(x, f, pad + k // 2, g)
@@ -228,13 +227,12 @@ class TestConv2d:
         # An input that needs no gradient (the image at conv1) gets None;
         # the filter and bias gradients do not change.
         x = bordered(rng.normal(size=(6, 5, 2)), pad)
-        layer = Layer(Tensor(rng.normal(size=(3, 3, 2, 4)), requires_grad=True),
-                          Tensor(rng.normal(size=4), requires_grad=True))
+        layer = Layer(leaf(rng.normal(size=(3, 3, 2, 4))), leaf(rng.normal(size=4)))
         g = rng.normal(size=(6 + 2 * pad, 5 + 2 * pad, 4))
 
         def grads(needs):
             with Tape() as tape:
-                conv2d(Tensor(x, requires_grad=needs), layer)
+                conv2d((leaf if needs else Tensor)(x), layer)
             return tape.nodes[0].backward_fn(g)
 
         (gx, gw, gb), (gx0, gw0, gb0) = grads(True), grads(False)
@@ -355,7 +353,7 @@ class TestPooling:
         np.testing.assert_array_equal(out.data, maxpool_oracle(x, 2, 2))
 
     def test_tie_gradient_goes_to_first_cell(self):
-        x = Tensor(np.zeros((2, 2, 1)), requires_grad=True)
+        x = leaf(np.zeros((2, 2, 1)))
         with Tape() as tape:
             backward(sum_all(max_pool2d(x)), tape)
         expect = np.zeros((2, 2, 1))
@@ -382,7 +380,7 @@ class TestPooling:
         else:
             x = rng.choice([-0.0, 0.0, 0.0, 1.0], size=shape)
         x = x.astype(dtype)
-        xt = Tensor(x, requires_grad=True)
+        xt = leaf(x)
         with Tape() as tape:
             out = max_pool2d(xt)
         g = rng.normal(size=out.data.shape).astype(dtype)
@@ -455,8 +453,8 @@ class TestStackChannels:
             stack_channels([Tensor(np.zeros((3, 3, 1))), Tensor(np.zeros((4, 3, 1)))])
 
     def test_backward_routes_slices_exactly(self, rng):
-        a = Tensor(rng.normal(size=(2, 2, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
+        a = leaf(rng.normal(size=(2, 2, 2)))
+        b = leaf(rng.normal(size=(2, 2, 3)))
         w = rng.normal(size=(2, 2, 5))
         with Tape() as tape:
             backward(weighted_sum(stack_channels([a, b]), w), tape)
@@ -481,10 +479,9 @@ class TestStackChannels:
         # stacking the results bin by bin equals pooling the stacked map.
         a, b = rng.normal(size=(8, 8, 3)), rng.normal(size=(8, 8, 2))
         boxes = random_boxes(rng, 6, 64)
-        grid = SppGrid(3, 8)
-        whole = spp_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, grid)
+        whole = spp_regions(stack_channels([Tensor(a), Tensor(b)]), boxes, 3, 8)
         parts = stack_channels([
-            Tensor(spp_regions(Tensor(x), boxes, grid).data.reshape(6, 9, -1)) for x in (a, b)
+            Tensor(spp_regions(Tensor(x), boxes, 3, 8).data.reshape(6, 9, -1)) for x in (a, b)
         ])
         np.testing.assert_array_equal(parts.data, whole.data.reshape(6, 9, 5))
 
@@ -581,13 +578,13 @@ def spp_bincount_reference(x, cells, gout):
     return gh.astype(x.dtype).reshape(hh, ww, c)
 
 
-def spp_backward(x, boxes, grid, gout):
+def spp_backward(x, boxes, g, stride, gout):
     """(input gradient, cells): what `spp_pool_regions`' backward returns
     for output gradient `gout`, read from its tape node, so no gradient
     buffer adds it onto zeros."""
-    _, cells, plan = spp_layout(boxes, grid, *x.shape[:2])
+    _, cells, plan = spp_layout(boxes, g, stride, *x.shape[:2])
     with Tape() as tape:
-        spp_pool_regions(Tensor(x, requires_grad=True), boxes, cells, plan)
+        spp_pool_regions(leaf(x), boxes, cells, plan)
     (gh,) = tape.nodes[0].backward_fn(gout.reshape(len(boxes), -1).astype(x.dtype))
     return gh, cells
 
@@ -600,17 +597,16 @@ def mixed_gradient(r, shape):
     return g
 
 
-def assert_scatter_matches_bincount(x, boxes, grid, seed=0):
+def assert_scatter_matches_bincount(x, boxes, g, stride, seed=0):
     """SPP's backward is byte-equal to `spp_bincount_reference`, in float64
     and float32, for a `mixed_gradient` and for one that is -0.0 everywhere
     (every cell's sum is then +0.0, as bincount's sums start at +0.0)."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    g = grid.grid_size
     shape = (len(boxes), g, g, x.shape[2])
     for gout in (mixed_gradient(np.random.default_rng(seed), shape), np.full(shape, -0.0)):
         for dtype in (np.float64, np.float32):
             xd, gd = x.astype(dtype), gout.astype(dtype)
-            gh, cells = spp_backward(xd, boxes, grid, gd)
+            gh, cells = spp_backward(xd, boxes, g, stride, gd)
             assert gh.dtype == dtype
             assert gh.tobytes() == spp_bincount_reference(xd, cells, gd).tobytes()
 
@@ -620,59 +616,59 @@ class TestSpp:
         # 6x6 map, 6x6 grid, stride 1, box covering everything: each bin is
         # exactly one cell.
         x = rng.normal(size=(6, 6, 2))
-        out = spp_pool(Tensor(x), (0, 0, 6, 6), SppGrid(6, 1))
+        out = spp_pool(Tensor(x), (0, 0, 6, 6), 6, 1)
         np.testing.assert_array_equal(out.data, x)
-        assert_scatter_matches_bincount(x, (0, 0, 6, 6), SppGrid(6, 1))
+        assert_scatter_matches_bincount(x, (0, 0, 6, 6), 6, 1)
 
     def test_constant_map(self):
         x = np.full((8, 8, 3), 2.5)
-        out = spp_pool(Tensor(x), (3, 1, 30, 50), SppGrid(6, 8))
+        out = spp_pool(Tensor(x), (3, 1, 30, 50), 6, 8)
         np.testing.assert_array_equal(out.data, np.full((6, 6, 3), 2.5))
-        assert_scatter_matches_bincount(x, (3, 1, 30, 50), SppGrid(6, 8))
+        assert_scatter_matches_bincount(x, (3, 1, 30, 50), 6, 8)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(TensorError):
-            spp_pool(Tensor(np.zeros((4, 4, 1))), (2, 2, 2, 3), SppGrid(6, 1))
+            spp_pool(Tensor(np.zeros((4, 4, 1))), (2, 2, 2, 3), 6, 1)
 
     def test_oracle_100_cases(self):
         r = np.random.default_rng(777)
         for _ in range(100):
             x = r.normal(size=(12, 12, 4))
             box = random_box(r, 12 * 3)
-            out = spp_regions(Tensor(x), np.array([box]), SppGrid(6, 3))
+            out = spp_regions(Tensor(x), np.array([box]), 6, 3)
             np.testing.assert_array_equal(out.data[0], spp_oracle(x, box, 3, 6).ravel())
-            assert_scatter_matches_bincount(x, box, SppGrid(6, 3))
+            assert_scatter_matches_bincount(x, box, 6, 3)
 
     def test_batched_matches_single(self):
         r = np.random.default_rng(31)
         x = r.normal(size=(8, 8, 5))
         boxes = random_boxes(r, 20, 64)
-        batched = spp_regions(Tensor(x), boxes, SppGrid(6, 8))
+        batched = spp_regions(Tensor(x), boxes, 6, 8)
         for i, b in enumerate(boxes):
-            single = spp_pool(Tensor(x), b, SppGrid(6, 8))
+            single = spp_pool(Tensor(x), b, 6, 8)
             np.testing.assert_array_equal(batched.data[i], single.data.ravel())
-        assert_scatter_matches_bincount(x, boxes, SppGrid(6, 8))
+        assert_scatter_matches_bincount(x, boxes, 6, 8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_single(self, seed):
         r = np.random.default_rng(seed)
         x = r.normal(size=(8, 8, 2))
         box = random_box(r, 64)
-        check_grads(lambda t: sum_all(spp_regions(t, np.array([box]), SppGrid(4, 8))), [x])
-        assert_scatter_matches_bincount(x, box, SppGrid(4, 8), seed)
+        check_grads(lambda t: sum_all(spp_regions(t, np.array([box]), 4, 8)), [x])
+        assert_scatter_matches_bincount(x, box, 4, 8, seed)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_batched(self, seed):
         r = np.random.default_rng(100 + seed)
         x = r.normal(size=(8, 8, 2))
         boxes = random_boxes(r, 3, 64)
-        check_grads(lambda t: sum_all(spp_regions(t, boxes, SppGrid(3, 8))), [x])
-        assert_scatter_matches_bincount(x, boxes, SppGrid(3, 8), seed)
+        check_grads(lambda t: sum_all(spp_regions(t, boxes, 3, 8)), [x])
+        assert_scatter_matches_bincount(x, boxes, 3, 8, seed)
 
     def test_batched_degenerate_box_names_region(self):
         with pytest.raises(TensorError, match="region 1"):
             spp_regions(
-                Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), SppGrid(2, 8)
+                Tensor(np.zeros((4, 4, 1))), np.array([[0.0, 0, 8, 8], [5, 5, 5, 9]]), 2, 8
             )
 
     def test_layout_follows_box_bytes_and_map_shape(self, rng):
@@ -681,21 +677,21 @@ class TestSpp:
         # another shape, is indexed (and checked) anew.
         boxes = random_boxes(rng, 6, 64)
         x8, x4 = rng.normal(size=(8, 8, 3)), rng.normal(size=(4, 4, 3))
-        first = spp_regions(Tensor(x8), boxes, SppGrid(3, 8)).data
-        again = spp_regions(Tensor(x8), boxes.copy(), SppGrid(3, 8)).data
+        first = spp_regions(Tensor(x8), boxes, 3, 8).data
+        again = spp_regions(Tensor(x8), boxes.copy(), 3, 8).data
         assert again.tobytes() == first.tobytes()
-        small = spp_regions(Tensor(x4), boxes, SppGrid(3, 16)).data
+        small = spp_regions(Tensor(x4), boxes, 3, 16).data
         for i, box in enumerate(boxes):
             np.testing.assert_array_equal(small[i], spp_oracle(x4, box, 16, 3).ravel())
-        assert_scatter_matches_bincount(x8, boxes, SppGrid(3, 8))
-        assert_scatter_matches_bincount(x4, boxes, SppGrid(3, 16))
+        assert_scatter_matches_bincount(x8, boxes, 3, 8)
+        assert_scatter_matches_bincount(x4, boxes, 3, 16)
         boxes[4, 2] = boxes[4, 0]
         with pytest.raises(TensorError, match="region 4"):
-            spp_regions(Tensor(x4), boxes, SppGrid(3, 16))
+            spp_regions(Tensor(x4), boxes, 3, 16)
 
     def test_cells_must_match_boxes(self, rng):
         boxes = random_boxes(rng, 3, 64)
-        _, cells, plan = spp_layout(boxes, SppGrid(2, 8), 8, 8)
+        _, cells, plan = spp_layout(boxes, 2, 8, 8, 8)
         with pytest.raises(TensorError, match="2 regions' cells for 3 boxes"):
             spp_pool_regions(Tensor(rng.normal(size=(8, 8, 1))), boxes, cells[:2], plan)
 
@@ -707,7 +703,7 @@ class TestSpp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any cast to cell indices
             with pytest.raises(TensorError, match="region 2"):
-                spp_regions(Tensor(np.zeros((4, 4, 1))), boxes, SppGrid(2, 8))
+                spp_regions(Tensor(np.zeros((4, 4, 1))), boxes, 2, 8)
 
     # (grid size, integer-valued map, box draw, ties expected): integer maps
     # tie often; G = 3 on an 8 x 8 map makes bins of 2-3 cells; G = 10 and
@@ -735,15 +731,15 @@ class TestSpp:
         else:
             boxes = random_boxes(r, 8, 64)
         gout = r.normal(size=(len(boxes), g, g, 3))
-        xt = Tensor(x, requires_grad=True)
+        xt = leaf(x)
         with Tape() as tape:
-            pooled = spp_regions(xt, boxes, SppGrid(g, 8))
+            pooled = spp_regions(xt, boxes, g, 8)
             backward(weighted_sum(pooled, gout.reshape(len(boxes), -1)), tape)
         out, gh, ties = spp_routed_oracle(x, boxes, 8, g, gout)
         assert (ties > 0) == tied
         assert pooled.data.tobytes() == out.tobytes()
         assert xt.grad.tobytes() == gh.tobytes()
-        assert_scatter_matches_bincount(x, boxes, SppGrid(g, 8), seed)
+        assert_scatter_matches_bincount(x, boxes, g, 8, seed)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scatter_bytes_match_bincount_on_random_layouts(self, seed):
@@ -764,11 +760,11 @@ class TestSpp:
             boxes = random_boxes(r, int(r.integers(1, 12)), stride * min(hh, ww) + 2)
             boxes[:, 2:] = np.minimum(boxes[:, 2:], (stride * ww, stride * hh))
             boxes[:, :2] = np.minimum(boxes[:, :2], boxes[:, 2:] - 0.5)
-            _, cells, _ = spp_layout(boxes, SppGrid(g, stride), hh, ww)
+            _, cells, _ = spp_layout(boxes, g, stride, hh, ww)
             flat = cells.reshape(-1, cells.shape[3])
             seen["padded"] += bool((flat[:, 1:] == flat[:, :-1]).any())
             seen["tied"] += bool((np.diff(np.sort(x[..., 0].ravel())) == 0).any())
-            assert_scatter_matches_bincount(x, boxes, SppGrid(g, stride), seed)
+            assert_scatter_matches_bincount(x, boxes, g, stride, seed)
         assert seen["padded"] and seen["tied"]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -782,7 +778,7 @@ class TestSpp:
             boxes = random_boxes(r, int(r.integers(1, 10)), 4 * min(hh, ww) + 2)
             boxes[:, 2:] = np.minimum(boxes[:, 2:], (4 * ww, 4 * hh))
             boxes[:, :2] = np.minimum(boxes[:, :2], boxes[:, 2:] - 0.5)
-            _, cells, plan = spp_layout(boxes, SppGrid(int(r.integers(1, 7)), 4), hh, ww)
+            _, cells, plan = spp_layout(boxes, int(r.integers(1, 7)), 4, hh, ww)
             flat = cells.reshape(-1, cells.shape[3])
             bins = len(flat)
             want = sorted({(b, int(cell)) for b in range(bins) for cell in flat[b]})
@@ -808,9 +804,9 @@ class TestSpp:
         boxes = np.array([[0.0, 0.0, 7.0, side], [0.5, 0.0, 8.0, hh],
                           [ww - 7.5, hh - side, ww, hh], [ww - 9.0, 0.0, ww, hh]])
         gout = r.normal(size=(len(boxes), 3, 3, 2))
-        gh, cells = spp_backward(x, boxes, SppGrid(3, 1), gout)
+        gh, cells = spp_backward(x, boxes, 3, 1, gout)
         assert gh.tobytes() == spp_bincount_reference(x, cells, gout).tobytes()
-        assert_scatter_matches_bincount(x, boxes, SppGrid(3, 1), 0)
+        assert_scatter_matches_bincount(x, boxes, 3, 1, 0)
 
 
 def one_footprint(box, stride, h, w):

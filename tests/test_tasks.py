@@ -391,33 +391,33 @@ def scalar_nms(boxes, scores, iou_thresh):
 class TestNms:
     def test_keeps_highest_of_overlapping_pair(self):
         boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11]], dtype=float)
-        assert nms(boxes, [0.3, 0.9]) == [1]
+        assert nms(boxes, [[0.3, 0.9]]) == [1]
 
     def test_disjoint_boxes_all_kept(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25], [40, 0, 45, 5]], dtype=float)
-        assert sorted(nms(boxes, [0.5, 0.9, 0.1])) == [0, 1, 2]
+        assert sorted(nms(boxes, [[0.5, 0.9, 0.1]])) == [0, 1, 2]
 
     def test_output_is_score_descending(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
-        assert nms(boxes, [0.2, 0.8]) == [1, 0]
+        assert nms(boxes, [[0.2, 0.8]]) == [1, 0]
 
     def test_tie_is_stable(self):
         boxes = np.array([[0, 0, 5, 5], [20, 20, 25, 25]], dtype=float)
-        assert nms(boxes, [0.5, 0.5]) == [0, 1]
+        assert nms(boxes, [[0.5, 0.5]]) == [0, 1]
 
     def test_iou_at_threshold_is_kept(self, monkeypatch):
         boxes = np.array([[0, 0, 2, 2], [1, 1, 3, 3]], dtype=float)  # IoU 1/7
         monkeypatch.setattr(tasks, "NMS_IOU", iou((0, 0, 2, 2), (1, 1, 3, 3)))
-        assert nms(boxes, [0.9, 0.8]) == [0, 1]
+        assert nms(boxes, [[0.9, 0.8]]) == [0, 1]
 
     def test_threshold_of_one_keeps_every_box(self, monkeypatch):
         # No IoU exceeds 1, not even a box's own: each box is still taken once.
         boxes = np.array([[0, 0, 5, 5], [0, 0, 5, 5], [1, 1, 5, 5]], dtype=float)
         monkeypatch.setattr(tasks, "NMS_IOU", 1.0)
-        assert nms(boxes, [0.2, 0.9, 0.5]) == [1, 2, 0]
+        assert nms(boxes, [[0.2, 0.9, 0.5]]) == [1, 2, 0]
 
     def test_no_boxes(self):
-        assert nms(np.zeros((0, 4)), []) == []
+        assert nms(np.zeros((0, 4)), [[]]) == []
 
     def test_200_random_cases_vs_scalar_loop(self, monkeypatch):
         r = np.random.default_rng(77)
@@ -429,7 +429,7 @@ class TestNms:
             # Every fourth case sets the threshold to an IoU that occurs.
             thresh = ious[r.integers(n), r.integers(n)] if case % 4 == 0 else r.uniform(0.0, 0.8)
             monkeypatch.setattr(tasks, "NMS_IOU", thresh)
-            assert nms(boxes, scores) == scalar_nms(boxes, scores, thresh)
+            assert nms(boxes, [scores]) == scalar_nms(boxes, scores, thresh)
 
     @pytest.mark.parametrize("m", [1, 3, 64, 80])
     def test_sets_each_equal_scalar_loop(self, monkeypatch, m):
@@ -499,7 +499,7 @@ def _ap(dets, gts, thresh=0.5):
     scores = np.array([s for _, s in dets], dtype=float)
     order = np.argsort(-scores, kind="stable")
     tp = match_detections(boxes[order], np.ones(len(boxes), int), gts, np.ones(len(gts), int),
-                          thresh)
+                          thresh, np.zeros(len(boxes), int))
     return average_precision(scores[order], tp, len(gts))
 
 
@@ -566,7 +566,7 @@ class TestAveragePrecision:
         g = as_boxes([_far_box(0)])
         gts = [g, g, np.zeros((0, 4))]
         # Image 1's copy of g is a hit; image 2 has no ground truth.
-        tp = np.concatenate([match_detections(g, [1], gt, np.ones(len(gt), int), 0.5)
+        tp = np.concatenate([match_detections(g, [1], gt, np.ones(len(gt), int), 0.5, [0])
                              for gt in gts])
         got = average_precision([0.9, 0.8, 0.7], tp, 2)
         assert got == ap_oracle([1, 1, 0], 2)
@@ -659,7 +659,7 @@ class TestEvaluate:
             _record(_perfect_prediction(s, p, spec.n_classes, spec.n_part_classes), s)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(records, spec.n_classes)
+        m = evaluate(records)
         # Classes absent from every scene contribute AP 0; restrict to present.
         present = {int(c) for s in scenes for c in s.object_classes}
         for c in present:
@@ -671,7 +671,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([], 5)
+            evaluate([])
 
     def test_metrics_rows_layout(self):
         spec, scenes, props = self._scenes(4)
@@ -679,7 +679,7 @@ class TestEvaluate:
             _record(_perfect_prediction(s, p, spec.n_classes, spec.n_part_classes), s)
             for s, p in zip(scenes, props)
         ]
-        m = evaluate(records, spec.n_classes)
+        m = evaluate(records)
         rows = metrics_to_rows("run", "update1", 2, 0, m)
         assert all(len(r) == len(tasks.METRIC_CSV_COLUMNS) for r in rows)
         names = {r[4] for r in rows}
@@ -797,8 +797,7 @@ class TestEvaluateMatchesScalarScoring:
             scenes = generate_dataset(spec, 5)
             preds = [_random_prediction(r, s, spec, i) for i, s in enumerate(scenes)]
             records = [_record(p, s) for p, s in zip(preds, scenes)]
-            assert evaluate(records, spec.n_classes) == scalar_evaluate(
-                preds, scenes, spec.n_classes)
+            assert evaluate(records) == scalar_evaluate(preds, scenes, spec.n_classes)
             for task in tasks.REGION_TASKS.values():
                 want = scalar_detections(preds, task.name)
                 for img, (rec, scene) in enumerate(zip(records, scenes)):
@@ -811,8 +810,8 @@ class TestEvaluateMatchesScalarScoring:
                         assert n_gt == len(gts)
             det_only = [Prediction(p.cls_scores, {"det": p.regions["det"]}, p.proposals)
                         for p in preds]
-            assert evaluate([_record(p, s) for p, s in zip(det_only, scenes)],
-                            spec.n_classes) == scalar_evaluate(det_only, scenes, spec.n_classes)
+            assert evaluate([_record(p, s) for p, s in zip(det_only, scenes)]) == scalar_evaluate(
+                det_only, scenes, spec.n_classes)
 
     @pytest.mark.parametrize("value", [800.0, np.inf, np.nan], ids=["overflow", "inf", "nan"])
     def test_non_finite_box_is_tensor_error(self, value):
@@ -838,7 +837,7 @@ class TestEvaluateMatchesScalarScoring:
         preds = [_random_prediction(r, s, spec, i) for i, s in enumerate(scenes)]
         records = [_record(p, s) for p, s in zip(preds, scenes)]
         for pick in ([0, 1, 2, 3], [2, 0, 2, 3, 1], [3, 3, 3, 0]):
-            got = evaluate([records[i] for i in pick], spec.n_classes)
+            got = evaluate([records[i] for i in pick])
             assert got == scalar_evaluate(
                 [preds[i] for i in pick], [scenes[i] for i in pick], spec.n_classes)
 
@@ -860,7 +859,7 @@ class TestEvaluateMatchesScalarScoring:
                 per_t[t].append(Prediction(out.x_cls.data, regions, props))
         assert len(per_t) == 3
         for preds in per_t:
-            got = evaluate([_record(p, s) for p, s in zip(preds, scenes)], spec.n_classes)
+            got = evaluate([_record(p, s) for p, s in zip(preds, scenes)])
             assert got == scalar_evaluate(preds, scenes, spec.n_classes)
             assert got["det_ap"] > 0.5
 
